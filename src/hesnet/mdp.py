@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -205,14 +204,6 @@ class MdpModel:
     kernel0: np.ndarray   # (M, M) next-level distribution, no spend
     kernel1: np.ndarray   # (K, M, M) next-level distribution when serving;
                           #           zero rows where not allowed
-
-    @cached_property
-    def stage_costs(self) -> np.ndarray:
-        """(M, K_G, K_H, 2) immediate costs; action 1 always costs 0."""
-        m, k = self.grid.M, self.grid.K
-        out = np.zeros((m, k, k, 2))
-        out[:, :, :, 0] = self.cost_G[None, :, None]
-        return out
 
 
 def build_mdp_model(params: SystemParams, grid: QuantizationGrid) -> MdpModel:

@@ -33,7 +33,7 @@ from .model import (
     kappa,
     sample_trajectories,
 )
-from .sim import OnlineObservation, run_batch
+from .sim import OnlineObservation, check_affordable
 
 __all__ = [
     "ThresholdParams",
@@ -127,8 +127,33 @@ def _skip_cost(gamma_g, params: SystemParams):
                           params)
 
 
-def _feasible(p_h, battery, params: SystemParams):
-    return p_h <= np.minimum(np.asarray(battery, dtype=float) / params.tau, params.p_H_max)
+def _feasible(p_h, battery, params: SystemParams, p_max=None):
+    """Whether one block at power p_h fits the battery and the peak cap
+    (params.p_H_max unless a joint cap `p_max` is given)."""
+    cap = params.p_H_max if p_max is None else p_max
+    return p_h <= np.minimum(np.asarray(battery, dtype=float) / params.tau, cap)
+
+
+def _threshold_level(zeta, lambda1, lambda2, params: SystemParams, metric):
+    """Right-hand side zeta * P_avg * tau * metric(lambda1, lambda2) of the
+    threshold rule; `zeta` may be a column of candidates."""
+    return zeta * params.P_avg * params.tau * float(metric(lambda1, lambda2))
+
+
+def _threshold_serve(block, battery, p_h, score, level, params: SystemParams, p_max=None):
+    """The threshold rule; every threshold policy and the calibrator use it.
+
+    Infeasible states never serve; the last block serves whenever feasible;
+    otherwise serve when battery * score clears `level`, where score is
+    metric(skip cost, p_h) and level comes from _threshold_level.  Operands
+    broadcast: one observation, a (frames,) block, or a (candidates,
+    frames) block of battery states against per-frame p_h and score.
+    """
+    feas = _feasible(p_h, battery, params, p_max)
+    if block >= params.N - 1:
+        return feas
+    with np.errstate(invalid="ignore"):
+        return feas & (battery * score >= level)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +163,7 @@ def _feasible(p_h, battery, params: SystemParams):
 def greedy_transmit_decide(obs: OnlineObservation, params: SystemParams) -> int:
     """Serve from the battery whenever one block of inversion power fits
     both the stored energy and the peak cap; boundaries serve."""
-    p_h = float(_p_inv_h(obs.gamma_H, params))
-    return int(p_h <= min(obs.battery / params.tau, params.p_H_max))
+    return int(_feasible(float(_p_inv_h(obs.gamma_H, params)), obs.battery, params))
 
 
 def threshold_decide(obs: OnlineObservation, tp: ThresholdParams, metric=None,
@@ -155,13 +179,9 @@ def threshold_decide(obs: OnlineObservation, tp: ThresholdParams, metric=None,
         raise InvalidParameterError("params is required")
     metric = metric or ratio_metric
     p_h = float(_p_inv_h(obs.gamma_H, params))
-    if not (p_h <= min(obs.battery / params.tau, params.p_H_max)):
-        return 0
-    if obs.block >= params.N - 1:
-        return 1
-    lhs = obs.battery * float(metric(float(_skip_cost(obs.gamma_G, params)), p_h))
-    rhs = tp.zeta * params.P_avg * params.tau * float(metric(tp.lambda1, tp.lambda2))
-    return int(lhs >= rhs)
+    score = float(metric(float(_skip_cost(obs.gamma_G, params)), p_h))
+    level = _threshold_level(tp.zeta, tp.lambda1, tp.lambda2, params, metric)
+    return int(_threshold_serve(obs.block, obs.battery, p_h, score, level, params))
 
 
 class GreedyTransmit:
@@ -190,15 +210,11 @@ class ThresholdHeuristic:
 
     def decide_batch(self, block, battery, gamma_g, gamma_h, params):
         p_h = _p_inv_h(gamma_h, params)
-        feas = _feasible(p_h, battery, params)
-        if block >= params.N - 1:
-            return feas.astype(np.int8)
         with np.errstate(invalid="ignore"):
-            lhs = battery * np.asarray(self.metric(_skip_cost(gamma_g, params), p_h),
-                                       dtype=float)
-        rhs = self.tp.zeta * params.P_avg * params.tau * float(
-            self.metric(self.tp.lambda1, self.tp.lambda2))
-        return (feas & (lhs >= rhs)).astype(np.int8)
+            score = np.asarray(self.metric(_skip_cost(gamma_g, params), p_h), dtype=float)
+        level = _threshold_level(self.tp.zeta, self.tp.lambda1, self.tp.lambda2, params,
+                                 self.metric)
+        return _threshold_serve(block, battery, p_h, score, level, params).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +227,16 @@ def _check_hash(table: PolicyTable, params: SystemParams):
             "policy table was trained on different parameters; retrain it "
             f"(table hash {table.params_hash[:12]}..., params hash "
             f"{params.content_hash()[:12]}...)")
+
+
+def _check_hash_once(policy, params: SystemParams):
+    # SystemParams is frozen, so a (table, params) pair that matched once
+    # matches for good: hash once per run instead of once per block.  The
+    # pair is held, not its ids, so a freed object's id cannot be reused.
+    ok = policy._hash_ok
+    if ok is None or ok[0] is not policy.table or ok[1] is not params:
+        _check_hash(policy.table, params)
+        policy._hash_ok = (policy.table, params)
 
 
 def _lookup(table: PolicyTable, t: int, battery, gamma_g, gamma_h, params):
@@ -240,10 +266,8 @@ def mdp_policy_decide(obs: OnlineObservation, table: PolicyTable, grid=None,
         raise InvalidParameterError(
             f"block {obs.block} outside the table horizon {table.N}")
     action = int(_lookup(table, obs.block, obs.battery, obs.gamma_G, obs.gamma_H, params))
-    if action == 1:
-        p_h = float(_p_inv_h(obs.gamma_H, params))
-        if not (p_h <= min(obs.battery / params.tau, params.p_H_max)):
-            action = 0
+    if action == 1 and not _feasible(float(_p_inv_h(obs.gamma_H, params)), obs.battery, params):
+        action = 0
     return action
 
 
@@ -253,12 +277,13 @@ class MdpTablePolicy:
     def __init__(self, table: PolicyTable, name: str = "MBIA"):
         self.table = table
         self.name = name
+        self._hash_ok = None
 
     def decide(self, obs: OnlineObservation, params: SystemParams) -> int:
         return mdp_policy_decide(obs, self.table, None, params)
 
     def decide_batch(self, block, battery, gamma_g, gamma_h, params):
-        _check_hash(self.table, params)
+        _check_hash_once(self, params)
         if not 0 <= block < self.table.N:
             raise InvalidParameterError(
                 f"block {block} outside the table horizon {self.table.N}")
@@ -288,23 +313,23 @@ class LookAhead:
             raise InvalidParameterError("look-ahead needs a 2-block table")
         self.table = table
         self.name = name
+        self._hash_ok = None
 
     def decide(self, obs: OnlineObservation, params: SystemParams) -> int:
         if obs.block >= params.N - 1:
             return greedy_transmit_decide(obs, params)
         _check_hash(self.table, params)
         action = int(_lookup(self.table, 0, obs.battery, obs.gamma_G, obs.gamma_H, params))
-        if action == 1:
-            p_h = float(_p_inv_h(obs.gamma_H, params))
-            if not (p_h <= min(obs.battery / params.tau, params.p_H_max)):
-                action = 0
+        if action == 1 and not _feasible(float(_p_inv_h(obs.gamma_H, params)), obs.battery,
+                                         params):
+            action = 0
         return action
 
     def decide_batch(self, block, battery, gamma_g, gamma_h, params):
         feas = _feasible(_p_inv_h(gamma_h, params), battery, params)
         if block >= params.N - 1:
             return feas.astype(np.int8)
-        _check_hash(self.table, params)
+        _check_hash_once(self, params)
         act = _lookup(self.table, 0, battery, gamma_g, gamma_h, params)
         return np.where(feas, act, 0).astype(np.int8)
 
@@ -313,6 +338,11 @@ class LookAhead:
 # threshold calibration
 # ---------------------------------------------------------------------------
 
+# Rows (candidates x frames) one calibration chunk walks at a time; caps
+# its working arrays at a few tens of MB whatever the budget.
+_CALIBRATION_ROWS = 1 << 20
+
+
 def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
                    metric=None, return_costs: bool = False):
     """Pick the zeta minimizing mean frame cost over shared trajectories.
@@ -320,20 +350,46 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
     Every candidate is scored on the same `budget` frames (keyed by `seed`),
     so the argmin is deterministic; ties resolve to the first candidate in
     the given order.
+
+    All candidates walk the frames in lockstep: inversion powers, skip
+    costs and the rule's score metric(skip cost, p_H) are computed once as
+    (frames, N) arrays, and each block is one numpy step on a (candidates,
+    frames) battery array that broadcasts against them, through the same
+    rule (_threshold_serve) and over-draw check (check_affordable) that
+    `run_batch` applies to a ThresholdHeuristic.  Candidates are taken in
+    chunks of at most _CALIBRATION_ROWS candidate-frame rows to bound
+    memory.  No row's arithmetic changes, so each cost equals, bit for bit,
+    the mean of run_batch's frame costs for that candidate alone.  `metric`
+    is applied once to whole (frames, N) arrays, so it must act elementwise.
     """
     cand = np.asarray(list(candidates), dtype=float)
     if cand.size == 0 or np.any(~np.isfinite(cand)) or np.any(cand < 0):
         raise InvalidParameterError("candidates must be finite, nonnegative, and nonempty")
     if budget < 1:
         raise InvalidParameterError(f"budget must be >= 1 frame, got {budget!r}")
+    metric = metric or ratio_metric
     lambda1, lambda2 = threshold_lambdas(params)
+    ThresholdParams(float(cand[0]), lambda1, lambda2)  # rejects degenerate lambdas
     gg, gh, eh = sample_trajectories(params, seed, budget)
+    p_h = _p_inv_h(gh, params)
+    skip = _skip_cost(gg, params)
+    with np.errstate(invalid="ignore"):
+        score = np.asarray(metric(skip, p_h), dtype=float)
+    chunk = max(1, _CALIBRATION_ROWS // budget)
     costs = np.empty(cand.size)
-    for i, zeta in enumerate(cand):
-        policy = ThresholdHeuristic(ThresholdParams(float(zeta), lambda1, lambda2),
-                                    metric=metric)
-        frame_costs, _, _ = run_batch(policy, params, gg, gh, eh)
-        costs[i] = frame_costs.mean()
+    for lo in range(0, cand.size, chunk):
+        level = _threshold_level(cand[lo:lo + chunk, None], lambda1, lambda2, params, metric)
+        battery = np.zeros((level.shape[0], budget))
+        frame_costs = np.zeros_like(battery)
+        for i in range(params.N):
+            battery = np.minimum(battery + eh[:, i], params.B_m)
+            serve = _threshold_serve(i, battery, p_h[:, i], score[:, i], level, params)
+            spend = np.where(serve, p_h[:, i] * params.tau, 0.0)
+            check_affordable(i, serve, p_h[:, i], spend, battery, params)
+            battery = np.maximum(battery - spend, 0.0)
+            frame_costs += np.where(serve, 0.0, skip[:, i])
+        # row by row, so each mean is the 1-D reduction a lone candidate gets
+        costs[lo:lo + level.shape[0]] = [row.mean() for row in frame_costs]
     best = float(cand[int(np.argmin(costs))])
     return (best, costs) if return_costs else best
 
@@ -361,16 +417,12 @@ def multiuser_threshold_decide(observations, tps, params_list, p_H_max_sum: floa
     scored = []
     for u, (obs, tp, p) in enumerate(zip(observations, tps, params_list)):
         p_h = float(_p_inv_h(obs.gamma_H, p))
-        if not (p_h <= min(battery / p.tau, p_H_max_sum)):
-            continue
-        if obs.block >= p.N - 1:
-            tentative = 1
-        else:
-            lhs = battery * float(metric(float(_skip_cost(obs.gamma_G, p)), p_h))
-            rhs = tp.zeta * p.P_avg * p.tau * float(metric(tp.lambda1, tp.lambda2))
-            tentative = int(lhs >= rhs)
-        if tentative:
-            scored.append((-float(metric(float(_skip_cost(obs.gamma_G, p)), p_h)), u, p_h))
+        if not _feasible(p_h, battery, p, p_H_max_sum):
+            continue   # spares the skip-cost evaluation; the rule below rechecks
+        score = float(metric(float(_skip_cost(obs.gamma_G, p)), p_h))
+        level = _threshold_level(tp.zeta, tp.lambda1, tp.lambda2, p, metric)
+        if _threshold_serve(obs.block, battery, p_h, score, level, p, p_H_max_sum):
+            scored.append((-score, u, p_h))
     scored.sort()
     power_used = 0.0
     energy_used = 0.0

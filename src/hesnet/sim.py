@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -117,6 +116,25 @@ class GridOnlyPolicy:
 # single-frame scalar walk
 # ---------------------------------------------------------------------------
 
+def check_affordable(block: int, serve, p_h, spend, battery, params: SystemParams) -> None:
+    """Reject a served block the battery or the peak cap cannot pay for.
+
+    A serve must fit under p_H_max and spend at most the stored energy
+    (ENERGY_RTOL relative slack).  Arguments broadcast: scalars for one
+    frame, (frames,) columns for a batch walk, (candidates, frames) for
+    the zeta calibration walk.  An over-draw is an internal invariant
+    breach, not user error.
+    """
+    bad = serve & ((p_h > params.p_H_max) | (spend > battery * (1.0 + ENERGY_RTOL) + 1e-18))
+    if np.any(bad):
+        at = np.unravel_index(np.argmax(bad), np.shape(bad))
+        where = f" of frame {at[-1]}" if at else ""
+        raise InvalidActionError(
+            f"policy served block {block + 1}{where} with battery "
+            f"{float(np.broadcast_to(battery, np.shape(bad))[at])!r} J, spend "
+            f"{float(np.broadcast_to(spend, np.shape(bad))[at])!r} J, peak {params.p_H_max} W")
+
+
 def run_frame(policy, trajectory: FrameTrajectory, params: SystemParams):
     """Walk one frame under a causal policy.
 
@@ -142,10 +160,7 @@ def run_frame(policy, trajectory: FrameTrajectory, params: SystemParams):
         if action == 1:
             p_h = float(inversion_power(channel_gain(params.d_H, obs.gamma_H, params), params))
             spend = p_h * params.tau
-            if p_h > params.p_H_max or spend > battery * (1.0 + ENERGY_RTOL) + 1e-18:
-                raise InvalidActionError(
-                    f"policy served block {i + 1} with battery {battery!r} J, "
-                    f"spend {spend!r} J, peak {params.p_H_max} W")
+            check_affordable(i, True, p_h, spend, battery, params)
             battery = max(battery - spend, 0.0)
             block_costs.append(0.0)
         elif action == 0:
@@ -193,13 +208,7 @@ def run_batch(policy, params: SystemParams, gamma_g, gamma_h, e_h):
         act = np.asarray(policy.decide_batch(i, battery, gamma_g[:, i], gamma_h[:, i], params))
         serve = act == 1
         spend = np.where(serve, p_inv_h[:, i] * params.tau, 0.0)
-        bad = serve & ((p_inv_h[:, i] > params.p_H_max)
-                       | (spend > battery * (1.0 + ENERGY_RTOL) + 1e-18))
-        if bad.any():
-            f = int(np.argmax(bad))
-            raise InvalidActionError(
-                f"policy served block {i + 1} of frame {f} with battery "
-                f"{battery[f]!r} J, spend {spend[f]!r} J")
+        check_affordable(i, serve, p_inv_h[:, i], spend, battery, params)
         battery = np.maximum(battery - spend, 0.0)
         costs += np.where(serve, 0.0, skip_cost[:, i])
         grid += np.where(~serve & transmits[:, i], p_inv_g[:, i] * params.tau, 0.0)
@@ -517,15 +526,6 @@ def write_rows_csv(path, rows: list[dict], header: list[str] | None = None) -> N
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row[k] for k in fields})
-
-
-def rows_csv_text(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_HEADER)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row[k] for k in CSV_HEADER})
-    return buf.getvalue()
 
 
 def file_sha256(path) -> str:

@@ -1,11 +1,14 @@
 """Online decision rules: closed forms, equivalences, table lookups."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from hesnet import policies
+from hesnet.cli import resolve_config
 from hesnet.errors import InvalidParameterError, ModelMismatchError, StalePolicyError
 from hesnet.mdp import build_grid, build_mdp_model, monotone_backward_induction
 from hesnet.model import (
@@ -34,7 +37,7 @@ from hesnet.policies import (
     threshold_decide,
     threshold_lambdas,
 )
-from hesnet.sim import OnlineObservation, run_batch
+from hesnet.sim import OnlineObservation, apply_axis, run_batch
 
 P = SystemParams()
 
@@ -234,6 +237,33 @@ def test_mdp_policy_stale_hash_rejected():
         policy.decide_batch(0, np.array([1e-4]), np.array([1.0]), np.array([1.0]), other)
 
 
+def test_stale_table_raises_from_run_batch():
+    gg, gh, eh = sample_trajectories(P, 51, 4)
+    other = P.evolve(w_D=0.5)
+    for policy in (MdpTablePolicy(small_table(P)), LookAhead(look_ahead_build(P, M=10, K=4))):
+        run_batch(policy, P, gg, gh, eh)   # a matching run first must not mask the stale one
+        with pytest.raises(StalePolicyError):
+            run_batch(policy, other, gg, gh, eh)
+
+
+def test_matching_table_hashes_params_once_per_run(monkeypatch):
+    calls = []
+    content_hash = SystemParams.content_hash
+
+    def counting(self):
+        calls.append(self)
+        return content_hash(self)
+
+    monkeypatch.setattr(SystemParams, "content_hash", counting)
+    gg, gh, eh = sample_trajectories(P, 52, 4)
+    for policy in (MdpTablePolicy(small_table(P)), LookAhead(look_ahead_build(P, M=10, K=4))):
+        calls.clear()
+        run_batch(policy, P, gg, gh, eh)
+        assert len(calls) == 1
+        run_batch(policy, P.evolve(), gg, gh, eh)   # equal content, new object
+        assert len(calls) == 2
+
+
 def test_mdp_policy_demotes_infeasible_lookup():
     table = small_table(P)
     # terminal block serves whenever the mid-value battery affords it; a
@@ -296,20 +326,98 @@ def test_look_ahead_structure():
 # calibration
 # ---------------------------------------------------------------------------
 
+def calibrate_by_run_batch(cand, params, budget, seed, metric=None):
+    """Reference calibrator: one ThresholdHeuristic run_batch per candidate."""
+    l1, l2 = threshold_lambdas(params)
+    gg, gh, eh = sample_trajectories(params, seed, budget)
+    costs = np.empty(len(cand))
+    for i, zeta in enumerate(cand):
+        policy = ThresholdHeuristic(ThresholdParams(float(zeta), l1, l2), metric=metric)
+        frame_costs, _, _ = run_batch(policy, params, gg, gh, eh)
+        costs[i] = frame_costs.mean()
+    return float(cand[int(np.argmin(costs))]), costs
+
+
+def assert_matches_oracle(cand, params, budget, seed, metric=None):
+    cand = np.asarray(cand, dtype=float)
+    zeta, costs = calibrate_zeta(cand, params, budget, seed, metric=metric,
+                                 return_costs=True)
+    ref_zeta, ref_costs = calibrate_by_run_batch(cand, params, budget, seed, metric)
+    assert np.array_equal(costs, ref_costs)
+    assert zeta == ref_zeta
+    return zeta, costs
+
+
 def test_calibrate_zeta_deterministic_argmin():
     cand = np.arange(0.0, 30.1, 3.0)
-    z1, costs = calibrate_zeta(cand, P, budget=200, seed=48, return_costs=True)
+    z1, costs = assert_matches_oracle(cand, P, 200, 48)
     z2 = calibrate_zeta(cand, P, budget=200, seed=48)
     assert z1 == z2
     assert z1 in cand
     assert costs.shape == cand.shape
     assert z1 == cand[int(np.argmin(costs))]
-    # recompute one candidate independently: same trajectories, same mean
-    l1, l2 = threshold_lambdas(P)
-    gg, gh, eh = sample_trajectories(P, 48, 200)
-    c, _, _ = run_batch(ThresholdHeuristic(ThresholdParams(float(cand[3]), l1, l2)),
-                        P, gg, gh, eh)
-    assert np.isclose(costs[3], c.mean(), rtol=1e-12)
+
+
+def test_calibrate_zeta_exact_at_fig4_middle_point():
+    cfg = resolve_config(preset="fig4")
+    point = apply_axis(cfg.params, cfg.axis, cfg.axis_values[len(cfg.axis_values) // 2])
+    assert_matches_oracle(cfg.zeta_grid, point, 400, cfg.seed + 1)
+
+
+def shipped_presets():
+    files = resources.files("hesnet").joinpath("presets").iterdir()
+    return sorted(f.name[:-len(".cfg")] for f in files if f.name.endswith(".cfg"))
+
+
+def test_calibrate_zeta_exact_at_every_preset_calibration_point():
+    # calibrate-zeta scores the preset's own point at its seed; sweeps score
+    # every axis point at seed + 1.  The candidates are thinned to 2..13
+    # around the reference zeta*, and the budget is cut.
+    points = {}
+    for name in shipped_presets():
+        cfg = resolve_config(preset=name)
+        points[(cfg.params.content_hash(), cfg.seed)] = (cfg, cfg.params, cfg.seed)
+        for value in cfg.axis_values:
+            point = apply_axis(cfg.params, cfg.axis, value)
+            points[(point.content_hash(), cfg.seed + 1)] = (cfg, point, cfg.seed + 1)
+    assert len(points) >= 10
+    for cfg, point, seed in points.values():
+        assert_matches_oracle(cfg.zeta_grid[4:28:2], point, 60, seed)
+
+
+def test_calibrate_zeta_exact_with_custom_metric():
+    def metric(c, p):
+        return np.sqrt(c) / p
+
+    assert_matches_oracle(np.arange(0.0, 60.1, 2.0), P, 150, 53, metric=metric)
+
+
+def test_calibrate_zeta_exact_when_nothing_is_feasible():
+    params = P.evolve(p_H_max=1e-3)
+    _, gh, _ = sample_trajectories(params, 54, 100)
+    assert np.all(inversion_power(channel_gain(params.d_H, gh, params), params)
+                  > params.p_H_max)
+    cand = np.arange(0.0, 20.1, 5.0)
+    zeta, costs = assert_matches_oracle(cand, params, 100, 54)
+    assert np.all(costs == costs[0])
+    assert zeta == cand[0]
+
+
+def test_calibrate_zeta_exact_across_chunks(monkeypatch):
+    cand = np.arange(0.0, 50.1, 5.0)
+    whole = calibrate_zeta(cand, P, 120, 55, return_costs=True)
+    monkeypatch.setattr(policies, "_CALIBRATION_ROWS", 3 * 120 + 1)   # chunks of 3
+    zeta, costs = assert_matches_oracle(cand, P, 120, 55)
+    assert zeta == whole[0]
+    assert np.array_equal(costs, whole[1])
+
+
+def test_calibrate_zeta_tie_resolves_to_first_candidate():
+    # thresholds this high never serve an interior block: every cost ties
+    cand = [3e9, 1e9, 2e9]
+    zeta, costs = assert_matches_oracle(cand, P, 80, 56)
+    assert np.all(costs == costs[0])
+    assert zeta == 3e9
 
 
 def test_calibrate_zeta_rejects_bad_input():

@@ -23,6 +23,7 @@ from hesnet.sim import (
     ScriptedAssignmentPolicy,
     ScriptedMultiuserAssignment,
     apply_axis,
+    check_affordable,
     metrics_from_arrays,
     monte_carlo,
     multiuser_monte_carlo,
@@ -124,6 +125,18 @@ def test_batch_rejects_infeasible_serve():
     eh = np.zeros_like(eh)
     with pytest.raises(InvalidActionError):
         run_batch(AlwaysServe(), P, gg, gh, eh)
+
+
+def test_affordability_check_locates_overdraw_in_candidate_rows():
+    # (candidates, frames) battery rows against per-frame powers, as the
+    # zeta calibration walk uses it
+    battery = np.array([[1.0, 1.0], [1.0, 1e-9]])
+    p_h = np.array([0.01, 0.01])
+    serve = np.ones((2, 2), dtype=bool)
+    spend = np.where(serve, p_h * P.tau, 0.0)
+    check_affordable(6, serve[:1], p_h, spend[:1], battery[:1], P)
+    with pytest.raises(InvalidActionError, match="block 7 of frame 1 with battery 1e-09 J"):
+        check_affordable(6, serve, p_h, spend, battery, P)
 
 
 # ---------------------------------------------------------------------------
