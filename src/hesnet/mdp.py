@@ -4,12 +4,13 @@ The online problem is a per-block choice: spend battery on this packet or
 leave it to the grid BS / the drop rule.  The state is (battery level,
 G-channel state, H-channel state) on a finite grid: battery quantized into M
 equal bins represented by mid-values, each channel into K equi-probable
-states represented by conditional means.  Backward induction solves the
-resulting Bellman recursion exactly; the monotone variant exploits the
-threshold structure of the optimal policy to decide each (block, battery
-level) slice with at most 2K-1 state evaluations instead of K^2.
+states represented by conditional means; the kernels are built in closed
+form.  Backward induction solves the resulting Bellman recursion exactly; the
+monotone variant (MBIA) exploits the threshold structure of the optimal
+policy, walking all battery levels of a block in lockstep with at most 2K-1
+state evaluations each instead of K^2, once the walk's orderings are checked.
 
-Both solvers share one code path for the expectation terms, so their value
+Both solvers share one recursion and one expectation path, so their value
 tables agree bitwise, not just within tolerance.
 """
 
@@ -207,24 +208,32 @@ class MdpModel:
 
 
 def build_mdp_model(params: SystemParams, grid: QuantizationGrid) -> MdpModel:
-    """Precompute per-state powers, skip costs, action masks and kernels."""
+    """Precompute per-state powers, skip costs, action masks and kernels.
+
+    The kernels are `energy_transition_probs` in closed form, broadcast over
+    battery levels and H-states with the same arithmetic (bitwise equal)."""
     p_inv_h = inversion_power(channel_gain(params.d_H, grid.levels_H, params), params)
     p_inv_g = inversion_power(channel_gain(params.d_G, grid.levels_G, params), params)
     cost_g = cost_parameter(p_inv_g, params)
-    m, k = grid.M, grid.K
     levels = grid.battery_levels
+    if not np.allclose(quantize_energy(levels, grid), levels, rtol=1e-9, atol=0.0):
+        raise InvalidStateError("battery levels are not the bin mid-values of this grid")
     allowed = p_inv_h[None, :] <= np.minimum(levels[:, None] / params.tau, params.p_H_max)
-    kernel0 = np.empty((m, m))
-    for i in range(m):
-        kernel0[i] = energy_transition_probs(levels[i], 0.0, grid, params)
-    kernel1 = np.zeros((k, m, m))
-    for j in range(k):
-        spend = p_inv_h[j] * params.tau
-        for i in range(m):
-            if allowed[i, j]:
-                kernel1[j, i] = energy_transition_probs(levels[i], spend, grid, params)
+    spend = p_inv_h * params.tau
+    if np.any(allowed & (spend > levels[:, None] * (1 + 1e-12))):
+        raise InvalidActionError("an allowed spend exceeds its battery level")
+    # probs[r, i]: the row of level i after no spend (r = 0) or serving at H-state r-1
+    base = np.maximum(levels - np.append(0.0, spend)[:, None], 0.0)[:, :, None]
+    lo = grid.bin_edges[:-1] - base
+    np.maximum(lo, 0.0, out=lo)
+    probs = np.append(grid.bin_edges[1:-1], np.inf) - base
+    np.minimum(probs, params.E_m, out=probs)
+    probs -= lo
+    np.maximum(probs, 0.0, out=probs)
+    probs /= params.E_m
+    probs[1:] *= allowed.T[:, :, None]
     return MdpModel(params=params, grid=grid, p_inv_H=p_inv_h, cost_G=cost_g,
-                    allowed=allowed, kernel0=kernel0, kernel1=kernel1)
+                    allowed=allowed, kernel0=probs[0], kernel1=probs[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +269,38 @@ def _expected_values(model: MdpModel, u_hat_next: np.ndarray):
     the next-state expectation factorizes through u_hat: ev0[m] (no spend)
     and ev1[m, kh] (spend at H-state kh), both already divided by K^2.
     """
-    k = model.grid.K
-    inv_k2 = 1.0 / (k * k)
-    ev0 = (model.kernel0 @ u_hat_next) * inv_k2
-    ev1 = np.stack([model.kernel1[j] @ u_hat_next for j in range(k)], axis=1) * inv_k2
-    return ev0, ev1
+    inv_k2 = 1.0 / (model.grid.K * model.grid.K)
+    return (model.kernel0 @ u_hat_next) * inv_k2, (model.kernel1 @ u_hat_next).T * inv_k2
 
 
-def _q_mask(model: MdpModel) -> np.ndarray:
-    return np.where(model.allowed, 0.0, np.inf)  # (M, K) additive mask on q1
+# Relative rise tolerated in q0 along the G axis and q1 along the H axis: the
+# shipped presets show 1-ulp rises (3.3e-16 at M=100, K=25) that change nothing.
+_RISE_RTOL = 1e-12
+
+
+def _induction(model: MdpModel, N: int, decide):
+    """Backward recursion shared by both solvers: `decide(t, q0, q1)` maps
+    block t's (M, K) action values -- q0 per G-state, q1 per H-state, inf
+    where serving is not allowed -- to the (M, K_G, K_H) serve mask."""
+    if not (isinstance(N, (int, np.integer)) and N >= 1):
+        raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
+    m, k = model.grid.M, model.grid.K
+    params_hash = model.params.content_hash()
+    actions = np.zeros((N, m, k, k), dtype=np.uint8)
+    u = np.zeros((N, m, k, k))
+    u_hat = np.zeros((N, m))
+    mask = np.where(model.allowed, 0.0, np.inf)  # (M, K) additive mask on q1
+    for t in range(N - 1, -1, -1):
+        ev0, ev1 = ((np.zeros(m), np.zeros((m, k))) if t == N - 1
+                    else _expected_values(model, u_hat[t + 1]))
+        q0 = model.cost_G[None, :] + ev0[:, None]
+        q1 = ev1 + mask
+        act = decide(t, q0, q1)
+        u[t] = np.where(act, q1[:, None, :], q0[:, :, None])
+        actions[t] = act
+        u_hat[t] = u[t].sum(axis=(1, 2))
+    return (PolicyTable(actions=actions, grid=model.grid, params_hash=params_hash),
+            CostToGo(u=u, u_hat=u_hat, params_hash=params_hash))
 
 
 def backward_induction(model: MdpModel, N: int):
@@ -278,90 +310,58 @@ def backward_induction(model: MdpModel, N: int):
     two actions resolve to serving (action 1).  Returns (PolicyTable,
     CostToGo).
     """
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
-    m, k = model.grid.M, model.grid.K
-    params_hash = model.params.content_hash()
-    actions = np.zeros((N, m, k, k), dtype=np.uint8)
-    u = np.zeros((N, m, k, k))
-    u_hat = np.zeros((N, m))
-    mask = _q_mask(model)
-    for t in range(N - 1, -1, -1):
-        if t == N - 1:
-            ev0 = np.zeros(m)
-            ev1 = np.zeros((m, k))
-        else:
-            ev0, ev1 = _expected_values(model, u_hat[t + 1])
-        q0 = model.cost_G[None, :, None] + ev0[:, None, None]  # (M, K, 1)
-        q1 = (ev1 + mask)[:, None, :]                          # (M, 1, K)
-        act = q1 <= q0
-        u[t] = np.where(act, q1, q0)
-        actions[t] = act
-        u_hat[t] = u[t].sum(axis=(1, 2))
-    return (PolicyTable(actions=actions, grid=model.grid, params_hash=params_hash),
-            CostToGo(u=u, u_hat=u_hat, params_hash=params_hash))
+    return _induction(model, N, lambda t, q0, q1: q1[:, None, :] <= q0[:, :, None])
 
 
-def _monotone_slice(q0_row: np.ndarray, q1_row: np.ndarray, k: int):
-    """Decide one (block, battery level) slice walking the threshold staircase.
+def _lockstep_walk(q0: np.ndarray, q1: np.ndarray):
+    """Threshold-staircase walk of every battery level of one block at once.
 
-    Start at the best state of both channels.  Serving there implies serving
-    at every lower G-state (same value), so the whole column is filled and
-    the H cursor drops; not serving implies not serving at every lower
-    H-state (value doesn't depend on the H-state then), so the row is filled
-    and the G cursor drops.  Each evaluated state retires one cursor step,
-    hence at most 2K-1 evaluations.
-    """
-    pol = np.zeros((k, k), dtype=np.uint8)
-    val = np.empty((k, k))
-    kg = kh = k - 1
-    evals = 0
-    while kg >= 0 and kh >= 0:
-        evals += 1
-        if q1_row[kh] <= q0_row[kg]:
-            val[:kg + 1, kh] = q1_row[kh]
-            pol[:kg + 1, kh] = 1
-            kh -= 1
-        else:
-            val[kg, :kh + 1] = q0_row[kg]
-            kg -= 1
-    return pol, val, evals
+    Each level starts at the best state of both channels.  Serving there
+    implies serving at every lower G-state, so the H cursor drops; not
+    serving implies not serving at every lower H-state, so the G cursor
+    drops: at most 2K-1 steps.  Returns per level and H-state the highest
+    served G-state (-1: none), and per level the states evaluated."""
+    m, k = q0.shape
+    # Cursors are flat indices into rows padded with one leading slot, so a
+    # cursor that runs off its row lands on that row's own pad slot.
+    q0p, q1p = (np.pad(q, ((0, 0), (1, 0))).ravel() for q in (q0, q1))
+    start = np.arange(m) * (k + 1)  # each row's pad slot
+    gi, hi = start + k, start + k
+    top = np.repeat(start, k + 1)   # G cursor at each H-state's serve; pad: never
+    live = np.ones(m, dtype=bool)
+    while live.any():
+        serve = q1p[hi] <= q0p[gi]
+        serve &= live
+        top[np.where(serve, hi, 0)] = gi  # slot 0 is a pad: it takes the misses
+        hi -= serve
+        gi -= serve ^ live
+        np.greater(gi, start, out=live)
+        live &= hi > start
+    return top.reshape(m, k + 1)[:, 1:] - (start[:, None] + 1), 2 * (start + k) - gi - hi
 
 
 def monotone_backward_induction(model: MdpModel, N: int):
-    """Threshold-walk variant of `backward_induction`.
+    """Threshold-walk variant of `backward_induction` (the paper's MBIA).
 
-    Produces bitwise-identical tables (the expectation terms come from the
-    same code path) while evaluating at most 2K-1 states per (block,
-    battery level).  Returns (PolicyTable, CostToGo, eval_counts) with
-    eval_counts of shape (N, M).
+    The walk, over all battery levels in lockstep with at most 2K-1
+    evaluations each, is exact only if q0 is nonincreasing in the G-state
+    and q1 in the H-state: each block checks both up to a relative rise of
+    `_RISE_RTOL` and raises StructureViolationError otherwise.  Returns
+    (PolicyTable, CostToGo, eval_counts of shape (N, M)).
     """
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
-    m, k = model.grid.M, model.grid.K
-    params_hash = model.params.content_hash()
-    actions = np.zeros((N, m, k, k), dtype=np.uint8)
-    u = np.zeros((N, m, k, k))
-    u_hat = np.zeros((N, m))
-    counts = np.zeros((N, m), dtype=np.int64)
-    mask = _q_mask(model)
-    for t in range(N - 1, -1, -1):
-        if t == N - 1:
-            ev0 = np.zeros(m)
-            ev1 = np.zeros((m, k))
-        else:
-            ev0, ev1 = _expected_values(model, u_hat[t + 1])
-        for i in range(m):
-            q0_row = model.cost_G + ev0[i]
-            q1_row = ev1[i] + mask[i]
-            pol, val, evals = _monotone_slice(q0_row, q1_row, k)
-            actions[t, i] = pol
-            u[t, i] = val
-            counts[t, i] = evals
-        u_hat[t] = u[t].sum(axis=(1, 2))
-    return (PolicyTable(actions=actions, grid=model.grid, params_hash=params_hash),
-            CostToGo(u=u, u_hat=u_hat, params_hash=params_hash),
-            counts)
+    counts = []  # per block, last block first
+
+    def decide(t, q0, q1):
+        for name, q in (("q0 along the G", q0), ("q1 along the H", q1)):
+            if np.any(q[:, 1:] > q[:, :-1] + _RISE_RTOL * np.abs(q[:, :-1])):
+                raise StructureViolationError(
+                    f"block t={t}: {name}-state axis rises; the monotone walk is not exact")
+        top, evals = _lockstep_walk(q0, q1)
+        counts.append(evals)
+        return np.arange(top.shape[1])[:, None] <= top[:, None, :]  # G-states to the top
+
+    policy, values = _induction(model, N, decide)
+    return policy, values, np.stack(counts[::-1])
 
 
 def thresholds_from_policy(policy: PolicyTable, t: int, level: int):

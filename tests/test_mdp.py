@@ -1,12 +1,17 @@
 """Quantization, transition kernels, and the two induction solvers."""
 
+import dataclasses
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from hesnet.cli import resolve_config
 from hesnet.errors import (
     InvalidActionError,
     InvalidParameterError,
@@ -14,6 +19,8 @@ from hesnet.errors import (
     StructureViolationError,
 )
 from hesnet.mdp import (
+    _RISE_RTOL,
+    _expected_values,
     CostToGo,
     PolicyTable,
     QuantizationGrid,
@@ -345,6 +352,204 @@ def test_monotone_solver_single_state_channel():
     model = build_mdp_model(P, grid)
     _, _, counts = monotone_backward_induction(model, 3)
     np.testing.assert_array_equal(counts, np.ones((3, 4), dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# closed-form kernels and the lockstep walk against their loop oracles
+# ---------------------------------------------------------------------------
+
+def shipped_presets():
+    files = resources.files("hesnet").joinpath("presets").iterdir()
+    return sorted(f.name[:-len(".cfg")] for f in files if f.name.endswith(".cfg"))
+
+
+def kernel_oracle(params, grid, allowed, p_inv_h):
+    """Kernels row by row: one `energy_transition_probs` call per allowed row."""
+    m, k = grid.M, grid.K
+    kernel0 = np.empty((m, m))
+    for i in range(m):
+        kernel0[i] = energy_transition_probs(grid.battery_levels[i], 0.0, grid, params)
+    kernel1 = np.zeros((k, m, m))
+    for j in range(k):
+        spend = p_inv_h[j] * params.tau
+        for i in range(m):
+            if allowed[i, j]:
+                kernel1[j, i] = energy_transition_probs(grid.battery_levels[i], spend, grid, params)
+    return kernel0, kernel1
+
+
+def assert_kernels_match_rows(params, grid):
+    model = build_mdp_model(params, grid)
+    kernel0, kernel1 = kernel_oracle(params, grid, model.allowed, model.p_inv_H)
+    assert np.array_equal(model.kernel0, kernel0)
+    assert np.array_equal(model.kernel1, kernel1)
+    return model
+
+
+def monotone_slice(q0_row, q1_row, k):
+    """Decide one (block, battery level) slice walking the threshold staircase.
+
+    Start at the best state of both channels.  Serving there implies serving
+    at every lower G-state (same value), so the whole column is filled and
+    the H cursor drops; not serving implies not serving at every lower
+    H-state (value doesn't depend on the H-state then), so the row is filled
+    and the G cursor drops.
+    """
+    pol = np.zeros((k, k), dtype=np.uint8)
+    val = np.empty((k, k))
+    kg = kh = k - 1
+    evals = 0
+    while kg >= 0 and kh >= 0:
+        evals += 1
+        if q1_row[kh] <= q0_row[kg]:
+            val[:kg + 1, kh] = q1_row[kh]
+            pol[:kg + 1, kh] = 1
+            kh -= 1
+        else:
+            val[kg, :kh + 1] = q0_row[kg]
+            kg -= 1
+    return pol, val, evals
+
+
+def per_level_monotone(model, n):
+    """MBIA with one scalar staircase walk per (block, battery level)."""
+    m, k = model.grid.M, model.grid.K
+    actions = np.zeros((n, m, k, k), dtype=np.uint8)
+    u = np.zeros((n, m, k, k))
+    u_hat = np.zeros((n, m))
+    counts = np.zeros((n, m), dtype=np.int64)
+    mask = np.where(model.allowed, 0.0, np.inf)
+    for t in range(n - 1, -1, -1):
+        if t == n - 1:
+            ev0, ev1 = np.zeros(m), np.zeros((m, k))
+        else:
+            ev0, ev1 = _expected_values(model, u_hat[t + 1])
+        for i in range(m):
+            actions[t, i], u[t, i], counts[t, i] = monotone_slice(
+                model.cost_G + ev0[i], ev1[i] + mask[i], k)
+        u_hat[t] = u[t].sum(axis=(1, 2))
+    return actions, u, u_hat, counts
+
+
+def assert_walk_matches_oracles(model, n):
+    table, values, counts = monotone_backward_induction(model, n)
+    expected = per_level_monotone(model, n)
+    for got, want in zip((table.actions, values.u, values.u_hat, counts), expected):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    dense_table, dense_values = backward_induction(model, n)
+    assert np.array_equal(dense_table.actions, table.actions)
+    assert np.array_equal(dense_values.u, values.u)
+    assert np.array_equal(dense_values.u_hat, values.u_hat)
+    k = model.grid.K
+    assert np.all(counts >= k) and np.all(counts <= 2 * k - 1)
+
+
+@pytest.mark.parametrize("preset", shipped_presets())
+def test_closed_form_kernels_match_per_row_loop(preset):
+    params = resolve_config(preset=preset).params
+    for m in (1, 10, 25, 100):
+        for k in (1, 5, 25):
+            model = assert_kernels_match_rows(params, build_grid(params, M=m, K=k))
+            # the batched expectation is the per-H-state stack of matrix-vector products
+            u_hat = np.linspace(3.0, 1.0, m) * k
+            ev0, ev1 = _expected_values(model, u_hat)
+            stack = np.stack([model.kernel1[j] @ u_hat for j in range(k)], axis=1)
+            assert np.array_equal(ev1, stack * (1.0 / (k * k)))
+            assert np.array_equal(ev0, (model.kernel0 @ u_hat) * (1.0 / (k * k)))
+
+
+@pytest.mark.parametrize("preset", shipped_presets())
+def test_lockstep_walk_matches_per_level_walk_at_presets(preset):
+    # every preset also trains at each M without a precondition violation
+    params = resolve_config(preset=preset).params
+    for m in (10, 25, 100):
+        assert_walk_matches_oracles(build_mdp_model(params, build_grid(params, M=m, K=25)), params.N)
+
+
+@pytest.mark.parametrize("params,m,k", [
+    (P.evolve(N=6, B_m=P.E_m), 8, 4),   # battery holds one block of arrivals
+    (P.evolve(N=5), 1, 4),              # a single battery level
+    (P.evolve(N=5, d_H=55.0), 6, 1),    # a single channel state
+    (P.evolve(N=3), 1, 1),
+    (P.evolve(N=4, w_D=0.0), 5, 3),    # free skips: q0 == q1 ties, which serve
+])
+def test_kernels_and_walk_at_edge_cases(params, m, k):
+    model = assert_kernels_match_rows(params, build_grid(params, M=m, K=k))
+    assert np.allclose(model.kernel0.sum(axis=1), 1.0, rtol=1e-12)
+    assert_walk_matches_oracles(model, params.N)
+
+
+def test_peak_cap_below_every_inversion_power_serves_nothing():
+    params = P.evolve(N=4, p_H_max=1e-9)
+    grid = build_grid(params, M=6, K=3)
+    model = assert_kernels_match_rows(params, grid)
+    assert not model.allowed.any() and not model.kernel1.any()
+    table, values, counts = monotone_backward_induction(model, params.N)
+    assert not table.actions.any()
+    np.testing.assert_array_equal(counts, np.full((4, 6), 3))  # the G cursor alone walks
+    assert_walk_matches_oracles(model, params.N)
+
+
+def test_kernel_rejects_levels_off_the_bin_mid_values():
+    lv, bd = equiprobable_channel_states(2, 1.0)
+    grid = QuantizationGrid(np.array([0.1, 0.2]) * P.B_m, np.linspace(0.0, P.B_m, 3), lv, bd, lv, bd)
+    with pytest.raises(InvalidStateError):
+        build_mdp_model(P, grid)
+
+
+def test_walk_rejects_a_real_precondition_violation():
+    model = build_mdp_model(P, build_grid(P, M=6, K=3))
+    # skip cost rising with the G-state: q0 rises along the G axis
+    with pytest.raises(StructureViolationError, match="q0"):
+        monotone_backward_induction(dataclasses.replace(model, cost_G=model.cost_G[::-1]), 3)
+    # serving allowed at a worse H-state but not at a better one: q1 jumps to inf
+    allowed = np.ones_like(model.allowed)
+    allowed[:, -1] = False
+    with pytest.raises(StructureViolationError, match="q1"):
+        monotone_backward_induction(dataclasses.replace(model, allowed=allowed), 3)
+    # serving at the best H-state drains the battery: below the terminal
+    # block, its expected cost rises above that of the next-best H-state
+    kernel1 = model.kernel1.copy()
+    kernel1[-1] = 0.0
+    kernel1[-1, :, 0] = 1.0
+    with pytest.raises(StructureViolationError, match="q1"):
+        monotone_backward_induction(dataclasses.replace(model, kernel1=kernel1), 3)
+
+
+def test_walk_tolerates_rises_of_rounding_size():
+    model = build_mdp_model(P, build_grid(P, M=4, K=2))
+    c = model.cost_G[0]
+    ulp = dataclasses.replace(model, cost_G=np.array([c, np.nextafter(c, np.inf)]))
+    monotone_backward_induction(ulp, 3)
+    real = dataclasses.replace(model, cost_G=np.array([c, c * (1 + 100 * _RISE_RTOL)]))
+    with pytest.raises(StructureViolationError):
+        monotone_backward_induction(real, 3)
+
+
+small_params = st.builds(
+    lambda n, d_h, d_g, w_d, cap, p_avg, mu_g, mu_h, fill: P.evolve(
+        N=n, d_H=d_h, d_G=d_g, w_D=w_d, p_H_max=cap, P_avg=p_avg, mu_G=mu_g, mu_H=mu_h
+    ).evolve(B_m=2.0 * p_avg * P.tau * (1.0 + fill * (n - 1))),
+    st.integers(1, 5), st.floats(15.0, 60.0), st.floats(30.0, 70.0), st.floats(0.0, 1.0),
+    st.floats(0.01, 1.0), st.floats(0.005, 0.05), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+    st.floats(0.0, 1.0))
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(params=small_params, m=st.integers(1, 12), k=st.integers(1, 6))
+def test_property_kernels_equal_scalar_rows(params, m, k):
+    assert_kernels_match_rows(params, build_grid(params, M=m, K=k))
+
+
+@PROPERTY_SETTINGS
+@given(params=small_params, m=st.integers(1, 10), k=st.integers(1, 6))
+def test_property_monotone_raises_or_equals_dense(params, m, k):
+    model = build_mdp_model(params, build_grid(params, M=m, K=k))
+    try:
+        assert_walk_matches_oracles(model, params.N)
+    except StructureViolationError:
+        pass
 
 
 # ---------------------------------------------------------------------------
