@@ -46,6 +46,7 @@ from .offline import (
     first_violation,
     greedy_assignment,
     multiuser_greedy_assignment,
+    ratio_metric,
     to_ip_instance,
     total_service_cost,
 )
@@ -77,22 +78,18 @@ from .policies import (
     ThresholdParams,
     calibrate_zeta,
     exponential_integral_E1,
-    greedy_transmit_decide,
     look_ahead_build,
-    mdp_policy_decide,
-    multiuser_threshold_decide,
-    ratio_metric,
-    threshold_decide,
     threshold_lambdas,
 )
 from .sim import (
     GridOnlyPolicy,
-    OnlineObservation,
     RunMetrics,
     ScriptedAssignmentPolicy,
     ScriptedMultiuserAssignment,
     apply_axis,
+    metrics_from_arrays,
     monte_carlo,
+    multiuser_frame_metrics,
     multiuser_monte_carlo,
     offline_frame_metrics,
     run_batch,

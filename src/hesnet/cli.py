@@ -7,8 +7,9 @@ Joules, seconds.  Resolution order: built-in defaults, then --preset,
 then --config, then command-line --set pairs and flags.  Unknown keys are
 rejected rather than ignored.
 
-Exit codes: 0 success, 2 configuration error, 3 resource limit,
-4 artifact/parameter mismatch.
+Exit codes: 0 success, 2 configuration error (including a malformed,
+truncated or oversized policy artifact), 3 resource limit, 4
+artifact/parameter mismatch.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ from .errors import (
     StalePolicyError,
 )
 from .mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction, save_policy_artifact
-from .model import FrameTrajectory, SystemParams, sample_trajectories, sample_trajectory
+from .model import FrameTrajectory, SystemParams, sample_trajectory
 from .offline import (
     EXHAUSTIVE_CAP,
     exhaustive_optimal,
     expand_solution,
     greedy_assignment,
-    multiuser_greedy_assignment,
     to_ip_instance,
 )
 from .policies import (
@@ -57,16 +57,13 @@ from .policies import (
     threshold_lambdas,
 )
 from .sim import (
-    RunMetrics,
     GridOnlyPolicy,
-    ScriptedMultiuserAssignment,
     apply_axis,
     file_sha256,
     metrics_from_arrays,
     metrics_row,
-    offline_frame_metrics,
-    run_batch,
-    run_frame_multiuser,
+    multiuser_frame_metrics,
+    point_rows,
     sample_multiuser_trajectories,
     sweep,
     write_manifest,
@@ -420,8 +417,6 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
             factories[f"MBIA-M{m}"] = mbia_factory(m)
         else:
             raise ConfigError(f"unknown policy token {token!r}")
-    if not factories and not include_offline:
-        raise ConfigError("policy list is empty; set policies=... in the config")
     return factories, include_offline, zeta_log, artifact_log
 
 
@@ -603,23 +598,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                            command="simulate",
                            per_user_bandwidth_hz=cfg.params.W)
     factories, include_offline, zeta_log, artifact_log = _online_factories(cfg, "load")
-    params = cfg.params
-    gg, gh, eh = sample_trajectories(params, cfg.seed, cfg.frames)
-    rows = []
-    for name, factory in factories.items():
-        policy = factory(params)
-        costs, grid, drops = run_batch(policy, params, gg, gh, eh)
-        rows.append(metrics_row(
-            metrics_from_arrays(name, params, cfg.seed, costs, grid, drops), "none", 0.0))
-    if include_offline:
-        costs, grid, drops = offline_frame_metrics(params, gg, gh, eh, solver="greedy")
-        rows.append(metrics_row(
-            metrics_from_arrays("Greedy", params, cfg.seed, costs, grid, drops), "none", 0.0))
-        if params.N <= EXHAUSTIVE_CAP:
-            costs, grid, drops = offline_frame_metrics(params, gg, gh, eh, solver="exhaustive")
-            rows.append(metrics_row(
-                metrics_from_arrays("Exhaustive", params, cfg.seed, costs, grid, drops),
-                "none", 0.0))
+    rows = point_rows(cfg.params, "none", 0.0, factories, cfg.frames, cfg.seed, include_offline)
     return _finish_run(cfg, rows, "simulate.csv", "simulate_manifest.json",
                        command="simulate", zeta=zeta_log, artifacts=artifact_log)
 
@@ -657,75 +636,28 @@ def _multiuser_rows(cfg: RunConfig, point: SystemParams, axis: str, value: float
     per-block sum-power caps of both stations.
     """
     users = cfg.users
-    per_user = point
-    plist = [per_user] * users
+    plist = [point] * users
     p_h_sum, p_g_sum = point.p_H_max, point.p_G_max
     gg, gh, eh = sample_multiuser_trajectories(plist, cfg.seed, cfg.frames)
     rows = []
     for token in cfg.policies:
         t = token.lower()
         if t == "gt":
-            policy = MultiuserGreedyTransmit(p_H_max_sum=p_h_sum)
-            rows.append(_mu_run(policy, "GT", plist, gg, gh, eh, p_h_sum, p_g_sum,
-                                cfg.seed, axis, value))
+            name, policy = "GT", MultiuserGreedyTransmit(p_H_max_sum=p_h_sum)
         elif t in ("th", "threshold"):
-            lam1, lam2 = threshold_lambdas(per_user)
-            z = _resolve_zeta(cfg, per_user)
-            tps = [ThresholdParams(z, lam1, lam2)] * users
-            policy = MultiuserThreshold(tps, p_H_max_sum=p_h_sum)
-            rows.append(_mu_run(policy, "Threshold", plist, gg, gh, eh, p_h_sum,
-                                p_g_sum, cfg.seed, axis, value))
+            lam1, lam2 = threshold_lambdas(point)
+            tps = [ThresholdParams(_resolve_zeta(cfg, point), lam1, lam2)] * users
+            name, policy = "Threshold", MultiuserThreshold(tps, p_H_max_sum=p_h_sum)
         elif t in ("ga", "greedy"):
-            rows.append(_mu_offline_run(plist, gg, gh, eh, p_h_sum, p_g_sum,
-                                        cfg.seed, axis, value))
+            name, policy = "Greedy", "greedy"
         else:
             raise ConfigError(
                 f"policy {token!r} is single-user only; runs with users={users} "
                 f"support GT, Threshold, GA")
-    if not rows:
-        raise ConfigError("policy list is empty; set policies=... in the config")
+        arrays = multiuser_frame_metrics(policy, gg, gh, eh, plist, p_h_sum, p_g_sum)
+        rows.append(metrics_row(metrics_from_arrays(name, users * point.N, cfg.seed, *arrays),
+                                axis, value))
     return rows
-
-
-def _mu_metrics(name, gg, seed, costs, grid, drops) -> RunMetrics:
-    frames, users, n = gg.shape
-    stderr = float(costs.std(ddof=1) / math.sqrt(frames)) if frames > 1 else 0.0
-    return RunMetrics(
-        policy=name, frames=frames, seed=seed,
-        mean_total_cost=float(costs.mean()), stderr_total_cost=stderr,
-        mean_grid_energy=float(grid.mean()),
-        drop_ratio=float(drops.sum() / (frames * users * n)),
-    )
-
-
-def _mu_run(policy, name, plist, gg, gh, eh, p_h_sum, p_g_sum, seed, axis, value):
-    frames = gg.shape[0]
-    costs = np.zeros(frames)
-    grid = np.zeros(frames)
-    drops = np.zeros(frames, dtype=np.int64)
-    for f in range(frames):
-        costs[f], grid[f], drops[f] = run_frame_multiuser(
-            policy, gg[f], gh[f], eh[f], plist,
-            p_H_max_sum=p_h_sum, p_G_max_sum=p_g_sum)
-    return metrics_row(_mu_metrics(name, gg, seed, costs, grid, drops), axis, value)
-
-
-def _mu_offline_run(plist, gg, gh, eh, p_h_sum, p_g_sum, seed, axis, value):
-    frames, users, n = gg.shape
-    costs = np.zeros(frames)
-    grid = np.zeros(frames)
-    drops = np.zeros(frames, dtype=np.int64)
-    for f in range(frames):
-        instances = [
-            to_ip_instance(FrameTrajectory(gamma_G=gg[f, u], gamma_H=gh[f, u], e_H=eh[f]),
-                           plist[u])
-            for u in range(users)
-        ]
-        sel, _ = multiuser_greedy_assignment(instances, p_H_max_sum=p_h_sum)
-        costs[f], grid[f], drops[f] = run_frame_multiuser(
-            ScriptedMultiuserAssignment(sel), gg[f], gh[f], eh[f], plist,
-            p_H_max_sum=p_h_sum, p_G_max_sum=p_g_sum)
-    return metrics_row(_mu_metrics("Greedy", gg, seed, costs, grid, drops), axis, value)
 
 
 def cmd_calibrate_zeta(cfg: RunConfig, args) -> int:
@@ -866,19 +798,13 @@ def main(argv=None) -> int:
         cfg = resolve_config(preset=args.preset, config_path=args.config,
                              overrides=_flag_overrides(args))
         return DISPATCH[args.command](cfg, args)
-    except ReplayParseError as exc:
-        _fail(exc)
-        return 2
     except (StalePolicyError, ModelMismatchError) as exc:
         _fail(exc)
         return 4
     except ResourceLimitError as exc:
         _fail(exc)
         return 3
-    except (ConfigError, InvalidParameterError) as exc:
-        _fail(exc)
-        return 2
-    except HesnetError as exc:
+    except HesnetError as exc:  # configuration, replay, artifact and parameter errors
         _fail(exc)
         return 2
 

@@ -17,6 +17,7 @@ tables agree bitwise, not just within tolerance.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,8 +279,8 @@ def _expected_values(model: MdpModel, u_hat_next: np.ndarray):
 _RISE_RTOL = 1e-12
 
 
-def _induction(model: MdpModel, N: int, decide):
-    """Backward recursion shared by both solvers: `decide(t, q0, q1)` maps
+def _induction(model: MdpModel, N: int, serve_mask):
+    """Backward recursion shared by both solvers: `serve_mask(t, q0, q1)` maps
     block t's (M, K) action values -- q0 per G-state, q1 per H-state, inf
     where serving is not allowed -- to the (M, K_G, K_H) serve mask."""
     if not (isinstance(N, (int, np.integer)) and N >= 1):
@@ -295,7 +296,7 @@ def _induction(model: MdpModel, N: int, decide):
                     else _expected_values(model, u_hat[t + 1]))
         q0 = model.cost_G[None, :] + ev0[:, None]
         q1 = ev1 + mask
-        act = decide(t, q0, q1)
+        act = serve_mask(t, q0, q1)
         u[t] = np.where(act, q1[:, None, :], q0[:, :, None])
         actions[t] = act
         u_hat[t] = u[t].sum(axis=(1, 2))
@@ -351,7 +352,7 @@ def monotone_backward_induction(model: MdpModel, N: int):
     """
     counts = []  # per block, last block first
 
-    def decide(t, q0, q1):
+    def walk_mask(t, q0, q1):
         for name, q in (("q0 along the G", q0), ("q1 along the H", q1)):
             if np.any(q[:, 1:] > q[:, :-1] + _RISE_RTOL * np.abs(q[:, :-1])):
                 raise StructureViolationError(
@@ -360,7 +361,7 @@ def monotone_backward_induction(model: MdpModel, N: int):
         counts.append(evals)
         return np.arange(top.shape[1])[:, None] <= top[:, None, :]  # G-states to the top
 
-    policy, values = _induction(model, N, decide)
+    policy, values = _induction(model, N, walk_mask)
     return policy, values, np.stack(counts[::-1])
 
 
@@ -392,6 +393,7 @@ def thresholds_from_policy(policy: PolicyTable, t: int, level: int):
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"HESNETPOLICY 1\n"
+_HEADER_LIMIT = 4096  # bytes; a written header is about 120
 
 
 def save_policy_artifact(path, policy: PolicyTable, values: CostToGo | None = None) -> None:
@@ -428,6 +430,10 @@ def save_policy_artifact(path, policy: PolicyTable, values: CostToGo | None = No
 def load_policy_artifact(path):
     """Read a file written by `save_policy_artifact`.
 
+    The header line is read with a length limit, n/m/k must be positive
+    integers, and the file size must equal the size the header implies
+    before any array is read, so a corrupt, truncated or padded file
+    raises InvalidParameterError instead of driving a large read.
     Returns (PolicyTable, CostToGo-or-None).  Consumers are responsible for
     comparing the stored params hash against their own configuration.
     """
@@ -435,16 +441,33 @@ def load_policy_artifact(path):
         magic = f.read(len(_MAGIC))
         if magic != _MAGIC:
             raise InvalidParameterError(f"{path}: not a policy artifact (bad magic)")
-        header = json.loads(f.readline().decode())
+        line = f.readline(_HEADER_LIMIT)
+        try:
+            header = json.loads(line) if line.endswith(b"\n") else None
+        except ValueError:  # also covers undecodable bytes
+            header = None
+        if not isinstance(header, dict):
+            raise InvalidParameterError(f"{path}: unreadable artifact header")
         if header.get("version") != 1:
             raise InvalidParameterError(f"{path}: unsupported artifact version {header.get('version')!r}")
-        n, m, k = header["n"], header["m"], header["k"]
+        n, m, k = (header.get(key) for key in ("n", "m", "k"))
+        params_hash, has_values = header.get("params_hash"), header.get("has_values")
+        if not (all(type(v) is int and v > 0 for v in (n, m, k))
+                and isinstance(params_hash, str) and isinstance(has_values, bool)):
+            raise InvalidParameterError(f"{path}: artifact header needs positive integers n, m, k, "
+                                        f"a params_hash and a has_values flag, got {line[:200]!r}")
+        cells = n * m * k * k
+        # battery levels, bin edges, then bounds and levels of both channels
+        size = f.tell() + 8 * (2 * m + 1 + 2 * (2 * k + 1)) + cells
+        if has_values:
+            size += 8 * (cells + n * m)
+        actual = os.fstat(f.fileno()).st_size
+        if actual != size:
+            raise InvalidParameterError(
+                f"{path}: {actual} bytes, but its header (n={n}, m={m}, k={k}) implies {size}")
 
         def read_f8(count):
-            buf = f.read(8 * count)
-            if len(buf) != 8 * count:
-                raise InvalidParameterError(f"{path}: truncated artifact")
-            return np.frombuffer(buf, dtype="<f8").copy()
+            return np.fromfile(f, dtype="<f8", count=count)
 
         battery_levels = read_f8(m)
         bin_edges = read_f8(m + 1)
@@ -453,14 +476,11 @@ def load_policy_artifact(path):
         bounds_h = read_f8(k + 1)
         levels_h = read_f8(k)
         grid = QuantizationGrid(battery_levels, bin_edges, levels_g, bounds_g, levels_h, bounds_h)
-        buf = f.read(n * m * k * k)
-        if len(buf) != n * m * k * k:
-            raise InvalidParameterError(f"{path}: truncated artifact")
-        actions = np.frombuffer(buf, dtype="|u1").reshape(n, m, k, k).copy()
-        policy = PolicyTable(actions=actions, grid=grid, params_hash=header["params_hash"])
+        actions = np.fromfile(f, dtype="|u1", count=cells).reshape(n, m, k, k)
+        policy = PolicyTable(actions=actions, grid=grid, params_hash=params_hash)
         values = None
-        if header["has_values"]:
-            u = read_f8(n * m * k * k).reshape(n, m, k, k)
+        if has_values:
+            u = read_f8(cells).reshape(n, m, k, k)
             u_hat = read_f8(n * m).reshape(n, m)
-            values = CostToGo(u=u, u_hat=u_hat, params_hash=header["params_hash"])
+            values = CostToGo(u=u, u_hat=u_hat, params_hash=params_hash)
     return policy, values

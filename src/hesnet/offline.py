@@ -34,6 +34,7 @@ __all__ = [
     "check_swap_optimality",
     "expand_solution",
     "multiuser_greedy_assignment",
+    "ratio_metric",
 ]
 
 # Relative slack on every energy-causality comparison.  Accumulated prefix
@@ -153,8 +154,13 @@ def find_feasible(inst: IpInstance, alpha) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
-def _default_metric(c, p):
-    """Cost saved per watt of battery power: the ratio rule."""
+def ratio_metric(c, p):
+    """Cost saved per watt of battery power; the default serving priority of
+    the greedy solvers and the threshold rule.
+
+    Any replacement must be nondecreasing in the cost argument and
+    nonincreasing in the power argument.
+    """
     return c / p
 
 
@@ -165,7 +171,7 @@ def greedy_assignment(inst: IpInstance, metric=None, return_order: bool = False)
     (ties: earliest block) until nothing fits.  Returns (alpha, cost), plus
     the selection order when `return_order`.
     """
-    metric = metric or _default_metric
+    metric = metric or ratio_metric
     alpha = np.zeros(inst.n_blocks, dtype=np.int8)
     order: list[int] = []
     for _ in range(inst.n_blocks):
@@ -314,7 +320,7 @@ def multiuser_greedy_assignment(instances, p_H_max_sum: float, metric=None):
             raise InvalidParameterError("user instances must share block structure")
         if not np.array_equal(inst.e_H, instances[0].e_H):
             raise InvalidParameterError("user instances must share the arrival stream")
-    metric = metric or _default_metric
+    metric = metric or ratio_metric
     u = len(instances)
     c = np.stack([inst.c for inst in instances])
     p = np.stack([inst.p_H_inv for inst in instances])

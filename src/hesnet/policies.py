@@ -33,7 +33,8 @@ from .model import (
     kappa,
     sample_trajectories,
 )
-from .sim import OnlineObservation, check_affordable
+from .offline import ratio_metric
+from .sim import check_affordable
 
 __all__ = [
     "ThresholdParams",
@@ -45,23 +46,10 @@ __all__ = [
     "MultiuserThreshold",
     "exponential_integral_E1",
     "threshold_lambdas",
-    "greedy_transmit_decide",
-    "threshold_decide",
     "calibrate_zeta",
     "look_ahead_build",
-    "mdp_policy_decide",
-    "multiuser_threshold_decide",
     "ratio_metric",
 ]
-
-
-def ratio_metric(c, p):
-    """Cost saved per watt of battery power; the default serving priority.
-
-    Any replacement must be nondecreasing in the cost argument and
-    nonincreasing in the power argument.
-    """
-    return c / p
 
 
 def exponential_integral_E1(x):
@@ -146,8 +134,9 @@ def _threshold_serve(block, battery, p_h, score, level, params: SystemParams, p_
     Infeasible states never serve; the last block serves whenever feasible;
     otherwise serve when battery * score clears `level`, where score is
     metric(skip cost, p_h) and level comes from _threshold_level.  Operands
-    broadcast: one observation, a (frames,) block, or a (candidates,
-    frames) block of battery states against per-frame p_h and score.
+    broadcast: a (frames,) block, a (users,) block sharing one battery, or
+    a (candidates, frames) block of battery states against per-frame p_h
+    and score.
     """
     feas = _feasible(p_h, battery, params, p_max)
     if block >= params.N - 1:
@@ -159,54 +148,35 @@ def _threshold_serve(block, battery, p_h, score, level, params: SystemParams, p_
 # ---------------------------------------------------------------------------
 # decision rules
 # ---------------------------------------------------------------------------
-
-def greedy_transmit_decide(obs: OnlineObservation, params: SystemParams) -> int:
-    """Serve from the battery whenever one block of inversion power fits
-    both the stored energy and the peak cap; boundaries serve."""
-    return int(_feasible(float(_p_inv_h(obs.gamma_H, params)), obs.battery, params))
-
-
-def threshold_decide(obs: OnlineObservation, tp: ThresholdParams, metric=None,
-                     params: SystemParams | None = None) -> int:
-    """Single-block threshold rule.
-
-    Infeasible states never serve; the last block serves whenever feasible;
-    otherwise serve when battery * metric(skip cost, battery power) clears
-    zeta * P_avg * tau * metric(lambda1, lambda2).  With zeta = 0 the rule
-    degenerates to greedy transmission for every observation.
-    """
-    if params is None:
-        raise InvalidParameterError("params is required")
-    metric = metric or ratio_metric
-    p_h = float(_p_inv_h(obs.gamma_H, params))
-    score = float(metric(float(_skip_cost(obs.gamma_G, params)), p_h))
-    level = _threshold_level(tp.zeta, tp.lambda1, tp.lambda2, params, metric)
-    return int(_threshold_serve(obs.block, obs.battery, p_h, score, level, params))
-
+#
+# A single-user policy decides only through decide_batch(block, battery,
+# gamma_g, gamma_h, params): one block of (frames,) states in, 0/1 out.
 
 class GreedyTransmit:
-    """Myopic baseline: spend battery whenever spending is possible."""
+    """Myopic baseline: serve from the battery whenever one block of
+    inversion power fits both the stored energy and the peak cap;
+    boundaries serve."""
 
     def __init__(self, name: str = "GT"):
         self.name = name
-
-    def decide(self, obs: OnlineObservation, params: SystemParams) -> int:
-        return greedy_transmit_decide(obs, params)
 
     def decide_batch(self, block, battery, gamma_g, gamma_h, params):
         return _feasible(_p_inv_h(gamma_h, params), battery, params).astype(np.int8)
 
 
 class ThresholdHeuristic:
-    """Threshold rule with fixed constants; see threshold_decide."""
+    """Threshold rule with fixed constants.
+
+    Infeasible states never serve; the last block serves whenever feasible;
+    otherwise serve when battery * metric(skip cost, battery power) clears
+    zeta * P_avg * tau * metric(lambda1, lambda2).  With zeta = 0 the rule
+    degenerates to greedy transmission for every state.
+    """
 
     def __init__(self, tp: ThresholdParams, metric=None, name: str = "TH"):
         self.tp = tp
         self.metric = metric or ratio_metric
         self.name = name
-
-    def decide(self, obs: OnlineObservation, params: SystemParams) -> int:
-        return threshold_decide(obs, self.tp, self.metric, params)
 
     def decide_batch(self, block, battery, gamma_g, gamma_h, params):
         p_h = _p_inv_h(gamma_h, params)
@@ -221,73 +191,48 @@ class ThresholdHeuristic:
 # table-lookup policies
 # ---------------------------------------------------------------------------
 
-def _check_hash(table: PolicyTable, params: SystemParams):
-    if table.params_hash != params.content_hash():
-        raise StalePolicyError(
-            "policy table was trained on different parameters; retrain it "
-            f"(table hash {table.params_hash[:12]}..., params hash "
-            f"{params.content_hash()[:12]}...)")
-
-
 def _check_hash_once(policy, params: SystemParams):
-    # SystemParams is frozen, so a (table, params) pair that matched once
-    # matches for good: hash once per run instead of once per block.  The
-    # pair is held, not its ids, so a freed object's id cannot be reused.
+    """Reject a table trained on different parameters.
+
+    SystemParams is frozen, so a (table, params) pair that matched once
+    matches for good: hash once per run instead of once per block.  The
+    pair is held, not its ids, so a freed object's id cannot be reused.
+    """
     ok = policy._hash_ok
     if ok is None or ok[0] is not policy.table or ok[1] is not params:
-        _check_hash(policy.table, params)
+        params_hash = params.content_hash()
+        if policy.table.params_hash != params_hash:
+            raise StalePolicyError(
+                "policy table was trained on different parameters; retrain it "
+                f"(table hash {policy.table.params_hash[:12]}..., params hash "
+                f"{params_hash[:12]}...)")
         policy._hash_ok = (policy.table, params)
 
 
-def _lookup(table: PolicyTable, t: int, battery, gamma_g, gamma_h, params):
-    grid = table.grid
-    m = battery_level_index(battery, grid)
-    kg = channel_state_index(gamma_g, grid.bounds_G)
-    kh = channel_state_index(gamma_h, grid.bounds_H)
-    return table.actions[t, m, kg, kh]
-
-
-def mdp_policy_decide(obs: OnlineObservation, table: PolicyTable, grid=None,
-                      params: SystemParams | None = None) -> int:
-    """Table lookup at the quantized state, bridged back to reality.
-
-    The tabled action assumes the bin's mid-value battery; when the true
-    battery (or the peak cap) cannot cover this block's spend, the action
-    demotes to 0.  That is the only divergence from the table.  A table
-    trained on different parameters raises a stale-policy error.
-    """
-    if params is None:
-        raise InvalidParameterError("params is required")
-    _check_hash(table, params)
-    if grid is not None and grid is not table.grid:
-        if not np.array_equal(grid.bin_edges, table.grid.bin_edges):
-            raise InvalidParameterError("grid does not match the policy table")
-    if not 0 <= obs.block < table.N:
-        raise InvalidParameterError(
-            f"block {obs.block} outside the table horizon {table.N}")
-    action = int(_lookup(table, obs.block, obs.battery, obs.gamma_G, obs.gamma_H, params))
-    if action == 1 and not _feasible(float(_p_inv_h(obs.gamma_H, params)), obs.battery, params):
-        action = 0
-    return action
-
-
 class MdpTablePolicy:
-    """Plays a trained full-horizon policy table."""
+    """Plays a trained full-horizon policy table.
+
+    A lookup at the quantized state, bridged back to reality: the tabled
+    action assumes the bin's mid-value battery, and when the true battery
+    (or the peak cap) cannot cover this block's spend, the action demotes
+    to 0.  That is the only divergence from the table.  A table trained on
+    different parameters raises a stale-policy error.
+    """
 
     def __init__(self, table: PolicyTable, name: str = "MBIA"):
         self.table = table
         self.name = name
         self._hash_ok = None
 
-    def decide(self, obs: OnlineObservation, params: SystemParams) -> int:
-        return mdp_policy_decide(obs, self.table, None, params)
-
     def decide_batch(self, block, battery, gamma_g, gamma_h, params):
         _check_hash_once(self, params)
         if not 0 <= block < self.table.N:
             raise InvalidParameterError(
                 f"block {block} outside the table horizon {self.table.N}")
-        act = _lookup(self.table, block, battery, gamma_g, gamma_h, params)
+        grid = self.table.grid
+        act = self.table.actions[block, battery_level_index(battery, grid),
+                                 channel_state_index(gamma_g, grid.bounds_G),
+                                 channel_state_index(gamma_h, grid.bounds_H)]
         demote = ~_feasible(_p_inv_h(gamma_h, params), battery, params)
         return np.where(demote, 0, act).astype(np.int8)
 
@@ -305,33 +250,19 @@ def look_ahead_build(params: SystemParams, grid=None, *, M: int = 100, K: int = 
     return policy
 
 
-class LookAhead:
-    """Two-block table for interior blocks, greedy on the last one."""
+class LookAhead(MdpTablePolicy):
+    """Two-block table: its first-block slice for interior blocks, greedy
+    on the last one."""
 
     def __init__(self, table: PolicyTable, name: str = "Look-Ahead"):
         if table.N != 2:
             raise InvalidParameterError("look-ahead needs a 2-block table")
-        self.table = table
-        self.name = name
-        self._hash_ok = None
-
-    def decide(self, obs: OnlineObservation, params: SystemParams) -> int:
-        if obs.block >= params.N - 1:
-            return greedy_transmit_decide(obs, params)
-        _check_hash(self.table, params)
-        action = int(_lookup(self.table, 0, obs.battery, obs.gamma_G, obs.gamma_H, params))
-        if action == 1 and not _feasible(float(_p_inv_h(obs.gamma_H, params)), obs.battery,
-                                         params):
-            action = 0
-        return action
+        super().__init__(table, name)
 
     def decide_batch(self, block, battery, gamma_g, gamma_h, params):
-        feas = _feasible(_p_inv_h(gamma_h, params), battery, params)
         if block >= params.N - 1:
-            return feas.astype(np.int8)
-        _check_hash_once(self, params)
-        act = _lookup(self.table, 0, battery, gamma_g, gamma_h, params)
-        return np.where(feas, act, 0).astype(np.int8)
+            return _feasible(_p_inv_h(gamma_h, params), battery, params).astype(np.int8)
+        return super().decide_batch(0, battery, gamma_g, gamma_h, params)
 
 
 # ---------------------------------------------------------------------------
@@ -397,46 +328,35 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
 # ---------------------------------------------------------------------------
 # multi-user joint rules
 # ---------------------------------------------------------------------------
+#
+# A joint policy decides only through decide_joint(block, battery, gamma_g,
+# gamma_h, params_list): one block of one frame, (users,) gains and a shared
+# battery in, 0/1 per user out.  Users share N and tau (run_frame_multiuser
+# checks).
 
-def multiuser_threshold_decide(observations, tps, params_list, p_H_max_sum: float,
-                               metric=None):
-    """Joint threshold rule over users sharing the battery and the peak sum.
-
-    Each user first applies the single-user rule with the shared battery
-    and the summed peak cap as its feasibility limits; tentative serves are
-    then admitted in decreasing metric order while the battery and the
-    summed peak power hold out.  Returns a 0/1 vector over users.
-    """
-    users = len(observations)
-    if not (len(tps) == len(params_list) == users):
-        raise InvalidParameterError("observations, tps and params_list must align")
-    metric = metric or ratio_metric
-    battery = observations[0].battery
-    base = params_list[0]
-    acts = np.zeros(users, dtype=np.int8)
-    scored = []
-    for u, (obs, tp, p) in enumerate(zip(observations, tps, params_list)):
-        p_h = float(_p_inv_h(obs.gamma_H, p))
-        if not _feasible(p_h, battery, p, p_H_max_sum):
-            continue   # spares the skip-cost evaluation; the rule below rechecks
-        score = float(metric(float(_skip_cost(obs.gamma_G, p)), p_h))
-        level = _threshold_level(tp.zeta, tp.lambda1, tp.lambda2, p, metric)
-        if _threshold_serve(obs.block, battery, p_h, score, level, p, p_H_max_sum):
-            scored.append((-score, u, p_h))
-    scored.sort()
+def _admit(order, p_h, battery, p_H_max_sum: float, tau: float):
+    """Serve users in `order` while the summed peak power and the shared
+    battery hold out.  Returns a 0/1 vector over users."""
+    acts = np.zeros(p_h.shape[0], dtype=np.int8)
     power_used = 0.0
     energy_used = 0.0
-    for _, u, p_h in scored:
-        spend = p_h * base.tau
-        if power_used + p_h <= p_H_max_sum and energy_used + spend <= battery:
-            power_used += p_h
+    for u in order:
+        spend = p_h[u] * tau
+        if power_used + p_h[u] <= p_H_max_sum and energy_used + spend <= battery:
+            power_used += p_h[u]
             energy_used += spend
             acts[u] = 1
     return acts
 
 
 class MultiuserThreshold:
-    """Joint threshold policy; see multiuser_threshold_decide."""
+    """Joint threshold rule over users sharing the battery and the peak sum.
+
+    Each user first applies the single-user rule with the shared battery
+    and the summed peak cap as its feasibility limits; tentative serves are
+    then admitted in decreasing metric order (ties: lower user index) while
+    the battery and the summed peak power hold out.
+    """
 
     def __init__(self, tps, p_H_max_sum: float, metric=None, name: str = "MU-TH"):
         self.tps = list(tps)
@@ -445,11 +365,22 @@ class MultiuserThreshold:
         self.name = name
 
     def decide_joint(self, block, battery, gamma_g, gamma_h, params_list):
-        observations = [OnlineObservation(block=block, battery=battery,
-                                          gamma_G=float(gamma_g[u]), gamma_H=float(gamma_h[u]))
-                        for u in range(len(params_list))]
-        return multiuser_threshold_decide(observations, self.tps, params_list,
-                                          self.p_H_max_sum, self.metric)
+        users = len(params_list)
+        if not (len(self.tps) == len(gamma_g) == len(gamma_h) == users):
+            raise InvalidParameterError("tps, gains and params_list must align")
+        base = params_list[0]
+        p_h = np.array([_p_inv_h(gamma_h[u], p) for u, p in enumerate(params_list)])
+        score = np.zeros(users)
+        level = np.zeros(users)
+        # only users who can be served need their skip cost priced
+        for u in np.flatnonzero(_feasible(p_h, battery, base, self.p_H_max_sum)):
+            p, tp = params_list[u], self.tps[u]
+            score[u] = self.metric(_skip_cost(gamma_g[u], p), p_h[u])
+            level[u] = _threshold_level(tp.zeta, tp.lambda1, tp.lambda2, p, self.metric)
+        serve = np.flatnonzero(
+            _threshold_serve(block, battery, p_h, score, level, base, self.p_H_max_sum))
+        order = serve[np.argsort(-score[serve], kind="stable")]
+        return _admit(order, p_h, battery, self.p_H_max_sum, base.tau)
 
 
 class MultiuserGreedyTransmit:
@@ -460,16 +391,6 @@ class MultiuserGreedyTransmit:
         self.name = name
 
     def decide_joint(self, block, battery, gamma_g, gamma_h, params_list):
-        users = len(params_list)
-        base = params_list[0]
-        p_h = np.array([float(_p_inv_h(gamma_h[u], params_list[u])) for u in range(users)])
-        acts = np.zeros(users, dtype=np.int8)
-        power_used = 0.0
-        energy_used = 0.0
-        for u in np.argsort(p_h, kind="stable"):
-            spend = p_h[u] * base.tau
-            if power_used + p_h[u] <= self.p_H_max_sum and energy_used + spend <= battery:
-                power_used += p_h[u]
-                energy_used += spend
-                acts[u] = 1
-        return acts
+        p_h = np.array([_p_inv_h(gamma_h[u], p) for u, p in enumerate(params_list)])
+        return _admit(np.argsort(p_h, kind="stable"), p_h, battery, self.p_H_max_sum,
+                      params_list[0].tau)

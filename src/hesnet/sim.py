@@ -1,11 +1,12 @@
 """Frame simulation, Monte Carlo evaluation, and parameter sweeps.
 
-Two evaluation paths on purpose.  `run_frame` walks one frame scalar-wise
-and totals costs with math.fsum, so replaying an offline assignment
-reproduces its solver cost to the last bit; the per-trajectory comparison
-tests lean on that.  `run_batch` vectorizes across frames (one numpy step
-per block) for Monte Carlo work; it matches the scalar path to ~1e-12
-relative, which is far below any Monte Carlo error bar.
+One evaluation path.  Single-user policies decide through `decide_batch`
+inside one per-block step, `_walk`; `run_batch` accumulates its terms with
++= and `run_frame` walks a one-frame batch and totals them with math.fsum,
+so its cost is an exact sum that matches offline solver costs bit for bit.
+Offline plans are scored by `expand_solution` arithmetic.  Multi-user
+frames go through `run_frame_multiuser` in one loop,
+`multiuser_frame_metrics`, and `metrics_from_arrays` is the one aggregator.
 """
 
 from __future__ import annotations
@@ -29,10 +30,17 @@ from .model import (
     make_rng,
     sample_trajectories,
 )
-from .offline import ENERGY_RTOL, EXHAUSTIVE_CAP, exhaustive_optimal, greedy_assignment, to_ip_instance
+from .offline import (
+    ENERGY_RTOL,
+    EXHAUSTIVE_CAP,
+    exhaustive_optimal,
+    expand_solution,
+    greedy_assignment,
+    multiuser_greedy_assignment,
+    to_ip_instance,
+)
 
 __all__ = [
-    "OnlineObservation",
     "RunMetrics",
     "ScriptedAssignmentPolicy",
     "GridOnlyPolicy",
@@ -44,24 +52,16 @@ __all__ = [
     "offline_frame_metrics",
     "metrics_from_arrays",
     "metrics_row",
+    "point_rows",
     "ScriptedMultiuserAssignment",
     "sample_multiuser_trajectories",
     "run_frame_multiuser",
+    "multiuser_frame_metrics",
     "multiuser_monte_carlo",
     "write_rows_csv",
     "write_manifest",
     "CSV_HEADER",
 ]
-
-
-@dataclass(frozen=True)
-class OnlineObservation:
-    """What a causal policy sees before deciding one block."""
-
-    block: int        # 0-based position in the frame
-    battery: float    # J, already credited with this block's arrival
-    gamma_G: float    # fading power gain, grid link
-    gamma_H: float    # fading power gain, harvesting link
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class RunMetrics:
     mean_total_cost: float
     stderr_total_cost: float   # 0.0 when frames == 1 (flagged, not estimated)
     mean_grid_energy: float    # J per frame
-    drop_ratio: float          # dropped packets / (frames * N)
+    drop_ratio: float          # dropped packets / (frames * users * N)
 
 
 class ScriptedAssignmentPolicy:
@@ -88,10 +88,6 @@ class ScriptedAssignmentPolicy:
     def __init__(self, alpha, name: str = "Scripted"):
         self.alpha = np.asarray(alpha, dtype=np.int8)
         self.name = name
-
-    def decide(self, obs: OnlineObservation, params: SystemParams) -> int:
-        plan = self.alpha if self.alpha.ndim == 1 else self.alpha[0]
-        return int(plan[obs.block])
 
     def decide_batch(self, block, battery, gamma_g, gamma_h, params):
         plan = self.alpha if self.alpha.ndim == 2 else self.alpha[None, :]
@@ -105,87 +101,39 @@ class GridOnlyPolicy:
 
     name = "GP-only"
 
-    def decide(self, obs: OnlineObservation, params: SystemParams) -> int:
-        return 0
-
     def decide_batch(self, block, battery, gamma_g, gamma_h, params):
         return np.zeros(battery.shape[0], dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
-# single-frame scalar walk
+# single-user walks
 # ---------------------------------------------------------------------------
 
 def check_affordable(block: int, serve, p_h, spend, battery, params: SystemParams) -> None:
     """Reject a served block the battery or the peak cap cannot pay for.
 
     A serve must fit under p_H_max and spend at most the stored energy
-    (ENERGY_RTOL relative slack).  Arguments broadcast: scalars for one
-    frame, (frames,) columns for a batch walk, (candidates, frames) for
-    the zeta calibration walk.  An over-draw is an internal invariant
-    breach, not user error.
+    (ENERGY_RTOL relative slack).  Arguments broadcast: (frames,) columns
+    for a frame walk, (candidates, frames) for the zeta calibration walk.
+    An over-draw is an internal invariant breach, not user error.
     """
     bad = serve & ((p_h > params.p_H_max) | (spend > battery * (1.0 + ENERGY_RTOL) + 1e-18))
     if np.any(bad):
         at = np.unravel_index(np.argmax(bad), np.shape(bad))
-        where = f" of frame {at[-1]}" if at else ""
         raise InvalidActionError(
-            f"policy served block {block + 1}{where} with battery "
+            f"policy served block {block + 1} of frame {at[-1]} with battery "
             f"{float(np.broadcast_to(battery, np.shape(bad))[at])!r} J, spend "
             f"{float(np.broadcast_to(spend, np.shape(bad))[at])!r} J, peak {params.p_H_max} W")
 
 
-def run_frame(policy, trajectory: FrameTrajectory, params: SystemParams):
-    """Walk one frame under a causal policy.
+def _walk(policy, params: SystemParams, gamma_g, gamma_h, e_h):
+    """The per-block step both single-user walks share.
 
-    Arrivals are credited (and clamped at the battery capacity) before each
-    decision.  A served block must be affordable; a policy returning 1 in an
-    infeasible state is an internal invariant breach, not user error.
-    Returns (total cost, grid energy in J, dropped packets).
-    """
-    if trajectory.n_blocks != params.N:
-        raise InvalidParameterError(
-            f"trajectory has {trajectory.n_blocks} blocks, params.N = {params.N}")
-    kap = kappa(params)
-    battery = 0.0
-    block_costs = []
-    grid_terms = []
-    drops = 0
-    for i in range(params.N):
-        battery = min(battery + float(trajectory.e_H[i]), params.B_m)
-        obs = OnlineObservation(block=i, battery=battery,
-                                gamma_G=float(trajectory.gamma_G[i]),
-                                gamma_H=float(trajectory.gamma_H[i]))
-        action = int(policy.decide(obs, params))
-        if action == 1:
-            p_h = float(inversion_power(channel_gain(params.d_H, obs.gamma_H, params), params))
-            spend = p_h * params.tau
-            check_affordable(i, True, p_h, spend, battery, params)
-            battery = max(battery - spend, 0.0)
-            block_costs.append(0.0)
-        elif action == 0:
-            p_g = float(inversion_power(channel_gain(params.d_G, obs.gamma_G, params), params))
-            if p_g <= kap:
-                cost = params.w_G * p_g * params.tau
-                grid_terms.append(p_g * params.tau)
-            else:
-                cost = params.w_D
-                drops += 1
-            block_costs.append(cost)
-        else:
-            raise InvalidActionError(f"policy returned {action!r}, expected 0 or 1")
-    return math.fsum(block_costs), math.fsum(grid_terms), drops
-
-
-# ---------------------------------------------------------------------------
-# vectorized batch walk
-# ---------------------------------------------------------------------------
-
-def run_batch(policy, params: SystemParams, gamma_g, gamma_h, e_h):
-    """Run (frames, N) trajectories in lockstep.
-
-    Returns per-frame arrays (costs, grid energies, drop counts).  The
-    policy's decide_batch sees one block of every frame at a time.
+    Per block of (frames, N) trajectories: credit the arrival (clamped at
+    B_m), ask policy.decide_batch, reject an action other than 0/1 or a
+    serve the battery or the peak cap cannot pay for (an internal invariant
+    breach, not user error), spend.  Yields per block the (frames,) skip
+    cost paid (0 where served), grid energy in J and drop flags.
     """
     gamma_g = np.asarray(gamma_g, dtype=float)
     gamma_h = np.asarray(gamma_h, dtype=float)
@@ -193,26 +141,57 @@ def run_batch(policy, params: SystemParams, gamma_g, gamma_h, e_h):
     frames, n = gamma_g.shape
     if n != params.N:
         raise InvalidParameterError(f"trajectories have {n} blocks, params.N = {params.N}")
-    kap = kappa(params)
     p_inv_h = inversion_power(channel_gain(params.d_H, gamma_h, params), params)
     p_inv_g = inversion_power(channel_gain(params.d_G, gamma_g, params), params)
     with np.errstate(invalid="ignore"):
         skip_cost = cost_parameter(p_inv_g, params)
-        transmits = p_inv_g <= kap
+        transmits = p_inv_g <= kappa(params)
     battery = np.zeros(frames)
-    costs = np.zeros(frames)
-    grid = np.zeros(frames)
-    drops = np.zeros(frames, dtype=np.int64)
     for i in range(n):
         battery = np.minimum(battery + e_h[:, i], params.B_m)
         act = np.asarray(policy.decide_batch(i, battery, gamma_g[:, i], gamma_h[:, i], params))
         serve = act == 1
+        skip = act == 0
+        if not np.all(serve | skip):
+            f = int(np.argmin(serve | skip))
+            raise InvalidActionError(
+                f"policy returned {act[f].item()!r} at block {i + 1} of frame {f}, "
+                "expected 0 or 1")
         spend = np.where(serve, p_inv_h[:, i] * params.tau, 0.0)
         check_affordable(i, serve, p_inv_h[:, i], spend, battery, params)
         battery = np.maximum(battery - spend, 0.0)
-        costs += np.where(serve, 0.0, skip_cost[:, i])
-        grid += np.where(~serve & transmits[:, i], p_inv_g[:, i] * params.tau, 0.0)
-        drops += (~serve & ~transmits[:, i]).astype(np.int64)
+        yield (np.where(serve, 0.0, skip_cost[:, i]),
+               np.where(skip & transmits[:, i], p_inv_g[:, i] * params.tau, 0.0),
+               skip & ~transmits[:, i])
+
+
+def run_frame(policy, trajectory: FrameTrajectory, params: SystemParams):
+    """Walk one frame under a causal policy, as a one-frame batch.
+
+    The per-block terms are totalled with math.fsum, so the cost is the
+    exact sum of the block costs.  Returns (total cost, grid energy in J,
+    dropped packets).
+    """
+    steps = _walk(policy, params, trajectory.gamma_G[None, :], trajectory.gamma_H[None, :],
+                  trajectory.e_H[None, :])
+    costs, energies, dropped = (np.concatenate(terms) for terms in zip(*steps))
+    return math.fsum(costs), math.fsum(energies), int(dropped.sum())
+
+
+def run_batch(policy, params: SystemParams, gamma_g, gamma_h, e_h):
+    """Run (frames, N) trajectories in lockstep.
+
+    Returns per-frame arrays (costs, grid energies, drop counts), each the
+    running += sum of the per-block terms.
+    """
+    frames = np.shape(gamma_g)[0]
+    costs = np.zeros(frames)
+    grid = np.zeros(frames)
+    drops = np.zeros(frames, dtype=np.int64)
+    for cost, energy, dropped in _walk(policy, params, gamma_g, gamma_h, e_h):
+        costs += cost
+        grid += energy
+        drops += dropped
     return costs, grid, drops
 
 
@@ -224,46 +203,37 @@ def monte_carlo(policy, params: SystemParams, frames: int, seed: int) -> RunMetr
     and doubling studies come for free.
     """
     gg, gh, eh = sample_trajectories(params, seed, frames)
-    costs, grid, drops = run_batch(policy, params, gg, gh, eh)
-    stderr = float(costs.std(ddof=1) / math.sqrt(frames)) if frames > 1 else 0.0
-    return RunMetrics(
-        policy=getattr(policy, "name", type(policy).__name__),
-        frames=frames,
-        seed=seed,
-        mean_total_cost=float(costs.mean()),
-        stderr_total_cost=stderr,
-        mean_grid_energy=float(grid.mean()),
-        drop_ratio=float(drops.sum() / (frames * params.N)),
-    )
+    return metrics_from_arrays(getattr(policy, "name", type(policy).__name__), params.N, seed,
+                               *run_batch(policy, params, gg, gh, eh))
 
 
 def offline_frame_metrics(params: SystemParams, gamma_g, gamma_h, e_h, *,
-                          solver: str = "greedy", name: str | None = None):
-    """Solve every frame with an offline assignment and replay it.
+                          solver: str = "greedy"):
+    """Solve every frame with an offline assignment.
 
     solver: "greedy" or "exhaustive" (the latter subject to the 2^N cap).
     Returns per-frame arrays (costs, grid energies, drop counts) matching
-    the batch-walk conventions.
+    the batch-walk conventions, read off `expand_solution`.
     """
     if solver not in ("greedy", "exhaustive"):
         raise InvalidParameterError(f"unknown offline solver {solver!r}")
+    solve = greedy_assignment if solver == "greedy" else exhaustive_optimal
     frames = gamma_g.shape[0]
     costs = np.zeros(frames)
     grid = np.zeros(frames)
     drops = np.zeros(frames, dtype=np.int64)
     for f in range(frames):
-        traj = FrameTrajectory(gamma_G=gamma_g[f], gamma_H=gamma_h[f], e_H=e_h[f])
-        inst = to_ip_instance(traj, params)
-        if solver == "greedy":
-            alpha, _ = greedy_assignment(inst)
-        else:
-            alpha, _ = exhaustive_optimal(inst)
-        costs[f], grid[f], drops[f] = run_frame(
-            ScriptedAssignmentPolicy(alpha), traj, params)
+        inst = to_ip_instance(FrameTrajectory(gamma_G=gamma_g[f], gamma_H=gamma_h[f],
+                                              e_H=e_h[f]), params)
+        alpha, _ = solve(inst)
+        full = expand_solution(alpha, inst, params)
+        costs[f], grid[f], drops[f] = full.total_cost, full.grid_energy, full.drops
     return costs, grid, drops
 
 
-def metrics_from_arrays(name, params, seed, costs, grid, drops) -> RunMetrics:
+def metrics_from_arrays(name, packets: int, seed, costs, grid, drops) -> RunMetrics:
+    """RunMetrics from per-frame (costs, grid energies, drop counts);
+    `packets` per frame is users * N."""
     frames = costs.shape[0]
     stderr = float(costs.std(ddof=1) / math.sqrt(frames)) if frames > 1 else 0.0
     return RunMetrics(
@@ -271,7 +241,7 @@ def metrics_from_arrays(name, params, seed, costs, grid, drops) -> RunMetrics:
         mean_total_cost=float(costs.mean()),
         stderr_total_cost=stderr,
         mean_grid_energy=float(grid.mean()),
-        drop_ratio=float(drops.sum() / (frames * params.N)),
+        drop_ratio=float(drops.sum() / (frames * packets)),
     )
 
 
@@ -318,26 +288,23 @@ def metrics_row(metrics: RunMetrics, axis: str, value: float) -> dict:
     }
 
 
-def _point_rows(params: SystemParams, axis: str, value, policy_factories: dict,
-                frames: int, seed: int, include_offline: bool) -> list[dict]:
-    rows: list[dict] = []
-    point = apply_axis(params, axis, value)
+def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
+               frames: int, seed: int, include_offline: bool) -> list[dict]:
+    """Rows of every policy at one parameter point, on shared trajectories.
+
+    `axis` and `value` only label the rows; a point run passes "none", 0.0.
+    With `include_offline` the offline greedy rows follow, plus the
+    exhaustive optimum whenever 2^N enumeration is within the cap.
+    """
     gg, gh, eh = sample_trajectories(point, seed, frames)
-    for name, factory in policy_factories.items():
-        policy = factory(point)
-        costs, grid, drops = run_batch(policy, point, gg, gh, eh)
-        rows.append(metrics_row(metrics_from_arrays(name, point, seed, costs, grid, drops),
-                            axis, value))
+    runs = [(name, run_batch(factory(point), point, gg, gh, eh))
+            for name, factory in policy_factories.items()]
     if include_offline:
-        costs, grid, drops = offline_frame_metrics(point, gg, gh, eh, solver="greedy")
-        rows.append(metrics_row(metrics_from_arrays("Greedy", point, seed, costs, grid, drops),
-                            axis, value))
-        if point.N <= EXHAUSTIVE_CAP:
-            costs, grid, drops = offline_frame_metrics(point, gg, gh, eh, solver="exhaustive")
-            rows.append(metrics_row(
-                metrics_from_arrays("Exhaustive", point, seed, costs, grid, drops),
-                axis, value))
-    return rows
+        solvers = ("greedy", "exhaustive") if point.N <= EXHAUSTIVE_CAP else ("greedy",)
+        runs += [(solver.capitalize(), offline_frame_metrics(point, gg, gh, eh, solver=solver))
+                 for solver in solvers]
+    return [metrics_row(metrics_from_arrays(name, point.N, seed, *arrays), axis, value)
+            for name, arrays in runs]
 
 
 def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
@@ -357,16 +324,18 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
     if not isinstance(threads, int) or threads < 1:
         raise InvalidParameterError(f"threads must be a positive integer, got {threads!r}")
     values = list(values)
+
+    def at(v):
+        return point_rows(apply_axis(params, axis, v), axis, v, policy_factories, frames,
+                          seed, include_offline)
+
     if threads == 1 or len(values) <= 1:
-        chunks = [_point_rows(params, axis, v, policy_factories, frames, seed,
-                              include_offline) for v in values]
+        chunks = [at(v) for v in values]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(
-                lambda v: _point_rows(params, axis, v, policy_factories, frames,
-                                      seed, include_offline), values))
+            chunks = list(pool.map(at, values))
     return [row for chunk in chunks for row in chunk]
 
 
@@ -456,8 +425,12 @@ def run_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
     for i in range(n):
         battery = min(battery + float(e_h[i]), base.B_m)
         acts = np.asarray(policy.decide_joint(i, battery, gamma_g[:, i], gamma_h[:, i],
-                                              params_list), dtype=np.int8)
+                                              params_list))
         served = np.flatnonzero(acts == 1)
+        left = np.flatnonzero(acts == 0)
+        if served.size + left.size != users:
+            raise InvalidActionError(f"joint policy returned {acts.tolist()!r} at block {i + 1}, "
+                                     "expected 0 or 1 per user")
         p_served = p_inv_h[served, i]
         spend = float(np.sum(p_served) * base.tau) if served.size else 0.0
         if served.size and (np.sum(p_served) > p_H_max_sum * (1.0 + 1e-12)
@@ -466,22 +439,12 @@ def run_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
                 f"joint policy overdrew block {i + 1}: sum power "
                 f"{float(np.sum(p_served))!r} W, spend {spend!r} J, battery {battery!r} J")
         battery = max(battery - spend, 0.0)
-        for u in served:
-            block_costs.append(0.0)
         # grid admission: cheapest inversion power first, sum-capped
-        left = np.flatnonzero(acts == 0)
-        wants = [u for u in left if p_inv_g[u, i] <= kappa(params_list[u])]
-        wants.sort(key=lambda u: p_inv_g[u, i])
-        admitted = []
         used = 0.0
-        for u in wants:
-            if used + p_inv_g[u, i] <= p_G_max_sum * (1.0 + 1e-12):
-                used += p_inv_g[u, i]
-                admitted.append(u)
-        admitted_set = set(admitted)
-        for u in left:
+        for u in sorted(left, key=lambda u: p_inv_g[u, i]):
             p = params_list[u]
-            if u in admitted_set:
+            if p_inv_g[u, i] <= kappa(p) and used + p_inv_g[u, i] <= p_G_max_sum * (1.0 + 1e-12):
+                used += p_inv_g[u, i]
                 block_costs.append(p.w_G * p_inv_g[u, i] * p.tau)
                 grid_terms.append(p_inv_g[u, i] * p.tau)
             else:
@@ -490,27 +453,42 @@ def run_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
     return math.fsum(block_costs), math.fsum(grid_terms), drops
 
 
+def multiuser_frame_metrics(policy, gamma_g, gamma_h, e_h, params_list,
+                            p_H_max_sum: float, p_G_max_sum: float):
+    """Walk (frames, U, N) multi-user trajectories one frame at a time.
+
+    `policy` is a joint policy, or "greedy" for each frame's pooled offline
+    plan (multiuser_greedy_assignment) walked through the same frame
+    simulator.  Returns per-frame arrays (costs, grid energies, drop counts).
+    """
+    offline = isinstance(policy, str)
+    if offline and policy != "greedy":
+        raise InvalidParameterError(f"unknown multi-user offline solver {policy!r}")
+    frames = gamma_g.shape[0]
+    costs = np.zeros(frames)
+    grid = np.zeros(frames)
+    drops = np.zeros(frames, dtype=np.int64)
+    for f in range(frames):
+        frame_policy = policy
+        if offline:
+            instances = [to_ip_instance(FrameTrajectory(gamma_G=gamma_g[f, u],
+                                                        gamma_H=gamma_h[f, u], e_H=e_h[f]), p)
+                         for u, p in enumerate(params_list)]
+            sel, _ = multiuser_greedy_assignment(instances, p_H_max_sum=p_H_max_sum)
+            frame_policy = ScriptedMultiuserAssignment(sel)
+        costs[f], grid[f], drops[f] = run_frame_multiuser(
+            frame_policy, gamma_g[f], gamma_h[f], e_h[f], params_list, p_H_max_sum, p_G_max_sum)
+    return costs, grid, drops
+
+
 def multiuser_monte_carlo(policy, params_list, p_H_max_sum: float, p_G_max_sum: float,
                           frames: int, seed: int) -> RunMetrics:
     """Monte Carlo over shared-arrival multi-user frames (CRN keyed like the
     single-user path).  drop_ratio denominates over users * N packets."""
     gg, gh, eh = sample_multiuser_trajectories(params_list, seed, frames)
-    users = len(params_list)
-    costs = np.zeros(frames)
-    grid = np.zeros(frames)
-    drops = np.zeros(frames, dtype=np.int64)
-    for f in range(frames):
-        costs[f], grid[f], drops[f] = run_frame_multiuser(
-            policy, gg[f], gh[f], eh[f], params_list, p_H_max_sum, p_G_max_sum)
-    stderr = float(costs.std(ddof=1) / math.sqrt(frames)) if frames > 1 else 0.0
-    return RunMetrics(
-        policy=getattr(policy, "name", type(policy).__name__),
-        frames=frames, seed=seed,
-        mean_total_cost=float(costs.mean()),
-        stderr_total_cost=stderr,
-        mean_grid_energy=float(grid.mean()),
-        drop_ratio=float(drops.sum() / (frames * users * params_list[0].N)),
-    )
+    arrays = multiuser_frame_metrics(policy, gg, gh, eh, params_list, p_H_max_sum, p_G_max_sum)
+    return metrics_from_arrays(getattr(policy, "name", type(policy).__name__),
+                               len(params_list) * params_list[0].N, seed, *arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from hesnet.offline import (
     check_swap_optimality,
     exhaustive_optimal,
     greedy_assignment,
-    multiuser_greedy_assignment,
     to_ip_instance,
 )
 from hesnet.policies import (
@@ -48,11 +47,10 @@ from hesnet.policies import (
     threshold_lambdas,
 )
 from hesnet.sim import (
-    ScriptedAssignmentPolicy,
-    ScriptedMultiuserAssignment,
+    multiuser_frame_metrics,
+    offline_frame_metrics,
     run_batch,
     run_frame,
-    run_frame_multiuser,
     sample_multiuser_trajectories,
 )
 
@@ -301,13 +299,7 @@ def test_criterion_07_policy_ordering_at_reference(ref_scale_solution):
     for name, policy in policies.items():
         costs, _, _ = run_batch(policy, REF, gg, gh, eh)
         per_frame[name] = costs
-    ga = np.empty(frames)
-    for f in range(frames):
-        traj = FrameTrajectory(gamma_G=gg[f], gamma_H=gh[f], e_H=eh[f])
-        inst = to_ip_instance(traj, REF)
-        alpha, _ = greedy_assignment(inst)
-        ga[f], _, _ = run_frame(ScriptedAssignmentPolicy(alpha), traj, REF)
-    per_frame["GA"] = ga
+    per_frame["GA"], _, _ = offline_frame_metrics(REF, gg, gh, eh, solver="greedy")
 
     def margin(worse, better):
         """Paired mean difference in units of its standard error."""
@@ -423,27 +415,10 @@ def test_criterion_10_two_user_extension():
             "GT": MultiuserGreedyTransmit(p_H_max_sum=p_h_sum),
             "Threshold": MultiuserThreshold([ThresholdParams(zeta, lam1, lam2)] * 2,
                                             p_H_max_sum=p_h_sum),
+            "GA": "greedy",   # each frame's pooled offline plan
         }
-        costs = {}
-        for name, policy in mu_policies.items():
-            arr = np.empty(frames)
-            for f in range(frames):
-                arr[f], _, _ = run_frame_multiuser(policy, gg[f], gh[f], eh[f],
-                                                   plist, p_H_max_sum=p_h_sum,
-                                                   p_G_max_sum=p_g_sum)
-            costs[name] = arr
-        ga = np.empty(frames)
-        for f in range(frames):
-            instances = [
-                to_ip_instance(FrameTrajectory(gamma_G=gg[f, u], gamma_H=gh[f, u],
-                                               e_H=eh[f]), plist[u])
-                for u in range(2)
-            ]
-            sel, _ = multiuser_greedy_assignment(instances, p_H_max_sum=p_h_sum)
-            ga[f], _, _ = run_frame_multiuser(ScriptedMultiuserAssignment(sel),
-                                              gg[f], gh[f], eh[f], plist,
-                                              p_H_max_sum=p_h_sum, p_G_max_sum=p_g_sum)
-        costs["GA"] = ga
+        costs = {name: multiuser_frame_metrics(policy, gg, gh, eh, plist, p_h_sum, p_g_sum)[0]
+                 for name, policy in mu_policies.items()}
 
         def margin(worse, better):
             d = costs[worse] - costs[better]

@@ -226,6 +226,15 @@ def test_simulate_missing_artifact_names_expected_path(tmp_path, capsys):
     assert "mbia_M4_K2.pol" in err and "mdp-train" in err
 
 
+def test_simulate_padded_artifact_is_exit_2(tmp_path, capsys):
+    assert main(["mdp-train"] + SMALL + ["--out", str(tmp_path)]) == 0
+    art = tmp_path / "mbia_M4_K2.pol"
+    art.write_bytes(art.read_bytes() + b"\0")
+    code = main(["simulate"] + SMALL + ["--set", "policies=MBIA-M4", "--out", str(tmp_path)])
+    assert code == 2
+    assert "mbia_M4_K2.pol" in capsys.readouterr().err
+
+
 def test_simulate_stale_artifact_is_exit_4(tmp_path, capsys):
     assert main(["mdp-train"] + SMALL + ["--out", str(tmp_path)]) == 0
     code = main(["simulate"] + SMALL + ["--set", "policies=MBIA-M4",

@@ -1,9 +1,12 @@
 """Quantization, transition kernels, and the two induction solvers."""
 
 import dataclasses
+import json
 import math
 import os
+import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -652,6 +655,55 @@ def test_artifact_rejects_corruption(tmp_path):
     garbled.write_bytes(b"NOTAPOLICY" + blob)
     with pytest.raises(InvalidParameterError):
         load_policy_artifact(garbled)
+
+
+def artifact_with_header(tmp_path, header: bytes, body: bytes = b"") -> Path:
+    f = tmp_path / "h.pol"
+    f.write_bytes(b"HESNETPOLICY 1\n" + header + body)
+    return f
+
+
+def test_artifact_rejects_oversized_header_claim_without_allocating(tmp_path):
+    header = json.dumps({"version": 1, "n": 10**9, "m": 100, "k": 25,
+                         "params_hash": P.content_hash(), "has_values": True})
+    f = artifact_with_header(tmp_path, header.encode() + b"\n", bytes(4096))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="implies"):
+            load_policy_artifact(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_artifact_rejects_trailing_byte_and_bad_headers(tmp_path):
+    grid = build_grid(P, M=3, K=2)
+    policy, values = backward_induction(build_mdp_model(P, grid), 2)
+    f = tmp_path / "p.pol"
+    save_policy_artifact(f, policy, values)
+    blob = f.read_bytes()
+    padded = tmp_path / "padded.pol"
+    padded.write_bytes(blob + b"\0")
+    with pytest.raises(InvalidParameterError, match="implies"):
+        load_policy_artifact(padded)
+    head, body = blob[len(b"HESNETPOLICY 1\n"):].split(b"\n", 1)
+    bad_headers = [
+        head,                                          # no newline: the file ends in the header
+        b" " * 5000 + head + b"\n",                    # over the header length limit
+        b"\xff\xfe{" + b"\n",                         # not UTF-8
+        b"[1, 2]\n",                                   # JSON but not an object
+        head.replace(b'"k":2', b'"k":0') + b"\n",     # k not positive
+        head.replace(b'"m":3', b'"m":3.0') + b"\n",   # m not an integer
+        head.replace(b'"n":2', b'"n":true') + b"\n",  # n a boolean
+        head.replace(b'"has_values":true', b'"has_values":1') + b"\n",
+    ]
+    for bad in bad_headers:
+        with pytest.raises(InvalidParameterError):
+            load_policy_artifact(artifact_with_header(tmp_path, bad, body))
+    # the untouched header still loads
+    loaded, _ = load_policy_artifact(artifact_with_header(tmp_path, head + b"\n", body))
+    np.testing.assert_array_equal(loaded.actions, policy.actions)
 
 
 def test_artifact_rejects_mismatched_values(tmp_path):

@@ -5,6 +5,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from hesnet import policies
@@ -26,18 +28,15 @@ from hesnet.policies import (
     LookAhead,
     MdpTablePolicy,
     MultiuserGreedyTransmit,
+    MultiuserThreshold,
     ThresholdHeuristic,
     ThresholdParams,
     calibrate_zeta,
     exponential_integral_E1,
-    greedy_transmit_decide,
     look_ahead_build,
-    mdp_policy_decide,
-    multiuser_threshold_decide,
-    threshold_decide,
     threshold_lambdas,
 )
-from hesnet.sim import OnlineObservation, apply_axis, run_batch
+from hesnet.sim import apply_axis, run_batch
 
 P = SystemParams()
 
@@ -145,44 +144,54 @@ def test_lambdas_reject_other_fading():
 
 
 # ---------------------------------------------------------------------------
-# scalar decision rules
+# decision rules
 # ---------------------------------------------------------------------------
 
-def obs_at(block=0, battery=1e-4, g=1.0, h=1.0):
-    return OnlineObservation(block=block, battery=battery, gamma_G=g, gamma_H=h)
+def decide_one(policy, block=0, battery=1e-4, g=1.0, h=1.0, params=P):
+    """The action for one state, through a one-row decide_batch (what the
+    scalar frame walk sends)."""
+    act = policy.decide_batch(block, np.array([battery]), np.array([g]), np.array([h]), params)
+    assert act.shape == (1,)
+    return int(act[0])
+
+
+def one_at_a_time(policy, block, battery, gamma_g, gamma_h, params=P):
+    return [decide_one(policy, block, float(battery[i]), float(gamma_g[i]), float(gamma_h[i]),
+                       params)
+            for i in range(battery.shape[0])]
 
 
 def test_greedy_transmit_feasibility_gate():
     # gamma_H = 1 at 30 m needs 0.0446 W, i.e. 4.47e-5 J per block
-    assert greedy_transmit_decide(obs_at(battery=1e-4, h=1.0), P) == 1
-    assert greedy_transmit_decide(obs_at(battery=1e-5, h=1.0), P) == 0
-    assert greedy_transmit_decide(obs_at(battery=1.0, h=0.0), P) == 0
+    gt = GreedyTransmit()
+    assert decide_one(gt, battery=1e-4, h=1.0) == 1
+    assert decide_one(gt, battery=1e-5, h=1.0) == 0
+    assert decide_one(gt, battery=1.0, h=0.0) == 0
     spend = 0.044652595986077352 * P.tau
-    assert greedy_transmit_decide(obs_at(battery=spend, h=1.0), P) == 1
+    assert decide_one(gt, battery=spend, h=1.0) == 1
     tight = P.evolve(p_H_max=0.01)
-    assert greedy_transmit_decide(obs_at(battery=1.0, h=1.0), tight) == 0
+    assert decide_one(gt, battery=1.0, h=1.0, params=tight) == 0
 
 
 def test_threshold_zero_zeta_equals_greedy_everywhere():
     l1, l2 = threshold_lambdas(P)
-    tp = ThresholdParams(0.0, l1, l2)
+    th = ThresholdHeuristic(ThresholdParams(0.0, l1, l2))
+    gt = GreedyTransmit()
     rng = make_rng(43)
     for _ in range(300):
-        obs = obs_at(block=int(rng.integers(0, P.N)),
+        state = dict(block=int(rng.integers(0, P.N)),
                      battery=float(rng.uniform(0, P.B_m)),
                      g=float(rng.exponential(1.0)), h=float(rng.exponential(1.0)))
-        assert threshold_decide(obs, tp, None, P) == greedy_transmit_decide(obs, P)
+        assert decide_one(th, **state) == decide_one(gt, **state)
 
 
 def test_threshold_terminal_and_infeasible_rules():
     l1, l2 = threshold_lambdas(P)
-    tp = ThresholdParams(1e9, l1, l2)  # absurd threshold: never serve interior
-    assert threshold_decide(obs_at(block=0), tp, None, P) == 0
+    th = ThresholdHeuristic(ThresholdParams(1e9, l1, l2))  # absurd threshold: never serve interior
+    assert decide_one(th, block=0) == 0
     # the last block ignores the threshold and serves when feasible
-    assert threshold_decide(obs_at(block=P.N - 1), tp, None, P) == 1
-    assert threshold_decide(obs_at(block=P.N - 1, battery=0.0), tp, None, P) == 0
-    with pytest.raises(InvalidParameterError):
-        threshold_decide(obs_at(), tp)
+    assert decide_one(th, block=P.N - 1) == 1
+    assert decide_one(th, block=P.N - 1, battery=0.0) == 0
 
 
 def test_threshold_monotone_in_zeta():
@@ -210,10 +219,8 @@ def test_batch_rules_match_scalar_rules():
     for policy in policies:
         for block in (0, P.N - 1):
             batch = policy.decide_batch(block, battery, gamma_g, gamma_h, P)
-            scalar = [policy.decide(OnlineObservation(block, float(battery[i]),
-                                                      float(gamma_g[i]), float(gamma_h[i])), P)
-                      for i in range(64)]
-            np.testing.assert_array_equal(batch, scalar)
+            np.testing.assert_array_equal(
+                batch, one_at_a_time(policy, block, battery, gamma_g, gamma_h))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +238,7 @@ def test_mdp_policy_stale_hash_rejected():
     table = small_table(P)
     other = P.evolve(w_D=0.5)
     with pytest.raises(StalePolicyError):
-        mdp_policy_decide(obs_at(), table, None, other)
+        decide_one(MdpTablePolicy(table), params=other)
     policy = MdpTablePolicy(table)
     with pytest.raises(StalePolicyError):
         policy.decide_batch(0, np.array([1e-4]), np.array([1.0]), np.array([1.0]), other)
@@ -273,14 +280,13 @@ def test_mdp_policy_demotes_infeasible_lookup():
     raw = int(table.actions[P.N - 1, 0, 0, kh_best])
     assert raw == 1
     tiny = 1e-9  # bin 0 mid is 8.3e-5 J, the true battery is not enough
-    obs = OnlineObservation(P.N - 1, tiny, 1.0, float(grid.levels_H[kh_best]))
-    assert mdp_policy_decide(obs, table, None, P) == 0
+    assert decide_one(MdpTablePolicy(table), P.N - 1, tiny, 1.0, float(grid.levels_H[kh_best])) == 0
 
 
 def test_mdp_policy_respects_table_horizon():
     table = small_table(P)
     with pytest.raises(InvalidParameterError):
-        mdp_policy_decide(obs_at(block=P.N), table, None, P)
+        decide_one(MdpTablePolicy(table), block=P.N)
 
 
 def test_mdp_batch_matches_scalar():
@@ -292,10 +298,8 @@ def test_mdp_batch_matches_scalar():
     gamma_h = rng.exponential(1.0, 64)
     for block in (0, 17, P.N - 1):
         batch = policy.decide_batch(block, battery, gamma_g, gamma_h, P)
-        scalar = [policy.decide(OnlineObservation(block, float(battery[i]),
-                                                  float(gamma_g[i]), float(gamma_h[i])), P)
-                  for i in range(64)]
-        np.testing.assert_array_equal(batch, scalar)
+        np.testing.assert_array_equal(
+            batch, one_at_a_time(policy, block, battery, gamma_g, gamma_h))
 
 
 def test_look_ahead_structure():
@@ -304,9 +308,9 @@ def test_look_ahead_structure():
     la = LookAhead(table)
     # interior blocks all use the same first-slice rule
     rng = make_rng(47)
-    battery = rng.uniform(0, P.B_m, 32)
-    gamma_g = rng.exponential(1.0, 32)
-    gamma_h = rng.exponential(1.0, 32)
+    battery = rng.uniform(0, P.B_m, 64)
+    gamma_g = rng.exponential(1.0, 64)
+    gamma_h = rng.exponential(1.0, 64)
     a0 = la.decide_batch(0, battery, gamma_g, gamma_h, P)
     a1 = la.decide_batch(25, battery, gamma_g, gamma_h, P)
     np.testing.assert_array_equal(a0, a1)
@@ -315,9 +319,7 @@ def test_look_ahead_structure():
     np.testing.assert_array_equal(
         la.decide_batch(P.N - 1, battery, gamma_g, gamma_h, P),
         gt.decide_batch(P.N - 1, battery, gamma_g, gamma_h, P))
-    scalar = [la.decide(OnlineObservation(25, float(battery[i]), float(gamma_g[i]),
-                                          float(gamma_h[i])), P) for i in range(32)]
-    np.testing.assert_array_equal(a1, scalar)
+    np.testing.assert_array_equal(a1, one_at_a_time(la, 25, battery, gamma_g, gamma_h))
     with pytest.raises(InvalidParameterError):
         LookAhead(small_table(P))  # full-horizon table is not a 2-block rule
 
@@ -443,10 +445,6 @@ def test_calibrated_threshold_beats_greedy():
 # multi-user rules
 # ---------------------------------------------------------------------------
 
-def mu_obs(block, battery, g, h):
-    return OnlineObservation(block=block, battery=battery, gamma_G=g, gamma_H=h)
-
-
 def test_multiuser_threshold_admits_by_metric_under_caps():
     params_list = [P, P]
     l1, l2 = threshold_lambdas(P)
@@ -455,9 +453,9 @@ def test_multiuser_threshold_admits_by_metric_under_caps():
     # power cap set so only one fits; user 2's better H-gain costs less
     # power, but user 1's worse G-channel gives the higher metric
     battery = 6e-5
-    obs = [mu_obs(0, battery, 0.05, 1.0), mu_obs(0, battery, 3.0, 1.2)]
     p1 = float(inversion_power(channel_gain(P.d_H, 1.0, P), P))
-    acts = multiuser_threshold_decide(obs, tps, params_list, p_H_max_sum=p1 * 1.5)
+    th = MultiuserThreshold(tps, p_H_max_sum=p1 * 1.5)
+    acts = th.decide_joint(0, battery, np.array([0.05, 3.0]), np.array([1.0, 1.2]), params_list)
     assert acts.sum() == 1
     assert acts[0] == 1  # drop-risk user (bad G-channel) wins the slot
 
@@ -465,23 +463,67 @@ def test_multiuser_threshold_admits_by_metric_under_caps():
 def test_multiuser_threshold_pools_battery():
     params_list = [P, P]
     l1, l2 = threshold_lambdas(P)
-    tps = [ThresholdParams(0.0, l1, l2)] * 2
+    th = MultiuserThreshold([ThresholdParams(0.0, l1, l2)] * 2, p_H_max_sum=10.0)
     p1 = float(inversion_power(channel_gain(P.d_H, 1.0, P), P))
+    ones = np.ones(2)
     # battery affords both spends jointly
-    obs = [mu_obs(0, 2.5 * p1 * P.tau, 1.0, 1.0), mu_obs(0, 2.5 * p1 * P.tau, 1.0, 1.0)]
-    acts = multiuser_threshold_decide(obs, tps, params_list, p_H_max_sum=10.0)
+    acts = th.decide_joint(0, 2.5 * p1 * P.tau, ones, ones, params_list)
     assert acts.sum() == 2
     # but not when it only covers one
-    obs = [mu_obs(0, 1.5 * p1 * P.tau, 1.0, 1.0), mu_obs(0, 1.5 * p1 * P.tau, 1.0, 1.0)]
-    acts = multiuser_threshold_decide(obs, tps, params_list, p_H_max_sum=10.0)
+    acts = th.decide_joint(0, 1.5 * p1 * P.tau, ones, ones, params_list)
     assert acts.sum() == 1
 
 
 def test_multiuser_threshold_validates_alignment():
     l1, l2 = threshold_lambdas(P)
+    th = MultiuserThreshold([ThresholdParams(0.0, l1, l2)] * 2, 1.0)
     with pytest.raises(InvalidParameterError):
-        multiuser_threshold_decide([mu_obs(0, 1e-4, 1, 1)],
-                                   [ThresholdParams(0.0, l1, l2)] * 2, [P, P], 1.0)
+        th.decide_joint(0, 1e-4, np.ones(1), np.ones(1), [P])
+    with pytest.raises(InvalidParameterError):
+        th.decide_joint(0, 1e-4, np.ones(1), np.ones(1), [P, P])
+
+
+def joint_threshold_oracle(block, battery, gamma_g, gamma_h, tps, params_list, p_H_max_sum):
+    """The joint threshold rule one user at a time in plain floats: the
+    reference for the array form in MultiuserThreshold.decide_joint."""
+    scored = []
+    for u, (tp, p) in enumerate(zip(tps, params_list)):
+        p_h = float(inversion_power(channel_gain(p.d_H, gamma_h[u], p), p))
+        if not p_h <= min(battery / p.tau, p_H_max_sum):
+            continue
+        p_g = inversion_power(channel_gain(p.d_G, gamma_g[u], p), p)
+        score = float(cost_parameter(p_g, p)) / p_h
+        level = tp.zeta * p.P_avg * p.tau * (tp.lambda1 / tp.lambda2)
+        if block >= p.N - 1 or battery * score >= level:
+            scored.append((-score, u, p_h))
+    acts = np.zeros(len(params_list), dtype=np.int8)
+    power_used = energy_used = 0.0
+    for _, u, p_h in sorted(scored):
+        spend = p_h * params_list[0].tau
+        if power_used + p_h <= p_H_max_sum and energy_used + spend <= battery:
+            power_used += p_h
+            energy_used += spend
+            acts[u] = 1
+    return acts
+
+
+def test_multiuser_threshold_matches_per_user_oracle():
+    rng = make_rng(57)
+    for p_avg_mw in (10.0, 20.0, 30.0):
+        point = P.evolve(P_avg=p_avg_mw * 1e-3)
+        plist = [point, point]
+        l1, l2 = threshold_lambdas(point)
+        for zeta in (0.0, 8.5, 50.0):
+            tps = [ThresholdParams(zeta, l1, l2)] * 2
+            th = MultiuserThreshold(tps, p_H_max_sum=point.p_H_max)
+            for _ in range(100):
+                block = int(rng.integers(0, point.N))
+                battery = float(rng.uniform(0, point.B_m / 10))
+                gamma_g, gamma_h = rng.exponential(1.0, 2), rng.exponential(1.0, 2)
+                np.testing.assert_array_equal(
+                    th.decide_joint(block, battery, gamma_g, gamma_h, plist),
+                    joint_threshold_oracle(block, battery, gamma_g, gamma_h, tps, plist,
+                                           point.p_H_max))
 
 
 def test_multiuser_greedy_admits_cheapest_first():
@@ -496,3 +538,21 @@ def test_multiuser_greedy_admits_cheapest_first():
     # plenty of battery: both fit under the summed peak
     acts = gt.decide_joint(0, 1.0, gamma_g, gamma_h, [P, P])
     np.testing.assert_array_equal(acts, [1, 1])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(n=st.integers(2, 60), block=st.integers(0, 58), seed=st.integers(0, 2**16),
+       zetas=st.lists(st.floats(0.0, 200.0), min_size=2, max_size=5))
+def test_property_threshold_serves_fewer_blocks_as_zeta_grows(n, block, seed, zetas):
+    # on the same states, a larger zeta never serves a block a smaller one skips
+    params = P.evolve(N=n)
+    l1, l2 = threshold_lambdas(params)
+    rng = make_rng(seed)
+    battery = rng.uniform(0, params.B_m / 5, 64)
+    gamma_g = rng.exponential(1.0, 64)
+    gamma_h = rng.exponential(1.0, 64)
+    block = min(block, n - 1)
+    served = [ThresholdHeuristic(ThresholdParams(z, l1, l2)).decide_batch(
+        block, battery, gamma_g, gamma_h, params) for z in sorted(zetas)]
+    for fewer, more in zip(served[1:], served[:-1]):
+        assert np.all(fewer <= more)

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesnet.errors import InvalidActionError, InvalidParameterError
+from hesnet.mdp import backward_induction, build_grid, build_mdp_model
 from hesnet.model import FrameTrajectory, SystemParams, sample_trajectories, sample_trajectory
 from hesnet.offline import (
     greedy_assignment,
@@ -15,17 +18,24 @@ from hesnet.offline import (
     multiuser_greedy_assignment,
     to_ip_instance,
 )
-from hesnet.policies import GreedyTransmit, MultiuserGreedyTransmit, ThresholdHeuristic, ThresholdParams, threshold_lambdas
+from hesnet.policies import (
+    GreedyTransmit,
+    MdpTablePolicy,
+    MultiuserGreedyTransmit,
+    ThresholdHeuristic,
+    ThresholdParams,
+    threshold_lambdas,
+)
 from hesnet.sim import (
     CSV_HEADER,
     GridOnlyPolicy,
-    OnlineObservation,
     ScriptedAssignmentPolicy,
     ScriptedMultiuserAssignment,
     apply_axis,
     check_affordable,
     metrics_from_arrays,
     monte_carlo,
+    multiuser_frame_metrics,
     multiuser_monte_carlo,
     offline_frame_metrics,
     run_batch,
@@ -44,15 +54,12 @@ P = SystemParams()
 class AlwaysServe:
     name = "AlwaysServe"
 
-    def decide(self, obs, params):
-        return 1
-
     def decide_batch(self, block, battery, gamma_g, gamma_h, params):
         return np.ones(battery.shape[0], dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
-# scalar frame walk
+# one-frame walk
 # ---------------------------------------------------------------------------
 
 def test_run_frame_cost_identity():
@@ -71,13 +78,17 @@ def test_run_frame_rejects_infeasible_serve():
 
 
 def test_run_frame_rejects_bad_action_value():
+    # both walks share the per-block step, so both refuse an action of 2
     class Weird:
-        def decide(self, obs, params):
-            return 2
+        def decide_batch(self, block, battery, gamma_g, gamma_h, params):
+            return np.full(battery.shape[0], 2 if block == 3 else 0, dtype=np.int8)
 
     traj = sample_trajectory(P, 61)
-    with pytest.raises(InvalidActionError):
+    with pytest.raises(InvalidActionError, match="returned 2 at block 4"):
         run_frame(Weird(), traj, P)
+    gg, gh, eh = sample_trajectories(P, 61, 5)
+    with pytest.raises(InvalidActionError, match="returned 2 at block 4"):
+        run_batch(Weird(), P, gg, gh, eh)
 
 
 def test_run_frame_checks_length():
@@ -163,6 +174,33 @@ def test_monte_carlo_prefix_property():
     gg2, gh2, eh2 = sample_trajectories(P, 69, 80)
     c2, _, _ = run_batch(GreedyTransmit(), P, gg2, gh2, eh2)
     np.testing.assert_array_equal(c1, c2[:40])
+
+
+def replay_offline(params, gg, gh, eh, solve):
+    """The old offline evaluation: solve each frame, then replay the plan
+    block by block through the scalar frame walk."""
+    out = np.zeros((3, gg.shape[0]))
+    for f in range(gg.shape[0]):
+        traj = FrameTrajectory(gamma_G=gg[f], gamma_H=gh[f], e_H=eh[f])
+        alpha, _ = solve(to_ip_instance(traj, params))
+        out[:, f] = run_frame(ScriptedAssignmentPolicy(alpha), traj, params)
+    return out
+
+
+@pytest.mark.parametrize("solver,changes", [
+    ("greedy", {}),
+    ("greedy", {"P_avg": 0.01, "w_D": 0.1}),
+    ("greedy", {"d_H": 45.0, "d_G": 35.0, "p_H_max": 0.1}),
+    ("exhaustive", {"N": 10}),
+])
+def test_offline_frame_metrics_match_scripted_replay_bitwise(solver, changes):
+    params = P.evolve(**changes)
+    gg, gh, eh = sample_trajectories(params, 77, 60)
+    got = offline_frame_metrics(params, gg, gh, eh, solver=solver)
+    want = replay_offline(params, gg, gh, eh,
+                          greedy_assignment if solver == "greedy" else exhaustive_optimal)
+    for arr, ref in zip(got, want):
+        assert np.array_equal(arr, ref)
 
 
 def test_offline_frame_metrics_orders_solvers():
@@ -312,6 +350,41 @@ def test_multiuser_rejects_joint_overdraw():
                             p_H_max_sum=P.p_H_max, p_G_max_sum=P.p_G_max)
 
 
+def test_multiuser_frame_metrics_greedy_walks_pooled_plans():
+    params_list = two_user_setup()
+    gg, gh, eh = sample_multiuser_trajectories(params_list, 78, 8)
+    costs, grid, drops = multiuser_frame_metrics("greedy", gg, gh, eh, params_list,
+                                                 P.p_H_max, 1e9)  # unbounded grid BS
+    for f in range(8):
+        instances = [
+            to_ip_instance(FrameTrajectory(gamma_G=gg[f, u], gamma_H=gh[f, u], e_H=eh[f]),
+                           params_list[u])
+            for u in range(2)
+        ]
+        _, cost = multiuser_greedy_assignment(instances, p_H_max_sum=P.p_H_max)
+        assert costs[f] == cost
+    with pytest.raises(InvalidParameterError):
+        multiuser_frame_metrics("exhaustive", gg, gh, eh, params_list, P.p_H_max, 1e9)
+
+
+def test_metrics_aggregate_over_users_times_blocks():
+    costs, grid, drops = np.array([1.0, 3.0]), np.array([0.5, 1.5]), np.array([4, 6])
+    m = metrics_from_arrays("X", 2 * P.N, 9, costs, grid, drops)
+    assert (m.policy, m.frames, m.seed) == ("X", 2, 9)
+    assert m.mean_total_cost == 2.0 and m.mean_grid_energy == 1.0
+    assert m.stderr_total_cost == pytest.approx(1.0)
+    assert m.drop_ratio == 10 / (2 * 2 * P.N)
+
+
+def test_multiuser_rejects_bad_action_value():
+    params_list = [P.evolve(N=1), P.evolve(N=1)]
+    gamma = np.ones((2, 1))
+    with pytest.raises(InvalidActionError, match="returned \\[2, 0\\] at block 1"):
+        run_frame_multiuser(ScriptedMultiuserAssignment(np.array([[2], [0]])), gamma, gamma,
+                            np.array([1e-3]), params_list,
+                            p_H_max_sum=P.p_H_max, p_G_max_sum=P.p_G_max)
+
+
 def test_multiuser_monte_carlo_invariant():
     params_list = two_user_setup()
     gt = MultiuserGreedyTransmit(p_H_max_sum=P.p_H_max)
@@ -321,3 +394,34 @@ def test_multiuser_monte_carlo_invariant():
         P.w_G * m.mean_grid_energy + P.w_D * 2 * P.N * m.drop_ratio, rel_tol=1e-9)
     m2 = multiuser_monte_carlo(gt, params_list, P.p_H_max, P.p_G_max, frames=50, seed=76)
     assert m.mean_total_cost == m2.mean_total_cost
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+short_frame_params = st.builds(
+    lambda n, d_h, d_g, w_d, cap, p_avg, mu_g, mu_h, fill: P.evolve(
+        N=n, d_H=d_h, d_G=d_g, w_D=w_d, p_H_max=cap, P_avg=p_avg, mu_G=mu_g, mu_H=mu_h
+    ).evolve(B_m=2.0 * p_avg * P.tau * (1.0 + fill * (n - 1))),
+    st.integers(1, 10), st.floats(15.0, 60.0), st.floats(30.0, 70.0), st.floats(0.001, 1.0),
+    st.floats(0.01, 1.0), st.floats(0.005, 0.05), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+    st.floats(0.0, 1.0))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(params=short_frame_params, zeta=st.floats(0.0, 50.0), seed=st.integers(0, 2**16))
+def test_property_online_frame_cost_at_least_exhaustive_optimum(params, zeta, seed):
+    # the offline optimum sees the whole frame and no battery cap, so no
+    # causal policy beats it on any frame; both sides are exact fsums
+    l1, l2 = threshold_lambdas(params)
+    table, _ = backward_induction(build_mdp_model(params, build_grid(params, M=6, K=3)),
+                                  params.N)
+    policies = (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(zeta, l1, l2)),
+                MdpTablePolicy(table))
+    for f in range(3):
+        traj = sample_trajectory(params, (seed, f))
+        _, opt = exhaustive_optimal(to_ip_instance(traj, params))
+        for policy in policies:
+            cost, _, _ = run_frame(policy, traj, params)
+            assert cost >= opt
