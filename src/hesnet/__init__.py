@@ -23,6 +23,7 @@ from .errors import (
 )
 from .model import (
     ExponentialFading,
+    FrameBatch,
     FrameTrajectory,
     SystemParams,
     UniformArrivals,
@@ -30,6 +31,7 @@ from .model import (
     cost_parameter,
     inversion_power,
     kappa,
+    link_terms,
     make_rng,
     rate,
     required_snr,

@@ -9,7 +9,8 @@ rejected rather than ignored.
 
 Exit codes: 0 success, 2 configuration error (including a malformed,
 truncated or oversized policy artifact), 3 resource limit, 4
-artifact/parameter mismatch.
+artifact/parameter mismatch (including an offline evaluation on a battery
+below N * E_m, which the offline solvers do not model).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .offline import (
     exhaustive_optimal,
     expand_solution,
     greedy_assignment,
+    require_uncapped_battery,
     to_ip_instance,
 )
 from .policies import (
@@ -81,34 +83,30 @@ def _db10(x: float) -> float:
     return 10.0 ** (x / 10.0)
 
 
-def _ident(x: float) -> float:
-    return x
-
-
 # config key -> (SystemParams field, unit conversion applied after float parse)
 PARAM_KEYS = {
-    "w_g": ("w_G", _ident),
-    "w_d": ("w_D", _ident),
-    "r_bits": ("R", _ident),
-    "n_blocks": ("N", _ident),
+    "w_g": ("w_G", float),
+    "w_d": ("w_D", float),
+    "r_bits": ("R", float),
+    "n_blocks": ("N", float),
     "tau_ms": ("tau", lambda v: v * 1e-3),
-    "bandwidth_hz": ("W", _ident),
+    "bandwidth_hz": ("W", float),
     "sigma2_dbm": ("sigma2", lambda v: _db10(v) * 1e-3),
-    "sigma2_w": ("sigma2", _ident),
+    "sigma2_w": ("sigma2", float),
     "g0_db": ("g0", _db10),
-    "g0_linear": ("g0", _ident),
-    "theta": ("theta", _ident),
-    "d_g_m": ("d_G", _ident),
-    "d_h_m": ("d_H", _ident),
-    "p_g_max_w": ("p_G_max", _ident),
-    "p_h_max_w": ("p_H_max", _ident),
+    "g0_linear": ("g0", float),
+    "theta": ("theta", float),
+    "d_g_m": ("d_G", float),
+    "d_h_m": ("d_H", float),
+    "p_g_max_w": ("p_G_max", float),
+    "p_h_max_w": ("p_H_max", float),
     "mu_g_db": ("mu_G", _db10),
-    "mu_g": ("mu_G", _ident),
+    "mu_g": ("mu_G", float),
     "mu_h_db": ("mu_H", _db10),
-    "mu_h": ("mu_H", _ident),
-    "e_m_j": ("E_m", _ident),
+    "mu_h": ("mu_H", float),
+    "e_m_j": ("E_m", float),
     "p_avg_mw": ("P_avg", lambda v: v * 1e-3),
-    "b_m_j": ("B_m", _ident),
+    "b_m_j": ("B_m", float),
 }
 
 RUN_KEYS = {
@@ -483,6 +481,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_offline_solve(cfg: RunConfig, args) -> int:
     params = cfg.params
+    require_uncapped_battery(params)
     if args.replay:
         traj = _read_trajectory(Path(args.replay), params)
         source = f"replay {args.replay}"
@@ -513,14 +512,10 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
         full = expand_solution(alpha, inst, params)
         report["solvers"][solver_name] = {
             "total_cost": cost, "grid_energy_j": full.grid_energy, "drops": full.drops}
-        for i in range(params.N):
-            rows.append({
-                "solver": solver_name, "block": i + 1,
-                "gamma_G": float(traj.gamma_G[i]), "gamma_H": float(traj.gamma_H[i]),
-                "e_H_j": float(traj.e_H[i]), "alpha": int(alpha[i]),
-                "i_G": int(full.I_G[i]), "i_H": int(full.I_H[i]), "i_D": int(full.I_D[i]),
-                "p_G_w": float(full.p_G[i]), "p_H_w": float(full.p_H[i]),
-            })
+        rows += [dict(zip(OFFLINE_HEADER, (
+            solver_name, i + 1, float(traj.gamma_G[i]), float(traj.gamma_H[i]), float(traj.e_H[i]),
+            int(alpha[i]), int(full.I_G[i]), int(full.I_H[i]), int(full.I_D[i]),
+            float(full.p_G[i]), float(full.p_H[i])))) for i in range(params.N)]
     write_rows_csv(csv_path, rows, header=OFFLINE_HEADER)
     if "exhaustive" in solutions:
         gap = cost_g - solutions["exhaustive"][1]

@@ -28,7 +28,7 @@ from .errors import (
     InvalidStateError,
     StructureViolationError,
 )
-from .model import ExponentialFading, SystemParams, channel_gain, cost_parameter, inversion_power
+from .model import ExponentialFading, SystemParams, link_terms, serve_feasible
 
 __all__ = [
     "QuantizationGrid",
@@ -41,7 +41,6 @@ __all__ = [
     "battery_level_index",
     "channel_state_index",
     "energy_transition_probs",
-    "allowable_actions",
     "build_mdp_model",
     "backward_induction",
     "monotone_backward_induction",
@@ -177,19 +176,6 @@ def energy_transition_probs(level: float, consumption: float, grid: Quantization
     return np.maximum(hi - lo, 0.0) / params.E_m
 
 
-def allowable_actions(state, params: SystemParams) -> tuple[int, ...]:
-    """Feasible actions in (battery level, G-gain, H-gain): spend only when
-    the H inversion power fits both the battery over one block and the peak
-    cap; boundaries included."""
-    level, _gamma_g, gamma_h = state
-    if level < 0:
-        raise InvalidStateError(f"battery level must be >= 0, got {level!r}")
-    p_inv = inversion_power(channel_gain(params.d_H, gamma_h, params), params)
-    if p_inv <= min(level / params.tau, params.p_H_max):
-        return (0, 1)
-    return (0,)
-
-
 # ---------------------------------------------------------------------------
 # model assembly
 # ---------------------------------------------------------------------------
@@ -213,16 +199,12 @@ def build_mdp_model(params: SystemParams, grid: QuantizationGrid) -> MdpModel:
 
     The kernels are `energy_transition_probs` in closed form, broadcast over
     battery levels and H-states with the same arithmetic (bitwise equal)."""
-    p_inv_h = inversion_power(channel_gain(params.d_H, grid.levels_H, params), params)
-    p_inv_g = inversion_power(channel_gain(params.d_G, grid.levels_G, params), params)
-    cost_g = cost_parameter(p_inv_g, params)
+    _, p_inv_h, cost_g, _ = link_terms(grid.levels_G, grid.levels_H, params)
     levels = grid.battery_levels
     if not np.allclose(quantize_energy(levels, grid), levels, rtol=1e-9, atol=0.0):
         raise InvalidStateError("battery levels are not the bin mid-values of this grid")
-    allowed = p_inv_h[None, :] <= np.minimum(levels[:, None] / params.tau, params.p_H_max)
+    allowed = serve_feasible(p_inv_h[None, :], levels[:, None], params)
     spend = p_inv_h * params.tau
-    if np.any(allowed & (spend > levels[:, None] * (1 + 1e-12))):
-        raise InvalidActionError("an allowed spend exceeds its battery level")
     # probs[r, i]: the row of level i after no spend (r = 0) or serving at H-state r-1
     base = np.maximum(levels - np.append(0.0, spend)[:, None], 0.0)[:, :, None]
     lo = grid.bin_edges[:-1] - base

@@ -3,9 +3,10 @@
 One user is served over frames of N equal blocks.  In every block exactly one
 packet of R bits is due; it is carried by the grid-powered BS, carried by the
 energy-harvesting BS out of its battery, or dropped.  This module holds the
-system parameters, the stochastic channel/arrival models, and the scalar
-primitives (channel gain, rate, inversion power, per-block cost) everything
-else is built from.
+system parameters, the stochastic channel/arrival models, the scalar
+primitives (channel gain, rate, inversion power, per-block cost), the one
+place they are composed (`link_terms`), and `FrameBatch`, trajectories held
+with their link terms.
 
 Units are SI throughout: watts, joules, seconds, hertz, bits.  dB-valued
 inputs are converted at the parsing boundary (see `cli`), never stored.
@@ -17,7 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +35,9 @@ __all__ = [
     "required_snr",
     "kappa",
     "cost_parameter",
+    "link_terms",
+    "serve_feasible",
+    "FrameBatch",
     "make_rng",
     "sample_trajectory",
     "sample_trajectories",
@@ -261,6 +265,25 @@ def cost_parameter(p_G_inv, params: SystemParams):
     return float(out) if out.ndim == 0 else out
 
 
+def link_terms(gamma_g, gamma_h, params: SystemParams):
+    """Link terms of fading gains: (p_G_inv, p_H_inv, skip, transmits).
+
+    The two inversion powers, the cost of a block the harvesting BS skips
+    (`cost_parameter`), and whether the grid BS then carries it (p_G_inv <=
+    kappa) rather than dropping it.  Every evaluation path reads these.
+    """
+    p_g = inversion_power(channel_gain(params.d_G, gamma_g, params), params)
+    p_h = inversion_power(channel_gain(params.d_H, gamma_h, params), params)
+    return p_g, p_h, cost_parameter(p_g, params), p_g <= kappa(params)
+
+
+def serve_feasible(p_h, battery, params: SystemParams, p_max=None):
+    """Whether one block at inversion power p_h fits the battery and the
+    peak cap (params.p_H_max unless a joint cap `p_max` is given)."""
+    cap = params.p_H_max if p_max is None else p_max
+    return p_h <= np.minimum(np.asarray(battery, dtype=float) / params.tau, cap)
+
+
 # ---------------------------------------------------------------------------
 # trajectory sampling
 # ---------------------------------------------------------------------------
@@ -300,6 +323,47 @@ class FrameTrajectory:
     @property
     def n_blocks(self) -> int:
         return self.gamma_G.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class FrameBatch:
+    """(frames, N) trajectories at one parameter point, with their link terms.
+
+    The gains and arrivals are held as given (float arrays are not copied);
+    `link_terms` runs once, at construction, and every walk, policy,
+    calibrator and offline instance reads its columns or rows.
+    """
+
+    params: SystemParams
+    gamma_g: np.ndarray                   # (frames, N) fading gains, grid link
+    gamma_h: np.ndarray                   # (frames, N) fading gains, harvesting link
+    e_h: np.ndarray                       # (frames, N) J, energy harvested ahead of each block
+    p_g: np.ndarray = field(init=False)   # W, grid BS inversion power
+    p_h: np.ndarray = field(init=False)   # W, harvesting BS inversion power
+    skip: np.ndarray = field(init=False)  # cost of a block the harvesting BS skips
+    transmits: np.ndarray = field(init=False)  # the grid BS carries a skipped block
+
+    def __post_init__(self):
+        arrays = [np.asarray(getattr(self, name), dtype=float)
+                  for name in ("gamma_g", "gamma_h", "e_h")]
+        shape = arrays[0].shape
+        if len(shape) != 2 or any(arr.shape != shape for arr in arrays):
+            raise InvalidParameterError("gains and arrivals must be (frames, N) arrays of one shape")
+        if shape[1] != self.params.N:
+            raise InvalidParameterError(
+                f"trajectories have {shape[1]} blocks, params.N = {self.params.N}")
+        names = ("gamma_g", "gamma_h", "e_h", "p_g", "p_h", "skip", "transmits")
+        for name, arr in zip(names, (*arrays, *link_terms(arrays[0], arrays[1], self.params))):
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def of_frame(cls, traj: FrameTrajectory, params: SystemParams) -> "FrameBatch":
+        """One-frame batch of a single trajectory."""
+        return cls(params, traj.gamma_G[None, :], traj.gamma_H[None, :], traj.e_H[None, :])
+
+    @property
+    def frames(self) -> int:
+        return self.gamma_g.shape[0]
 
 
 def _default_models(params: SystemParams, fading_G, fading_H, arrivals):

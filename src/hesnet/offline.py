@@ -18,14 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeasibilityError, InvalidParameterError, ResourceLimitError
-from .model import FrameTrajectory, SystemParams, channel_gain, cost_parameter, inversion_power, kappa
+from .errors import FeasibilityError, InvalidParameterError, ModelMismatchError, ResourceLimitError
+from .model import FrameBatch, FrameTrajectory, SystemParams, kappa
 
 __all__ = [
     "ENERGY_RTOL",
     "IpInstance",
     "FullSolution",
     "to_ip_instance",
+    "frame_instance",
+    "require_uncapped_battery",
     "total_service_cost",
     "first_violation",
     "find_feasible",
@@ -62,19 +64,17 @@ class IpInstance:
     p_H_max: float       # W, harvesting BS peak power
 
     def __post_init__(self):
-        arrays = {}
         for name in ("c", "p_H_inv", "p_G_inv", "e_H"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            arrays[name] = arr
-            if arr.ndim != 1 or arr.shape != arrays["c"].shape:
+            if arr.ndim != 1 or arr.shape != self.c.shape:
                 raise InvalidParameterError(f"{name} must be 1-D and match c in length")
         if self.c.size == 0:
             raise InvalidParameterError("instance needs at least one block")
         if np.any(self.c < 0) or np.any(np.isnan(self.c)) or np.any(np.isinf(self.c)):
             raise InvalidParameterError("c must be finite and >= 0")
         for name in ("p_H_inv", "p_G_inv"):
-            if np.any(arrays[name] <= 0):  # +inf is a legal dead-channel sentinel
+            if np.any(getattr(self, name) <= 0):  # +inf is a legal dead-channel sentinel
                 raise InvalidParameterError(f"{name} must be > 0")
         if np.any(self.e_H < 0) or not np.all(np.isfinite(self.e_H)):
             raise InvalidParameterError("e_H must be finite and >= 0")
@@ -86,20 +86,25 @@ class IpInstance:
         return self.c.shape[0]
 
 
+def frame_instance(batch: FrameBatch, f: int) -> IpInstance:
+    """Frame f of a batch as its 0/1 assignment instance (rows, not copies)."""
+    return IpInstance(c=batch.skip[f], p_H_inv=batch.p_h[f], p_G_inv=batch.p_g[f],
+                      e_H=batch.e_h[f], tau=batch.params.tau, p_H_max=batch.params.p_H_max)
+
+
 def to_ip_instance(traj: FrameTrajectory, params: SystemParams) -> IpInstance:
     """Reduce a realized frame to its 0/1 assignment instance."""
-    h_g = channel_gain(params.d_G, traj.gamma_G, params)
-    h_h = channel_gain(params.d_H, traj.gamma_H, params)
-    p_g = inversion_power(h_g, params)
-    p_h = inversion_power(h_h, params)
-    return IpInstance(
-        c=cost_parameter(p_g, params),
-        p_H_inv=np.atleast_1d(p_h),
-        p_G_inv=np.atleast_1d(p_g),
-        e_H=traj.e_H.copy(),
-        tau=params.tau,
-        p_H_max=params.p_H_max,
-    )
+    return frame_instance(FrameBatch.of_frame(traj, params), 0)
+
+
+def require_uncapped_battery(params: SystemParams) -> None:
+    """Refuse an offline evaluation whose battery can clamp: the solvers
+    ignore B_m, which is exact only when B_m >= N * E_m, the most a frame
+    can bring in; below that their plans may overdraw the real battery."""
+    if params.B_m * (1.0 + ENERGY_RTOL) < params.N * params.E_m:
+        raise ModelMismatchError(
+            f"the offline solvers assume an uncapped battery (B_m >= N * E_m), but B_m = "
+            f"{params.B_m!r} J is below N * E_m = {params.N * params.E_m!r} J")
 
 
 def _as_alpha(alpha, n: int) -> np.ndarray:

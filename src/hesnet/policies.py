@@ -1,10 +1,11 @@
 """Causal serving policies: greedy, calibrated threshold, table lookups.
 
-Everything here decides one block at a time from (block index, battery,
-both fading gains).  The threshold rule needs two closed-form constants,
-the mean skip cost lambda1 and the mean feasible battery power lambda2;
-they are exact for exponential fading, and a Monte Carlo cross-check of
-both lives in the test suite.
+Everything here decides one block at a time from the block index, the
+battery and the block's precomputed link terms: a column of a `FrameBatch`,
+or each user's inversion power and skip cost for the joint rules.  The
+threshold rule needs two closed-form constants, the mean skip cost lambda1
+and the mean feasible battery power lambda2; they are exact for exponential
+fading, and a Monte Carlo cross-check of both lives in the test suite.
 """
 
 from __future__ import annotations
@@ -24,17 +25,9 @@ from .mdp import (
     channel_state_index,
     monotone_backward_induction,
 )
-from .model import (
-    ExponentialFading,
-    SystemParams,
-    channel_gain,
-    cost_parameter,
-    inversion_power,
-    kappa,
-    sample_trajectories,
-)
+from .model import ExponentialFading, FrameBatch, SystemParams, kappa, link_terms, sample_trajectories, serve_feasible
 from .offline import ratio_metric
-from .sim import check_affordable
+from .sim import _walk
 
 __all__ = [
     "ThresholdParams",
@@ -79,8 +72,7 @@ def threshold_lambdas(params: SystemParams, fading_G=None, fading_H=None):
     mu_h = fading_H.mean if fading_H is not None else params.mu_H
     # inversion powers at the mean gains; dividing by mu folds the fading
     # mean into the 1/gamma integrals below
-    a_g = float(inversion_power(channel_gain(params.d_G, mu_g, params), params))
-    a_h = float(inversion_power(channel_gain(params.d_H, mu_h, params), params))
+    a_g, a_h, _, _ = (float(term) for term in link_terms(mu_g, mu_h, params))
     x_g = a_g / kappa(params)
     lambda1 = (params.w_D * -math.expm1(-x_g)
                + params.w_G * params.tau * a_g * exponential_integral_E1(x_g))
@@ -106,22 +98,6 @@ class ThresholdParams:
                 raise InvalidParameterError(f"{name} must be finite and > 0, got {v!r}")
 
 
-def _p_inv_h(gamma_h, params: SystemParams):
-    return inversion_power(channel_gain(params.d_H, gamma_h, params), params)
-
-
-def _skip_cost(gamma_g, params: SystemParams):
-    return cost_parameter(inversion_power(channel_gain(params.d_G, gamma_g, params), params),
-                          params)
-
-
-def _feasible(p_h, battery, params: SystemParams, p_max=None):
-    """Whether one block at power p_h fits the battery and the peak cap
-    (params.p_H_max unless a joint cap `p_max` is given)."""
-    cap = params.p_H_max if p_max is None else p_max
-    return p_h <= np.minimum(np.asarray(battery, dtype=float) / params.tau, cap)
-
-
 def _threshold_level(zeta, lambda1, lambda2, params: SystemParams, metric):
     """Right-hand side zeta * P_avg * tau * metric(lambda1, lambda2) of the
     threshold rule; `zeta` may be a column of candidates."""
@@ -138,7 +114,7 @@ def _threshold_serve(block, battery, p_h, score, level, params: SystemParams, p_
     a (candidates, frames) block of battery states against per-frame p_h
     and score.
     """
-    feas = _feasible(p_h, battery, params, p_max)
+    feas = serve_feasible(p_h, battery, params, p_max)
     if block >= params.N - 1:
         return feas
     with np.errstate(invalid="ignore"):
@@ -150,7 +126,8 @@ def _threshold_serve(block, battery, p_h, score, level, params: SystemParams, p_
 # ---------------------------------------------------------------------------
 #
 # A single-user policy decides only through decide_batch(block, battery,
-# gamma_g, gamma_h, params): one block of (frames,) states in, 0/1 out.
+# batch): one block of (frames,) battery states and the FrameBatch whose
+# column `block` holds their link terms in, 0/1 out.
 
 class GreedyTransmit:
     """Myopic baseline: serve from the battery whenever one block of
@@ -160,8 +137,8 @@ class GreedyTransmit:
     def __init__(self, name: str = "GT"):
         self.name = name
 
-    def decide_batch(self, block, battery, gamma_g, gamma_h, params):
-        return _feasible(_p_inv_h(gamma_h, params), battery, params).astype(np.int8)
+    def decide_batch(self, block, battery, batch: FrameBatch):
+        return serve_feasible(batch.p_h[:, block], battery, batch.params).astype(np.int8)
 
 
 class ThresholdHeuristic:
@@ -178,10 +155,11 @@ class ThresholdHeuristic:
         self.metric = metric or ratio_metric
         self.name = name
 
-    def decide_batch(self, block, battery, gamma_g, gamma_h, params):
-        p_h = _p_inv_h(gamma_h, params)
+    def decide_batch(self, block, battery, batch: FrameBatch):
+        params = batch.params
+        p_h = batch.p_h[:, block]
         with np.errstate(invalid="ignore"):
-            score = np.asarray(self.metric(_skip_cost(gamma_g, params), p_h), dtype=float)
+            score = np.asarray(self.metric(batch.skip[:, block], p_h), dtype=float)
         level = _threshold_level(self.tp.zeta, self.tp.lambda1, self.tp.lambda2, params,
                                  self.metric)
         return _threshold_serve(block, battery, p_h, score, level, params).astype(np.int8)
@@ -224,16 +202,20 @@ class MdpTablePolicy:
         self.name = name
         self._hash_ok = None
 
-    def decide_batch(self, block, battery, gamma_g, gamma_h, params):
-        _check_hash_once(self, params)
-        if not 0 <= block < self.table.N:
-            raise InvalidParameterError(
-                f"block {block} outside the table horizon {self.table.N}")
+    def decide_batch(self, block, battery, batch: FrameBatch):
+        return self._play(block, block, battery, batch)
+
+    def _play(self, t, block, battery, batch: FrameBatch):
+        """Table slice t at the states of block `block`, demoted where the
+        true battery or the peak cap cannot pay."""
+        _check_hash_once(self, batch.params)
+        if not 0 <= t < self.table.N:
+            raise InvalidParameterError(f"block {t} outside the table horizon {self.table.N}")
         grid = self.table.grid
-        act = self.table.actions[block, battery_level_index(battery, grid),
-                                 channel_state_index(gamma_g, grid.bounds_G),
-                                 channel_state_index(gamma_h, grid.bounds_H)]
-        demote = ~_feasible(_p_inv_h(gamma_h, params), battery, params)
+        act = self.table.actions[t, battery_level_index(battery, grid),
+                                 channel_state_index(batch.gamma_g[:, block], grid.bounds_G),
+                                 channel_state_index(batch.gamma_h[:, block], grid.bounds_H)]
+        demote = ~serve_feasible(batch.p_h[:, block], battery, batch.params)
         return np.where(demote, 0, act).astype(np.int8)
 
 
@@ -245,9 +227,7 @@ def look_ahead_build(params: SystemParams, grid=None, *, M: int = 100, K: int = 
     look-ahead decision for every non-terminal block.
     """
     grid = grid if grid is not None else build_grid(params, M=M, K=K)
-    model = build_mdp_model(params, grid)
-    policy, _, _ = monotone_backward_induction(model, 2)
-    return policy
+    return monotone_backward_induction(build_mdp_model(params, grid), 2)[0]
 
 
 class LookAhead(MdpTablePolicy):
@@ -259,10 +239,10 @@ class LookAhead(MdpTablePolicy):
             raise InvalidParameterError("look-ahead needs a 2-block table")
         super().__init__(table, name)
 
-    def decide_batch(self, block, battery, gamma_g, gamma_h, params):
-        if block >= params.N - 1:
-            return _feasible(_p_inv_h(gamma_h, params), battery, params).astype(np.int8)
-        return super().decide_batch(0, battery, gamma_g, gamma_h, params)
+    def decide_batch(self, block, battery, batch: FrameBatch):
+        if block >= batch.params.N - 1:
+            return serve_feasible(batch.p_h[:, block], battery, batch.params).astype(np.int8)
+        return self._play(0, block, battery, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +262,13 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
     so the argmin is deterministic; ties resolve to the first candidate in
     the given order.
 
-    All candidates walk the frames in lockstep: inversion powers, skip
-    costs and the rule's score metric(skip cost, p_H) are computed once as
-    (frames, N) arrays, and each block is one numpy step on a (candidates,
-    frames) battery array that broadcasts against them, through the same
-    rule (_threshold_serve) and over-draw check (check_affordable) that
-    `run_batch` applies to a ThresholdHeuristic.  Candidates are taken in
-    chunks of at most _CALIBRATION_ROWS candidate-frame rows to bound
-    memory.  No row's arithmetic changes, so each cost equals, bit for bit,
-    the mean of run_batch's frame costs for that candidate alone.  `metric`
-    is applied once to whole (frames, N) arrays, so it must act elementwise.
+    All candidates walk one FrameBatch in lockstep through `sim._walk`, the
+    walk of `run_batch`, with the zeta level as a (candidates, 1) column and
+    a (candidates, frames) battery, summing skip costs only; chunks of at
+    most _CALIBRATION_ROWS candidate-frame rows bound memory.  Each cost
+    equals, bit for bit, the mean of run_batch's frame costs for that
+    candidate alone.  The score metric(skip cost, p_H) is computed once on
+    (frames, N) arrays, so `metric` must act elementwise.
     """
     cand = np.asarray(list(candidates), dtype=float)
     if cand.size == 0 or np.any(~np.isfinite(cand)) or np.any(cand < 0):
@@ -301,24 +278,20 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
     metric = metric or ratio_metric
     lambda1, lambda2 = threshold_lambdas(params)
     ThresholdParams(float(cand[0]), lambda1, lambda2)  # rejects degenerate lambdas
-    gg, gh, eh = sample_trajectories(params, seed, budget)
-    p_h = _p_inv_h(gh, params)
-    skip = _skip_cost(gg, params)
+    batch = FrameBatch(params, *sample_trajectories(params, seed, budget))
     with np.errstate(invalid="ignore"):
-        score = np.asarray(metric(skip, p_h), dtype=float)
+        score = np.asarray(metric(batch.skip, batch.p_h), dtype=float)
     chunk = max(1, _CALIBRATION_ROWS // budget)
     costs = np.empty(cand.size)
     for lo in range(0, cand.size, chunk):
         level = _threshold_level(cand[lo:lo + chunk, None], lambda1, lambda2, params, metric)
-        battery = np.zeros((level.shape[0], budget))
-        frame_costs = np.zeros_like(battery)
-        for i in range(params.N):
-            battery = np.minimum(battery + eh[:, i], params.B_m)
-            serve = _threshold_serve(i, battery, p_h[:, i], score[:, i], level, params)
-            spend = np.where(serve, p_h[:, i] * params.tau, 0.0)
-            check_affordable(i, serve, p_h[:, i], spend, battery, params)
-            battery = np.maximum(battery - spend, 0.0)
-            frame_costs += np.where(serve, 0.0, skip[:, i])
+
+        def decide(i, battery, batch, level=level):
+            return _threshold_serve(i, battery, batch.p_h[:, i], score[:, i], level, params)
+
+        frame_costs = np.zeros((level.shape[0], budget))
+        for i, serve in enumerate(_walk(decide, batch, np.zeros_like(frame_costs))):
+            frame_costs += np.where(serve, 0.0, batch.skip[:, i])
         # row by row, so each mean is the 1-D reduction a lone candidate gets
         costs[lo:lo + level.shape[0]] = [row.mean() for row in frame_costs]
     best = float(cand[int(np.argmin(costs))])
@@ -329,10 +302,10 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
 # multi-user joint rules
 # ---------------------------------------------------------------------------
 #
-# A joint policy decides only through decide_joint(block, battery, gamma_g,
-# gamma_h, params_list): one block of one frame, (users,) gains and a shared
-# battery in, 0/1 per user out.  Users share N and tau (run_frame_multiuser
-# checks).
+# A joint policy decides only through decide_joint(block, battery, p_h, skip,
+# params_list): one block of one frame, the (users,) harvesting inversion
+# powers and skip costs and a shared battery in, 0/1 per user out.  Users
+# share N and tau (run_frame_multiuser checks).
 
 def _admit(order, p_h, battery, p_H_max_sum: float, tau: float):
     """Serve users in `order` while the summed peak power and the shared
@@ -364,18 +337,17 @@ class MultiuserThreshold:
         self.metric = metric or ratio_metric
         self.name = name
 
-    def decide_joint(self, block, battery, gamma_g, gamma_h, params_list):
+    def decide_joint(self, block, battery, p_h, skip, params_list):
         users = len(params_list)
-        if not (len(self.tps) == len(gamma_g) == len(gamma_h) == users):
-            raise InvalidParameterError("tps, gains and params_list must align")
+        if not (len(self.tps) == len(p_h) == len(skip) == users):
+            raise InvalidParameterError("tps, link terms and params_list must align")
         base = params_list[0]
-        p_h = np.array([_p_inv_h(gamma_h[u], p) for u, p in enumerate(params_list)])
         score = np.zeros(users)
         level = np.zeros(users)
-        # only users who can be served need their skip cost priced
-        for u in np.flatnonzero(_feasible(p_h, battery, base, self.p_H_max_sum)):
+        # only users who can be served need a score and a level
+        for u in np.flatnonzero(serve_feasible(p_h, battery, base, self.p_H_max_sum)):
             p, tp = params_list[u], self.tps[u]
-            score[u] = self.metric(_skip_cost(gamma_g[u], p), p_h[u])
+            score[u] = self.metric(skip[u], p_h[u])
             level[u] = _threshold_level(tp.zeta, tp.lambda1, tp.lambda2, p, self.metric)
         serve = np.flatnonzero(
             _threshold_serve(block, battery, p_h, score, level, base, self.p_H_max_sum))
@@ -390,7 +362,6 @@ class MultiuserGreedyTransmit:
         self.p_H_max_sum = float(p_H_max_sum)
         self.name = name
 
-    def decide_joint(self, block, battery, gamma_g, gamma_h, params_list):
-        p_h = np.array([_p_inv_h(gamma_h[u], p) for u, p in enumerate(params_list)])
+    def decide_joint(self, block, battery, p_h, skip, params_list):
         return _admit(np.argsort(p_h, kind="stable"), p_h, battery, self.p_H_max_sum,
                       params_list[0].tau)

@@ -1,12 +1,14 @@
 """Frame simulation, Monte Carlo evaluation, and parameter sweeps.
 
-One evaluation path.  Single-user policies decide through `decide_batch`
-inside one per-block step, `_walk`; `run_batch` accumulates its terms with
-+= and `run_frame` walks a one-frame batch and totals them with math.fsum,
-so its cost is an exact sum that matches offline solver costs bit for bit.
-Offline plans are scored by `expand_solution` arithmetic.  Multi-user
-frames go through `run_frame_multiuser` in one loop,
-`multiuser_frame_metrics`, and `metrics_from_arrays` is the one aggregator.
+One evaluation path on a `FrameBatch`, the trajectories with their link
+terms computed once.  Single-user policies decide through `decide_batch`
+inside one battery walk, `_walk`, which yields serve masks: `run_batch` sums
+the block terms with +=, `run_frame` (a one-frame batch) with math.fsum, so
+its cost matches offline solver costs bit for bit, and the zeta calibrator
+sums skip costs only.  Offline plans are scored by `expand_solution` on
+instances built from batch rows.  Multi-user frames go through
+`run_frame_multiuser` in one loop, `multiuser_frame_metrics`, and
+`metrics_from_arrays` is the one aggregator.
 """
 
 from __future__ import annotations
@@ -20,24 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidActionError, InvalidParameterError
-from .model import (
-    FrameTrajectory,
-    SystemParams,
-    channel_gain,
-    cost_parameter,
-    inversion_power,
-    kappa,
-    make_rng,
-    sample_trajectories,
-)
+from .model import FrameBatch, FrameTrajectory, SystemParams, link_terms, make_rng, sample_trajectories
 from .offline import (
     ENERGY_RTOL,
     EXHAUSTIVE_CAP,
     exhaustive_optimal,
     expand_solution,
+    frame_instance,
     greedy_assignment,
     multiuser_greedy_assignment,
-    to_ip_instance,
+    require_uncapped_battery,
 )
 
 __all__ = [
@@ -89,7 +83,7 @@ class ScriptedAssignmentPolicy:
         self.alpha = np.asarray(alpha, dtype=np.int8)
         self.name = name
 
-    def decide_batch(self, block, battery, gamma_g, gamma_h, params):
+    def decide_batch(self, block, battery, batch):
         plan = self.alpha if self.alpha.ndim == 2 else self.alpha[None, :]
         if plan.shape[0] != battery.shape[0]:
             raise InvalidParameterError("scripted plan does not cover this batch")
@@ -101,7 +95,7 @@ class GridOnlyPolicy:
 
     name = "GP-only"
 
-    def decide_batch(self, block, battery, gamma_g, gamma_h, params):
+    def decide_batch(self, block, battery, batch):
         return np.zeros(battery.shape[0], dtype=np.int8)
 
 
@@ -126,43 +120,39 @@ def check_affordable(block: int, serve, p_h, spend, battery, params: SystemParam
             f"{float(np.broadcast_to(spend, np.shape(bad))[at])!r} J, peak {params.p_H_max} W")
 
 
-def _walk(policy, params: SystemParams, gamma_g, gamma_h, e_h):
-    """The per-block step both single-user walks share.
+def _walk(decide, batch: FrameBatch, battery):
+    """The per-block battery walk every single-user evaluation shares.
 
-    Per block of (frames, N) trajectories: credit the arrival (clamped at
-    B_m), ask policy.decide_batch, reject an action other than 0/1 or a
-    serve the battery or the peak cap cannot pay for (an internal invariant
-    breach, not user error), spend.  Yields per block the (frames,) skip
-    cost paid (0 where served), grid energy in J and drop flags.
+    Per block: credit the arrival (clamped at B_m), ask `decide(block,
+    battery, batch)`, reject an action other than 0/1 or a serve the battery
+    or the peak cap cannot pay for, spend.  `battery` starts as (frames,), or
+    (candidates, frames) for the zeta calibration.  Yields the serve masks.
     """
-    gamma_g = np.asarray(gamma_g, dtype=float)
-    gamma_h = np.asarray(gamma_h, dtype=float)
-    e_h = np.asarray(e_h, dtype=float)
-    frames, n = gamma_g.shape
-    if n != params.N:
-        raise InvalidParameterError(f"trajectories have {n} blocks, params.N = {params.N}")
-    p_inv_h = inversion_power(channel_gain(params.d_H, gamma_h, params), params)
-    p_inv_g = inversion_power(channel_gain(params.d_G, gamma_g, params), params)
-    with np.errstate(invalid="ignore"):
-        skip_cost = cost_parameter(p_inv_g, params)
-        transmits = p_inv_g <= kappa(params)
-    battery = np.zeros(frames)
-    for i in range(n):
-        battery = np.minimum(battery + e_h[:, i], params.B_m)
-        act = np.asarray(policy.decide_batch(i, battery, gamma_g[:, i], gamma_h[:, i], params))
+    params = batch.params
+    for i in range(params.N):
+        battery = np.minimum(battery + batch.e_h[:, i], params.B_m)
+        act = np.asarray(decide(i, battery, batch))
         serve = act == 1
-        skip = act == 0
-        if not np.all(serve | skip):
-            f = int(np.argmin(serve | skip))
+        valid = serve | (act == 0)
+        if not np.all(valid):
+            at = np.unravel_index(np.argmin(valid), valid.shape)
             raise InvalidActionError(
-                f"policy returned {act[f].item()!r} at block {i + 1} of frame {f}, "
+                f"policy returned {act[at].item()!r} at block {i + 1} of frame {at[-1]}, "
                 "expected 0 or 1")
-        spend = np.where(serve, p_inv_h[:, i] * params.tau, 0.0)
-        check_affordable(i, serve, p_inv_h[:, i], spend, battery, params)
+        p_h = batch.p_h[:, i]
+        spend = np.where(serve, p_h * params.tau, 0.0)
+        check_affordable(i, serve, p_h, spend, battery, params)
         battery = np.maximum(battery - spend, 0.0)
-        yield (np.where(serve, 0.0, skip_cost[:, i]),
-               np.where(skip & transmits[:, i], p_inv_g[:, i] * params.tau, 0.0),
-               skip & ~transmits[:, i])
+        yield serve
+
+
+def _block_terms(batch: FrameBatch, i: int, serve):
+    """Block i's (frames,) skip cost paid (0 where served), grid energy in J
+    and drop flags."""
+    skip = ~serve
+    return (np.where(serve, 0.0, batch.skip[:, i]),
+            np.where(skip & batch.transmits[:, i], batch.p_g[:, i] * batch.params.tau, 0.0),
+            skip & ~batch.transmits[:, i])
 
 
 def run_frame(policy, trajectory: FrameTrajectory, params: SystemParams):
@@ -172,8 +162,9 @@ def run_frame(policy, trajectory: FrameTrajectory, params: SystemParams):
     exact sum of the block costs.  Returns (total cost, grid energy in J,
     dropped packets).
     """
-    steps = _walk(policy, params, trajectory.gamma_G[None, :], trajectory.gamma_H[None, :],
-                  trajectory.e_H[None, :])
+    batch = FrameBatch.of_frame(trajectory, params)
+    steps = (_block_terms(batch, i, serve)
+             for i, serve in enumerate(_walk(policy.decide_batch, batch, np.zeros(1))))
     costs, energies, dropped = (np.concatenate(terms) for terms in zip(*steps))
     return math.fsum(costs), math.fsum(energies), int(dropped.sum())
 
@@ -184,11 +175,12 @@ def run_batch(policy, params: SystemParams, gamma_g, gamma_h, e_h):
     Returns per-frame arrays (costs, grid energies, drop counts), each the
     running += sum of the per-block terms.
     """
-    frames = np.shape(gamma_g)[0]
-    costs = np.zeros(frames)
-    grid = np.zeros(frames)
-    drops = np.zeros(frames, dtype=np.int64)
-    for cost, energy, dropped in _walk(policy, params, gamma_g, gamma_h, e_h):
+    batch = FrameBatch(params, gamma_g, gamma_h, e_h)
+    costs = np.zeros(batch.frames)
+    grid = np.zeros(batch.frames)
+    drops = np.zeros(batch.frames, dtype=np.int64)
+    for i, serve in enumerate(_walk(policy.decide_batch, batch, np.zeros(batch.frames))):
+        cost, energy, dropped = _block_terms(batch, i, serve)
         costs += cost
         grid += energy
         drops += dropped
@@ -213,18 +205,19 @@ def offline_frame_metrics(params: SystemParams, gamma_g, gamma_h, e_h, *,
 
     solver: "greedy" or "exhaustive" (the latter subject to the 2^N cap).
     Returns per-frame arrays (costs, grid energies, drop counts) matching
-    the batch-walk conventions, read off `expand_solution`.
+    the batch-walk conventions, read off `expand_solution`.  The solvers
+    model an uncapped battery, so B_m < N * E_m raises ModelMismatchError.
     """
     if solver not in ("greedy", "exhaustive"):
         raise InvalidParameterError(f"unknown offline solver {solver!r}")
+    require_uncapped_battery(params)
     solve = greedy_assignment if solver == "greedy" else exhaustive_optimal
-    frames = gamma_g.shape[0]
-    costs = np.zeros(frames)
-    grid = np.zeros(frames)
-    drops = np.zeros(frames, dtype=np.int64)
-    for f in range(frames):
-        inst = to_ip_instance(FrameTrajectory(gamma_G=gamma_g[f], gamma_H=gamma_h[f],
-                                              e_H=e_h[f]), params)
+    batch = FrameBatch(params, gamma_g, gamma_h, e_h)
+    costs = np.zeros(batch.frames)
+    grid = np.zeros(batch.frames)
+    drops = np.zeros(batch.frames, dtype=np.int64)
+    for f in range(batch.frames):
+        inst = frame_instance(batch, f)
         alpha, _ = solve(inst)
         full = expand_solution(alpha, inst, params)
         costs[f], grid[f], drops[f] = full.total_cost, full.grid_energy, full.drops
@@ -273,19 +266,10 @@ def apply_axis(params: SystemParams, axis: str, value: float) -> SystemParams:
     return params.evolve(**{axis: float(value)})
 
 
-def metrics_row(metrics: RunMetrics, axis: str, value: float) -> dict:
-    return {
-        "policy": metrics.policy,
-        "axis": axis,
-        "axis_value": value,
-        "mean_total_cost": metrics.mean_total_cost,
-        "stderr_total_cost": metrics.stderr_total_cost,
-        "grid_energy_j": metrics.mean_grid_energy,
-        "grid_energy_mj": metrics.mean_grid_energy * 1e3,
-        "drop_ratio": metrics.drop_ratio,
-        "frames": metrics.frames,
-        "seed": metrics.seed,
-    }
+def metrics_row(m: RunMetrics, axis: str, value: float) -> dict:
+    return dict(zip(CSV_HEADER, (m.policy, axis, value, m.mean_total_cost, m.stderr_total_cost,
+                                 m.mean_grid_energy, m.mean_grid_energy * 1e3, m.drop_ratio,
+                                 m.frames, m.seed)))
 
 
 def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
@@ -364,7 +348,7 @@ class ScriptedMultiuserAssignment:
         self.sel = np.asarray(sel, dtype=np.int8)
         self.name = name
 
-    def decide_joint(self, block, battery, gamma_g, gamma_h, params_list):
+    def decide_joint(self, block, battery, p_h, skip, params_list):
         return self.sel[:, block]
 
 
@@ -400,10 +384,7 @@ def run_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
     until its summed peak power is exhausted; the rest drop.  Returns
     (total cost over users, grid energy in J, dropped packets).
     """
-    gamma_g = np.asarray(gamma_g, dtype=float)
-    gamma_h = np.asarray(gamma_h, dtype=float)
-    e_h = np.asarray(e_h, dtype=float)
-    users, n = gamma_g.shape
+    users, n = np.shape(gamma_g)
     if users != len(params_list):
         raise InvalidParameterError("one SystemParams per user required")
     base = params_list[0]
@@ -412,19 +393,16 @@ def run_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
             raise InvalidParameterError("users must share frame and battery structure")
     if n != base.N:
         raise InvalidParameterError(f"trajectories have {n} blocks, params.N = {base.N}")
-    p_inv_h = np.stack([
-        inversion_power(channel_gain(p.d_H, gamma_h[u], p), p)
-        for u, p in enumerate(params_list)])
-    p_inv_g = np.stack([
-        inversion_power(channel_gain(p.d_G, gamma_g[u], p), p)
-        for u, p in enumerate(params_list)])
+    p_inv_g, p_inv_h, skip, transmits = (
+        np.stack(terms) for terms in zip(*(link_terms(gamma_g[u], gamma_h[u], p)
+                                           for u, p in enumerate(params_list))))
     battery = 0.0
     block_costs = []
     grid_terms = []
     drops = 0
     for i in range(n):
         battery = min(battery + float(e_h[i]), base.B_m)
-        acts = np.asarray(policy.decide_joint(i, battery, gamma_g[:, i], gamma_h[:, i],
+        acts = np.asarray(policy.decide_joint(i, battery, p_inv_h[:, i], skip[:, i],
                                               params_list))
         served = np.flatnonzero(acts == 1)
         left = np.flatnonzero(acts == 0)
@@ -443,9 +421,9 @@ def run_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
         used = 0.0
         for u in sorted(left, key=lambda u: p_inv_g[u, i]):
             p = params_list[u]
-            if p_inv_g[u, i] <= kappa(p) and used + p_inv_g[u, i] <= p_G_max_sum * (1.0 + 1e-12):
+            if transmits[u, i] and used + p_inv_g[u, i] <= p_G_max_sum * (1.0 + 1e-12):
                 used += p_inv_g[u, i]
-                block_costs.append(p.w_G * p_inv_g[u, i] * p.tau)
+                block_costs.append(skip[u, i])
                 grid_terms.append(p_inv_g[u, i] * p.tau)
             else:
                 block_costs.append(p.w_D)
@@ -462,8 +440,12 @@ def multiuser_frame_metrics(policy, gamma_g, gamma_h, e_h, params_list,
     simulator.  Returns per-frame arrays (costs, grid energies, drop counts).
     """
     offline = isinstance(policy, str)
-    if offline and policy != "greedy":
-        raise InvalidParameterError(f"unknown multi-user offline solver {policy!r}")
+    if offline:
+        if policy != "greedy":
+            raise InvalidParameterError(f"unknown multi-user offline solver {policy!r}")
+        require_uncapped_battery(params_list[0])
+        batches = [FrameBatch(p, gamma_g[:, u], gamma_h[:, u], e_h)
+                   for u, p in enumerate(params_list)]
     frames = gamma_g.shape[0]
     costs = np.zeros(frames)
     grid = np.zeros(frames)
@@ -471,9 +453,7 @@ def multiuser_frame_metrics(policy, gamma_g, gamma_h, e_h, params_list,
     for f in range(frames):
         frame_policy = policy
         if offline:
-            instances = [to_ip_instance(FrameTrajectory(gamma_G=gamma_g[f, u],
-                                                        gamma_H=gamma_h[f, u], e_H=e_h[f]), p)
-                         for u, p in enumerate(params_list)]
+            instances = [frame_instance(batch, f) for batch in batches]
             sel, _ = multiuser_greedy_assignment(instances, p_H_max_sum=p_H_max_sum)
             frame_policy = ScriptedMultiuserAssignment(sel)
         costs[f], grid[f], drops[f] = run_frame_multiuser(

@@ -243,6 +243,19 @@ def test_simulate_stale_artifact_is_exit_4(tmp_path, capsys):
     assert "retrain" in capsys.readouterr().err
 
 
+def test_offline_rows_on_a_capped_battery_are_exit_4(tmp_path, capsys):
+    # the offline solvers model an uncapped battery; below N * E_m their plans
+    # are a relaxation the battery cannot carry out, so they are refused
+    capped = ["--frames", "20", "--seed", "3", "--set", "b_m_j=8e-5", "--out", str(tmp_path)]
+    assert main(["simulate", *capped, "--set", "policies=GT,GA"]) == 4
+    assert "uncapped battery" in capsys.readouterr().err
+    assert not (tmp_path / "simulate.csv").exists()
+    assert main(["offline-solve", *capped]) == 4
+    assert main(["simulate", *capped, "--set", "policies=GT"]) == 0
+    assert [line.split(",", 1)[0] for line in
+            (tmp_path / "simulate.csv").read_text().splitlines()[1:]] == ["GT"]
+
+
 def test_simulate_rejects_unknown_policy(tmp_path):
     assert main(["simulate"] + SMALL + ["--set", "policies=Oracle",
                  "--out", str(tmp_path)]) == 2

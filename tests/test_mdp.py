@@ -27,7 +27,6 @@ from hesnet.mdp import (
     CostToGo,
     PolicyTable,
     QuantizationGrid,
-    allowable_actions,
     backward_induction,
     battery_level_index,
     build_grid,
@@ -41,7 +40,7 @@ from hesnet.mdp import (
     save_policy_artifact,
     thresholds_from_policy,
 )
-from hesnet.model import ExponentialFading, SystemParams, make_rng
+from hesnet.model import ExponentialFading, SystemParams, link_terms, make_rng, serve_feasible
 
 P = SystemParams()
 
@@ -207,20 +206,23 @@ def test_transition_rejects_bad_inputs():
         energy_transition_probs(mid * 1.07, 0.0, grid, P)  # off-grid level
 
 
-def test_allowable_actions_contract():
-    # plenty of battery, good channel: both actions
-    assert allowable_actions((1.0, 1.0, 1.0), P) == (0, 1)
+def test_serve_feasibility_boundaries():
+    # the one serve rule: the table's action mask, the policies' feasibility
+    # gate and the table demotion all call serve_feasible
+    def serves(battery, gamma_h, params=P):
+        _, p_h, _, _ = link_terms(1.0, gamma_h, params)
+        return bool(serve_feasible(p_h, battery, params))
+
+    # plenty of battery, good channel: serving allowed
+    assert serves(1.0, 1.0)
     # battery cannot cover one block of inversion power
-    assert allowable_actions((1e-9, 1.0, 1.0), P) == (0,)
+    assert not serves(1e-9, 1.0)
     # dead harvesting channel: inversion power infinite
-    assert allowable_actions((1.0, 1.0, 0.0), P) == (0,)
+    assert not serves(1.0, 0.0)
     # peak cap binds even with a full battery
-    tight = P.evolve(p_H_max=1e-3)
-    assert allowable_actions((1.0, 1.0, 1.0), tight) == (0,)
+    assert not serves(1.0, 1.0, P.evolve(p_H_max=1e-3))
     # boundary: battery exactly one block of spend
-    assert allowable_actions((0.044652595986077352 * P.tau, 1.0, 1.0), P) == (0, 1)
-    with pytest.raises(InvalidStateError):
-        allowable_actions((-1e-9, 1.0, 1.0), P)
+    assert serves(0.044652595986077352 * P.tau, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +251,7 @@ def tree_oracle(params, grid):
         return row
 
     def feasible(m, kh):
-        state = (float(grid.battery_levels[m]), 1.0, float(grid.levels_H[kh]))
-        return 1 in allowable_actions(state, params)
+        return p_inv[kh] <= min(float(grid.battery_levels[m]) / params.tau, params.p_H_max)
 
     u1 = {}
     for m in range(m_n):

@@ -9,6 +9,7 @@ from scipy import integrate
 from hesnet.errors import InvalidParameterError
 from hesnet.model import (
     ExponentialFading,
+    FrameBatch,
     FrameTrajectory,
     SystemParams,
     UniformArrivals,
@@ -16,6 +17,7 @@ from hesnet.model import (
     cost_parameter,
     inversion_power,
     kappa,
+    link_terms,
     make_rng,
     rate,
     required_snr,
@@ -232,3 +234,46 @@ def test_trajectory_validation():
         FrameTrajectory(gamma_G=ok, gamma_H=np.ones(3), e_H=ok)
     with pytest.raises(InvalidParameterError):
         FrameTrajectory(gamma_G=ok * math.nan, gamma_H=ok, e_H=ok)
+
+
+# ---------------------------------------------------------------------------
+# link terms and frame batches
+# ---------------------------------------------------------------------------
+
+def test_link_terms_compose_the_scalar_primitives():
+    gg, gh, _ = sample_trajectories(P, 30, 20)
+    gg[0, :3] = [0.0, 1e-9, 50.0]   # dead channel, drop, and a cheap grid block
+    gh[0, 0] = 0.0
+    p_g, p_h, skip, transmits = link_terms(gg, gh, P)
+    want_g = inversion_power(channel_gain(P.d_G, gg, P), P)
+    assert np.array_equal(p_g, want_g)
+    assert np.array_equal(p_h, inversion_power(channel_gain(P.d_H, gh, P), P))
+    assert np.array_equal(skip, cost_parameter(want_g, P))
+    assert np.array_equal(transmits, want_g <= kappa(P))
+    assert transmits[0].tolist()[:3] == [False, False, True] and np.isinf(p_h[0, 0])
+
+
+def test_frame_batch_holds_trajectories_and_their_link_terms():
+    gg, gh, eh = sample_trajectories(P, 31, 4)
+    batch = FrameBatch(P, gg, gh, eh)
+    # the sampled arrays are held, not copied
+    assert batch.gamma_g is gg and batch.gamma_h is gh and batch.e_h is eh
+    assert batch.frames == 4
+    for got, want in zip((batch.p_g, batch.p_h, batch.skip, batch.transmits),
+                         link_terms(gg, gh, P)):
+        assert np.array_equal(got, want)
+    traj = sample_trajectory(P, (31, 2))
+    one = FrameBatch.of_frame(traj, P)
+    assert one.frames == 1 and np.array_equal(one.p_h[0], batch.p_h[2])
+
+
+def test_frame_batch_validation():
+    gg, gh, eh = sample_trajectories(P, 32, 2)
+    with pytest.raises(InvalidParameterError, match="blocks, params.N"):
+        FrameBatch(P.evolve(N=10), gg, gh, eh)
+    with pytest.raises(InvalidParameterError, match="one shape"):
+        FrameBatch(P, gg, gh, eh[:1])
+    with pytest.raises(InvalidParameterError, match="one shape"):
+        FrameBatch(P, gg[0], gh[0], eh[0])
+    with pytest.raises(InvalidParameterError):
+        FrameBatch(P, -gg, gh, eh)

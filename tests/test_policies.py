@@ -15,11 +15,13 @@ from hesnet.errors import InvalidParameterError, ModelMismatchError, StalePolicy
 from hesnet.mdp import build_grid, build_mdp_model, monotone_backward_induction
 from hesnet.model import (
     ExponentialFading,
+    FrameBatch,
     SystemParams,
     UniformArrivals,
     channel_gain,
     cost_parameter,
     inversion_power,
+    link_terms,
     make_rng,
     sample_trajectories,
 )
@@ -147,10 +149,25 @@ def test_lambdas_reject_other_fading():
 # decision rules
 # ---------------------------------------------------------------------------
 
+def column_batch(gamma_g, gamma_h, params=P):
+    """A FrameBatch whose every block holds these (rows,) gains, so column
+    `block` is the same states at any block."""
+    gg, gh = (np.repeat(np.reshape(np.asarray(x, dtype=float), (-1, 1)), params.N, axis=1)
+              for x in (gamma_g, gamma_h))
+    return FrameBatch(params, gg, gh, np.zeros_like(gg))
+
+
+def joint_columns(gamma_g, gamma_h, params_list):
+    """Per-user harvesting inversion powers and skip costs of one block's
+    gains: what run_frame_multiuser hands decide_joint."""
+    terms = [link_terms(g, h, p) for g, h, p in zip(gamma_g, gamma_h, params_list)]
+    return np.array([t[1] for t in terms]), np.array([t[2] for t in terms])
+
+
 def decide_one(policy, block=0, battery=1e-4, g=1.0, h=1.0, params=P):
     """The action for one state, through a one-row decide_batch (what the
     scalar frame walk sends)."""
-    act = policy.decide_batch(block, np.array([battery]), np.array([g]), np.array([h]), params)
+    act = policy.decide_batch(block, np.array([battery]), column_batch([g], [h], params))
     assert act.shape == (1,)
     return int(act[0])
 
@@ -203,7 +220,7 @@ def test_threshold_monotone_in_zeta():
         # count serves through identical states: per-block decisions on a
         # fixed battery level (bypasses trajectory feedback)
         battery = np.full(100, 8e-5)
-        served = int(policy.decide_batch(0, battery, gg[:, 0], gh[:, 0], P).sum())
+        served = int(policy.decide_batch(0, battery, FrameBatch(P, gg, gh, eh)).sum())
         if served_prev is not None:
             assert served <= served_prev
         served_prev = served
@@ -218,7 +235,7 @@ def test_batch_rules_match_scalar_rules():
     gamma_h = rng.exponential(1.0, 64)
     for policy in policies:
         for block in (0, P.N - 1):
-            batch = policy.decide_batch(block, battery, gamma_g, gamma_h, P)
+            batch = policy.decide_batch(block, battery, column_batch(gamma_g, gamma_h))
             np.testing.assert_array_equal(
                 batch, one_at_a_time(policy, block, battery, gamma_g, gamma_h))
 
@@ -241,7 +258,7 @@ def test_mdp_policy_stale_hash_rejected():
         decide_one(MdpTablePolicy(table), params=other)
     policy = MdpTablePolicy(table)
     with pytest.raises(StalePolicyError):
-        policy.decide_batch(0, np.array([1e-4]), np.array([1.0]), np.array([1.0]), other)
+        policy.decide_batch(0, np.array([1e-4]), column_batch([1.0], [1.0], other))
 
 
 def test_stale_table_raises_from_run_batch():
@@ -297,7 +314,7 @@ def test_mdp_batch_matches_scalar():
     gamma_g = rng.exponential(1.0, 64)
     gamma_h = rng.exponential(1.0, 64)
     for block in (0, 17, P.N - 1):
-        batch = policy.decide_batch(block, battery, gamma_g, gamma_h, P)
+        batch = policy.decide_batch(block, battery, column_batch(gamma_g, gamma_h))
         np.testing.assert_array_equal(
             batch, one_at_a_time(policy, block, battery, gamma_g, gamma_h))
 
@@ -311,14 +328,15 @@ def test_look_ahead_structure():
     battery = rng.uniform(0, P.B_m, 64)
     gamma_g = rng.exponential(1.0, 64)
     gamma_h = rng.exponential(1.0, 64)
-    a0 = la.decide_batch(0, battery, gamma_g, gamma_h, P)
-    a1 = la.decide_batch(25, battery, gamma_g, gamma_h, P)
+    batch = column_batch(gamma_g, gamma_h)
+    a0 = la.decide_batch(0, battery, batch)
+    a1 = la.decide_batch(25, battery, batch)
     np.testing.assert_array_equal(a0, a1)
     # the terminal block is pure greedy
     gt = GreedyTransmit()
     np.testing.assert_array_equal(
-        la.decide_batch(P.N - 1, battery, gamma_g, gamma_h, P),
-        gt.decide_batch(P.N - 1, battery, gamma_g, gamma_h, P))
+        la.decide_batch(P.N - 1, battery, batch),
+        gt.decide_batch(P.N - 1, battery, batch))
     np.testing.assert_array_equal(a1, one_at_a_time(la, 25, battery, gamma_g, gamma_h))
     with pytest.raises(InvalidParameterError):
         LookAhead(small_table(P))  # full-horizon table is not a 2-block rule
@@ -455,7 +473,8 @@ def test_multiuser_threshold_admits_by_metric_under_caps():
     battery = 6e-5
     p1 = float(inversion_power(channel_gain(P.d_H, 1.0, P), P))
     th = MultiuserThreshold(tps, p_H_max_sum=p1 * 1.5)
-    acts = th.decide_joint(0, battery, np.array([0.05, 3.0]), np.array([1.0, 1.2]), params_list)
+    acts = th.decide_joint(0, battery, *joint_columns([0.05, 3.0], [1.0, 1.2], params_list),
+                           params_list)
     assert acts.sum() == 1
     assert acts[0] == 1  # drop-risk user (bad G-channel) wins the slot
 
@@ -467,10 +486,12 @@ def test_multiuser_threshold_pools_battery():
     p1 = float(inversion_power(channel_gain(P.d_H, 1.0, P), P))
     ones = np.ones(2)
     # battery affords both spends jointly
-    acts = th.decide_joint(0, 2.5 * p1 * P.tau, ones, ones, params_list)
+    acts = th.decide_joint(0, 2.5 * p1 * P.tau, *joint_columns(ones, ones, params_list),
+                           params_list)
     assert acts.sum() == 2
     # but not when it only covers one
-    acts = th.decide_joint(0, 1.5 * p1 * P.tau, ones, ones, params_list)
+    acts = th.decide_joint(0, 1.5 * p1 * P.tau, *joint_columns(ones, ones, params_list),
+                           params_list)
     assert acts.sum() == 1
 
 
@@ -521,7 +542,8 @@ def test_multiuser_threshold_matches_per_user_oracle():
                 battery = float(rng.uniform(0, point.B_m / 10))
                 gamma_g, gamma_h = rng.exponential(1.0, 2), rng.exponential(1.0, 2)
                 np.testing.assert_array_equal(
-                    th.decide_joint(block, battery, gamma_g, gamma_h, plist),
+                    th.decide_joint(block, battery, *joint_columns(gamma_g, gamma_h, plist),
+                                    plist),
                     joint_threshold_oracle(block, battery, gamma_g, gamma_h, tps, plist,
                                            point.p_H_max))
 
@@ -533,10 +555,10 @@ def test_multiuser_greedy_admits_cheapest_first():
     gamma_g = np.array([1.0, 1.0])
     p = inversion_power(channel_gain(P.d_H, gamma_h, P), P)
     battery = float(p[1] * P.tau * 1.2)  # covers the cheap user only
-    acts = gt.decide_joint(0, battery, gamma_g, gamma_h, [P, P])
+    acts = gt.decide_joint(0, battery, *joint_columns(gamma_g, gamma_h, [P, P]), [P, P])
     np.testing.assert_array_equal(acts, [0, 1])
     # plenty of battery: both fit under the summed peak
-    acts = gt.decide_joint(0, 1.0, gamma_g, gamma_h, [P, P])
+    acts = gt.decide_joint(0, 1.0, *joint_columns(gamma_g, gamma_h, [P, P]), [P, P])
     np.testing.assert_array_equal(acts, [1, 1])
 
 
@@ -552,7 +574,8 @@ def test_property_threshold_serves_fewer_blocks_as_zeta_grows(n, block, seed, ze
     gamma_g = rng.exponential(1.0, 64)
     gamma_h = rng.exponential(1.0, 64)
     block = min(block, n - 1)
-    served = [ThresholdHeuristic(ThresholdParams(z, l1, l2)).decide_batch(
-        block, battery, gamma_g, gamma_h, params) for z in sorted(zetas)]
+    batch = column_batch(gamma_g, gamma_h, params)
+    served = [ThresholdHeuristic(ThresholdParams(z, l1, l2)).decide_batch(block, battery, batch)
+              for z in sorted(zetas)]
     for fewer, more in zip(served[1:], served[:-1]):
         assert np.all(fewer <= more)

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesnet.errors import InvalidActionError, InvalidParameterError
+from hesnet.errors import InvalidActionError, InvalidParameterError, ModelMismatchError
 from hesnet.mdp import backward_induction, build_grid, build_mdp_model
 from hesnet.model import FrameTrajectory, SystemParams, sample_trajectories, sample_trajectory
 from hesnet.offline import (
+    expand_solution,
     greedy_assignment,
     exhaustive_optimal,
     multiuser_greedy_assignment,
@@ -54,7 +55,7 @@ P = SystemParams()
 class AlwaysServe:
     name = "AlwaysServe"
 
-    def decide_batch(self, block, battery, gamma_g, gamma_h, params):
+    def decide_batch(self, block, battery, batch):
         return np.ones(battery.shape[0], dtype=np.int8)
 
 
@@ -80,7 +81,7 @@ def test_run_frame_rejects_infeasible_serve():
 def test_run_frame_rejects_bad_action_value():
     # both walks share the per-block step, so both refuse an action of 2
     class Weird:
-        def decide_batch(self, block, battery, gamma_g, gamma_h, params):
+        def decide_batch(self, block, battery, batch):
             return np.full(battery.shape[0], 2 if block == 3 else 0, dtype=np.int8)
 
     traj = sample_trajectory(P, 61)
@@ -201,6 +202,24 @@ def test_offline_frame_metrics_match_scripted_replay_bitwise(solver, changes):
                           greedy_assignment if solver == "greedy" else exhaustive_optimal)
     for arr, ref in zip(got, want):
         assert np.array_equal(arr, ref)
+
+
+def test_offline_evaluation_refuses_a_capped_battery():
+    capped = P.evolve(B_m=2 * P.E_m)
+    gg, gh, eh = sample_trajectories(capped, 79, 3)
+    with pytest.raises(ModelMismatchError, match="uncapped battery"):
+        offline_frame_metrics(capped, gg, gh, eh)
+    plist = [capped, capped]
+    mg, mh, me = sample_multiuser_trajectories(plist, 79, 2)
+    with pytest.raises(ModelMismatchError, match="uncapped battery"):
+        multiuser_frame_metrics("greedy", mg, mh, me, plist, P.p_H_max, P.p_G_max)
+    # the causal walks and the solvers themselves stay usable on capped params
+    multiuser_frame_metrics(MultiuserGreedyTransmit(P.p_H_max), mg, mh, me, plist,
+                            P.p_H_max, P.p_G_max)
+    greedy_assignment(to_ip_instance(sample_trajectory(capped, 79), capped))
+    # a battery of exactly N * E_m never clamps
+    exact = P.evolve(N=5).evolve(B_m=5 * P.E_m)
+    offline_frame_metrics(exact, *sample_trajectories(exact, 79, 2))
 
 
 def test_offline_frame_metrics_orders_solvers():
@@ -425,3 +444,40 @@ def test_property_online_frame_cost_at_least_exhaustive_optimum(params, zeta, se
         for policy in policies:
             cost, _, _ = run_frame(policy, traj, params)
             assert cost >= opt
+
+
+# offline plans are exact only when the battery cannot clamp
+uncapped_params = short_frame_params.map(lambda p: p.evolve(B_m=p.N * p.E_m))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(params=uncapped_params, zeta=st.floats(0.0, 50.0), seed=st.integers(0, 2**16))
+def test_property_cost_identity(params, zeta, seed):
+    # mean cost == w_G * mean grid energy + w_D * N * drop ratio, for the
+    # batch walk under three policies and for the offline evaluation
+    l1, l2 = threshold_lambdas(params)
+    table, _ = backward_induction(build_mdp_model(params, build_grid(params, M=6, K=3)),
+                                  params.N)
+    gg, gh, eh = sample_trajectories(params, seed, 8)
+    runs = [run_batch(policy, params, gg, gh, eh)
+            for policy in (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(zeta, l1, l2)),
+                           MdpTablePolicy(table))]
+    runs.append(offline_frame_metrics(params, gg, gh, eh))
+    for arrays in runs:
+        m = metrics_from_arrays("X", params.N, seed, *arrays)
+        assert math.isclose(m.mean_total_cost,
+                            params.w_G * m.mean_grid_energy + params.w_D * params.N * m.drop_ratio,
+                            rel_tol=1e-9, abs_tol=1e-18)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(params=uncapped_params, seed=st.integers(0, 2**16))
+def test_property_greedy_replay_matches_expand_solution(params, seed):
+    # a greedy plan walked block by block costs exactly what its expansion says
+    for f in range(3):
+        traj = sample_trajectory(params, (seed, f))
+        inst = to_ip_instance(traj, params)
+        alpha, _ = greedy_assignment(inst)
+        full = expand_solution(alpha, inst, params)
+        assert (run_frame(ScriptedAssignmentPolicy(alpha), traj, params)
+                == (full.total_cost, full.grid_energy, full.drops))
