@@ -44,9 +44,9 @@ from .offline import (
     check_swap_optimality,
     exhaustive_optimal,
     expand_solution,
-    find_feasible,
     first_violation,
     greedy_assignment,
+    greedy_plan,
     multiuser_greedy_assignment,
     ratio_metric,
     to_ip_instance,
@@ -62,7 +62,6 @@ from .mdp import (
     build_grid,
     build_mdp_model,
     channel_state_index,
-    energy_transition_probs,
     equiprobable_channel_states,
     load_policy_artifact,
     monotone_backward_induction,
@@ -99,7 +98,6 @@ from .sim import (
     run_frame_multiuser,
     sample_multiuser_trajectories,
     sweep,
-    tradeoff_region,
     write_manifest,
     write_rows_csv,
 )

@@ -451,6 +451,10 @@ def _read_trajectory(path: Path, params: SystemParams) -> FrameTrajectory:
         if idx != len(rows) + 1:
             raise ReplayParseError(
                 f"{path}:{lineno}: block index {idx}, expected {len(rows) + 1}", line=lineno)
+        # one block harvests at most E_m: the uncapped-battery check relies on it
+        if e > params.E_m:
+            raise ReplayParseError(
+                f"{path}:{lineno}: e_H_j = {e!r} J exceeds E_m = {params.E_m!r} J", line=lineno)
         rows.append((g, h, e))
     if len(rows) != params.N:
         raise ReplayParseError(

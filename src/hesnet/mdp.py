@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InvalidActionError,
     InvalidParameterError,
     InvalidStateError,
     StructureViolationError,
@@ -40,7 +39,6 @@ __all__ = [
     "quantize_energy",
     "battery_level_index",
     "channel_state_index",
-    "energy_transition_probs",
     "build_mdp_model",
     "backward_induction",
     "monotone_backward_induction",
@@ -154,28 +152,6 @@ def channel_state_index(gamma, bounds: np.ndarray):
     return int(idx) if idx.ndim == 0 else idx.astype(np.int64)
 
 
-def energy_transition_probs(level: float, consumption: float, grid: QuantizationGrid,
-                            params: SystemParams) -> np.ndarray:
-    """Distribution of the next battery level after spending `consumption`.
-
-    The residual level - consumption plus a Uniform[0, E_m] arrival is
-    re-quantized; each next bin's probability is the length of the arrival
-    interval that lands in it, divided by E_m.  The top bin absorbs
-    overflow past B_m.
-    """
-    if not np.isclose(quantize_energy(max(level, 0.0), grid), level, rtol=1e-9, atol=0.0):
-        raise InvalidStateError(f"{level!r} is not a battery mid-value of this grid")
-    if consumption < 0 or consumption > level * (1 + 1e-12):
-        raise InvalidActionError(
-            f"consumption {consumption!r} outside [0, level={level!r}]")
-    base = max(level - consumption, 0.0)
-    hi_edges = grid.bin_edges[1:].copy()
-    hi_edges[-1] = np.inf
-    lo = np.maximum(grid.bin_edges[:-1] - base, 0.0)
-    hi = np.minimum(hi_edges - base, params.E_m)
-    return np.maximum(hi - lo, 0.0) / params.E_m
-
-
 # ---------------------------------------------------------------------------
 # model assembly
 # ---------------------------------------------------------------------------
@@ -197,8 +173,12 @@ class MdpModel:
 def build_mdp_model(params: SystemParams, grid: QuantizationGrid) -> MdpModel:
     """Precompute per-state powers, skip costs, action masks and kernels.
 
-    The kernels are `energy_transition_probs` in closed form, broadcast over
-    battery levels and H-states with the same arithmetic (bitwise equal)."""
+    Kernel row i is the distribution of the next battery level from level i
+    after no spend (kernel0) or serving at each H-state (kernel1): the residual
+    plus a Uniform[0, E_m] arrival, re-quantized, each next bin taking the
+    length of the arrival interval that lands in it over E_m, the top bin
+    absorbing overflow past B_m.  Built in closed form, broadcast over battery
+    levels and H-states."""
     _, p_inv_h, cost_g, _ = link_terms(grid.levels_G, grid.levels_H, params)
     levels = grid.battery_levels
     if not np.allclose(quantize_energy(levels, grid), levels, rtol=1e-9, atol=0.0):

@@ -4,8 +4,15 @@ With all N blocks' channel gains and energy arrivals on the table, choosing
 which blocks the harvesting BS serves reduces to a 0/1 program: skipping
 block i costs c_i (grid bill or drop penalty), serving it spends
 p_H_inv,i * tau joules of battery under prefix energy causality and the peak
-power cap.  This module holds that reduced instance, a greedy solver, the
+power cap.  This module holds that reduced instance, the greedy engine, the
 exhaustive oracle, and the expansion back to per-block powers.
+
+One greedy engine, `greedy_plan`, solves (frames, users, N) arrays in one
+pass: scores are fixed per block and feasibility only shrinks as blocks are
+selected, so serving the best feasible block until nothing fits picks
+exactly the blocks that still fit when visited in score order.  The
+per-instance `greedy_assignment` (one user) and
+`multiuser_greedy_assignment` (a shared battery) are one-frame calls to it.
 
 Sums that enter exactness contracts (reported costs) use math.fsum, so two
 selections with mathematically equal cost report identical floats.
@@ -30,7 +37,7 @@ __all__ = [
     "require_uncapped_battery",
     "total_service_cost",
     "first_violation",
-    "find_feasible",
+    "greedy_plan",
     "greedy_assignment",
     "exhaustive_optimal",
     "check_swap_optimality",
@@ -143,22 +150,6 @@ def total_service_cost(alpha, inst: IpInstance) -> float:
     return math.fsum(inst.c[alpha == 0])
 
 
-def find_feasible(inst: IpInstance, alpha) -> np.ndarray:
-    """0-based indices of unselected blocks that can be added to `alpha`.
-
-    Adding block i raises every prefix from i on by p_H_inv[i] * tau, so i
-    fits iff that fits under the worst remaining slack from i onward.
-    """
-    alpha = _as_alpha(alpha, inst.n_blocks)
-    on = alpha == 1
-    spend = np.where(on, np.where(np.isfinite(inst.p_H_inv), inst.p_H_inv * inst.tau, np.inf), 0.0)
-    slack = np.cumsum(inst.e_H) * (1.0 + ENERGY_RTOL) - np.cumsum(spend)
-    tail_slack = np.minimum.accumulate(slack[::-1])[::-1]
-    with np.errstate(invalid="ignore"):
-        ok = (~on) & (inst.p_H_inv <= inst.p_H_max) & (inst.p_H_inv * inst.tau <= tail_slack)
-    return np.flatnonzero(ok)
-
-
 def ratio_metric(c, p):
     """Cost saved per watt of battery power; the default serving priority of
     the greedy solvers and the threshold rule.
@@ -169,28 +160,59 @@ def ratio_metric(c, p):
     return c / p
 
 
-def greedy_assignment(inst: IpInstance, metric=None, return_order: bool = False):
-    """Greedy H-block selection by descending metric score.
+def greedy_plan(c, p_h, e_h, tau: float, p_H_max_sum: float, metric=None) -> np.ndarray:
+    """Greedy H-block selection for (frames, U, N) skip costs `c` and
+    harvesting inversion powers `p_h` over (frames, N) shared arrivals `e_h`.
 
-    Each pass adds the feasible unselected block maximizing metric(c, p_H_inv)
-    (ties: earliest block) until nothing fits.  Returns (alpha, cost), plus
-    the selection order when `return_order`.
+    Blocks are visited once per frame by descending metric(c, p_h) score
+    (ties: earlier block, then lower user) and kept when they still fit:
+    the block's summed selected power stays within `p_H_max_sum`, and
+    p * tau fits under the worst energy slack from the block onward, the
+    slack being the arrivals (ENERGY_RTOL relative benefit of the doubt)
+    less the selected spends, both as prefix sums.  Per-block sums over
+    users run in user order, not pick order, so the float sums and hence
+    the picks match a rescan of the whole selection after every pick.
+    Returns the (frames, U, N) 0/1 selection.
     """
-    metric = metric or ratio_metric
-    alpha = np.zeros(inst.n_blocks, dtype=np.int8)
-    order: list[int] = []
-    for _ in range(inst.n_blocks):
-        cand = find_feasible(inst, alpha)
-        if cand.size == 0:
-            break
-        scores = np.asarray(metric(inst.c[cand], inst.p_H_inv[cand]), dtype=float)
-        pick = int(cand[np.argmax(scores)])
-        alpha[pick] = 1
-        order.append(pick)
-    cost = total_service_cost(alpha, inst)
-    if return_order:
-        return alpha, cost, order
-    return alpha, cost
+    c = np.asarray(c, dtype=float)
+    p_h = np.asarray(p_h, dtype=float)
+    frames, users, n = c.shape
+    scores = np.broadcast_to(np.asarray((metric or ratio_metric)(c, p_h), dtype=float), c.shape)
+    if np.isnan(scores).any():
+        raise InvalidParameterError("greedy metric returned NaN scores")
+    # block-major flat index: block * U + user, so a stable sort breaks ties
+    # toward the earlier block, then the lower user
+    order = np.argsort(-scores.transpose(0, 2, 1).reshape(frames, n * users), axis=1,
+                       kind="stable")
+    blocks, picked_users = np.divmod(order, users)
+    spend = p_h * tau
+    budget = np.cumsum(e_h, axis=1) * (1.0 + ENERGY_RTOL)
+    sel = np.zeros((frames, users, n), dtype=np.int8)
+    used = np.zeros((frames, n))    # J, selected spend per block
+    power = np.zeros((frames, n))   # W, selected power per block
+    rows = np.arange(frames)
+    for u, j in zip(picked_users.T, blocks.T):
+        slack = budget - np.cumsum(used, axis=1)
+        tail_slack = np.minimum.accumulate(slack[:, ::-1], axis=1)[:, ::-1]
+        p = p_h[rows, u, j]
+        keep = (p + power[rows, j] <= p_H_max_sum) & (spend[rows, u, j] <= tail_slack[rows, j])
+        f, u, j = rows[keep], u[keep], j[keep]
+        sel[f, u, j] = 1
+        on = sel[f, :, j] == 1
+        used[f, j] = power[f, j] = 0.0
+        for v in range(users):
+            used[f, j] += np.where(on[:, v], spend[f, v, j], 0.0)
+            power[f, j] += np.where(on[:, v], p_h[f, v, j], 0.0)
+    return sel
+
+
+def greedy_assignment(inst: IpInstance, metric=None):
+    """Greedy H-block selection of one frame by descending metric score
+    (ties: earliest block), as a one-frame `greedy_plan`.  Returns
+    (alpha, cost)."""
+    alpha = greedy_plan(inst.c[None, None], inst.p_H_inv[None, None], inst.e_H[None],
+                        inst.tau, inst.p_H_max, metric)[0, 0]
+    return alpha, total_service_cost(alpha, inst)
 
 
 def exhaustive_optimal(inst: IpInstance, cap: int = EXHAUSTIVE_CAP):
@@ -294,20 +316,6 @@ def expand_solution(alpha, inst: IpInstance, params: SystemParams) -> FullSoluti
 # multi-user variant: one sub-carrier per user, both BSs shared
 # ---------------------------------------------------------------------------
 
-def _pooled_feasible(instances, sel, p_H_max_sum):
-    """Candidate (user, block) pairs addable to the joint selection `sel`."""
-    p = np.stack([inst.p_H_inv for inst in instances])         # (U, N)
-    spend = np.where(sel == 1, np.where(np.isfinite(p), p * instances[0].tau, np.inf), 0.0)
-    slack = np.cumsum(instances[0].e_H) * (1.0 + ENERGY_RTOL) - np.cumsum(spend.sum(axis=0))
-    tail_slack = np.minimum.accumulate(slack[::-1])[::-1]      # (N,)
-    block_power = np.where(sel == 1, np.where(np.isfinite(p), p, np.inf), 0.0).sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        ok = (sel == 0)
-        ok &= p + block_power[None, :] <= p_H_max_sum
-        ok &= p * instances[0].tau <= tail_slack[None, :]
-    return ok
-
-
 def multiuser_greedy_assignment(instances, p_H_max_sum: float, metric=None):
     """Greedy H-block selection for several users sharing one battery.
 
@@ -325,18 +333,9 @@ def multiuser_greedy_assignment(instances, p_H_max_sum: float, metric=None):
             raise InvalidParameterError("user instances must share block structure")
         if not np.array_equal(inst.e_H, instances[0].e_H):
             raise InvalidParameterError("user instances must share the arrival stream")
-    metric = metric or ratio_metric
-    u = len(instances)
     c = np.stack([inst.c for inst in instances])
-    p = np.stack([inst.p_H_inv for inst in instances])
-    sel = np.zeros((u, n), dtype=np.int8)
-    for _ in range(u * n):
-        ok = _pooled_feasible(instances, sel, p_H_max_sum)
-        if not ok.any():
-            break
-        scores = np.where(ok, np.asarray(metric(c, p), dtype=float), -np.inf)
-        flat = np.argmax(scores.T)  # block-major: earliest block, then user
-        block, user = divmod(int(flat), u)
-        sel[user, block] = 1
+    sel = greedy_plan(c[None], np.stack([inst.p_H_inv for inst in instances])[None],
+                      instances[0].e_H[None], instances[0].tau, p_H_max_sum, metric)[0]
+    u, n = sel.shape
     cost = math.fsum(float(c[i, j]) for i in range(u) for j in range(n) if sel[i, j] == 0)
     return sel, cost

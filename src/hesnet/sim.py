@@ -29,8 +29,7 @@ from .offline import (
     exhaustive_optimal,
     expand_solution,
     frame_instance,
-    greedy_assignment,
-    multiuser_greedy_assignment,
+    greedy_plan,
     require_uncapped_battery,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "run_batch",
     "monte_carlo",
     "sweep",
-    "tradeoff_region",
     "offline_frame_metrics",
     "metrics_from_arrays",
     "metrics_row",
@@ -203,22 +201,25 @@ def offline_frame_metrics(params: SystemParams, gamma_g, gamma_h, e_h, *,
                           solver: str = "greedy"):
     """Solve every frame with an offline assignment.
 
-    solver: "greedy" or "exhaustive" (the latter subject to the 2^N cap).
-    Returns per-frame arrays (costs, grid energies, drop counts) matching
-    the batch-walk conventions, read off `expand_solution`.  The solvers
-    model an uncapped battery, so B_m < N * E_m raises ModelMismatchError.
+    solver: "greedy" (one `greedy_plan` over the batch) or "exhaustive"
+    (per frame, subject to the 2^N cap).  Returns per-frame arrays (costs,
+    grid energies, drop counts) matching the batch-walk conventions, read
+    off `expand_solution`.  The solvers model an uncapped battery, so
+    B_m < N * E_m raises ModelMismatchError.
     """
     if solver not in ("greedy", "exhaustive"):
         raise InvalidParameterError(f"unknown offline solver {solver!r}")
     require_uncapped_battery(params)
-    solve = greedy_assignment if solver == "greedy" else exhaustive_optimal
     batch = FrameBatch(params, gamma_g, gamma_h, e_h)
+    if solver == "greedy":
+        plans = greedy_plan(batch.skip[:, None], batch.p_h[:, None], batch.e_h, params.tau,
+                            params.p_H_max)[:, 0]
     costs = np.zeros(batch.frames)
     grid = np.zeros(batch.frames)
     drops = np.zeros(batch.frames, dtype=np.int64)
     for f in range(batch.frames):
         inst = frame_instance(batch, f)
-        alpha, _ = solve(inst)
+        alpha = plans[f] if solver == "greedy" else exhaustive_optimal(inst)[0]
         full = expand_solution(alpha, inst, params)
         costs[f], grid[f], drops[f] = full.total_cost, full.grid_energy, full.drops
     return costs, grid, drops
@@ -323,20 +324,6 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
     return [row for chunk in chunks for row in chunk]
 
 
-def tradeoff_region(params: SystemParams, w_d_values, policy_factories: dict,
-                    frames: int, seed: int, *, include_offline: bool = True,
-                    threads: int = 1) -> list[dict]:
-    """Grid-energy / drop-ratio pairs swept over the drop price w_D.
-
-    The grid-only baseline is always included: every proposed policy should
-    dominate it somewhere along the curve.
-    """
-    factories = dict(policy_factories)
-    factories.setdefault("GP-only", lambda p: GridOnlyPolicy())
-    return sweep(params, "w_D", w_d_values, factories, frames, seed,
-                 include_offline=include_offline, threads=threads)
-
-
 # ---------------------------------------------------------------------------
 # multi-user frames: one battery, per-block sum power caps
 # ---------------------------------------------------------------------------
@@ -435,27 +422,26 @@ def multiuser_frame_metrics(policy, gamma_g, gamma_h, e_h, params_list,
                             p_H_max_sum: float, p_G_max_sum: float):
     """Walk (frames, U, N) multi-user trajectories one frame at a time.
 
-    `policy` is a joint policy, or "greedy" for each frame's pooled offline
-    plan (multiuser_greedy_assignment) walked through the same frame
+    `policy` is a joint policy, or "greedy" for the pooled offline plans
+    (one `greedy_plan` over all frames) walked through the same frame
     simulator.  Returns per-frame arrays (costs, grid energies, drop counts).
     """
-    offline = isinstance(policy, str)
-    if offline:
+    frames = gamma_g.shape[0]
+    policies = [policy] * frames
+    if isinstance(policy, str):
         if policy != "greedy":
             raise InvalidParameterError(f"unknown multi-user offline solver {policy!r}")
         require_uncapped_battery(params_list[0])
         batches = [FrameBatch(p, gamma_g[:, u], gamma_h[:, u], e_h)
                    for u, p in enumerate(params_list)]
-    frames = gamma_g.shape[0]
+        plans = greedy_plan(np.stack([b.skip for b in batches], axis=1),
+                            np.stack([b.p_h for b in batches], axis=1), e_h,
+                            params_list[0].tau, p_H_max_sum)
+        policies = [ScriptedMultiuserAssignment(sel) for sel in plans]
     costs = np.zeros(frames)
     grid = np.zeros(frames)
     drops = np.zeros(frames, dtype=np.int64)
-    for f in range(frames):
-        frame_policy = policy
-        if offline:
-            instances = [frame_instance(batch, f) for batch in batches]
-            sel, _ = multiuser_greedy_assignment(instances, p_H_max_sum=p_H_max_sum)
-            frame_policy = ScriptedMultiuserAssignment(sel)
+    for f, frame_policy in enumerate(policies):
         costs[f], grid[f], drops[f] = run_frame_multiuser(
             frame_policy, gamma_g[f], gamma_h[f], e_h[f], params_list, p_H_max_sum, p_G_max_sum)
     return costs, grid, drops

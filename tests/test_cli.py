@@ -166,6 +166,26 @@ def test_offline_solve_replay_errors_carry_line_numbers(tmp_path, capsys):
     assert "4 fields" in capsys.readouterr().err
 
 
+def test_offline_solve_replay_rejects_arrivals_above_e_m(tmp_path, capsys):
+    # 1 J in block 1 would let all six blocks be served from a 2.4e-4 J battery
+    flood = tmp_path / "flood.txt"
+    flood.write_text("1 0.5 0.5 1.0\n" + "".join(f"{i} 0.5 0.5 0.0\n" for i in range(2, 7)))
+    code = main(["offline-solve", "--set", "n_blocks=6", "--replay", str(flood),
+                 "--out", str(tmp_path / "flood")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ":1:" in err and "E_m" in err
+    assert not (tmp_path / "flood" / "offline_summary.json").exists()
+    # a sampled frame stays within E_m, so its dump still replays
+    for seed in ("1", "2", "3"):
+        dump = tmp_path / f"traj{seed}.txt"
+        base = ["offline-solve", "--seed", seed, "--solver", "greedy"]
+        assert main(base + ["--out", str(tmp_path / "a"), "--dump", str(dump)]) == 0
+        assert main(base + ["--out", str(tmp_path / "b"), "--replay", str(dump)]) == 0
+        assert ((tmp_path / "a" / "offline_summary.json").read_bytes()
+                == (tmp_path / "b" / "offline_summary.json").read_bytes())
+
+
 def test_offline_solve_exhaustive_over_cap_is_resource_limit(tmp_path):
     assert main(["offline-solve", "--set", "n_blocks=60", "--solver", "exhaustive",
                  "--out", str(tmp_path)]) == 3

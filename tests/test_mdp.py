@@ -32,7 +32,6 @@ from hesnet.mdp import (
     build_grid,
     build_mdp_model,
     channel_state_index,
-    energy_transition_probs,
     equiprobable_channel_states,
     load_policy_artifact,
     monotone_backward_induction,
@@ -43,6 +42,29 @@ from hesnet.mdp import (
 from hesnet.model import ExponentialFading, SystemParams, link_terms, make_rng, serve_feasible
 
 P = SystemParams()
+
+
+def energy_transition_probs(level: float, consumption: float, grid: QuantizationGrid,
+                            params: SystemParams) -> np.ndarray:
+    """Distribution of the next battery level after spending `consumption`,
+    one row at a time: the oracle for `build_mdp_model`'s closed-form kernels.
+
+    The residual level - consumption plus a Uniform[0, E_m] arrival is
+    re-quantized; each next bin's probability is the length of the arrival
+    interval that lands in it, divided by E_m.  The top bin absorbs
+    overflow past B_m.
+    """
+    if not np.isclose(quantize_energy(max(level, 0.0), grid), level, rtol=1e-9, atol=0.0):
+        raise InvalidStateError(f"{level!r} is not a battery mid-value of this grid")
+    if consumption < 0 or consumption > level * (1 + 1e-12):
+        raise InvalidActionError(
+            f"consumption {consumption!r} outside [0, level={level!r}]")
+    base = max(level - consumption, 0.0)
+    hi_edges = grid.bin_edges[1:].copy()
+    hi_edges[-1] = np.inf
+    lo = np.maximum(grid.bin_edges[:-1] - base, 0.0)
+    hi = np.minimum(hi_edges - base, params.E_m)
+    return np.maximum(hi - lo, 0.0) / params.E_m
 
 
 def random_params(rng):

@@ -4,18 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesnet.errors import FeasibilityError, InvalidParameterError, ResourceLimitError
 from hesnet.model import SystemParams, channel_gain, cost_parameter, inversion_power, kappa, make_rng, sample_trajectory
 from hesnet.offline import (
+    ENERGY_RTOL,
     IpInstance,
+    _as_alpha,
     check_swap_optimality,
     exhaustive_optimal,
     expand_solution,
-    find_feasible,
     first_violation,
     greedy_assignment,
+    greedy_plan,
     multiuser_greedy_assignment,
+    ratio_metric,
     to_ip_instance,
     total_service_cost,
 )
@@ -38,6 +43,72 @@ def random_instance(rng, n, *, constant_h=False, constant_g=False, params=P):
     p_g = inversion_power(channel_gain(params.d_G, gamma_g, params), params)
     return IpInstance(c=cost_parameter(p_g, params), p_H_inv=p_h, p_G_inv=p_g,
                       e_H=e_h, tau=params.tau, p_H_max=params.p_H_max)
+
+
+# ---------------------------------------------------------------------------
+# per-frame oracle: add the best feasible block, rescan, repeat
+# ---------------------------------------------------------------------------
+
+def find_feasible(inst: IpInstance, alpha) -> np.ndarray:
+    """0-based indices of unselected blocks that can be added to `alpha`.
+
+    Adding block i raises every prefix from i on by p_H_inv[i] * tau, so i
+    fits iff that fits under the worst remaining slack from i onward.
+    """
+    alpha = _as_alpha(alpha, inst.n_blocks)
+    on = alpha == 1
+    spend = np.where(on, np.where(np.isfinite(inst.p_H_inv), inst.p_H_inv * inst.tau, np.inf), 0.0)
+    slack = np.cumsum(inst.e_H) * (1.0 + ENERGY_RTOL) - np.cumsum(spend)
+    tail_slack = np.minimum.accumulate(slack[::-1])[::-1]
+    with np.errstate(invalid="ignore"):
+        ok = (~on) & (inst.p_H_inv <= inst.p_H_max) & (inst.p_H_inv * inst.tau <= tail_slack)
+    return np.flatnonzero(ok)
+
+
+def oracle_greedy(inst: IpInstance, metric=None):
+    """Each pass adds the feasible unselected block maximizing
+    metric(c, p_H_inv) (ties: earliest block) until nothing fits."""
+    metric = metric or ratio_metric
+    alpha = np.zeros(inst.n_blocks, dtype=np.int8)
+    for _ in range(inst.n_blocks):
+        cand = find_feasible(inst, alpha)
+        if cand.size == 0:
+            break
+        scores = np.asarray(metric(inst.c[cand], inst.p_H_inv[cand]), dtype=float)
+        alpha[int(cand[np.argmax(scores)])] = 1
+    return alpha
+
+
+def pooled_feasible(instances, sel, p_H_max_sum):
+    """Candidate (user, block) pairs addable to the joint selection `sel`."""
+    p = np.stack([inst.p_H_inv for inst in instances])         # (U, N)
+    spend = np.where(sel == 1, np.where(np.isfinite(p), p * instances[0].tau, np.inf), 0.0)
+    slack = np.cumsum(instances[0].e_H) * (1.0 + ENERGY_RTOL) - np.cumsum(spend.sum(axis=0))
+    tail_slack = np.minimum.accumulate(slack[::-1])[::-1]      # (N,)
+    block_power = np.where(sel == 1, np.where(np.isfinite(p), p, np.inf), 0.0).sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        ok = (sel == 0)
+        ok &= p + block_power[None, :] <= p_H_max_sum
+        ok &= p * instances[0].tau <= tail_slack[None, :]
+    return ok
+
+
+def oracle_multiuser_greedy(instances, p_H_max_sum, metric=None):
+    """Pooled greedy: each pass adds the feasible (user, block) pair of top
+    score (ties: earliest block, then lowest user) until nothing fits."""
+    metric = metric or ratio_metric
+    u, n = len(instances), instances[0].n_blocks
+    c = np.stack([inst.c for inst in instances])
+    p = np.stack([inst.p_H_inv for inst in instances])
+    sel = np.zeros((u, n), dtype=np.int8)
+    for _ in range(u * n):
+        ok = pooled_feasible(instances, sel, p_H_max_sum)
+        if not ok.any():
+            break
+        scores = np.where(ok, np.asarray(metric(c, p), dtype=float), -np.inf)
+        block, user = divmod(int(np.argmax(scores.T)), u)  # block-major
+        sel[user, block] = 1
+    return sel
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +198,8 @@ def test_greedy_prefers_high_ratio_blocks():
 
 def test_greedy_tie_breaks_to_earliest():
     inst = inst_of(c=[1.0, 1.0, 1.0], p_h=[1.0, 1.0, 1.0], e_h=[1.0, 0.0, 0.0])
-    alpha, cost, order = greedy_assignment(inst, return_order=True)
+    alpha, cost = greedy_assignment(inst)
     np.testing.assert_array_equal(alpha, [1, 0, 0])
-    assert order == [0]
     assert cost == 2.0
 
 
@@ -141,6 +211,15 @@ def test_greedy_custom_metric():
     # rank by -p: block 2 has lower power, wins again
     alpha2, _ = greedy_assignment(inst, metric=lambda c, p: -p)
     np.testing.assert_array_equal(alpha2, [0, 1])
+
+
+def test_greedy_rejects_nan_scores():
+    # 0 * inf: a dead channel with nothing to save scores NaN under c * p
+    inst = inst_of(c=[0.0, 1.0], p_h=[np.inf, 1.0], e_h=[1.0, 1.0])
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidParameterError, match="NaN"):
+        greedy_assignment(inst, metric=lambda c, p: c * p)
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidParameterError, match="NaN"):
+        multiuser_greedy_assignment([inst, inst], p_H_max_sum=10.0, metric=lambda c, p: c * p)
 
 
 def test_greedy_output_always_feasible_and_swap_free():
@@ -298,3 +377,59 @@ def test_multiuser_single_user_reduces_to_plain_greedy():
         sel, mcost = multiuser_greedy_assignment([inst], p_H_max_sum=inst.p_H_max)
         np.testing.assert_array_equal(sel[0], alpha)
         assert mcost == cost
+
+
+# ---------------------------------------------------------------------------
+# the batch engine against the per-frame oracle
+# ---------------------------------------------------------------------------
+
+def test_greedy_plan_matches_oracle_on_sampled_frames():
+    rng = make_rng(27)
+    for n in (5, 15, 50):
+        instances = [random_instance(rng, n) for _ in range(40)]
+        plan = greedy_plan(np.stack([i.c for i in instances])[:, None],
+                           np.stack([i.p_H_inv for i in instances])[:, None],
+                           np.stack([i.e_H for i in instances]), P.tau, P.p_H_max)
+        for f, inst in enumerate(instances):
+            np.testing.assert_array_equal(plan[f, 0], oracle_greedy(inst))
+
+
+def test_greedy_plan_sums_block_power_in_user_order():
+    # users 2, 1, 0 are picked in that order, but the cap compares the sum in
+    # user order: (0.1 + 0.2) + 0.3 + 0.1 = 0.7000000000000001 > 0.7, while
+    # the pick order would give (0.3 + 0.2) + 0.1 + 0.1 = 0.7 and admit user 3
+    c = np.array([0.1, 0.4, 0.9, 0.001])[None, :, None]
+    p = np.array([0.1, 0.2, 0.3, 0.1])[None, :, None]
+    plan = greedy_plan(c, p, np.array([[10.0]]), 1.0, 0.7)
+    np.testing.assert_array_equal(plan[0, :, 0], [1, 1, 1, 0])
+    instances = [inst_of(c[0, u], p[0, u], [10.0], p_h_max=0.7) for u in range(4)]
+    np.testing.assert_array_equal(plan[0], oracle_multiuser_greedy(instances, 0.7))
+
+
+# small grids force ties; decimal powers make the order of per-block sums
+# over users matter; inf is a dead channel and zero arrivals starve blocks
+GRID_C = st.sampled_from([0.0, 0.1, 0.2, 0.3])
+GRID_P = st.sampled_from([0.1, 0.2, 0.3, 0.7, np.inf])
+GRID_E = st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.6])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data(), users=st.integers(1, 4), n=st.integers(1, 6), frames=st.integers(1, 4),
+       tau=st.sampled_from([1.0, 0.5]), cap=st.sampled_from([0.2, 0.3, 0.6, 1.0, np.inf]))
+def test_greedy_plan_equals_per_frame_oracle(data, users, n, frames, tau, cap):
+    draw = data.draw
+    c = np.array(draw(st.lists(GRID_C, min_size=frames * users * n,
+                               max_size=frames * users * n))).reshape(frames, users, n)
+    p = np.array(draw(st.lists(GRID_P, min_size=frames * users * n,
+                               max_size=frames * users * n))).reshape(frames, users, n)
+    e = np.array(draw(st.lists(GRID_E, min_size=frames * n, max_size=frames * n))).reshape(frames, n)
+    plan = greedy_plan(c, p, e, tau, cap)
+    assert plan.shape == (frames, users, n) and plan.dtype == np.int8
+    for f in range(frames):
+        instances = [inst_of(c[f, u], p[f, u], e[f], tau=tau, p_h_max=cap) for u in range(users)]
+        np.testing.assert_array_equal(plan[f], oracle_multiuser_greedy(instances, cap))
+        if users == 1:
+            np.testing.assert_array_equal(plan[f, 0], oracle_greedy(instances[0]))
+            np.testing.assert_array_equal(greedy_assignment(instances[0])[0], plan[f, 0])
+        else:
+            np.testing.assert_array_equal(multiuser_greedy_assignment(instances, cap)[0], plan[f])

@@ -44,7 +44,6 @@ from hesnet.sim import (
     run_frame_multiuser,
     sample_multiuser_trajectories,
     sweep,
-    tradeoff_region,
     write_manifest,
     write_rows_csv,
 )
@@ -270,19 +269,6 @@ def test_sweep_skips_exhaustive_beyond_cap():
     rows = sweep(P, "w_D", [0.01], {"GT": lambda p: GreedyTransmit()}, frames=5, seed=72)
     names = {r["policy"] for r in rows}
     assert "Greedy" in names and "Exhaustive" not in names
-
-
-def test_tradeoff_region_includes_grid_only():
-    rows = tradeoff_region(P, [0.001, 1.0], {"GT": lambda p: GreedyTransmit()},
-                           frames=10, seed=73, include_offline=False)
-    names = {r["policy"] for r in rows}
-    assert names == {"GT", "GP-only"}
-    gp = sorted((r for r in rows if r["policy"] == "GP-only"),
-                key=lambda r: r["axis_value"])
-    # raising w_D raises the break-even grid power, so the grid-only baseline
-    # transmits more often: fewer drops, more grid energy
-    assert gp[0]["grid_energy_j"] <= gp[1]["grid_energy_j"]
-    assert gp[0]["drop_ratio"] >= gp[1]["drop_ratio"]
 
 
 # ---------------------------------------------------------------------------
