@@ -379,7 +379,7 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
                     f"policy artifact not found: {path}; train it first with "
                     f"'hesnet mdp-train --set m_levels={m} --set k_states={cfg.k_states} "
                     f"--out {path.parent}'")
-            table, _ = load_policy_artifact(path)
+            table = load_policy_artifact(path)
             if table.params_hash != point.content_hash():
                 raise StalePolicyError(
                     f"{path} was trained for parameter hash {table.params_hash[:12]}..., "
@@ -542,10 +542,10 @@ def cmd_mdp_train(cfg: RunConfig, args) -> int:
     params = cfg.params
     grid = build_grid(params, M=cfg.m_levels, K=cfg.k_states)
     model = build_mdp_model(params, grid)
-    table, values, counts = monotone_backward_induction(model, params.N)
+    table, _, counts = monotone_backward_induction(model, params.N)
     out = _out_dir(cfg)
     path = out / f"mbia_M{cfg.m_levels}_K{cfg.k_states}.pol"
-    save_policy_artifact(path, table, values)
+    save_policy_artifact(path, table)
     per_state_bound = 2 * cfg.k_states - 1
     log = {
         "m_levels": cfg.m_levels, "k_states": cfg.k_states, "n_blocks": params.N,
@@ -556,6 +556,7 @@ def cmd_mdp_train(cfg: RunConfig, args) -> int:
         "per_state_bound": per_state_bound,
         "dense_equivalent_total": cfg.k_states ** 2 * cfg.m_levels * params.N,
         "artifact": path.name,
+        "artifact_bytes": path.stat().st_size,
         "artifact_sha256": file_sha256(path),
     }
     (out / f"mbia_M{cfg.m_levels}_K{cfg.k_states}.train.json").write_text(

@@ -11,7 +11,11 @@ policy, walking all battery levels of a block in lockstep with at most 2K-1
 state evaluations each instead of K^2, once the walk's orderings are checked.
 
 Both solvers share one recursion and one expectation path, so their value
-tables agree bitwise, not just within tolerance.
+tables agree bitwise, not just within tolerance.  The recursion needs only
+the per-level sums u_hat of the next block, so a solve keeps the two action
+values q0/q1 per block and sums one block's (M, K, K) slice of the
+per-state values at a time; the full (N, M, K, K) table is rebuilt only
+when `CostToGo.u` is read.  Policy artifacts hold the serve table alone.
 """
 
 from __future__ import annotations
@@ -218,11 +222,25 @@ class PolicyTable:
 
 @dataclass(frozen=True)
 class CostToGo:
-    """Optimal expected remaining cost per state, plus per-level sums."""
+    """Optimal expected remaining cost, kept as the two action values.
 
-    u: np.ndarray       # (N, M, K, K)
-    u_hat: np.ndarray   # (N, M) sum of u over both channel states
+    `q0[t, m, kg]` is the cost of not serving at G-state kg and
+    `q1[t, m, kh]` the cost of serving at H-state kh (inf where serving is
+    not allowed); `actions` is the policy's serve table itself, not a copy.
+    The per-state table `u` is rebuilt from these on each read (25 MB at
+    N=50, M=100, K=25), so a solve that never reads it never holds it.
+    """
+
+    q0: np.ndarray        # (N, M, K) per G-state
+    q1: np.ndarray        # (N, M, K) per H-state
+    u_hat: np.ndarray     # (N, M) sum of u over both channel states
     params_hash: str
+    actions: np.ndarray   # (N, M, K, K) uint8, the PolicyTable's array
+
+    @property
+    def u(self) -> np.ndarray:
+        """(N, M, K, K) cost-to-go of the chosen action at every state."""
+        return np.where(self.actions, self.q1[:, :, None, :], self.q0[:, :, :, None])
 
 
 def _expected_values(model: MdpModel, u_hat_next: np.ndarray):
@@ -244,26 +262,28 @@ _RISE_RTOL = 1e-12
 def _induction(model: MdpModel, N: int, serve_mask):
     """Backward recursion shared by both solvers: `serve_mask(t, q0, q1)` maps
     block t's (M, K) action values -- q0 per G-state, q1 per H-state, inf
-    where serving is not allowed -- to the (M, K_G, K_H) serve mask."""
+    where serving is not allowed -- to the (M, K_G, K_H) serve mask.  Only
+    u_hat feeds the next block, so each block's per-state values live in
+    one temporary slice."""
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
     m, k = model.grid.M, model.grid.K
     params_hash = model.params.content_hash()
     actions = np.zeros((N, m, k, k), dtype=np.uint8)
-    u = np.zeros((N, m, k, k))
+    q0, q1 = np.zeros((N, m, k)), np.zeros((N, m, k))
     u_hat = np.zeros((N, m))
     mask = np.where(model.allowed, 0.0, np.inf)  # (M, K) additive mask on q1
     for t in range(N - 1, -1, -1):
         ev0, ev1 = ((np.zeros(m), np.zeros((m, k))) if t == N - 1
                     else _expected_values(model, u_hat[t + 1]))
-        q0 = model.cost_G[None, :] + ev0[:, None]
-        q1 = ev1 + mask
-        act = serve_mask(t, q0, q1)
-        u[t] = np.where(act, q1[:, None, :], q0[:, :, None])
+        np.add(model.cost_G[None, :], ev0[:, None], out=q0[t])
+        np.add(ev1, mask, out=q1[t])
+        act = serve_mask(t, q0[t], q1[t])
         actions[t] = act
-        u_hat[t] = u[t].sum(axis=(1, 2))
+        # one block's (M, K, K) slice of u, summed and dropped
+        u_hat[t] = np.where(act, q1[t, :, None, :], q0[t, :, :, None]).sum(axis=(1, 2))
     return (PolicyTable(actions=actions, grid=model.grid, params_hash=params_hash),
-            CostToGo(u=u, u_hat=u_hat, params_hash=params_hash))
+            CostToGo(q0=q0, q1=q1, u_hat=u_hat, params_hash=params_hash, actions=actions))
 
 
 def backward_induction(model: MdpModel, N: int):
@@ -358,13 +378,14 @@ _MAGIC = b"HESNETPOLICY 1\n"
 _HEADER_LIMIT = 4096  # bytes; a written header is about 120
 
 
-def save_policy_artifact(path, policy: PolicyTable, values: CostToGo | None = None) -> None:
-    """Write a policy (and optionally its values) to a versioned binary file.
+def save_policy_artifact(path, policy: PolicyTable) -> None:
+    """Write a policy table to a versioned binary file.
 
     Layout: magic line; one JSON header line with n/m/k, the params hash and
-    a has_values flag; then raw little-endian row-major arrays in fixed
-    order (battery levels, bin edges, G bounds/levels, H bounds/levels,
-    actions as uint8, then u and u_hat as float64 when present).  The
+    a has_values flag (always false here); then raw little-endian row-major
+    arrays in fixed order (battery levels, bin edges, G bounds/levels, H
+    bounds/levels, actions as uint8).  Older version-1 files with
+    has_values true carry u and u_hat as float64 after the actions.  The
     writer is deterministic: identical inputs give identical bytes.
     """
     g = policy.grid
@@ -374,19 +395,14 @@ def save_policy_artifact(path, policy: PolicyTable, values: CostToGo | None = No
         "m": int(g.M),
         "k": int(g.K),
         "params_hash": policy.params_hash,
-        "has_values": values is not None,
+        "has_values": False,
     }
-    if values is not None and values.params_hash != policy.params_hash:
-        raise InvalidParameterError("policy and values were trained on different parameters")
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
         for arr in (g.battery_levels, g.bin_edges, g.bounds_G, g.levels_G, g.bounds_H, g.levels_H):
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         f.write(np.ascontiguousarray(policy.actions, dtype="|u1").tobytes())
-        if values is not None:
-            f.write(np.ascontiguousarray(values.u, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(values.u_hat, dtype="<f8").tobytes())
 
 
 def load_policy_artifact(path):
@@ -395,9 +411,10 @@ def load_policy_artifact(path):
     The header line is read with a length limit, n/m/k must be positive
     integers, and the file size must equal the size the header implies
     before any array is read, so a corrupt, truncated or padded file
-    raises InvalidParameterError instead of driving a large read.
-    Returns (PolicyTable, CostToGo-or-None).  Consumers are responsible for
-    comparing the stored params hash against their own configuration.
+    raises InvalidParameterError instead of driving a large read.  A file
+    with has_values true must hold its value block too, which is not read.
+    Returns the PolicyTable.  Consumers are responsible for comparing the
+    stored params hash against their own configuration.
     """
     with open(path, "rb") as f:
         magic = f.read(len(_MAGIC))
@@ -439,10 +456,4 @@ def load_policy_artifact(path):
         levels_h = read_f8(k)
         grid = QuantizationGrid(battery_levels, bin_edges, levels_g, bounds_g, levels_h, bounds_h)
         actions = np.fromfile(f, dtype="|u1", count=cells).reshape(n, m, k, k)
-        policy = PolicyTable(actions=actions, grid=grid, params_hash=params_hash)
-        values = None
-        if has_values:
-            u = read_f8(cells).reshape(n, m, k, k)
-            u_hat = read_f8(n * m).reshape(n, m)
-            values = CostToGo(u=u, u_hat=u_hat, params_hash=params_hash)
-    return policy, values
+    return PolicyTable(actions=actions, grid=grid, params_hash=params_hash)

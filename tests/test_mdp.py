@@ -380,6 +380,24 @@ def test_monotone_solver_single_state_channel():
     np.testing.assert_array_equal(counts, np.ones((3, 4), dtype=np.int64))
 
 
+def test_monotone_solve_holds_no_value_table():
+    # the (N, M, K, K) float64 table would be 25 MB here; the solve holds the
+    # uint8 actions (3.1 MB), q0/q1 (1 MB each) and one block's slice (6 MB
+    # peak measured)
+    model = build_mdp_model(P, build_grid(P, M=100, K=25))
+    tracemalloc.start()
+    try:
+        table, values, _ = monotone_backward_induction(model, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    assert values.actions is table.actions
+    dense_table, dense_values = backward_induction(model, 50)
+    assert np.array_equal(values.u, dense_values.u)
+    assert np.array_equal(values.u_hat, values.u.sum(axis=(2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # closed-form kernels and the lockstep walk against their loop oracles
 # ---------------------------------------------------------------------------
@@ -638,18 +656,25 @@ def test_thresholds_of_solved_policy_round_trip():
 def test_artifact_round_trip_and_determinism(tmp_path):
     grid = build_grid(P, M=5, K=3)
     model = build_mdp_model(P, grid)
-    policy, values = backward_induction(model, 4)
+    policy, _ = backward_induction(model, 4)
     f1, f2 = tmp_path / "a.pol", tmp_path / "b.pol"
-    save_policy_artifact(f1, policy, values)
-    save_policy_artifact(f2, policy, values)
+    save_policy_artifact(f1, policy)
+    save_policy_artifact(f2, policy)
     assert f1.read_bytes() == f2.read_bytes()
-    loaded_policy, loaded_values = load_policy_artifact(f1)
+    loaded_policy = load_policy_artifact(f1)
+    assert isinstance(loaded_policy, PolicyTable)
     np.testing.assert_array_equal(loaded_policy.actions, policy.actions)
-    np.testing.assert_array_equal(loaded_values.u, values.u)
-    np.testing.assert_array_equal(loaded_values.u_hat, values.u_hat)
+    assert loaded_policy.actions.dtype == np.uint8
     np.testing.assert_array_equal(loaded_policy.grid.battery_levels, grid.battery_levels)
     np.testing.assert_array_equal(loaded_policy.grid.bounds_H, grid.bounds_H)
     assert loaded_policy.params_hash == P.content_hash()
+
+
+def artifact_size(n, m, k, values: bool) -> int:
+    """Bytes after the header line: the grid, the actions and, in a
+    values-bearing file, the u and u_hat blocks."""
+    cells = n * m * k * k
+    return 8 * (2 * m + 1 + 2 * (2 * k + 1)) + cells + (8 * (cells + n * m) if values else 0)
 
 
 def test_artifact_without_values(tmp_path):
@@ -658,17 +683,52 @@ def test_artifact_without_values(tmp_path):
     policy, _ = backward_induction(model, 2)
     f = tmp_path / "p.pol"
     save_policy_artifact(f, policy)
-    loaded_policy, loaded_values = load_policy_artifact(f)
-    assert loaded_values is None
+    head, body = f.read_bytes()[len(b"HESNETPOLICY 1\n"):].split(b"\n", 1)
+    assert json.loads(head)["has_values"] is False
+    assert len(body) == artifact_size(2, 3, 2, values=False)
+    loaded_policy = load_policy_artifact(f)
     np.testing.assert_array_equal(loaded_policy.actions, policy.actions)
+
+
+def legacy_artifact(path, policy: PolicyTable, values: CostToGo) -> bytes:
+    """A version-1 file with has_values true, in the layout the writer used
+    before value blocks were dropped: actions, then u, then u_hat."""
+    g = policy.grid
+    header = {"version": 1, "n": policy.N, "m": g.M, "k": g.K,
+              "params_hash": policy.params_hash, "has_values": True}
+    blob = b"HESNETPOLICY 1\n" + json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    blob += b"\n" + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (
+        g.battery_levels, g.bin_edges, g.bounds_G, g.levels_G, g.bounds_H, g.levels_H))
+    blob += policy.actions.astype("|u1").tobytes()
+    blob += values.u.astype("<f8").tobytes() + values.u_hat.astype("<f8").tobytes()
+    Path(path).write_bytes(blob)
+    return blob
+
+
+def test_legacy_artifact_with_values_loads_its_actions(tmp_path):
+    grid = build_grid(P, M=4, K=3)
+    policy, values = backward_induction(build_mdp_model(P, grid), 3)
+    legacy = tmp_path / "legacy.pol"
+    blob = legacy_artifact(legacy, policy, values)
+    assert len(blob.split(b"\n", 2)[2]) == artifact_size(3, 4, 3, values=True)
+    loaded = load_policy_artifact(legacy)
+    np.testing.assert_array_equal(loaded.actions, policy.actions)
+    np.testing.assert_array_equal(loaded.grid.levels_H, grid.levels_H)
+    assert loaded.params_hash == policy.params_hash
+    # the size check still covers the value block it does not read
+    for name, bad in (("padded", blob + b"\0"), ("truncated", blob[:-8]),
+                      ("no_values", blob[:-8 * (values.u.size + values.u_hat.size)])):
+        (tmp_path / f"{name}.pol").write_bytes(bad)
+        with pytest.raises(InvalidParameterError, match="implies"):
+            load_policy_artifact(tmp_path / f"{name}.pol")
 
 
 def test_artifact_rejects_corruption(tmp_path):
     grid = build_grid(P, M=3, K=2)
     model = build_mdp_model(P, grid)
-    policy, values = backward_induction(model, 2)
+    policy, _ = backward_induction(model, 2)
     f = tmp_path / "p.pol"
-    save_policy_artifact(f, policy, values)
+    save_policy_artifact(f, policy)
     blob = f.read_bytes()
     truncated = tmp_path / "t.pol"
     truncated.write_bytes(blob[:len(blob) - 16])
@@ -702,9 +762,9 @@ def test_artifact_rejects_oversized_header_claim_without_allocating(tmp_path):
 
 def test_artifact_rejects_trailing_byte_and_bad_headers(tmp_path):
     grid = build_grid(P, M=3, K=2)
-    policy, values = backward_induction(build_mdp_model(P, grid), 2)
+    policy, _ = backward_induction(build_mdp_model(P, grid), 2)
     f = tmp_path / "p.pol"
-    save_policy_artifact(f, policy, values)
+    save_policy_artifact(f, policy)
     blob = f.read_bytes()
     padded = tmp_path / "padded.pol"
     padded.write_bytes(blob + b"\0")
@@ -719,20 +779,11 @@ def test_artifact_rejects_trailing_byte_and_bad_headers(tmp_path):
         head.replace(b'"k":2', b'"k":0') + b"\n",     # k not positive
         head.replace(b'"m":3', b'"m":3.0') + b"\n",   # m not an integer
         head.replace(b'"n":2', b'"n":true') + b"\n",  # n a boolean
-        head.replace(b'"has_values":true', b'"has_values":1') + b"\n",
+        head.replace(b'"has_values":false', b'"has_values":0') + b"\n",
     ]
     for bad in bad_headers:
         with pytest.raises(InvalidParameterError):
             load_policy_artifact(artifact_with_header(tmp_path, bad, body))
     # the untouched header still loads
-    loaded, _ = load_policy_artifact(artifact_with_header(tmp_path, head + b"\n", body))
+    loaded = load_policy_artifact(artifact_with_header(tmp_path, head + b"\n", body))
     np.testing.assert_array_equal(loaded.actions, policy.actions)
-
-
-def test_artifact_rejects_mismatched_values(tmp_path):
-    grid = build_grid(P, M=3, K=2)
-    model = build_mdp_model(P, grid)
-    policy, values = backward_induction(model, 2)
-    stale = CostToGo(u=values.u, u_hat=values.u_hat, params_hash="deadbeef")
-    with pytest.raises(InvalidParameterError):
-        save_policy_artifact(tmp_path / "x.pol", policy, stale)
