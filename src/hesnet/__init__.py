@@ -26,7 +26,6 @@ from .model import (
     FrameBatch,
     FrameTrajectory,
     SystemParams,
-    UniformArrivals,
     channel_gain,
     cost_parameter,
     inversion_power,
@@ -95,7 +94,6 @@ from .sim import (
     offline_frame_metrics,
     run_batch,
     run_frame,
-    run_frame_multiuser,
     sample_multiuser_trajectories,
     sweep,
     write_manifest,

@@ -8,9 +8,11 @@ then --config, then command-line --set pairs and flags.  Unknown keys are
 rejected rather than ignored.
 
 Exit codes: 0 success, 2 configuration error (including a malformed,
-truncated or oversized policy artifact), 3 resource limit, 4
-artifact/parameter mismatch (including an offline evaluation on a battery
-below N * E_m, which the offline solvers do not model).
+truncated or oversized policy artifact), 3 resource limit (the
+exhaustive solver's block cap, a zeta grid of more than ZETA_GRID_MAX
+candidates), 4 artifact/parameter mismatch (including an offline
+evaluation on a battery below N * E_m, which the offline solvers do not
+model).
 """
 
 from __future__ import annotations
@@ -60,13 +62,8 @@ from .policies import (
 )
 from .sim import (
     GridOnlyPolicy,
-    apply_axis,
     file_sha256,
-    metrics_from_arrays,
-    metrics_row,
-    multiuser_frame_metrics,
     point_rows,
-    sample_multiuser_trajectories,
     sweep,
     write_manifest,
     write_rows_csv,
@@ -221,6 +218,10 @@ def _merge_source(kv: dict, source: str, field_map: dict, run_map: dict, raw: di
             raise ConfigError(f"{source}: unknown key {key!r}")
 
 
+# Most zeta candidates a grid may hold; the default 0:0.5:200 has 401.
+ZETA_GRID_MAX = 100_000
+
+
 def _parse_zeta_grid(value: str, source: str) -> tuple:
     parts = value.split(":")
     if len(parts) != 3:
@@ -228,8 +229,11 @@ def _parse_zeta_grid(value: str, source: str) -> tuple:
     start, step, stop = (_num(p, "zeta_grid", source) for p in parts)
     if step <= 0 or stop < start or start < 0:
         raise ConfigError(f"{source}: zeta_grid needs start >= 0, step > 0, stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(count))
+    intervals = (stop - start) / step + 1e-9
+    if not intervals < ZETA_GRID_MAX:   # also catches an overflow to inf
+        raise ResourceLimitError(
+            f"{source}: zeta_grid {value!r} holds more than {ZETA_GRID_MAX} candidates")
+    return tuple(start + i * step for i in range(int(math.floor(intervals)) + 1))
 
 
 def resolve_config(preset: str | None = None, config_path: str | None = None,
@@ -354,8 +358,11 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
     """Map config policy tokens to display-name -> factory(params) callables.
 
     mbia_mode: "load" reads trained artifacts (simulate), "train" runs the
-    induction inline per sweep point.  Returns (factories, include_offline,
-    zeta_log, artifact_log); the logs fill in as factories run.
+    induction inline per sweep point.  With users > 1, GT and Threshold map
+    to the joint rules, whose summed peak power is the point's p_H_max, and
+    the single-user-only tokens are refused.  Returns (factories,
+    include_offline, zeta_log, artifact_log); the logs fill in as factories
+    run.
     """
     factories: dict = {}
     include_offline = False
@@ -369,7 +376,10 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
         with lock:
             zeta_log[point.content_hash()[:12]] = {
                 "zeta_star": z, "lambda1": lam1, "lambda2": lam2}
-        return ThresholdHeuristic(ThresholdParams(z, lam1, lam2))
+        tp = ThresholdParams(z, lam1, lam2)
+        if cfg.users > 1:
+            return MultiuserThreshold([tp] * cfg.users, p_H_max_sum=point.p_H_max)
+        return ThresholdHeuristic(tp)
 
     def mbia_factory(m: int):
         def load(point: SystemParams):
@@ -399,8 +409,14 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
 
     for token in cfg.policies:
         t = token.lower()
+        if cfg.users > 1 and t not in ("gt", "th", "threshold", "ga", "greedy"):
+            raise ConfigError(
+                f"policy {token!r} is single-user only; runs with users={cfg.users} "
+                f"support GT, Threshold, GA")
         if t in ("ga", "greedy", "exhaustive"):
             include_offline = True
+        elif t == "gt" and cfg.users > 1:
+            factories["GT"] = lambda p: MultiuserGreedyTransmit(p_H_max_sum=p.p_H_max)
         elif t == "gt":
             factories["GT"] = lambda p: GreedyTransmit()
         elif t in ("la", "lookahead", "look-ahead"):
@@ -581,6 +597,8 @@ def _finish_run(cfg: RunConfig, rows, csv_name: str, manifest_name: str, **extra
     csv_path = out / csv_name
     write_rows_csv(csv_path, rows)
     manifest_path = out / manifest_name
+    if cfg.users > 1:
+        extras["per_user_bandwidth_hz"] = cfg.params.W
     write_manifest(manifest_path, cfg.params,
                    config=dict(cfg.raw), csv=csv_name, csv_sha256=file_sha256(csv_path),
                    frames=cfg.frames, seed=cfg.seed, users=cfg.users, **extras)
@@ -592,13 +610,9 @@ def _finish_run(cfg: RunConfig, rows, csv_name: str, manifest_name: str, **extra
 def cmd_simulate(cfg: RunConfig, args) -> int:
     if not cfg.policies:
         raise ConfigError("policy list is empty; set policies=... in the config")
-    if cfg.users > 1:
-        rows = _multiuser_rows(cfg, cfg.params, "none", 0.0)
-        return _finish_run(cfg, rows, "simulate.csv", "simulate_manifest.json",
-                           command="simulate",
-                           per_user_bandwidth_hz=cfg.params.W)
     factories, include_offline, zeta_log, artifact_log = _online_factories(cfg, "load")
-    rows = point_rows(cfg.params, "none", 0.0, factories, cfg.frames, cfg.seed, include_offline)
+    rows = point_rows(cfg.params, "none", 0.0, factories, cfg.frames, cfg.seed, include_offline,
+                      cfg.users)
     return _finish_run(cfg, rows, "simulate.csv", "simulate_manifest.json",
                        command="simulate", zeta=zeta_log, artifacts=artifact_log)
 
@@ -608,56 +622,15 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError("sweep needs axis=... and axis_values=... (e.g. axis=p_avg_mw)")
     if not cfg.policies:
         raise ConfigError("policy list is empty; set policies=... in the config")
-    csv_name = f"sweep_{cfg.axis_key}.csv"
-    if cfg.users > 1:
-        rows = []
-        for value in cfg.axis_values:
-            point = apply_axis(cfg.params, cfg.axis, value)
-            rows.extend(_multiuser_rows(cfg, point, cfg.axis, value))
-        return _finish_run(cfg, rows, csv_name, "sweep_manifest.json",
-                           command="sweep", axis=cfg.axis_key,
-                           axis_values=list(cfg.axis_values_raw),
-                           per_user_bandwidth_hz=cfg.params.W)
     factories, include_offline, zeta_log, artifact_log = _online_factories(cfg, "train")
     rows = sweep(cfg.params, cfg.axis, cfg.axis_values, factories, cfg.frames,
-                 cfg.seed, include_offline=include_offline, threads=cfg.threads)
-    return _finish_run(cfg, rows, csv_name, "sweep_manifest.json",
+                 cfg.seed, include_offline=include_offline, threads=cfg.threads,
+                 users=cfg.users)
+    return _finish_run(cfg, rows, f"sweep_{cfg.axis_key}.csv", "sweep_manifest.json",
                        command="sweep", axis=cfg.axis_key,
                        axis_values=list(cfg.axis_values_raw),
                        zeta=zeta_log, artifacts=artifact_log,
                        threads=cfg.threads, mbia_trained_inline=True)
-
-
-def _multiuser_rows(cfg: RunConfig, point: SystemParams, axis: str, value: float) -> list:
-    """Two-or-more-user evaluation at one parameter point.
-
-    Users are identical (same distances) and ride their own equal-bandwidth
-    sub-carriers, so they couple only through the shared EH battery and the
-    per-block sum-power caps of both stations.
-    """
-    users = cfg.users
-    plist = [point] * users
-    p_h_sum, p_g_sum = point.p_H_max, point.p_G_max
-    gg, gh, eh = sample_multiuser_trajectories(plist, cfg.seed, cfg.frames)
-    rows = []
-    for token in cfg.policies:
-        t = token.lower()
-        if t == "gt":
-            name, policy = "GT", MultiuserGreedyTransmit(p_H_max_sum=p_h_sum)
-        elif t in ("th", "threshold"):
-            lam1, lam2 = threshold_lambdas(point)
-            tps = [ThresholdParams(_resolve_zeta(cfg, point), lam1, lam2)] * users
-            name, policy = "Threshold", MultiuserThreshold(tps, p_H_max_sum=p_h_sum)
-        elif t in ("ga", "greedy"):
-            name, policy = "Greedy", "greedy"
-        else:
-            raise ConfigError(
-                f"policy {token!r} is single-user only; runs with users={users} "
-                f"support GT, Threshold, GA")
-        arrays = multiuser_frame_metrics(policy, gg, gh, eh, plist, p_h_sum, p_g_sum)
-        rows.append(metrics_row(metrics_from_arrays(name, users * point.N, cfg.seed, *arrays),
-                                axis, value))
-    return rows
 
 
 def cmd_calibrate_zeta(cfg: RunConfig, args) -> int:

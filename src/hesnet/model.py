@@ -27,7 +27,6 @@ from .errors import InvalidParameterError
 __all__ = [
     "SystemParams",
     "ExponentialFading",
-    "UniformArrivals",
     "FrameTrajectory",
     "channel_gain",
     "rate",
@@ -41,6 +40,7 @@ __all__ = [
     "make_rng",
     "sample_trajectory",
     "sample_trajectories",
+    "sample_multiuser_trajectories",
 ]
 
 
@@ -176,25 +176,6 @@ class ExponentialFading:
 
     def __repr__(self):
         return f"ExponentialFading(mean={self.mean!r})"
-
-
-class UniformArrivals:
-    """Energy harvested per block, uniform on [0, e_max] joules."""
-
-    def __init__(self, e_max: float):
-        if not (math.isfinite(e_max) and e_max > 0):
-            raise InvalidParameterError(f"arrival cap must be > 0, got {e_max!r}")
-        self.e_max = float(e_max)
-
-    @property
-    def mean(self) -> float:
-        return self.e_max / 2.0
-
-    def sample(self, rng: np.random.Generator, size: int | tuple) -> np.ndarray:
-        return rng.uniform(0.0, self.e_max, size)
-
-    def __repr__(self):
-        return f"UniformArrivals(e_max={self.e_max!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -366,48 +347,53 @@ class FrameBatch:
         return self.gamma_g.shape[0]
 
 
-def _default_models(params: SystemParams, fading_G, fading_H, arrivals):
-    fading_G = fading_G if fading_G is not None else ExponentialFading(params.mu_G)
-    fading_H = fading_H if fading_H is not None else ExponentialFading(params.mu_H)
-    arrivals = arrivals if arrivals is not None else UniformArrivals(params.E_m)
-    return fading_G, fading_H, arrivals
+def _sample(params_list, keys):
+    """(frames, U, N) gains and (frames, N) arrivals, frame f drawn from
+    make_rng(*keys[f]) in a fixed order: user 1 grid gains, user 1
+    harvesting gains, user 2 grid gains, ..., then the shared arrivals,
+    uniform on [0, E_m]."""
+    if not keys:
+        raise InvalidParameterError("frames must be >= 1")
+    users, n, e_m = len(params_list), params_list[0].N, params_list[0].E_m
+    gg = np.empty((len(keys), users, n))
+    gh = np.empty((len(keys), users, n))
+    eh = np.empty((len(keys), n))
+    for f, key in enumerate(keys):
+        rng = make_rng(*key)
+        for u, p in enumerate(params_list):
+            gg[f, u] = rng.exponential(p.mu_G, n)
+            gh[f, u] = rng.exponential(p.mu_H, n)
+        eh[f] = rng.uniform(0.0, e_m, n)
+    return gg, gh, eh
 
 
-def sample_trajectory(params: SystemParams, seed, *, fading_G=None, fading_H=None,
-                      arrivals=None) -> FrameTrajectory:
+def sample_trajectory(params: SystemParams, seed) -> FrameTrajectory:
     """Draw one frame of channel gains and arrivals.
 
-    `seed` is an int or an (int, int) pair; draw order is fixed (grid gains,
-    then harvesting gains, then arrivals) so results are reproducible.
+    `seed` is an int or an (int, int) pair; the pair (s, f) gives frame f of
+    `sample_trajectories(params, s, ...)`.
     """
-    fading_G, fading_H, arrivals = _default_models(params, fading_G, fading_H, arrivals)
-    key = seed if isinstance(seed, (tuple, list)) else (seed,)
-    rng = make_rng(*key)
-    return FrameTrajectory(
-        gamma_G=fading_G.sample(rng, params.N),
-        gamma_H=fading_H.sample(rng, params.N),
-        e_H=arrivals.sample(rng, params.N),
-    )
+    key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    gg, gh, eh = _sample([params], [key])
+    return FrameTrajectory(gamma_G=gg[0, 0], gamma_H=gh[0, 0], e_H=eh[0])
 
 
-def sample_trajectories(params: SystemParams, seed: int, frames: int, *,
-                        fading_G=None, fading_H=None, arrivals=None):
-    """Batch of frames as (frames, N) arrays (gamma_G, gamma_H, e_H).
+def sample_trajectories(params: SystemParams, seed: int, frames: int):
+    """Batch of frames as (frames, N) arrays (gamma_G, gamma_H, e_H): the
+    one-user slice of `sample_multiuser_trajectories`.
 
     Frame f is keyed (seed, f): the first half of a 2n-frame batch is
     bit-identical to the n-frame batch, and disjoint workers can split the
     frame range without sharing generator state.
     """
-    if frames < 1:
-        raise InvalidParameterError(f"frames must be >= 1, got {frames!r}")
-    fading_G, fading_H, arrivals = _default_models(params, fading_G, fading_H, arrivals)
-    n = params.N
-    gg = np.empty((frames, n))
-    gh = np.empty((frames, n))
-    eh = np.empty((frames, n))
-    for f in range(frames):
-        rng = make_rng(seed, f)
-        gg[f] = fading_G.sample(rng, n)
-        gh[f] = fading_H.sample(rng, n)
-        eh[f] = arrivals.sample(rng, n)
-    return gg, gh, eh
+    gg, gh, eh = _sample([params], [(seed, f) for f in range(frames)])
+    return gg[:, 0], gh[:, 0], eh
+
+
+def sample_multiuser_trajectories(params_list, seed: int, frames: int):
+    """Independent per-user fading over a shared arrival stream.
+
+    Returns (gamma_G (frames, U, N), gamma_H (frames, U, N), e_H (frames, N)),
+    frame f keyed (seed, f) like `sample_trajectories`.
+    """
+    return _sample(list(params_list), [(seed, f) for f in range(frames)])

@@ -1,11 +1,12 @@
 """Causal serving policies: greedy, calibrated threshold, table lookups.
 
-Everything here decides one block at a time from the block index, the
-battery and the block's precomputed link terms: a column of a `FrameBatch`,
-or each user's inversion power and skip cost for the joint rules.  The
-threshold rule needs two closed-form constants, the mean skip cost lambda1
-and the mean feasible battery power lambda2; they are exact for exponential
-fading, and a Monte Carlo cross-check of both lives in the test suite.
+Everything here decides one block of a batch of frames at a time from the
+block index, the battery states and the block's precomputed link terms: a
+column of a `FrameBatch`, or each user's inversion powers and skip costs
+for the joint rules.  The threshold rule needs two closed-form constants,
+the mean skip cost lambda1 and the mean feasible battery power lambda2;
+they are exact for exponential fading, and a Monte Carlo cross-check of
+both lives in the test suite.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ def _threshold_serve(block, battery, p_h, score, level, params: SystemParams, p_
     Infeasible states never serve; the last block serves whenever feasible;
     otherwise serve when battery * score clears `level`, where score is
     metric(skip cost, p_h) and level comes from _threshold_level.  Operands
-    broadcast: a (frames,) block, a (users,) block sharing one battery, or
-    a (candidates, frames) block of battery states against per-frame p_h
-    and score.
+    broadcast: a (frames,) block, a (frames, users) block against a
+    (frames, 1) shared battery, or a (candidates, frames) block of battery
+    states against per-frame p_h and score.
     """
     feas = serve_feasible(p_h, battery, params, p_max)
     if block >= params.N - 1:
@@ -303,22 +304,26 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
 # ---------------------------------------------------------------------------
 #
 # A joint policy decides only through decide_joint(block, battery, p_h, skip,
-# params_list): one block of one frame, the (users,) harvesting inversion
-# powers and skip costs and a shared battery in, 0/1 per user out.  Users
-# share N and tau (run_frame_multiuser checks).
+# params_list): one block of a batch of frames, the (frames,) shared battery
+# states and the (frames, users) harvesting inversion powers and skip costs
+# in, a (frames, users) 0/1 array out.  Users share N and tau
+# (multiuser_frame_metrics checks).
 
-def _admit(order, p_h, battery, p_H_max_sum: float, tau: float):
-    """Serve users in `order` while the summed peak power and the shared
-    battery hold out.  Returns a 0/1 vector over users."""
-    acts = np.zeros(p_h.shape[0], dtype=np.int8)
-    power_used = 0.0
-    energy_used = 0.0
-    for u in order:
-        spend = p_h[u] * tau
-        if power_used + p_h[u] <= p_H_max_sum and energy_used + spend <= battery:
-            power_used += p_h[u]
-            energy_used += spend
-            acts[u] = 1
+def _admit(order, eligible, p_h, battery, p_H_max_sum: float, tau: float):
+    """Serve eligible users in `order`, a (frames, users) permutation per
+    row, while the summed peak power and the shared battery hold out."""
+    rows = np.arange(p_h.shape[0])
+    acts = np.zeros(p_h.shape, dtype=np.int8)
+    power_used = np.zeros(p_h.shape[0])
+    energy_used = np.zeros(p_h.shape[0])
+    for u in order.T:
+        p = p_h[rows, u]
+        spend = p * tau
+        ok = (eligible[rows, u] & (power_used + p <= p_H_max_sum)
+              & (energy_used + spend <= battery))
+        power_used = np.where(ok, power_used + p, power_used)
+        energy_used = np.where(ok, energy_used + spend, energy_used)
+        acts[rows, u] = ok
     return acts
 
 
@@ -339,20 +344,17 @@ class MultiuserThreshold:
 
     def decide_joint(self, block, battery, p_h, skip, params_list):
         users = len(params_list)
-        if not (len(self.tps) == len(p_h) == len(skip) == users):
+        if not (len(self.tps) == np.shape(p_h)[-1] == np.shape(skip)[-1] == users):
             raise InvalidParameterError("tps, link terms and params_list must align")
         base = params_list[0]
-        score = np.zeros(users)
-        level = np.zeros(users)
-        # only users who can be served need a score and a level
-        for u in np.flatnonzero(serve_feasible(p_h, battery, base, self.p_H_max_sum)):
-            p, tp = params_list[u], self.tps[u]
-            score[u] = self.metric(skip[u], p_h[u])
-            level[u] = _threshold_level(tp.zeta, tp.lambda1, tp.lambda2, p, self.metric)
-        serve = np.flatnonzero(
-            _threshold_serve(block, battery, p_h, score, level, base, self.p_H_max_sum))
-        order = serve[np.argsort(-score[serve], kind="stable")]
-        return _admit(order, p_h, battery, self.p_H_max_sum, base.tau)
+        level = np.array([_threshold_level(tp.zeta, tp.lambda1, tp.lambda2, p, self.metric)
+                          for tp, p in zip(self.tps, params_list)])
+        with np.errstate(invalid="ignore"):
+            score = np.asarray(self.metric(skip, p_h), dtype=float)
+        tentative = _threshold_serve(block, battery[:, None], p_h, score, level, base,
+                                     self.p_H_max_sum)
+        return _admit(np.argsort(-score, axis=1, kind="stable"), tentative, p_h, battery,
+                      self.p_H_max_sum, base.tau)
 
 
 class MultiuserGreedyTransmit:
@@ -363,5 +365,5 @@ class MultiuserGreedyTransmit:
         self.name = name
 
     def decide_joint(self, block, battery, p_h, skip, params_list):
-        return _admit(np.argsort(p_h, kind="stable"), p_h, battery, self.p_H_max_sum,
-                      params_list[0].tau)
+        return _admit(np.argsort(p_h, axis=1, kind="stable"), np.ones(p_h.shape, dtype=bool),
+                      p_h, battery, self.p_H_max_sum, params_list[0].tau)

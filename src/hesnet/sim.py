@@ -6,9 +6,11 @@ inside one battery walk, `_walk`, which yields serve masks: `run_batch` sums
 the block terms with +=, `run_frame` (a one-frame batch) with math.fsum, so
 its cost matches offline solver costs bit for bit, and the zeta calibrator
 sums skip costs only.  Offline plans are scored by `expand_solution` on
-instances built from batch rows.  Multi-user frames go through
-`run_frame_multiuser` in one loop, `multiuser_frame_metrics`, and
-`metrics_from_arrays` is the one aggregator.
+instances built from batch rows.  Multi-user frames walk in lockstep too,
+in `multiuser_frame_metrics`: joint policies decide through `decide_joint`
+for all frames of one block at once and the totals are row-wise math.fsum.
+`point_rows` and `sweep` run either walk, and `metrics_from_arrays` is the
+one aggregator.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidActionError, InvalidParameterError
-from .model import FrameBatch, FrameTrajectory, SystemParams, link_terms, make_rng, sample_trajectories
+from .model import (
+    FrameBatch,
+    FrameTrajectory,
+    SystemParams,
+    sample_multiuser_trajectories,
+    sample_trajectories,
+)
 from .offline import (
     ENERGY_RTOL,
     EXHAUSTIVE_CAP,
@@ -47,7 +55,6 @@ __all__ = [
     "point_rows",
     "ScriptedMultiuserAssignment",
     "sample_multiuser_trajectories",
-    "run_frame_multiuser",
     "multiuser_frame_metrics",
     "multiuser_monte_carlo",
     "write_rows_csv",
@@ -274,34 +281,52 @@ def metrics_row(m: RunMetrics, axis: str, value: float) -> dict:
 
 
 def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
-               frames: int, seed: int, include_offline: bool) -> list[dict]:
+               frames: int, seed: int, include_offline: bool, users: int = 1) -> list[dict]:
     """Rows of every policy at one parameter point, on shared trajectories.
 
     `axis` and `value` only label the rows; a point run passes "none", 0.0.
-    With `include_offline` the offline greedy rows follow, plus the
-    exhaustive optimum whenever 2^N enumeration is within the cap.
+    One user walks `run_batch`.  `users` > 1 identical users share the EH
+    battery and both stations' per-block peak powers (`point.p_H_max`,
+    `point.p_G_max`) through `multiuser_frame_metrics`, and the factories
+    must build joint policies.  With `include_offline` the offline greedy
+    rows follow, plus, for one user, the exhaustive optimum whenever 2^N
+    enumeration is within the cap.
     """
-    gg, gh, eh = sample_trajectories(point, seed, frames)
-    runs = [(name, run_batch(factory(point), point, gg, gh, eh))
-            for name, factory in policy_factories.items()]
-    if include_offline:
+    if users == 1:
+        gg, gh, eh = sample_trajectories(point, seed, frames)
         solvers = ("greedy", "exhaustive") if point.N <= EXHAUSTIVE_CAP else ("greedy",)
-        runs += [(solver.capitalize(), offline_frame_metrics(point, gg, gh, eh, solver=solver))
-                 for solver in solvers]
-    return [metrics_row(metrics_from_arrays(name, point.N, seed, *arrays), axis, value)
+
+        def online(policy):
+            return run_batch(policy, point, gg, gh, eh)
+
+        def offline(solver):
+            return offline_frame_metrics(point, gg, gh, eh, solver=solver)
+    else:
+        plist = [point] * users
+        gg, gh, eh = sample_multiuser_trajectories(plist, seed, frames)
+        solvers = ("greedy",)
+
+        def online(policy):
+            return multiuser_frame_metrics(policy, gg, gh, eh, plist, point.p_H_max,
+                                           point.p_G_max)
+
+        offline = online
+    runs = [(name, online(factory(point))) for name, factory in policy_factories.items()]
+    if include_offline:
+        runs += [(solver.capitalize(), offline(solver)) for solver in solvers]
+    return [metrics_row(metrics_from_arrays(name, users * point.N, seed, *arrays), axis, value)
             for name, arrays in runs]
 
 
 def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
           frames: int, seed: int, *, include_offline: bool = True,
-          threads: int = 1) -> list[dict]:
+          threads: int = 1, users: int = 1) -> list[dict]:
     """Evaluate policies across one parameter axis with shared trajectories.
 
     `policy_factories` maps a display name to a callable(params) -> policy,
     so per-point state (retrained tables, recalibrated thresholds) is built
-    where it belongs.  The offline greedy bound is always appended when
-    `include_offline`, plus the exhaustive optimum whenever 2^N enumeration
-    is within the cap.
+    where it belongs.  Each point's rows come from `point_rows`, for
+    `users` users, with the offline rows last when `include_offline`.
 
     Axis points are independent, so with `threads` > 1 they are evaluated
     concurrently; row order stays (value-major, policy-minor) either way.
@@ -312,7 +337,7 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
 
     def at(v):
         return point_rows(apply_axis(params, axis, v), axis, v, policy_factories, frames,
-                          seed, include_offline)
+                          seed, include_offline, users)
 
     if threads == 1 or len(values) <= 1:
         chunks = [at(v) for v in values]
@@ -329,49 +354,34 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
 # ---------------------------------------------------------------------------
 
 class ScriptedMultiuserAssignment:
-    """Replays a (users, N) serving matrix, e.g. a pooled offline solution."""
+    """Replays a (frames, users, N) serving plan, e.g. pooled offline
+    solutions."""
 
     def __init__(self, sel, name: str = "Scripted"):
         self.sel = np.asarray(sel, dtype=np.int8)
         self.name = name
 
     def decide_joint(self, block, battery, p_h, skip, params_list):
-        return self.sel[:, block]
+        if self.sel.shape[0] != battery.shape[0]:
+            raise InvalidParameterError("scripted plan does not cover this batch")
+        return self.sel[:, :, block]
 
 
-def sample_multiuser_trajectories(params_list, seed: int, frames: int):
-    """Independent per-user fading over a shared arrival stream.
+def multiuser_frame_metrics(policy, gamma_g, gamma_h, e_h, params_list,
+                            p_H_max_sum: float, p_G_max_sum: float):
+    """Walk (frames, U, N) multi-user trajectories in lockstep.
 
-    Returns (gamma_G (frames, U, N), gamma_H (frames, U, N), e_H (frames, N)).
-    Frame f is keyed (seed, f) with a fixed draw order: user 1 G-gains, user
-    1 H-gains, user 2 G-gains, ..., then the arrivals.
+    One battery per frame, shared by the users.  Per block the joint policy
+    (or, for `policy` "greedy", the pooled offline plans of one `greedy_plan`
+    over all frames) picks the users the harvesting BS serves; they must
+    jointly respect the battery and its summed peak power, and a policy
+    breaking either is an internal invariant breach.  Users left to the grid
+    BS are admitted cheapest inversion power first (ties: lower user) until
+    its summed peak power is exhausted; the rest drop.  Returns per-frame
+    arrays (costs, grid energies, drop counts), the sums totalled with
+    math.fsum.
     """
-    users = len(params_list)
-    base = params_list[0]
-    n = base.N
-    gg = np.empty((frames, users, n))
-    gh = np.empty((frames, users, n))
-    eh = np.empty((frames, n))
-    for f in range(frames):
-        rng = make_rng(seed, f)
-        for u, p in enumerate(params_list):
-            gg[f, u] = rng.exponential(p.mu_G, n)
-            gh[f, u] = rng.exponential(p.mu_H, n)
-        eh[f] = rng.uniform(0.0, base.E_m, n)
-    return gg, gh, eh
-
-
-def run_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
-                        p_H_max_sum: float, p_G_max_sum: float):
-    """Walk one multi-user frame against the shared battery and caps.
-
-    Served users must jointly respect the battery and the harvesting BS's
-    summed peak power; a policy breaking either is an internal invariant
-    breach.  Users left to the grid BS are admitted cheapest-power-first
-    until its summed peak power is exhausted; the rest drop.  Returns
-    (total cost over users, grid energy in J, dropped packets).
-    """
-    users, n = np.shape(gamma_g)
+    frames, users, n = np.shape(gamma_g)
     if users != len(params_list):
         raise InvalidParameterError("one SystemParams per user required")
     base = params_list[0]
@@ -380,71 +390,61 @@ def run_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
             raise InvalidParameterError("users must share frame and battery structure")
     if n != base.N:
         raise InvalidParameterError(f"trajectories have {n} blocks, params.N = {base.N}")
-    p_inv_g, p_inv_h, skip, transmits = (
-        np.stack(terms) for terms in zip(*(link_terms(gamma_g[u], gamma_h[u], p)
-                                           for u, p in enumerate(params_list))))
-    battery = 0.0
-    block_costs = []
-    grid_terms = []
-    drops = 0
-    for i in range(n):
-        battery = min(battery + float(e_h[i]), base.B_m)
-        acts = np.asarray(policy.decide_joint(i, battery, p_inv_h[:, i], skip[:, i],
-                                              params_list))
-        served = np.flatnonzero(acts == 1)
-        left = np.flatnonzero(acts == 0)
-        if served.size + left.size != users:
-            raise InvalidActionError(f"joint policy returned {acts.tolist()!r} at block {i + 1}, "
-                                     "expected 0 or 1 per user")
-        p_served = p_inv_h[served, i]
-        spend = float(np.sum(p_served) * base.tau) if served.size else 0.0
-        if served.size and (np.sum(p_served) > p_H_max_sum * (1.0 + 1e-12)
-                            or spend > battery * (1.0 + ENERGY_RTOL) + 1e-18):
-            raise InvalidActionError(
-                f"joint policy overdrew block {i + 1}: sum power "
-                f"{float(np.sum(p_served))!r} W, spend {spend!r} J, battery {battery!r} J")
-        battery = max(battery - spend, 0.0)
-        # grid admission: cheapest inversion power first, sum-capped
-        used = 0.0
-        for u in sorted(left, key=lambda u: p_inv_g[u, i]):
-            p = params_list[u]
-            if transmits[u, i] and used + p_inv_g[u, i] <= p_G_max_sum * (1.0 + 1e-12):
-                used += p_inv_g[u, i]
-                block_costs.append(skip[u, i])
-                grid_terms.append(p_inv_g[u, i] * p.tau)
-            else:
-                block_costs.append(p.w_D)
-                drops += 1
-    return math.fsum(block_costs), math.fsum(grid_terms), drops
-
-
-def multiuser_frame_metrics(policy, gamma_g, gamma_h, e_h, params_list,
-                            p_H_max_sum: float, p_G_max_sum: float):
-    """Walk (frames, U, N) multi-user trajectories one frame at a time.
-
-    `policy` is a joint policy, or "greedy" for the pooled offline plans
-    (one `greedy_plan` over all frames) walked through the same frame
-    simulator.  Returns per-frame arrays (costs, grid energies, drop counts).
-    """
-    frames = gamma_g.shape[0]
-    policies = [policy] * frames
+    batches = [FrameBatch(p, gamma_g[:, u], gamma_h[:, u], e_h) for u, p in enumerate(params_list)]
+    p_g, p_h, skip, transmits = (np.stack([getattr(b, name) for b in batches], axis=1)
+                                 for name in ("p_g", "p_h", "skip", "transmits"))
     if isinstance(policy, str):
         if policy != "greedy":
             raise InvalidParameterError(f"unknown multi-user offline solver {policy!r}")
-        require_uncapped_battery(params_list[0])
-        batches = [FrameBatch(p, gamma_g[:, u], gamma_h[:, u], e_h)
-                   for u, p in enumerate(params_list)]
-        plans = greedy_plan(np.stack([b.skip for b in batches], axis=1),
-                            np.stack([b.p_h for b in batches], axis=1), e_h,
-                            params_list[0].tau, p_H_max_sum)
-        policies = [ScriptedMultiuserAssignment(sel) for sel in plans]
-    costs = np.zeros(frames)
-    grid = np.zeros(frames)
+        require_uncapped_battery(base)
+        policy = ScriptedMultiuserAssignment(greedy_plan(skip, p_h, e_h, base.tau, p_H_max_sum))
+    w_d = np.array([p.w_D for p in params_list])
+    rows = np.arange(frames)
+    costs = np.zeros((frames, users, n))
+    grid = np.zeros((frames, users, n))
     drops = np.zeros(frames, dtype=np.int64)
-    for f, frame_policy in enumerate(policies):
-        costs[f], grid[f], drops[f] = run_frame_multiuser(
-            frame_policy, gamma_g[f], gamma_h[f], e_h[f], params_list, p_H_max_sum, p_G_max_sum)
-    return costs, grid, drops
+    battery = np.zeros(frames)
+    for i in range(n):
+        battery = np.minimum(battery + e_h[:, i], base.B_m)
+        acts = np.asarray(policy.decide_joint(i, battery, p_h[:, :, i], skip[:, :, i],
+                                              params_list))
+        if acts.shape != (frames, users):
+            raise InvalidActionError(f"joint policy returned shape {acts.shape} at block "
+                                     f"{i + 1}, expected {(frames, users)}")
+        serve = acts == 1
+        valid = serve | (acts == 0)
+        if not np.all(valid):
+            f = int(np.argmin(valid.all(axis=1)))
+            raise InvalidActionError(f"joint policy returned {acts[f].tolist()!r} at block "
+                                     f"{i + 1} of frame {f}, expected 0 or 1 per user")
+        power = np.zeros(frames)
+        for u in range(users):   # in user order, as the offline engine sums
+            power += np.where(serve[:, u], p_h[:, u, i], 0.0)
+        spend = power * base.tau
+        bad = serve.any(axis=1) & ((power > p_H_max_sum * (1.0 + 1e-12))
+                                   | (spend > battery * (1.0 + ENERGY_RTOL) + 1e-18))
+        if np.any(bad):
+            f = int(np.argmax(bad))
+            raise InvalidActionError(
+                f"joint policy overdrew block {i + 1} of frame {f}: sum power "
+                f"{float(power[f])!r} W, spend {float(spend[f])!r} J, battery "
+                f"{float(battery[f])!r} J")
+        battery = np.maximum(battery - spend, 0.0)
+        # grid admission: cheapest inversion power first, sum-capped
+        used = np.zeros(frames)
+        admitted = np.zeros((frames, users), dtype=bool)
+        for u in np.argsort(p_g[:, :, i], axis=1, kind="stable").T:
+            p = p_g[rows, u, i]
+            admit = (~serve[rows, u] & transmits[rows, u, i]
+                     & (used + p <= p_G_max_sum * (1.0 + 1e-12)))
+            used = np.where(admit, used + p, used)
+            admitted[rows, u] = admit
+        costs[:, :, i] = np.where(serve, 0.0, np.where(admitted, skip[:, :, i], w_d))
+        grid[:, :, i] = np.where(admitted, p_g[:, :, i] * base.tau, 0.0)
+        drops += np.sum(~serve & ~admitted, axis=1)
+    return (np.array([math.fsum(row) for row in costs.reshape(frames, -1).tolist()]),
+            np.array([math.fsum(row) for row in grid.reshape(frames, -1).tolist()]),
+            drops)
 
 
 def multiuser_monte_carlo(policy, params_list, p_H_max_sum: float, p_G_max_sum: float,

@@ -3,12 +3,22 @@
 import hashlib
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hesnet.cli import AXES, PARAM_KEYS, RunConfig, main, parse_kv_text, resolve_config
-from hesnet.errors import ConfigError
+from hesnet.cli import (
+    AXES,
+    PARAM_KEYS,
+    ZETA_GRID_MAX,
+    RunConfig,
+    main,
+    parse_kv_text,
+    resolve_config,
+)
+from hesnet.errors import ConfigError, ResourceLimitError
 from hesnet.mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction
 from hesnet.model import SystemParams
 
@@ -102,6 +112,24 @@ def test_zeta_parsing():
     assert grid == tuple(float(x) for x in range(0, 31, 5))
     with pytest.raises(ConfigError, match="zeta_grid"):
         resolve_config(overrides={"zeta_grid": "0,5,30"})
+
+
+def test_oversized_zeta_grid_is_refused_before_it_is_built(tmp_path, capsys):
+    assert len(resolve_config().zeta_grid) == 401
+    assert len(resolve_config(overrides={"zeta_grid": f"0:1:{ZETA_GRID_MAX - 1}"}).zeta_grid) \
+        == ZETA_GRID_MAX
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        for grid in ("0:1e-12:1", f"0:1:{ZETA_GRID_MAX}", "0:1e-320:1e300"):
+            with pytest.raises(ResourceLimitError, match="zeta_grid"):
+                resolve_config(overrides={"zeta_grid": grid})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0 and peak < 1 << 20
+    assert main(["calibrate-zeta", "--zeta-grid", "0:1e-12:1", "--out", str(tmp_path)]) == 3
+    assert "zeta_grid" in capsys.readouterr().err
 
 
 def test_all_presets_resolve():
@@ -305,9 +333,11 @@ def test_simulate_rejects_unknown_policy(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
-def test_simulate_two_user_rejects_table_policies(tmp_path):
-    assert main(["simulate"] + SMALL + ["--set", "users=2",
-                 "--set", "policies=MBIA-M4", "--out", str(tmp_path)]) == 2
+def test_simulate_two_user_rejects_table_policies(tmp_path, capsys):
+    for token in ("MBIA-M4", "LA", "GP-only", "Exhaustive"):
+        assert main(["simulate"] + SMALL + ["--set", "users=2",
+                     "--set", f"policies=GT,{token}", "--out", str(tmp_path)]) == 2
+        assert "single-user only" in capsys.readouterr().err
 
 
 def test_simulate_two_user_runs(tmp_path):
@@ -330,20 +360,25 @@ def test_sweep_axis_required(tmp_path):
 
 
 def test_sweep_rows_and_threads_determinism(tmp_path):
-    base = ["sweep"] + SMALL + ["--set", "policies=GT,MBIA-M4,GA",
-                                "--axis", "w_d", "--axis-values", "0.01,1.0"]
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(base + ["--out", str(out1), "--threads", "1"]) == 0
-    assert main(base + ["--out", str(out2), "--threads", "2"]) == 0
-    text1 = (out1 / "sweep_w_d.csv").read_text()
-    assert text1 == (out2 / "sweep_w_d.csv").read_text()
-    lines = text1.splitlines()
-    assert lines[0] == GOLDEN_HEADER
-    assert len(lines) == 1 + 2 * 4  # two points x (GT, MBIA-M4, Greedy, Exhaustive)
-    manifest = json.loads((out1 / "sweep_manifest.json").read_text())
-    assert manifest["axis"] == "w_d"
-    assert manifest["axis_values"] == [0.01, 1.0]
-    assert manifest["mbia_trained_inline"] is True
+    cases = [(1, "GT,MBIA-M4,GA", ["GT", "MBIA-M4", "Greedy", "Exhaustive"]),
+             (2, "GA,GT,Threshold", ["GT", "Threshold", "Greedy"])]   # offline rows last
+    for users, policies, rows in cases:
+        base = ["sweep"] + SMALL + ["--set", f"users={users}", "--set", f"policies={policies}",
+                                    "--axis", "w_d", "--axis-values", "0.01,1.0"]
+        out1, out2 = tmp_path / f"a{users}", tmp_path / f"b{users}"
+        assert main(base + ["--out", str(out1), "--threads", "1"]) == 0
+        assert main(base + ["--out", str(out2), "--threads", "2"]) == 0
+        text1 = (out1 / "sweep_w_d.csv").read_text()
+        assert text1 == (out2 / "sweep_w_d.csv").read_text()
+        lines = text1.splitlines()
+        assert lines[0] == GOLDEN_HEADER
+        assert [l.split(",", 1)[0] for l in lines[1:]] == rows * 2   # two points
+        manifest = json.loads((out1 / "sweep_manifest.json").read_text())
+        assert manifest["axis"] == "w_d"
+        assert manifest["axis_values"] == [0.01, 1.0]
+        assert manifest["mbia_trained_inline"] is True
+        assert (manifest["users"], manifest["threads"]) == (users, 1)
+        assert ("per_user_bandwidth_hz" in manifest) == (users > 1)
 
 
 def test_sweep_preset_smoke(tmp_path):

@@ -1,12 +1,13 @@
 """Byte identity of the CLI's result files.
 
-A tiny `sweep` CSV of every shipped preset and one `calibrate-zeta`
-zeta.json are pinned by sha256.  Together they run every single-user policy,
-the two-user walk, inline MBIA and look-ahead training, zeta calibration and
-both offline solvers, so a refactor that claims to change no number has to
-keep these bytes; a change that moves a number on purpose updates the
-hashes and says why.  The hashes were taken on x86-64 Linux with numpy 2.4
-and scipy 1.17.
+A tiny `sweep` CSV of every shipped preset, two multi-user edges (a
+three-user `simulate` and a two-user sweep whose grid sum cap binds) and
+one `calibrate-zeta` zeta.json are pinned by sha256.  Together they run
+every single-user policy, the multi-user walk, inline MBIA and look-ahead
+training, zeta calibration and both offline solvers, so a refactor that
+claims to change no number has to keep these bytes; a change that moves a
+number on purpose updates the hashes and says why.  The hashes were taken
+on x86-64 Linux with numpy 2.4 and scipy 1.17.
 """
 
 import hashlib
@@ -35,6 +36,16 @@ SWEEP_SHA256 = {
 
 ZETA_SHA256 = "2518893342e4d6f770c0d3280d081f5e1034ffba5ba1f1135189b378fb049453"
 
+MULTIUSER_SHA256 = {
+    "three-user-simulate": (
+        ["simulate", "--set", "users=3", "--set", "policies=GT,Threshold,GA"], "simulate.csv",
+        "2a3a50107e3322022e69dee56109ec6477f45c3302f6a3ad00fc12f9f042a6e3"),
+    "two-user-binding-grid-cap": (
+        ["sweep", "--preset", "fig5-two-user", "--set", "p_g_max_w=0.3",
+         "--set", "p_h_max_w=0.2"], "sweep_p_avg_mw.csv",
+        "8974b7b0ef7d799cb00493e7429ff51a533d0b24a00fdc64b4479f8841b54654"),
+}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -46,6 +57,13 @@ def test_tiny_sweep_csv_bytes(preset, tmp_path):
     axis = ["--axis", "p_avg_mw", "--axis-values", "15,20"] if preset == "default" else []
     assert main(["sweep", "--preset", preset, *TINY, *axis, "--out", str(tmp_path)]) == 0
     name, digest = SWEEP_SHA256[preset]
+    assert sha256(tmp_path / name) == digest
+
+
+@pytest.mark.parametrize("case", sorted(MULTIUSER_SHA256))
+def test_tiny_multiuser_csv_bytes(case, tmp_path):
+    argv, name, digest = MULTIUSER_SHA256[case]
+    assert main([*argv, *TINY, "--out", str(tmp_path)]) == 0
     assert sha256(tmp_path / name) == digest
 
 

@@ -12,7 +12,6 @@ from hesnet.model import (
     FrameBatch,
     FrameTrajectory,
     SystemParams,
-    UniformArrivals,
     channel_gain,
     cost_parameter,
     inversion_power,
@@ -21,6 +20,7 @@ from hesnet.model import (
     make_rng,
     rate,
     required_snr,
+    sample_multiuser_trajectories,
     sample_trajectories,
     sample_trajectory,
 )
@@ -142,12 +142,11 @@ def test_exponential_sampling_moments():
 
 
 def test_uniform_arrivals_moments():
-    a = UniformArrivals(4e-5)
-    assert a.mean == 2e-5
-    x = a.sample(make_rng(12), 1_000_000)
-    assert np.all((x >= 0) & (x <= 4e-5))
-    se = 4e-5 / math.sqrt(12 * x.size)
-    assert abs(x.mean() - 2e-5) < 4 * se
+    # sampled arrivals are uniform on [0, E_m], so their mean is P_avg * tau
+    _, _, x = sample_trajectories(P, 12, 4000)
+    assert np.all((x >= 0) & (x <= P.E_m))
+    se = P.E_m / math.sqrt(12 * x.size)
+    assert abs(x.mean() - P.P_avg * P.tau) < 4 * se
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +223,30 @@ def test_batch_sampling_matches_per_frame_keys():
     # prefix property: a longer batch starts with the shorter one
     gg2, _, _ = sample_trajectories(P, 9, 12)
     np.testing.assert_array_equal(gg2[:6], gg)
+
+
+@pytest.mark.parametrize("params", [P, P.evolve(mu_G=2.0, mu_H=0.5, N=7)])
+def test_sampler_draw_order_and_one_user_slice(params):
+    # frame f draws grid gains, harvesting gains, then arrivals from the
+    # (seed, f) generator; the single-user batch is the one-user slice of
+    # the multi-user sampler, and a second user draws after the first
+    gg, gh, eh = sample_trajectories(params, 14, 5)
+    mg, mh, me = sample_multiuser_trajectories([params, params.evolve(mu_G=3.0)], 14, 5)
+    n = params.N
+    for f in range(5):
+        rng = make_rng(14, f)
+        single = (rng.exponential(params.mu_G, n), rng.exponential(params.mu_H, n),
+                  rng.uniform(0.0, params.E_m, n))
+        assert all(np.array_equal(got, want) for got, want in zip((gg[f], gh[f], eh[f]), single))
+        rng = make_rng(14, f)
+        pair = (rng.exponential(params.mu_G, n), rng.exponential(params.mu_H, n),
+                rng.exponential(3.0, n), rng.exponential(params.mu_H, n),
+                rng.uniform(0.0, params.E_m, n))
+        got = (mg[f, 0], mh[f, 0], mg[f, 1], mh[f, 1], me[f])
+        assert all(np.array_equal(g, want) for g, want in zip(got, pair))
+    assert gg.flags.c_contiguous and gg.shape == (5, params.N)
+    with pytest.raises(InvalidParameterError, match="frames"):
+        sample_trajectories(params, 14, 0)
 
 
 def test_trajectory_validation():

@@ -17,7 +17,6 @@ from hesnet.model import (
     ExponentialFading,
     FrameBatch,
     SystemParams,
-    UniformArrivals,
     channel_gain,
     cost_parameter,
     inversion_power,
@@ -131,12 +130,11 @@ def test_lambda_ranges_over_random_parameters():
 
 
 def test_lambdas_reject_other_fading():
-    with pytest.raises(ModelMismatchError):
-        threshold_lambdas(P, fading_G=UniformArrivals(1.0))
-
     class LogNormalish:
         mean = 1.0
 
+    with pytest.raises(ModelMismatchError):
+        threshold_lambdas(P, fading_G=LogNormalish())
     with pytest.raises(ModelMismatchError):
         threshold_lambdas(P, fading_H=LogNormalish())
     # explicit exponential models are fine and override params' means
@@ -159,9 +157,18 @@ def column_batch(gamma_g, gamma_h, params=P):
 
 def joint_columns(gamma_g, gamma_h, params_list):
     """Per-user harvesting inversion powers and skip costs of one block's
-    gains: what run_frame_multiuser hands decide_joint."""
+    gains as a one-frame batch: the (1, users) columns the multi-user walk
+    hands decide_joint."""
     terms = [link_terms(g, h, p) for g, h, p in zip(gamma_g, gamma_h, params_list)]
-    return np.array([t[1] for t in terms]), np.array([t[2] for t in terms])
+    return np.array([[t[1] for t in terms]]), np.array([[t[2] for t in terms]])
+
+
+def decide_joint_one(policy, block, battery, gamma_g, gamma_h, params_list):
+    """The (users,) joint action for one state, through a one-frame batch."""
+    acts = policy.decide_joint(block, np.array([battery]),
+                               *joint_columns(gamma_g, gamma_h, params_list), params_list)
+    assert acts.shape == (1, len(params_list))
+    return acts[0]
 
 
 def decide_one(policy, block=0, battery=1e-4, g=1.0, h=1.0, params=P):
@@ -473,8 +480,7 @@ def test_multiuser_threshold_admits_by_metric_under_caps():
     battery = 6e-5
     p1 = float(inversion_power(channel_gain(P.d_H, 1.0, P), P))
     th = MultiuserThreshold(tps, p_H_max_sum=p1 * 1.5)
-    acts = th.decide_joint(0, battery, *joint_columns([0.05, 3.0], [1.0, 1.2], params_list),
-                           params_list)
+    acts = decide_joint_one(th, 0, battery, [0.05, 3.0], [1.0, 1.2], params_list)
     assert acts.sum() == 1
     assert acts[0] == 1  # drop-risk user (bad G-channel) wins the slot
 
@@ -486,12 +492,10 @@ def test_multiuser_threshold_pools_battery():
     p1 = float(inversion_power(channel_gain(P.d_H, 1.0, P), P))
     ones = np.ones(2)
     # battery affords both spends jointly
-    acts = th.decide_joint(0, 2.5 * p1 * P.tau, *joint_columns(ones, ones, params_list),
-                           params_list)
+    acts = decide_joint_one(th, 0, 2.5 * p1 * P.tau, ones, ones, params_list)
     assert acts.sum() == 2
     # but not when it only covers one
-    acts = th.decide_joint(0, 1.5 * p1 * P.tau, *joint_columns(ones, ones, params_list),
-                           params_list)
+    acts = decide_joint_one(th, 0, 1.5 * p1 * P.tau, ones, ones, params_list)
     assert acts.sum() == 1
 
 
@@ -499,9 +503,9 @@ def test_multiuser_threshold_validates_alignment():
     l1, l2 = threshold_lambdas(P)
     th = MultiuserThreshold([ThresholdParams(0.0, l1, l2)] * 2, 1.0)
     with pytest.raises(InvalidParameterError):
-        th.decide_joint(0, 1e-4, np.ones(1), np.ones(1), [P])
+        th.decide_joint(0, np.array([1e-4]), np.ones((1, 1)), np.ones((1, 1)), [P])
     with pytest.raises(InvalidParameterError):
-        th.decide_joint(0, 1e-4, np.ones(1), np.ones(1), [P, P])
+        th.decide_joint(0, np.array([1e-4]), np.ones((1, 1)), np.ones((1, 1)), [P, P])
 
 
 def joint_threshold_oracle(block, battery, gamma_g, gamma_h, tps, params_list, p_H_max_sum):
@@ -542,8 +546,7 @@ def test_multiuser_threshold_matches_per_user_oracle():
                 battery = float(rng.uniform(0, point.B_m / 10))
                 gamma_g, gamma_h = rng.exponential(1.0, 2), rng.exponential(1.0, 2)
                 np.testing.assert_array_equal(
-                    th.decide_joint(block, battery, *joint_columns(gamma_g, gamma_h, plist),
-                                    plist),
+                    decide_joint_one(th, block, battery, gamma_g, gamma_h, plist),
                     joint_threshold_oracle(block, battery, gamma_g, gamma_h, tps, plist,
                                            point.p_H_max))
 
@@ -555,11 +558,33 @@ def test_multiuser_greedy_admits_cheapest_first():
     gamma_g = np.array([1.0, 1.0])
     p = inversion_power(channel_gain(P.d_H, gamma_h, P), P)
     battery = float(p[1] * P.tau * 1.2)  # covers the cheap user only
-    acts = gt.decide_joint(0, battery, *joint_columns(gamma_g, gamma_h, [P, P]), [P, P])
+    acts = decide_joint_one(gt, 0, battery, gamma_g, gamma_h, [P, P])
     np.testing.assert_array_equal(acts, [0, 1])
     # plenty of battery: both fit under the summed peak
-    acts = gt.decide_joint(0, 1.0, *joint_columns(gamma_g, gamma_h, [P, P]), [P, P])
+    acts = decide_joint_one(gt, 0, 1.0, gamma_g, gamma_h, [P, P])
     np.testing.assert_array_equal(acts, [1, 1])
+
+
+@pytest.mark.parametrize("users", [2, 3])
+def test_joint_rules_decide_batch_rows_independently(users):
+    # one call over many frames equals one one-frame call per frame
+    rng = make_rng(58)
+    plist = [P.evolve(d_H=25.0 + 5.0 * u) for u in range(users)]
+    tps = [ThresholdParams(8.5, *threshold_lambdas(p)) for p in plist]
+    gamma_g, gamma_h = rng.exponential(1.0, (2, 200, users))
+    gamma_h[::9, 0] = 0.0    # dead harvesting channels
+    battery = rng.uniform(0, P.B_m / 10, 200)
+    terms = [link_terms(gamma_g[:, u], gamma_h[:, u], p) for u, p in enumerate(plist)]
+    p_h, skip = (np.stack([t[k] for t in terms], axis=1) for k in (1, 2))
+    for policy in (MultiuserGreedyTransmit(p_H_max_sum=P.p_H_max),
+                   MultiuserThreshold(tps, p_H_max_sum=P.p_H_max)):
+        for block in (0, P.N - 1):
+            acts = policy.decide_joint(block, battery, p_h, skip, plist)
+            assert acts.shape == (200, users) and 0 < acts.sum() < acts.size
+            for f in range(200):
+                np.testing.assert_array_equal(
+                    acts[f], decide_joint_one(policy, block, battery[f], gamma_g[f],
+                                              gamma_h[f], plist))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)

@@ -11,8 +11,15 @@ from hypothesis import strategies as st
 
 from hesnet.errors import InvalidActionError, InvalidParameterError, ModelMismatchError
 from hesnet.mdp import backward_induction, build_grid, build_mdp_model
-from hesnet.model import FrameTrajectory, SystemParams, sample_trajectories, sample_trajectory
+from hesnet.model import (
+    FrameTrajectory,
+    SystemParams,
+    link_terms,
+    sample_trajectories,
+    sample_trajectory,
+)
 from hesnet.offline import (
+    ENERGY_RTOL,
     expand_solution,
     greedy_assignment,
     exhaustive_optimal,
@@ -23,6 +30,7 @@ from hesnet.policies import (
     GreedyTransmit,
     MdpTablePolicy,
     MultiuserGreedyTransmit,
+    MultiuserThreshold,
     ThresholdHeuristic,
     ThresholdParams,
     threshold_lambdas,
@@ -41,7 +49,6 @@ from hesnet.sim import (
     offline_frame_metrics,
     run_batch,
     run_frame,
-    run_frame_multiuser,
     sample_multiuser_trajectories,
     sweep,
     write_manifest,
@@ -310,6 +317,14 @@ def two_user_setup():
     return [per_user, per_user]
 
 
+def one_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list, p_H_max_sum, p_G_max_sum):
+    """Walk one (U, N) frame as a one-frame batch; (cost, grid energy, drops)."""
+    costs, grid, drops = multiuser_frame_metrics(policy, gamma_g[None], gamma_h[None],
+                                                 np.asarray(e_h)[None], params_list,
+                                                 p_H_max_sum, p_G_max_sum)
+    return costs[0], grid[0], drops[0]
+
+
 def test_multiuser_replay_reproduces_pooled_cost_exactly():
     params_list = two_user_setup()
     gg, gh, eh = sample_multiuser_trajectories(params_list, 75, 10)
@@ -320,8 +335,8 @@ def test_multiuser_replay_reproduces_pooled_cost_exactly():
             for u in range(2)
         ]
         sel, cost = multiuser_greedy_assignment(instances, p_H_max_sum=P.p_H_max)
-        replay, grid, drops = run_frame_multiuser(
-            ScriptedMultiuserAssignment(sel), gg[f], gh[f], eh[f], params_list,
+        replay, grid, drops = one_frame_multiuser(
+            ScriptedMultiuserAssignment(sel[None]), gg[f], gh[f], eh[f], params_list,
             p_H_max_sum=P.p_H_max, p_G_max_sum=1e9)  # unbounded grid BS
         assert replay == cost
 
@@ -333,11 +348,11 @@ def test_multiuser_grid_cap_drops_expensive_users():
     gamma_h = np.array([[1.0], [1.0]])
     e_h = np.array([0.0])
     one_block = [p.evolve(N=1) for p in params_list]
-    sel = np.zeros((2, 1), dtype=int)
+    sel = np.zeros((1, 2, 1), dtype=int)
     from hesnet.model import channel_gain, inversion_power
     p_g = [float(inversion_power(channel_gain(p.d_G, gamma_g[u, 0], p), p))
            for u, p in enumerate(one_block)]
-    cost, grid, drops = run_frame_multiuser(
+    cost, grid, drops = one_frame_multiuser(
         ScriptedMultiuserAssignment(sel), gamma_g, gamma_h, e_h, one_block,
         p_H_max_sum=P.p_H_max, p_G_max_sum=min(p_g) * 1.5)
     assert drops == 1
@@ -345,12 +360,25 @@ def test_multiuser_grid_cap_drops_expensive_users():
     assert math.isclose(cost, P.w_G * grid + P.w_D, rel_tol=1e-12)
 
 
+def test_multiuser_grid_cap_admits_a_sum_exactly_at_the_cap():
+    one_block = [P.evolve(N=1), P.evolve(N=1)]
+    gamma_g = np.array([[1.0], [0.9]])
+    p_g, _, _, _ = link_terms(gamma_g, np.ones((2, 1)), one_block[0])
+    sel = np.zeros((1, 2, 1), dtype=int)
+    # cheapest first, so the cap is reached as p_g[0] + p_g[1]
+    cap = float(p_g[0, 0] + p_g[1, 0])
+    _, grid, drops = one_frame_multiuser(ScriptedMultiuserAssignment(sel), gamma_g,
+                                         np.ones((2, 1)), np.array([0.0]), one_block,
+                                         P.p_H_max, cap)
+    assert drops == 0 and grid == math.fsum([p_g[0, 0] * P.tau, p_g[1, 0] * P.tau])
+
+
 def test_multiuser_rejects_joint_overdraw():
     params_list = [P.evolve(N=1), P.evolve(N=1)]
-    sel = np.ones((2, 1), dtype=int)
+    sel = np.ones((1, 2, 1), dtype=int)
     gamma = np.ones((2, 1))
     with pytest.raises(InvalidActionError):
-        run_frame_multiuser(ScriptedMultiuserAssignment(sel), gamma, gamma,
+        one_frame_multiuser(ScriptedMultiuserAssignment(sel), gamma, gamma,
                             np.array([1e-9]), params_list,
                             p_H_max_sum=P.p_H_max, p_G_max_sum=P.p_G_max)
 
@@ -385,8 +413,16 @@ def test_multiuser_rejects_bad_action_value():
     params_list = [P.evolve(N=1), P.evolve(N=1)]
     gamma = np.ones((2, 1))
     with pytest.raises(InvalidActionError, match="returned \\[2, 0\\] at block 1"):
-        run_frame_multiuser(ScriptedMultiuserAssignment(np.array([[2], [0]])), gamma, gamma,
+        one_frame_multiuser(ScriptedMultiuserAssignment(np.array([[[2], [0]]])), gamma, gamma,
                             np.array([1e-3]), params_list,
+                            p_H_max_sum=P.p_H_max, p_G_max_sum=P.p_G_max)
+
+    class PerFrameRule:   # the one-frame (users,) answer of a per-frame joint rule
+        def decide_joint(self, block, battery, p_h, skip, params_list):
+            return np.zeros(len(params_list), dtype=np.int8)
+
+    with pytest.raises(InvalidActionError, match=r"shape \(2,\) at block 1, expected \(1, 2\)"):
+        one_frame_multiuser(PerFrameRule(), gamma, gamma, np.array([1e-3]), params_list,
                             p_H_max_sum=P.p_H_max, p_G_max_sum=P.p_G_max)
 
 
@@ -454,6 +490,118 @@ def test_property_cost_identity(params, zeta, seed):
         assert math.isclose(m.mean_total_cost,
                             params.w_G * m.mean_grid_energy + params.w_D * params.N * m.drop_ratio,
                             rel_tol=1e-9, abs_tol=1e-18)
+
+
+def oracle_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
+                           p_H_max_sum, p_G_max_sum):
+    """One (U, N) frame walked block by block in plain floats: the per-frame
+    walk `multiuser_frame_metrics` replaced, kept as its reference.  The
+    joint policy is asked through a one-row batch; served powers are summed
+    with np.sum, grid users admitted through `sorted`, and the cost and grid
+    terms totalled with math.fsum.  Returns (cost, grid energy in J, drops).
+    """
+    users, n = np.shape(gamma_g)
+    base = params_list[0]
+    p_inv_g, p_inv_h, skip, transmits = (
+        np.stack(terms) for terms in zip(*(link_terms(gamma_g[u], gamma_h[u], p)
+                                           for u, p in enumerate(params_list))))
+    battery = 0.0
+    block_costs = []
+    grid_terms = []
+    drops = 0
+    for i in range(n):
+        battery = min(battery + float(e_h[i]), base.B_m)
+        acts = np.asarray(policy.decide_joint(i, np.array([battery]), p_inv_h[None, :, i],
+                                              skip[None, :, i], params_list))[0]
+        served = np.flatnonzero(acts == 1)
+        left = np.flatnonzero(acts == 0)
+        assert served.size + left.size == users
+        p_served = p_inv_h[served, i]
+        spend = float(np.sum(p_served) * base.tau) if served.size else 0.0
+        if served.size:
+            assert np.sum(p_served) <= p_H_max_sum * (1.0 + 1e-12)
+            assert spend <= battery * (1.0 + ENERGY_RTOL) + 1e-18
+        battery = max(battery - spend, 0.0)
+        used = 0.0
+        for u in sorted(left, key=lambda u: p_inv_g[u, i]):
+            p = params_list[u]
+            if transmits[u, i] and used + p_inv_g[u, i] <= p_G_max_sum * (1.0 + 1e-12):
+                used += p_inv_g[u, i]
+                block_costs.append(skip[u, i])
+                grid_terms.append(p_inv_g[u, i] * p.tau)
+            else:
+                block_costs.append(p.w_D)
+                drops += 1
+    return math.fsum(block_costs), math.fsum(grid_terms), drops
+
+
+def assert_lockstep_matches_oracle(policy, gg, gh, eh, plist, p_h_sum, p_g_sum):
+    """The lockstep walk equals the per-frame oracle bit for bit, frame by
+    frame; "greedy" is replayed from each frame's own pooled plan."""
+    got = multiuser_frame_metrics(policy, gg, gh, eh, plist, p_h_sum, p_g_sum)
+    for f in range(gg.shape[0]):
+        frame_policy = policy
+        if policy == "greedy":
+            instances = [to_ip_instance(FrameTrajectory(gamma_G=gg[f, u], gamma_H=gh[f, u],
+                                                        e_H=eh[f]), p)
+                         for u, p in enumerate(plist)]
+            sel, _ = multiuser_greedy_assignment(instances, p_H_max_sum=p_h_sum)
+            frame_policy = ScriptedMultiuserAssignment(sel[None])
+        want = oracle_frame_multiuser(frame_policy, gg[f], gh[f], eh[f], plist, p_h_sum, p_g_sum)
+        assert (got[0][f], got[1][f], got[2][f]) == want, f"frame {f}"
+    return got
+
+
+def joint_policy(name, plist, p_h_sum, zeta=3.0):
+    if name == "GT":
+        return MultiuserGreedyTransmit(p_H_max_sum=p_h_sum)
+    if name == "Threshold":
+        return MultiuserThreshold([ThresholdParams(zeta, *threshold_lambdas(p)) for p in plist],
+                                  p_H_max_sum=p_h_sum)
+    return name
+
+
+def mixed_users(users):
+    # users at different distances with different drop prices: only N,
+    # tau, E_m and B_m must agree
+    return [P.evolve(d_H=25.0 + 5.0 * u, d_G=45.0 + 5.0 * u, w_D=0.01 * (1 + u))
+            for u in range(users)]
+
+
+@pytest.mark.parametrize("policy", ["GT", "Threshold", "greedy"])
+@pytest.mark.parametrize("users", [2, 3])
+def test_multiuser_lockstep_walk_matches_per_frame_oracle(policy, users):
+    plist = mixed_users(users)
+    gg, gh, eh = sample_multiuser_trajectories(plist, 81, 40)
+    # dead channels: whole blocks a link cannot carry at any power
+    gg[:, 0, ::7] = 0.0
+    gh[:, users - 1, ::5] = 0.0
+    p_h_sum = P.p_H_max
+    loose = assert_lockstep_matches_oracle(joint_policy(policy, plist, p_h_sum),
+                                           gg, gh, eh, plist, p_h_sum, 1e9)
+    # a grid BS summed peak power of 0.3 W turns many users away: the cap binds
+    tight = assert_lockstep_matches_oracle(joint_policy(policy, plist, p_h_sum),
+                                           gg, gh, eh, plist, p_h_sum, 0.3)
+    assert tight[2].sum() > loose[2].sum()
+    assert tight[1].sum() < loose[1].sum()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(params=short_frame_params, users=st.integers(2, 3), seed=st.integers(0, 2**16),
+       policy=st.sampled_from(["GT", "Threshold", "greedy"]), zeta=st.floats(0.0, 20.0),
+       h_cap=st.floats(0.3, 3.0), g_cap=st.floats(0.02, 2.0), dead=st.booleans())
+def test_property_multiuser_lockstep_walk_matches_oracle(params, users, seed, policy, zeta,
+                                                         h_cap, g_cap, dead):
+    if policy == "greedy":   # the offline plans need an uncapped battery
+        params = params.evolve(B_m=params.N * params.E_m)
+    plist = [params] * users
+    gg, gh, eh = sample_multiuser_trajectories(plist, seed, 6)
+    if dead:
+        gg[:, 0, 0] = 0.0
+        gh[:, -1, -1] = 0.0
+    p_h_sum = params.p_H_max * h_cap
+    assert_lockstep_matches_oracle(joint_policy(policy, plist, p_h_sum, zeta), gg, gh, eh,
+                                   plist, p_h_sum, params.p_G_max * g_cap)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
