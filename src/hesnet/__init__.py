@@ -38,11 +38,9 @@ from .model import (
     sample_trajectory,
 )
 from .offline import (
-    FullSolution,
     IpInstance,
     check_swap_optimality,
     exhaustive_optimal,
-    expand_solution,
     first_violation,
     greedy_assignment,
     greedy_plan,
@@ -87,11 +85,13 @@ from .sim import (
     ScriptedAssignmentPolicy,
     ScriptedMultiuserAssignment,
     apply_axis,
+    frame_totals,
     metrics_from_arrays,
     monte_carlo,
     multiuser_frame_metrics,
     multiuser_monte_carlo,
     offline_frame_metrics,
+    replay_plan,
     run_batch,
     run_frame,
     sample_multiuser_trajectories,

@@ -39,14 +39,13 @@ from .errors import (
     StalePolicyError,
 )
 from .mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction, save_policy_artifact
-from .model import FrameTrajectory, SystemParams, sample_trajectory
+from .model import FrameBatch, FrameTrajectory, SystemParams, sample_trajectory
 from .offline import (
     EXHAUSTIVE_CAP,
     exhaustive_optimal,
-    expand_solution,
+    frame_instance,
     greedy_assignment,
     require_uncapped_battery,
-    to_ip_instance,
 )
 from .policies import (
     GreedyTransmit,
@@ -63,7 +62,9 @@ from .policies import (
 from .sim import (
     GridOnlyPolicy,
     file_sha256,
+    frame_totals,
     point_rows,
+    replay_plan,
     sweep,
     write_manifest,
     write_rows_csv,
@@ -512,7 +513,8 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
         dump = Path(args.dump)
         dump.parent.mkdir(parents=True, exist_ok=True)
         _write_trajectory(dump, traj)
-    inst = to_ip_instance(traj, params)
+    batch = FrameBatch.of_frame(traj, params)
+    inst = frame_instance(batch, 0)
 
     solutions = {}
     alpha_g, cost_g = greedy_assignment(inst)
@@ -529,13 +531,17 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
     report: dict = {"params_hash": params.content_hash(), "n_blocks": params.N,
                     "trajectory_sha256": _trajectory_sha256(traj), "solvers": {}}
     for solver_name, (alpha, cost) in solutions.items():
-        full = expand_solution(alpha, inst, params)
+        serve, admitted, costs, grid = replay_plan(alpha[None, None], [batch], params.p_H_max,
+                                                   params.p_G_max)
+        _, energy, drops = frame_totals(serve, admitted, costs, grid)
         report["solvers"][solver_name] = {
-            "total_cost": cost, "grid_energy_j": full.grid_energy, "drops": full.drops}
+            "total_cost": cost, "grid_energy_j": float(energy[0]), "drops": int(drops[0])}
+        i_h, i_g = serve[0, 0], admitted[0, 0]
         rows += [dict(zip(OFFLINE_HEADER, (
             solver_name, i + 1, float(traj.gamma_G[i]), float(traj.gamma_H[i]), float(traj.e_H[i]),
-            int(alpha[i]), int(full.I_G[i]), int(full.I_H[i]), int(full.I_D[i]),
-            float(full.p_G[i]), float(full.p_H[i])))) for i in range(params.N)]
+            int(alpha[i]), int(i_g[i]), int(i_h[i]), int(not (i_g[i] or i_h[i])),
+            float(batch.p_g[0, i] if i_g[i] else 0.0),
+            float(batch.p_h[0, i] if i_h[i] else 0.0)))) for i in range(params.N)]
     write_rows_csv(csv_path, rows, header=OFFLINE_HEADER)
     if "exhaustive" in solutions:
         gap = cost_g - solutions["exhaustive"][1]

@@ -114,17 +114,13 @@ class QuantizationGrid:
         return float(self.bin_edges[-1])
 
 
-def build_grid(params: SystemParams, M: int = 100, K: int = 25, *,
-               fading_G=None, fading_H=None) -> QuantizationGrid:
+def build_grid(params: SystemParams, M: int = 100, K: int = 25) -> QuantizationGrid:
     """Default grid: M equal battery bins over [0, B_m], K equi-probable
-    channel states per link (exponential fading from `params` unless models
-    are passed in)."""
+    channel states per link of the exponential fading in `params`."""
     if not (isinstance(M, (int, np.integer)) and M >= 1):
         raise InvalidParameterError(f"M must be a positive integer, got {M!r}")
-    fading_G = fading_G if fading_G is not None else ExponentialFading(params.mu_G)
-    fading_H = fading_H if fading_H is not None else ExponentialFading(params.mu_H)
-    levels_g, bounds_g = equiprobable_channel_states(K, fading_G)
-    levels_h, bounds_h = equiprobable_channel_states(K, fading_H)
+    levels_g, bounds_g = equiprobable_channel_states(K, ExponentialFading(params.mu_G))
+    levels_h, bounds_h = equiprobable_channel_states(K, ExponentialFading(params.mu_H))
     b_m = params.B_m
     mids = (2.0 * np.arange(1, M + 1) - 1.0) * b_m / (2.0 * M)
     edges = np.linspace(0.0, b_m, M + 1)

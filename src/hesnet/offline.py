@@ -4,8 +4,9 @@ With all N blocks' channel gains and energy arrivals on the table, choosing
 which blocks the harvesting BS serves reduces to a 0/1 program: skipping
 block i costs c_i (grid bill or drop penalty), serving it spends
 p_H_inv,i * tau joules of battery under prefix energy causality and the peak
-power cap.  This module holds that reduced instance, the greedy engine, the
-exhaustive oracle, and the expansion back to per-block powers.
+power cap.  This module holds that reduced instance, the greedy engine and
+the exhaustive oracle; plans are scored by replaying them through the
+frame walk of the causal policies (`sim.replay_plan`).
 
 One greedy engine, `greedy_plan`, solves (frames, users, N) arrays in one
 pass: scores are fixed per block and feasibility only shrinks as blocks are
@@ -26,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, InvalidParameterError, ModelMismatchError, ResourceLimitError
-from .model import FrameBatch, FrameTrajectory, SystemParams, kappa
+from .model import FrameBatch, FrameTrajectory, SystemParams
 
 __all__ = [
     "ENERGY_RTOL",
     "IpInstance",
-    "FullSolution",
     "to_ip_instance",
     "frame_instance",
     "require_uncapped_battery",
@@ -41,7 +41,6 @@ __all__ = [
     "greedy_assignment",
     "exhaustive_optimal",
     "check_swap_optimality",
-    "expand_solution",
     "multiuser_greedy_assignment",
     "ratio_metric",
 ]
@@ -273,43 +272,6 @@ def check_swap_optimality(alpha, inst: IpInstance) -> bool:
     cheaper = inst.c[sel][:, None] < inst.c[uns][None, :]
     no_more_power = inst.p_H_inv[sel][:, None] >= inst.p_H_inv[uns][None, :]
     return not bool(np.any(later & cheaper & no_more_power))
-
-
-@dataclass(frozen=True)
-class FullSolution:
-    """Per-block serving decisions and transmit powers for one frame."""
-
-    I_G: np.ndarray      # (N,) grid BS serves
-    I_H: np.ndarray      # (N,) harvesting BS serves
-    I_D: np.ndarray      # (N,) packet dropped
-    p_G: np.ndarray      # (N,) W
-    p_H: np.ndarray      # (N,) W
-    total_cost: float
-    grid_energy: float   # J
-    drops: int
-
-
-def expand_solution(alpha, inst: IpInstance, params: SystemParams) -> FullSolution:
-    """Expand an H-block selection to per-block decisions and powers.
-
-    Unselected blocks go to the grid BS when its inversion power is within
-    `kappa(params)` (boundary transmits) and are dropped otherwise.
-    """
-    alpha = _as_alpha(alpha, inst.n_blocks)
-    cost = total_service_cost(alpha, inst)  # validates feasibility
-    kap = kappa(params)
-    i_h = alpha.copy()
-    with np.errstate(invalid="ignore"):
-        i_g = ((alpha == 0) & (inst.p_G_inv <= kap)).astype(np.int8)
-    i_d = (1 - i_g - i_h).astype(np.int8)
-    p_g = np.where(i_g == 1, inst.p_G_inv, 0.0)
-    p_h = np.where(i_h == 1, inst.p_H_inv, 0.0)
-    return FullSolution(
-        I_G=i_g, I_H=i_h, I_D=i_d, p_G=p_g, p_H=p_h,
-        total_cost=cost,
-        grid_energy=math.fsum(p_g * inst.tau),
-        drops=int(i_d.sum()),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import InvalidParameterError, ModelMismatchError, StalePolicyError
+from .errors import InvalidParameterError, StalePolicyError
 from .mdp import (
     PolicyTable,
     battery_level_index,
@@ -26,7 +26,7 @@ from .mdp import (
     channel_state_index,
     monotone_backward_induction,
 )
-from .model import ExponentialFading, FrameBatch, SystemParams, kappa, link_terms, sample_trajectories, serve_feasible
+from .model import FrameBatch, SystemParams, kappa, link_terms, sample_trajectories, serve_feasible
 from .offline import ratio_metric
 from .sim import _walk
 
@@ -55,30 +55,30 @@ def exponential_integral_E1(x):
     return float(out) if out.ndim == 0 else out
 
 
-def threshold_lambdas(params: SystemParams, fading_G=None, fading_H=None):
+def threshold_lambdas(params: SystemParams):
     """Closed-form constants of the threshold rule.
 
     lambda1 is the expected skip cost of a block: the drop price times the
     probability the grid BS's inversion power exceeds kappa, plus the
     expected grid bill below it.  lambda2 is the expected inversion power
     of the harvesting link given it fits under the peak cap.  Both
-    expectations integrate the exponential fading law; anything else has no
-    closed form here and is rejected.
+    expectations integrate the exponential fading law of `params`.  At
+    w_D = 0 kappa is 0 and lambda1 would be 0, so the rule is refused.
     """
-    for f in (fading_G, fading_H):
-        if f is not None and not isinstance(f, ExponentialFading):
-            raise ModelMismatchError(
-                f"closed-form thresholds need exponential fading, got {type(f).__name__}")
-    mu_g = fading_G.mean if fading_G is not None else params.mu_G
-    mu_h = fading_H.mean if fading_H is not None else params.mu_H
+    if params.w_D == 0:
+        raise InvalidParameterError(
+            "the Threshold rule needs w_D > 0: at w_D = 0 every skipped block is free "
+            "(kappa = 0) and its expected skip cost lambda1 is 0")
     # inversion powers at the mean gains; dividing by mu folds the fading
     # mean into the 1/gamma integrals below
-    a_g, a_h, _, _ = (float(term) for term in link_terms(mu_g, mu_h, params))
+    a_g, a_h, _, _ = (float(term) for term in link_terms(params.mu_G, params.mu_H, params))
     x_g = a_g / kappa(params)
     lambda1 = (params.w_D * -math.expm1(-x_g)
                + params.w_G * params.tau * a_g * exponential_integral_E1(x_g))
     x_h = a_h / params.p_H_max
-    lambda2 = a_h * exponential_integral_E1(x_h) * math.exp(x_h)
+    # e^x E1(x) = U(1, 1, x); past x = 700 exp nears overflow and E1 subnormals
+    lambda2 = (a_h * exponential_integral_E1(x_h) * math.exp(x_h) if x_h <= 700.0
+               else a_h * float(special.hyperu(1.0, 1.0, x_h)))
     return lambda1, lambda2
 
 
@@ -264,9 +264,10 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
     the given order.
 
     All candidates walk one FrameBatch in lockstep through `sim._walk`, the
-    walk of `run_batch`, with the zeta level as a (candidates, 1) column and
-    a (candidates, frames) battery, summing skip costs only; chunks of at
-    most _CALIBRATION_ROWS candidate-frame rows bound memory.  Each cost
+    walk of every evaluation, as one user with the zeta level as a
+    (candidates, 1) column and a (candidates, frames) battery, summing skip
+    costs only; chunks of at most _CALIBRATION_ROWS candidate-frame rows
+    bound memory.  Each cost
     equals, bit for bit, the mean of run_batch's frame costs for that
     candidate alone.  The score metric(skip cost, p_H) is computed once on
     (frames, N) arrays, so `metric` must act elementwise.
@@ -287,12 +288,15 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
     for lo in range(0, cand.size, chunk):
         level = _threshold_level(cand[lo:lo + chunk, None], lambda1, lambda2, params, metric)
 
-        def decide(i, battery, batch, level=level):
-            return _threshold_serve(i, battery, batch.p_h[:, i], score[:, i], level, params)
+        def decide(i, battery, level=level):
+            return _threshold_serve(i, battery, batch.p_h[:, i], score[:, i], level,
+                                    params)[..., None]
 
         frame_costs = np.zeros((level.shape[0], budget))
-        for i, serve in enumerate(_walk(decide, batch, np.zeros_like(frame_costs))):
-            frame_costs += np.where(serve, 0.0, batch.skip[:, i])
+        steps = _walk(decide, batch.p_h[:, None], batch.e_h, params, np.zeros_like(frame_costs),
+                      params.p_H_max)
+        for i, serve in enumerate(steps):
+            frame_costs += np.where(serve[..., 0], 0.0, batch.skip[:, i])
         # row by row, so each mean is the 1-D reduction a lone candidate gets
         costs[lo:lo + level.shape[0]] = [row.mean() for row in frame_costs]
     best = float(cand[int(np.argmin(costs))])

@@ -1,16 +1,15 @@
 """Frame simulation, Monte Carlo evaluation, and parameter sweeps.
 
-One evaluation path on a `FrameBatch`, the trajectories with their link
-terms computed once.  Single-user policies decide through `decide_batch`
-inside one battery walk, `_walk`, which yields serve masks: `run_batch` sums
-the block terms with +=, `run_frame` (a one-frame batch) with math.fsum, so
-its cost matches offline solver costs bit for bit, and the zeta calibrator
-sums skip costs only.  Offline plans are scored by `expand_solution` on
-instances built from batch rows.  Multi-user frames walk in lockstep too,
-in `multiuser_frame_metrics`: joint policies decide through `decide_joint`
-for all frames of one block at once and the totals are row-wise math.fsum.
-`point_rows` and `sweep` run either walk, and `metrics_from_arrays` is the
-one aggregator.
+One battery walk, `_walk`, serves every evaluation at any user count, and
+one outcome rule, `_outcomes`, settles each block: users the harvesting BS
+skips go to the grid BS cheapest first while its summed peak power holds
+out, and the rest drop.  Single-user policies decide through
+`decide_batch` on a `FrameBatch`, joint policies through `decide_joint`,
+and offline plans (greedy or exhaustive, any user count) are replayed
+through the same walk (`replay_plan`).  `run_batch` sums the block terms
+with +=, every other evaluation per frame with math.fsum (`frame_totals`),
+so offline costs match the solvers' bit for bit; the zeta calibrator sums
+skip costs only.  `metrics_from_arrays` is the one aggregator.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .offline import (
     ENERGY_RTOL,
     EXHAUSTIVE_CAP,
     exhaustive_optimal,
-    expand_solution,
     frame_instance,
     greedy_plan,
     require_uncapped_battery,
@@ -50,6 +48,8 @@ __all__ = [
     "monte_carlo",
     "sweep",
     "offline_frame_metrics",
+    "replay_plan",
+    "frame_totals",
     "metrics_from_arrays",
     "metrics_row",
     "point_rows",
@@ -81,8 +81,8 @@ class RunMetrics:
 
 
 class ScriptedAssignmentPolicy:
-    """Replays a precomputed serving pattern; bridges offline solutions
-    into the frame simulator."""
+    """Replays a precomputed (N,) or (frames, N) serving pattern as a
+    single-user policy."""
 
     def __init__(self, alpha, name: str = "Scripted"):
         self.alpha = np.asarray(alpha, dtype=np.int8)
@@ -105,59 +105,133 @@ class GridOnlyPolicy:
 
 
 # ---------------------------------------------------------------------------
-# single-user walks
+# the battery walk and the per-block outcome
 # ---------------------------------------------------------------------------
 
-def check_affordable(block: int, serve, p_h, spend, battery, params: SystemParams) -> None:
-    """Reject a served block the battery or the peak cap cannot pay for.
+def _links(batches):
+    """(p_g, p_h, skip, transmits) of per-user FrameBatches as (frames, U, N)
+    arrays; one user's are views, not copies."""
+    names = ("p_g", "p_h", "skip", "transmits")
+    if len(batches) == 1:
+        return tuple(getattr(batches[0], name)[:, None] for name in names)
+    return tuple(np.stack([getattr(b, name) for b in batches], axis=1) for name in names)
 
-    A serve must fit under p_H_max and spend at most the stored energy
-    (ENERGY_RTOL relative slack).  Arguments broadcast: (frames,) columns
-    for a frame walk, (candidates, frames) for the zeta calibration walk.
-    An over-draw is an internal invariant breach, not user error.
+
+def _walk(decide, p_h, e_h, params: SystemParams, battery, p_max: float):
+    """The per-block battery walk of every evaluation, at any user count.
+
+    `p_h` holds (frames, U, N) harvesting inversion powers over (frames, N)
+    arrivals `e_h`; `battery` starts as (frames,), or (candidates, frames)
+    for the zeta calibration.  Per block: credit the arrival (clamped at
+    B_m), ask `decide(block, battery)` for a (..., frames, U) 0/1 array,
+    reject any other, reject a serve over the peak cap `p_max` (exact per
+    user, 1e-12 slack on the sum in user order) or over the battery, spend.
+    The battery's slack is ENERGY_RTOL of the frame's arrivals so far, the
+    offline solvers' causality tolerance, so every plan they accept
+    replays.  Yields the serve masks.
     """
-    bad = serve & ((p_h > params.p_H_max) | (spend > battery * (1.0 + ENERGY_RTOL) + 1e-18))
-    if np.any(bad):
-        at = np.unravel_index(np.argmax(bad), np.shape(bad))
-        raise InvalidActionError(
-            f"policy served block {block + 1} of frame {at[-1]} with battery "
-            f"{float(np.broadcast_to(battery, np.shape(bad))[at])!r} J, spend "
-            f"{float(np.broadcast_to(spend, np.shape(bad))[at])!r} J, peak {params.p_H_max} W")
-
-
-def _walk(decide, batch: FrameBatch, battery):
-    """The per-block battery walk every single-user evaluation shares.
-
-    Per block: credit the arrival (clamped at B_m), ask `decide(block,
-    battery, batch)`, reject an action other than 0/1 or a serve the battery
-    or the peak cap cannot pay for, spend.  `battery` starts as (frames,), or
-    (candidates, frames) for the zeta calibration.  Yields the serve masks.
-    """
-    params = batch.params
+    users = p_h.shape[1]
+    arrived = np.zeros(len(e_h))
     for i in range(params.N):
-        battery = np.minimum(battery + batch.e_h[:, i], params.B_m)
-        act = np.asarray(decide(i, battery, batch))
+        arrived = arrived + e_h[:, i]
+        battery = np.minimum(battery + e_h[:, i], params.B_m)
+        act = np.asarray(decide(i, battery))
+        if act.shape != battery.shape + (users,):
+            raise InvalidActionError(f"policy returned shape {act.shape} at block {i + 1}, "
+                                     f"expected {battery.shape + (users,)}")
         serve = act == 1
         valid = serve | (act == 0)
-        if not np.all(valid):
-            at = np.unravel_index(np.argmin(valid), valid.shape)
+        if not valid.all():
+            at = np.unravel_index(np.argmin(valid.all(axis=-1)), battery.shape)
+            raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block {i + 1} "
+                                     f"of frame {at[-1]}, expected 0 or 1 per user")
+        served = np.where(serve, p_h[:, :, i], 0.0)
+        power = served[..., 0]
+        for u in range(1, users):   # in user order, as the offline engine sums
+            power = power + served[..., u]
+        spend = power * params.tau
+        slack = ENERGY_RTOL * arrived + 1e-18
+        # one user's power is its sum: the exact check covers the slack one
+        if (served.max(initial=0.0) > p_max
+                or (users > 1 and power.max(initial=0.0) > p_max * (1.0 + 1e-12))
+                or np.any(spend > battery + slack)):
+            bad = ((served > p_max).any(axis=-1) | (power > p_max * (1.0 + 1e-12))
+                   | (spend > battery + slack))
+            at = np.unravel_index(np.argmax(bad), bad.shape)
             raise InvalidActionError(
-                f"policy returned {act[at].item()!r} at block {i + 1} of frame {at[-1]}, "
-                "expected 0 or 1")
-        p_h = batch.p_h[:, i]
-        spend = np.where(serve, p_h * params.tau, 0.0)
-        check_affordable(i, serve, p_h, spend, battery, params)
+                f"policy served block {i + 1} of frame {at[-1]} with battery "
+                f"{float(battery[at])!r} J, spend {float(spend[at])!r} J, power "
+                f"{float(power[at])!r} W, peak {p_max!r} W")
         battery = np.maximum(battery - spend, 0.0)
         yield serve
 
 
-def _block_terms(batch: FrameBatch, i: int, serve):
-    """Block i's (frames,) skip cost paid (0 where served), grid energy in J
-    and drop flags."""
-    skip = ~serve
-    return (np.where(serve, 0.0, batch.skip[:, i]),
-            np.where(skip & batch.transmits[:, i], batch.p_g[:, i] * batch.params.tau, 0.0),
-            skip & ~batch.transmits[:, i])
+def _grid_admission(serve, p_g, reach, cap: float):
+    """(frames, U) users the grid BS carries in one block.
+
+    The users the harvesting BS skipped and the grid BS can reach (within
+    kappa and, alone, within `cap`) wait; they are admitted cheapest
+    inversion power first (ties: lower user) while the summed power stays
+    within `cap`.  A lone user is admitted exactly when it waits.
+    """
+    admitted = ~serve & reach
+    if admitted.shape[1] > 1:
+        waiting, used, rows = admitted.copy(), np.zeros(len(p_g)), np.arange(len(p_g))
+        for u in np.argsort(p_g, axis=1, kind="stable").T:
+            p = p_g[rows, u]
+            admit = waiting[rows, u] & (used + p <= cap)
+            used = np.where(admit, used + p, used)
+            admitted[rows, u] = admit
+    return admitted
+
+
+def _outcomes(decide, batches, links, p_H_max: float, p_G_max: float):
+    """Walk one shared battery per frame of per-user `batches` (their
+    stacked `links`) under `decide` and settle every block: the served
+    users pay nothing, the users `_grid_admission` admits under the grid
+    BS's summed peak power `p_G_max` pay their skip cost, and the rest drop
+    at w_D.  One user under its own p_G_max is admitted exactly when it
+    transmits, since then p_G_inv <= kappa <= p_G_max.  Yields each block's
+    (frames, U) serve and admitted masks, costs and grid energies in J.
+    """
+    params, e_h = batches[0].params, batches[0].e_h
+    p_g, p_h, skip, transmits = links
+    w_d = np.array([b.params.w_D for b in batches])
+    cap = p_G_max * (1.0 + 1e-12)
+    reach = transmits & (p_g <= cap)
+    for i, serve in enumerate(_walk(decide, p_h, e_h, params, np.zeros(len(e_h)), p_H_max)):
+        admitted = _grid_admission(serve, p_g[:, :, i], reach[:, :, i], cap)
+        yield (serve, admitted, np.where(serve, 0.0, np.where(admitted, skip[:, :, i], w_d)),
+               np.where(admitted, p_g[:, :, i] * params.tau, 0.0))
+
+
+def _single(policy, batch: FrameBatch):
+    """A single-user policy as a walk's decide(block, battery)."""
+    return lambda i, battery: np.asarray(policy.decide_batch(i, battery, batch))[..., None]
+
+
+def _stacked(steps):
+    """Per-block outcomes stacked to (frames, U, N) arrays (serve, admitted,
+    cost, grid energy)."""
+    return tuple(np.stack(terms, axis=-1) for terms in zip(*steps))
+
+
+def frame_totals(serve, admitted, cost, grid):
+    """Per-frame (costs, grid energies, drop counts) of (frames, U, N)
+    outcome arrays; the sums are row-wise math.fsum, so exact."""
+    def fsum_rows(a):
+        return np.array([math.fsum(row) for row in a.reshape(a.shape[0], -1).tolist()])
+
+    return fsum_rows(cost), fsum_rows(grid), np.sum(~serve & ~admitted, axis=(1, 2))
+
+
+def replay_plan(plan, batches, p_H_max: float, p_G_max: float):
+    """Walk a (frames, U, N) 0/1 serving plan over per-user FrameBatches
+    (shared arrivals) and return its (frames, U, N) outcome arrays (serve,
+    admitted, cost, grid energy in J); an unaffordable plan raises."""
+    plan = np.asarray(plan)
+    return _stacked(_outcomes(lambda i, battery: plan[:, :, i], batches, _links(batches),
+                              p_H_max, p_G_max))
 
 
 def run_frame(policy, trajectory: FrameTrajectory, params: SystemParams):
@@ -168,10 +242,9 @@ def run_frame(policy, trajectory: FrameTrajectory, params: SystemParams):
     dropped packets).
     """
     batch = FrameBatch.of_frame(trajectory, params)
-    steps = (_block_terms(batch, i, serve)
-             for i, serve in enumerate(_walk(policy.decide_batch, batch, np.zeros(1))))
-    costs, energies, dropped = (np.concatenate(terms) for terms in zip(*steps))
-    return math.fsum(costs), math.fsum(energies), int(dropped.sum())
+    costs, grid, drops = frame_totals(*_stacked(_outcomes(
+        _single(policy, batch), [batch], _links([batch]), params.p_H_max, params.p_G_max)))
+    return float(costs[0]), float(grid[0]), int(drops[0])
 
 
 def run_batch(policy, params: SystemParams, gamma_g, gamma_h, e_h):
@@ -184,11 +257,12 @@ def run_batch(policy, params: SystemParams, gamma_g, gamma_h, e_h):
     costs = np.zeros(batch.frames)
     grid = np.zeros(batch.frames)
     drops = np.zeros(batch.frames, dtype=np.int64)
-    for i, serve in enumerate(_walk(policy.decide_batch, batch, np.zeros(batch.frames))):
-        cost, energy, dropped = _block_terms(batch, i, serve)
-        costs += cost
-        grid += energy
-        drops += dropped
+    for serve, admitted, cost, energy in _outcomes(_single(policy, batch), [batch],
+                                                   _links([batch]), params.p_H_max,
+                                                   params.p_G_max):
+        costs += cost[:, 0]
+        grid += energy[:, 0]
+        drops += ~serve[:, 0] & ~admitted[:, 0]
     return costs, grid, drops
 
 
@@ -206,30 +280,24 @@ def monte_carlo(policy, params: SystemParams, frames: int, seed: int) -> RunMetr
 
 def offline_frame_metrics(params: SystemParams, gamma_g, gamma_h, e_h, *,
                           solver: str = "greedy"):
-    """Solve every frame with an offline assignment.
+    """Solve every frame with an offline assignment and replay the plans.
 
     solver: "greedy" (one `greedy_plan` over the batch) or "exhaustive"
     (per frame, subject to the 2^N cap).  Returns per-frame arrays (costs,
-    grid energies, drop counts) matching the batch-walk conventions, read
-    off `expand_solution`.  The solvers model an uncapped battery, so
-    B_m < N * E_m raises ModelMismatchError.
+    grid energies, drop counts) from `replay_plan`.  The solvers model an
+    uncapped battery, so B_m < N * E_m raises ModelMismatchError.
     """
     if solver not in ("greedy", "exhaustive"):
         raise InvalidParameterError(f"unknown offline solver {solver!r}")
     require_uncapped_battery(params)
     batch = FrameBatch(params, gamma_g, gamma_h, e_h)
     if solver == "greedy":
-        plans = greedy_plan(batch.skip[:, None], batch.p_h[:, None], batch.e_h, params.tau,
-                            params.p_H_max)[:, 0]
-    costs = np.zeros(batch.frames)
-    grid = np.zeros(batch.frames)
-    drops = np.zeros(batch.frames, dtype=np.int64)
-    for f in range(batch.frames):
-        inst = frame_instance(batch, f)
-        alpha = plans[f] if solver == "greedy" else exhaustive_optimal(inst)[0]
-        full = expand_solution(alpha, inst, params)
-        costs[f], grid[f], drops[f] = full.total_cost, full.grid_energy, full.drops
-    return costs, grid, drops
+        plan = greedy_plan(batch.skip[:, None], batch.p_h[:, None], batch.e_h, params.tau,
+                           params.p_H_max)
+    else:
+        plan = np.stack([exhaustive_optimal(frame_instance(batch, f))[0]
+                         for f in range(batch.frames)])[:, None]
+    return frame_totals(*replay_plan(plan, [batch], params.p_H_max, params.p_G_max))
 
 
 def metrics_from_arrays(name, packets: int, seed, costs, grid, drops) -> RunMetrics:
@@ -391,60 +459,20 @@ def multiuser_frame_metrics(policy, gamma_g, gamma_h, e_h, params_list,
     if n != base.N:
         raise InvalidParameterError(f"trajectories have {n} blocks, params.N = {base.N}")
     batches = [FrameBatch(p, gamma_g[:, u], gamma_h[:, u], e_h) for u, p in enumerate(params_list)]
-    p_g, p_h, skip, transmits = (np.stack([getattr(b, name) for b in batches], axis=1)
-                                 for name in ("p_g", "p_h", "skip", "transmits"))
+    links = _links(batches)
+    _, p_h, skip, _ = links
     if isinstance(policy, str):
         if policy != "greedy":
             raise InvalidParameterError(f"unknown multi-user offline solver {policy!r}")
         require_uncapped_battery(base)
-        policy = ScriptedMultiuserAssignment(greedy_plan(skip, p_h, e_h, base.tau, p_H_max_sum))
-    w_d = np.array([p.w_D for p in params_list])
-    rows = np.arange(frames)
-    costs = np.zeros((frames, users, n))
-    grid = np.zeros((frames, users, n))
-    drops = np.zeros(frames, dtype=np.int64)
-    battery = np.zeros(frames)
-    for i in range(n):
-        battery = np.minimum(battery + e_h[:, i], base.B_m)
-        acts = np.asarray(policy.decide_joint(i, battery, p_h[:, :, i], skip[:, :, i],
-                                              params_list))
-        if acts.shape != (frames, users):
-            raise InvalidActionError(f"joint policy returned shape {acts.shape} at block "
-                                     f"{i + 1}, expected {(frames, users)}")
-        serve = acts == 1
-        valid = serve | (acts == 0)
-        if not np.all(valid):
-            f = int(np.argmin(valid.all(axis=1)))
-            raise InvalidActionError(f"joint policy returned {acts[f].tolist()!r} at block "
-                                     f"{i + 1} of frame {f}, expected 0 or 1 per user")
-        power = np.zeros(frames)
-        for u in range(users):   # in user order, as the offline engine sums
-            power += np.where(serve[:, u], p_h[:, u, i], 0.0)
-        spend = power * base.tau
-        bad = serve.any(axis=1) & ((power > p_H_max_sum * (1.0 + 1e-12))
-                                   | (spend > battery * (1.0 + ENERGY_RTOL) + 1e-18))
-        if np.any(bad):
-            f = int(np.argmax(bad))
-            raise InvalidActionError(
-                f"joint policy overdrew block {i + 1} of frame {f}: sum power "
-                f"{float(power[f])!r} W, spend {float(spend[f])!r} J, battery "
-                f"{float(battery[f])!r} J")
-        battery = np.maximum(battery - spend, 0.0)
-        # grid admission: cheapest inversion power first, sum-capped
-        used = np.zeros(frames)
-        admitted = np.zeros((frames, users), dtype=bool)
-        for u in np.argsort(p_g[:, :, i], axis=1, kind="stable").T:
-            p = p_g[rows, u, i]
-            admit = (~serve[rows, u] & transmits[rows, u, i]
-                     & (used + p <= p_G_max_sum * (1.0 + 1e-12)))
-            used = np.where(admit, used + p, used)
-            admitted[rows, u] = admit
-        costs[:, :, i] = np.where(serve, 0.0, np.where(admitted, skip[:, :, i], w_d))
-        grid[:, :, i] = np.where(admitted, p_g[:, :, i] * base.tau, 0.0)
-        drops += np.sum(~serve & ~admitted, axis=1)
-    return (np.array([math.fsum(row) for row in costs.reshape(frames, -1).tolist()]),
-            np.array([math.fsum(row) for row in grid.reshape(frames, -1).tolist()]),
-            drops)
+        plan = greedy_plan(skip, p_h, e_h, base.tau, p_H_max_sum)
+
+        def decide(i, battery):
+            return plan[:, :, i]
+    else:
+        def decide(i, battery):
+            return policy.decide_joint(i, battery, p_h[:, :, i], skip[:, :, i], params_list)
+    return frame_totals(*_stacked(_outcomes(decide, batches, links, p_H_max_sum, p_G_max_sum)))
 
 
 def multiuser_monte_carlo(policy, params_list, p_H_max_sum: float, p_G_max_sum: float,

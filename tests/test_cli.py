@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesnet.cli import (
     AXES,
@@ -18,7 +20,7 @@ from hesnet.cli import (
     parse_kv_text,
     resolve_config,
 )
-from hesnet.errors import ConfigError, ResourceLimitError
+from hesnet.errors import ConfigError, HesnetError, ResourceLimitError
 from hesnet.mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction
 from hesnet.model import SystemParams
 
@@ -415,3 +417,44 @@ def test_quantize_info_prints_reference_levels(capsys):
 
 def test_main_rejects_malformed_set(tmp_path):
     assert main(["simulate", "--set", "oops", "--out", str(tmp_path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# edge-case parameter sets
+# ---------------------------------------------------------------------------
+
+def test_threshold_at_zero_drop_price_is_exit_2(tmp_path, capsys):
+    for argv in (["simulate", "--set", "policies=Threshold,GT", "--frames", "5"],
+                 ["calibrate-zeta", "--budget", "5"]):
+        assert main([*argv, "--set", "w_d=0", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "w_D" in err and "Threshold" in err and "Traceback" not in err
+
+
+def test_threshold_with_no_feasible_serve_matches_gt(tmp_path):
+    # a 10 uW peak cap is below every harvesting inversion power, and the
+    # closed-form lambda2 must not overflow on the way
+    assert main(["simulate", "--set", "p_h_max_w=1e-5", "--set", "policies=Threshold,GT",
+                 "--frames", "20", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
+    threshold, gt = (row.split(",", 1) for row in rows)
+    assert (threshold[0], gt[0]) == ("Threshold", "GT") and threshold[1] == gt[1]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(command=st.sampled_from(["simulate", "calibrate-zeta"]),
+       w_d=st.sampled_from([0.0, 1e-6, 0.01, 2.0]) | st.floats(0.0, 2.0),
+       p_h_max=st.sampled_from([1e-6, 1e-5, 2e-5, 5.0]) | st.floats(1e-6, 5.0),
+       d_h=st.floats(1.0, 49.0), p_avg_mw=st.floats(0.1, 100.0))
+def test_property_cli_edge_parameters_fail_only_with_typed_errors(tmp_path_factory, command,
+                                                                  w_d, p_h_max, d_h, p_avg_mw):
+    out = tmp_path_factory.mktemp("edge")
+    argv = [command, "--frames", "3", "--set", "zeta_budget=3", "--set", "m_levels=4",
+            "--set", "k_states=3", "--set", "policies=GT,Threshold,LA,GP-only,GA",
+            "--set", f"w_d={w_d!r}", "--set", f"p_h_max_w={p_h_max!r}", "--set", f"d_h_m={d_h!r}",
+            "--set", f"p_avg_mw={p_avg_mw!r}", "--out", str(out)]
+    try:
+        code = main(argv)
+    except HesnetError:
+        return
+    assert code in (0, 2, 3, 4)

@@ -1,13 +1,16 @@
 """Byte identity of the CLI's result files.
 
 A tiny `sweep` CSV of every shipped preset, two multi-user edges (a
-three-user `simulate` and a two-user sweep whose grid sum cap binds) and
-one `calibrate-zeta` zeta.json are pinned by sha256.  Together they run
-every single-user policy, the multi-user walk, inline MBIA and look-ahead
-training, zeta calibration and both offline solvers, so a refactor that
+three-user `simulate` and a two-user sweep whose grid sum cap binds), one
+`calibrate-zeta` zeta.json and the `offline-solve` schedule and summary
+(N=12 with both solvers and the gap, its replay, and the default N=50
+greedy) are pinned by sha256.  Together they run every single-user policy,
+the multi-user walk, inline MBIA and look-ahead training, zeta calibration,
+both offline solvers and the per-block plan expansion, so a refactor that
 claims to change no number has to keep these bytes; a change that moves a
 number on purpose updates the hashes and says why.  The hashes were taken
-on x86-64 Linux with numpy 2.4 and scipy 1.17.
+on x86-64 Linux with numpy 2.4 and scipy 1.17, the versions
+ci/constraints.txt pins for CI.
 """
 
 import hashlib
@@ -46,6 +49,16 @@ MULTIUSER_SHA256 = {
         "8974b7b0ef7d799cb00493e7429ff51a533d0b24a00fdc64b4479f8841b54654"),
 }
 
+# (argv, schedule sha256, summary sha256); the replay reads the N=12 dump
+OFFLINE_SHA256 = {
+    "n12": (["--set", "n_blocks=12"],
+            "875561edda182477edf1ebf598736775957b447b7af8a5c25e832a25d2474758",
+            "c41b666e64b38ce3d69c54b0d882b673e97672b6020cf3cad8d9fc6ceff31718"),
+    "n50-greedy": (["--solver", "greedy"],
+                   "2e3710b241990a58e5f78f1a4f9a79aacff3ea96148c9e46aa49609e956bb773",
+                   "6157b1aee9b4f1df808bd69ec2bcb49692325a3594083ca20338d2abf13b2201"),
+}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -70,3 +83,18 @@ def test_tiny_multiuser_csv_bytes(case, tmp_path):
 def test_calibrate_zeta_json_bytes(tmp_path):
     assert main(["calibrate-zeta", "--seed", "3", "--budget", "40", "--out", str(tmp_path)]) == 0
     assert sha256(tmp_path / "zeta.json") == ZETA_SHA256
+
+
+@pytest.mark.parametrize("case", sorted(OFFLINE_SHA256))
+def test_offline_solve_bytes(case, tmp_path):
+    argv, schedule, summary = OFFLINE_SHA256[case]
+    out = tmp_path / "solve"
+    assert main(["offline-solve", "--seed", "3", *argv, "--dump", str(tmp_path / "dump.txt"),
+                 "--out", str(out)]) == 0
+    assert (sha256(out / "offline_schedule.csv"), sha256(out / "offline_summary.json")) == (
+        schedule, summary)
+    if case == "n12":   # a replay of the dump writes the same bytes
+        assert main(["offline-solve", *argv, "--replay", str(tmp_path / "dump.txt"),
+                     "--out", str(tmp_path / "replay")]) == 0
+        for name in ("offline_schedule.csv", "offline_summary.json"):
+            assert sha256(tmp_path / "replay" / name) == sha256(out / name)

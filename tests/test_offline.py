@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesnet.errors import FeasibilityError, InvalidParameterError, ResourceLimitError
-from hesnet.model import SystemParams, channel_gain, cost_parameter, inversion_power, kappa, make_rng, sample_trajectory
+from hesnet.model import SystemParams, channel_gain, cost_parameter, inversion_power, make_rng, sample_trajectory
 from hesnet.offline import (
     ENERGY_RTOL,
     IpInstance,
     _as_alpha,
     check_swap_optimality,
     exhaustive_optimal,
-    expand_solution,
     first_violation,
     greedy_assignment,
     greedy_plan,
@@ -303,34 +302,6 @@ def test_swap_check_detects_planted_violation():
     # earlier skipped block never counts, whatever its numbers
     inst2 = inst_of(c=[5.0, 1.0], p_h=[1.0, 1.0], e_h=[2.0, 0.0])
     assert check_swap_optimality([0, 1], inst2)
-
-
-def test_expand_solution_partitions_blocks():
-    rng = make_rng(25)
-    for trial in range(20):
-        inst = random_instance(rng, 12)
-        alpha, cost = greedy_assignment(inst)
-        sol = expand_solution(alpha, inst, P)
-        np.testing.assert_array_equal(sol.I_G + sol.I_H + sol.I_D, np.ones(12, dtype=np.int8))
-        np.testing.assert_array_equal(sol.I_H, alpha)
-        assert sol.total_cost == cost
-        # cost decomposition: grid bill plus drop penalties
-        recomposed = P.w_G * sol.grid_energy + P.w_D * sol.drops
-        assert math.isclose(recomposed, cost, rel_tol=1e-9, abs_tol=1e-15)
-        assert np.all(sol.p_G[sol.I_G == 1] <= kappa(P) * (1 + 1e-12))
-        assert np.all(sol.p_H[sol.I_H == 1] <= P.p_H_max * (1 + 1e-12))
-        assert np.all(sol.p_G[sol.I_G == 0] == 0.0)
-
-
-def test_expand_boundary_power_transmits():
-    params = P.evolve(w_D=1e-4)  # kappa = 0.1 < p_G_max
-    kap = kappa(params)
-    inst = inst_of(c=cost_parameter(np.array([kap, kap * 1.001]), params),
-                   p_h=[np.inf, np.inf], e_h=[0.0, 0.0], tau=params.tau,
-                   p_h_max=params.p_H_max, p_g=[kap, kap * 1.001])
-    sol = expand_solution([0, 0], inst, params)
-    np.testing.assert_array_equal(sol.I_G, [1, 0])
-    np.testing.assert_array_equal(sol.I_D, [0, 1])
 
 
 # ---------------------------------------------------------------------------

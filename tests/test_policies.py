@@ -11,10 +11,9 @@ from scipy import integrate
 
 from hesnet import policies
 from hesnet.cli import resolve_config
-from hesnet.errors import InvalidParameterError, ModelMismatchError, StalePolicyError
+from hesnet.errors import InvalidParameterError, StalePolicyError
 from hesnet.mdp import build_grid, build_mdp_model, monotone_backward_induction
 from hesnet.model import (
-    ExponentialFading,
     FrameBatch,
     SystemParams,
     channel_gain,
@@ -127,20 +126,6 @@ def test_lambda_ranges_over_random_parameters():
         l1, l2 = threshold_lambdas(params)
         assert 0 < l1 <= params.w_D + 1e-15
         assert 0 < l2 <= params.p_H_max + 1e-15
-
-
-def test_lambdas_reject_other_fading():
-    class LogNormalish:
-        mean = 1.0
-
-    with pytest.raises(ModelMismatchError):
-        threshold_lambdas(P, fading_G=LogNormalish())
-    with pytest.raises(ModelMismatchError):
-        threshold_lambdas(P, fading_H=LogNormalish())
-    # explicit exponential models are fine and override params' means
-    l1a, _ = threshold_lambdas(P, fading_G=ExponentialFading(1.0))
-    l1b, _ = threshold_lambdas(P)
-    assert l1a == l1b
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,19 +13,24 @@ from hypothesis import strategies as st
 from hesnet.errors import InvalidActionError, InvalidParameterError, ModelMismatchError
 from hesnet.mdp import backward_induction, build_grid, build_mdp_model
 from hesnet.model import (
+    FrameBatch,
     FrameTrajectory,
     SystemParams,
+    kappa,
     link_terms,
     sample_trajectories,
     sample_trajectory,
 )
 from hesnet.offline import (
     ENERGY_RTOL,
-    expand_solution,
+    IpInstance,
+    _as_alpha,
     greedy_assignment,
     exhaustive_optimal,
+    greedy_plan,
     multiuser_greedy_assignment,
     to_ip_instance,
+    total_service_cost,
 )
 from hesnet.policies import (
     GreedyTransmit,
@@ -40,13 +46,15 @@ from hesnet.sim import (
     GridOnlyPolicy,
     ScriptedAssignmentPolicy,
     ScriptedMultiuserAssignment,
+    _walk,
     apply_axis,
-    check_affordable,
+    frame_totals,
     metrics_from_arrays,
     monte_carlo,
     multiuser_frame_metrics,
     multiuser_monte_carlo,
     offline_frame_metrics,
+    replay_plan,
     run_batch,
     run_frame,
     sample_multiuser_trajectories,
@@ -56,6 +64,45 @@ from hesnet.sim import (
 )
 
 P = SystemParams()
+
+
+@dataclass(frozen=True)
+class FullSolution:
+    """Per-block serving decisions and transmit powers for one frame."""
+
+    I_G: np.ndarray      # (N,) grid BS serves
+    I_H: np.ndarray      # (N,) harvesting BS serves
+    I_D: np.ndarray      # (N,) packet dropped
+    p_G: np.ndarray      # (N,) W
+    p_H: np.ndarray      # (N,) W
+    total_cost: float
+    grid_energy: float   # J
+    drops: int
+
+
+def expand_solution(alpha, inst: IpInstance, params: SystemParams) -> FullSolution:
+    """Expand an H-block selection to per-block decisions and powers, from
+    the instance alone: the expansion the frame walk's replay replaced,
+    kept as its reference.
+
+    Unselected blocks go to the grid BS when its inversion power is within
+    `kappa(params)` (boundary transmits) and are dropped otherwise.
+    """
+    alpha = _as_alpha(alpha, inst.n_blocks)
+    cost = total_service_cost(alpha, inst)  # validates feasibility
+    kap = kappa(params)
+    i_h = alpha.copy()
+    with np.errstate(invalid="ignore"):
+        i_g = ((alpha == 0) & (inst.p_G_inv <= kap)).astype(np.int8)
+    i_d = (1 - i_g - i_h).astype(np.int8)
+    p_g = np.where(i_g == 1, inst.p_G_inv, 0.0)
+    p_h = np.where(i_h == 1, inst.p_H_inv, 0.0)
+    return FullSolution(
+        I_G=i_g, I_H=i_h, I_D=i_d, p_G=p_g, p_H=p_h,
+        total_cost=cost,
+        grid_energy=math.fsum(p_g * inst.tau),
+        drops=int(i_d.sum()),
+    )
 
 
 class AlwaysServe:
@@ -91,10 +138,10 @@ def test_run_frame_rejects_bad_action_value():
             return np.full(battery.shape[0], 2 if block == 3 else 0, dtype=np.int8)
 
     traj = sample_trajectory(P, 61)
-    with pytest.raises(InvalidActionError, match="returned 2 at block 4"):
+    with pytest.raises(InvalidActionError, match=r"returned \[2\] at block 4"):
         run_frame(Weird(), traj, P)
     gg, gh, eh = sample_trajectories(P, 61, 5)
-    with pytest.raises(InvalidActionError, match="returned 2 at block 4"):
+    with pytest.raises(InvalidActionError, match=r"returned \[2\] at block 4"):
         run_batch(Weird(), P, gg, gh, eh)
 
 
@@ -145,16 +192,57 @@ def test_batch_rejects_infeasible_serve():
         run_batch(AlwaysServe(), P, gg, gh, eh)
 
 
+def run_walk(decide, p_h, e_h, params, battery, p_max):
+    """Drive the walk over (frames, U, N) powers to its end."""
+    for _ in _walk(decide, p_h, e_h, params, battery, p_max):
+        pass
+
+
 def test_affordability_check_locates_overdraw_in_candidate_rows():
     # (candidates, frames) battery rows against per-frame powers, as the
-    # zeta calibration walk uses it
-    battery = np.array([[1.0, 1.0], [1.0, 1e-9]])
-    p_h = np.array([0.01, 0.01])
-    serve = np.ones((2, 2), dtype=bool)
-    spend = np.where(serve, p_h * P.tau, 0.0)
-    check_affordable(6, serve[:1], p_h, spend[:1], battery[:1], P)
+    # zeta calibration walk uses them: only frame 1 of candidate 1 starts
+    # empty, and 1e-9 J arrives there before block 7
+    params = P.evolve(N=7)
+    p_h = np.full((2, 1, 7), 0.01)
+    e_h = np.zeros((2, 7))
+    e_h[1, 6] = 1e-9
+    full = params.B_m
+
+    def serve_last(i, battery):
+        return np.full(battery.shape + (1,), int(i == 6), dtype=np.int8)
+
+    run_walk(serve_last, p_h, e_h, params, np.array([[full, full]]), params.p_H_max)
     with pytest.raises(InvalidActionError, match="block 7 of frame 1 with battery 1e-09 J"):
-        check_affordable(6, serve, p_h, spend, battery, P)
+        run_walk(serve_last, p_h, e_h, params, np.array([[full, full], [full, 0.0]]),
+                 params.p_H_max)
+
+
+def test_single_user_peak_check_is_exact():
+    params = P.evolve(N=1, P_avg=0.5)   # one block's arrival pays a 0.5 W serve
+    e_h = np.full((1, 1), params.E_m)
+
+    def serve(i, battery):
+        return np.ones((1, 1), dtype=np.int8)
+
+    run_walk(serve, np.full((1, 1, 1), params.p_H_max), e_h, params, np.zeros(1), params.p_H_max)
+    above = np.nextafter(params.p_H_max, np.inf)
+    with pytest.raises(InvalidActionError, match="block 1 of frame 0"):
+        run_walk(serve, np.full((1, 1, 1), above), e_h, params, np.zeros(1), params.p_H_max)
+
+
+def test_joint_serve_of_one_user_above_the_summed_cap_raises():
+    # the summed power is within the 1e-12 slack, the one served user is not
+    params = P.evolve(N=1, P_avg=0.5)
+    cap = 0.4
+    p_h = np.array([[[np.nextafter(cap, np.inf)], [0.1]]])
+
+    def first_user(i, battery):
+        return np.array([[1, 0]], dtype=np.int8)
+
+    with pytest.raises(InvalidActionError, match="block 1 of frame 0"):
+        run_walk(first_user, p_h, np.full((1, 1), params.E_m), params, np.zeros(1), cap)
+    run_walk(first_user, np.array([[[cap], [0.1]]]), np.full((1, 1), params.E_m), params,
+             np.zeros(1), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +291,79 @@ def replay_offline(params, gg, gh, eh, solve):
 def test_offline_frame_metrics_match_scripted_replay_bitwise(solver, changes):
     params = P.evolve(**changes)
     gg, gh, eh = sample_trajectories(params, 77, 60)
+    solve = greedy_assignment if solver == "greedy" else exhaustive_optimal
     got = offline_frame_metrics(params, gg, gh, eh, solver=solver)
-    want = replay_offline(params, gg, gh, eh,
-                          greedy_assignment if solver == "greedy" else exhaustive_optimal)
+    want = replay_offline(params, gg, gh, eh, solve)
     for arr, ref in zip(got, want):
         assert np.array_equal(arr, ref)
+    # and what the expansion oracle reads off each frame's instance
+    for f in range(gg.shape[0]):
+        inst = to_ip_instance(FrameTrajectory(gamma_G=gg[f], gamma_H=gh[f], e_H=eh[f]), params)
+        full = expand_solution(solve(inst)[0], inst, params)
+        assert (got[0][f], got[1][f], got[2][f]) == (full.total_cost, full.grid_energy, full.drops)
+
+
+def test_plan_on_the_energy_slack_boundary_replays():
+    # the greedy keeps both blocks: together they overdraw the two arrivals
+    # by 9.75e-10 of their sum, within ENERGY_RTOL, though block 2 alone
+    # exceeds its battery by 1.05e-9; the walk's slack is on arrivals too
+    params = P.evolve(N=2)
+    spends = params.E_m * np.array([1 + 9e-10, 1 + 1.05e-9])
+    unit = float(link_terms(1.0, 1.0, params)[1])   # p_H_inv at unit fading
+    gh = unit * params.tau / spends
+    costs, grid, drops = offline_frame_metrics(params, np.ones((1, 2)), gh[None],
+                                               np.full((1, 2), params.E_m))
+    assert (costs[0], grid[0], drops[0]) == (0.0, 0.0, 0)
+
+
+def test_one_user_joint_replay_equals_offline_frame_metrics():
+    gg, gh, eh = sample_trajectories(P, 80, 40)
+    want = offline_frame_metrics(P, gg, gh, eh)
+    batch = FrameBatch(P, gg, gh, eh)
+    plan = greedy_plan(batch.skip[:, None], batch.p_h[:, None], eh, P.tau, P.p_H_max)
+    for policy in (ScriptedMultiuserAssignment(plan), "greedy"):
+        got = multiuser_frame_metrics(policy, gg[:, None], gh[:, None], eh, [P], P.p_H_max,
+                                      P.p_G_max)
+        for arr, ref in zip(got, want):
+            assert np.array_equal(arr, ref)
+
+
+def test_replay_plan_partitions_blocks():
+    params = P.evolve(N=12)
+    gg, gh, eh = sample_trajectories(params, 25, 20)
+    batch = FrameBatch(params, gg, gh, eh)
+    plan = greedy_plan(batch.skip[:, None], batch.p_h[:, None], eh, params.tau, params.p_H_max)
+    serve, admitted, cost, grid = replay_plan(plan, [batch], params.p_H_max, params.p_G_max)
+    dropped = ~serve & ~admitted
+    assert not np.any(serve & admitted)
+    assert np.array_equal(serve, plan == 1)
+    costs, energies, drops = frame_totals(serve, admitted, cost, grid)
+    for f in range(20):
+        inst = to_ip_instance(FrameTrajectory(gamma_G=gg[f], gamma_H=gh[f], e_H=eh[f]), params)
+        assert costs[f] == total_service_cost(plan[f, 0], inst)
+        # cost decomposition: grid bill plus drop penalties
+        assert math.isclose(costs[f], params.w_G * energies[f] + params.w_D * drops[f],
+                            rel_tol=1e-9, abs_tol=1e-15)
+    assert np.all(batch.p_g[admitted[:, 0]] <= kappa(params))
+    assert np.all(batch.p_h[serve[:, 0]] <= params.p_H_max)
+    assert np.array_equal(grid[admitted], batch.p_g[admitted[:, 0]] * params.tau)
+    assert np.all(grid[~admitted] == 0.0) and drops.sum() == dropped.sum()
+
+
+def test_replay_plan_boundary_power_transmits():
+    # a grid power exactly at kappa transmits, one ulp of fading below drops
+    base = P.evolve(N=2)
+    p_g = float(link_terms(1.0, 1.0, base)[0])
+    w_d = p_g * base.w_G * base.tau
+    while w_d / (base.w_G * base.tau) != p_g:
+        w_d = np.nextafter(w_d, np.inf if w_d / (base.w_G * base.tau) < p_g else 0.0)
+    params = base.evolve(w_D=float(w_d))
+    assert kappa(params) == p_g
+    batch = FrameBatch(params, np.array([[1.0, np.nextafter(1.0, 0.0)]]), np.zeros((1, 2)),
+                       np.zeros((1, 2)))
+    serve, admitted, _, _ = replay_plan(np.zeros((1, 1, 2), dtype=np.int8), [batch],
+                                        params.p_H_max, params.p_G_max)
+    assert admitted[0, 0].tolist() == [True, False] and not serve.any()
 
 
 def test_offline_evaluation_refuses_a_capped_battery():
