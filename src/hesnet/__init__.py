@@ -37,18 +37,7 @@ from .model import (
     sample_trajectories,
     sample_trajectory,
 )
-from .offline import (
-    IpInstance,
-    check_swap_optimality,
-    exhaustive_optimal,
-    first_violation,
-    greedy_assignment,
-    greedy_plan,
-    multiuser_greedy_assignment,
-    ratio_metric,
-    to_ip_instance,
-    total_service_cost,
-)
+from .offline import exhaustive_plan, greedy_plan, ratio_metric
 from .mdp import (
     CostToGo,
     MdpModel,
@@ -82,8 +71,6 @@ from .policies import (
 from .sim import (
     GridOnlyPolicy,
     RunMetrics,
-    ScriptedAssignmentPolicy,
-    ScriptedMultiuserAssignment,
     apply_axis,
     frame_totals,
     metrics_from_arrays,

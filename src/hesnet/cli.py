@@ -40,13 +40,7 @@ from .errors import (
 )
 from .mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction, save_policy_artifact
 from .model import FrameBatch, FrameTrajectory, SystemParams, sample_trajectory
-from .offline import (
-    EXHAUSTIVE_CAP,
-    exhaustive_optimal,
-    frame_instance,
-    greedy_assignment,
-    require_uncapped_battery,
-)
+from .offline import EXHAUSTIVE_CAP, exhaustive_plan, greedy_plan, require_uncapped_battery
 from .policies import (
     GreedyTransmit,
     LookAhead,
@@ -189,13 +183,20 @@ def _num(value: str, key: str, source: str) -> float:
     return num
 
 
-def _int(value: str, key: str, source: str, minimum: int = 1) -> int:
-    num = _num(value, key, source)
-    if num != int(num):
-        raise ConfigError(f"{source}: key {key!r} needs an integer, got {value!r}")
-    n = int(num)
+def _int(value: str, key: str, source: str, minimum: int = 1, maximum: int | None = None) -> int:
+    """An integer key; exact digits parse with int(), so no float rounds
+    them, and forms like 1e3 go through float."""
+    try:
+        n = int(value)
+    except ValueError:
+        num = _num(value, key, source)
+        if num != int(num):
+            raise ConfigError(f"{source}: key {key!r} needs an integer, got {value!r}") from None
+        n = int(num)
     if n < minimum:
         raise ConfigError(f"{source}: key {key!r} must be >= {minimum}, got {n}")
+    if maximum is not None and n > maximum:
+        raise ConfigError(f"{source}: key {key!r} must be <= {maximum}, got {n}")
     return n
 
 
@@ -218,6 +219,9 @@ def _merge_source(kv: dict, source: str, field_map: dict, run_map: dict, raw: di
         else:
             raise ConfigError(f"{source}: unknown key {key!r}")
 
+
+# Largest seed: make_rng keys on 64 bits and zeta calibration draws at seed + 1.
+SEED_MAX = 2 ** 64 - 2
 
 # Most zeta candidates a grid may hold; the default 0:0.5:200 has 401.
 ZETA_GRID_MAX = 100_000
@@ -277,7 +281,7 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
     m_levels = _int(run_value("m_levels", "100"), "m_levels", run_source("m_levels"))
     k_states = _int(run_value("k_states", "25"), "k_states", run_source("k_states"))
     frames = _int(run_value("frames", "1000"), "frames", run_source("frames"))
-    seed = _int(run_value("seed", "1"), "seed", run_source("seed"), minimum=0)
+    seed = _int(run_value("seed", "1"), "seed", run_source("seed"), minimum=0, maximum=SEED_MAX)
     users = _int(run_value("users", "1"), "users", run_source("users"))
     threads = _int(run_value("threads", "1"), "threads", run_source("threads"))
     zeta_budget = _int(run_value("zeta_budget", "1000"), "zeta_budget", run_source("zeta_budget"))
@@ -514,39 +518,35 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
         dump.parent.mkdir(parents=True, exist_ok=True)
         _write_trajectory(dump, traj)
     batch = FrameBatch.of_frame(traj, params)
-    inst = frame_instance(batch, 0)
-
-    solutions = {}
-    alpha_g, cost_g = greedy_assignment(inst)
-    solutions["greedy"] = (alpha_g, cost_g)
-    want_exhaustive = cfg.solver == "exhaustive" or (
-        cfg.solver == "auto" and params.N <= EXHAUSTIVE_CAP)
-    if want_exhaustive:
-        # over the cap this raises the resource-limit error (exit 3)
-        solutions["exhaustive"] = exhaustive_optimal(inst)
+    solvers = {"greedy": greedy_plan}
+    if cfg.solver == "exhaustive" or (cfg.solver == "auto" and params.N <= EXHAUSTIVE_CAP):
+        solvers["exhaustive"] = exhaustive_plan
+    # over the cap exhaustive_plan raises the resource-limit error (exit 3)
+    plans = {name: solve(batch.skip[:, None], batch.p_h[:, None], batch.e_h, params.tau,
+                         params.p_H_max) for name, solve in solvers.items()}
 
     out = _out_dir(cfg)
     csv_path = out / "offline_schedule.csv"
     rows = []
     report: dict = {"params_hash": params.content_hash(), "n_blocks": params.N,
                     "trajectory_sha256": _trajectory_sha256(traj), "solvers": {}}
-    for solver_name, (alpha, cost) in solutions.items():
-        serve, admitted, costs, grid = replay_plan(alpha[None, None], [batch], params.p_H_max,
-                                                   params.p_G_max)
-        _, energy, drops = frame_totals(serve, admitted, costs, grid)
+    for solver_name, plan in plans.items():
+        serve, admitted, costs, grid = replay_plan(plan, [batch], params.p_H_max, params.p_G_max)
+        cost, energy, drops = frame_totals(serve, admitted, costs, grid)
         report["solvers"][solver_name] = {
-            "total_cost": cost, "grid_energy_j": float(energy[0]), "drops": int(drops[0])}
+            "total_cost": float(cost[0]), "grid_energy_j": float(energy[0]),
+            "drops": int(drops[0])}
         i_h, i_g = serve[0, 0], admitted[0, 0]
         rows += [dict(zip(OFFLINE_HEADER, (
             solver_name, i + 1, float(traj.gamma_G[i]), float(traj.gamma_H[i]), float(traj.e_H[i]),
-            int(alpha[i]), int(i_g[i]), int(i_h[i]), int(not (i_g[i] or i_h[i])),
+            int(i_h[i]), int(i_g[i]), int(i_h[i]), int(not (i_g[i] or i_h[i])),
             float(batch.p_g[0, i] if i_g[i] else 0.0),
             float(batch.p_h[0, i] if i_h[i] else 0.0)))) for i in range(params.N)]
     write_rows_csv(csv_path, rows, header=OFFLINE_HEADER)
-    if "exhaustive" in solutions:
-        gap = cost_g - solutions["exhaustive"][1]
-        report["gap"] = gap
-        report["gap_relative"] = gap / solutions["exhaustive"][1] if solutions["exhaustive"][1] else 0.0
+    if "exhaustive" in plans:
+        opt = report["solvers"]["exhaustive"]["total_cost"]
+        report["gap"] = gap = report["solvers"]["greedy"]["total_cost"] - opt
+        report["gap_relative"] = gap / opt if opt else 0.0
     summary_path = out / "offline_summary.json"
     summary_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 

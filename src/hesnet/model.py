@@ -312,7 +312,7 @@ class FrameBatch:
 
     The gains and arrivals are held as given (float arrays are not copied);
     `link_terms` runs once, at construction, and every walk, policy,
-    calibrator and offline instance reads its columns or rows.
+    calibrator and offline solver reads its columns or rows.
     """
 
     params: SystemParams

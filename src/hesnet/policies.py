@@ -42,7 +42,6 @@ __all__ = [
     "threshold_lambdas",
     "calibrate_zeta",
     "look_ahead_build",
-    "ratio_metric",
 ]
 
 
@@ -99,10 +98,10 @@ class ThresholdParams:
                 raise InvalidParameterError(f"{name} must be finite and > 0, got {v!r}")
 
 
-def _threshold_level(zeta, lambda1, lambda2, params: SystemParams, metric):
-    """Right-hand side zeta * P_avg * tau * metric(lambda1, lambda2) of the
-    threshold rule; `zeta` may be a column of candidates."""
-    return zeta * params.P_avg * params.tau * float(metric(lambda1, lambda2))
+def _threshold_level(zeta, lambda1, lambda2, params: SystemParams):
+    """Right-hand side zeta * P_avg * tau * ratio_metric(lambda1, lambda2) of
+    the threshold rule; `zeta` may be a column of candidates."""
+    return zeta * params.P_avg * params.tau * float(ratio_metric(lambda1, lambda2))
 
 
 def _threshold_serve(block, battery, p_h, score, level, params: SystemParams, p_max=None):
@@ -110,7 +109,7 @@ def _threshold_serve(block, battery, p_h, score, level, params: SystemParams, p_
 
     Infeasible states never serve; the last block serves whenever feasible;
     otherwise serve when battery * score clears `level`, where score is
-    metric(skip cost, p_h) and level comes from _threshold_level.  Operands
+    ratio_metric(skip cost, p_h) and level comes from _threshold_level.  Operands
     broadcast: a (frames,) block, a (frames, users) block against a
     (frames, 1) shared battery, or a (candidates, frames) block of battery
     states against per-frame p_h and score.
@@ -146,23 +145,20 @@ class ThresholdHeuristic:
     """Threshold rule with fixed constants.
 
     Infeasible states never serve; the last block serves whenever feasible;
-    otherwise serve when battery * metric(skip cost, battery power) clears
-    zeta * P_avg * tau * metric(lambda1, lambda2).  With zeta = 0 the rule
-    degenerates to greedy transmission for every state.
+    otherwise serve when battery * ratio_metric(skip cost, battery power)
+    clears zeta * P_avg * tau * ratio_metric(lambda1, lambda2).  With
+    zeta = 0 the rule degenerates to greedy transmission for every state.
     """
 
-    def __init__(self, tp: ThresholdParams, metric=None, name: str = "TH"):
+    def __init__(self, tp: ThresholdParams, name: str = "TH"):
         self.tp = tp
-        self.metric = metric or ratio_metric
         self.name = name
 
     def decide_batch(self, block, battery, batch: FrameBatch):
         params = batch.params
         p_h = batch.p_h[:, block]
-        with np.errstate(invalid="ignore"):
-            score = np.asarray(self.metric(batch.skip[:, block], p_h), dtype=float)
-        level = _threshold_level(self.tp.zeta, self.tp.lambda1, self.tp.lambda2, params,
-                                 self.metric)
+        score = ratio_metric(batch.skip[:, block], p_h)
+        level = _threshold_level(self.tp.zeta, self.tp.lambda1, self.tp.lambda2, params)
         return _threshold_serve(block, battery, p_h, score, level, params).astype(np.int8)
 
 
@@ -256,7 +252,7 @@ _CALIBRATION_ROWS = 1 << 20
 
 
 def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
-                   metric=None, return_costs: bool = False):
+                   return_costs: bool = False):
     """Pick the zeta minimizing mean frame cost over shared trajectories.
 
     Every candidate is scored on the same `budget` frames (keyed by `seed`),
@@ -267,26 +263,23 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
     walk of every evaluation, as one user with the zeta level as a
     (candidates, 1) column and a (candidates, frames) battery, summing skip
     costs only; chunks of at most _CALIBRATION_ROWS candidate-frame rows
-    bound memory.  Each cost
-    equals, bit for bit, the mean of run_batch's frame costs for that
-    candidate alone.  The score metric(skip cost, p_H) is computed once on
-    (frames, N) arrays, so `metric` must act elementwise.
+    bound memory.  The score ratio_metric(skip cost, p_H) is computed once
+    on (frames, N) arrays.  Each cost equals, bit for bit, the mean of
+    run_batch's frame costs for that candidate alone.
     """
     cand = np.asarray(list(candidates), dtype=float)
     if cand.size == 0 or np.any(~np.isfinite(cand)) or np.any(cand < 0):
         raise InvalidParameterError("candidates must be finite, nonnegative, and nonempty")
     if budget < 1:
         raise InvalidParameterError(f"budget must be >= 1 frame, got {budget!r}")
-    metric = metric or ratio_metric
     lambda1, lambda2 = threshold_lambdas(params)
     ThresholdParams(float(cand[0]), lambda1, lambda2)  # rejects degenerate lambdas
     batch = FrameBatch(params, *sample_trajectories(params, seed, budget))
-    with np.errstate(invalid="ignore"):
-        score = np.asarray(metric(batch.skip, batch.p_h), dtype=float)
+    score = ratio_metric(batch.skip, batch.p_h)
     chunk = max(1, _CALIBRATION_ROWS // budget)
     costs = np.empty(cand.size)
     for lo in range(0, cand.size, chunk):
-        level = _threshold_level(cand[lo:lo + chunk, None], lambda1, lambda2, params, metric)
+        level = _threshold_level(cand[lo:lo + chunk, None], lambda1, lambda2, params)
 
         def decide(i, battery, level=level):
             return _threshold_serve(i, battery, batch.p_h[:, i], score[:, i], level,
@@ -336,14 +329,13 @@ class MultiuserThreshold:
 
     Each user first applies the single-user rule with the shared battery
     and the summed peak cap as its feasibility limits; tentative serves are
-    then admitted in decreasing metric order (ties: lower user index) while
-    the battery and the summed peak power hold out.
+    then admitted in decreasing ratio_metric order (ties: lower user index)
+    while the battery and the summed peak power hold out.
     """
 
-    def __init__(self, tps, p_H_max_sum: float, metric=None, name: str = "MU-TH"):
+    def __init__(self, tps, p_H_max_sum: float, name: str = "MU-TH"):
         self.tps = list(tps)
         self.p_H_max_sum = float(p_H_max_sum)
-        self.metric = metric or ratio_metric
         self.name = name
 
     def decide_joint(self, block, battery, p_h, skip, params_list):
@@ -351,10 +343,9 @@ class MultiuserThreshold:
         if not (len(self.tps) == np.shape(p_h)[-1] == np.shape(skip)[-1] == users):
             raise InvalidParameterError("tps, link terms and params_list must align")
         base = params_list[0]
-        level = np.array([_threshold_level(tp.zeta, tp.lambda1, tp.lambda2, p, self.metric)
+        level = np.array([_threshold_level(tp.zeta, tp.lambda1, tp.lambda2, p)
                           for tp, p in zip(self.tps, params_list)])
-        with np.errstate(invalid="ignore"):
-            score = np.asarray(self.metric(skip, p_h), dtype=float)
+        score = ratio_metric(skip, p_h)
         tentative = _threshold_serve(block, battery[:, None], p_h, score, level, base,
                                      self.p_H_max_sum)
         return _admit(np.argsort(-score, axis=1, kind="stable"), tentative, p_h, battery,

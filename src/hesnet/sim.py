@@ -8,8 +8,8 @@ out, and the rest drop.  Single-user policies decide through
 and offline plans (greedy or exhaustive, any user count) are replayed
 through the same walk (`replay_plan`).  `run_batch` sums the block terms
 with +=, every other evaluation per frame with math.fsum (`frame_totals`),
-so offline costs match the solvers' bit for bit; the zeta calibrator sums
-skip costs only.  `metrics_from_arrays` is the one aggregator.
+so an offline plan's cost is its exact skip-cost sum; the zeta calibrator
+sums skip costs only.  `metrics_from_arrays` is the one aggregator.
 """
 
 from __future__ import annotations
@@ -30,18 +30,11 @@ from .model import (
     sample_multiuser_trajectories,
     sample_trajectories,
 )
-from .offline import (
-    ENERGY_RTOL,
-    EXHAUSTIVE_CAP,
-    exhaustive_optimal,
-    frame_instance,
-    greedy_plan,
-    require_uncapped_battery,
-)
+from .offline import (ENERGY_RTOL, EXHAUSTIVE_CAP, exhaustive_plan, greedy_plan,
+                      require_uncapped_battery)
 
 __all__ = [
     "RunMetrics",
-    "ScriptedAssignmentPolicy",
     "GridOnlyPolicy",
     "run_frame",
     "run_batch",
@@ -53,7 +46,6 @@ __all__ = [
     "metrics_from_arrays",
     "metrics_row",
     "point_rows",
-    "ScriptedMultiuserAssignment",
     "sample_multiuser_trajectories",
     "multiuser_frame_metrics",
     "multiuser_monte_carlo",
@@ -78,21 +70,6 @@ class RunMetrics:
     stderr_total_cost: float   # 0.0 when frames == 1 (flagged, not estimated)
     mean_grid_energy: float    # J per frame
     drop_ratio: float          # dropped packets / (frames * users * N)
-
-
-class ScriptedAssignmentPolicy:
-    """Replays a precomputed (N,) or (frames, N) serving pattern as a
-    single-user policy."""
-
-    def __init__(self, alpha, name: str = "Scripted"):
-        self.alpha = np.asarray(alpha, dtype=np.int8)
-        self.name = name
-
-    def decide_batch(self, block, battery, batch):
-        plan = self.alpha if self.alpha.ndim == 2 else self.alpha[None, :]
-        if plan.shape[0] != battery.shape[0]:
-            raise InvalidParameterError("scripted plan does not cover this batch")
-        return plan[:, block]
 
 
 class GridOnlyPolicy:
@@ -166,20 +143,20 @@ def _walk(decide, p_h, e_h, params: SystemParams, battery, p_max: float):
         yield serve
 
 
-def _grid_admission(serve, p_g, reach, cap: float):
+def _grid_admission(serve, p_g, reach, p_max: float):
     """(frames, U) users the grid BS carries in one block.
 
     The users the harvesting BS skipped and the grid BS can reach (within
-    kappa and, alone, within `cap`) wait; they are admitted cheapest
+    kappa and, alone, within `p_max`) wait; they are admitted cheapest
     inversion power first (ties: lower user) while the summed power stays
-    within `cap`.  A lone user is admitted exactly when it waits.
+    within `p_max`.  A lone user is admitted exactly when it waits.
     """
     admitted = ~serve & reach
     if admitted.shape[1] > 1:
         waiting, used, rows = admitted.copy(), np.zeros(len(p_g)), np.arange(len(p_g))
         for u in np.argsort(p_g, axis=1, kind="stable").T:
             p = p_g[rows, u]
-            admit = waiting[rows, u] & (used + p <= cap)
+            admit = waiting[rows, u] & (used + p <= p_max)
             used = np.where(admit, used + p, used)
             admitted[rows, u] = admit
     return admitted
@@ -280,23 +257,20 @@ def monte_carlo(policy, params: SystemParams, frames: int, seed: int) -> RunMetr
 
 def offline_frame_metrics(params: SystemParams, gamma_g, gamma_h, e_h, *,
                           solver: str = "greedy"):
-    """Solve every frame with an offline assignment and replay the plans.
+    """Plan every frame with an offline solver and replay the plans.
 
-    solver: "greedy" (one `greedy_plan` over the batch) or "exhaustive"
-    (per frame, subject to the 2^N cap).  Returns per-frame arrays (costs,
-    grid energies, drop counts) from `replay_plan`.  The solvers model an
-    uncapped battery, so B_m < N * E_m raises ModelMismatchError.
+    solver: "greedy" (`greedy_plan`) or "exhaustive" (`exhaustive_plan`,
+    subject to its 2^N cap), either one call over the batch.  Returns
+    per-frame arrays (costs, grid energies, drop counts) from `replay_plan`.
+    The solvers model an uncapped battery, so B_m < N * E_m raises
+    ModelMismatchError.
     """
-    if solver not in ("greedy", "exhaustive"):
+    solve = {"greedy": greedy_plan, "exhaustive": exhaustive_plan}.get(solver)
+    if solve is None:
         raise InvalidParameterError(f"unknown offline solver {solver!r}")
     require_uncapped_battery(params)
     batch = FrameBatch(params, gamma_g, gamma_h, e_h)
-    if solver == "greedy":
-        plan = greedy_plan(batch.skip[:, None], batch.p_h[:, None], batch.e_h, params.tau,
-                           params.p_H_max)
-    else:
-        plan = np.stack([exhaustive_optimal(frame_instance(batch, f))[0]
-                         for f in range(batch.frames)])[:, None]
+    plan = solve(batch.skip[:, None], batch.p_h[:, None], batch.e_h, params.tau, params.p_H_max)
     return frame_totals(*replay_plan(plan, [batch], params.p_H_max, params.p_G_max))
 
 
@@ -420,20 +394,6 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
 # ---------------------------------------------------------------------------
 # multi-user frames: one battery, per-block sum power caps
 # ---------------------------------------------------------------------------
-
-class ScriptedMultiuserAssignment:
-    """Replays a (frames, users, N) serving plan, e.g. pooled offline
-    solutions."""
-
-    def __init__(self, sel, name: str = "Scripted"):
-        self.sel = np.asarray(sel, dtype=np.int8)
-        self.name = name
-
-    def decide_joint(self, block, battery, p_h, skip, params_list):
-        if self.sel.shape[0] != battery.shape[0]:
-            raise InvalidParameterError("scripted plan does not cover this batch")
-        return self.sel[:, :, block]
-
 
 def multiuser_frame_metrics(policy, gamma_g, gamma_h, e_h, params_list,
                             p_H_max_sum: float, p_G_max_sum: float):

@@ -21,6 +21,7 @@ from hesnet.mdp import (
 )
 from hesnet.model import (
     ExponentialFading,
+    FrameBatch,
     FrameTrajectory,
     SystemParams,
     channel_gain,
@@ -28,12 +29,7 @@ from hesnet.model import (
     make_rng,
     sample_trajectories,
 )
-from hesnet.offline import (
-    check_swap_optimality,
-    exhaustive_optimal,
-    greedy_assignment,
-    to_ip_instance,
-)
+from hesnet.offline import exhaustive_plan, greedy_plan
 from hesnet.policies import (
     GreedyTransmit,
     LookAhead,
@@ -53,6 +49,7 @@ from hesnet.sim import (
     run_frame,
     sample_multiuser_trajectories,
 )
+from oracles import Frame, solve, swap_free
 
 REF = SystemParams()  # reference parameter set used throughout
 
@@ -114,15 +111,11 @@ def trajectory_bank_n15():
     params = REF.evolve(N=15)
     frames = 1000
     gg, gh, eh = sample_trajectories(params, 77, frames)
-    cost_greedy = np.empty(frames)
-    cost_opt = np.empty(frames)
-    swap_ok = np.zeros(frames, dtype=bool)
-    for f in range(frames):
-        traj = FrameTrajectory(gamma_G=gg[f], gamma_H=gh[f], e_H=eh[f])
-        inst = to_ip_instance(traj, params)
-        alpha_g, cost_greedy[f] = greedy_assignment(inst)
-        swap_ok[f] = check_swap_optimality(alpha_g, inst)
-        _, cost_opt[f] = exhaustive_optimal(inst)
+    batch = FrameBatch(params, gg, gh, eh)
+    plan = greedy_plan(batch.skip[:, None], batch.p_h[:, None], eh, params.tau, params.p_H_max)
+    swap_ok = np.array([swap_free(plan[f, 0], Frame.of(batch, f)) for f in range(frames)])
+    cost_greedy, _, _ = offline_frame_metrics(params, gg, gh, eh)
+    cost_opt, _, _ = offline_frame_metrics(params, gg, gh, eh, solver="exhaustive")
     return {"params": params, "gg": gg, "gh": gh, "eh": eh,
             "cost_greedy": cost_greedy, "cost_opt": cost_opt, "swap_ok": swap_ok}
 
@@ -168,9 +161,10 @@ def test_criterion_02_greedy_exact_on_constant_channel_instances():
             else:
                 gg = np.full(params.N, float(rng.uniform(0.1, 3.0)))
             eh = rng.uniform(0, params.E_m, params.N)
-            inst = to_ip_instance(FrameTrajectory(gamma_G=gg, gamma_H=gh, e_H=eh), params)
-            _, c_greedy = greedy_assignment(inst)
-            _, c_opt = exhaustive_optimal(inst)
+            inst = Frame.of(FrameBatch.of_frame(
+                FrameTrajectory(gamma_G=gg, gamma_H=gh, e_H=eh), params))
+            _, c_greedy = solve(greedy_plan, inst)
+            _, c_opt = solve(exhaustive_plan, inst)
             if c_greedy != c_opt:  # identical floats demanded, not closeness
                 mismatches += 1
     elapsed = time.perf_counter() - t0

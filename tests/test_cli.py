@@ -1,5 +1,6 @@
 """Config resolution, subcommand behavior, exit codes, output files."""
 
+import csv
 import hashlib
 import json
 import math
@@ -132,6 +133,22 @@ def test_oversized_zeta_grid_is_refused_before_it_is_built(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0 and peak < 1 << 20
     assert main(["calibrate-zeta", "--zeta-grid", "0:1e-12:1", "--out", str(tmp_path)]) == 3
     assert "zeta_grid" in capsys.readouterr().err
+
+
+def test_integer_keys_parse_exact_digits(tmp_path, capsys):
+    # a float parse would run 2^53 + 1 as 2^53, and 2^64 + 1 as 2^64, which
+    # the 64-bit rng key masks to seed 0
+    assert resolve_config(overrides={"seed": "9007199254740993"}).seed == 9007199254740993
+    assert resolve_config(overrides={"seed": str(2 ** 64 - 2)}).seed == 2 ** 64 - 2
+    assert resolve_config(overrides={"frames": "1e3"}).frames == 1000
+    for seed in (str(2 ** 64 - 1), "18446744073709551617"):
+        with pytest.raises(ConfigError, match="seed"):
+            resolve_config(overrides={"seed": seed})
+    with pytest.raises(ConfigError, match="integer"):
+        resolve_config(overrides={"frames": "2.5"})
+    assert main(["simulate", "--seed", "18446744073709551617", "--set", "policies=GT",
+                 "--out", str(tmp_path)]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_all_presets_resolve():
@@ -439,6 +456,31 @@ def test_threshold_with_no_feasible_serve_matches_gt(tmp_path):
     rows = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
     threshold, gt = (row.split(",", 1) for row in rows)
     assert (threshold[0], gt[0]) == ("Threshold", "GT") and threshold[1] == gt[1]
+
+
+@pytest.mark.parametrize("key", ["n_blocks=1", "k_states=1", "m_levels=1"])
+def test_train_and_simulate_at_a_single_block_state_or_level(tmp_path, key):
+    # N=1 also makes B_m = E_m, so its Greedy and Exhaustive rows run the
+    # offline plans on the smallest uncapped battery
+    policies = "GT,LA,Threshold,MBIA,GA" + (",Exhaustive" if key == "n_blocks=1" else "")
+    argv = ["--set", key, "--seed", "3", "--out", str(tmp_path)]
+    assert main(["mdp-train", *argv]) == 0
+    assert main(["simulate", *argv, "--frames", "50", "--set", f"policies={policies}"]) == 0
+    cfg = resolve_config(overrides=dict([key.split("=")]))
+    params = cfg.params
+    with open(tmp_path / "simulate.csv") as f:
+        rows = {row["policy"]: row for row in csv.DictReader(f)}
+    assert list(rows) == ["GT", "Look-Ahead", "Threshold", f"MBIA-M{cfg.m_levels}", "Greedy",
+                          *(["Exhaustive"] if key == "n_blocks=1" else [])]
+    for row in rows.values():
+        cost, grid, drop = (float(row[k]) for k in ("mean_total_cost", "grid_energy_j",
+                                                    "drop_ratio"))
+        assert all(math.isfinite(v) for v in (cost, grid, drop))
+        assert math.isclose(cost, params.w_G * grid + params.w_D * params.N * drop,
+                            rel_tol=1e-9)
+    if key == "n_blocks=1":
+        for name in ("Greedy", "Exhaustive", "GT"):
+            assert float(rows[name]["mean_total_cost"]) == pytest.approx(0.00204781, abs=5e-9)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)

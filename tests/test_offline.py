@@ -1,37 +1,28 @@
-"""Frame-level assignment: reduction, feasibility, greedy vs exhaustive."""
-
-import math
+"""Frame-level assignment: batch plans, feasibility, greedy vs exhaustive."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesnet.errors import FeasibilityError, InvalidParameterError, ResourceLimitError
-from hesnet.model import SystemParams, channel_gain, cost_parameter, inversion_power, make_rng, sample_trajectory
-from hesnet.offline import (
-    ENERGY_RTOL,
-    IpInstance,
-    _as_alpha,
-    check_swap_optimality,
-    exhaustive_optimal,
-    first_violation,
-    greedy_assignment,
-    greedy_plan,
-    multiuser_greedy_assignment,
-    ratio_metric,
-    to_ip_instance,
-    total_service_cost,
+from hesnet.errors import InvalidParameterError, ResourceLimitError
+from hesnet.model import (
+    FrameBatch,
+    SystemParams,
+    channel_gain,
+    cost_parameter,
+    inversion_power,
+    make_rng,
+    sample_trajectory,
 )
+from hesnet.offline import ENERGY_RTOL, exhaustive_plan, greedy_plan, ratio_metric
+from oracles import Frame, first_violation, plan_args, service_cost, solve, swap_free
 
 P = SystemParams()
 
 
-def inst_of(c, p_h, e_h, tau=1.0, p_h_max=10.0, p_g=None):
-    c = np.asarray(c, dtype=float)
-    p_g = np.full_like(c, 1.0) if p_g is None else np.asarray(p_g, dtype=float)
-    return IpInstance(c=c, p_H_inv=np.asarray(p_h, dtype=float), p_G_inv=p_g,
-                      e_H=np.asarray(e_h, dtype=float), tau=tau, p_H_max=p_h_max)
+def inst_of(c, p_h, e_h, tau=1.0, p_h_max=10.0):
+    return Frame(*(np.asarray(a, dtype=float) for a in (c, p_h, e_h)), tau, p_h_max)
 
 
 def random_instance(rng, n, *, constant_h=False, constant_g=False, params=P):
@@ -40,49 +31,45 @@ def random_instance(rng, n, *, constant_h=False, constant_g=False, params=P):
     e_h = rng.uniform(0.0, params.E_m, n)
     p_h = inversion_power(channel_gain(params.d_H, gamma_h, params), params)
     p_g = inversion_power(channel_gain(params.d_G, gamma_g, params), params)
-    return IpInstance(c=cost_parameter(p_g, params), p_H_inv=p_h, p_G_inv=p_g,
-                      e_H=e_h, tau=params.tau, p_H_max=params.p_H_max)
+    return Frame(cost_parameter(p_g, params), p_h, e_h, params.tau, params.p_H_max)
 
 
 # ---------------------------------------------------------------------------
 # per-frame oracle: add the best feasible block, rescan, repeat
 # ---------------------------------------------------------------------------
 
-def find_feasible(inst: IpInstance, alpha) -> np.ndarray:
+def find_feasible(inst: Frame, alpha) -> np.ndarray:
     """0-based indices of unselected blocks that can be added to `alpha`.
 
-    Adding block i raises every prefix from i on by p_H_inv[i] * tau, so i
+    Adding block i raises every prefix from i on by p_h[i] * tau, so i
     fits iff that fits under the worst remaining slack from i onward.
     """
-    alpha = _as_alpha(alpha, inst.n_blocks)
-    on = alpha == 1
-    spend = np.where(on, np.where(np.isfinite(inst.p_H_inv), inst.p_H_inv * inst.tau, np.inf), 0.0)
-    slack = np.cumsum(inst.e_H) * (1.0 + ENERGY_RTOL) - np.cumsum(spend)
+    on = np.asarray(alpha) == 1
+    spend = np.where(on, np.where(np.isfinite(inst.p_h), inst.p_h * inst.tau, np.inf), 0.0)
+    slack = np.cumsum(inst.e_h) * (1.0 + ENERGY_RTOL) - np.cumsum(spend)
     tail_slack = np.minimum.accumulate(slack[::-1])[::-1]
     with np.errstate(invalid="ignore"):
-        ok = (~on) & (inst.p_H_inv <= inst.p_H_max) & (inst.p_H_inv * inst.tau <= tail_slack)
+        ok = (~on) & (inst.p_h <= inst.p_max) & (inst.p_h * inst.tau <= tail_slack)
     return np.flatnonzero(ok)
 
 
-def oracle_greedy(inst: IpInstance, metric=None):
+def oracle_greedy(inst: Frame):
     """Each pass adds the feasible unselected block maximizing
-    metric(c, p_H_inv) (ties: earliest block) until nothing fits."""
-    metric = metric or ratio_metric
-    alpha = np.zeros(inst.n_blocks, dtype=np.int8)
-    for _ in range(inst.n_blocks):
+    ratio_metric(c, p_h) (ties: earliest block) until nothing fits."""
+    alpha = np.zeros(inst.c.shape[0], dtype=np.int8)
+    for _ in range(inst.c.shape[0]):
         cand = find_feasible(inst, alpha)
         if cand.size == 0:
             break
-        scores = np.asarray(metric(inst.c[cand], inst.p_H_inv[cand]), dtype=float)
-        alpha[int(cand[np.argmax(scores)])] = 1
+        alpha[int(cand[np.argmax(ratio_metric(inst.c[cand], inst.p_h[cand]))])] = 1
     return alpha
 
 
 def pooled_feasible(instances, sel, p_H_max_sum):
     """Candidate (user, block) pairs addable to the joint selection `sel`."""
-    p = np.stack([inst.p_H_inv for inst in instances])         # (U, N)
+    p = np.stack([inst.p_h for inst in instances])             # (U, N)
     spend = np.where(sel == 1, np.where(np.isfinite(p), p * instances[0].tau, np.inf), 0.0)
-    slack = np.cumsum(instances[0].e_H) * (1.0 + ENERGY_RTOL) - np.cumsum(spend.sum(axis=0))
+    slack = np.cumsum(instances[0].e_h) * (1.0 + ENERGY_RTOL) - np.cumsum(spend.sum(axis=0))
     tail_slack = np.minimum.accumulate(slack[::-1])[::-1]      # (N,)
     block_power = np.where(sel == 1, np.where(np.isfinite(p), p, np.inf), 0.0).sum(axis=0)
     with np.errstate(invalid="ignore"):
@@ -92,36 +79,60 @@ def pooled_feasible(instances, sel, p_H_max_sum):
     return ok
 
 
-def oracle_multiuser_greedy(instances, p_H_max_sum, metric=None):
+def oracle_multiuser_greedy(instances, p_H_max_sum):
     """Pooled greedy: each pass adds the feasible (user, block) pair of top
     score (ties: earliest block, then lowest user) until nothing fits."""
-    metric = metric or ratio_metric
-    u, n = len(instances), instances[0].n_blocks
     c = np.stack([inst.c for inst in instances])
-    p = np.stack([inst.p_H_inv for inst in instances])
+    p = np.stack([inst.p_h for inst in instances])
+    u, n = c.shape
     sel = np.zeros((u, n), dtype=np.int8)
     for _ in range(u * n):
         ok = pooled_feasible(instances, sel, p_H_max_sum)
         if not ok.any():
             break
-        scores = np.where(ok, np.asarray(metric(c, p), dtype=float), -np.inf)
+        scores = np.where(ok, ratio_metric(c, p), -np.inf)
         block, user = divmod(int(np.argmax(scores.T)), u)  # block-major
         sel[user, block] = 1
     return sel
 
 
 # ---------------------------------------------------------------------------
-# reduction and feasibility
+# reduction, input checks and feasibility
 # ---------------------------------------------------------------------------
 
 def test_reduction_matches_primitives():
     traj = sample_trajectory(P, 3)
-    inst = to_ip_instance(traj, P)
+    batch = FrameBatch.of_frame(traj, P)
+    inst = Frame.of(batch)
     p_g = inversion_power(channel_gain(P.d_G, traj.gamma_G, P), P)
-    np.testing.assert_allclose(inst.p_G_inv, p_g, rtol=1e-12)
+    np.testing.assert_allclose(batch.p_g[0], p_g, rtol=1e-12)
     np.testing.assert_allclose(inst.c, cost_parameter(p_g, P), rtol=1e-12)
-    np.testing.assert_array_equal(inst.e_H, traj.e_H)
-    assert inst.tau == P.tau and inst.p_H_max == P.p_H_max
+    np.testing.assert_allclose(inst.p_h, inversion_power(channel_gain(P.d_H, traj.gamma_H, P), P),
+                               rtol=1e-12)
+    np.testing.assert_array_equal(inst.e_h, traj.e_H)
+    assert inst.tau == P.tau and inst.p_max == P.p_H_max
+
+
+@pytest.mark.parametrize("solver", [greedy_plan, exhaustive_plan])
+def test_solvers_check_their_inputs(solver):
+    c, p, e = np.ones((2, 1, 3)), np.ones((2, 1, 3)), np.ones((2, 3))
+    assert solver(c, p, e, 1.0, 10.0).shape == (2, 1, 3)
+    p_dead = p.copy()
+    p_dead[0, 0, 1] = np.inf   # a dead channel is a legal power
+    assert solver(c, p_dead, e, 1.0, 10.0)[0, 0, 1] == 0
+    bad = {
+        "shape": (c[:, :, :2], p, e), "arrival shape": (c, p, e[:, :2]),
+        "per-user arrivals": (c, p, e[:, None]),
+        "negative cost": (c * -1.0, p, e), "infinite cost": (c * np.inf, p, e),
+        "zero power": (c, p * 0.0, e), "negative power": (c, p * -1.0, e),
+        "negative arrival": (c, p, e * -1.0), "infinite arrival": (c, p, e * np.inf),
+    }
+    for args in bad.values():
+        with pytest.raises(InvalidParameterError):
+            solver(*args, 1.0, 10.0)
+    for tau, cap in ((0.0, 10.0), (1.0, 0.0), (-1.0, 10.0), (np.nan, 10.0), (1.0, np.nan)):
+        with pytest.raises(InvalidParameterError):
+            solver(c, p, e, tau, cap)
 
 
 def test_first_violation_pinpoints_block():
@@ -135,27 +146,30 @@ def test_first_violation_pinpoints_block():
     assert first_violation([1, 0, 1], inst) is None  # 3 J by block 3, 5 J arrived
     inst2 = inst_of(c=[1, 1], p_h=[1.0, 20.0], e_h=[30.0, 30.0])
     assert first_violation([0, 1], inst2) == 2  # peak cap, not energy
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(AssertionError):
         first_violation([0, 2, 0], inst)
 
 
 def test_total_service_cost_is_skip_sum():
     inst = inst_of(c=[0.5, 0.25, 0.125], p_h=[1, 1, 1], e_h=[1, 0, 1])
-    assert total_service_cost([0, 0, 0], inst) == 0.875
-    assert total_service_cost([1, 0, 1], inst) == 0.25
-    with pytest.raises(FeasibilityError) as exc:
-        total_service_cost([1, 1, 0], inst)  # 2 J needed by block 2, 1 arrived
-    assert exc.value.block == 2
+    assert service_cost([0, 0, 0], inst) == 0.875
+    assert service_cost([1, 0, 1], inst) == 0.25
+    assert first_violation([1, 1, 0], inst) == 2  # 2 J needed by block 2, 1 arrived
+    with pytest.raises(AssertionError):
+        service_cost([1, 1, 0], inst)
 
 
 def test_feasibility_boundary_is_inclusive():
     # spending exactly what has arrived is legal in every prefix
     inst = inst_of(c=[1, 1, 1], p_h=[1.0, 1.0, 1.0], e_h=[1.0, 1.0, 1.0])
     assert first_violation([1, 1, 1], inst) is None
-    assert total_service_cost([1, 1, 1], inst) == 0.0
-    # peak boundary: p_H_inv == p_H_max serves
+    assert service_cost([1, 1, 1], inst) == 0.0
+    np.testing.assert_array_equal(solve(greedy_plan, inst)[0], [1, 1, 1])
+    # peak boundary: p_h == p_max serves
     inst2 = inst_of(c=[1.0], p_h=[10.0], e_h=[100.0])
     assert first_violation([1], inst2) is None
+    alpha, cost = solve(exhaustive_plan, inst2)
+    assert alpha.tolist() == [1] and cost == 0.0
 
 
 def test_find_feasible_respects_prefix_slack():
@@ -177,7 +191,7 @@ def test_feasible_set_shrinks_as_selection_grows():
     for trial in range(20):
         inst = random_instance(rng, 12)
         free = set(find_feasible(inst, np.zeros(12, dtype=int)).tolist())
-        alpha, _ = greedy_assignment(inst)
+        alpha, _ = solve(greedy_plan, inst)
         chosen = np.flatnonzero(alpha)
         # everything greedy chose was feasible from the start
         assert set(chosen.tolist()) <= free
@@ -190,44 +204,36 @@ def test_feasible_set_shrinks_as_selection_grows():
 def test_greedy_prefers_high_ratio_blocks():
     # c/p ranks block 2 (ratio 4) over block 1 (ratio 1); energy fits only one
     inst = inst_of(c=[1.0, 2.0], p_h=[1.0, 0.5], e_h=[1.0, 0.0])
-    alpha, cost = greedy_assignment(inst)
+    alpha, cost = solve(greedy_plan, inst)
     np.testing.assert_array_equal(alpha, [0, 1])
     assert cost == 1.0
 
 
 def test_greedy_tie_breaks_to_earliest():
     inst = inst_of(c=[1.0, 1.0, 1.0], p_h=[1.0, 1.0, 1.0], e_h=[1.0, 0.0, 0.0])
-    alpha, cost = greedy_assignment(inst)
+    alpha, cost = solve(greedy_plan, inst)
     np.testing.assert_array_equal(alpha, [1, 0, 0])
     assert cost == 2.0
 
 
-def test_greedy_custom_metric():
-    inst = inst_of(c=[1.0, 2.0], p_h=[1.0, 0.5], e_h=[1.0, 0.0])
-    # rank by cost alone: block 2 still wins (higher c)
-    alpha, _ = greedy_assignment(inst, metric=lambda c, p: c)
-    np.testing.assert_array_equal(alpha, [0, 1])
-    # rank by -p: block 2 has lower power, wins again
-    alpha2, _ = greedy_assignment(inst, metric=lambda c, p: -p)
-    np.testing.assert_array_equal(alpha2, [0, 1])
-
-
 def test_greedy_rejects_nan_scores():
-    # 0 * inf: a dead channel with nothing to save scores NaN under c * p
-    inst = inst_of(c=[0.0, 1.0], p_h=[np.inf, 1.0], e_h=[1.0, 1.0])
-    with np.errstate(invalid="ignore"), pytest.raises(InvalidParameterError, match="NaN"):
-        greedy_assignment(inst, metric=lambda c, p: c * p)
-    with np.errstate(invalid="ignore"), pytest.raises(InvalidParameterError, match="NaN"):
-        multiuser_greedy_assignment([inst, inst], p_H_max_sum=10.0, metric=lambda c, p: c * p)
+    # c / p is NaN only on a NaN input, and every NaN input is refused
+    c, p, e = np.ones((1, 2, 2)), np.ones((1, 2, 2)), np.ones((1, 2))
+    for args in ((c * np.nan, p, e), (c, p * np.nan, e), (c, p, e * np.nan)):
+        with pytest.raises(InvalidParameterError):
+            greedy_plan(*args, 1.0, 10.0)
+    # a dead channel with nothing to save scores 0, not NaN
+    plan = greedy_plan(np.array([[[0.0, 1.0]]]), np.array([[[np.inf, 1.0]]]),
+                       np.array([[1.0, 1.0]]), 1.0, 10.0)
+    np.testing.assert_array_equal(plan[0, 0], [0, 1])
 
 
 def test_greedy_output_always_feasible_and_swap_free():
     rng = make_rng(22)
     for trial in range(50):
         inst = random_instance(rng, 10)
-        alpha, cost = greedy_assignment(inst)
-        assert first_violation(alpha, inst) is None
-        assert check_swap_optimality(alpha, inst)
+        alpha, cost = solve(greedy_plan, inst)   # solve checks feasibility
+        assert swap_free(alpha, inst)
         assert cost >= 0
 
 
@@ -238,7 +244,7 @@ def test_greedy_output_always_feasible_and_swap_free():
 def test_exhaustive_small_instance_by_hand():
     # serving both blocks is infeasible (2 J by block 2, 1.5 arrived)
     inst = inst_of(c=[3.0, 2.0], p_h=[1.0, 1.0], e_h=[1.0, 0.5])
-    alpha, cost = exhaustive_optimal(inst)
+    alpha, cost = solve(exhaustive_plan, inst)
     np.testing.assert_array_equal(alpha, [1, 0])
     assert cost == 2.0
 
@@ -247,23 +253,36 @@ def test_exhaustive_lexicographic_tie_break():
     # identical blocks, energy for one: both singletons cost 1.0; the
     # lexicographically smallest assignment serves the later block
     inst = inst_of(c=[1.0, 1.0], p_h=[1.0, 1.0], e_h=[1.0, 0.0])
-    alpha, cost = exhaustive_optimal(inst)
+    alpha, cost = solve(exhaustive_plan, inst)
     np.testing.assert_array_equal(alpha, [0, 1])
     assert cost == 1.0
 
 
 def test_exhaustive_respects_cap():
-    inst = inst_of(c=np.ones(21), p_h=np.ones(21), e_h=np.ones(21))
     with pytest.raises(ResourceLimitError):
-        exhaustive_optimal(inst)
-    assert exhaustive_optimal(inst, cap=21)[1] == 0.0
+        solve(exhaustive_plan, inst_of(c=np.ones(21), p_h=np.ones(21), e_h=np.ones(21)))
+    assert solve(exhaustive_plan, inst_of(c=np.ones(20), p_h=np.ones(20), e_h=np.ones(20)))[1] == 0.0
+    # the enumeration plans one user
+    with pytest.raises(InvalidParameterError, match="one user"):
+        exhaustive_plan(np.ones((1, 2, 3)), np.ones((1, 2, 3)), np.ones((1, 3)), 1.0, 10.0)
 
 
 def test_exhaustive_handles_dead_channels():
     inst = inst_of(c=[1.0, 1.0], p_h=[np.inf, 1.0], e_h=[10.0, 0.0])
-    alpha, cost = exhaustive_optimal(inst)
+    alpha, cost = solve(exhaustive_plan, inst)
     np.testing.assert_array_equal(alpha, [0, 1])
     assert cost == 1.0
+
+
+def test_exhaustive_plan_solves_each_frame_of_a_batch_alone():
+    rng = make_rng(25)
+    instances = [random_instance(rng, 9) for _ in range(12)]
+    plan = exhaustive_plan(np.stack([i.c for i in instances])[:, None],
+                           np.stack([i.p_h for i in instances])[:, None],
+                           np.stack([i.e_h for i in instances]), P.tau, P.p_H_max)
+    assert plan.shape == (12, 1, 9) and plan.dtype == np.int8
+    for f, inst in enumerate(instances):
+        np.testing.assert_array_equal(plan[f, 0], solve(exhaustive_plan, inst)[0])
 
 
 def test_greedy_optimal_when_one_channel_constant():
@@ -272,8 +291,8 @@ def test_greedy_optimal_when_one_channel_constant():
         n = int(rng.integers(2, 9))
         inst = random_instance(rng, n, constant_h=(trial % 2 == 0),
                                constant_g=(trial % 2 == 1))
-        a_greedy, c_greedy = greedy_assignment(inst)
-        a_opt, c_opt = exhaustive_optimal(inst)
+        _, c_greedy = solve(greedy_plan, inst)
+        _, c_opt = solve(exhaustive_plan, inst)
         assert c_greedy == c_opt  # identical floats via fsum on both paths
 
 
@@ -282,26 +301,25 @@ def test_greedy_near_optimal_on_mixed_instances():
     ratios = []
     for trial in range(100):
         inst = random_instance(rng, 10)
-        _, c_greedy = greedy_assignment(inst)
-        _, c_opt = exhaustive_optimal(inst)
+        _, c_greedy = solve(greedy_plan, inst)
+        _, c_opt = solve(exhaustive_plan, inst)
         assert c_greedy >= c_opt - 1e-15
         ratios.append((c_greedy + 1e-12) / (c_opt + 1e-12))
     assert np.mean(ratios) <= 1.05
 
 
 # ---------------------------------------------------------------------------
-# swap check and expansion
+# swap check
 # ---------------------------------------------------------------------------
 
 def test_swap_check_detects_planted_violation():
-    # block 1 selected, block 2 skipped, yet block 2 is cheaper to skip? no:
-    # violation means a later skipped block has HIGHER c and LOWER-or-equal p
+    # a violation: a later skipped block with HIGHER c and LOWER-or-equal p
     inst = inst_of(c=[1.0, 2.0], p_h=[1.0, 1.0], e_h=[2.0, 0.0])
-    assert not check_swap_optimality([1, 0], inst)
-    assert check_swap_optimality([0, 1], inst)
+    assert not swap_free([1, 0], inst)
+    assert swap_free([0, 1], inst)
     # earlier skipped block never counts, whatever its numbers
     inst2 = inst_of(c=[5.0, 1.0], p_h=[1.0, 1.0], e_h=[2.0, 0.0])
-    assert check_swap_optimality([0, 1], inst2)
+    assert swap_free([0, 1], inst2)
 
 
 # ---------------------------------------------------------------------------
@@ -313,41 +331,34 @@ def test_multiuser_pools_causality():
     # block 1 even though each user alone would fit
     i1 = inst_of(c=[1.0, 1.0], p_h=[1.0, 1.0], e_h=[1.0, 1.0])
     i2 = inst_of(c=[2.0, 1.0], p_h=[1.0, 1.0], e_h=[1.0, 1.0])
-    sel, cost = multiuser_greedy_assignment([i1, i2], p_H_max_sum=10.0)
+    sel = greedy_plan(*plan_args([i1, i2]))[0]
     assert sel.sum() == 2  # 2 J arrive in total, each serve burns 1 J
     assert sel[1, 0] == 1  # user 2 block 1 has the top ratio
-    assert cost == total_cost_of(sel, [i1, i2])
-
-
-def total_cost_of(sel, instances):
-    return math.fsum(float(inst.c[j]) for u, inst in enumerate(instances)
-                     for j in range(inst.n_blocks) if sel[u, j] == 0)
 
 
 def test_multiuser_block_power_cap_binds():
     # both users want block 1 (huge ratio); sum cap admits only one
     i1 = inst_of(c=[5.0, 0.1], p_h=[1.0, 1.0], e_h=[10.0, 10.0])
     i2 = inst_of(c=[4.0, 0.1], p_h=[1.0, 1.0], e_h=[10.0, 10.0])
-    sel, _ = multiuser_greedy_assignment([i1, i2], p_H_max_sum=1.5)
+    sel = greedy_plan(*plan_args([i1, i2], 1.5))[0]
     assert sel[:, 0].sum() == 1
     assert sel[0, 0] == 1  # higher ratio user wins the block
 
 
 def test_multiuser_requires_shared_arrivals():
-    i1 = inst_of(c=[1.0], p_h=[1.0], e_h=[1.0])
-    i2 = inst_of(c=[1.0], p_h=[1.0], e_h=[2.0])
+    # users share one (frames, N) arrival stream; per-user arrivals are refused
+    c = np.ones((1, 2, 1))
     with pytest.raises(InvalidParameterError):
-        multiuser_greedy_assignment([i1, i2], p_H_max_sum=1.0)
+        greedy_plan(c, c, np.array([[[1.0], [2.0]]]), 1.0, 1.0)
 
 
 def test_multiuser_single_user_reduces_to_plain_greedy():
     rng = make_rng(26)
     for trial in range(10):
         inst = random_instance(rng, 8)
-        alpha, cost = greedy_assignment(inst)
-        sel, mcost = multiuser_greedy_assignment([inst], p_H_max_sum=inst.p_H_max)
-        np.testing.assert_array_equal(sel[0], alpha)
-        assert mcost == cost
+        alpha, _ = solve(greedy_plan, inst)
+        np.testing.assert_array_equal(oracle_multiuser_greedy([inst], inst.p_max)[0], alpha)
+        np.testing.assert_array_equal(oracle_greedy(inst), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +370,8 @@ def test_greedy_plan_matches_oracle_on_sampled_frames():
     for n in (5, 15, 50):
         instances = [random_instance(rng, n) for _ in range(40)]
         plan = greedy_plan(np.stack([i.c for i in instances])[:, None],
-                           np.stack([i.p_H_inv for i in instances])[:, None],
-                           np.stack([i.e_H for i in instances]), P.tau, P.p_H_max)
+                           np.stack([i.p_h for i in instances])[:, None],
+                           np.stack([i.e_h for i in instances]), P.tau, P.p_H_max)
         for f, inst in enumerate(instances):
             np.testing.assert_array_equal(plan[f, 0], oracle_greedy(inst))
 
@@ -399,8 +410,6 @@ def test_greedy_plan_equals_per_frame_oracle(data, users, n, frames, tau, cap):
     for f in range(frames):
         instances = [inst_of(c[f, u], p[f, u], e[f], tau=tau, p_h_max=cap) for u in range(users)]
         np.testing.assert_array_equal(plan[f], oracle_multiuser_greedy(instances, cap))
+        np.testing.assert_array_equal(greedy_plan(*plan_args(instances))[0], plan[f])
         if users == 1:
             np.testing.assert_array_equal(plan[f, 0], oracle_greedy(instances[0]))
-            np.testing.assert_array_equal(greedy_assignment(instances[0])[0], plan[f, 0])
-        else:
-            np.testing.assert_array_equal(multiuser_greedy_assignment(instances, cap)[0], plan[f])

@@ -338,23 +338,22 @@ def test_look_ahead_structure():
 # calibration
 # ---------------------------------------------------------------------------
 
-def calibrate_by_run_batch(cand, params, budget, seed, metric=None):
+def calibrate_by_run_batch(cand, params, budget, seed):
     """Reference calibrator: one ThresholdHeuristic run_batch per candidate."""
     l1, l2 = threshold_lambdas(params)
     gg, gh, eh = sample_trajectories(params, seed, budget)
     costs = np.empty(len(cand))
     for i, zeta in enumerate(cand):
-        policy = ThresholdHeuristic(ThresholdParams(float(zeta), l1, l2), metric=metric)
+        policy = ThresholdHeuristic(ThresholdParams(float(zeta), l1, l2))
         frame_costs, _, _ = run_batch(policy, params, gg, gh, eh)
         costs[i] = frame_costs.mean()
     return float(cand[int(np.argmin(costs))]), costs
 
 
-def assert_matches_oracle(cand, params, budget, seed, metric=None):
+def assert_matches_oracle(cand, params, budget, seed):
     cand = np.asarray(cand, dtype=float)
-    zeta, costs = calibrate_zeta(cand, params, budget, seed, metric=metric,
-                                 return_costs=True)
-    ref_zeta, ref_costs = calibrate_by_run_batch(cand, params, budget, seed, metric)
+    zeta, costs = calibrate_zeta(cand, params, budget, seed, return_costs=True)
+    ref_zeta, ref_costs = calibrate_by_run_batch(cand, params, budget, seed)
     assert np.array_equal(costs, ref_costs)
     assert zeta == ref_zeta
     return zeta, costs
@@ -395,13 +394,6 @@ def test_calibrate_zeta_exact_at_every_preset_calibration_point():
     assert len(points) >= 10
     for cfg, point, seed in points.values():
         assert_matches_oracle(cfg.zeta_grid[4:28:2], point, 60, seed)
-
-
-def test_calibrate_zeta_exact_with_custom_metric():
-    def metric(c, p):
-        return np.sqrt(c) / p
-
-    assert_matches_oracle(np.arange(0.0, 60.1, 2.0), P, 150, 53, metric=metric)
 
 
 def test_calibrate_zeta_exact_when_nothing_is_feasible():

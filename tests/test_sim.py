@@ -21,17 +21,7 @@ from hesnet.model import (
     sample_trajectories,
     sample_trajectory,
 )
-from hesnet.offline import (
-    ENERGY_RTOL,
-    IpInstance,
-    _as_alpha,
-    greedy_assignment,
-    exhaustive_optimal,
-    greedy_plan,
-    multiuser_greedy_assignment,
-    to_ip_instance,
-    total_service_cost,
-)
+from hesnet.offline import ENERGY_RTOL, exhaustive_plan, greedy_plan
 from hesnet.policies import (
     GreedyTransmit,
     MdpTablePolicy,
@@ -44,8 +34,6 @@ from hesnet.policies import (
 from hesnet.sim import (
     CSV_HEADER,
     GridOnlyPolicy,
-    ScriptedAssignmentPolicy,
-    ScriptedMultiuserAssignment,
     _walk,
     apply_axis,
     frame_totals,
@@ -62,6 +50,7 @@ from hesnet.sim import (
     write_manifest,
     write_rows_csv,
 )
+from oracles import Frame, plan_args, service_cost, solve
 
 P = SystemParams()
 
@@ -80,29 +69,37 @@ class FullSolution:
     drops: int
 
 
-def expand_solution(alpha, inst: IpInstance, params: SystemParams) -> FullSolution:
-    """Expand an H-block selection to per-block decisions and powers, from
-    the instance alone: the expansion the frame walk's replay replaced,
-    kept as its reference.
+def expand_solution(alpha, batch: FrameBatch, f: int) -> FullSolution:
+    """Expand an H-block selection of frame f to per-block decisions and
+    powers from the frame's link terms alone: the expansion the frame
+    walk's replay replaced, kept as its reference.
 
     Unselected blocks go to the grid BS when its inversion power is within
     `kappa(params)` (boundary transmits) and are dropped otherwise.
     """
-    alpha = _as_alpha(alpha, inst.n_blocks)
-    cost = total_service_cost(alpha, inst)  # validates feasibility
-    kap = kappa(params)
+    alpha = np.asarray(alpha, dtype=np.int8)
+    cost = service_cost(alpha, Frame.of(batch, f))  # checks feasibility
+    params = batch.params
     i_h = alpha.copy()
     with np.errstate(invalid="ignore"):
-        i_g = ((alpha == 0) & (inst.p_G_inv <= kap)).astype(np.int8)
+        i_g = ((alpha == 0) & (batch.p_g[f] <= kappa(params))).astype(np.int8)
     i_d = (1 - i_g - i_h).astype(np.int8)
-    p_g = np.where(i_g == 1, inst.p_G_inv, 0.0)
-    p_h = np.where(i_h == 1, inst.p_H_inv, 0.0)
+    p_g = np.where(i_g == 1, batch.p_g[f], 0.0)
+    p_h = np.where(i_h == 1, batch.p_h[f], 0.0)
     return FullSolution(
         I_G=i_g, I_H=i_h, I_D=i_d, p_G=p_g, p_H=p_h,
         total_cost=cost,
-        grid_energy=math.fsum(p_g * inst.tau),
+        grid_energy=math.fsum(p_g * params.tau),
         drops=int(i_d.sum()),
     )
+
+
+def replay_one(alpha, batch: FrameBatch):
+    """(cost, grid energy in J, drops) of a one-user plan for a one-frame
+    batch, walked by `replay_plan` and totalled by `frame_totals`."""
+    costs, grid, drops = frame_totals(*replay_plan(np.asarray(alpha)[None, None], [batch],
+                                                   batch.params.p_H_max, batch.params.p_G_max))
+    return float(costs[0]), float(grid[0]), int(drops[0])
 
 
 class AlwaysServe:
@@ -153,18 +150,26 @@ def test_run_frame_checks_length():
 
 def test_scripted_replay_reproduces_offline_cost_exactly():
     for seed in range(100):
-        traj = sample_trajectory(P, (63, seed))
-        inst = to_ip_instance(traj, P)
-        alpha, cost = greedy_assignment(inst)
-        replay_cost, grid, drops = run_frame(ScriptedAssignmentPolicy(alpha), traj, P)
-        assert replay_cost == cost  # identical floats, not merely close
+        batch = FrameBatch.of_frame(sample_trajectory(P, (63, seed)), P)
+        alpha, cost = solve(greedy_plan, Frame.of(batch))
+        assert replay_one(alpha, batch)[0] == cost  # identical floats, not merely close
+    # batch plans of both solvers: the replayed cost is the exact skip sum
+    for n in (8, 12, 16):
+        params = P.evolve(N=n)
+        batch = FrameBatch(params, *sample_trajectories(params, 63, 40))
+        for solver in (greedy_plan, exhaustive_plan):
+            plan = solver(batch.skip[:, None], batch.p_h[:, None], batch.e_h, params.tau,
+                          params.p_H_max)
+            costs, _, _ = frame_totals(*replay_plan(plan, [batch], params.p_H_max,
+                                                    params.p_G_max))
+            assert costs.tolist() == [math.fsum(batch.skip[f][plan[f, 0] == 0])
+                                      for f in range(40)]
 
 
 def test_grid_only_policy_never_serves():
     traj = sample_trajectory(P, 64)
     cost, grid, drops = run_frame(GridOnlyPolicy(), traj, P)
-    replay, _, _ = run_frame(ScriptedAssignmentPolicy(np.zeros(P.N, dtype=int)), traj, P)
-    assert cost == replay
+    assert (cost, grid, drops) == replay_one(np.zeros(P.N), FrameBatch.of_frame(traj, P))
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +276,6 @@ def test_monte_carlo_prefix_property():
     np.testing.assert_array_equal(c1, c2[:40])
 
 
-def replay_offline(params, gg, gh, eh, solve):
-    """The old offline evaluation: solve each frame, then replay the plan
-    block by block through the scalar frame walk."""
-    out = np.zeros((3, gg.shape[0]))
-    for f in range(gg.shape[0]):
-        traj = FrameTrajectory(gamma_G=gg[f], gamma_H=gh[f], e_H=eh[f])
-        alpha, _ = solve(to_ip_instance(traj, params))
-        out[:, f] = run_frame(ScriptedAssignmentPolicy(alpha), traj, params)
-    return out
-
-
 @pytest.mark.parametrize("solver,changes", [
     ("greedy", {}),
     ("greedy", {"P_avg": 0.01, "w_D": 0.1}),
@@ -289,17 +283,18 @@ def replay_offline(params, gg, gh, eh, solve):
     ("exhaustive", {"N": 10}),
 ])
 def test_offline_frame_metrics_match_scripted_replay_bitwise(solver, changes):
+    # the batch evaluation equals solving and replaying each frame on its own,
+    # and what the expansion oracle reads off each frame's link terms
     params = P.evolve(**changes)
     gg, gh, eh = sample_trajectories(params, 77, 60)
-    solve = greedy_assignment if solver == "greedy" else exhaustive_optimal
+    plan = greedy_plan if solver == "greedy" else exhaustive_plan
     got = offline_frame_metrics(params, gg, gh, eh, solver=solver)
-    want = replay_offline(params, gg, gh, eh, solve)
-    for arr, ref in zip(got, want):
-        assert np.array_equal(arr, ref)
-    # and what the expansion oracle reads off each frame's instance
     for f in range(gg.shape[0]):
-        inst = to_ip_instance(FrameTrajectory(gamma_G=gg[f], gamma_H=gh[f], e_H=eh[f]), params)
-        full = expand_solution(solve(inst)[0], inst, params)
+        batch = FrameBatch.of_frame(FrameTrajectory(gamma_G=gg[f], gamma_H=gh[f], e_H=eh[f]),
+                                    params)
+        alpha, _ = solve(plan, Frame.of(batch))
+        full = expand_solution(alpha, batch, 0)
+        assert (got[0][f], got[1][f], got[2][f]) == replay_one(alpha, batch)
         assert (got[0][f], got[1][f], got[2][f]) == (full.total_cost, full.grid_energy, full.drops)
 
 
@@ -321,9 +316,9 @@ def test_one_user_joint_replay_equals_offline_frame_metrics():
     want = offline_frame_metrics(P, gg, gh, eh)
     batch = FrameBatch(P, gg, gh, eh)
     plan = greedy_plan(batch.skip[:, None], batch.p_h[:, None], eh, P.tau, P.p_H_max)
-    for policy in (ScriptedMultiuserAssignment(plan), "greedy"):
-        got = multiuser_frame_metrics(policy, gg[:, None], gh[:, None], eh, [P], P.p_H_max,
-                                      P.p_G_max)
+    for got in (frame_totals(*replay_plan(plan, [batch], P.p_H_max, P.p_G_max)),
+                multiuser_frame_metrics("greedy", gg[:, None], gh[:, None], eh, [P], P.p_H_max,
+                                        P.p_G_max)):
         for arr, ref in zip(got, want):
             assert np.array_equal(arr, ref)
 
@@ -339,8 +334,7 @@ def test_replay_plan_partitions_blocks():
     assert np.array_equal(serve, plan == 1)
     costs, energies, drops = frame_totals(serve, admitted, cost, grid)
     for f in range(20):
-        inst = to_ip_instance(FrameTrajectory(gamma_G=gg[f], gamma_H=gh[f], e_H=eh[f]), params)
-        assert costs[f] == total_service_cost(plan[f, 0], inst)
+        assert costs[f] == service_cost(plan[f, 0], Frame.of(batch, f))
         # cost decomposition: grid bill plus drop penalties
         assert math.isclose(costs[f], params.w_G * energies[f] + params.w_D * drops[f],
                             rel_tol=1e-9, abs_tol=1e-15)
@@ -378,7 +372,7 @@ def test_offline_evaluation_refuses_a_capped_battery():
     # the causal walks and the solvers themselves stay usable on capped params
     multiuser_frame_metrics(MultiuserGreedyTransmit(P.p_H_max), mg, mh, me, plist,
                             P.p_H_max, P.p_G_max)
-    greedy_assignment(to_ip_instance(sample_trajectory(capped, 79), capped))
+    solve(greedy_plan, Frame.of(FrameBatch.of_frame(sample_trajectory(capped, 79), capped)))
     # a battery of exactly N * E_m never clamps
     exact = P.evolve(N=5).evolve(B_m=5 * P.E_m)
     offline_frame_metrics(exact, *sample_trajectories(exact, 79, 2))
@@ -474,25 +468,40 @@ def two_user_setup():
 
 
 def one_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list, p_H_max_sum, p_G_max_sum):
-    """Walk one (U, N) frame as a one-frame batch; (cost, grid energy, drops)."""
-    costs, grid, drops = multiuser_frame_metrics(policy, gamma_g[None], gamma_h[None],
-                                                 np.asarray(e_h)[None], params_list,
-                                                 p_H_max_sum, p_G_max_sum)
+    """Walk one (U, N) frame as a one-frame batch under a joint policy, or
+    replay a (1, U, N) plan; (cost, grid energy, drops)."""
+    e_h = np.asarray(e_h)[None]
+    if isinstance(policy, np.ndarray):
+        batches = [FrameBatch(p, gamma_g[None, u], gamma_h[None, u], e_h)
+                   for u, p in enumerate(params_list)]
+        costs, grid, drops = frame_totals(*replay_plan(policy, batches, p_H_max_sum,
+                                                       p_G_max_sum))
+    else:
+        costs, grid, drops = multiuser_frame_metrics(policy, gamma_g[None], gamma_h[None], e_h,
+                                                     params_list, p_H_max_sum, p_G_max_sum)
     return costs[0], grid[0], drops[0]
+
+
+def user_frames(gg, gh, eh, params_list, f):
+    """Each user's Frame of multi-user frame f."""
+    return [Frame.of(FrameBatch(p, gg[f:f + 1, u], gh[f:f + 1, u], eh[f:f + 1]))
+            for u, p in enumerate(params_list)]
+
+
+def pooled_greedy(gg, gh, eh, params_list, f, p_H_max_sum):
+    """The pooled greedy plan of frame f alone and its exact skip cost."""
+    frames = user_frames(gg, gh, eh, params_list, f)
+    sel = greedy_plan(*plan_args(frames, p_H_max_sum))[0]
+    return sel, math.fsum(np.stack([fr.c for fr in frames])[sel == 0])
 
 
 def test_multiuser_replay_reproduces_pooled_cost_exactly():
     params_list = two_user_setup()
     gg, gh, eh = sample_multiuser_trajectories(params_list, 75, 10)
     for f in range(10):
-        instances = [
-            to_ip_instance(FrameTrajectory(gamma_G=gg[f, u], gamma_H=gh[f, u], e_H=eh[f]),
-                           params_list[u])
-            for u in range(2)
-        ]
-        sel, cost = multiuser_greedy_assignment(instances, p_H_max_sum=P.p_H_max)
+        sel, cost = pooled_greedy(gg, gh, eh, params_list, f, P.p_H_max)
         replay, grid, drops = one_frame_multiuser(
-            ScriptedMultiuserAssignment(sel[None]), gg[f], gh[f], eh[f], params_list,
+            sel[None], gg[f], gh[f], eh[f], params_list,
             p_H_max_sum=P.p_H_max, p_G_max_sum=1e9)  # unbounded grid BS
         assert replay == cost
 
@@ -509,7 +518,7 @@ def test_multiuser_grid_cap_drops_expensive_users():
     p_g = [float(inversion_power(channel_gain(p.d_G, gamma_g[u, 0], p), p))
            for u, p in enumerate(one_block)]
     cost, grid, drops = one_frame_multiuser(
-        ScriptedMultiuserAssignment(sel), gamma_g, gamma_h, e_h, one_block,
+        sel, gamma_g, gamma_h, e_h, one_block,
         p_H_max_sum=P.p_H_max, p_G_max_sum=min(p_g) * 1.5)
     assert drops == 1
     assert math.isclose(grid, min(p_g) * P.tau, rel_tol=1e-12)
@@ -523,7 +532,7 @@ def test_multiuser_grid_cap_admits_a_sum_exactly_at_the_cap():
     sel = np.zeros((1, 2, 1), dtype=int)
     # cheapest first, so the cap is reached as p_g[0] + p_g[1]
     cap = float(p_g[0, 0] + p_g[1, 0])
-    _, grid, drops = one_frame_multiuser(ScriptedMultiuserAssignment(sel), gamma_g,
+    _, grid, drops = one_frame_multiuser(sel, gamma_g,
                                          np.ones((2, 1)), np.array([0.0]), one_block,
                                          P.p_H_max, cap)
     assert drops == 0 and grid == math.fsum([p_g[0, 0] * P.tau, p_g[1, 0] * P.tau])
@@ -534,7 +543,7 @@ def test_multiuser_rejects_joint_overdraw():
     sel = np.ones((1, 2, 1), dtype=int)
     gamma = np.ones((2, 1))
     with pytest.raises(InvalidActionError):
-        one_frame_multiuser(ScriptedMultiuserAssignment(sel), gamma, gamma,
+        one_frame_multiuser(sel, gamma, gamma,
                             np.array([1e-9]), params_list,
                             p_H_max_sum=P.p_H_max, p_G_max_sum=P.p_G_max)
 
@@ -545,13 +554,7 @@ def test_multiuser_frame_metrics_greedy_walks_pooled_plans():
     costs, grid, drops = multiuser_frame_metrics("greedy", gg, gh, eh, params_list,
                                                  P.p_H_max, 1e9)  # unbounded grid BS
     for f in range(8):
-        instances = [
-            to_ip_instance(FrameTrajectory(gamma_G=gg[f, u], gamma_H=gh[f, u], e_H=eh[f]),
-                           params_list[u])
-            for u in range(2)
-        ]
-        _, cost = multiuser_greedy_assignment(instances, p_H_max_sum=P.p_H_max)
-        assert costs[f] == cost
+        assert costs[f] == pooled_greedy(gg, gh, eh, params_list, f, P.p_H_max)[1]
     with pytest.raises(InvalidParameterError):
         multiuser_frame_metrics("exhaustive", gg, gh, eh, params_list, P.p_H_max, 1e9)
 
@@ -569,7 +572,7 @@ def test_multiuser_rejects_bad_action_value():
     params_list = [P.evolve(N=1), P.evolve(N=1)]
     gamma = np.ones((2, 1))
     with pytest.raises(InvalidActionError, match="returned \\[2, 0\\] at block 1"):
-        one_frame_multiuser(ScriptedMultiuserAssignment(np.array([[[2], [0]]])), gamma, gamma,
+        one_frame_multiuser(np.array([[[2], [0]]]), gamma, gamma,
                             np.array([1e-3]), params_list,
                             p_H_max_sum=P.p_H_max, p_G_max_sum=P.p_G_max)
 
@@ -618,7 +621,7 @@ def test_property_online_frame_cost_at_least_exhaustive_optimum(params, zeta, se
                 MdpTablePolicy(table))
     for f in range(3):
         traj = sample_trajectory(params, (seed, f))
-        _, opt = exhaustive_optimal(to_ip_instance(traj, params))
+        _, opt = solve(exhaustive_plan, Frame.of(FrameBatch.of_frame(traj, params)))
         for policy in policies:
             cost, _, _ = run_frame(policy, traj, params)
             assert cost >= opt
@@ -652,7 +655,8 @@ def oracle_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
                            p_H_max_sum, p_G_max_sum):
     """One (U, N) frame walked block by block in plain floats: the per-frame
     walk `multiuser_frame_metrics` replaced, kept as its reference.  The
-    joint policy is asked through a one-row batch; served powers are summed
+    joint policy is asked through a one-row batch, or `policy` is a (U, N)
+    plan to replay; served powers are summed
     with np.sum, grid users admitted through `sorted`, and the cost and grid
     terms totalled with math.fsum.  Returns (cost, grid energy in J, drops).
     """
@@ -667,8 +671,11 @@ def oracle_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
     drops = 0
     for i in range(n):
         battery = min(battery + float(e_h[i]), base.B_m)
-        acts = np.asarray(policy.decide_joint(i, np.array([battery]), p_inv_h[None, :, i],
-                                              skip[None, :, i], params_list))[0]
+        if isinstance(policy, np.ndarray):
+            acts = policy[:, i]
+        else:
+            acts = np.asarray(policy.decide_joint(i, np.array([battery]), p_inv_h[None, :, i],
+                                                  skip[None, :, i], params_list))[0]
         served = np.flatnonzero(acts == 1)
         left = np.flatnonzero(acts == 0)
         assert served.size + left.size == users
@@ -698,11 +705,7 @@ def assert_lockstep_matches_oracle(policy, gg, gh, eh, plist, p_h_sum, p_g_sum):
     for f in range(gg.shape[0]):
         frame_policy = policy
         if policy == "greedy":
-            instances = [to_ip_instance(FrameTrajectory(gamma_G=gg[f, u], gamma_H=gh[f, u],
-                                                        e_H=eh[f]), p)
-                         for u, p in enumerate(plist)]
-            sel, _ = multiuser_greedy_assignment(instances, p_H_max_sum=p_h_sum)
-            frame_policy = ScriptedMultiuserAssignment(sel[None])
+            frame_policy = pooled_greedy(gg, gh, eh, plist, f, p_h_sum)[0]
         want = oracle_frame_multiuser(frame_policy, gg[f], gh[f], eh[f], plist, p_h_sum, p_g_sum)
         assert (got[0][f], got[1][f], got[2][f]) == want, f"frame {f}"
     return got
@@ -765,9 +768,7 @@ def test_property_multiuser_lockstep_walk_matches_oracle(params, users, seed, po
 def test_property_greedy_replay_matches_expand_solution(params, seed):
     # a greedy plan walked block by block costs exactly what its expansion says
     for f in range(3):
-        traj = sample_trajectory(params, (seed, f))
-        inst = to_ip_instance(traj, params)
-        alpha, _ = greedy_assignment(inst)
-        full = expand_solution(alpha, inst, params)
-        assert (run_frame(ScriptedAssignmentPolicy(alpha), traj, params)
-                == (full.total_cost, full.grid_energy, full.drops))
+        batch = FrameBatch.of_frame(sample_trajectory(params, (seed, f)), params)
+        alpha, _ = solve(greedy_plan, Frame.of(batch))
+        full = expand_solution(alpha, batch, 0)
+        assert replay_one(alpha, batch) == (full.total_cost, full.grid_energy, full.drops)
