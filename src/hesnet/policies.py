@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidParameterError, StalePolicyError
 from .mdp import (
@@ -28,7 +27,7 @@ from .mdp import (
 )
 from .model import FrameBatch, SystemParams, kappa, link_terms, sample_trajectories, serve_feasible
 from .offline import ratio_metric
-from .sim import _walk
+from .sim import _battery_slack, _overdraw_error
 
 __all__ = [
     "ThresholdParams",
@@ -50,6 +49,8 @@ def exponential_integral_E1(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise InvalidParameterError(f"E1 is used on x > 0 only, got {x!r}")
+    from scipy import special   # here, not at import: it is most of the CLI's start-up
+
     out = special.exp1(arr)
     return float(out) if out.ndim == 0 else out
 
@@ -76,8 +77,12 @@ def threshold_lambdas(params: SystemParams):
                + params.w_G * params.tau * a_g * exponential_integral_E1(x_g))
     x_h = a_h / params.p_H_max
     # e^x E1(x) = U(1, 1, x); past x = 700 exp nears overflow and E1 subnormals
-    lambda2 = (a_h * exponential_integral_E1(x_h) * math.exp(x_h) if x_h <= 700.0
-               else a_h * float(special.hyperu(1.0, 1.0, x_h)))
+    if x_h <= 700.0:
+        lambda2 = a_h * exponential_integral_E1(x_h) * math.exp(x_h)
+    else:
+        from scipy import special
+
+        lambda2 = a_h * float(special.hyperu(1.0, 1.0, x_h))
     return lambda1, lambda2
 
 
@@ -100,7 +105,7 @@ class ThresholdParams:
 
 def _threshold_level(zeta, lambda1, lambda2, params: SystemParams):
     """Right-hand side zeta * P_avg * tau * ratio_metric(lambda1, lambda2) of
-    the threshold rule; `zeta` may be a column of candidates."""
+    the threshold rule; `zeta` may be an array of candidates."""
     return zeta * params.P_avg * params.tau * float(ratio_metric(lambda1, lambda2))
 
 
@@ -110,9 +115,9 @@ def _threshold_serve(block, battery, p_h, score, level, params: SystemParams, p_
     Infeasible states never serve; the last block serves whenever feasible;
     otherwise serve when battery * score clears `level`, where score is
     ratio_metric(skip cost, p_h) and level comes from _threshold_level.  Operands
-    broadcast: a (frames,) block, a (frames, users) block against a
-    (frames, 1) shared battery, or a (candidates, frames) block of battery
-    states against per-frame p_h and score.
+    broadcast: a (frames,) block, or a (frames, users) block against a
+    (frames, 1) shared battery.  The calibrator applies the same rule to
+    intervals of candidates through `_threshold_cut`.
     """
     feas = serve_feasible(p_h, battery, params, p_max)
     if block >= params.N - 1:
@@ -246,9 +251,82 @@ class LookAhead(MdpTablePolicy):
 # threshold calibration
 # ---------------------------------------------------------------------------
 
-# Rows (candidates x frames) one calibration chunk walks at a time; caps
-# its working arrays at a few tens of MB whatever the budget.
+# Candidate-frame cells one calibration chunk covers; bounds its segments
+# and its cost matrix at a few tens of MB whatever the budget.
 _CALIBRATION_ROWS = 1 << 20
+
+
+def _threshold_cut(block, battery, p_h, score, levels, lo, hi, params: SystemParams):
+    """`_threshold_serve` over segments of candidates.
+
+    Segment j holds the candidates [lo[j], hi[j]) of the nondecreasing
+    `levels` at one battery state, p_h and score.  The rule serves where
+    battery * score >= level, so the candidates that serve are a prefix of
+    the segment: [lo[j], cut[j]).  Returns cut; a NaN product serves none,
+    and the last block serves the whole segment whenever feasible.
+    """
+    feas = serve_feasible(p_h, battery, params)
+    if block >= params.N - 1:
+        return np.where(feas, hi, lo)
+    with np.errstate(invalid="ignore"):
+        x = battery * score
+    cut = np.clip(np.searchsorted(levels, x, side="right"), lo, hi)
+    return np.where(feas & ~np.isnan(x), cut, lo)
+
+
+def _split_block(block, segments, e, p_h, skip, score, slack, levels, params: SystemParams):
+    """One block of the calibration walk.
+
+    `segments` is a tuple of arrays (frame, lo, hi, battery, cost) in
+    (frame, lo) order: the candidates [lo, hi) of `levels` that share a
+    battery and a skip-cost sum in `frame`.  e, p_h, skip, score and the
+    battery slack are the block's (frames,) columns.  Each segment is
+    credited the arrival (clamped at B_m), cut by `_threshold_cut`, and
+    split into its served part, which spends p_h * tau (clamped at 0), and
+    its skipped part, which adds the skip cost; empty parts are dropped.  A
+    serve over the peak cap (exact) or the battery plus slack raises, as in
+    `sim._walk`.  Returns the children, still in (frame, lo) order.
+    """
+    frame, lo, hi, battery, cost = segments
+    battery = np.minimum(battery + e[frame], params.B_m)
+    p = p_h[frame]
+    cut = _threshold_cut(block, battery, p, score[frame], levels, lo, hi, params)
+    served, skipped = cut > lo, cut < hi
+    power = np.where(served, p, 0.0)
+    spend = power * params.tau
+    over = spend > battery + slack[frame]
+    if power.max(initial=0.0) > params.p_H_max or over.any():
+        at = int(np.argmax((power > params.p_H_max) | over))
+        raise _overdraw_error(block, int(frame[at]), battery[at], spend[at], power[at],
+                              params.p_H_max)
+    charged = cost + skip[frame]
+    split = np.flatnonzero(served & skipped)
+    # each segment's served part, or its skipped part when none serves,
+    # then the skipped part of a split segment right after it
+    first = (frame, lo, np.where(served, cut, hi),
+             np.where(served, np.maximum(battery - spend, 0.0), battery),
+             np.where(served, cost, charged))
+    if split.size == 0:
+        return first
+    second = (frame[split], cut[split], hi[split], battery[split], charged[split])
+    return tuple(np.insert(a, split + 1, b) for a, b in zip(first, second))
+
+
+def _calibration_costs(batch: FrameBatch, score, levels):
+    """(candidates, frames) skip-cost sums of the threshold rule at the
+    nondecreasing `levels` over `batch`, walked as segments of candidates
+    with one battery history (`_split_block`) and expanded at the end."""
+    frames, n = batch.frames, levels.size
+    segments = (np.arange(frames), np.zeros(frames, dtype=np.intp),
+                np.full(frames, n, dtype=np.intp), np.zeros(frames), np.zeros(frames))
+    arrived = np.zeros(frames)
+    for i in range(batch.params.N):
+        arrived = arrived + batch.e_h[:, i]
+        segments = _split_block(i, segments, batch.e_h[:, i], batch.p_h[:, i],
+                                batch.skip[:, i], score[:, i], _battery_slack(arrived),
+                                levels, batch.params)
+    _, lo, hi, _, cost = segments
+    return np.repeat(cost, hi - lo).reshape(frames, n).T.copy()
 
 
 def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
@@ -259,12 +337,15 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
     so the argmin is deterministic; ties resolve to the first candidate in
     the given order.
 
-    All candidates walk one FrameBatch in lockstep through `sim._walk`, the
-    walk of every evaluation, as one user with the zeta level as a
-    (candidates, 1) column and a (candidates, frames) battery, summing skip
-    costs only; chunks of at most _CALIBRATION_ROWS candidate-frame rows
-    bound memory.  The score ratio_metric(skip cost, p_H) is computed once
-    on (frames, N) arrays.  Each cost equals, bit for bit, the mean of
+    The threshold level is zeta times a positive constant, so candidates
+    sorted (stably) by level decide alike while they share a battery
+    history: at each block the ones that serve are a prefix of every such
+    run.  Each frame starts as one segment, the whole sorted grid, and a
+    block splits a segment at most once, so the walk touches a few
+    segments per frame, not every candidate (`_calibration_costs`).
+    Chunks of at most _CALIBRATION_ROWS candidate-frame cells bound
+    memory.  The score ratio_metric(skip cost, p_H) is computed once on
+    (frames, N) arrays.  Each cost equals, bit for bit, the mean of
     run_batch's frame costs for that candidate alone.
     """
     cand = np.asarray(list(candidates), dtype=float)
@@ -276,22 +357,14 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
     ThresholdParams(float(cand[0]), lambda1, lambda2)  # rejects degenerate lambdas
     batch = FrameBatch(params, *sample_trajectories(params, seed, budget))
     score = ratio_metric(batch.skip, batch.p_h)
+    level = _threshold_level(cand, lambda1, lambda2, params)
+    order = np.argsort(level, kind="stable")
     chunk = max(1, _CALIBRATION_ROWS // budget)
     costs = np.empty(cand.size)
     for lo in range(0, cand.size, chunk):
-        level = _threshold_level(cand[lo:lo + chunk, None], lambda1, lambda2, params)
-
-        def decide(i, battery, level=level):
-            return _threshold_serve(i, battery, batch.p_h[:, i], score[:, i], level,
-                                    params)[..., None]
-
-        frame_costs = np.zeros((level.shape[0], budget))
-        steps = _walk(decide, batch.p_h[:, None], batch.e_h, params, np.zeros_like(frame_costs),
-                      params.p_H_max)
-        for i, serve in enumerate(steps):
-            frame_costs += np.where(serve[..., 0], 0.0, batch.skip[:, i])
+        rows = order[lo:lo + chunk]
         # row by row, so each mean is the 1-D reduction a lone candidate gets
-        costs[lo:lo + level.shape[0]] = [row.mean() for row in frame_costs]
+        costs[rows] = [row.mean() for row in _calibration_costs(batch, score, level[rows])]
     best = float(cand[int(np.argmin(costs))])
     return (best, costs) if return_costs else best
 

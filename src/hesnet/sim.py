@@ -8,8 +8,11 @@ out, and the rest drop.  Single-user policies decide through
 and offline plans (greedy or exhaustive, any user count) are replayed
 through the same walk (`replay_plan`).  `run_batch` sums the block terms
 with +=, every other evaluation per frame with math.fsum (`frame_totals`),
-so an offline plan's cost is its exact skip-cost sum; the zeta calibrator
-sums skip costs only.  `metrics_from_arrays` is the one aggregator.
+so an offline plan's cost is its exact skip-cost sum.  The zeta
+calibrator (`policies.calibrate_zeta`) walks intervals of candidates
+instead of frames, under the same battery slack and serve checks
+(`_battery_slack`, `_overdraw_error`).  `metrics_from_arrays` is the one
+aggregator.
 """
 
 from __future__ import annotations
@@ -94,51 +97,63 @@ def _links(batches):
     return tuple(np.stack([getattr(b, name) for b in batches], axis=1) for name in names)
 
 
+def _battery_slack(arrived):
+    """How far a serve may overdraw the battery: ENERGY_RTOL of the frame's
+    arrivals so far (plus 1e-18 J), the offline solvers' causality
+    tolerance, so every plan they accept replays."""
+    return ENERGY_RTOL * arrived + 1e-18
+
+
+def _overdraw_error(block: int, frame: int, battery, spend, power, p_max) -> InvalidActionError:
+    """The error of a serve over the peak cap or the battery."""
+    return InvalidActionError(
+        f"policy served block {block + 1} of frame {frame} with battery "
+        f"{float(battery)!r} J, spend {float(spend)!r} J, power "
+        f"{float(power)!r} W, peak {p_max!r} W")
+
+
 def _walk(decide, p_h, e_h, params: SystemParams, battery, p_max: float):
     """The per-block battery walk of every evaluation, at any user count.
 
     `p_h` holds (frames, U, N) harvesting inversion powers over (frames, N)
-    arrivals `e_h`; `battery` starts as (frames,), or (candidates, frames)
-    for the zeta calibration.  Per block: credit the arrival (clamped at
-    B_m), ask `decide(block, battery)` for a (..., frames, U) 0/1 array,
-    reject any other, reject a serve over the peak cap `p_max` (exact per
-    user, 1e-12 slack on the sum in user order) or over the battery, spend.
-    The battery's slack is ENERGY_RTOL of the frame's arrivals so far, the
-    offline solvers' causality tolerance, so every plan they accept
-    replays.  Yields the serve masks.
+    arrivals `e_h`; `battery` is the (frames,) starting charge.  Per block:
+    credit the arrival (clamped at B_m), ask `decide(block, battery)` for a
+    (frames, U) 0/1 array, reject any other, reject a serve over the peak
+    cap `p_max` (exact per user, 1e-12 slack on the sum in user order) or
+    over the battery plus `_battery_slack`, spend.  Yields the serve masks.
     """
-    users = p_h.shape[1]
-    arrived = np.zeros(len(e_h))
+    frames, users = p_h.shape[:2]
+    battery = np.asarray(battery, dtype=float)
+    if battery.shape != (frames,):
+        raise InvalidParameterError(
+            f"the walk takes a (frames,) battery, got shape {battery.shape} for {frames} frames")
+    arrived = np.zeros(frames)
     for i in range(params.N):
         arrived = arrived + e_h[:, i]
         battery = np.minimum(battery + e_h[:, i], params.B_m)
         act = np.asarray(decide(i, battery))
-        if act.shape != battery.shape + (users,):
+        if act.shape != (frames, users):
             raise InvalidActionError(f"policy returned shape {act.shape} at block {i + 1}, "
-                                     f"expected {battery.shape + (users,)}")
+                                     f"expected {(frames, users)}")
         serve = act == 1
         valid = serve | (act == 0)
         if not valid.all():
-            at = np.unravel_index(np.argmin(valid.all(axis=-1)), battery.shape)
+            at = int(np.argmin(valid.all(axis=-1)))
             raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block {i + 1} "
-                                     f"of frame {at[-1]}, expected 0 or 1 per user")
+                                     f"of frame {at}, expected 0 or 1 per user")
         served = np.where(serve, p_h[:, :, i], 0.0)
-        power = served[..., 0]
+        power = served[:, 0]
         for u in range(1, users):   # in user order, as the offline engine sums
-            power = power + served[..., u]
+            power = power + served[:, u]
         spend = power * params.tau
-        slack = ENERGY_RTOL * arrived + 1e-18
+        over = spend > battery + _battery_slack(arrived)
         # one user's power is its sum: the exact check covers the slack one
         if (served.max(initial=0.0) > p_max
                 or (users > 1 and power.max(initial=0.0) > p_max * (1.0 + 1e-12))
-                or np.any(spend > battery + slack)):
-            bad = ((served > p_max).any(axis=-1) | (power > p_max * (1.0 + 1e-12))
-                   | (spend > battery + slack))
-            at = np.unravel_index(np.argmax(bad), bad.shape)
-            raise InvalidActionError(
-                f"policy served block {i + 1} of frame {at[-1]} with battery "
-                f"{float(battery[at])!r} J, spend {float(spend[at])!r} J, power "
-                f"{float(power[at])!r} W, peak {p_max!r} W")
+                or over.any()):
+            at = int(np.argmax((served > p_max).any(axis=-1)
+                               | (power > p_max * (1.0 + 1e-12)) | over))
+            raise _overdraw_error(i, at, battery[at], spend[at], power[at], p_max)
         battery = np.maximum(battery - spend, 0.0)
         yield serve
 

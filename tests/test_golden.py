@@ -11,13 +11,23 @@ claims to change no number has to keep these bytes; a change that moves a
 number on purpose updates the hashes and says why.  The hashes were taken
 on x86-64 Linux with numpy 2.4 and scipy 1.17, the versions
 ci/constraints.txt pins for CI.
+
+The zeta calibrator's cost vectors are pinned too: the full default grid
+(401 candidates) at a 400-frame budget, at every shipped preset's own
+point (its seed) and at every axis point (seed + 1), the points a sweep
+calibrates at.  The digests were taken with a calibrator that walked
+every (candidate, frame) battery on its own, so they pin the interval walk
+to the bits of a walk per candidate on the full grid.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from hesnet.cli import main
+from hesnet.cli import main, resolve_config
+from hesnet.policies import calibrate_zeta
+from hesnet.sim import apply_axis
 
 TINY = ["--frames", "20", "--seed", "3", "--set", "zeta_budget=20", "--set", "m_levels=4",
         "--set", "k_states=3"]
@@ -47,6 +57,56 @@ MULTIUSER_SHA256 = {
         ["sweep", "--preset", "fig5-two-user", "--set", "p_g_max_w=0.3",
          "--set", "p_h_max_w=0.2"], "sweep_p_avg_mw.csv",
         "8974b7b0ef7d799cb00493e7429ff51a533d0b24a00fdc64b4479f8841b54654"),
+}
+
+# preset -> (axis value, or None for the preset's own point; sha256 of the
+# little-endian float64 cost vector)
+CALIBRATION_COSTS_SHA256 = {
+    "default": (
+        (None, "81b07806c0ade5805422641b8630ed6b5933b8b192330d32b3d4d2cdfddcd2fd"),
+    ),
+    "fig3": (
+        (None, "81b07806c0ade5805422641b8630ed6b5933b8b192330d32b3d4d2cdfddcd2fd"),
+        (20.0, "932437f135191a793df46900c23cc47a5496104859f8a6a5ac96195b05c79918"),
+        (30.0, "df8c73a545180602af5bf904521a477d302b7740f611b04919f15ea437de6c17"),
+        (40.0, "64016c023d03e0f1e92da7e69ce1cea0c563de30e70bddf998faf175276af4ae"),
+        (50.0, "57daf63b01e63004f870b34debd0eb38621f08dff1391da140a2bb51b6a8564e"),
+        (60.0, "1ce94e4def814d69ca946c9171b5476afab59782224383884a1ce22fd4e594ff"),
+    ),
+    "fig4": (
+        (None, "81b07806c0ade5805422641b8630ed6b5933b8b192330d32b3d4d2cdfddcd2fd"),
+        (0.01, "396dcd2419e84cd66482f3b3ae1f8ca65e8b364280f95478ac07a3a2dc3f664b"),
+        (0.015, "18f5661641d39ef7a760706124e4c362018bd687b81ca15d5fb254c0af18c8eb"),
+        (0.02, "df8c73a545180602af5bf904521a477d302b7740f611b04919f15ea437de6c17"),
+        (0.025, "708b11a7b355799fcbf86d6d069ee538a647dd030b3ed10cc45cf46fc4b206ed"),
+        (0.03, "78c026fc7bf1afda4f0833047c7e4bee9f5f2ba8e13b03be920facd639c810d7"),
+    ),
+    "fig5-two-user": (
+        (None, "81b07806c0ade5805422641b8630ed6b5933b8b192330d32b3d4d2cdfddcd2fd"),
+        (0.01, "396dcd2419e84cd66482f3b3ae1f8ca65e8b364280f95478ac07a3a2dc3f664b"),
+        (0.02, "df8c73a545180602af5bf904521a477d302b7740f611b04919f15ea437de6c17"),
+        (0.03, "78c026fc7bf1afda4f0833047c7e4bee9f5f2ba8e13b03be920facd639c810d7"),
+    ),
+    "fig6": (
+        (None, "81b07806c0ade5805422641b8630ed6b5933b8b192330d32b3d4d2cdfddcd2fd"),
+        (0.001, "dadac8d06207477f034c996b632ae79434f3287f7fcbf565c92a3691e5c05ac3"),
+        (0.00316, "82ad4cad7cad1f5fa6314da35040d3f6ee5b69254be2e0fe6471179948b1c9d7"),
+        (0.01, "df8c73a545180602af5bf904521a477d302b7740f611b04919f15ea437de6c17"),
+        (0.0316, "0690423cdec1be21b103ccf54e7c4b5a325425110c50734b1b7c550c95e7b9ac"),
+        (0.1, "fc20a377fba3e269a3e6c71ffb270027e7861fa745c5615247be9b0747d35531"),
+        (0.316, "7465b98551a335c791041f0da38eadce9479978eb06b6652d9e7d109975090f0"),
+        (1.0, "336a226d71d04daed8295189c8637cfcd6db40e2f32652a1ece762bb600acd2b"),
+    ),
+    "fig7": (
+        (None, "81b07806c0ade5805422641b8630ed6b5933b8b192330d32b3d4d2cdfddcd2fd"),
+        (0.001, "dadac8d06207477f034c996b632ae79434f3287f7fcbf565c92a3691e5c05ac3"),
+        (0.00316, "82ad4cad7cad1f5fa6314da35040d3f6ee5b69254be2e0fe6471179948b1c9d7"),
+        (0.01, "df8c73a545180602af5bf904521a477d302b7740f611b04919f15ea437de6c17"),
+        (0.0316, "0690423cdec1be21b103ccf54e7c4b5a325425110c50734b1b7c550c95e7b9ac"),
+        (0.1, "fc20a377fba3e269a3e6c71ffb270027e7861fa745c5615247be9b0747d35531"),
+        (0.316, "7465b98551a335c791041f0da38eadce9479978eb06b6652d9e7d109975090f0"),
+        (1.0, "336a226d71d04daed8295189c8637cfcd6db40e2f32652a1ece762bb600acd2b"),
+    ),
 }
 
 # (argv, schedule sha256, summary sha256); the replay reads the N=12 dump
@@ -98,3 +158,27 @@ def test_offline_solve_bytes(case, tmp_path):
                      "--out", str(tmp_path / "replay")]) == 0
         for name in ("offline_schedule.csv", "offline_summary.json"):
             assert sha256(tmp_path / "replay" / name) == sha256(out / name)
+
+
+_COSTS = {}
+
+
+def calibration_costs_digest(point, grid, seed):
+    key = (point.content_hash(), tuple(grid), seed)
+    if key not in _COSTS:   # presets share points; score each once
+        _, costs = calibrate_zeta(grid, point, 400, seed, return_costs=True)
+        assert costs.shape == (len(grid),)
+        _COSTS[key] = hashlib.sha256(np.asarray(costs, dtype="<f8").tobytes()).hexdigest()
+    return _COSTS[key]
+
+
+@pytest.mark.parametrize("preset", sorted(CALIBRATION_COSTS_SHA256))
+def test_calibration_cost_digests(preset):
+    cfg = resolve_config(preset=preset)
+    table = CALIBRATION_COSTS_SHA256[preset]
+    assert len(cfg.zeta_grid) == 401
+    assert [value for value, _ in table[1:]] == list(cfg.axis_values)
+    for value, digest in table:
+        point, seed = ((cfg.params, cfg.seed) if value is None
+                       else (apply_axis(cfg.params, cfg.axis, value), cfg.seed + 1))
+        assert calibration_costs_digest(point, cfg.zeta_grid, seed) == digest, value

@@ -2,8 +2,11 @@
 example runs as written."""
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,16 @@ def test_readme_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert lines[0].split()[1:] == ["<=", "49"]
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special is most of the start-up time and serves two scalar
+    # calls in threshold_lambdas, which import it when they run
+    src = str(Path(hesnet.__file__).resolve().parent.parent)
+    probe = ("import sys; import hesnet.cli; "
+             "print('scipy.special' in sys.modules, 'hesnet.policies' in sys.modules)")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["False", "True"]

@@ -11,7 +11,7 @@ from scipy import integrate
 
 from hesnet import policies
 from hesnet.cli import resolve_config
-from hesnet.errors import InvalidParameterError, StalePolicyError
+from hesnet.errors import InvalidActionError, InvalidParameterError, StalePolicyError
 from hesnet.mdp import build_grid, build_mdp_model, monotone_backward_induction
 from hesnet.model import (
     FrameBatch,
@@ -36,7 +36,7 @@ from hesnet.policies import (
     look_ahead_build,
     threshold_lambdas,
 )
-from hesnet.sim import apply_axis, run_batch
+from hesnet.sim import _battery_slack, apply_axis, run_batch
 
 P = SystemParams()
 
@@ -431,6 +431,98 @@ def test_calibrate_zeta_rejects_bad_input():
         calibrate_zeta([-1.0], P, budget=10, seed=0)
     with pytest.raises(InvalidParameterError):
         calibrate_zeta([1.0], P, budget=0, seed=0)
+
+
+# adversarial values for one segment step: exact ties with a level, NaN
+# and inf scores, dead channels, peak-cap edges, arrivals past B_m
+CAP = P.p_H_max
+STEP_LEVELS = st.sampled_from([0.0, -0.0, 1e-9, 2e-9, 3e-6, 1.0, math.inf])
+STEP_SCORES = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 3e-3, math.inf, math.nan])
+STEP_POWERS = st.sampled_from([1e-6, 1e-3, 0.01, CAP, np.nextafter(CAP, math.inf), math.inf])
+STEP_ENERGIES = st.sampled_from([0.0, 1e-9, 1e-6, 1e-5, P.E_m, P.B_m, 2 * P.B_m])
+
+
+def step_segments(draw, frames, candidates):
+    """(frame, lo, hi, battery, cost) segments tiling [0, candidates) of each
+    frame in (frame, lo) order."""
+    segments = []
+    for f in range(frames):
+        cuts = sorted(draw(st.sets(st.integers(1, candidates - 1), max_size=candidates - 1))
+                      if candidates > 1 else [])
+        for lo, hi in zip([0, *cuts], [*cuts, candidates]):
+            segments.append((f, lo, hi, draw(st.sampled_from([0.0, 1e-9, 1e-6, P.E_m, P.B_m])),
+                             draw(st.sampled_from([0.0, 0.5, 2.0]))))
+    frame, lo, hi, battery, cost = zip(*segments)
+    return (np.array(frame), np.array(lo), np.array(hi), np.array(battery), np.array(cost))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_property_split_block_matches_per_candidate_rule(data):
+    draw = data.draw
+    n = draw(st.sampled_from([1, 2, 5]))
+    params = P.evolve(N=n)
+    block = draw(st.integers(0, n - 1))
+    frames = draw(st.integers(1, 3))
+    e, p_h, score = (np.array(draw(st.lists(values, min_size=frames, max_size=frames)))
+                     for values in (STEP_ENERGIES, STEP_POWERS, STEP_SCORES))
+    skip = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]),
+                                  min_size=frames, max_size=frames)))
+    # shuffled candidate levels with duplicates, one of them hit exactly
+    # by a battery * score product when that product is finite
+    shuffled = draw(st.lists(STEP_LEVELS, min_size=1, max_size=6))
+    segments = step_segments(draw, frames, len(shuffled))
+    frame, lo, hi, battery, cost = segments
+    charged = np.minimum(battery + e[frame], params.B_m)
+    with np.errstate(invalid="ignore"):
+        products = charged * score[frame]
+    hit = draw(st.integers(0, len(products) - 1))
+    if np.isfinite(products[hit]):
+        shuffled[draw(st.integers(0, len(shuffled) - 1))] = float(products[hit])
+    shuffled = np.array(shuffled)
+    levels = shuffled[np.argsort(shuffled, kind="stable")]
+    slack = _battery_slack(e)
+    out = policies._split_block(block, segments, e, p_h, skip, score, slack, levels, params)
+    # nonempty children in (frame, lo) order, one battery and cost per cell
+    starts = list(zip(out[0], out[1]))
+    assert starts == sorted(starts) and np.all(out[1] < out[2])
+    got = {}
+    for f, a, b, bat, c in zip(*out):
+        for k in range(a, b):
+            assert (f, k) not in got
+            got[(f, k)] = (bat, c)
+    for f, a, b, bat, c in zip(*segments):
+        for k in range(a, b):
+            b_k = min(bat + e[f], params.B_m)
+            serve = policies._threshold_serve(block, b_k, p_h[f], score[f], levels[k], params)
+            want = ((np.maximum(b_k - p_h[f] * params.tau, 0.0), c) if serve
+                    else (b_k, c + skip[f]))
+            assert got.pop((f, k)) == want
+    assert not got
+
+
+def test_calibration_walk_checks_every_serve(monkeypatch):
+    # a rule that serves regardless of the battery trips the walk's check
+    def serve_all(block, battery, p_h, score, levels, lo, hi, params):
+        return hi
+
+    monkeypatch.setattr(policies, "_threshold_cut", serve_all)
+    with pytest.raises(InvalidActionError, match="policy served block 1 of frame"):
+        calibrate_zeta([0.0, 5.0], P, 20, 57)
+    # under the same rule the peak check is exact: a serve at the cap
+    # passes, one ulp above it raises
+    params = P.evolve(N=1, P_avg=0.5)   # one block's arrival pays a 0.5 W serve
+    segments = (np.array([0]), np.array([0]), np.array([2]), np.zeros(1), np.zeros(1))
+    e, slack, levels = np.array([params.E_m]), np.array([1e-18]), np.zeros(2)
+    for power, raises in ((params.p_H_max, False), (np.nextafter(params.p_H_max, 1.0), True)):
+        p_h = np.array([power])
+        if raises:
+            with pytest.raises(InvalidActionError, match="block 1 of frame 0"):
+                policies._split_block(0, segments, e, p_h, np.ones(1), np.ones(1), slack,
+                                      levels, params)
+        else:
+            policies._split_block(0, segments, e, p_h, np.ones(1), np.ones(1), slack, levels,
+                                  params)
 
 
 def test_calibrated_threshold_beats_greedy():

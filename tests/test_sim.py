@@ -203,10 +203,8 @@ def run_walk(decide, p_h, e_h, params, battery, p_max):
         pass
 
 
-def test_affordability_check_locates_overdraw_in_candidate_rows():
-    # (candidates, frames) battery rows against per-frame powers, as the
-    # zeta calibration walk uses them: only frame 1 of candidate 1 starts
-    # empty, and 1e-9 J arrives there before block 7
+def test_affordability_check_locates_overdraw():
+    # only frame 1 starts empty, and 1e-9 J arrives there before block 7
     params = P.evolve(N=7)
     p_h = np.full((2, 1, 7), 0.01)
     e_h = np.zeros((2, 7))
@@ -216,9 +214,19 @@ def test_affordability_check_locates_overdraw_in_candidate_rows():
     def serve_last(i, battery):
         return np.full(battery.shape + (1,), int(i == 6), dtype=np.int8)
 
-    run_walk(serve_last, p_h, e_h, params, np.array([[full, full]]), params.p_H_max)
+    run_walk(serve_last, p_h, e_h, params, np.array([full, full]), params.p_H_max)
     with pytest.raises(InvalidActionError, match="block 7 of frame 1 with battery 1e-09 J"):
-        run_walk(serve_last, p_h, e_h, params, np.array([[full, full], [full, 0.0]]),
+        run_walk(serve_last, p_h, e_h, params, np.array([full, 0.0]), params.p_H_max)
+
+
+def test_walk_takes_one_battery_per_frame():
+    params = P.evolve(N=7)
+
+    def skip(i, battery):
+        return np.zeros(battery.shape + (1,), dtype=np.int8)
+
+    with pytest.raises(InvalidParameterError, match="takes a \\(frames,\\) battery"):
+        run_walk(skip, np.full((2, 1, 7), 0.01), np.zeros((2, 7)), params, np.zeros((3, 2)),
                  params.p_H_max)
 
 
