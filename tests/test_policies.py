@@ -456,7 +456,7 @@ def step_segments(draw, frames, candidates):
     return (np.array(frame), np.array(lo), np.array(hi), np.array(battery), np.array(cost))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(data=st.data())
 def test_property_split_block_matches_per_candidate_rule(data):
     draw = data.draw
