@@ -53,7 +53,6 @@ from .mdp import (
     monotone_backward_induction,
     quantize_energy,
     save_policy_artifact,
-    thresholds_from_policy,
 )
 from .policies import (
     GreedyTransmit,

@@ -5,13 +5,15 @@ leave it to the grid BS / the drop rule.  The state is (battery level,
 G-channel state, H-channel state) on a finite grid: battery quantized into M
 equal bins represented by mid-values, each channel into K equi-probable
 states represented by conditional means; the kernels are built in closed
-form.  Backward induction solves the resulting Bellman recursion exactly; the
-monotone variant (MBIA) exploits the threshold structure of the optimal
-policy, walking all battery levels of a block in lockstep with at most 2K-1
-state evaluations each instead of K^2, once the walk's orderings are checked.
+form.  Backward induction solves the resulting Bellman recursion exactly.
+The monotone variant (MBIA) is the paper's threshold walk, which evaluates
+at most 2K-1 states per (block, battery level) instead of K^2.  In numpy the
+dense (M, K, K) compare costs less than that walk, so MBIA takes the dense
+mask, checks it has the threshold structure the walk relies on, and reports
+the walk's evaluation counts in closed form.
 
-Both solvers share one recursion and one expectation path, so their value
-tables agree bitwise, not just within tolerance.  The recursion needs only
+Both solvers share one recursion, one expectation path and one compare, so
+their tables agree bitwise, not just within tolerance.  The recursion needs only
 the per-level sums u_hat of the next block, so a solve keeps the two action
 values q0/q1 per block and sums one block's (M, K, K) slice of the
 per-state values at a time; the full (N, M, K, K) table is rebuilt only
@@ -46,7 +48,6 @@ __all__ = [
     "build_mdp_model",
     "backward_induction",
     "monotone_backward_induction",
-    "thresholds_from_policy",
     "save_policy_artifact",
     "load_policy_artifact",
 ]
@@ -255,12 +256,13 @@ def _expected_values(model: MdpModel, u_hat_next: np.ndarray):
 _RISE_RTOL = 1e-12
 
 
-def _induction(model: MdpModel, N: int, serve_mask):
-    """Backward recursion shared by both solvers: `serve_mask(t, q0, q1)` maps
+def _induction(model: MdpModel, N: int, serve_rule):
+    """Backward recursion shared by both solvers: `serve_rule(t, q0, q1)` maps
     block t's (M, K) action values -- q0 per G-state, q1 per H-state, inf
-    where serving is not allowed -- to the (M, K_G, K_H) serve mask.  Only
-    u_hat feeds the next block, so each block's per-state values live in
-    one temporary slice."""
+    where serving is not allowed -- to a pair: the (M, K_G, K_H) serve mask
+    and an extra per block, returned as a list in block order.  Only u_hat
+    feeds the next block, so each block's per-state values live in one
+    temporary slice."""
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
     m, k = model.grid.M, model.grid.K
@@ -269,17 +271,25 @@ def _induction(model: MdpModel, N: int, serve_mask):
     q0, q1 = np.zeros((N, m, k)), np.zeros((N, m, k))
     u_hat = np.zeros((N, m))
     mask = np.where(model.allowed, 0.0, np.inf)  # (M, K) additive mask on q1
+    extras = [None] * N
     for t in range(N - 1, -1, -1):
         ev0, ev1 = ((np.zeros(m), np.zeros((m, k))) if t == N - 1
                     else _expected_values(model, u_hat[t + 1]))
         np.add(model.cost_G[None, :], ev0[:, None], out=q0[t])
         np.add(ev1, mask, out=q1[t])
-        act = serve_mask(t, q0[t], q1[t])
+        act, extras[t] = serve_rule(t, q0[t], q1[t])
         actions[t] = act
         # one block's (M, K, K) slice of u, summed and dropped
         u_hat[t] = np.where(act, q1[t, :, None, :], q0[t, :, :, None]).sum(axis=(1, 2))
     return (PolicyTable(actions=actions, grid=model.grid, params_hash=params_hash),
-            CostToGo(q0=q0, q1=q1, u_hat=u_hat, params_hash=params_hash, actions=actions))
+            CostToGo(q0=q0, q1=q1, u_hat=u_hat, params_hash=params_hash, actions=actions),
+            extras)
+
+
+def _dense_mask(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    """(M, K_G, K_H) serve mask: serve wherever it costs no more than not
+    serving, so ties serve."""
+    return q1[:, None, :] <= q0[:, :, None]
 
 
 def backward_induction(model: MdpModel, N: int):
@@ -289,81 +299,47 @@ def backward_induction(model: MdpModel, N: int):
     two actions resolve to serving (action 1).  Returns (PolicyTable,
     CostToGo).
     """
-    return _induction(model, N, lambda t, q0, q1: q1[:, None, :] <= q0[:, :, None])
+    return _induction(model, N, lambda t, q0, q1: (_dense_mask(q0, q1), None))[:2]
 
 
-def _lockstep_walk(q0: np.ndarray, q1: np.ndarray):
-    """Threshold-staircase walk of every battery level of one block at once.
+def _staircase_mask(t: int, q0: np.ndarray, q1: np.ndarray):
+    """Block t's dense serve mask, checked to be the threshold staircase of
+    the paper's walk, and per battery level the states that walk evaluates.
 
-    Each level starts at the best state of both channels.  Serving there
-    implies serving at every lower G-state, so the H cursor drops; not
-    serving implies not serving at every lower H-state, so the G cursor
-    drops: at most 2K-1 steps.  Returns per level and H-state the highest
-    served G-state (-1: none), and per level the states evaluated."""
-    m, k = q0.shape
-    # Cursors are flat indices into rows padded with one leading slot, so a
-    # cursor that runs off its row lands on that row's own pad slot.
-    q0p, q1p = (np.pad(q, ((0, 0), (1, 0))).ravel() for q in (q0, q1))
-    start = np.arange(m) * (k + 1)  # each row's pad slot
-    gi, hi = start + k, start + k
-    top = np.repeat(start, k + 1)   # G cursor at each H-state's serve; pad: never
-    live = np.ones(m, dtype=bool)
-    while live.any():
-        serve = q1p[hi] <= q0p[gi]
-        serve &= live
-        top[np.where(serve, hi, 0)] = gi  # slot 0 is a pad: it takes the misses
-        hi -= serve
-        gi -= serve ^ live
-        np.greater(gi, start, out=live)
-        live &= hi > start
-    return top.reshape(m, k + 1)[:, 1:] - (start[:, None] + 1), 2 * (start + k) - gi - hi
+    The walk starts at the best state of both channels: a serve fills the
+    column below it and drops the H cursor, a skip fills the row to its
+    left and drops the G cursor.  It decides as the compare does when every
+    H-column is a prefix of G-states whose top served G-state `top` is
+    nondecreasing in the H-state, as q0 and q1 nonincreasing (up to
+    `_RISE_RTOL`) imply; anything else raises StructureViolationError.  The
+    walk stops after K serves and K-1-top[0] skips or, where column 0 is
+    never served, after K skips and one serve per served column.
+    """
+    for name, q in (("q0 along the G", q0), ("q1 along the H", q1)):
+        if np.any(q[:, 1:] > q[:, :-1] + _RISE_RTOL * np.abs(q[:, :-1])):
+            raise StructureViolationError(
+                f"block t={t}: {name}-state axis rises; the monotone walk is not exact")
+    mask = _dense_mask(q0, q1)
+    top = mask.sum(axis=1) - 1  # (M, K_H) highest served G-state, -1: none
+    # a column that serves at a G-state it skips below is not a prefix
+    if np.any(mask[:, 1:] > mask[:, :-1]) or np.any(np.diff(top, axis=1) < 0):
+        raise StructureViolationError(
+            f"block t={t}: the serve mask is not a threshold staircase")
+    k = q0.shape[1]
+    return mask, np.where(top[:, 0] >= 0, 2 * k - 1 - top[:, 0], k + (top >= 0).sum(axis=1))
 
 
 def monotone_backward_induction(model: MdpModel, N: int):
-    """Threshold-walk variant of `backward_induction` (the paper's MBIA).
+    """The paper's monotone backward induction (MBIA), checked, not re-enacted.
 
-    The walk, over all battery levels in lockstep with at most 2K-1
-    evaluations each, is exact only if q0 is nonincreasing in the G-state
-    and q1 in the H-state: each block checks both up to a relative rise of
-    `_RISE_RTOL` and raises StructureViolationError otherwise.  Returns
+    Each block's table is the dense compare of `backward_induction`, so the
+    two agree bitwise; `_staircase_mask` checks it is the threshold
+    staircase the paper's walk relies on and counts the at most 2K-1 states
+    that walk evaluates per battery level instead of K^2.  Returns
     (PolicyTable, CostToGo, eval_counts of shape (N, M)).
     """
-    counts = []  # per block, last block first
-
-    def walk_mask(t, q0, q1):
-        for name, q in (("q0 along the G", q0), ("q1 along the H", q1)):
-            if np.any(q[:, 1:] > q[:, :-1] + _RISE_RTOL * np.abs(q[:, :-1])):
-                raise StructureViolationError(
-                    f"block t={t}: {name}-state axis rises; the monotone walk is not exact")
-        top, evals = _lockstep_walk(q0, q1)
-        counts.append(evals)
-        return np.arange(top.shape[1])[:, None] <= top[:, None, :]  # G-states to the top
-
-    policy, values = _induction(model, N, walk_mask)
-    return policy, values, np.stack(counts[::-1])
-
-
-def thresholds_from_policy(policy: PolicyTable, t: int, level: int):
-    """Threshold states of one (block, battery level) slice.
-
-    Returns (g_thresholds, h_thresholds): per H-state the largest G-state
-    index still served, per G-state the smallest H-state index served; -1
-    marks "never".  Raises when the slice is not monotone, which signals a
-    solver bug rather than bad input data.
-    """
-    sl = policy.actions[t, level].astype(np.int8)  # (K_G, K_H)
-    if np.any(np.diff(sl, axis=0) > 0):
-        raise StructureViolationError(
-            f"slice (t={t}, level={level}) not monotone along the G-state axis")
-    if np.any(np.diff(sl, axis=1) < 0):
-        raise StructureViolationError(
-            f"slice (t={t}, level={level}) not monotone along the H-state axis")
-    k = sl.shape[0]
-    g_counts = sl.sum(axis=0)  # ones occupy the lowest G-states per column
-    h_counts = sl.sum(axis=1)  # ones occupy the highest H-states per row
-    g_thresholds = g_counts - 1
-    h_thresholds = np.where(h_counts > 0, k - h_counts, -1)
-    return g_thresholds.astype(np.int64), h_thresholds.astype(np.int64)
+    policy, values, counts = _induction(model, N, _staircase_mask)
+    return policy, values, np.stack(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,17 @@ point (its seed) and at every axis point (seed + 1), the points a sweep
 calibrates at.  The digests were taken with a calibrator that walked
 every (candidate, frame) battery on its own, so they pin the interval walk
 to the bits of a walk per candidate on the full grid.
+
+The MBIA tables that `mdp-train` writes at the benchmark's fig3 points
+(K=25, M=25 and 100) are pinned by the `.pol` sha256, and their walk
+evaluation counts by the totals in perfbench/reference.json.  The digests
+were taken with a solver that walked the threshold staircase of every
+battery level, so they pin the dense compare to the bits of that walk.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +128,18 @@ OFFLINE_SHA256 = {
 }
 
 
+# (d_h_m, m_levels) -> sha256 of mbia_M{m}_K25.pol; d_g_m = 80 - d_h_m
+MBIA_POL_SHA256 = {
+    (20, 25): "af8c64864192538a9b39fb0c612d5b1081a7e8c8a85f9746de2e95663e804604",
+    (20, 100): "3808bcf3a777b207ad9183968c1bad2326954f89d73a54c640f59c66edc0ca55",
+    (40, 25): "cd4aaa4dfb14d665de6de38b900f2ef20b59e97229f5092ea7722943c330a971",
+    (40, 100): "088cd4a94335eae4e977332192955511809641c93c40c33c238841ae87699ba1",
+    (60, 25): "396116d60085f28117be0c7493d86b3ff0f5b864eaf6c6e00d60741abbb0e22d",
+    (60, 100): "4f6830fbff07328317f8f9bf44040eb565615ecd106f22c3304ed6fc42e8dbf7",
+}
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -182,3 +202,14 @@ def test_calibration_cost_digests(preset):
         point, seed = ((cfg.params, cfg.seed) if value is None
                        else (apply_axis(cfg.params, cfg.axis, value), cfg.seed + 1))
         assert calibration_costs_digest(point, cfg.zeta_grid, seed) == digest, value
+
+
+@pytest.mark.parametrize("d_h,m", sorted(MBIA_POL_SHA256))
+def test_mdp_train_table_bytes_and_walk_counts(d_h, m, tmp_path):
+    assert main(["mdp-train", "--preset", "fig3", "--set", f"d_h_m={d_h}",
+                 "--set", f"d_g_m={80 - d_h}", "--set", "k_states=25", "--m-levels", str(m),
+                 "--out", str(tmp_path)]) == 0
+    log = json.loads((tmp_path / f"mbia_M{m}_K25.train.json").read_text())
+    want = json.loads(BENCH_REFERENCE.read_text())["mbia-train-simulate"]["evaluations_total"]
+    assert log["evaluations_total"] == want[f"d{d_h}/mbia_M{m}_K25"]
+    assert sha256(tmp_path / f"mbia_M{m}_K25.pol") == MBIA_POL_SHA256[(d_h, m)]

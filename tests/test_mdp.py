@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
 from hesnet.cli import resolve_config
@@ -24,6 +25,7 @@ from hesnet.errors import (
 from hesnet.mdp import (
     _RISE_RTOL,
     _expected_values,
+    _staircase_mask,
     CostToGo,
     PolicyTable,
     QuantizationGrid,
@@ -37,7 +39,6 @@ from hesnet.mdp import (
     monotone_backward_induction,
     quantize_energy,
     save_policy_artifact,
-    thresholds_from_policy,
 )
 from hesnet.model import ExponentialFading, SystemParams, link_terms, make_rng, serve_feasible
 
@@ -399,7 +400,7 @@ def test_monotone_solve_holds_no_value_table():
 
 
 # ---------------------------------------------------------------------------
-# closed-form kernels and the lockstep walk against their loop oracles
+# closed-form kernels and MBIA against their loop oracles
 # ---------------------------------------------------------------------------
 
 def shipped_presets():
@@ -570,6 +571,21 @@ def test_walk_tolerates_rises_of_rounding_size():
         monotone_backward_induction(real, 3)
 
 
+def test_staircase_mask_refuses_a_serve_inside_a_tolerated_rise():
+    c = 0.3
+    up = np.nextafter(c, np.inf)
+    # q0's 1-ulp rise passes the rise check, but serving at H-state 1 ties
+    # at G-state 1 and loses at G-state 0: the column is not a prefix
+    with pytest.raises(StructureViolationError, match="staircase"):
+        _staircase_mask(0, np.array([[c, up]]), np.array([[np.inf, up]]))
+    # the same along H: a 1-ulp rise of q1 serves H-state 0 and not H-state 1
+    with pytest.raises(StructureViolationError, match="staircase"):
+        _staircase_mask(0, np.array([[c, c]]), np.array([[c, up]]))
+    mask, evals = _staircase_mask(0, np.array([[c, c]]), np.array([[np.inf, c]]))
+    np.testing.assert_array_equal(mask[0], [[False, True], [False, True]])
+    np.testing.assert_array_equal(evals, [3])
+
+
 small_params = st.builds(
     lambda n, d_h, d_g, w_d, cap, p_avg, mu_g, mu_h, fill: P.evolve(
         N=n, d_H=d_h, d_G=d_g, w_D=w_d, p_H_max=cap, P_avg=p_avg, mu_G=mu_g, mu_H=mu_h
@@ -586,6 +602,28 @@ def test_property_kernels_equal_scalar_rows(params, m, k):
     assert_kernels_match_rows(params, build_grid(params, M=m, K=k))
 
 
+def nonincreasing_rows(m, k):
+    """(m, k) rows sorted high to low from five values: exact ties within a
+    row and between rows drawn this way."""
+    values = arrays(np.float64, (m, k), elements=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]))
+    return values.map(lambda a: np.sort(a, axis=1)[:, ::-1])
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), m=st.integers(1, 6), k=st.integers(1, 8))
+def test_property_staircase_mask_equals_per_level_walk(data, m, k):
+    q0 = data.draw(nonincreasing_rows(m, k))
+    q1 = data.draw(nonincreasing_rows(m, k))
+    # serving is not allowed at the worst H-states of some levels: inf first
+    for i, blocked in enumerate(data.draw(arrays(np.int64, m, elements=st.integers(0, k)))):
+        q1[i, :blocked] = np.inf
+    mask, evals = _staircase_mask(0, q0, q1)
+    assert mask.shape == (m, k, k) and evals.dtype == np.int64
+    for i in range(m):
+        pol, _, n = monotone_slice(q0[i], q1[i], k)
+        assert np.array_equal(mask[i], pol) and evals[i] == n
+
+
 @PROPERTY_SETTINGS
 @given(params=small_params, m=st.integers(1, 10), k=st.integers(1, 6))
 def test_property_monotone_raises_or_equals_dense(params, m, k):
@@ -594,59 +632,6 @@ def test_property_monotone_raises_or_equals_dense(params, m, k):
         assert_walk_matches_oracles(model, params.N)
     except StructureViolationError:
         pass
-
-
-# ---------------------------------------------------------------------------
-# threshold extraction
-# ---------------------------------------------------------------------------
-
-def policy_with(actions):
-    grid = build_grid(P, M=actions.shape[1], K=actions.shape[2])
-    return PolicyTable(actions=actions.astype(np.uint8), grid=grid,
-                       params_hash=P.content_hash())
-
-
-def test_thresholds_from_monotone_slice():
-    sl = np.array([[0, 1, 1],
-                   [0, 1, 1],
-                   [0, 0, 1]])
-    policy = policy_with(sl[None, None, :, :])
-    g_thr, h_thr = thresholds_from_policy(policy, 0, 0)
-    np.testing.assert_array_equal(g_thr, [-1, 1, 2])
-    np.testing.assert_array_equal(h_thr, [1, 1, 2])
-
-
-def test_thresholds_reject_non_monotone():
-    bad = np.array([[0, 1, 1],
-                    [0, 0, 1],
-                    [0, 1, 1]])
-    policy = policy_with(bad[None, None, :, :])
-    with pytest.raises(StructureViolationError):
-        thresholds_from_policy(policy, 0, 0)
-    bad2 = np.array([[1, 0, 1],
-                     [0, 0, 1],
-                     [0, 0, 1]])
-    with pytest.raises(StructureViolationError):
-        thresholds_from_policy(policy_with(bad2[None, None, :, :]), 0, 0)
-
-
-def test_thresholds_of_solved_policy_round_trip():
-    grid = build_grid(P, M=8, K=4)
-    model = build_mdp_model(P, grid)
-    policy, _ = backward_induction(model, 5)
-    for t in (0, 2, 4):
-        for m in (0, 3, 7):
-            g_thr, h_thr = thresholds_from_policy(policy, t, m)
-            sl = policy.actions[t, m]
-            for kh in range(4):
-                assert (g_thr[kh] >= 0) == bool(sl[:, kh].any())
-                if g_thr[kh] >= 0:
-                    assert sl[g_thr[kh], kh] == 1
-                    assert np.all(sl[g_thr[kh] + 1:, kh] == 0)
-            for kg in range(4):
-                if h_thr[kg] >= 0:
-                    assert sl[kg, h_thr[kg]] == 1
-                    assert np.all(sl[kg, :h_thr[kg]] == 0)
 
 
 # ---------------------------------------------------------------------------
