@@ -10,7 +10,6 @@ key=value configs.
 
 from .errors import (
     ConfigError,
-    FeasibilityError,
     HesnetError,
     InvalidActionError,
     InvalidParameterError,
@@ -24,7 +23,6 @@ from .errors import (
 from .model import (
     ExponentialFading,
     FrameBatch,
-    FrameTrajectory,
     SystemParams,
     channel_gain,
     cost_parameter,
@@ -73,13 +71,10 @@ from .sim import (
     apply_axis,
     frame_totals,
     metrics_from_arrays,
-    monte_carlo,
     multiuser_frame_metrics,
-    multiuser_monte_carlo,
     offline_frame_metrics,
     replay_plan,
     run_batch,
-    run_frame,
     sample_multiuser_trajectories,
     sweep,
     write_manifest,

@@ -39,7 +39,7 @@ from .errors import (
     StalePolicyError,
 )
 from .mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction, save_policy_artifact
-from .model import FrameBatch, FrameTrajectory, SystemParams, sample_trajectory
+from .model import FrameBatch, SystemParams, sample_trajectory
 from .offline import EXHAUSTIVE_CAP, exhaustive_plan, greedy_plan, require_uncapped_battery
 from .policies import (
     GreedyTransmit,
@@ -403,12 +403,12 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
                 artifact_log[f"MBIA-M{m}"] = {
                     "path": str(path), "sha256": file_sha256(path),
                     "params_hash": table.params_hash}
-            return MdpTablePolicy(table, name=f"MBIA-M{m}")
+            return MdpTablePolicy(table)
 
         def train(point: SystemParams):
             grid = build_grid(point, M=m, K=cfg.k_states)
             table, _, _ = monotone_backward_induction(build_mdp_model(point, grid), point.N)
-            return MdpTablePolicy(table, name=f"MBIA-M{m}")
+            return MdpTablePolicy(table)
 
         return load if mbia_mode == "load" else train
 
@@ -443,15 +443,18 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
 # trajectory replay files
 # ---------------------------------------------------------------------------
 
-def _write_trajectory(path: Path, traj: FrameTrajectory) -> None:
+def _write_trajectory(path: Path, batch: FrameBatch) -> None:
+    """Write frame 0 of `batch`, one block per line."""
     lines = ["# block gamma_G gamma_H e_H_j"]
-    for i in range(traj.n_blocks):
-        lines.append(f"{i + 1} {float(traj.gamma_G[i])!r} "
-                     f"{float(traj.gamma_H[i])!r} {float(traj.e_H[i])!r}")
+    for i in range(batch.params.N):
+        lines.append(f"{i + 1} {float(batch.gamma_g[0, i])!r} "
+                     f"{float(batch.gamma_h[0, i])!r} {float(batch.e_h[0, i])!r}")
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_trajectory(path: Path, params: SystemParams) -> FrameTrajectory:
+def _read_trajectory(path: Path, params: SystemParams) -> FrameBatch:
+    """A replay file as a one-frame batch; every row is checked, and a bad
+    one raises ReplayParseError with its line number."""
     if not path.is_file():
         raise ConfigError(f"replay file not found: {path}")
     rows: list = []
@@ -472,6 +475,10 @@ def _read_trajectory(path: Path, params: SystemParams) -> FrameTrajectory:
         if idx != len(rows) + 1:
             raise ReplayParseError(
                 f"{path}:{lineno}: block index {idx}, expected {len(rows) + 1}", line=lineno)
+        if not all(math.isfinite(x) and x >= 0 for x in (g, h, e)):
+            raise ReplayParseError(
+                f"{path}:{lineno}: gamma_G, gamma_H and e_H_j must be finite and >= 0, "
+                f"got {g!r} {h!r} {e!r}", line=lineno)
         # one block harvests at most E_m: the uncapped-battery check relies on it
         if e > params.E_m:
             raise ReplayParseError(
@@ -480,16 +487,14 @@ def _read_trajectory(path: Path, params: SystemParams) -> FrameTrajectory:
     if len(rows) != params.N:
         raise ReplayParseError(
             f"{path}: {len(rows)} blocks for an N={params.N} configuration")
-    arr = np.asarray(rows, dtype=float)
-    try:
-        return FrameTrajectory(gamma_G=arr[:, 0], gamma_H=arr[:, 1], e_H=arr[:, 2])
-    except InvalidParameterError as exc:
-        raise ReplayParseError(f"{path}: {exc}") from exc
+    g, h, e = np.asarray(rows, dtype=float).T
+    return FrameBatch(params, g[None], h[None], e[None])
 
 
-def _trajectory_sha256(traj: FrameTrajectory) -> str:
+def _trajectory_sha256(batch: FrameBatch) -> str:
+    """sha256 of frame 0's gains and arrivals as little-endian float64."""
     h = hashlib.sha256()
-    for arr in (traj.gamma_G, traj.gamma_H, traj.e_H):
+    for arr in (batch.gamma_g[0], batch.gamma_h[0], batch.e_h[0]):
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return h.hexdigest()
 
@@ -508,16 +513,15 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
     params = cfg.params
     require_uncapped_battery(params)
     if args.replay:
-        traj = _read_trajectory(Path(args.replay), params)
+        batch = _read_trajectory(Path(args.replay), params)
         source = f"replay {args.replay}"
     else:
-        traj = sample_trajectory(params, cfg.seed)
+        batch = sample_trajectory(params, cfg.seed)
         source = f"seed {cfg.seed}"
     if args.dump:
         dump = Path(args.dump)
         dump.parent.mkdir(parents=True, exist_ok=True)
-        _write_trajectory(dump, traj)
-    batch = FrameBatch.of_frame(traj, params)
+        _write_trajectory(dump, batch)
     solvers = {"greedy": greedy_plan}
     if cfg.solver == "exhaustive" or (cfg.solver == "auto" and params.N <= EXHAUSTIVE_CAP):
         solvers["exhaustive"] = exhaustive_plan
@@ -529,7 +533,7 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
     csv_path = out / "offline_schedule.csv"
     rows = []
     report: dict = {"params_hash": params.content_hash(), "n_blocks": params.N,
-                    "trajectory_sha256": _trajectory_sha256(traj), "solvers": {}}
+                    "trajectory_sha256": _trajectory_sha256(batch), "solvers": {}}
     for solver_name, plan in plans.items():
         serve, admitted, costs, grid = replay_plan(plan, [batch], params.p_H_max, params.p_G_max)
         cost, energy, drops = frame_totals(serve, admitted, costs, grid)
@@ -538,7 +542,8 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
             "drops": int(drops[0])}
         i_h, i_g = serve[0, 0], admitted[0, 0]
         rows += [dict(zip(OFFLINE_HEADER, (
-            solver_name, i + 1, float(traj.gamma_G[i]), float(traj.gamma_H[i]), float(traj.e_H[i]),
+            solver_name, i + 1, float(batch.gamma_g[0, i]), float(batch.gamma_h[0, i]),
+            float(batch.e_h[0, i]),
             int(i_h[i]), int(i_g[i]), int(i_h[i]), int(not (i_g[i] or i_h[i])),
             float(batch.p_g[0, i] if i_g[i] else 0.0),
             float(batch.p_h[0, i] if i_h[i] else 0.0)))) for i in range(params.N)]

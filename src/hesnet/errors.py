@@ -13,17 +13,6 @@ class InvalidParameterError(HesnetError, ValueError):
     """A physical or algorithmic parameter is out of its valid domain."""
 
 
-class FeasibilityError(HesnetError):
-    """An assignment violates energy causality or a peak-power cap.
-
-    `block` is the 1-based index of the first violated block.
-    """
-
-    def __init__(self, message, block=None):
-        super().__init__(message)
-        self.block = block
-
-
 class InvalidStateError(HesnetError):
     """A state value is outside its physical domain (negative energy, ...)."""
 

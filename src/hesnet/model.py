@@ -5,8 +5,9 @@ packet of R bits is due; it is carried by the grid-powered BS, carried by the
 energy-harvesting BS out of its battery, or dropped.  This module holds the
 system parameters, the stochastic channel/arrival models, the scalar
 primitives (channel gain, rate, inversion power, per-block cost), the one
-place they are composed (`link_terms`), and `FrameBatch`, trajectories held
-with their link terms.
+place they are composed (`link_terms`), the CRN samplers, and `FrameBatch`,
+(frames, N) trajectories held with their link terms.  `FrameBatch` is the
+one frame type: a single frame is a one-frame batch.
 
 Units are SI throughout: watts, joules, seconds, hertz, bits.  dB-valued
 inputs are converted at the parsing boundary (see `cli`), never stored.
@@ -27,7 +28,6 @@ from .errors import InvalidParameterError
 __all__ = [
     "SystemParams",
     "ExponentialFading",
-    "FrameTrajectory",
     "channel_gain",
     "rate",
     "inversion_power",
@@ -284,28 +284,6 @@ def make_rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.asarray(words, dtype=np.uint64)))
 
 
-@dataclass(frozen=True)
-class FrameTrajectory:
-    """Realized randomness of one frame: fading gains and energy arrivals."""
-
-    gamma_G: np.ndarray  # (N,) fading power gains, grid link
-    gamma_H: np.ndarray  # (N,) fading power gains, harvesting link
-    e_H: np.ndarray      # (N,) J, energy harvested ahead of each block
-
-    def __post_init__(self):
-        for name in ("gamma_G", "gamma_H", "e_H"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            if arr.ndim != 1 or arr.shape != self.gamma_G.shape:
-                raise InvalidParameterError(f"{name} must be 1-D and match gamma_G in length")
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise InvalidParameterError(f"{name} must be finite and >= 0")
-
-    @property
-    def n_blocks(self) -> int:
-        return self.gamma_G.shape[0]
-
-
 @dataclass(frozen=True, eq=False)
 class FrameBatch:
     """(frames, N) trajectories at one parameter point, with their link terms.
@@ -337,11 +315,6 @@ class FrameBatch:
         for name, arr in zip(names, (*arrays, *link_terms(arrays[0], arrays[1], self.params))):
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def of_frame(cls, traj: FrameTrajectory, params: SystemParams) -> "FrameBatch":
-        """One-frame batch of a single trajectory."""
-        return cls(params, traj.gamma_G[None, :], traj.gamma_H[None, :], traj.e_H[None, :])
-
     @property
     def frames(self) -> int:
         return self.gamma_g.shape[0]
@@ -367,15 +340,15 @@ def _sample(params_list, keys):
     return gg, gh, eh
 
 
-def sample_trajectory(params: SystemParams, seed) -> FrameTrajectory:
-    """Draw one frame of channel gains and arrivals.
+def sample_trajectory(params: SystemParams, seed) -> FrameBatch:
+    """One frame of channel gains and arrivals, as a one-frame FrameBatch.
 
-    `seed` is an int or an (int, int) pair; the pair (s, f) gives frame f of
-    `sample_trajectories(params, s, ...)`.
+    `seed` is an int, keyed (seed,), or an (int, int) pair; the pair (s, f)
+    gives frame f of `sample_trajectories(params, s, ...)`.
     """
     key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     gg, gh, eh = _sample([params], [key])
-    return FrameTrajectory(gamma_G=gg[0, 0], gamma_H=gh[0, 0], e_H=eh[0])
+    return FrameBatch(params, gg[:, 0], gh[:, 0], eh)
 
 
 def sample_trajectories(params: SystemParams, seed: int, frames: int):

@@ -139,9 +139,6 @@ class GreedyTransmit:
     inversion power fits both the stored energy and the peak cap;
     boundaries serve."""
 
-    def __init__(self, name: str = "GT"):
-        self.name = name
-
     def decide_batch(self, block, battery, batch: FrameBatch):
         return serve_feasible(batch.p_h[:, block], battery, batch.params).astype(np.int8)
 
@@ -155,9 +152,8 @@ class ThresholdHeuristic:
     zeta = 0 the rule degenerates to greedy transmission for every state.
     """
 
-    def __init__(self, tp: ThresholdParams, name: str = "TH"):
+    def __init__(self, tp: ThresholdParams):
         self.tp = tp
-        self.name = name
 
     def decide_batch(self, block, battery, batch: FrameBatch):
         params = batch.params
@@ -199,9 +195,8 @@ class MdpTablePolicy:
     different parameters raises a stale-policy error.
     """
 
-    def __init__(self, table: PolicyTable, name: str = "MBIA"):
+    def __init__(self, table: PolicyTable):
         self.table = table
-        self.name = name
         self._hash_ok = None
 
     def decide_batch(self, block, battery, batch: FrameBatch):
@@ -236,10 +231,10 @@ class LookAhead(MdpTablePolicy):
     """Two-block table: its first-block slice for interior blocks, greedy
     on the last one."""
 
-    def __init__(self, table: PolicyTable, name: str = "Look-Ahead"):
+    def __init__(self, table: PolicyTable):
         if table.N != 2:
             raise InvalidParameterError("look-ahead needs a 2-block table")
-        super().__init__(table, name)
+        super().__init__(table)
 
     def decide_batch(self, block, battery, batch: FrameBatch):
         if block >= batch.params.N - 1:
@@ -406,10 +401,9 @@ class MultiuserThreshold:
     while the battery and the summed peak power hold out.
     """
 
-    def __init__(self, tps, p_H_max_sum: float, name: str = "MU-TH"):
+    def __init__(self, tps, p_H_max_sum: float):
         self.tps = list(tps)
         self.p_H_max_sum = float(p_H_max_sum)
-        self.name = name
 
     def decide_joint(self, block, battery, p_h, skip, params_list):
         users = len(params_list)
@@ -428,9 +422,8 @@ class MultiuserThreshold:
 class MultiuserGreedyTransmit:
     """Myopic joint baseline: admit users cheapest battery power first."""
 
-    def __init__(self, p_H_max_sum: float, name: str = "MU-GT"):
+    def __init__(self, p_H_max_sum: float):
         self.p_H_max_sum = float(p_H_max_sum)
-        self.name = name
 
     def decide_joint(self, block, battery, p_h, skip, params_list):
         return _admit(np.argsort(p_h, axis=1, kind="stable"), np.ones(p_h.shape, dtype=bool),

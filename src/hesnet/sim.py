@@ -1,18 +1,20 @@
-"""Frame simulation, Monte Carlo evaluation, and parameter sweeps.
+"""Batch evaluation: the battery walk, plan replay, metrics and sweeps.
 
-One battery walk, `_walk`, serves every evaluation at any user count, and
-one outcome rule, `_outcomes`, settles each block: users the harvesting BS
-skips go to the grid BS cheapest first while its summed peak power holds
-out, and the rest drop.  Single-user policies decide through
-`decide_batch` on a `FrameBatch`, joint policies through `decide_joint`,
-and offline plans (greedy or exhaustive, any user count) are replayed
-through the same walk (`replay_plan`).  `run_batch` sums the block terms
-with +=, every other evaluation per frame with math.fsum (`frame_totals`),
-so an offline plan's cost is its exact skip-cost sum.  The zeta
-calibrator (`policies.calibrate_zeta`) walks intervals of candidates
-instead of frames, under the same battery slack and serve checks
-(`_battery_slack`, `_overdraw_error`).  `metrics_from_arrays` is the one
-aggregator.
+Every evaluation takes a batch of frames, and a single frame is a
+one-frame batch.  There are three entry points: `run_batch` for a
+single-user policy on (frames, N) trajectories, `multiuser_frame_metrics`
+for a joint policy and `offline_frame_metrics` for an offline plan
+function, both on (frames, U, N) gains over (frames, N) shared arrivals.
+One battery walk, `_walk`, serves them all, and one outcome rule,
+`_outcomes`, settles each block: users the harvesting BS skips go to the
+grid BS cheapest first while its summed peak power holds out, and the rest
+drop.  Offline plans are replayed through the same walk (`replay_plan`).
+`run_batch` sums the block terms with +=, every other evaluation per frame
+with math.fsum (`frame_totals`), so an offline plan's cost is its exact
+skip-cost sum.  The zeta calibrator (`policies.calibrate_zeta`) walks
+intervals of candidates instead of frames, under the same battery slack
+and serve checks (`_battery_slack`, `_overdraw_error`).
+`metrics_from_arrays` is the one aggregator.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 from .errors import InvalidActionError, InvalidParameterError
 from .model import (
     FrameBatch,
-    FrameTrajectory,
     SystemParams,
     sample_multiuser_trajectories,
     sample_trajectories,
@@ -39,9 +40,7 @@ from .offline import (ENERGY_RTOL, EXHAUSTIVE_CAP, exhaustive_plan, greedy_plan,
 __all__ = [
     "RunMetrics",
     "GridOnlyPolicy",
-    "run_frame",
     "run_batch",
-    "monte_carlo",
     "sweep",
     "offline_frame_metrics",
     "replay_plan",
@@ -51,7 +50,6 @@ __all__ = [
     "point_rows",
     "sample_multiuser_trajectories",
     "multiuser_frame_metrics",
-    "multiuser_monte_carlo",
     "write_rows_csv",
     "write_manifest",
     "CSV_HEADER",
@@ -77,8 +75,6 @@ class RunMetrics:
 
 class GridOnlyPolicy:
     """Never touches the battery; the grid BS serves whatever it can."""
-
-    name = "GP-only"
 
     def decide_batch(self, block, battery, batch):
         return np.zeros(battery.shape[0], dtype=np.int8)
@@ -226,19 +222,6 @@ def replay_plan(plan, batches, p_H_max: float, p_G_max: float):
                               p_H_max, p_G_max))
 
 
-def run_frame(policy, trajectory: FrameTrajectory, params: SystemParams):
-    """Walk one frame under a causal policy, as a one-frame batch.
-
-    The per-block terms are totalled with math.fsum, so the cost is the
-    exact sum of the block costs.  Returns (total cost, grid energy in J,
-    dropped packets).
-    """
-    batch = FrameBatch.of_frame(trajectory, params)
-    costs, grid, drops = frame_totals(*_stacked(_outcomes(
-        _single(policy, batch), [batch], _links([batch]), params.p_H_max, params.p_G_max)))
-    return float(costs[0]), float(grid[0]), int(drops[0])
-
-
 def run_batch(policy, params: SystemParams, gamma_g, gamma_h, e_h):
     """Run (frames, N) trajectories in lockstep.
 
@@ -256,37 +239,6 @@ def run_batch(policy, params: SystemParams, gamma_g, gamma_h, e_h):
         grid += energy[:, 0]
         drops += ~serve[:, 0] & ~admitted[:, 0]
     return costs, grid, drops
-
-
-def monte_carlo(policy, params: SystemParams, frames: int, seed: int) -> RunMetrics:
-    """Evaluate a policy on `frames` common-random-number trajectories.
-
-    Frame f is keyed (seed, f), so runs with the same seed share
-    trajectories frame-for-frame regardless of length: paired comparisons
-    and doubling studies come for free.
-    """
-    gg, gh, eh = sample_trajectories(params, seed, frames)
-    return metrics_from_arrays(getattr(policy, "name", type(policy).__name__), params.N, seed,
-                               *run_batch(policy, params, gg, gh, eh))
-
-
-def offline_frame_metrics(params: SystemParams, gamma_g, gamma_h, e_h, *,
-                          solver: str = "greedy"):
-    """Plan every frame with an offline solver and replay the plans.
-
-    solver: "greedy" (`greedy_plan`) or "exhaustive" (`exhaustive_plan`,
-    subject to its 2^N cap), either one call over the batch.  Returns
-    per-frame arrays (costs, grid energies, drop counts) from `replay_plan`.
-    The solvers model an uncapped battery, so B_m < N * E_m raises
-    ModelMismatchError.
-    """
-    solve = {"greedy": greedy_plan, "exhaustive": exhaustive_plan}.get(solver)
-    if solve is None:
-        raise InvalidParameterError(f"unknown offline solver {solver!r}")
-    require_uncapped_battery(params)
-    batch = FrameBatch(params, gamma_g, gamma_h, e_h)
-    plan = solve(batch.skip[:, None], batch.p_h[:, None], batch.e_h, params.tau, params.p_H_max)
-    return frame_totals(*replay_plan(plan, [batch], params.p_H_max, params.p_G_max))
 
 
 def metrics_from_arrays(name, packets: int, seed, costs, grid, drops) -> RunMetrics:
@@ -345,32 +297,30 @@ def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
     One user walks `run_batch`.  `users` > 1 identical users share the EH
     battery and both stations' per-block peak powers (`point.p_H_max`,
     `point.p_G_max`) through `multiuser_frame_metrics`, and the factories
-    must build joint policies.  With `include_offline` the offline greedy
-    rows follow, plus, for one user, the exhaustive optimum whenever 2^N
-    enumeration is within the cap.
+    must build joint policies.  With `include_offline` the offline rows
+    follow (`offline_frame_metrics`): Greedy, then, for one user, the
+    Exhaustive optimum whenever 2^N enumeration is within the cap.
     """
+    plist = [point] * users
     if users == 1:
-        gg, gh, eh = sample_trajectories(point, seed, frames)
-        solvers = ("greedy", "exhaustive") if point.N <= EXHAUSTIVE_CAP else ("greedy",)
+        g, h, eh = sample_trajectories(point, seed, frames)
+        gg, gh = g[:, None], h[:, None]
 
         def online(policy):
-            return run_batch(policy, point, gg, gh, eh)
-
-        def offline(solver):
-            return offline_frame_metrics(point, gg, gh, eh, solver=solver)
+            return run_batch(policy, point, g, h, eh)
     else:
-        plist = [point] * users
         gg, gh, eh = sample_multiuser_trajectories(plist, seed, frames)
-        solvers = ("greedy",)
 
         def online(policy):
             return multiuser_frame_metrics(policy, gg, gh, eh, plist, point.p_H_max,
                                            point.p_G_max)
-
-        offline = online
     runs = [(name, online(factory(point))) for name, factory in policy_factories.items()]
     if include_offline:
-        runs += [(solver.capitalize(), offline(solver)) for solver in solvers]
+        plans = {"Greedy": greedy_plan, "Exhaustive": exhaustive_plan}
+        if users > 1 or point.N > EXHAUSTIVE_CAP:
+            del plans["Exhaustive"]
+        runs += [(name, offline_frame_metrics(solve, gg, gh, eh, plist, point.p_H_max,
+                                              point.p_G_max)) for name, solve in plans.items()]
     return [metrics_row(metrics_from_arrays(name, users * point.N, seed, *arrays), axis, value)
             for name, arrays in runs]
 
@@ -407,57 +357,65 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
 
 
 # ---------------------------------------------------------------------------
-# multi-user frames: one battery, per-block sum power caps
+# (frames, U, N) batches: joint policies and offline plans, one battery
 # ---------------------------------------------------------------------------
 
-def multiuser_frame_metrics(policy, gamma_g, gamma_h, e_h, params_list,
-                            p_H_max_sum: float, p_G_max_sum: float):
-    """Walk (frames, U, N) multi-user trajectories in lockstep.
-
-    One battery per frame, shared by the users.  Per block the joint policy
-    (or, for `policy` "greedy", the pooled offline plans of one `greedy_plan`
-    over all frames) picks the users the harvesting BS serves; they must
-    jointly respect the battery and its summed peak power, and a policy
-    breaking either is an internal invariant breach.  Users left to the grid
-    BS are admitted cheapest inversion power first (ties: lower user) until
-    its summed peak power is exhausted; the rest drop.  Returns per-frame
-    arrays (costs, grid energies, drop counts), the sums totalled with
-    math.fsum.
-    """
-    frames, users, n = np.shape(gamma_g)
-    if users != len(params_list):
-        raise InvalidParameterError("one SystemParams per user required")
+def _user_batches(gamma_g, gamma_h, e_h, params_list):
+    """Per-user FrameBatches of (frames, U, N) gains over (frames, N) shared
+    arrivals, with their stacked link terms; the users must share N, tau,
+    E_m and B_m."""
+    gamma_g = np.asarray(gamma_g)
+    if gamma_g.ndim != 3 or gamma_g.shape[1] != len(params_list):
+        raise InvalidParameterError(
+            f"gains must be (frames, users, N) with one SystemParams per user, got shape "
+            f"{gamma_g.shape} for {len(params_list)} users")
     base = params_list[0]
     for p in params_list[1:]:
         if p.N != base.N or p.tau != base.tau or p.E_m != base.E_m or p.B_m != base.B_m:
             raise InvalidParameterError("users must share frame and battery structure")
-    if n != base.N:
-        raise InvalidParameterError(f"trajectories have {n} blocks, params.N = {base.N}")
     batches = [FrameBatch(p, gamma_g[:, u], gamma_h[:, u], e_h) for u, p in enumerate(params_list)]
-    links = _links(batches)
-    _, p_h, skip, _ = links
-    if isinstance(policy, str):
-        if policy != "greedy":
-            raise InvalidParameterError(f"unknown multi-user offline solver {policy!r}")
-        require_uncapped_battery(base)
-        plan = greedy_plan(skip, p_h, e_h, base.tau, p_H_max_sum)
+    return batches, _links(batches)
 
-        def decide(i, battery):
-            return plan[:, :, i]
-    else:
-        def decide(i, battery):
-            return policy.decide_joint(i, battery, p_h[:, :, i], skip[:, :, i], params_list)
+
+def multiuser_frame_metrics(policy, gamma_g, gamma_h, e_h, params_list,
+                            p_H_max_sum: float, p_G_max_sum: float):
+    """Walk (frames, U, N) trajectories in lockstep under a joint policy.
+
+    One battery per frame, shared by the users.  Per block the joint
+    policy picks the users the harvesting BS serves; they must jointly
+    respect the battery and its summed peak power, and a policy breaking
+    either is an internal invariant breach.  Users left to the grid BS are
+    admitted cheapest inversion power first (ties: lower user) until its
+    summed peak power is exhausted; the rest drop.  Returns per-frame
+    arrays (costs, grid energies, drop counts), the sums totalled with
+    math.fsum.
+    """
+    batches, links = _user_batches(gamma_g, gamma_h, e_h, params_list)
+    _, p_h, skip, _ = links
+
+    def decide(i, battery):
+        return policy.decide_joint(i, battery, p_h[:, :, i], skip[:, :, i], params_list)
+
     return frame_totals(*_stacked(_outcomes(decide, batches, links, p_H_max_sum, p_G_max_sum)))
 
 
-def multiuser_monte_carlo(policy, params_list, p_H_max_sum: float, p_G_max_sum: float,
-                          frames: int, seed: int) -> RunMetrics:
-    """Monte Carlo over shared-arrival multi-user frames (CRN keyed like the
-    single-user path).  drop_ratio denominates over users * N packets."""
-    gg, gh, eh = sample_multiuser_trajectories(params_list, seed, frames)
-    arrays = multiuser_frame_metrics(policy, gg, gh, eh, params_list, p_H_max_sum, p_G_max_sum)
-    return metrics_from_arrays(getattr(policy, "name", type(policy).__name__),
-                               len(params_list) * params_list[0].N, seed, *arrays)
+def offline_frame_metrics(solve, gamma_g, gamma_h, e_h, params_list,
+                          p_H_max_sum: float, p_G_max_sum: float):
+    """Plan every frame of a (frames, U, N) batch offline and replay the plans.
+
+    `solve` is an offline plan function (`greedy_plan`, or `exhaustive_plan`
+    for one user, subject to its 2^N cap), called once over the batch with
+    the summed peak cap `p_H_max_sum`.  The plans are walked by
+    `replay_plan` against one shared battery per frame and the grid BS's
+    summed peak power `p_G_max_sum`.  Returns per-frame arrays (costs, grid
+    energies, drop counts); a plan's cost is its exact math.fsum skip sum.
+    The solvers model an uncapped battery, so B_m < N * E_m raises
+    ModelMismatchError.
+    """
+    batches, (_, p_h, skip, _) = _user_batches(gamma_g, gamma_h, e_h, params_list)
+    require_uncapped_battery(params_list[0])
+    plan = solve(skip, p_h, batches[0].e_h, params_list[0].tau, p_H_max_sum)
+    return frame_totals(*replay_plan(plan, batches, p_H_max_sum, p_G_max_sum))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from hesnet.mdp import (
 from hesnet.model import (
     ExponentialFading,
     FrameBatch,
-    FrameTrajectory,
     SystemParams,
     channel_gain,
     inversion_power,
@@ -46,10 +45,9 @@ from hesnet.sim import (
     multiuser_frame_metrics,
     offline_frame_metrics,
     run_batch,
-    run_frame,
     sample_multiuser_trajectories,
 )
-from oracles import Frame, solve, swap_free
+from oracles import Frame, fsum_totals, one_user_offline, solve, swap_free
 
 REF = SystemParams()  # reference parameter set used throughout
 
@@ -114,8 +112,8 @@ def trajectory_bank_n15():
     batch = FrameBatch(params, gg, gh, eh)
     plan = greedy_plan(batch.skip[:, None], batch.p_h[:, None], eh, params.tau, params.p_H_max)
     swap_ok = np.array([swap_free(plan[f, 0], Frame.of(batch, f)) for f in range(frames)])
-    cost_greedy, _, _ = offline_frame_metrics(params, gg, gh, eh)
-    cost_opt, _, _ = offline_frame_metrics(params, gg, gh, eh, solver="exhaustive")
+    cost_greedy, _, _ = one_user_offline(greedy_plan, params, gg, gh, eh)
+    cost_opt, _, _ = one_user_offline(exhaustive_plan, params, gg, gh, eh)
     return {"params": params, "gg": gg, "gh": gh, "eh": eh,
             "cost_greedy": cost_greedy, "cost_opt": cost_opt, "swap_ok": swap_ok}
 
@@ -161,8 +159,7 @@ def test_criterion_02_greedy_exact_on_constant_channel_instances():
             else:
                 gg = np.full(params.N, float(rng.uniform(0.1, 3.0)))
             eh = rng.uniform(0, params.E_m, params.N)
-            inst = Frame.of(FrameBatch.of_frame(
-                FrameTrajectory(gamma_G=gg, gamma_H=gh, e_H=eh), params))
+            inst = Frame.of(FrameBatch(params, gg[None], gh[None], eh[None]))
             _, c_greedy = solve(greedy_plan, inst)
             _, c_opt = solve(exhaustive_plan, inst)
             if c_greedy != c_opt:  # identical floats demanded, not closeness
@@ -293,7 +290,7 @@ def test_criterion_07_policy_ordering_at_reference(ref_scale_solution):
     for name, policy in policies.items():
         costs, _, _ = run_batch(policy, REF, gg, gh, eh)
         per_frame[name] = costs
-    per_frame["GA"], _, _ = offline_frame_metrics(REF, gg, gh, eh, solver="greedy")
+    per_frame["GA"], _, _ = one_user_offline(greedy_plan, REF, gg, gh, eh)
 
     def margin(worse, better):
         """Paired mean difference in units of its standard error."""
@@ -375,15 +372,13 @@ def test_criterion_09_online_never_beats_offline_optimum(trajectory_bank_n15):
         "MBIA-M25": MdpTablePolicy(_train_table(params, 25)),
     }
     frames = bank["gg"].shape[0]
+    batch = FrameBatch(params, bank["gg"], bank["gh"], bank["eh"])
     violations = 0
-    for f in range(frames):
-        traj = FrameTrajectory(gamma_G=bank["gg"][f], gamma_H=bank["gh"][f],
-                               e_H=bank["eh"][f])
-        opt = bank["cost_opt"][f]
-        for policy in policies.values():
-            cost, _, _ = run_frame(policy, traj, params)
-            if cost < opt:  # exact comparison: both sides are exact-sum costs
-                violations += 1
+    for policy in policies.values():
+        costs, _, _ = fsum_totals(policy, batch)
+        # exact comparison, frame by frame: both sides are exact-sum costs
+        violations += sum(cost < opt for cost, opt in zip(costs.tolist(),
+                                                          bank["cost_opt"].tolist()))
     elapsed = time.perf_counter() - t0
     ok = violations == 0
     _verdict(9, ok, f"per-trajectory dominance of the offline optimum over "
@@ -409,10 +404,11 @@ def test_criterion_10_two_user_extension():
             "GT": MultiuserGreedyTransmit(p_H_max_sum=p_h_sum),
             "Threshold": MultiuserThreshold([ThresholdParams(zeta, lam1, lam2)] * 2,
                                             p_H_max_sum=p_h_sum),
-            "GA": "greedy",   # each frame's pooled offline plan
         }
         costs = {name: multiuser_frame_metrics(policy, gg, gh, eh, plist, p_h_sum, p_g_sum)[0]
                  for name, policy in mu_policies.items()}
+        # each frame's pooled offline plan
+        costs["GA"] = offline_frame_metrics(greedy_plan, gg, gh, eh, plist, p_h_sum, p_g_sum)[0]
 
         def margin(worse, better):
             d = costs[worse] - costs[better]

@@ -214,6 +214,18 @@ def test_offline_solve_replay_errors_carry_line_numbers(tmp_path, capsys):
     assert "4 fields" in capsys.readouterr().err
 
 
+def test_offline_solve_replay_rejects_non_finite_or_negative_fields(tmp_path, capsys):
+    for row in ("3 0.5 nan 1e-5", "3 inf 0.5 1e-5", "3 0.5 0.5 -1e-6", "3 -0.5 0.5 1e-5"):
+        replay = tmp_path / "replay.txt"
+        replay.write_text(f"1 0.5 0.5 1e-5\n2 0.5 0.5 1e-5\n{row}\n4 0.5 0.5 1e-5\n")
+        code = main(["offline-solve", "--set", "n_blocks=4", "--replay", str(replay),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{replay}:3:" in err and "finite and >= 0" in err, row
+        assert not (tmp_path / "out" / "offline_summary.json").exists()
+
+
 def test_offline_solve_replay_rejects_arrivals_above_e_m(tmp_path, capsys):
     # 1 J in block 1 would let all six blocks be served from a 2.4e-4 J battery
     flood = tmp_path / "flood.txt"

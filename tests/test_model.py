@@ -10,7 +10,6 @@ from hesnet.errors import InvalidParameterError
 from hesnet.model import (
     ExponentialFading,
     FrameBatch,
-    FrameTrajectory,
     SystemParams,
     channel_gain,
     cost_parameter,
@@ -207,19 +206,25 @@ def test_make_rng_is_keyed():
 def test_sample_trajectory_deterministic():
     t1 = sample_trajectory(P, 42)
     t2 = sample_trajectory(P, 42)
-    np.testing.assert_array_equal(t1.gamma_G, t2.gamma_G)
-    np.testing.assert_array_equal(t1.e_H, t2.e_H)
-    assert t1.n_blocks == P.N
-    assert np.all(t1.e_H <= P.E_m)
+    np.testing.assert_array_equal(t1.gamma_g, t2.gamma_g)
+    np.testing.assert_array_equal(t1.e_h, t2.e_h)
+    assert t1.frames == 1 and t1.gamma_g.shape == (1, P.N)
+    assert np.all(t1.e_h <= P.E_m)
+    # an int seed is keyed (seed,), not (seed, 0); offline-solve's bytes rely on it
+    rng = make_rng(42)
+    want = (rng.exponential(P.mu_G, P.N), rng.exponential(P.mu_H, P.N),
+            rng.uniform(0.0, P.E_m, P.N))
+    assert all(np.array_equal(got[0], w) for got, w in zip((t1.gamma_g, t1.gamma_h, t1.e_h), want))
+    assert not np.array_equal(t1.gamma_g[0], sample_trajectories(P, 42, 1)[0][0])
 
 
 def test_batch_sampling_matches_per_frame_keys():
     gg, gh, eh = sample_trajectories(P, 9, 6)
     assert gg.shape == (6, P.N)
     t3 = sample_trajectory(P, (9, 3))
-    np.testing.assert_array_equal(gg[3], t3.gamma_G)
-    np.testing.assert_array_equal(gh[3], t3.gamma_H)
-    np.testing.assert_array_equal(eh[3], t3.e_H)
+    np.testing.assert_array_equal(gg[3], t3.gamma_g[0])
+    np.testing.assert_array_equal(gh[3], t3.gamma_h[0])
+    np.testing.assert_array_equal(eh[3], t3.e_h[0])
     # prefix property: a longer batch starts with the shorter one
     gg2, _, _ = sample_trajectories(P, 9, 12)
     np.testing.assert_array_equal(gg2[:6], gg)
@@ -249,16 +254,6 @@ def test_sampler_draw_order_and_one_user_slice(params):
         sample_trajectories(params, 14, 0)
 
 
-def test_trajectory_validation():
-    ok = np.ones(4)
-    with pytest.raises(InvalidParameterError):
-        FrameTrajectory(gamma_G=ok, gamma_H=ok, e_H=np.array([1.0, -1.0, 0.0, 0.0]))
-    with pytest.raises(InvalidParameterError):
-        FrameTrajectory(gamma_G=ok, gamma_H=np.ones(3), e_H=ok)
-    with pytest.raises(InvalidParameterError):
-        FrameTrajectory(gamma_G=ok * math.nan, gamma_H=ok, e_H=ok)
-
-
 # ---------------------------------------------------------------------------
 # link terms and frame batches
 # ---------------------------------------------------------------------------
@@ -285,8 +280,7 @@ def test_frame_batch_holds_trajectories_and_their_link_terms():
     for got, want in zip((batch.p_g, batch.p_h, batch.skip, batch.transmits),
                          link_terms(gg, gh, P)):
         assert np.array_equal(got, want)
-    traj = sample_trajectory(P, (31, 2))
-    one = FrameBatch.of_frame(traj, P)
+    one = sample_trajectory(P, (31, 2))
     assert one.frames == 1 and np.array_equal(one.p_h[0], batch.p_h[2])
 
 

@@ -14,7 +14,6 @@ from hesnet.errors import InvalidActionError, InvalidParameterError, ModelMismat
 from hesnet.mdp import backward_induction, build_grid, build_mdp_model
 from hesnet.model import (
     FrameBatch,
-    FrameTrajectory,
     SystemParams,
     kappa,
     link_terms,
@@ -38,19 +37,16 @@ from hesnet.sim import (
     apply_axis,
     frame_totals,
     metrics_from_arrays,
-    monte_carlo,
     multiuser_frame_metrics,
-    multiuser_monte_carlo,
     offline_frame_metrics,
     replay_plan,
     run_batch,
-    run_frame,
     sample_multiuser_trajectories,
     sweep,
     write_manifest,
     write_rows_csv,
 )
-from oracles import Frame, plan_args, service_cost, solve
+from oracles import Frame, fsum_totals, one_user_offline, plan_args, service_cost, solve
 
 P = SystemParams()
 
@@ -103,8 +99,6 @@ def replay_one(alpha, batch: FrameBatch):
 
 
 class AlwaysServe:
-    name = "AlwaysServe"
-
     def decide_batch(self, block, battery, batch):
         return np.ones(battery.shape[0], dtype=np.int8)
 
@@ -114,43 +108,51 @@ class AlwaysServe:
 # ---------------------------------------------------------------------------
 
 def test_run_frame_cost_identity():
-    for seed in range(5):
-        traj = sample_trajectory(P, (60, seed))
-        cost, grid, drops = run_frame(GreedyTransmit(), traj, P)
-        assert math.isclose(cost, P.w_G * grid + P.w_D * drops, rel_tol=1e-12, abs_tol=1e-18)
-        assert 0 <= drops <= P.N and grid >= 0
+    # five frames keyed (60, f), each totalled exactly
+    batch = FrameBatch(P, *sample_trajectories(P, 60, 5))
+    costs, grid, drops = fsum_totals(GreedyTransmit(), batch)
+    for cost, energy, dropped in zip(costs, grid, drops):
+        assert math.isclose(cost, P.w_G * energy + P.w_D * dropped, rel_tol=1e-12, abs_tol=1e-18)
+        assert 0 <= dropped <= P.N and energy >= 0
 
 
 def test_run_frame_rejects_infeasible_serve():
-    traj = FrameTrajectory(gamma_G=np.ones(3), gamma_H=np.ones(3), e_H=np.zeros(3))
     params = P.evolve(N=3)
+    one = np.ones((1, 3))
     with pytest.raises(InvalidActionError):
-        run_frame(AlwaysServe(), traj, params)
+        run_batch(AlwaysServe(), params, one, one, np.zeros((1, 3)))
+    with pytest.raises(InvalidActionError):
+        fsum_totals(AlwaysServe(), FrameBatch(params, one, one, np.zeros((1, 3))))
 
 
 def test_run_frame_rejects_bad_action_value():
-    # both walks share the per-block step, so both refuse an action of 2
+    # every walk shares the per-block step, so each refuses an action of 2
     class Weird:
         def decide_batch(self, block, battery, batch):
             return np.full(battery.shape[0], 2 if block == 3 else 0, dtype=np.int8)
 
-    traj = sample_trajectory(P, 61)
     with pytest.raises(InvalidActionError, match=r"returned \[2\] at block 4"):
-        run_frame(Weird(), traj, P)
+        fsum_totals(Weird(), sample_trajectory(P, 61))
     gg, gh, eh = sample_trajectories(P, 61, 5)
     with pytest.raises(InvalidActionError, match=r"returned \[2\] at block 4"):
         run_batch(Weird(), P, gg, gh, eh)
 
 
 def test_run_frame_checks_length():
-    traj = sample_trajectory(P.evolve(N=10), 62)
-    with pytest.raises(InvalidParameterError):
-        run_frame(GreedyTransmit(), traj, P)
+    frame = sample_trajectory(P.evolve(N=10), 62)
+    with pytest.raises(InvalidParameterError, match="blocks, params.N"):
+        run_batch(GreedyTransmit(), P, frame.gamma_g, frame.gamma_h, frame.e_h)
+    with pytest.raises(InvalidParameterError, match="blocks, params.N"):
+        multiuser_frame_metrics(MultiuserGreedyTransmit(P.p_H_max), frame.gamma_g[:, None],
+                                frame.gamma_h[:, None], frame.e_h, [P], P.p_H_max, P.p_G_max)
+    with pytest.raises(InvalidParameterError, match="one SystemParams per user"):
+        multiuser_frame_metrics(MultiuserGreedyTransmit(P.p_H_max), frame.gamma_g[:, None],
+                                frame.gamma_h[:, None], frame.e_h, [P, P], P.p_H_max, P.p_G_max)
 
 
 def test_scripted_replay_reproduces_offline_cost_exactly():
     for seed in range(100):
-        batch = FrameBatch.of_frame(sample_trajectory(P, (63, seed)), P)
+        batch = sample_trajectory(P, (63, seed))
         alpha, cost = solve(greedy_plan, Frame.of(batch))
         assert replay_one(alpha, batch)[0] == cost  # identical floats, not merely close
     # batch plans of both solvers: the replayed cost is the exact skip sum
@@ -167,9 +169,9 @@ def test_scripted_replay_reproduces_offline_cost_exactly():
 
 
 def test_grid_only_policy_never_serves():
-    traj = sample_trajectory(P, 64)
-    cost, grid, drops = run_frame(GridOnlyPolicy(), traj, P)
-    assert (cost, grid, drops) == replay_one(np.zeros(P.N), FrameBatch.of_frame(traj, P))
+    batch = sample_trajectory(P, 64)
+    cost, grid, drops = fsum_totals(GridOnlyPolicy(), batch)
+    assert (cost[0], grid[0], drops[0]) == replay_one(np.zeros(P.N), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +184,8 @@ def test_batch_matches_scalar_walk():
     gg, gh, eh = sample_trajectories(P, 65, 50)
     for policy in policies:
         costs, grid, drops = run_batch(policy, P, gg, gh, eh)
-        for f in range(50):
-            traj = FrameTrajectory(gamma_G=gg[f], gamma_H=gh[f], e_H=eh[f])
-            c, g, d = run_frame(policy, traj, P)
+        exact = fsum_totals(policy, FrameBatch(P, gg, gh, eh))
+        for f, (c, g, d) in enumerate(zip(*exact)):
             assert math.isclose(costs[f], c, rel_tol=1e-12, abs_tol=1e-18)
             assert math.isclose(grid[f], g, rel_tol=1e-12, abs_tol=1e-18)
             assert drops[f] == d
@@ -262,8 +263,15 @@ def test_joint_serve_of_one_user_above_the_summed_cap_raises():
 # Monte Carlo metrics
 # ---------------------------------------------------------------------------
 
+def crn_metrics(policy, name, params, frames, seed):
+    """RunMetrics of a single-user policy on `frames` CRN frames keyed
+    (seed, f)."""
+    arrays = run_batch(policy, params, *sample_trajectories(params, seed, frames))
+    return metrics_from_arrays(name, params.N, seed, *arrays)
+
+
 def test_monte_carlo_metrics_invariant():
-    m = monte_carlo(GreedyTransmit(), P, 300, seed=67)
+    m = crn_metrics(GreedyTransmit(), "GT", P, 300, seed=67)
     assert math.isclose(m.mean_total_cost,
                         P.w_G * m.mean_grid_energy + P.w_D * P.N * m.drop_ratio,
                         rel_tol=1e-9)
@@ -272,7 +280,7 @@ def test_monte_carlo_metrics_invariant():
 
 
 def test_monte_carlo_single_frame_flags_stderr():
-    m = monte_carlo(GreedyTransmit(), P, 1, seed=68)
+    m = crn_metrics(GreedyTransmit(), "GT", P, 1, seed=68)
     assert m.stderr_total_cost == 0.0
 
 
@@ -295,11 +303,10 @@ def test_offline_frame_metrics_match_scripted_replay_bitwise(solver, changes):
     # and what the expansion oracle reads off each frame's link terms
     params = P.evolve(**changes)
     gg, gh, eh = sample_trajectories(params, 77, 60)
-    plan = greedy_plan if solver == "greedy" else exhaustive_plan
-    got = offline_frame_metrics(params, gg, gh, eh, solver=solver)
+    plan = {"greedy": greedy_plan, "exhaustive": exhaustive_plan}[solver]
+    got = one_user_offline(plan, params, gg, gh, eh)
     for f in range(gg.shape[0]):
-        batch = FrameBatch.of_frame(FrameTrajectory(gamma_G=gg[f], gamma_H=gh[f], e_H=eh[f]),
-                                    params)
+        batch = FrameBatch(params, gg[f:f + 1], gh[f:f + 1], eh[f:f + 1])
         alpha, _ = solve(plan, Frame.of(batch))
         full = expand_solution(alpha, batch, 0)
         assert (got[0][f], got[1][f], got[2][f]) == replay_one(alpha, batch)
@@ -314,19 +321,29 @@ def test_plan_on_the_energy_slack_boundary_replays():
     spends = params.E_m * np.array([1 + 9e-10, 1 + 1.05e-9])
     unit = float(link_terms(1.0, 1.0, params)[1])   # p_H_inv at unit fading
     gh = unit * params.tau / spends
-    costs, grid, drops = offline_frame_metrics(params, np.ones((1, 2)), gh[None],
-                                               np.full((1, 2), params.E_m))
+    costs, grid, drops = one_user_offline(greedy_plan, params, np.ones((1, 2)), gh[None],
+                                          np.full((1, 2), params.E_m))
     assert (costs[0], grid[0], drops[0]) == (0.0, 0.0, 0)
+
+
+class PlayPlan:
+    """A (frames, U, N) plan as a joint policy."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def decide_joint(self, block, battery, p_h, skip, params_list):
+        return self.plan[:, :, block]
 
 
 def test_one_user_joint_replay_equals_offline_frame_metrics():
     gg, gh, eh = sample_trajectories(P, 80, 40)
-    want = offline_frame_metrics(P, gg, gh, eh)
+    want = one_user_offline(greedy_plan, P, gg, gh, eh)
     batch = FrameBatch(P, gg, gh, eh)
     plan = greedy_plan(batch.skip[:, None], batch.p_h[:, None], eh, P.tau, P.p_H_max)
     for got in (frame_totals(*replay_plan(plan, [batch], P.p_H_max, P.p_G_max)),
-                multiuser_frame_metrics("greedy", gg[:, None], gh[:, None], eh, [P], P.p_H_max,
-                                        P.p_G_max)):
+                multiuser_frame_metrics(PlayPlan(plan), gg[:, None], gh[:, None], eh, [P],
+                                        P.p_H_max, P.p_G_max)):
         for arr, ref in zip(got, want):
             assert np.array_equal(arr, ref)
 
@@ -372,28 +389,26 @@ def test_offline_evaluation_refuses_a_capped_battery():
     capped = P.evolve(B_m=2 * P.E_m)
     gg, gh, eh = sample_trajectories(capped, 79, 3)
     with pytest.raises(ModelMismatchError, match="uncapped battery"):
-        offline_frame_metrics(capped, gg, gh, eh)
+        one_user_offline(greedy_plan, capped, gg, gh, eh)
     plist = [capped, capped]
     mg, mh, me = sample_multiuser_trajectories(plist, 79, 2)
     with pytest.raises(ModelMismatchError, match="uncapped battery"):
-        multiuser_frame_metrics("greedy", mg, mh, me, plist, P.p_H_max, P.p_G_max)
+        offline_frame_metrics(greedy_plan, mg, mh, me, plist, P.p_H_max, P.p_G_max)
     # the causal walks and the solvers themselves stay usable on capped params
     multiuser_frame_metrics(MultiuserGreedyTransmit(P.p_H_max), mg, mh, me, plist,
                             P.p_H_max, P.p_G_max)
-    solve(greedy_plan, Frame.of(FrameBatch.of_frame(sample_trajectory(capped, 79), capped)))
+    solve(greedy_plan, Frame.of(sample_trajectory(capped, 79)))
     # a battery of exactly N * E_m never clamps
     exact = P.evolve(N=5).evolve(B_m=5 * P.E_m)
-    offline_frame_metrics(exact, *sample_trajectories(exact, 79, 2))
+    one_user_offline(greedy_plan, exact, *sample_trajectories(exact, 79, 2))
 
 
 def test_offline_frame_metrics_orders_solvers():
     params = P.evolve(N=10)
     gg, gh, eh = sample_trajectories(params, 70, 30)
-    c_greedy, _, _ = offline_frame_metrics(params, gg, gh, eh, solver="greedy")
-    c_opt, _, _ = offline_frame_metrics(params, gg, gh, eh, solver="exhaustive")
+    c_greedy, _, _ = one_user_offline(greedy_plan, params, gg, gh, eh)
+    c_opt, _, _ = one_user_offline(exhaustive_plan, params, gg, gh, eh)
     assert np.all(c_greedy >= c_opt - 1e-15)
-    with pytest.raises(InvalidParameterError):
-        offline_frame_metrics(params, gg, gh, eh, solver="newton")
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +574,13 @@ def test_multiuser_rejects_joint_overdraw():
 def test_multiuser_frame_metrics_greedy_walks_pooled_plans():
     params_list = two_user_setup()
     gg, gh, eh = sample_multiuser_trajectories(params_list, 78, 8)
-    costs, grid, drops = multiuser_frame_metrics("greedy", gg, gh, eh, params_list,
-                                                 P.p_H_max, 1e9)  # unbounded grid BS
+    costs, grid, drops = offline_frame_metrics(greedy_plan, gg, gh, eh, params_list,
+                                               P.p_H_max, 1e9)  # unbounded grid BS
     for f in range(8):
         assert costs[f] == pooled_greedy(gg, gh, eh, params_list, f, P.p_H_max)[1]
-    with pytest.raises(InvalidParameterError):
-        multiuser_frame_metrics("exhaustive", gg, gh, eh, params_list, P.p_H_max, 1e9)
+    # the exhaustive optimum plans one user: a two-user batch is refused
+    with pytest.raises(InvalidParameterError, match="plans one user, got 2"):
+        offline_frame_metrics(exhaustive_plan, gg, gh, eh, params_list, P.p_H_max, 1e9)
 
 
 def test_metrics_aggregate_over_users_times_blocks():
@@ -596,11 +612,17 @@ def test_multiuser_rejects_bad_action_value():
 def test_multiuser_monte_carlo_invariant():
     params_list = two_user_setup()
     gt = MultiuserGreedyTransmit(p_H_max_sum=P.p_H_max)
-    m = multiuser_monte_carlo(gt, params_list, P.p_H_max, P.p_G_max, frames=50, seed=76)
+
+    def run():
+        gg, gh, eh = sample_multiuser_trajectories(params_list, 76, 50)
+        arrays = multiuser_frame_metrics(gt, gg, gh, eh, params_list, P.p_H_max, P.p_G_max)
+        return metrics_from_arrays("GT", 2 * P.N, 76, *arrays)
+
+    m = run()
     assert math.isclose(
         m.mean_total_cost,
         P.w_G * m.mean_grid_energy + P.w_D * 2 * P.N * m.drop_ratio, rel_tol=1e-9)
-    m2 = multiuser_monte_carlo(gt, params_list, P.p_H_max, P.p_G_max, frames=50, seed=76)
+    m2 = run()
     assert m.mean_total_cost == m2.mean_total_cost
 
 
@@ -627,12 +649,12 @@ def test_property_online_frame_cost_at_least_exhaustive_optimum(params, zeta, se
                                   params.N)
     policies = (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(zeta, l1, l2)),
                 MdpTablePolicy(table))
+    batch = FrameBatch(params, *sample_trajectories(params, seed, 3))
+    costs = [fsum_totals(policy, batch)[0] for policy in policies]
     for f in range(3):
-        traj = sample_trajectory(params, (seed, f))
-        _, opt = solve(exhaustive_plan, Frame.of(FrameBatch.of_frame(traj, params)))
-        for policy in policies:
-            cost, _, _ = run_frame(policy, traj, params)
-            assert cost >= opt
+        _, opt = solve(exhaustive_plan, Frame.of(batch, f))
+        for cost in costs:
+            assert cost[f] >= opt
 
 
 # offline plans are exact only when the battery cannot clamp
@@ -651,7 +673,7 @@ def test_property_cost_identity(params, zeta, seed):
     runs = [run_batch(policy, params, gg, gh, eh)
             for policy in (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(zeta, l1, l2)),
                            MdpTablePolicy(table))]
-    runs.append(offline_frame_metrics(params, gg, gh, eh))
+    runs.append(one_user_offline(greedy_plan, params, gg, gh, eh))
     for arrays in runs:
         m = metrics_from_arrays("X", params.N, seed, *arrays)
         assert math.isclose(m.mean_total_cost,
@@ -709,7 +731,10 @@ def oracle_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
 def assert_lockstep_matches_oracle(policy, gg, gh, eh, plist, p_h_sum, p_g_sum):
     """The lockstep walk equals the per-frame oracle bit for bit, frame by
     frame; "greedy" is replayed from each frame's own pooled plan."""
-    got = multiuser_frame_metrics(policy, gg, gh, eh, plist, p_h_sum, p_g_sum)
+    if policy == "greedy":
+        got = offline_frame_metrics(greedy_plan, gg, gh, eh, plist, p_h_sum, p_g_sum)
+    else:
+        got = multiuser_frame_metrics(policy, gg, gh, eh, plist, p_h_sum, p_g_sum)
     for f in range(gg.shape[0]):
         frame_policy = policy
         if policy == "greedy":
@@ -776,7 +801,7 @@ def test_property_multiuser_lockstep_walk_matches_oracle(params, users, seed, po
 def test_property_greedy_replay_matches_expand_solution(params, seed):
     # a greedy plan walked block by block costs exactly what its expansion says
     for f in range(3):
-        batch = FrameBatch.of_frame(sample_trajectory(params, (seed, f)), params)
+        batch = sample_trajectory(params, (seed, f))
         alpha, _ = solve(greedy_plan, Frame.of(batch))
         full = expand_solution(alpha, batch, 0)
         assert replay_one(alpha, batch) == (full.total_cost, full.grid_energy, full.drops)
