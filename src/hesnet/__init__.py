@@ -75,7 +75,6 @@ from .sim import (
     offline_frame_metrics,
     replay_plan,
     run_batch,
-    sample_multiuser_trajectories,
     sweep,
     write_manifest,
     write_rows_csv,

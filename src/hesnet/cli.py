@@ -383,7 +383,7 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
                 "zeta_star": z, "lambda1": lam1, "lambda2": lam2}
         tp = ThresholdParams(z, lam1, lam2)
         if cfg.users > 1:
-            return MultiuserThreshold([tp] * cfg.users, p_H_max_sum=point.p_H_max)
+            return MultiuserThreshold(tp)
         return ThresholdHeuristic(tp)
 
     def mbia_factory(m: int):
@@ -421,7 +421,7 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
         if t in ("ga", "greedy", "exhaustive"):
             include_offline = True
         elif t == "gt" and cfg.users > 1:
-            factories["GT"] = lambda p: MultiuserGreedyTransmit(p_H_max_sum=p.p_H_max)
+            factories["GT"] = lambda p: MultiuserGreedyTransmit()
         elif t == "gt":
             factories["GT"] = lambda p: GreedyTransmit()
         elif t in ("la", "lookahead", "look-ahead"):
@@ -444,11 +444,11 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
 # ---------------------------------------------------------------------------
 
 def _write_trajectory(path: Path, batch: FrameBatch) -> None:
-    """Write frame 0 of `batch`, one block per line."""
+    """Write frame 0 of one-user `batch`, one block per line."""
     lines = ["# block gamma_G gamma_H e_H_j"]
     for i in range(batch.params.N):
-        lines.append(f"{i + 1} {float(batch.gamma_g[0, i])!r} "
-                     f"{float(batch.gamma_h[0, i])!r} {float(batch.e_h[0, i])!r}")
+        lines.append(f"{i + 1} {float(batch.gamma_g[0, 0, i])!r} "
+                     f"{float(batch.gamma_h[0, 0, i])!r} {float(batch.e_h[0, i])!r}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -488,13 +488,13 @@ def _read_trajectory(path: Path, params: SystemParams) -> FrameBatch:
         raise ReplayParseError(
             f"{path}: {len(rows)} blocks for an N={params.N} configuration")
     g, h, e = np.asarray(rows, dtype=float).T
-    return FrameBatch(params, g[None], h[None], e[None])
+    return FrameBatch(params, g[None, None], h[None, None], e[None])
 
 
 def _trajectory_sha256(batch: FrameBatch) -> str:
     """sha256 of frame 0's gains and arrivals as little-endian float64."""
     h = hashlib.sha256()
-    for arr in (batch.gamma_g[0], batch.gamma_h[0], batch.e_h[0]):
+    for arr in (batch.gamma_g[0, 0], batch.gamma_h[0, 0], batch.e_h[0]):
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return h.hexdigest()
 
@@ -526,8 +526,8 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
     if cfg.solver == "exhaustive" or (cfg.solver == "auto" and params.N <= EXHAUSTIVE_CAP):
         solvers["exhaustive"] = exhaustive_plan
     # over the cap exhaustive_plan raises the resource-limit error (exit 3)
-    plans = {name: solve(batch.skip[:, None], batch.p_h[:, None], batch.e_h, params.tau,
-                         params.p_H_max) for name, solve in solvers.items()}
+    plans = {name: solve(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
+             for name, solve in solvers.items()}
 
     out = _out_dir(cfg)
     csv_path = out / "offline_schedule.csv"
@@ -535,18 +535,18 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
     report: dict = {"params_hash": params.content_hash(), "n_blocks": params.N,
                     "trajectory_sha256": _trajectory_sha256(batch), "solvers": {}}
     for solver_name, plan in plans.items():
-        serve, admitted, costs, grid = replay_plan(plan, [batch], params.p_H_max, params.p_G_max)
+        serve, admitted, costs, grid = replay_plan(plan, batch)
         cost, energy, drops = frame_totals(serve, admitted, costs, grid)
         report["solvers"][solver_name] = {
             "total_cost": float(cost[0]), "grid_energy_j": float(energy[0]),
             "drops": int(drops[0])}
         i_h, i_g = serve[0, 0], admitted[0, 0]
         rows += [dict(zip(OFFLINE_HEADER, (
-            solver_name, i + 1, float(batch.gamma_g[0, i]), float(batch.gamma_h[0, i]),
+            solver_name, i + 1, float(batch.gamma_g[0, 0, i]), float(batch.gamma_h[0, 0, i]),
             float(batch.e_h[0, i]),
             int(i_h[i]), int(i_g[i]), int(i_h[i]), int(not (i_g[i] or i_h[i])),
-            float(batch.p_g[0, i] if i_g[i] else 0.0),
-            float(batch.p_h[0, i] if i_h[i] else 0.0)))) for i in range(params.N)]
+            float(batch.p_g[0, 0, i] if i_g[i] else 0.0),
+            float(batch.p_h[0, 0, i] if i_h[i] else 0.0)))) for i in range(params.N)]
     write_rows_csv(csv_path, rows, header=OFFLINE_HEADER)
     if "exhaustive" in plans:
         opt = report["solvers"]["exhaustive"]["total_cost"]

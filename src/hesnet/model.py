@@ -1,13 +1,16 @@
 """Physical-layer model for a two-BS hybrid energy supply downlink.
 
-One user is served over frames of N equal blocks.  In every block exactly one
-packet of R bits is due; it is carried by the grid-powered BS, carried by the
-energy-harvesting BS out of its battery, or dropped.  This module holds the
-system parameters, the stochastic channel/arrival models, the scalar
-primitives (channel gain, rate, inversion power, per-block cost), the one
-place they are composed (`link_terms`), the CRN samplers, and `FrameBatch`,
-(frames, N) trajectories held with their link terms.  `FrameBatch` is the
-one frame type: a single frame is a one-frame batch.
+Users are served over frames of N equal blocks.  In every block exactly one
+packet of R bits is due per user; it is carried by the grid-powered BS,
+carried by the energy-harvesting BS out of its battery, or dropped.  This
+module holds the system parameters, the stochastic channel/arrival models,
+the scalar primitives (channel gain, rate, inversion power, per-block cost),
+the one place they are composed (`link_terms`), the CRN samplers, and
+`FrameBatch`, (frames, U, N) gains over (frames, N) shared arrivals held
+with their link terms.  `FrameBatch` is the one frame type: a single frame
+is a one-frame batch and a single user is U = 1.  The users share one
+`SystemParams`: one battery, and the stations' peak powers as per-block
+sums over the users.
 
 Units are SI throughout: watts, joules, seconds, hertz, bits.  dB-valued
 inputs are converted at the parsing boundary (see `cli`), never stored.
@@ -40,7 +43,6 @@ __all__ = [
     "make_rng",
     "sample_trajectory",
     "sample_trajectories",
-    "sample_multiuser_trajectories",
 ]
 
 
@@ -144,16 +146,13 @@ class ExponentialFading:
     """Exponentially distributed block fading power gain (Rayleigh amplitude).
 
     The quantile and interval-mean methods are what the quantizer needs, so
-    any distribution exposing the same three methods can stand in.
+    any distribution exposing the same two methods can stand in.
     """
 
     def __init__(self, mean: float):
         if not (math.isfinite(mean) and mean > 0):
             raise InvalidParameterError(f"fading mean must be > 0, got {mean!r}")
         self.mean = float(mean)
-
-    def sample(self, rng: np.random.Generator, size: int | tuple) -> np.ndarray:
-        return rng.exponential(self.mean, size)
 
     def quantile(self, p: float) -> float:
         """Inverse CDF; quantile(1.0) is +inf."""
@@ -258,11 +257,10 @@ def link_terms(gamma_g, gamma_h, params: SystemParams):
     return p_g, p_h, cost_parameter(p_g, params), p_g <= kappa(params)
 
 
-def serve_feasible(p_h, battery, params: SystemParams, p_max=None):
+def serve_feasible(p_h, battery, params: SystemParams):
     """Whether one block at inversion power p_h fits the battery and the
-    peak cap (params.p_H_max unless a joint cap `p_max` is given)."""
-    cap = params.p_H_max if p_max is None else p_max
-    return p_h <= np.minimum(np.asarray(battery, dtype=float) / params.tau, cap)
+    peak cap params.p_H_max."""
+    return p_h <= np.minimum(np.asarray(battery, dtype=float) / params.tau, params.p_H_max)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +284,18 @@ def make_rng(*key: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class FrameBatch:
-    """(frames, N) trajectories at one parameter point, with their link terms.
+    """(frames, U, N) gains over (frames, N) shared arrivals at one
+    parameter point, with their link terms.
 
-    The gains and arrivals are held as given (float arrays are not copied);
+    The gains and arrivals are held as given (float arrays are not copied)
+    and must be finite and >= 0 (a zero gain is a dead channel);
     `link_terms` runs once, at construction, and every walk, policy,
-    calibrator and offline solver reads its columns or rows.
+    calibrator and offline solver reads its (frames, U) columns or rows.
     """
 
     params: SystemParams
-    gamma_g: np.ndarray                   # (frames, N) fading gains, grid link
-    gamma_h: np.ndarray                   # (frames, N) fading gains, harvesting link
+    gamma_g: np.ndarray                   # (frames, U, N) fading gains, grid link
+    gamma_h: np.ndarray                   # (frames, U, N) fading gains, harvesting link
     e_h: np.ndarray                       # (frames, N) J, energy harvested ahead of each block
     p_g: np.ndarray = field(init=False)   # W, grid BS inversion power
     p_h: np.ndarray = field(init=False)   # W, harvesting BS inversion power
@@ -306,11 +306,17 @@ class FrameBatch:
         arrays = [np.asarray(getattr(self, name), dtype=float)
                   for name in ("gamma_g", "gamma_h", "e_h")]
         shape = arrays[0].shape
-        if len(shape) != 2 or any(arr.shape != shape for arr in arrays):
-            raise InvalidParameterError("gains and arrivals must be (frames, N) arrays of one shape")
-        if shape[1] != self.params.N:
+        if (len(shape) != 3 or arrays[1].shape != shape
+                or arrays[2].shape != (shape[0], shape[2])):
             raise InvalidParameterError(
-                f"trajectories have {shape[1]} blocks, params.N = {self.params.N}")
+                "gains must be (frames, users, N) arrays of one shape over (frames, N) "
+                f"arrivals, got {arrays[0].shape}, {arrays[1].shape} and {arrays[2].shape}")
+        if shape[2] != self.params.N:
+            raise InvalidParameterError(
+                f"trajectories have {shape[2]} blocks, params.N = {self.params.N}")
+        for name, arr in zip(("gamma_g", "gamma_h", "e_h"), arrays):
+            if not np.all(np.isfinite(arr) & (arr >= 0)):
+                raise InvalidParameterError(f"{name} must be finite and >= 0")
         names = ("gamma_g", "gamma_h", "e_h", "p_g", "p_h", "skip", "transmits")
         for name, arr in zip(names, (*arrays, *link_terms(arrays[0], arrays[1], self.params))):
             object.__setattr__(self, name, arr)
@@ -319,54 +325,52 @@ class FrameBatch:
     def frames(self) -> int:
         return self.gamma_g.shape[0]
 
+    @property
+    def users(self) -> int:
+        return self.gamma_g.shape[1]
 
-def _sample(params_list, keys):
-    """(frames, U, N) gains and (frames, N) arrivals, frame f drawn from
-    make_rng(*keys[f]) in a fixed order: user 1 grid gains, user 1
-    harvesting gains, user 2 grid gains, ..., then the shared arrivals,
-    uniform on [0, E_m]."""
+
+def _sample(params: SystemParams, users: int, keys) -> FrameBatch:
+    """A FrameBatch whose frame f is drawn from make_rng(*keys[f]) in a
+    fixed order: user 1 grid gains, user 1 harvesting gains, user 2 grid
+    gains, ..., then the shared arrivals, uniform on [0, E_m]."""
     if not keys:
         raise InvalidParameterError("frames must be >= 1")
-    users, n, e_m = len(params_list), params_list[0].N, params_list[0].E_m
+    n = params.N
     gg = np.empty((len(keys), users, n))
     gh = np.empty((len(keys), users, n))
     eh = np.empty((len(keys), n))
     for f, key in enumerate(keys):
         rng = make_rng(*key)
-        for u, p in enumerate(params_list):
-            gg[f, u] = rng.exponential(p.mu_G, n)
-            gh[f, u] = rng.exponential(p.mu_H, n)
-        eh[f] = rng.uniform(0.0, e_m, n)
-    return gg, gh, eh
+        for u in range(users):
+            gg[f, u] = rng.exponential(params.mu_G, n)
+            gh[f, u] = rng.exponential(params.mu_H, n)
+        eh[f] = rng.uniform(0.0, params.E_m, n)
+    return FrameBatch(params, gg, gh, eh)
 
 
 def sample_trajectory(params: SystemParams, seed) -> FrameBatch:
-    """One frame of channel gains and arrivals, as a one-frame FrameBatch.
+    """One frame of one user's channel gains and arrivals, as a one-frame
+    FrameBatch.
 
     `seed` is an int, keyed (seed,), or an (int, int) pair; the pair (s, f)
     gives frame f of `sample_trajectories(params, s, ...)`.
     """
     key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    gg, gh, eh = _sample([params], [key])
-    return FrameBatch(params, gg[:, 0], gh[:, 0], eh)
+    return _sample(params, 1, [key])
 
 
-def sample_trajectories(params: SystemParams, seed: int, frames: int):
-    """Batch of frames as (frames, N) arrays (gamma_G, gamma_H, e_H): the
-    one-user slice of `sample_multiuser_trajectories`.
+def sample_trajectories(params: SystemParams, seed: int, frames: int,
+                        users: int = 1) -> FrameBatch:
+    """A batch of `frames` frames of `users` users' independent fading over
+    one shared arrival stream.
 
     Frame f is keyed (seed, f): the first half of a 2n-frame batch is
     bit-identical to the n-frame batch, and disjoint workers can split the
-    frame range without sharing generator state.
+    frame range without sharing generator state.  Each frame draws every
+    user's gains before the arrivals, so the first user of a larger batch
+    has a one-user batch's gains.
     """
-    gg, gh, eh = _sample([params], [(seed, f) for f in range(frames)])
-    return gg[:, 0], gh[:, 0], eh
-
-
-def sample_multiuser_trajectories(params_list, seed: int, frames: int):
-    """Independent per-user fading over a shared arrival stream.
-
-    Returns (gamma_G (frames, U, N), gamma_H (frames, U, N), e_H (frames, N)),
-    frame f keyed (seed, f) like `sample_trajectories`.
-    """
-    return _sample(list(params_list), [(seed, f) for f in range(frames)])
+    if not isinstance(users, (int, np.integer)) or users < 1:
+        raise InvalidParameterError(f"users must be a positive integer, got {users!r}")
+    return _sample(params, users, [(seed, f) for f in range(frames)])

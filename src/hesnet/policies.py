@@ -1,9 +1,12 @@
 """Causal serving policies: greedy, calibrated threshold, table lookups.
 
-Everything here decides one block of a batch of frames at a time from the
-block index, the battery states and the block's precomputed link terms: a
-column of a `FrameBatch`, or each user's inversion powers and skip costs
-for the joint rules.  The threshold rule needs two closed-form constants,
+Every policy decides one block of a batch of frames at a time through one
+method, `decide_batch(block, battery, batch)`: the block index, the
+(frames,) shared battery states and the `FrameBatch` whose (frames, U)
+column `block` holds the block's precomputed link terms in, a (frames, U)
+0/1 array out.  The single-user rules and table lookups read the column at
+U = 1; the joint rules rank the users against the battery and the summed
+peak cap of `batch.params`.  The threshold rule needs two closed-form constants,
 the mean skip cost lambda1 and the mean feasible battery power lambda2;
 they are exact for exponential fading, and a Monte Carlo cross-check of
 both lives in the test suite.
@@ -109,17 +112,17 @@ def _threshold_level(zeta, lambda1, lambda2, params: SystemParams):
     return zeta * params.P_avg * params.tau * float(ratio_metric(lambda1, lambda2))
 
 
-def _threshold_serve(block, battery, p_h, score, level, params: SystemParams, p_max=None):
-    """The threshold rule; every threshold policy and the calibrator use it.
+def _threshold_serve(block, battery, p_h, score, level, params: SystemParams):
+    """The threshold rule of both threshold policies.
 
     Infeasible states never serve; the last block serves whenever feasible;
     otherwise serve when battery * score clears `level`, where score is
-    ratio_metric(skip cost, p_h) and level comes from _threshold_level.  Operands
-    broadcast: a (frames,) block, or a (frames, users) block against a
-    (frames, 1) shared battery.  The calibrator applies the same rule to
-    intervals of candidates through `_threshold_cut`.
+    ratio_metric(skip cost, p_h) and level comes from _threshold_level.  A
+    (frames, users) block broadcasts against a (frames, 1) shared battery.
+    The calibrator applies the same rule to intervals of candidates through
+    `_threshold_cut`.
     """
-    feas = serve_feasible(p_h, battery, params, p_max)
+    feas = serve_feasible(p_h, battery, params)
     if block >= params.N - 1:
         return feas
     with np.errstate(invalid="ignore"):
@@ -127,12 +130,8 @@ def _threshold_serve(block, battery, p_h, score, level, params: SystemParams, p_
 
 
 # ---------------------------------------------------------------------------
-# decision rules
+# single-user decision rules
 # ---------------------------------------------------------------------------
-#
-# A single-user policy decides only through decide_batch(block, battery,
-# batch): one block of (frames,) battery states and the FrameBatch whose
-# column `block` holds their link terms in, 0/1 out.
 
 class GreedyTransmit:
     """Myopic baseline: serve from the battery whenever one block of
@@ -140,7 +139,8 @@ class GreedyTransmit:
     boundaries serve."""
 
     def decide_batch(self, block, battery, batch: FrameBatch):
-        return serve_feasible(batch.p_h[:, block], battery, batch.params).astype(np.int8)
+        return serve_feasible(batch.p_h[:, :, block], battery[:, None],
+                              batch.params).astype(np.int8)
 
 
 class ThresholdHeuristic:
@@ -157,10 +157,11 @@ class ThresholdHeuristic:
 
     def decide_batch(self, block, battery, batch: FrameBatch):
         params = batch.params
-        p_h = batch.p_h[:, block]
-        score = ratio_metric(batch.skip[:, block], p_h)
+        p_h = batch.p_h[:, :, block]
+        score = ratio_metric(batch.skip[:, :, block], p_h)
         level = _threshold_level(self.tp.zeta, self.tp.lambda1, self.tp.lambda2, params)
-        return _threshold_serve(block, battery, p_h, score, level, params).astype(np.int8)
+        return _threshold_serve(block, battery[:, None], p_h, score, level,
+                                params).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +210,10 @@ class MdpTablePolicy:
         if not 0 <= t < self.table.N:
             raise InvalidParameterError(f"block {t} outside the table horizon {self.table.N}")
         grid = self.table.grid
-        act = self.table.actions[t, battery_level_index(battery, grid),
-                                 channel_state_index(batch.gamma_g[:, block], grid.bounds_G),
-                                 channel_state_index(batch.gamma_h[:, block], grid.bounds_H)]
-        demote = ~serve_feasible(batch.p_h[:, block], battery, batch.params)
+        act = self.table.actions[t, battery_level_index(battery, grid)[:, None],
+                                 channel_state_index(batch.gamma_g[:, :, block], grid.bounds_G),
+                                 channel_state_index(batch.gamma_h[:, :, block], grid.bounds_H)]
+        demote = ~serve_feasible(batch.p_h[:, :, block], battery[:, None], batch.params)
         return np.where(demote, 0, act).astype(np.int8)
 
 
@@ -238,7 +239,7 @@ class LookAhead(MdpTablePolicy):
 
     def decide_batch(self, block, battery, batch: FrameBatch):
         if block >= batch.params.N - 1:
-            return serve_feasible(batch.p_h[:, block], battery, batch.params).astype(np.int8)
+            return GreedyTransmit().decide_batch(block, battery, batch)
         return self._play(0, block, battery, batch)
 
 
@@ -309,16 +310,17 @@ def _split_block(block, segments, e, p_h, skip, score, slack, levels, params: Sy
 
 def _calibration_costs(batch: FrameBatch, score, levels):
     """(candidates, frames) skip-cost sums of the threshold rule at the
-    nondecreasing `levels` over `batch`, walked as segments of candidates
-    with one battery history (`_split_block`) and expanded at the end."""
+    nondecreasing `levels` over a one-user `batch`, walked as segments of
+    candidates with one battery history (`_split_block`) and expanded at
+    the end."""
     frames, n = batch.frames, levels.size
     segments = (np.arange(frames), np.zeros(frames, dtype=np.intp),
                 np.full(frames, n, dtype=np.intp), np.zeros(frames), np.zeros(frames))
     arrived = np.zeros(frames)
     for i in range(batch.params.N):
         arrived = arrived + batch.e_h[:, i]
-        segments = _split_block(i, segments, batch.e_h[:, i], batch.p_h[:, i],
-                                batch.skip[:, i], score[:, i], _battery_slack(arrived),
+        segments = _split_block(i, segments, batch.e_h[:, i], batch.p_h[:, 0, i],
+                                batch.skip[:, 0, i], score[:, i], _battery_slack(arrived),
                                 levels, batch.params)
     _, lo, hi, _, cost = segments
     return np.repeat(cost, hi - lo).reshape(frames, n).T.copy()
@@ -350,8 +352,8 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
         raise InvalidParameterError(f"budget must be >= 1 frame, got {budget!r}")
     lambda1, lambda2 = threshold_lambdas(params)
     ThresholdParams(float(cand[0]), lambda1, lambda2)  # rejects degenerate lambdas
-    batch = FrameBatch(params, *sample_trajectories(params, seed, budget))
-    score = ratio_metric(batch.skip, batch.p_h)
+    batch = sample_trajectories(params, seed, budget)
+    score = ratio_metric(batch.skip[:, 0], batch.p_h[:, 0])
     level = _threshold_level(cand, lambda1, lambda2, params)
     order = np.argsort(level, kind="stable")
     chunk = max(1, _CALIBRATION_ROWS // budget)
@@ -368,23 +370,21 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
 # multi-user joint rules
 # ---------------------------------------------------------------------------
 #
-# A joint policy decides only through decide_joint(block, battery, p_h, skip,
-# params_list): one block of a batch of frames, the (frames,) shared battery
-# states and the (frames, users) harvesting inversion powers and skip costs
-# in, a (frames, users) 0/1 array out.  Users share N and tau
-# (multiuser_frame_metrics checks).
+# The joint rules stay their own classes even at U = 1: _admit's
+# p * tau <= battery and serve_feasible's p <= battery / tau can round apart.
 
-def _admit(order, eligible, p_h, battery, p_H_max_sum: float, tau: float):
+def _admit(order, eligible, p_h, battery, params: SystemParams):
     """Serve eligible users in `order`, a (frames, users) permutation per
-    row, while the summed peak power and the shared battery hold out."""
+    row, while the summed peak power params.p_H_max and the shared battery
+    hold out."""
     rows = np.arange(p_h.shape[0])
     acts = np.zeros(p_h.shape, dtype=np.int8)
     power_used = np.zeros(p_h.shape[0])
     energy_used = np.zeros(p_h.shape[0])
     for u in order.T:
         p = p_h[rows, u]
-        spend = p * tau
-        ok = (eligible[rows, u] & (power_used + p <= p_H_max_sum)
+        spend = p * params.tau
+        ok = (eligible[rows, u] & (power_used + p <= params.p_H_max)
               & (energy_used + spend <= battery))
         power_used = np.where(ok, power_used + p, power_used)
         energy_used = np.where(ok, energy_used + spend, energy_used)
@@ -392,7 +392,7 @@ def _admit(order, eligible, p_h, battery, p_H_max_sum: float, tau: float):
     return acts
 
 
-class MultiuserThreshold:
+class MultiuserThreshold(ThresholdHeuristic):
     """Joint threshold rule over users sharing the battery and the peak sum.
 
     Each user first applies the single-user rule with the shared battery
@@ -401,30 +401,18 @@ class MultiuserThreshold:
     while the battery and the summed peak power hold out.
     """
 
-    def __init__(self, tps, p_H_max_sum: float):
-        self.tps = list(tps)
-        self.p_H_max_sum = float(p_H_max_sum)
-
-    def decide_joint(self, block, battery, p_h, skip, params_list):
-        users = len(params_list)
-        if not (len(self.tps) == np.shape(p_h)[-1] == np.shape(skip)[-1] == users):
-            raise InvalidParameterError("tps, link terms and params_list must align")
-        base = params_list[0]
-        level = np.array([_threshold_level(tp.zeta, tp.lambda1, tp.lambda2, p)
-                          for tp, p in zip(self.tps, params_list)])
-        score = ratio_metric(skip, p_h)
-        tentative = _threshold_serve(block, battery[:, None], p_h, score, level, base,
-                                     self.p_H_max_sum)
+    def decide_batch(self, block, battery, batch: FrameBatch):
+        p_h = batch.p_h[:, :, block]
+        score = ratio_metric(batch.skip[:, :, block], p_h)
+        tentative = super().decide_batch(block, battery, batch) == 1
         return _admit(np.argsort(-score, axis=1, kind="stable"), tentative, p_h, battery,
-                      self.p_H_max_sum, base.tau)
+                      batch.params)
 
 
 class MultiuserGreedyTransmit:
     """Myopic joint baseline: admit users cheapest battery power first."""
 
-    def __init__(self, p_H_max_sum: float):
-        self.p_H_max_sum = float(p_H_max_sum)
-
-    def decide_joint(self, block, battery, p_h, skip, params_list):
+    def decide_batch(self, block, battery, batch: FrameBatch):
+        p_h = batch.p_h[:, :, block]
         return _admit(np.argsort(p_h, axis=1, kind="stable"), np.ones(p_h.shape, dtype=bool),
-                      p_h, battery, self.p_H_max_sum, params_list[0].tau)
+                      p_h, battery, batch.params)

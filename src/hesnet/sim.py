@@ -1,16 +1,18 @@
 """Batch evaluation: the battery walk, plan replay, metrics and sweeps.
 
-Every evaluation takes a batch of frames, and a single frame is a
-one-frame batch.  There are three entry points: `run_batch` for a
-single-user policy on (frames, N) trajectories, `multiuser_frame_metrics`
-for a joint policy and `offline_frame_metrics` for an offline plan
-function, both on (frames, U, N) gains over (frames, N) shared arrivals.
-One battery walk, `_walk`, serves them all, and one outcome rule,
-`_outcomes`, settles each block: users the harvesting BS skips go to the
-grid BS cheapest first while its summed peak power holds out, and the rest
-drop.  Offline plans are replayed through the same walk (`replay_plan`).
-`run_batch` sums the block terms with +=, every other evaluation per frame
-with math.fsum (`frame_totals`), so an offline plan's cost is its exact
+Every evaluation takes a `FrameBatch`: (frames, U, N) gains over (frames,
+N) shared arrivals, under one `SystemParams` whose peak powers cap each
+station's per-block sum over the users.  A single frame is a one-frame
+batch and a single user is U = 1.  There are three entry points, all
+taking the batch: `run_batch` and `multiuser_frame_metrics` walk a policy
+(any object with `decide_batch`), `offline_frame_metrics` plans with an
+offline plan function and replays the plans.  One battery walk, `_walk`,
+serves them all, and one outcome rule, `_outcomes`, settles each block:
+users the harvesting BS skips go to the grid BS cheapest first while its
+summed peak power holds out, and the rest drop.  Offline plans are
+replayed through the same walk (`replay_plan`).  `run_batch` (one user
+only) sums the block terms with +=, every other evaluation per frame with
+math.fsum (`frame_totals`), so an offline plan's cost is its exact
 skip-cost sum.  The zeta calibrator (`policies.calibrate_zeta`) walks
 intervals of candidates instead of frames, under the same battery slack
 and serve checks (`_battery_slack`, `_overdraw_error`).
@@ -28,12 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidActionError, InvalidParameterError
-from .model import (
-    FrameBatch,
-    SystemParams,
-    sample_multiuser_trajectories,
-    sample_trajectories,
-)
+from .model import FrameBatch, SystemParams, sample_trajectories
 from .offline import (ENERGY_RTOL, EXHAUSTIVE_CAP, exhaustive_plan, greedy_plan,
                       require_uncapped_battery)
 
@@ -48,7 +45,6 @@ __all__ = [
     "metrics_from_arrays",
     "metrics_row",
     "point_rows",
-    "sample_multiuser_trajectories",
     "multiuser_frame_metrics",
     "write_rows_csv",
     "write_manifest",
@@ -77,21 +73,12 @@ class GridOnlyPolicy:
     """Never touches the battery; the grid BS serves whatever it can."""
 
     def decide_batch(self, block, battery, batch):
-        return np.zeros(battery.shape[0], dtype=np.int8)
+        return np.zeros(batch.p_h.shape[:2], dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
 # the battery walk and the per-block outcome
 # ---------------------------------------------------------------------------
-
-def _links(batches):
-    """(p_g, p_h, skip, transmits) of per-user FrameBatches as (frames, U, N)
-    arrays; one user's are views, not copies."""
-    names = ("p_g", "p_h", "skip", "transmits")
-    if len(batches) == 1:
-        return tuple(getattr(batches[0], name)[:, None] for name in names)
-    return tuple(np.stack([getattr(b, name) for b in batches], axis=1) for name in names)
-
 
 def _battery_slack(arrived):
     """How far a serve may overdraw the battery: ENERGY_RTOL of the frame's
@@ -108,17 +95,19 @@ def _overdraw_error(block: int, frame: int, battery, spend, power, p_max) -> Inv
         f"{float(power)!r} W, peak {p_max!r} W")
 
 
-def _walk(decide, p_h, e_h, params: SystemParams, battery, p_max: float):
+def _walk(decide, p_h, e_h, params: SystemParams, battery):
     """The per-block battery walk of every evaluation, at any user count.
 
     `p_h` holds (frames, U, N) harvesting inversion powers over (frames, N)
     arrivals `e_h`; `battery` is the (frames,) starting charge.  Per block:
     credit the arrival (clamped at B_m), ask `decide(block, battery)` for a
     (frames, U) 0/1 array, reject any other, reject a serve over the peak
-    cap `p_max` (exact per user, 1e-12 slack on the sum in user order) or
-    over the battery plus `_battery_slack`, spend.  Yields the serve masks.
+    cap params.p_H_max (exact per user, 1e-12 slack on the sum in user
+    order) or over the battery plus `_battery_slack`, spend.  Yields the
+    serve masks.
     """
     frames, users = p_h.shape[:2]
+    p_max = params.p_H_max
     battery = np.asarray(battery, dtype=float)
     if battery.shape != (frames,):
         raise InvalidParameterError(
@@ -173,29 +162,29 @@ def _grid_admission(serve, p_g, reach, p_max: float):
     return admitted
 
 
-def _outcomes(decide, batches, links, p_H_max: float, p_G_max: float):
-    """Walk one shared battery per frame of per-user `batches` (their
-    stacked `links`) under `decide` and settle every block: the served
-    users pay nothing, the users `_grid_admission` admits under the grid
-    BS's summed peak power `p_G_max` pay their skip cost, and the rest drop
-    at w_D.  One user under its own p_G_max is admitted exactly when it
-    transmits, since then p_G_inv <= kappa <= p_G_max.  Yields each block's
-    (frames, U) serve and admitted masks, costs and grid energies in J.
+def _outcomes(decide, batch: FrameBatch):
+    """Walk one shared battery per frame of `batch` under `decide` and
+    settle every block: the served users pay nothing, the users
+    `_grid_admission` admits under the grid BS's summed peak power
+    params.p_G_max pay their skip cost, and the rest drop at w_D.  One user
+    is admitted exactly when it transmits, since then p_G_inv <= kappa <=
+    p_G_max.  Yields each block's (frames, U) serve and admitted masks,
+    costs and grid energies in J.
     """
-    params, e_h = batches[0].params, batches[0].e_h
-    p_g, p_h, skip, transmits = links
-    w_d = np.array([b.params.w_D for b in batches])
-    cap = p_G_max * (1.0 + 1e-12)
-    reach = transmits & (p_g <= cap)
-    for i, serve in enumerate(_walk(decide, p_h, e_h, params, np.zeros(len(e_h)), p_H_max)):
+    params, p_g, skip = batch.params, batch.p_g, batch.skip
+    cap = params.p_G_max * (1.0 + 1e-12)
+    reach = batch.transmits & (p_g <= cap)
+    for i, serve in enumerate(_walk(decide, batch.p_h, batch.e_h, params,
+                                    np.zeros(batch.frames))):
         admitted = _grid_admission(serve, p_g[:, :, i], reach[:, :, i], cap)
-        yield (serve, admitted, np.where(serve, 0.0, np.where(admitted, skip[:, :, i], w_d)),
+        yield (serve, admitted,
+               np.where(serve, 0.0, np.where(admitted, skip[:, :, i], params.w_D)),
                np.where(admitted, p_g[:, :, i] * params.tau, 0.0))
 
 
-def _single(policy, batch: FrameBatch):
-    """A single-user policy as a walk's decide(block, battery)."""
-    return lambda i, battery: np.asarray(policy.decide_batch(i, battery, batch))[..., None]
+def _policy_outcomes(policy, batch: FrameBatch):
+    """`_outcomes` with `policy.decide_batch` deciding each block."""
+    return _outcomes(lambda i, battery: policy.decide_batch(i, battery, batch), batch)
 
 
 def _stacked(steps):
@@ -213,28 +202,29 @@ def frame_totals(serve, admitted, cost, grid):
     return fsum_rows(cost), fsum_rows(grid), np.sum(~serve & ~admitted, axis=(1, 2))
 
 
-def replay_plan(plan, batches, p_H_max: float, p_G_max: float):
-    """Walk a (frames, U, N) 0/1 serving plan over per-user FrameBatches
-    (shared arrivals) and return its (frames, U, N) outcome arrays (serve,
-    admitted, cost, grid energy in J); an unaffordable plan raises."""
+def replay_plan(plan, batch: FrameBatch):
+    """Walk a (frames, U, N) 0/1 serving plan over `batch` and return its
+    (frames, U, N) outcome arrays (serve, admitted, cost, grid energy in
+    J); an unaffordable plan raises."""
     plan = np.asarray(plan)
-    return _stacked(_outcomes(lambda i, battery: plan[:, :, i], batches, _links(batches),
-                              p_H_max, p_G_max))
+    return _stacked(_outcomes(lambda i, battery: plan[:, :, i], batch))
 
 
-def run_batch(policy, params: SystemParams, gamma_g, gamma_h, e_h):
-    """Run (frames, N) trajectories in lockstep.
+def run_batch(policy, batch: FrameBatch):
+    """Walk a one-user batch in lockstep under `policy`.
 
     Returns per-frame arrays (costs, grid energies, drop counts), each the
-    running += sum of the per-block terms.
+    running += sum of the per-block terms.  This stays apart from
+    `multiuser_frame_metrics`, whose math.fsum totals can differ in the
+    last bits, because the single-user CSVs are pinned to these sums.
     """
-    batch = FrameBatch(params, gamma_g, gamma_h, e_h)
+    if batch.users != 1:
+        raise InvalidParameterError(
+            f"run_batch walks one user, got {batch.users}; use multiuser_frame_metrics")
     costs = np.zeros(batch.frames)
     grid = np.zeros(batch.frames)
     drops = np.zeros(batch.frames, dtype=np.int64)
-    for serve, admitted, cost, energy in _outcomes(_single(policy, batch), [batch],
-                                                   _links([batch]), params.p_H_max,
-                                                   params.p_G_max):
+    for serve, admitted, cost, energy in _policy_outcomes(policy, batch):
         costs += cost[:, 0]
         grid += energy[:, 0]
         drops += ~serve[:, 0] & ~admitted[:, 0]
@@ -294,33 +284,21 @@ def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
     """Rows of every policy at one parameter point, on shared trajectories.
 
     `axis` and `value` only label the rows; a point run passes "none", 0.0.
-    One user walks `run_batch`.  `users` > 1 identical users share the EH
-    battery and both stations' per-block peak powers (`point.p_H_max`,
-    `point.p_G_max`) through `multiuser_frame_metrics`, and the factories
-    must build joint policies.  With `include_offline` the offline rows
-    follow (`offline_frame_metrics`): Greedy, then, for one user, the
-    Exhaustive optimum whenever 2^N enumeration is within the cap.
+    The `users` users share the EH battery and both stations' per-block
+    peak powers (`point.p_H_max`, `point.p_G_max`); with more than one the
+    factories must build joint policies.  With `include_offline` the
+    offline rows follow (`offline_frame_metrics`): Greedy, then, for one
+    user, the Exhaustive optimum whenever 2^N enumeration is within the cap.
     """
-    plist = [point] * users
-    if users == 1:
-        g, h, eh = sample_trajectories(point, seed, frames)
-        gg, gh = g[:, None], h[:, None]
-
-        def online(policy):
-            return run_batch(policy, point, g, h, eh)
-    else:
-        gg, gh, eh = sample_multiuser_trajectories(plist, seed, frames)
-
-        def online(policy):
-            return multiuser_frame_metrics(policy, gg, gh, eh, plist, point.p_H_max,
-                                           point.p_G_max)
-    runs = [(name, online(factory(point))) for name, factory in policy_factories.items()]
+    batch = sample_trajectories(point, seed, frames, users)
+    # one user keeps run_batch's += totals: the single-user CSVs are pinned to them
+    online = run_batch if users == 1 else multiuser_frame_metrics
+    runs = [(name, online(factory(point), batch)) for name, factory in policy_factories.items()]
     if include_offline:
         plans = {"Greedy": greedy_plan, "Exhaustive": exhaustive_plan}
         if users > 1 or point.N > EXHAUSTIVE_CAP:
             del plans["Exhaustive"]
-        runs += [(name, offline_frame_metrics(solve, gg, gh, eh, plist, point.p_H_max,
-                                              point.p_G_max)) for name, solve in plans.items()]
+        runs += [(name, offline_frame_metrics(solve, batch)) for name, solve in plans.items()]
     return [metrics_row(metrics_from_arrays(name, users * point.N, seed, *arrays), axis, value)
             for name, arrays in runs]
 
@@ -357,65 +335,37 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
 
 
 # ---------------------------------------------------------------------------
-# (frames, U, N) batches: joint policies and offline plans, one battery
+# exact per-frame totals: any policy at any user count, offline plans
 # ---------------------------------------------------------------------------
 
-def _user_batches(gamma_g, gamma_h, e_h, params_list):
-    """Per-user FrameBatches of (frames, U, N) gains over (frames, N) shared
-    arrivals, with their stacked link terms; the users must share N, tau,
-    E_m and B_m."""
-    gamma_g = np.asarray(gamma_g)
-    if gamma_g.ndim != 3 or gamma_g.shape[1] != len(params_list):
-        raise InvalidParameterError(
-            f"gains must be (frames, users, N) with one SystemParams per user, got shape "
-            f"{gamma_g.shape} for {len(params_list)} users")
-    base = params_list[0]
-    for p in params_list[1:]:
-        if p.N != base.N or p.tau != base.tau or p.E_m != base.E_m or p.B_m != base.B_m:
-            raise InvalidParameterError("users must share frame and battery structure")
-    batches = [FrameBatch(p, gamma_g[:, u], gamma_h[:, u], e_h) for u, p in enumerate(params_list)]
-    return batches, _links(batches)
+def multiuser_frame_metrics(policy, batch: FrameBatch):
+    """Walk a batch of any user count in lockstep under `policy`.
 
-
-def multiuser_frame_metrics(policy, gamma_g, gamma_h, e_h, params_list,
-                            p_H_max_sum: float, p_G_max_sum: float):
-    """Walk (frames, U, N) trajectories in lockstep under a joint policy.
-
-    One battery per frame, shared by the users.  Per block the joint
-    policy picks the users the harvesting BS serves; they must jointly
-    respect the battery and its summed peak power, and a policy breaking
-    either is an internal invariant breach.  Users left to the grid BS are
-    admitted cheapest inversion power first (ties: lower user) until its
-    summed peak power is exhausted; the rest drop.  Returns per-frame
-    arrays (costs, grid energies, drop counts), the sums totalled with
-    math.fsum.
+    One battery per frame, shared by the users.  Per block the policy
+    picks the users the harvesting BS serves; they must jointly respect the
+    battery and its summed peak power, and a policy breaking either is an
+    internal invariant breach.  Users left to the grid BS are admitted
+    cheapest inversion power first (ties: lower user) until its summed peak
+    power is exhausted; the rest drop.  Returns per-frame arrays (costs,
+    grid energies, drop counts), the sums totalled with math.fsum.
     """
-    batches, links = _user_batches(gamma_g, gamma_h, e_h, params_list)
-    _, p_h, skip, _ = links
-
-    def decide(i, battery):
-        return policy.decide_joint(i, battery, p_h[:, :, i], skip[:, :, i], params_list)
-
-    return frame_totals(*_stacked(_outcomes(decide, batches, links, p_H_max_sum, p_G_max_sum)))
+    return frame_totals(*_stacked(_policy_outcomes(policy, batch)))
 
 
-def offline_frame_metrics(solve, gamma_g, gamma_h, e_h, params_list,
-                          p_H_max_sum: float, p_G_max_sum: float):
-    """Plan every frame of a (frames, U, N) batch offline and replay the plans.
+def offline_frame_metrics(solve, batch: FrameBatch):
+    """Plan every frame of a batch offline and replay the plans.
 
     `solve` is an offline plan function (`greedy_plan`, or `exhaustive_plan`
-    for one user, subject to its 2^N cap), called once over the batch with
-    the summed peak cap `p_H_max_sum`.  The plans are walked by
-    `replay_plan` against one shared battery per frame and the grid BS's
-    summed peak power `p_G_max_sum`.  Returns per-frame arrays (costs, grid
-    energies, drop counts); a plan's cost is its exact math.fsum skip sum.
-    The solvers model an uncapped battery, so B_m < N * E_m raises
-    ModelMismatchError.
+    for one user, subject to its 2^N cap), called once over the batch's
+    arrays with the summed peak cap params.p_H_max.  The plans are walked by
+    `replay_plan`.  Returns per-frame arrays (costs, grid energies, drop
+    counts); a plan's cost is its exact math.fsum skip sum.  The solvers
+    model an uncapped battery, so B_m < N * E_m raises ModelMismatchError.
     """
-    batches, (_, p_h, skip, _) = _user_batches(gamma_g, gamma_h, e_h, params_list)
-    require_uncapped_battery(params_list[0])
-    plan = solve(skip, p_h, batches[0].e_h, params_list[0].tau, p_H_max_sum)
-    return frame_totals(*replay_plan(plan, batches, p_H_max_sum, p_G_max_sum))
+    params = batch.params
+    require_uncapped_battery(params)
+    plan = solve(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
+    return frame_totals(*replay_plan(plan, batch))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,10 @@
-"""Per-frame references for the offline solvers' batch plans, and the
-exact per-frame totals of a single-user policy.
+"""Per-frame references for the offline solvers' batch plans.
 
 `hesnet.offline` maps (frames, U, N) arrays to plans and leaves the
 feasibility of a plan to the battery walk that replays it.  The checks here
 read one frame at a time in plain numpy, independently of both: the first
 constraint a 0/1 vector breaks, its exact skip cost, and the pairwise swap
-condition every greedy plan meets.  `fsum_totals` and `one_user_offline`
-run a single-user policy or an offline plan function through the
-(frames, U, N) entry points at U = 1, whose per-frame totals are exact
-math.fsum sums.
+condition every greedy plan meets.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from hesnet.offline import ENERGY_RTOL
-from hesnet.sim import multiuser_frame_metrics, offline_frame_metrics
 
 
 class Frame(NamedTuple):
@@ -34,9 +29,9 @@ class Frame(NamedTuple):
     p_max: float
 
     @classmethod
-    def of(cls, batch, f: int = 0) -> "Frame":
-        """Frame f of a FrameBatch."""
-        return cls(batch.skip[f], batch.p_h[f], batch.e_h[f], batch.params.tau,
+    def of(cls, batch, f: int = 0, u: int = 0) -> "Frame":
+        """User u's frame f of a FrameBatch."""
+        return cls(batch.skip[f, u], batch.p_h[f, u], batch.e_h[f], batch.params.tau,
                    batch.params.p_H_max)
 
 
@@ -87,24 +82,3 @@ def swap_free(alpha, fr: Frame) -> bool:
     no_more_power = fr.p_h[sel][:, None] >= fr.p_h[uns][None, :]
     return not bool(np.any(later & cheaper & no_more_power))
 
-
-def fsum_totals(policy, batch):
-    """Per-frame (costs, grid energies, drops) of a `decide_batch` policy
-    over a FrameBatch, played as a one-user joint policy through
-    `multiuser_frame_metrics`: the same walk as `run_batch`, with each
-    frame's terms totalled by math.fsum instead of +=."""
-    params = batch.params
-
-    class OneUser:
-        def decide_joint(self, block, battery, p_h, skip, params_list):
-            return np.asarray(policy.decide_batch(block, battery, batch))[:, None]
-
-    return multiuser_frame_metrics(OneUser(), batch.gamma_g[:, None], batch.gamma_h[:, None],
-                                   batch.e_h, [params], params.p_H_max, params.p_G_max)
-
-
-def one_user_offline(solve, params, gamma_g, gamma_h, e_h):
-    """`offline_frame_metrics` on (frames, N) one-user trajectories under
-    the user's own peak caps."""
-    return offline_frame_metrics(solve, np.asarray(gamma_g)[:, None], np.asarray(gamma_h)[:, None],
-                                 e_h, [params], params.p_H_max, params.p_G_max)

@@ -20,7 +20,6 @@ from hesnet.mdp import (
     monotone_backward_induction,
 )
 from hesnet.model import (
-    ExponentialFading,
     FrameBatch,
     SystemParams,
     channel_gain,
@@ -41,13 +40,8 @@ from hesnet.policies import (
     look_ahead_build,
     threshold_lambdas,
 )
-from hesnet.sim import (
-    multiuser_frame_metrics,
-    offline_frame_metrics,
-    run_batch,
-    sample_multiuser_trajectories,
-)
-from oracles import Frame, fsum_totals, one_user_offline, solve, swap_free
+from hesnet.sim import multiuser_frame_metrics, offline_frame_metrics, run_batch
+from oracles import Frame, solve, swap_free
 
 REF = SystemParams()  # reference parameter set used throughout
 
@@ -108,13 +102,12 @@ def trajectory_bank_n15():
     solutions for each."""
     params = REF.evolve(N=15)
     frames = 1000
-    gg, gh, eh = sample_trajectories(params, 77, frames)
-    batch = FrameBatch(params, gg, gh, eh)
-    plan = greedy_plan(batch.skip[:, None], batch.p_h[:, None], eh, params.tau, params.p_H_max)
+    batch = sample_trajectories(params, 77, frames)
+    plan = greedy_plan(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
     swap_ok = np.array([swap_free(plan[f, 0], Frame.of(batch, f)) for f in range(frames)])
-    cost_greedy, _, _ = one_user_offline(greedy_plan, params, gg, gh, eh)
-    cost_opt, _, _ = one_user_offline(exhaustive_plan, params, gg, gh, eh)
-    return {"params": params, "gg": gg, "gh": gh, "eh": eh,
+    cost_greedy, _, _ = offline_frame_metrics(greedy_plan, batch)
+    cost_opt, _, _ = offline_frame_metrics(exhaustive_plan, batch)
+    return {"params": params, "batch": batch,
             "cost_greedy": cost_greedy, "cost_opt": cost_opt, "swap_ok": swap_ok}
 
 
@@ -152,14 +145,14 @@ def test_criterion_02_greedy_exact_on_constant_channel_instances():
     for const_side in ("H", "G"):
         for _ in range(500):
             params = _random_params(rng).evolve(N=int(rng.integers(1, 13)))
-            gg = ExponentialFading(params.mu_G).sample(rng, params.N)
-            gh = ExponentialFading(params.mu_H).sample(rng, params.N)
+            gg = rng.exponential(params.mu_G, params.N)
+            gh = rng.exponential(params.mu_H, params.N)
             if const_side == "H":
                 gh = np.full(params.N, float(rng.uniform(0.1, 3.0)))
             else:
                 gg = np.full(params.N, float(rng.uniform(0.1, 3.0)))
             eh = rng.uniform(0, params.E_m, params.N)
-            inst = Frame.of(FrameBatch(params, gg[None], gh[None], eh[None]))
+            inst = Frame.of(FrameBatch(params, gg[None, None], gh[None, None], eh[None]))
             _, c_greedy = solve(greedy_plan, inst)
             _, c_opt = solve(exhaustive_plan, inst)
             if c_greedy != c_opt:  # identical floats demanded, not closeness
@@ -250,14 +243,14 @@ def test_criterion_06_skip_cost_and_feasible_power_means():
         mc = make_rng(660 + i)
         lam1, lam2 = threshold_lambdas(params)
 
-        gamma_g = ExponentialFading(params.mu_G).sample(mc, n)
+        gamma_g = mc.exponential(params.mu_G, n)
         p_g = inversion_power(channel_gain(params.d_G, gamma_g, params), params)
         kap = min(params.p_G_max, params.w_D / (params.w_G * params.tau))
         c = np.where(p_g > kap, params.w_D, params.w_G * p_g * params.tau)
         se1 = float(c.std(ddof=1) / math.sqrt(n))
         worst_sigma = max(worst_sigma, abs(float(c.mean()) - lam1) / se1)
 
-        gamma_h = ExponentialFading(params.mu_H).sample(mc, n)
+        gamma_h = mc.exponential(params.mu_H, n)
         p_h = inversion_power(channel_gain(params.d_H, gamma_h, params), params)
         feasible = p_h[p_h <= params.p_H_max]
         se2 = float(feasible.std(ddof=1) / math.sqrt(feasible.size))
@@ -273,7 +266,7 @@ def test_criterion_07_policy_ordering_at_reference(ref_scale_solution):
     t0 = time.perf_counter()
     frames = 10_000
     seed = 707
-    gg, gh, eh = sample_trajectories(REF, seed, frames)
+    batch = sample_trajectories(REF, seed, frames)
 
     lam1, lam2 = threshold_lambdas(REF)
     zeta_star = calibrate_zeta(tuple(np.arange(0.0, 200.0001, 0.5)), REF, 2000, seed + 1)
@@ -288,9 +281,9 @@ def test_criterion_07_policy_ordering_at_reference(ref_scale_solution):
         "MBIA-M400": MdpTablePolicy(_train_table(REF, 400)),
     }
     for name, policy in policies.items():
-        costs, _, _ = run_batch(policy, REF, gg, gh, eh)
+        costs, _, _ = run_batch(policy, batch)
         per_frame[name] = costs
-    per_frame["GA"], _, _ = one_user_offline(greedy_plan, REF, gg, gh, eh)
+    per_frame["GA"], _, _ = offline_frame_metrics(greedy_plan, batch)
 
     def margin(worse, better):
         """Paired mean difference in units of its standard error."""
@@ -337,10 +330,10 @@ def test_criterion_08_drop_ratio_floors():
         "Threshold": ThresholdHeuristic(ThresholdParams(zeta_star, lam1, lam2)),
     }
     floors = {"GT": 8.19, "Look-Ahead": 3.51, "MBIA-M100": 3.36, "Threshold": 3.32}
-    gg, gh, eh = sample_trajectories(params, seed, frames)
+    batch = sample_trajectories(params, seed, frames)
     drops_pct = {}
     for name, policy in policies.items():
-        _, _, drops = run_batch(policy, params, gg, gh, eh)
+        _, _, drops = run_batch(policy, batch)
         drops_pct[name] = 100.0 * float(drops.sum()) / (frames * params.N)
     detail = ", ".join(f"{k} {v:.2f}% (target {floors[k]})" for k, v in drops_pct.items())
     primary_ok = all(abs(drops_pct[k] - floors[k]) <= 0.5 for k in floors)
@@ -371,11 +364,11 @@ def test_criterion_09_online_never_beats_offline_optimum(trajectory_bank_n15):
         "Threshold": ThresholdHeuristic(ThresholdParams(10.0, lam1, lam2)),
         "MBIA-M25": MdpTablePolicy(_train_table(params, 25)),
     }
-    frames = bank["gg"].shape[0]
-    batch = FrameBatch(params, bank["gg"], bank["gh"], bank["eh"])
+    batch = bank["batch"]
+    frames = batch.frames
     violations = 0
     for policy in policies.values():
-        costs, _, _ = fsum_totals(policy, batch)
+        costs, _, _ = multiuser_frame_metrics(policy, batch)
         # exact comparison, frame by frame: both sides are exact-sum costs
         violations += sum(cost < opt for cost, opt in zip(costs.tolist(),
                                                           bank["cost_opt"].tolist()))
@@ -394,21 +387,18 @@ def test_criterion_10_two_user_extension():
     points = []
     for p_avg_mw in (10.0, 20.0, 30.0):
         point = REF.evolve(P_avg=p_avg_mw * 1e-3)
-        plist = [point, point]
-        p_h_sum, p_g_sum = point.p_H_max, point.p_G_max
-        gg, gh, eh = sample_multiuser_trajectories(plist, seed, frames)
+        batch = sample_trajectories(point, seed, frames, users=2)
 
         lam1, lam2 = threshold_lambdas(point)
         zeta = calibrate_zeta(tuple(np.arange(0.0, 60.0001, 1.0)), point, 800, seed + 1)
         mu_policies = {
-            "GT": MultiuserGreedyTransmit(p_H_max_sum=p_h_sum),
-            "Threshold": MultiuserThreshold([ThresholdParams(zeta, lam1, lam2)] * 2,
-                                            p_H_max_sum=p_h_sum),
+            "GT": MultiuserGreedyTransmit(),
+            "Threshold": MultiuserThreshold(ThresholdParams(zeta, lam1, lam2)),
         }
-        costs = {name: multiuser_frame_metrics(policy, gg, gh, eh, plist, p_h_sum, p_g_sum)[0]
+        costs = {name: multiuser_frame_metrics(policy, batch)[0]
                  for name, policy in mu_policies.items()}
         # each frame's pooled offline plan
-        costs["GA"] = offline_frame_metrics(greedy_plan, gg, gh, eh, plist, p_h_sum, p_g_sum)[0]
+        costs["GA"] = offline_frame_metrics(greedy_plan, batch)[0]
 
         def margin(worse, better):
             d = costs[worse] - costs[better]

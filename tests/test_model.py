@@ -19,7 +19,6 @@ from hesnet.model import (
     make_rng,
     rate,
     required_snr,
-    sample_multiuser_trajectories,
     sample_trajectories,
     sample_trajectory,
 )
@@ -133,16 +132,18 @@ def test_exponential_interval_mean_against_quadrature():
 
 
 def test_exponential_sampling_moments():
-    f = ExponentialFading(0.8)
-    x = f.sample(make_rng(11), 1_000_000)
-    se = 0.8 / math.sqrt(x.size)  # exp std equals the mean
-    assert abs(x.mean() - 0.8) < 4 * se
-    assert np.all(x >= 0)
+    # the sampler's gains are exponential with means mu_G and mu_H
+    params = P.evolve(mu_G=0.8, mu_H=1.7)
+    batch = sample_trajectories(params, 11, 4000, users=5)   # 10^6 gains per link
+    for x, mean in ((batch.gamma_g, 0.8), (batch.gamma_h, 1.7)):
+        se = mean / math.sqrt(x.size)  # exp std equals the mean
+        assert abs(x.mean() - mean) < 4 * se
+        assert np.all(x >= 0)
 
 
 def test_uniform_arrivals_moments():
     # sampled arrivals are uniform on [0, E_m], so their mean is P_avg * tau
-    _, _, x = sample_trajectories(P, 12, 4000)
+    x = sample_trajectories(P, 12, 4000).e_h
     assert np.all((x >= 0) & (x <= P.E_m))
     se = P.E_m / math.sqrt(12 * x.size)
     assert abs(x.mean() - P.P_avg * P.tau) < 4 * se
@@ -208,50 +209,56 @@ def test_sample_trajectory_deterministic():
     t2 = sample_trajectory(P, 42)
     np.testing.assert_array_equal(t1.gamma_g, t2.gamma_g)
     np.testing.assert_array_equal(t1.e_h, t2.e_h)
-    assert t1.frames == 1 and t1.gamma_g.shape == (1, P.N)
+    assert t1.frames == 1 and t1.users == 1 and t1.gamma_g.shape == (1, 1, P.N)
     assert np.all(t1.e_h <= P.E_m)
     # an int seed is keyed (seed,), not (seed, 0); offline-solve's bytes rely on it
     rng = make_rng(42)
     want = (rng.exponential(P.mu_G, P.N), rng.exponential(P.mu_H, P.N),
             rng.uniform(0.0, P.E_m, P.N))
-    assert all(np.array_equal(got[0], w) for got, w in zip((t1.gamma_g, t1.gamma_h, t1.e_h), want))
-    assert not np.array_equal(t1.gamma_g[0], sample_trajectories(P, 42, 1)[0][0])
+    got = (t1.gamma_g[0, 0], t1.gamma_h[0, 0], t1.e_h[0])
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert not np.array_equal(t1.gamma_g, sample_trajectories(P, 42, 1).gamma_g)
 
 
 def test_batch_sampling_matches_per_frame_keys():
-    gg, gh, eh = sample_trajectories(P, 9, 6)
-    assert gg.shape == (6, P.N)
+    batch = sample_trajectories(P, 9, 6)
+    assert batch.gamma_g.shape == (6, 1, P.N)
     t3 = sample_trajectory(P, (9, 3))
-    np.testing.assert_array_equal(gg[3], t3.gamma_g[0])
-    np.testing.assert_array_equal(gh[3], t3.gamma_h[0])
-    np.testing.assert_array_equal(eh[3], t3.e_h[0])
+    np.testing.assert_array_equal(batch.gamma_g[3], t3.gamma_g[0])
+    np.testing.assert_array_equal(batch.gamma_h[3], t3.gamma_h[0])
+    np.testing.assert_array_equal(batch.e_h[3], t3.e_h[0])
     # prefix property: a longer batch starts with the shorter one
-    gg2, _, _ = sample_trajectories(P, 9, 12)
-    np.testing.assert_array_equal(gg2[:6], gg)
+    longer = sample_trajectories(P, 9, 12)
+    np.testing.assert_array_equal(longer.gamma_g[:6], batch.gamma_g)
 
 
 @pytest.mark.parametrize("params", [P, P.evolve(mu_G=2.0, mu_H=0.5, N=7)])
 def test_sampler_draw_order_and_one_user_slice(params):
     # frame f draws grid gains, harvesting gains, then arrivals from the
-    # (seed, f) generator; the single-user batch is the one-user slice of
-    # the multi-user sampler, and a second user draws after the first
-    gg, gh, eh = sample_trajectories(params, 14, 5)
-    mg, mh, me = sample_multiuser_trajectories([params, params.evolve(mu_G=3.0)], 14, 5)
+    # (seed, f) generator; a second user draws its gains after the first,
+    # and the arrivals come after every user's gains
+    one = sample_trajectories(params, 14, 5)
+    two = sample_trajectories(params, 14, 5, users=2)
     n = params.N
     for f in range(5):
         rng = make_rng(14, f)
         single = (rng.exponential(params.mu_G, n), rng.exponential(params.mu_H, n),
                   rng.uniform(0.0, params.E_m, n))
-        assert all(np.array_equal(got, want) for got, want in zip((gg[f], gh[f], eh[f]), single))
+        got = (one.gamma_g[f, 0], one.gamma_h[f, 0], one.e_h[f])
+        assert all(np.array_equal(g, want) for g, want in zip(got, single))
         rng = make_rng(14, f)
         pair = (rng.exponential(params.mu_G, n), rng.exponential(params.mu_H, n),
-                rng.exponential(3.0, n), rng.exponential(params.mu_H, n),
+                rng.exponential(params.mu_G, n), rng.exponential(params.mu_H, n),
                 rng.uniform(0.0, params.E_m, n))
-        got = (mg[f, 0], mh[f, 0], mg[f, 1], mh[f, 1], me[f])
+        got = (two.gamma_g[f, 0], two.gamma_h[f, 0], two.gamma_g[f, 1], two.gamma_h[f, 1],
+               two.e_h[f])
         assert all(np.array_equal(g, want) for g, want in zip(got, pair))
-    assert gg.flags.c_contiguous and gg.shape == (5, params.N)
+    assert one.gamma_g.flags.c_contiguous and one.gamma_g.shape == (5, 1, params.N)
+    assert two.users == 2 and two.e_h.shape == (5, params.N)
     with pytest.raises(InvalidParameterError, match="frames"):
         sample_trajectories(params, 14, 0)
+    with pytest.raises(InvalidParameterError, match="users"):
+        sample_trajectories(params, 14, 5, users=0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +266,8 @@ def test_sampler_draw_order_and_one_user_slice(params):
 # ---------------------------------------------------------------------------
 
 def test_link_terms_compose_the_scalar_primitives():
-    gg, gh, _ = sample_trajectories(P, 30, 20)
+    batch = sample_trajectories(P, 30, 20)
+    gg, gh = batch.gamma_g[:, 0].copy(), batch.gamma_h[:, 0].copy()
     gg[0, :3] = [0.0, 1e-9, 50.0]   # dead channel, drop, and a cheap grid block
     gh[0, 0] = 0.0
     p_g, p_h, skip, transmits = link_terms(gg, gh, P)
@@ -272,25 +280,51 @@ def test_link_terms_compose_the_scalar_primitives():
 
 
 def test_frame_batch_holds_trajectories_and_their_link_terms():
-    gg, gh, eh = sample_trajectories(P, 31, 4)
+    sampled = sample_trajectories(P, 31, 4, users=2)
+    gg, gh, eh = sampled.gamma_g.copy(), sampled.gamma_h.copy(), sampled.e_h
+    gg[0, 1, :2] = 0.0   # dead grid channels
     batch = FrameBatch(P, gg, gh, eh)
-    # the sampled arrays are held, not copied
+    # the given arrays are held, not copied
     assert batch.gamma_g is gg and batch.gamma_h is gh and batch.e_h is eh
-    assert batch.frames == 4
-    for got, want in zip((batch.p_g, batch.p_h, batch.skip, batch.transmits),
-                         link_terms(gg, gh, P)):
+    assert (batch.frames, batch.users) == (4, 2)
+    terms = (batch.p_g, batch.p_h, batch.skip, batch.transmits)
+    for got, want in zip(terms, link_terms(gg, gh, P)):
         assert np.array_equal(got, want)
+    # the 3-D link terms are each user's (frames, N) slice's, bit for bit
+    for u in range(2):
+        for got, want in zip(terms, link_terms(gg[:, u], gh[:, u], P)):
+            assert np.array_equal(got[:, u], want)
+    assert np.isinf(batch.p_g[0, 1, 0]) and not batch.transmits[0, 1, 0]
     one = sample_trajectory(P, (31, 2))
-    assert one.frames == 1 and np.array_equal(one.p_h[0], batch.p_h[2])
+    assert one.frames == 1 and np.array_equal(one.p_h[0, 0], sampled.p_h[2, 0])
 
 
 def test_frame_batch_validation():
-    gg, gh, eh = sample_trajectories(P, 32, 2)
+    batch = sample_trajectories(P, 32, 2)
+    gg, gh, eh = batch.gamma_g, batch.gamma_h, batch.e_h
     with pytest.raises(InvalidParameterError, match="blocks, params.N"):
         FrameBatch(P.evolve(N=10), gg, gh, eh)
     with pytest.raises(InvalidParameterError, match="one shape"):
         FrameBatch(P, gg, gh, eh[:1])
     with pytest.raises(InvalidParameterError, match="one shape"):
-        FrameBatch(P, gg[0], gh[0], eh[0])
+        FrameBatch(P, gg[:, 0], gh[:, 0], eh)   # (frames, N) gains
     with pytest.raises(InvalidParameterError):
         FrameBatch(P, -gg, gh, eh)
+
+
+def test_frame_batch_rejects_non_finite_or_negative_input():
+    # a NaN grid gain used to be priced as a drop, an infinite harvesting
+    # gain as a free serve, and a negative arrival made the walk blame the
+    # policy for the battery going below 0
+    params = P.evolve(N=4)
+    batch = sample_trajectories(params, 33, 2)
+    for name, at, value in (("gamma_g", (0, 0, 0), np.nan), ("gamma_h", (0, 0, 1), np.inf),
+                            ("e_h", (1, 2), -1e-3)):
+        arrays = {k: getattr(batch, k).copy() for k in ("gamma_g", "gamma_h", "e_h")}
+        arrays[name][at] = value
+        with pytest.raises(InvalidParameterError, match=f"{name} must be finite and >= 0"):
+            FrameBatch(params, **arrays)
+    # a zero gain, the dead channel, stays legal
+    gg = batch.gamma_g.copy()
+    gg[0, 0, 0] = 0.0
+    assert np.isinf(FrameBatch(params, gg, batch.gamma_h, batch.e_h).p_g[0, 0, 0])

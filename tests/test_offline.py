@@ -102,11 +102,11 @@ def oracle_multiuser_greedy(instances, p_H_max_sum):
 def test_reduction_matches_primitives():
     batch = sample_trajectory(P, 3)
     inst = Frame.of(batch)
-    p_g = inversion_power(channel_gain(P.d_G, batch.gamma_g[0], P), P)
-    np.testing.assert_allclose(batch.p_g[0], p_g, rtol=1e-12)
+    p_g = inversion_power(channel_gain(P.d_G, batch.gamma_g[0, 0], P), P)
+    np.testing.assert_allclose(batch.p_g[0, 0], p_g, rtol=1e-12)
     np.testing.assert_allclose(inst.c, cost_parameter(p_g, P), rtol=1e-12)
     np.testing.assert_allclose(inst.p_h,
-                               inversion_power(channel_gain(P.d_H, batch.gamma_h[0], P), P),
+                               inversion_power(channel_gain(P.d_H, batch.gamma_h[0, 0], P), P),
                                rtol=1e-12)
     np.testing.assert_array_equal(inst.e_h, batch.e_h[0])
     assert inst.tau == P.tau and inst.p_max == P.p_H_max

@@ -19,7 +19,6 @@ from hesnet.model import (
     channel_gain,
     cost_parameter,
     inversion_power,
-    link_terms,
     make_rng,
     sample_trajectories,
 )
@@ -133,26 +132,20 @@ def test_lambda_ranges_over_random_parameters():
 # ---------------------------------------------------------------------------
 
 def column_batch(gamma_g, gamma_h, params=P):
-    """A FrameBatch whose every block holds these (rows,) gains, so column
-    `block` is the same states at any block."""
-    gg, gh = (np.repeat(np.reshape(np.asarray(x, dtype=float), (-1, 1)), params.N, axis=1)
+    """A FrameBatch whose every block holds these (rows,) one-user or
+    (rows, users) gains, so column `block` is the same states at any
+    block."""
+    rows = len(gamma_g)
+    gg, gh = (np.repeat(np.reshape(np.asarray(x, dtype=float), (rows, -1, 1)), params.N, axis=2)
               for x in (gamma_g, gamma_h))
-    return FrameBatch(params, gg, gh, np.zeros_like(gg))
+    return FrameBatch(params, gg, gh, np.zeros((rows, params.N)))
 
 
-def joint_columns(gamma_g, gamma_h, params_list):
-    """Per-user harvesting inversion powers and skip costs of one block's
-    gains as a one-frame batch: the (1, users) columns the multi-user walk
-    hands decide_joint."""
-    terms = [link_terms(g, h, p) for g, h, p in zip(gamma_g, gamma_h, params_list)]
-    return np.array([[t[1] for t in terms]]), np.array([[t[2] for t in terms]])
-
-
-def decide_joint_one(policy, block, battery, gamma_g, gamma_h, params_list):
+def joint_action(policy, block, battery, gamma_g, gamma_h, params=P):
     """The (users,) joint action for one state, through a one-frame batch."""
-    acts = policy.decide_joint(block, np.array([battery]),
-                               *joint_columns(gamma_g, gamma_h, params_list), params_list)
-    assert acts.shape == (1, len(params_list))
+    acts = policy.decide_batch(block, np.array([battery]),
+                               column_batch([gamma_g], [gamma_h], params))
+    assert acts.shape == (1, len(gamma_g))
     return acts[0]
 
 
@@ -160,14 +153,15 @@ def decide_one(policy, block=0, battery=1e-4, g=1.0, h=1.0, params=P):
     """The action for one state, through a one-row decide_batch (what the
     scalar frame walk sends)."""
     act = policy.decide_batch(block, np.array([battery]), column_batch([g], [h], params))
-    assert act.shape == (1,)
-    return int(act[0])
+    assert act.shape == (1, 1)
+    return int(act[0, 0])
 
 
 def one_at_a_time(policy, block, battery, gamma_g, gamma_h, params=P):
-    return [decide_one(policy, block, float(battery[i]), float(gamma_g[i]), float(gamma_h[i]),
-                       params)
-            for i in range(battery.shape[0])]
+    """(rows, 1) actions of one-row calls."""
+    return np.array([[decide_one(policy, block, float(battery[i]), float(gamma_g[i]),
+                                 float(gamma_h[i]), params)]
+                     for i in range(battery.shape[0])])
 
 
 def test_greedy_transmit_feasibility_gate():
@@ -205,14 +199,14 @@ def test_threshold_terminal_and_infeasible_rules():
 
 def test_threshold_monotone_in_zeta():
     l1, l2 = threshold_lambdas(P)
-    gg, gh, eh = sample_trajectories(P, 44, 100)
+    batch = sample_trajectories(P, 44, 100)
     served_prev = None
     for zeta in (0.0, 5.0, 50.0, 500.0):
         policy = ThresholdHeuristic(ThresholdParams(zeta, l1, l2))
         # count serves through identical states: per-block decisions on a
         # fixed battery level (bypasses trajectory feedback)
         battery = np.full(100, 8e-5)
-        served = int(policy.decide_batch(0, battery, FrameBatch(P, gg, gh, eh)).sum())
+        served = int(policy.decide_batch(0, battery, batch).sum())
         if served_prev is not None:
             assert served <= served_prev
         served_prev = served
@@ -254,12 +248,12 @@ def test_mdp_policy_stale_hash_rejected():
 
 
 def test_stale_table_raises_from_run_batch():
-    gg, gh, eh = sample_trajectories(P, 51, 4)
-    other = P.evolve(w_D=0.5)
+    batch = sample_trajectories(P, 51, 4)
+    stale = FrameBatch(P.evolve(w_D=0.5), batch.gamma_g, batch.gamma_h, batch.e_h)
     for policy in (MdpTablePolicy(small_table(P)), LookAhead(look_ahead_build(P, M=10, K=4))):
-        run_batch(policy, P, gg, gh, eh)   # a matching run first must not mask the stale one
+        run_batch(policy, batch)   # a matching run first must not mask the stale one
         with pytest.raises(StalePolicyError):
-            run_batch(policy, other, gg, gh, eh)
+            run_batch(policy, stale)
 
 
 def test_matching_table_hashes_params_once_per_run(monkeypatch):
@@ -271,12 +265,14 @@ def test_matching_table_hashes_params_once_per_run(monkeypatch):
         return content_hash(self)
 
     monkeypatch.setattr(SystemParams, "content_hash", counting)
-    gg, gh, eh = sample_trajectories(P, 52, 4)
+    batch = sample_trajectories(P, 52, 4)
+    # equal content, new object
+    again = FrameBatch(P.evolve(), batch.gamma_g, batch.gamma_h, batch.e_h)
     for policy in (MdpTablePolicy(small_table(P)), LookAhead(look_ahead_build(P, M=10, K=4))):
         calls.clear()
-        run_batch(policy, P, gg, gh, eh)
+        run_batch(policy, batch)
         assert len(calls) == 1
-        run_batch(policy, P.evolve(), gg, gh, eh)   # equal content, new object
+        run_batch(policy, again)
         assert len(calls) == 2
 
 
@@ -341,11 +337,11 @@ def test_look_ahead_structure():
 def calibrate_by_run_batch(cand, params, budget, seed):
     """Reference calibrator: one ThresholdHeuristic run_batch per candidate."""
     l1, l2 = threshold_lambdas(params)
-    gg, gh, eh = sample_trajectories(params, seed, budget)
+    batch = sample_trajectories(params, seed, budget)
     costs = np.empty(len(cand))
     for i, zeta in enumerate(cand):
         policy = ThresholdHeuristic(ThresholdParams(float(zeta), l1, l2))
-        frame_costs, _, _ = run_batch(policy, params, gg, gh, eh)
+        frame_costs, _, _ = run_batch(policy, batch)
         costs[i] = frame_costs.mean()
     return float(cand[int(np.argmin(costs))]), costs
 
@@ -398,9 +394,7 @@ def test_calibrate_zeta_exact_at_every_preset_calibration_point():
 
 def test_calibrate_zeta_exact_when_nothing_is_feasible():
     params = P.evolve(p_H_max=1e-3)
-    _, gh, _ = sample_trajectories(params, 54, 100)
-    assert np.all(inversion_power(channel_gain(params.d_H, gh, params), params)
-                  > params.p_H_max)
+    assert np.all(sample_trajectories(params, 54, 100).p_h > params.p_H_max)
     cand = np.arange(0.0, 20.1, 5.0)
     zeta, costs = assert_matches_oracle(cand, params, 100, 54)
     assert np.all(costs == costs[0])
@@ -528,9 +522,9 @@ def test_calibration_walk_checks_every_serve(monkeypatch):
 def test_calibrated_threshold_beats_greedy():
     zeta = calibrate_zeta(np.arange(0.0, 40.1, 2.0), P, budget=400, seed=49)
     l1, l2 = threshold_lambdas(P)
-    gg, gh, eh = sample_trajectories(P, 50, 2000)
-    c_th, _, _ = run_batch(ThresholdHeuristic(ThresholdParams(zeta, l1, l2)), P, gg, gh, eh)
-    c_gt, _, _ = run_batch(GreedyTransmit(), P, gg, gh, eh)
+    batch = sample_trajectories(P, 50, 2000)
+    c_th, _, _ = run_batch(ThresholdHeuristic(ThresholdParams(zeta, l1, l2)), batch)
+    c_gt, _, _ = run_batch(GreedyTransmit(), batch)
     diff = c_gt - c_th
     assert diff.mean() > 2 * diff.std(ddof=1) / math.sqrt(diff.size)
 
@@ -540,61 +534,51 @@ def test_calibrated_threshold_beats_greedy():
 # ---------------------------------------------------------------------------
 
 def test_multiuser_threshold_admits_by_metric_under_caps():
-    params_list = [P, P]
     l1, l2 = threshold_lambdas(P)
-    tps = [ThresholdParams(0.0, l1, l2)] * 2  # zeta 0: tentative == feasible
+    tp = ThresholdParams(0.0, l1, l2)  # zeta 0: tentative == feasible
     # both users feasible alone; battery covers only the cheaper one...
     # power cap set so only one fits; user 2's better H-gain costs less
     # power, but user 1's worse G-channel gives the higher metric
     battery = 6e-5
     p1 = float(inversion_power(channel_gain(P.d_H, 1.0, P), P))
-    th = MultiuserThreshold(tps, p_H_max_sum=p1 * 1.5)
-    acts = decide_joint_one(th, 0, battery, [0.05, 3.0], [1.0, 1.2], params_list)
+    capped = P.evolve(p_H_max=p1 * 1.5)
+    acts = joint_action(MultiuserThreshold(tp), 0, battery, [0.05, 3.0], [1.0, 1.2], capped)
     assert acts.sum() == 1
     assert acts[0] == 1  # drop-risk user (bad G-channel) wins the slot
 
 
 def test_multiuser_threshold_pools_battery():
-    params_list = [P, P]
     l1, l2 = threshold_lambdas(P)
-    th = MultiuserThreshold([ThresholdParams(0.0, l1, l2)] * 2, p_H_max_sum=10.0)
+    th = MultiuserThreshold(ThresholdParams(0.0, l1, l2))
+    roomy = P.evolve(p_H_max=10.0)
     p1 = float(inversion_power(channel_gain(P.d_H, 1.0, P), P))
     ones = np.ones(2)
     # battery affords both spends jointly
-    acts = decide_joint_one(th, 0, 2.5 * p1 * P.tau, ones, ones, params_list)
+    acts = joint_action(th, 0, 2.5 * p1 * P.tau, ones, ones, roomy)
     assert acts.sum() == 2
     # but not when it only covers one
-    acts = decide_joint_one(th, 0, 1.5 * p1 * P.tau, ones, ones, params_list)
+    acts = joint_action(th, 0, 1.5 * p1 * P.tau, ones, ones, roomy)
     assert acts.sum() == 1
 
 
-def test_multiuser_threshold_validates_alignment():
-    l1, l2 = threshold_lambdas(P)
-    th = MultiuserThreshold([ThresholdParams(0.0, l1, l2)] * 2, 1.0)
-    with pytest.raises(InvalidParameterError):
-        th.decide_joint(0, np.array([1e-4]), np.ones((1, 1)), np.ones((1, 1)), [P])
-    with pytest.raises(InvalidParameterError):
-        th.decide_joint(0, np.array([1e-4]), np.ones((1, 1)), np.ones((1, 1)), [P, P])
-
-
-def joint_threshold_oracle(block, battery, gamma_g, gamma_h, tps, params_list, p_H_max_sum):
+def joint_threshold_oracle(block, battery, gamma_g, gamma_h, tp, p):
     """The joint threshold rule one user at a time in plain floats: the
-    reference for the array form in MultiuserThreshold.decide_joint."""
+    reference for the array form in MultiuserThreshold.decide_batch."""
     scored = []
-    for u, (tp, p) in enumerate(zip(tps, params_list)):
+    for u in range(len(gamma_g)):
         p_h = float(inversion_power(channel_gain(p.d_H, gamma_h[u], p), p))
-        if not p_h <= min(battery / p.tau, p_H_max_sum):
+        if not p_h <= min(battery / p.tau, p.p_H_max):
             continue
         p_g = inversion_power(channel_gain(p.d_G, gamma_g[u], p), p)
         score = float(cost_parameter(p_g, p)) / p_h
         level = tp.zeta * p.P_avg * p.tau * (tp.lambda1 / tp.lambda2)
         if block >= p.N - 1 or battery * score >= level:
             scored.append((-score, u, p_h))
-    acts = np.zeros(len(params_list), dtype=np.int8)
+    acts = np.zeros(len(gamma_g), dtype=np.int8)
     power_used = energy_used = 0.0
     for _, u, p_h in sorted(scored):
-        spend = p_h * params_list[0].tau
-        if power_used + p_h <= p_H_max_sum and energy_used + spend <= battery:
+        spend = p_h * p.tau
+        if power_used + p_h <= p.p_H_max and energy_used + spend <= battery:
             power_used += p_h
             energy_used += spend
             acts[u] = 1
@@ -605,32 +589,30 @@ def test_multiuser_threshold_matches_per_user_oracle():
     rng = make_rng(57)
     for p_avg_mw in (10.0, 20.0, 30.0):
         point = P.evolve(P_avg=p_avg_mw * 1e-3)
-        plist = [point, point]
         l1, l2 = threshold_lambdas(point)
         for zeta in (0.0, 8.5, 50.0):
-            tps = [ThresholdParams(zeta, l1, l2)] * 2
-            th = MultiuserThreshold(tps, p_H_max_sum=point.p_H_max)
+            tp = ThresholdParams(zeta, l1, l2)
+            th = MultiuserThreshold(tp)
             for _ in range(100):
                 block = int(rng.integers(0, point.N))
                 battery = float(rng.uniform(0, point.B_m / 10))
                 gamma_g, gamma_h = rng.exponential(1.0, 2), rng.exponential(1.0, 2)
                 np.testing.assert_array_equal(
-                    decide_joint_one(th, block, battery, gamma_g, gamma_h, plist),
-                    joint_threshold_oracle(block, battery, gamma_g, gamma_h, tps, plist,
-                                           point.p_H_max))
+                    joint_action(th, block, battery, gamma_g, gamma_h, point),
+                    joint_threshold_oracle(block, battery, gamma_g, gamma_h, tp, point))
 
 
 def test_multiuser_greedy_admits_cheapest_first():
-    gt = MultiuserGreedyTransmit(p_H_max_sum=P.p_H_max)
+    gt = MultiuserGreedyTransmit()
     # user 2 has the better harvesting channel: lower power, admitted first
     gamma_h = np.array([0.3, 2.0])
     gamma_g = np.array([1.0, 1.0])
     p = inversion_power(channel_gain(P.d_H, gamma_h, P), P)
     battery = float(p[1] * P.tau * 1.2)  # covers the cheap user only
-    acts = decide_joint_one(gt, 0, battery, gamma_g, gamma_h, [P, P])
+    acts = joint_action(gt, 0, battery, gamma_g, gamma_h)
     np.testing.assert_array_equal(acts, [0, 1])
     # plenty of battery: both fit under the summed peak
-    acts = decide_joint_one(gt, 0, 1.0, gamma_g, gamma_h, [P, P])
+    acts = joint_action(gt, 0, 1.0, gamma_g, gamma_h)
     np.testing.assert_array_equal(acts, [1, 1])
 
 
@@ -638,22 +620,18 @@ def test_multiuser_greedy_admits_cheapest_first():
 def test_joint_rules_decide_batch_rows_independently(users):
     # one call over many frames equals one one-frame call per frame
     rng = make_rng(58)
-    plist = [P.evolve(d_H=25.0 + 5.0 * u) for u in range(users)]
-    tps = [ThresholdParams(8.5, *threshold_lambdas(p)) for p in plist]
+    tp = ThresholdParams(8.5, *threshold_lambdas(P))
     gamma_g, gamma_h = rng.exponential(1.0, (2, 200, users))
     gamma_h[::9, 0] = 0.0    # dead harvesting channels
     battery = rng.uniform(0, P.B_m / 10, 200)
-    terms = [link_terms(gamma_g[:, u], gamma_h[:, u], p) for u, p in enumerate(plist)]
-    p_h, skip = (np.stack([t[k] for t in terms], axis=1) for k in (1, 2))
-    for policy in (MultiuserGreedyTransmit(p_H_max_sum=P.p_H_max),
-                   MultiuserThreshold(tps, p_H_max_sum=P.p_H_max)):
+    batch = column_batch(gamma_g, gamma_h)
+    for policy in (MultiuserGreedyTransmit(), MultiuserThreshold(tp)):
         for block in (0, P.N - 1):
-            acts = policy.decide_joint(block, battery, p_h, skip, plist)
+            acts = policy.decide_batch(block, battery, batch)
             assert acts.shape == (200, users) and 0 < acts.sum() < acts.size
             for f in range(200):
                 np.testing.assert_array_equal(
-                    acts[f], decide_joint_one(policy, block, battery[f], gamma_g[f],
-                                              gamma_h[f], plist))
+                    acts[f], joint_action(policy, block, battery[f], gamma_g[f], gamma_h[f]))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)

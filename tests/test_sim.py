@@ -41,12 +41,11 @@ from hesnet.sim import (
     offline_frame_metrics,
     replay_plan,
     run_batch,
-    sample_multiuser_trajectories,
     sweep,
     write_manifest,
     write_rows_csv,
 )
-from oracles import Frame, fsum_totals, one_user_offline, plan_args, service_cost, solve
+from oracles import Frame, plan_args, service_cost, solve
 
 P = SystemParams()
 
@@ -78,10 +77,10 @@ def expand_solution(alpha, batch: FrameBatch, f: int) -> FullSolution:
     params = batch.params
     i_h = alpha.copy()
     with np.errstate(invalid="ignore"):
-        i_g = ((alpha == 0) & (batch.p_g[f] <= kappa(params))).astype(np.int8)
+        i_g = ((alpha == 0) & (batch.p_g[f, 0] <= kappa(params))).astype(np.int8)
     i_d = (1 - i_g - i_h).astype(np.int8)
-    p_g = np.where(i_g == 1, batch.p_g[f], 0.0)
-    p_h = np.where(i_h == 1, batch.p_h[f], 0.0)
+    p_g = np.where(i_g == 1, batch.p_g[f, 0], 0.0)
+    p_h = np.where(i_h == 1, batch.p_h[f, 0], 0.0)
     return FullSolution(
         I_G=i_g, I_H=i_h, I_D=i_d, p_G=p_g, p_H=p_h,
         total_cost=cost,
@@ -93,14 +92,13 @@ def expand_solution(alpha, batch: FrameBatch, f: int) -> FullSolution:
 def replay_one(alpha, batch: FrameBatch):
     """(cost, grid energy in J, drops) of a one-user plan for a one-frame
     batch, walked by `replay_plan` and totalled by `frame_totals`."""
-    costs, grid, drops = frame_totals(*replay_plan(np.asarray(alpha)[None, None], [batch],
-                                                   batch.params.p_H_max, batch.params.p_G_max))
+    costs, grid, drops = frame_totals(*replay_plan(np.asarray(alpha)[None, None], batch))
     return float(costs[0]), float(grid[0]), int(drops[0])
 
 
 class AlwaysServe:
     def decide_batch(self, block, battery, batch):
-        return np.ones(battery.shape[0], dtype=np.int8)
+        return np.ones(batch.p_h.shape[:2], dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -109,45 +107,48 @@ class AlwaysServe:
 
 def test_run_frame_cost_identity():
     # five frames keyed (60, f), each totalled exactly
-    batch = FrameBatch(P, *sample_trajectories(P, 60, 5))
-    costs, grid, drops = fsum_totals(GreedyTransmit(), batch)
+    batch = sample_trajectories(P, 60, 5)
+    costs, grid, drops = multiuser_frame_metrics(GreedyTransmit(), batch)
     for cost, energy, dropped in zip(costs, grid, drops):
         assert math.isclose(cost, P.w_G * energy + P.w_D * dropped, rel_tol=1e-12, abs_tol=1e-18)
         assert 0 <= dropped <= P.N and energy >= 0
 
 
 def test_run_frame_rejects_infeasible_serve():
-    params = P.evolve(N=3)
-    one = np.ones((1, 3))
+    one = np.ones((1, 1, 3))
+    batch = FrameBatch(P.evolve(N=3), one, one, np.zeros((1, 3)))
     with pytest.raises(InvalidActionError):
-        run_batch(AlwaysServe(), params, one, one, np.zeros((1, 3)))
+        run_batch(AlwaysServe(), batch)
     with pytest.raises(InvalidActionError):
-        fsum_totals(AlwaysServe(), FrameBatch(params, one, one, np.zeros((1, 3))))
+        multiuser_frame_metrics(AlwaysServe(), batch)
 
 
 def test_run_frame_rejects_bad_action_value():
     # every walk shares the per-block step, so each refuses an action of 2
     class Weird:
         def decide_batch(self, block, battery, batch):
-            return np.full(battery.shape[0], 2 if block == 3 else 0, dtype=np.int8)
+            return np.full(batch.p_h.shape[:2], 2 if block == 3 else 0, dtype=np.int8)
 
     with pytest.raises(InvalidActionError, match=r"returned \[2\] at block 4"):
-        fsum_totals(Weird(), sample_trajectory(P, 61))
-    gg, gh, eh = sample_trajectories(P, 61, 5)
+        multiuser_frame_metrics(Weird(), sample_trajectory(P, 61))
     with pytest.raises(InvalidActionError, match=r"returned \[2\] at block 4"):
-        run_batch(Weird(), P, gg, gh, eh)
+        run_batch(Weird(), sample_trajectories(P, 61, 5))
 
 
 def test_run_frame_checks_length():
+    # every entry point takes a FrameBatch, which refuses a frame of the
+    # wrong length before any walk
     frame = sample_trajectory(P.evolve(N=10), 62)
     with pytest.raises(InvalidParameterError, match="blocks, params.N"):
-        run_batch(GreedyTransmit(), P, frame.gamma_g, frame.gamma_h, frame.e_h)
-    with pytest.raises(InvalidParameterError, match="blocks, params.N"):
-        multiuser_frame_metrics(MultiuserGreedyTransmit(P.p_H_max), frame.gamma_g[:, None],
-                                frame.gamma_h[:, None], frame.e_h, [P], P.p_H_max, P.p_G_max)
-    with pytest.raises(InvalidParameterError, match="one SystemParams per user"):
-        multiuser_frame_metrics(MultiuserGreedyTransmit(P.p_H_max), frame.gamma_g[:, None],
-                                frame.gamma_h[:, None], frame.e_h, [P, P], P.p_H_max, P.p_G_max)
+        FrameBatch(P, frame.gamma_g, frame.gamma_h, frame.e_h)
+
+
+def test_run_batch_refuses_more_than_one_user():
+    two = sample_trajectories(P, 62, 3, users=2)
+    with pytest.raises(InvalidParameterError, match="one user, got 2"):
+        run_batch(MultiuserGreedyTransmit(), two)
+    costs, _, _ = multiuser_frame_metrics(MultiuserGreedyTransmit(), two)
+    assert costs.shape == (3,)
 
 
 def test_scripted_replay_reproduces_offline_cost_exactly():
@@ -158,19 +159,17 @@ def test_scripted_replay_reproduces_offline_cost_exactly():
     # batch plans of both solvers: the replayed cost is the exact skip sum
     for n in (8, 12, 16):
         params = P.evolve(N=n)
-        batch = FrameBatch(params, *sample_trajectories(params, 63, 40))
+        batch = sample_trajectories(params, 63, 40)
         for solver in (greedy_plan, exhaustive_plan):
-            plan = solver(batch.skip[:, None], batch.p_h[:, None], batch.e_h, params.tau,
-                          params.p_H_max)
-            costs, _, _ = frame_totals(*replay_plan(plan, [batch], params.p_H_max,
-                                                    params.p_G_max))
-            assert costs.tolist() == [math.fsum(batch.skip[f][plan[f, 0] == 0])
+            plan = solver(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
+            costs, _, _ = frame_totals(*replay_plan(plan, batch))
+            assert costs.tolist() == [math.fsum(batch.skip[f, 0][plan[f, 0] == 0])
                                       for f in range(40)]
 
 
 def test_grid_only_policy_never_serves():
     batch = sample_trajectory(P, 64)
-    cost, grid, drops = fsum_totals(GridOnlyPolicy(), batch)
+    cost, grid, drops = multiuser_frame_metrics(GridOnlyPolicy(), batch)
     assert (cost[0], grid[0], drops[0]) == replay_one(np.zeros(P.N), batch)
 
 
@@ -181,10 +180,10 @@ def test_grid_only_policy_never_serves():
 def test_batch_matches_scalar_walk():
     l1, l2 = threshold_lambdas(P)
     policies = [GreedyTransmit(), ThresholdHeuristic(ThresholdParams(8.0, l1, l2))]
-    gg, gh, eh = sample_trajectories(P, 65, 50)
+    batch = sample_trajectories(P, 65, 50)
     for policy in policies:
-        costs, grid, drops = run_batch(policy, P, gg, gh, eh)
-        exact = fsum_totals(policy, FrameBatch(P, gg, gh, eh))
+        costs, grid, drops = run_batch(policy, batch)
+        exact = multiuser_frame_metrics(policy, batch)
         for f, (c, g, d) in enumerate(zip(*exact)):
             assert math.isclose(costs[f], c, rel_tol=1e-12, abs_tol=1e-18)
             assert math.isclose(grid[f], g, rel_tol=1e-12, abs_tol=1e-18)
@@ -192,15 +191,15 @@ def test_batch_matches_scalar_walk():
 
 
 def test_batch_rejects_infeasible_serve():
-    gg, gh, eh = sample_trajectories(P, 66, 4)
-    eh = np.zeros_like(eh)
+    batch = sample_trajectories(P, 66, 4)
     with pytest.raises(InvalidActionError):
-        run_batch(AlwaysServe(), P, gg, gh, eh)
+        run_batch(AlwaysServe(), FrameBatch(P, batch.gamma_g, batch.gamma_h,
+                                            np.zeros_like(batch.e_h)))
 
 
-def run_walk(decide, p_h, e_h, params, battery, p_max):
+def run_walk(decide, p_h, e_h, params, battery):
     """Drive the walk over (frames, U, N) powers to its end."""
-    for _ in _walk(decide, p_h, e_h, params, battery, p_max):
+    for _ in _walk(decide, p_h, e_h, params, battery):
         pass
 
 
@@ -215,9 +214,9 @@ def test_affordability_check_locates_overdraw():
     def serve_last(i, battery):
         return np.full(battery.shape + (1,), int(i == 6), dtype=np.int8)
 
-    run_walk(serve_last, p_h, e_h, params, np.array([full, full]), params.p_H_max)
+    run_walk(serve_last, p_h, e_h, params, np.array([full, full]))
     with pytest.raises(InvalidActionError, match="block 7 of frame 1 with battery 1e-09 J"):
-        run_walk(serve_last, p_h, e_h, params, np.array([full, 0.0]), params.p_H_max)
+        run_walk(serve_last, p_h, e_h, params, np.array([full, 0.0]))
 
 
 def test_walk_takes_one_battery_per_frame():
@@ -227,8 +226,7 @@ def test_walk_takes_one_battery_per_frame():
         return np.zeros(battery.shape + (1,), dtype=np.int8)
 
     with pytest.raises(InvalidParameterError, match="takes a \\(frames,\\) battery"):
-        run_walk(skip, np.full((2, 1, 7), 0.01), np.zeros((2, 7)), params, np.zeros((3, 2)),
-                 params.p_H_max)
+        run_walk(skip, np.full((2, 1, 7), 0.01), np.zeros((2, 7)), params, np.zeros((3, 2)))
 
 
 def test_single_user_peak_check_is_exact():
@@ -238,25 +236,25 @@ def test_single_user_peak_check_is_exact():
     def serve(i, battery):
         return np.ones((1, 1), dtype=np.int8)
 
-    run_walk(serve, np.full((1, 1, 1), params.p_H_max), e_h, params, np.zeros(1), params.p_H_max)
+    run_walk(serve, np.full((1, 1, 1), params.p_H_max), e_h, params, np.zeros(1))
     above = np.nextafter(params.p_H_max, np.inf)
     with pytest.raises(InvalidActionError, match="block 1 of frame 0"):
-        run_walk(serve, np.full((1, 1, 1), above), e_h, params, np.zeros(1), params.p_H_max)
+        run_walk(serve, np.full((1, 1, 1), above), e_h, params, np.zeros(1))
 
 
 def test_joint_serve_of_one_user_above_the_summed_cap_raises():
     # the summed power is within the 1e-12 slack, the one served user is not
-    params = P.evolve(N=1, P_avg=0.5)
     cap = 0.4
+    params = P.evolve(N=1, P_avg=0.5, p_H_max=cap)
     p_h = np.array([[[np.nextafter(cap, np.inf)], [0.1]]])
 
     def first_user(i, battery):
         return np.array([[1, 0]], dtype=np.int8)
 
     with pytest.raises(InvalidActionError, match="block 1 of frame 0"):
-        run_walk(first_user, p_h, np.full((1, 1), params.E_m), params, np.zeros(1), cap)
+        run_walk(first_user, p_h, np.full((1, 1), params.E_m), params, np.zeros(1))
     run_walk(first_user, np.array([[[cap], [0.1]]]), np.full((1, 1), params.E_m), params,
-             np.zeros(1), cap)
+             np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +264,7 @@ def test_joint_serve_of_one_user_above_the_summed_cap_raises():
 def crn_metrics(policy, name, params, frames, seed):
     """RunMetrics of a single-user policy on `frames` CRN frames keyed
     (seed, f)."""
-    arrays = run_batch(policy, params, *sample_trajectories(params, seed, frames))
+    arrays = run_batch(policy, sample_trajectories(params, seed, frames))
     return metrics_from_arrays(name, params.N, seed, *arrays)
 
 
@@ -285,10 +283,8 @@ def test_monte_carlo_single_frame_flags_stderr():
 
 
 def test_monte_carlo_prefix_property():
-    gg1, gh1, eh1 = sample_trajectories(P, 69, 40)
-    c1, _, _ = run_batch(GreedyTransmit(), P, gg1, gh1, eh1)
-    gg2, gh2, eh2 = sample_trajectories(P, 69, 80)
-    c2, _, _ = run_batch(GreedyTransmit(), P, gg2, gh2, eh2)
+    c1, _, _ = run_batch(GreedyTransmit(), sample_trajectories(P, 69, 40))
+    c2, _, _ = run_batch(GreedyTransmit(), sample_trajectories(P, 69, 80))
     np.testing.assert_array_equal(c1, c2[:40])
 
 
@@ -302,11 +298,12 @@ def test_offline_frame_metrics_match_scripted_replay_bitwise(solver, changes):
     # the batch evaluation equals solving and replaying each frame on its own,
     # and what the expansion oracle reads off each frame's link terms
     params = P.evolve(**changes)
-    gg, gh, eh = sample_trajectories(params, 77, 60)
+    frames = sample_trajectories(params, 77, 60)
     plan = {"greedy": greedy_plan, "exhaustive": exhaustive_plan}[solver]
-    got = one_user_offline(plan, params, gg, gh, eh)
-    for f in range(gg.shape[0]):
-        batch = FrameBatch(params, gg[f:f + 1], gh[f:f + 1], eh[f:f + 1])
+    got = offline_frame_metrics(plan, frames)
+    for f in range(frames.frames):
+        batch = FrameBatch(params, frames.gamma_g[f:f + 1], frames.gamma_h[f:f + 1],
+                           frames.e_h[f:f + 1])
         alpha, _ = solve(plan, Frame.of(batch))
         full = expand_solution(alpha, batch, 0)
         assert (got[0][f], got[1][f], got[2][f]) == replay_one(alpha, batch)
@@ -321,39 +318,36 @@ def test_plan_on_the_energy_slack_boundary_replays():
     spends = params.E_m * np.array([1 + 9e-10, 1 + 1.05e-9])
     unit = float(link_terms(1.0, 1.0, params)[1])   # p_H_inv at unit fading
     gh = unit * params.tau / spends
-    costs, grid, drops = one_user_offline(greedy_plan, params, np.ones((1, 2)), gh[None],
-                                          np.full((1, 2), params.E_m))
+    batch = FrameBatch(params, np.ones((1, 1, 2)), gh[None, None], np.full((1, 2), params.E_m))
+    costs, grid, drops = offline_frame_metrics(greedy_plan, batch)
     assert (costs[0], grid[0], drops[0]) == (0.0, 0.0, 0)
 
 
 class PlayPlan:
-    """A (frames, U, N) plan as a joint policy."""
+    """A (frames, U, N) plan as a policy."""
 
     def __init__(self, plan):
         self.plan = plan
 
-    def decide_joint(self, block, battery, p_h, skip, params_list):
+    def decide_batch(self, block, battery, batch):
         return self.plan[:, :, block]
 
 
 def test_one_user_joint_replay_equals_offline_frame_metrics():
-    gg, gh, eh = sample_trajectories(P, 80, 40)
-    want = one_user_offline(greedy_plan, P, gg, gh, eh)
-    batch = FrameBatch(P, gg, gh, eh)
-    plan = greedy_plan(batch.skip[:, None], batch.p_h[:, None], eh, P.tau, P.p_H_max)
-    for got in (frame_totals(*replay_plan(plan, [batch], P.p_H_max, P.p_G_max)),
-                multiuser_frame_metrics(PlayPlan(plan), gg[:, None], gh[:, None], eh, [P],
-                                        P.p_H_max, P.p_G_max)):
+    batch = sample_trajectories(P, 80, 40)
+    want = offline_frame_metrics(greedy_plan, batch)
+    plan = greedy_plan(batch.skip, batch.p_h, batch.e_h, P.tau, P.p_H_max)
+    for got in (frame_totals(*replay_plan(plan, batch)),
+                multiuser_frame_metrics(PlayPlan(plan), batch)):
         for arr, ref in zip(got, want):
             assert np.array_equal(arr, ref)
 
 
 def test_replay_plan_partitions_blocks():
     params = P.evolve(N=12)
-    gg, gh, eh = sample_trajectories(params, 25, 20)
-    batch = FrameBatch(params, gg, gh, eh)
-    plan = greedy_plan(batch.skip[:, None], batch.p_h[:, None], eh, params.tau, params.p_H_max)
-    serve, admitted, cost, grid = replay_plan(plan, [batch], params.p_H_max, params.p_G_max)
+    batch = sample_trajectories(params, 25, 20)
+    plan = greedy_plan(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
+    serve, admitted, cost, grid = replay_plan(plan, batch)
     dropped = ~serve & ~admitted
     assert not np.any(serve & admitted)
     assert np.array_equal(serve, plan == 1)
@@ -363,9 +357,9 @@ def test_replay_plan_partitions_blocks():
         # cost decomposition: grid bill plus drop penalties
         assert math.isclose(costs[f], params.w_G * energies[f] + params.w_D * drops[f],
                             rel_tol=1e-9, abs_tol=1e-15)
-    assert np.all(batch.p_g[admitted[:, 0]] <= kappa(params))
-    assert np.all(batch.p_h[serve[:, 0]] <= params.p_H_max)
-    assert np.array_equal(grid[admitted], batch.p_g[admitted[:, 0]] * params.tau)
+    assert np.all(batch.p_g[admitted] <= kappa(params))
+    assert np.all(batch.p_h[serve] <= params.p_H_max)
+    assert np.array_equal(grid[admitted], batch.p_g[admitted] * params.tau)
     assert np.all(grid[~admitted] == 0.0) and drops.sum() == dropped.sum()
 
 
@@ -378,36 +372,31 @@ def test_replay_plan_boundary_power_transmits():
         w_d = np.nextafter(w_d, np.inf if w_d / (base.w_G * base.tau) < p_g else 0.0)
     params = base.evolve(w_D=float(w_d))
     assert kappa(params) == p_g
-    batch = FrameBatch(params, np.array([[1.0, np.nextafter(1.0, 0.0)]]), np.zeros((1, 2)),
+    batch = FrameBatch(params, np.array([[[1.0, np.nextafter(1.0, 0.0)]]]), np.zeros((1, 1, 2)),
                        np.zeros((1, 2)))
-    serve, admitted, _, _ = replay_plan(np.zeros((1, 1, 2), dtype=np.int8), [batch],
-                                        params.p_H_max, params.p_G_max)
+    serve, admitted, _, _ = replay_plan(np.zeros((1, 1, 2), dtype=np.int8), batch)
     assert admitted[0, 0].tolist() == [True, False] and not serve.any()
 
 
 def test_offline_evaluation_refuses_a_capped_battery():
     capped = P.evolve(B_m=2 * P.E_m)
-    gg, gh, eh = sample_trajectories(capped, 79, 3)
     with pytest.raises(ModelMismatchError, match="uncapped battery"):
-        one_user_offline(greedy_plan, capped, gg, gh, eh)
-    plist = [capped, capped]
-    mg, mh, me = sample_multiuser_trajectories(plist, 79, 2)
+        offline_frame_metrics(greedy_plan, sample_trajectories(capped, 79, 3))
+    two = sample_trajectories(capped, 79, 2, users=2)
     with pytest.raises(ModelMismatchError, match="uncapped battery"):
-        offline_frame_metrics(greedy_plan, mg, mh, me, plist, P.p_H_max, P.p_G_max)
+        offline_frame_metrics(greedy_plan, two)
     # the causal walks and the solvers themselves stay usable on capped params
-    multiuser_frame_metrics(MultiuserGreedyTransmit(P.p_H_max), mg, mh, me, plist,
-                            P.p_H_max, P.p_G_max)
+    multiuser_frame_metrics(MultiuserGreedyTransmit(), two)
     solve(greedy_plan, Frame.of(sample_trajectory(capped, 79)))
     # a battery of exactly N * E_m never clamps
     exact = P.evolve(N=5).evolve(B_m=5 * P.E_m)
-    one_user_offline(greedy_plan, exact, *sample_trajectories(exact, 79, 2))
+    offline_frame_metrics(greedy_plan, sample_trajectories(exact, 79, 2))
 
 
 def test_offline_frame_metrics_orders_solvers():
-    params = P.evolve(N=10)
-    gg, gh, eh = sample_trajectories(params, 70, 30)
-    c_greedy, _, _ = one_user_offline(greedy_plan, params, gg, gh, eh)
-    c_opt, _, _ = one_user_offline(exhaustive_plan, params, gg, gh, eh)
+    batch = sample_trajectories(P.evolve(N=10), 70, 30)
+    c_greedy, _, _ = offline_frame_metrics(greedy_plan, batch)
+    c_opt, _, _ = offline_frame_metrics(exhaustive_plan, batch)
     assert np.all(c_greedy >= c_opt - 1e-15)
 
 
@@ -486,101 +475,86 @@ def test_manifest_contents(tmp_path):
 def two_user_setup():
     # two users at the reference distances sharing bandwidth: each link
     # carries half the spectrum, which doubles the per-use spectral demand
-    per_user = P.evolve(W=P.W / 2)
-    return [per_user, per_user]
+    return P.evolve(W=P.W / 2)
 
 
-def one_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list, p_H_max_sum, p_G_max_sum):
-    """Walk one (U, N) frame as a one-frame batch under a joint policy, or
-    replay a (1, U, N) plan; (cost, grid energy, drops)."""
-    e_h = np.asarray(e_h)[None]
+def one_frame_multiuser(policy, gamma_g, gamma_h, e_h, params):
+    """Walk one (U, N) frame as a one-frame batch under a policy, or replay
+    a (1, U, N) plan; (cost, grid energy, drops)."""
+    batch = FrameBatch(params, np.asarray(gamma_g)[None], np.asarray(gamma_h)[None],
+                       np.asarray(e_h)[None])
     if isinstance(policy, np.ndarray):
-        batches = [FrameBatch(p, gamma_g[None, u], gamma_h[None, u], e_h)
-                   for u, p in enumerate(params_list)]
-        costs, grid, drops = frame_totals(*replay_plan(policy, batches, p_H_max_sum,
-                                                       p_G_max_sum))
+        costs, grid, drops = frame_totals(*replay_plan(policy, batch))
     else:
-        costs, grid, drops = multiuser_frame_metrics(policy, gamma_g[None], gamma_h[None], e_h,
-                                                     params_list, p_H_max_sum, p_G_max_sum)
+        costs, grid, drops = multiuser_frame_metrics(policy, batch)
     return costs[0], grid[0], drops[0]
 
 
-def user_frames(gg, gh, eh, params_list, f):
-    """Each user's Frame of multi-user frame f."""
-    return [Frame.of(FrameBatch(p, gg[f:f + 1, u], gh[f:f + 1, u], eh[f:f + 1]))
-            for u, p in enumerate(params_list)]
+def user_frames(batch, f):
+    """Each user's Frame of frame f."""
+    return [Frame.of(batch, f, u) for u in range(batch.users)]
 
 
-def pooled_greedy(gg, gh, eh, params_list, f, p_H_max_sum):
+def pooled_greedy(batch, f):
     """The pooled greedy plan of frame f alone and its exact skip cost."""
-    frames = user_frames(gg, gh, eh, params_list, f)
-    sel = greedy_plan(*plan_args(frames, p_H_max_sum))[0]
+    frames = user_frames(batch, f)
+    sel = greedy_plan(*plan_args(frames))[0]
     return sel, math.fsum(np.stack([fr.c for fr in frames])[sel == 0])
 
 
 def test_multiuser_replay_reproduces_pooled_cost_exactly():
-    params_list = two_user_setup()
-    gg, gh, eh = sample_multiuser_trajectories(params_list, 75, 10)
+    params = two_user_setup().evolve(p_G_max=1e9)   # unbounded grid BS
+    batch = sample_trajectories(params, 75, 10, users=2)
     for f in range(10):
-        sel, cost = pooled_greedy(gg, gh, eh, params_list, f, P.p_H_max)
-        replay, grid, drops = one_frame_multiuser(
-            sel[None], gg[f], gh[f], eh[f], params_list,
-            p_H_max_sum=P.p_H_max, p_G_max_sum=1e9)  # unbounded grid BS
+        sel, cost = pooled_greedy(batch, f)
+        replay, grid, drops = one_frame_multiuser(sel[None], batch.gamma_g[f], batch.gamma_h[f],
+                                                  batch.e_h[f], params)
         assert replay == cost
 
 
 def test_multiuser_grid_cap_drops_expensive_users():
-    params_list = [P, P]
     # both users skip; grid BS can power only the cheaper one
     gamma_g = np.array([[1.0], [0.9]])
     gamma_h = np.array([[1.0], [1.0]])
     e_h = np.array([0.0])
-    one_block = [p.evolve(N=1) for p in params_list]
+    one_block = P.evolve(N=1)
+    p_g = link_terms(gamma_g, gamma_h, one_block)[0][:, 0]
+    # each user alone is within the summed cap (and kappa, which it also
+    # sets), the two together are not
+    params = one_block.evolve(p_G_max=float(min(p_g)) * 1.5)
+    assert np.all(p_g <= kappa(params)) and p_g.sum() > params.p_G_max
     sel = np.zeros((1, 2, 1), dtype=int)
-    from hesnet.model import channel_gain, inversion_power
-    p_g = [float(inversion_power(channel_gain(p.d_G, gamma_g[u, 0], p), p))
-           for u, p in enumerate(one_block)]
-    cost, grid, drops = one_frame_multiuser(
-        sel, gamma_g, gamma_h, e_h, one_block,
-        p_H_max_sum=P.p_H_max, p_G_max_sum=min(p_g) * 1.5)
+    cost, grid, drops = one_frame_multiuser(sel, gamma_g, gamma_h, e_h, params)
     assert drops == 1
     assert math.isclose(grid, min(p_g) * P.tau, rel_tol=1e-12)
     assert math.isclose(cost, P.w_G * grid + P.w_D, rel_tol=1e-12)
 
 
 def test_multiuser_grid_cap_admits_a_sum_exactly_at_the_cap():
-    one_block = [P.evolve(N=1), P.evolve(N=1)]
     gamma_g = np.array([[1.0], [0.9]])
-    p_g, _, _, _ = link_terms(gamma_g, np.ones((2, 1)), one_block[0])
+    p_g, _, _, _ = link_terms(gamma_g, np.ones((2, 1)), P.evolve(N=1))
     sel = np.zeros((1, 2, 1), dtype=int)
     # cheapest first, so the cap is reached as p_g[0] + p_g[1]
-    cap = float(p_g[0, 0] + p_g[1, 0])
-    _, grid, drops = one_frame_multiuser(sel, gamma_g,
-                                         np.ones((2, 1)), np.array([0.0]), one_block,
-                                         P.p_H_max, cap)
+    params = P.evolve(N=1, p_G_max=float(p_g[0, 0] + p_g[1, 0]))
+    _, grid, drops = one_frame_multiuser(sel, gamma_g, np.ones((2, 1)), np.array([0.0]), params)
     assert drops == 0 and grid == math.fsum([p_g[0, 0] * P.tau, p_g[1, 0] * P.tau])
 
 
 def test_multiuser_rejects_joint_overdraw():
-    params_list = [P.evolve(N=1), P.evolve(N=1)]
     sel = np.ones((1, 2, 1), dtype=int)
     gamma = np.ones((2, 1))
     with pytest.raises(InvalidActionError):
-        one_frame_multiuser(sel, gamma, gamma,
-                            np.array([1e-9]), params_list,
-                            p_H_max_sum=P.p_H_max, p_G_max_sum=P.p_G_max)
+        one_frame_multiuser(sel, gamma, gamma, np.array([1e-9]), P.evolve(N=1))
 
 
 def test_multiuser_frame_metrics_greedy_walks_pooled_plans():
-    params_list = two_user_setup()
-    gg, gh, eh = sample_multiuser_trajectories(params_list, 78, 8)
-    costs, grid, drops = offline_frame_metrics(greedy_plan, gg, gh, eh, params_list,
-                                               P.p_H_max, 1e9)  # unbounded grid BS
+    batch = sample_trajectories(two_user_setup().evolve(p_G_max=1e9), 78, 8, users=2)
+    costs, grid, drops = offline_frame_metrics(greedy_plan, batch)   # unbounded grid BS
     for f in range(8):
-        assert costs[f] == pooled_greedy(gg, gh, eh, params_list, f, P.p_H_max)[1]
+        assert costs[f] == pooled_greedy(batch, f)[1]
     # the exhaustive optimum plans one user: a two-user batch is refused
     with pytest.raises(InvalidParameterError, match="plans one user, got 2"):
-        offline_frame_metrics(exhaustive_plan, gg, gh, eh, params_list, P.p_H_max, 1e9)
+        offline_frame_metrics(exhaustive_plan, batch)
 
 
 def test_metrics_aggregate_over_users_times_blocks():
@@ -593,29 +567,25 @@ def test_metrics_aggregate_over_users_times_blocks():
 
 
 def test_multiuser_rejects_bad_action_value():
-    params_list = [P.evolve(N=1), P.evolve(N=1)]
+    params = P.evolve(N=1)
     gamma = np.ones((2, 1))
     with pytest.raises(InvalidActionError, match="returned \\[2, 0\\] at block 1"):
-        one_frame_multiuser(np.array([[[2], [0]]]), gamma, gamma,
-                            np.array([1e-3]), params_list,
-                            p_H_max_sum=P.p_H_max, p_G_max_sum=P.p_G_max)
+        one_frame_multiuser(np.array([[[2], [0]]]), gamma, gamma, np.array([1e-3]), params)
 
     class PerFrameRule:   # the one-frame (users,) answer of a per-frame joint rule
-        def decide_joint(self, block, battery, p_h, skip, params_list):
-            return np.zeros(len(params_list), dtype=np.int8)
+        def decide_batch(self, block, battery, batch):
+            return np.zeros(batch.users, dtype=np.int8)
 
     with pytest.raises(InvalidActionError, match=r"shape \(2,\) at block 1, expected \(1, 2\)"):
-        one_frame_multiuser(PerFrameRule(), gamma, gamma, np.array([1e-3]), params_list,
-                            p_H_max_sum=P.p_H_max, p_G_max_sum=P.p_G_max)
+        one_frame_multiuser(PerFrameRule(), gamma, gamma, np.array([1e-3]), params)
 
 
 def test_multiuser_monte_carlo_invariant():
-    params_list = two_user_setup()
-    gt = MultiuserGreedyTransmit(p_H_max_sum=P.p_H_max)
+    params = two_user_setup()
+    gt = MultiuserGreedyTransmit()
 
     def run():
-        gg, gh, eh = sample_multiuser_trajectories(params_list, 76, 50)
-        arrays = multiuser_frame_metrics(gt, gg, gh, eh, params_list, P.p_H_max, P.p_G_max)
+        arrays = multiuser_frame_metrics(gt, sample_trajectories(params, 76, 50, users=2))
         return metrics_from_arrays("GT", 2 * P.N, 76, *arrays)
 
     m = run()
@@ -649,8 +619,8 @@ def test_property_online_frame_cost_at_least_exhaustive_optimum(params, zeta, se
                                   params.N)
     policies = (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(zeta, l1, l2)),
                 MdpTablePolicy(table))
-    batch = FrameBatch(params, *sample_trajectories(params, seed, 3))
-    costs = [fsum_totals(policy, batch)[0] for policy in policies]
+    batch = sample_trajectories(params, seed, 3)
+    costs = [multiuser_frame_metrics(policy, batch)[0] for policy in policies]
     for f in range(3):
         _, opt = solve(exhaustive_plan, Frame.of(batch, f))
         for cost in costs:
@@ -669,11 +639,11 @@ def test_property_cost_identity(params, zeta, seed):
     l1, l2 = threshold_lambdas(params)
     table, _ = backward_induction(build_mdp_model(params, build_grid(params, M=6, K=3)),
                                   params.N)
-    gg, gh, eh = sample_trajectories(params, seed, 8)
-    runs = [run_batch(policy, params, gg, gh, eh)
+    batch = sample_trajectories(params, seed, 8)
+    runs = [run_batch(policy, batch)
             for policy in (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(zeta, l1, l2)),
                            MdpTablePolicy(table))]
-    runs.append(one_user_offline(greedy_plan, params, gg, gh, eh))
+    runs.append(offline_frame_metrics(greedy_plan, batch))
     for arrays in runs:
         m = metrics_from_arrays("X", params.N, seed, *arrays)
         assert math.isclose(m.mean_total_cost,
@@ -681,99 +651,98 @@ def test_property_cost_identity(params, zeta, seed):
                             rel_tol=1e-9, abs_tol=1e-18)
 
 
-def oracle_frame_multiuser(policy, gamma_g, gamma_h, e_h, params_list,
-                           p_H_max_sum, p_G_max_sum):
-    """One (U, N) frame walked block by block in plain floats: the per-frame
-    walk `multiuser_frame_metrics` replaced, kept as its reference.  The
-    joint policy is asked through a one-row batch, or `policy` is a (U, N)
-    plan to replay; served powers are summed
-    with np.sum, grid users admitted through `sorted`, and the cost and grid
-    terms totalled with math.fsum.  Returns (cost, grid energy in J, drops).
+def oracle_frame_multiuser(policy, batch, f):
+    """Frame f of a batch walked block by block in plain floats: the
+    per-frame walk `multiuser_frame_metrics` replaced, kept as its
+    reference.  The link terms come from `link_terms` on the frame's gains,
+    the policy is asked through a one-frame batch, or `policy` is a (U, N)
+    plan to replay; served powers are summed with np.sum, grid users
+    admitted through `sorted`, and the cost and grid terms totalled with
+    math.fsum.  Returns (cost, grid energy in J, drops, capped), where
+    capped counts the users the grid BS could carry alone but its summed
+    peak power turned away.
     """
-    users, n = np.shape(gamma_g)
-    base = params_list[0]
-    p_inv_g, p_inv_h, skip, transmits = (
-        np.stack(terms) for terms in zip(*(link_terms(gamma_g[u], gamma_h[u], p)
-                                           for u, p in enumerate(params_list))))
+    params = batch.params
+    gamma_g, gamma_h, e_h = batch.gamma_g[f], batch.gamma_h[f], batch.e_h[f]
+    users, n = gamma_g.shape
+    p_inv_g, p_inv_h, skip, transmits = link_terms(gamma_g, gamma_h, params)
+    one = FrameBatch(params, gamma_g[None], gamma_h[None], e_h[None])
     battery = 0.0
     block_costs = []
     grid_terms = []
-    drops = 0
+    drops = capped = 0
     for i in range(n):
-        battery = min(battery + float(e_h[i]), base.B_m)
+        battery = min(battery + float(e_h[i]), params.B_m)
         if isinstance(policy, np.ndarray):
             acts = policy[:, i]
         else:
-            acts = np.asarray(policy.decide_joint(i, np.array([battery]), p_inv_h[None, :, i],
-                                                  skip[None, :, i], params_list))[0]
+            acts = np.asarray(policy.decide_batch(i, np.array([battery]), one))[0]
         served = np.flatnonzero(acts == 1)
         left = np.flatnonzero(acts == 0)
         assert served.size + left.size == users
         p_served = p_inv_h[served, i]
-        spend = float(np.sum(p_served) * base.tau) if served.size else 0.0
+        spend = float(np.sum(p_served) * params.tau) if served.size else 0.0
         if served.size:
-            assert np.sum(p_served) <= p_H_max_sum * (1.0 + 1e-12)
+            assert np.sum(p_served) <= params.p_H_max * (1.0 + 1e-12)
             assert spend <= battery * (1.0 + ENERGY_RTOL) + 1e-18
         battery = max(battery - spend, 0.0)
         used = 0.0
         for u in sorted(left, key=lambda u: p_inv_g[u, i]):
-            p = params_list[u]
-            if transmits[u, i] and used + p_inv_g[u, i] <= p_G_max_sum * (1.0 + 1e-12):
+            if transmits[u, i] and used + p_inv_g[u, i] <= params.p_G_max * (1.0 + 1e-12):
                 used += p_inv_g[u, i]
                 block_costs.append(skip[u, i])
-                grid_terms.append(p_inv_g[u, i] * p.tau)
+                grid_terms.append(p_inv_g[u, i] * params.tau)
             else:
-                block_costs.append(p.w_D)
+                capped += bool(transmits[u, i])
+                block_costs.append(params.w_D)
                 drops += 1
-    return math.fsum(block_costs), math.fsum(grid_terms), drops
+    return math.fsum(block_costs), math.fsum(grid_terms), drops, capped
 
 
-def assert_lockstep_matches_oracle(policy, gg, gh, eh, plist, p_h_sum, p_g_sum):
+def assert_lockstep_matches_oracle(policy, batch):
     """The lockstep walk equals the per-frame oracle bit for bit, frame by
-    frame; "greedy" is replayed from each frame's own pooled plan."""
+    frame; "greedy" is replayed from each frame's own pooled plan.  Returns
+    the walk's per-frame arrays and how many users the summed grid cap
+    turned away."""
     if policy == "greedy":
-        got = offline_frame_metrics(greedy_plan, gg, gh, eh, plist, p_h_sum, p_g_sum)
+        got = offline_frame_metrics(greedy_plan, batch)
     else:
-        got = multiuser_frame_metrics(policy, gg, gh, eh, plist, p_h_sum, p_g_sum)
-    for f in range(gg.shape[0]):
-        frame_policy = policy
-        if policy == "greedy":
-            frame_policy = pooled_greedy(gg, gh, eh, plist, f, p_h_sum)[0]
-        want = oracle_frame_multiuser(frame_policy, gg[f], gh[f], eh[f], plist, p_h_sum, p_g_sum)
-        assert (got[0][f], got[1][f], got[2][f]) == want, f"frame {f}"
-    return got
+        got = multiuser_frame_metrics(policy, batch)
+    capped = 0
+    for f in range(batch.frames):
+        frame_policy = pooled_greedy(batch, f)[0] if policy == "greedy" else policy
+        *want, turned_away = oracle_frame_multiuser(frame_policy, batch, f)
+        assert (got[0][f], got[1][f], got[2][f]) == tuple(want), f"frame {f}"
+        capped += turned_away
+    return got, capped
 
 
-def joint_policy(name, plist, p_h_sum, zeta=3.0):
+def joint_policy(name, params, zeta=3.0):
     if name == "GT":
-        return MultiuserGreedyTransmit(p_H_max_sum=p_h_sum)
+        return MultiuserGreedyTransmit()
     if name == "Threshold":
-        return MultiuserThreshold([ThresholdParams(zeta, *threshold_lambdas(p)) for p in plist],
-                                  p_H_max_sum=p_h_sum)
+        return MultiuserThreshold(ThresholdParams(zeta, *threshold_lambdas(params)))
     return name
-
-
-def mixed_users(users):
-    # users at different distances with different drop prices: only N,
-    # tau, E_m and B_m must agree
-    return [P.evolve(d_H=25.0 + 5.0 * u, d_G=45.0 + 5.0 * u, w_D=0.01 * (1 + u))
-            for u in range(users)]
 
 
 @pytest.mark.parametrize("policy", ["GT", "Threshold", "greedy"])
 @pytest.mark.parametrize("users", [2, 3])
 def test_multiuser_lockstep_walk_matches_per_frame_oracle(policy, users):
-    plist = mixed_users(users)
-    gg, gh, eh = sample_multiuser_trajectories(plist, 81, 40)
+    sampled = sample_trajectories(P, 81, 40, users)
+    gg, gh = sampled.gamma_g.copy(), sampled.gamma_h.copy()
     # dead channels: whole blocks a link cannot carry at any power
     gg[:, 0, ::7] = 0.0
     gh[:, users - 1, ::5] = 0.0
-    p_h_sum = P.p_H_max
-    loose = assert_lockstep_matches_oracle(joint_policy(policy, plist, p_h_sum),
-                                           gg, gh, eh, plist, p_h_sum, 1e9)
+
+    def walk(p_G_max):
+        params = P.evolve(p_G_max=p_G_max)
+        batch = FrameBatch(params, gg, gh, sampled.e_h)
+        return assert_lockstep_matches_oracle(joint_policy(policy, params), batch)
+
+    loose, _ = walk(P.p_G_max)
     # a grid BS summed peak power of 0.3 W turns many users away: the cap binds
-    tight = assert_lockstep_matches_oracle(joint_policy(policy, plist, p_h_sum),
-                                           gg, gh, eh, plist, p_h_sum, 0.3)
+    tight, capped = walk(0.3)
+    assert capped > 0
     assert tight[2].sum() > loose[2].sum()
     assert tight[1].sum() < loose[1].sum()
 
@@ -786,14 +755,14 @@ def test_property_multiuser_lockstep_walk_matches_oracle(params, users, seed, po
                                                          h_cap, g_cap, dead):
     if policy == "greedy":   # the offline plans need an uncapped battery
         params = params.evolve(B_m=params.N * params.E_m)
-    plist = [params] * users
-    gg, gh, eh = sample_multiuser_trajectories(plist, seed, 6)
+    params = params.evolve(p_H_max=params.p_H_max * h_cap, p_G_max=params.p_G_max * g_cap)
+    sampled = sample_trajectories(params, seed, 6, users)
+    gg, gh = sampled.gamma_g.copy(), sampled.gamma_h.copy()
     if dead:
         gg[:, 0, 0] = 0.0
         gh[:, -1, -1] = 0.0
-    p_h_sum = params.p_H_max * h_cap
-    assert_lockstep_matches_oracle(joint_policy(policy, plist, p_h_sum, zeta), gg, gh, eh,
-                                   plist, p_h_sum, params.p_G_max * g_cap)
+    assert_lockstep_matches_oracle(joint_policy(policy, params, zeta),
+                                   FrameBatch(params, gg, gh, sampled.e_h))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
