@@ -56,8 +56,6 @@ from .policies import (
     GreedyTransmit,
     LookAhead,
     MdpTablePolicy,
-    MultiuserGreedyTransmit,
-    MultiuserThreshold,
     ThresholdHeuristic,
     ThresholdParams,
     calibrate_zeta,

@@ -45,8 +45,6 @@ from .policies import (
     GreedyTransmit,
     LookAhead,
     MdpTablePolicy,
-    MultiuserGreedyTransmit,
-    MultiuserThreshold,
     ThresholdHeuristic,
     ThresholdParams,
     calibrate_zeta,
@@ -363,9 +361,9 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
     """Map config policy tokens to display-name -> factory(params) callables.
 
     mbia_mode: "load" reads trained artifacts (simulate), "train" runs the
-    induction inline per sweep point.  With users > 1, GT and Threshold map
-    to the joint rules, whose summed peak power is the point's p_H_max, and
-    the single-user-only tokens are refused.  Returns (factories,
+    induction inline per sweep point.  With users > 1 the table policies
+    (Look-Ahead, MBIA) and Exhaustive are refused; GT, Threshold and
+    GP-only decide every user of a block.  Returns (factories,
     include_offline, zeta_log, artifact_log); the logs fill in as factories
     run.
     """
@@ -381,10 +379,7 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
         with lock:
             zeta_log[point.content_hash()[:12]] = {
                 "zeta_star": z, "lambda1": lam1, "lambda2": lam2}
-        tp = ThresholdParams(z, lam1, lam2)
-        if cfg.users > 1:
-            return MultiuserThreshold(tp)
-        return ThresholdHeuristic(tp)
+        return ThresholdHeuristic(ThresholdParams(z, lam1, lam2))
 
     def mbia_factory(m: int):
         def load(point: SystemParams):
@@ -414,14 +409,13 @@ def _online_factories(cfg: RunConfig, mbia_mode: str):
 
     for token in cfg.policies:
         t = token.lower()
-        if cfg.users > 1 and t not in ("gt", "th", "threshold", "ga", "greedy"):
+        if cfg.users > 1 and t not in ("gt", "th", "threshold", "gp-only", "gponly", "ga",
+                                        "greedy"):
             raise ConfigError(
                 f"policy {token!r} is single-user only; runs with users={cfg.users} "
-                f"support GT, Threshold, GA")
+                f"support GT, Threshold, GP-only, GA")
         if t in ("ga", "greedy", "exhaustive"):
             include_offline = True
-        elif t == "gt" and cfg.users > 1:
-            factories["GT"] = lambda p: MultiuserGreedyTransmit()
         elif t == "gt":
             factories["GT"] = lambda p: GreedyTransmit()
         elif t in ("la", "lookahead", "look-ahead"):

@@ -4,9 +4,11 @@ Every policy decides one block of a batch of frames at a time through one
 method, `decide_batch(block, battery, batch)`: the block index, the
 (frames,) shared battery states and the `FrameBatch` whose (frames, U)
 column `block` holds the block's precomputed link terms in, a (frames, U)
-0/1 array out.  The single-user rules and table lookups read the column at
-U = 1; the joint rules rank the users against the battery and the summed
-peak cap of `batch.params`.  The threshold rule needs two closed-form constants,
+0/1 array out.  The greedy and threshold rules take any U: they rank the
+users and admit them while `serve_feasible` holds for the summed power
+against the shared battery and the summed peak cap of `batch.params`, so
+one user is the single-user rule exactly.  The table lookups read the
+column at U = 1.  The threshold rule needs two closed-form constants,
 the mean skip cost lambda1 and the mean feasible battery power lambda2;
 they are exact for exponential fading, and a Monte Carlo cross-check of
 both lives in the test suite.
@@ -38,8 +40,6 @@ __all__ = [
     "ThresholdHeuristic",
     "LookAhead",
     "MdpTablePolicy",
-    "MultiuserGreedyTransmit",
-    "MultiuserThreshold",
     "exponential_integral_E1",
     "threshold_lambdas",
     "calibrate_zeta",
@@ -113,7 +113,7 @@ def _threshold_level(zeta, lambda1, lambda2, params: SystemParams):
 
 
 def _threshold_serve(block, battery, p_h, score, level, params: SystemParams):
-    """The threshold rule of both threshold policies.
+    """The threshold rule of `ThresholdHeuristic`, user by user.
 
     Infeasible states never serve; the last block serves whenever feasible;
     otherwise serve when battery * score clears `level`, where score is
@@ -130,17 +130,35 @@ def _threshold_serve(block, battery, p_h, score, level, params: SystemParams):
 
 
 # ---------------------------------------------------------------------------
-# single-user decision rules
+# greedy and threshold rules
 # ---------------------------------------------------------------------------
 
+def _admit(order, eligible, p_h, battery, params: SystemParams):
+    """Serve eligible users in `order`, a (frames, users) permutation per
+    row, while their summed power passes `serve_feasible` against the
+    shared (frames,) battery and the summed peak cap params.p_H_max.  One
+    user is served exactly where eligible & serve_feasible(p_h, battery)."""
+    rows = np.arange(p_h.shape[0])
+    acts = np.zeros(p_h.shape, dtype=np.int8)
+    power_used = np.zeros(p_h.shape[0])
+    for u in order.T:
+        p = p_h[rows, u]
+        ok = eligible[rows, u] & serve_feasible(power_used + p, battery, params)
+        power_used = np.where(ok, power_used + p, power_used)
+        acts[rows, u] = ok
+    return acts
+
+
 class GreedyTransmit:
-    """Myopic baseline: serve from the battery whenever one block of
-    inversion power fits both the stored energy and the peak cap;
-    boundaries serve."""
+    """Myopic baseline: serve from the battery whenever the block's
+    inversion power fits both the stored energy and the peak cap; users
+    sharing the battery are admitted cheapest inversion power first (ties:
+    lower user)."""
 
     def decide_batch(self, block, battery, batch: FrameBatch):
-        return serve_feasible(batch.p_h[:, :, block], battery[:, None],
-                              batch.params).astype(np.int8)
+        p_h = batch.p_h[:, :, block]
+        return _admit(np.argsort(p_h, axis=1, kind="stable"), np.ones(p_h.shape, dtype=bool),
+                      p_h, battery, batch.params)
 
 
 class ThresholdHeuristic:
@@ -149,7 +167,10 @@ class ThresholdHeuristic:
     Infeasible states never serve; the last block serves whenever feasible;
     otherwise serve when battery * ratio_metric(skip cost, battery power)
     clears zeta * P_avg * tau * ratio_metric(lambda1, lambda2).  With
-    zeta = 0 the rule degenerates to greedy transmission for every state.
+    zeta = 0 one user's rule degenerates to greedy transmission for every
+    state.  Users sharing the battery each apply the rule to the whole battery;
+    those that pass are admitted in decreasing ratio_metric order (ties:
+    lower user).
     """
 
     def __init__(self, tp: ThresholdParams):
@@ -160,8 +181,8 @@ class ThresholdHeuristic:
         p_h = batch.p_h[:, :, block]
         score = ratio_metric(batch.skip[:, :, block], p_h)
         level = _threshold_level(self.tp.zeta, self.tp.lambda1, self.tp.lambda2, params)
-        return _threshold_serve(block, battery[:, None], p_h, score, level,
-                                params).astype(np.int8)
+        eligible = _threshold_serve(block, battery[:, None], p_h, score, level, params)
+        return _admit(np.argsort(-score, axis=1, kind="stable"), eligible, p_h, battery, params)
 
 
 # ---------------------------------------------------------------------------
@@ -364,55 +385,3 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
         costs[rows] = [row.mean() for row in _calibration_costs(batch, score, level[rows])]
     best = float(cand[int(np.argmin(costs))])
     return (best, costs) if return_costs else best
-
-
-# ---------------------------------------------------------------------------
-# multi-user joint rules
-# ---------------------------------------------------------------------------
-#
-# The joint rules stay their own classes even at U = 1: _admit's
-# p * tau <= battery and serve_feasible's p <= battery / tau can round apart.
-
-def _admit(order, eligible, p_h, battery, params: SystemParams):
-    """Serve eligible users in `order`, a (frames, users) permutation per
-    row, while the summed peak power params.p_H_max and the shared battery
-    hold out."""
-    rows = np.arange(p_h.shape[0])
-    acts = np.zeros(p_h.shape, dtype=np.int8)
-    power_used = np.zeros(p_h.shape[0])
-    energy_used = np.zeros(p_h.shape[0])
-    for u in order.T:
-        p = p_h[rows, u]
-        spend = p * params.tau
-        ok = (eligible[rows, u] & (power_used + p <= params.p_H_max)
-              & (energy_used + spend <= battery))
-        power_used = np.where(ok, power_used + p, power_used)
-        energy_used = np.where(ok, energy_used + spend, energy_used)
-        acts[rows, u] = ok
-    return acts
-
-
-class MultiuserThreshold(ThresholdHeuristic):
-    """Joint threshold rule over users sharing the battery and the peak sum.
-
-    Each user first applies the single-user rule with the shared battery
-    and the summed peak cap as its feasibility limits; tentative serves are
-    then admitted in decreasing ratio_metric order (ties: lower user index)
-    while the battery and the summed peak power hold out.
-    """
-
-    def decide_batch(self, block, battery, batch: FrameBatch):
-        p_h = batch.p_h[:, :, block]
-        score = ratio_metric(batch.skip[:, :, block], p_h)
-        tentative = super().decide_batch(block, battery, batch) == 1
-        return _admit(np.argsort(-score, axis=1, kind="stable"), tentative, p_h, battery,
-                      batch.params)
-
-
-class MultiuserGreedyTransmit:
-    """Myopic joint baseline: admit users cheapest battery power first."""
-
-    def decide_batch(self, block, battery, batch: FrameBatch):
-        p_h = batch.p_h[:, :, block]
-        return _admit(np.argsort(p_h, axis=1, kind="stable"), np.ones(p_h.shape, dtype=bool),
-                      p_h, battery, batch.params)

@@ -286,7 +286,8 @@ def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
     `axis` and `value` only label the rows; a point run passes "none", 0.0.
     The `users` users share the EH battery and both stations' per-block
     peak powers (`point.p_H_max`, `point.p_G_max`); with more than one the
-    factories must build joint policies.  With `include_offline` the
+    factories must build policies that decide every user of a block (GT,
+    Threshold, GP-only), not table lookups.  With `include_offline` the
     offline rows follow (`offline_frame_metrics`): Greedy, then, for one
     user, the Exhaustive optimum whenever 2^N enumeration is within the cap.
     """

@@ -32,8 +32,6 @@ from hesnet.policies import (
     GreedyTransmit,
     LookAhead,
     MdpTablePolicy,
-    MultiuserGreedyTransmit,
-    MultiuserThreshold,
     ThresholdHeuristic,
     ThresholdParams,
     calibrate_zeta,
@@ -392,8 +390,8 @@ def test_criterion_10_two_user_extension():
         lam1, lam2 = threshold_lambdas(point)
         zeta = calibrate_zeta(tuple(np.arange(0.0, 60.0001, 1.0)), point, 800, seed + 1)
         mu_policies = {
-            "GT": MultiuserGreedyTransmit(),
-            "Threshold": MultiuserThreshold(ThresholdParams(zeta, lam1, lam2)),
+            "GT": GreedyTransmit(),
+            "Threshold": ThresholdHeuristic(ThresholdParams(zeta, lam1, lam2)),
         }
         costs = {name: multiuser_frame_metrics(policy, batch)[0]
                  for name, policy in mu_policies.items()}

@@ -23,7 +23,8 @@ from hesnet.cli import (
 )
 from hesnet.errors import ConfigError, HesnetError, ResourceLimitError
 from hesnet.mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction
-from hesnet.model import SystemParams
+from hesnet.model import SystemParams, sample_trajectories
+from hesnet.sim import GridOnlyPolicy, metrics_from_arrays, multiuser_frame_metrics
 
 GOLDEN_HEADER = ("policy,axis,axis_value,mean_total_cost,stderr_total_cost,"
                  "grid_energy_j,grid_energy_mj,drop_ratio,frames,seed")
@@ -365,7 +366,7 @@ def test_simulate_rejects_unknown_policy(tmp_path):
 
 
 def test_simulate_two_user_rejects_table_policies(tmp_path, capsys):
-    for token in ("MBIA-M4", "LA", "GP-only", "Exhaustive"):
+    for token in ("MBIA-M4", "LA", "Exhaustive"):
         assert main(["simulate"] + SMALL + ["--set", "users=2",
                      "--set", f"policies=GT,{token}", "--out", str(tmp_path)]) == 2
         assert "single-user only" in capsys.readouterr().err
@@ -379,6 +380,24 @@ def test_simulate_two_user_runs(tmp_path):
     assert [l.split(",", 1)[0] for l in lines[1:]] == ["GT", "Threshold", "Greedy"]
     manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
     assert manifest["users"] == 2
+
+
+def test_simulate_two_user_grid_only_row_is_the_joint_walk(tmp_path):
+    # GP-only decides every user of a block, so it runs at two users; its
+    # row is the shared walk's with the grid BS admitting under p_G_max
+    assert main(["simulate"] + SMALL + ["--set", "users=2", "--set", "policies=GT,GP-only",
+                                        "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "simulate.csv", newline="") as f:
+        rows = {row["policy"]: row for row in csv.DictReader(f)}
+    cfg = resolve_config(overrides={"n_blocks": "8", "users": "2"})
+    batch = sample_trajectories(cfg.params, cfg.seed, 30, users=2)
+    m = metrics_from_arrays("GP-only", 2 * cfg.params.N, cfg.seed,
+                            *multiuser_frame_metrics(GridOnlyPolicy(), batch))
+    row = rows["GP-only"]
+    assert (float(row["mean_total_cost"]), float(row["stderr_total_cost"]),
+            float(row["grid_energy_j"]), float(row["drop_ratio"]), int(row["frames"])) == (
+        m.mean_total_cost, m.stderr_total_cost, m.mean_grid_energy, m.drop_ratio, 30)
+    assert float(row["mean_total_cost"]) > float(rows["GT"]["mean_total_cost"])
 
 
 # ---------------------------------------------------------------------------

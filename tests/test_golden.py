@@ -1,7 +1,8 @@
 """Byte identity of the CLI's result files.
 
-A tiny `sweep` CSV of every shipped preset, two multi-user edges (a
-three-user `simulate` and a two-user sweep whose grid sum cap binds), one
+A tiny `sweep` CSV of every shipped preset, three multi-user edges (a
+three-user `simulate`, one at a 0.15 W harvesting peak whose shared
+battery binds, and a two-user sweep whose grid sum cap binds), one
 `calibrate-zeta` zeta.json and the `offline-solve` schedule and summary
 (N=12 with both solvers and the gap, its replay, and the default N=50
 greedy) are pinned by sha256.  Together they run every single-user policy,
@@ -65,6 +66,11 @@ MULTIUSER_SHA256 = {
         ["sweep", "--preset", "fig5-two-user", "--set", "p_g_max_w=0.3",
          "--set", "p_h_max_w=0.2"], "sweep_p_avg_mw.csv",
         "8974b7b0ef7d799cb00493e7429ff51a533d0b24a00fdc64b4479f8841b54654"),
+    # the shared battery turns away a user GT would serve in 82% of blocks
+    "three-user-binding-battery": (
+        ["simulate", "--set", "users=3", "--set", "p_h_max_w=0.15",
+         "--set", "policies=GT,Threshold,GA"], "simulate.csv",
+        "274f96047b4785a96af56c941c08f2fad419a9b41682d9081fd4a8e107342ba2"),
 }
 
 # preset -> (axis value, or None for the preset's own point; sha256 of the

@@ -21,15 +21,17 @@ from hesnet.model import (
     inversion_power,
     make_rng,
     sample_trajectories,
+    serve_feasible,
 )
+from hesnet.offline import ratio_metric
 from hesnet.policies import (
     GreedyTransmit,
     LookAhead,
     MdpTablePolicy,
-    MultiuserGreedyTransmit,
-    MultiuserThreshold,
     ThresholdHeuristic,
     ThresholdParams,
+    _threshold_level,
+    _threshold_serve,
     calibrate_zeta,
     exponential_integral_E1,
     look_ahead_build,
@@ -212,18 +214,80 @@ def test_threshold_monotone_in_zeta():
         served_prev = served
 
 
-def test_batch_rules_match_scalar_rules():
-    l1, l2 = threshold_lambdas(P)
-    policies = [GreedyTransmit(), ThresholdHeuristic(ThresholdParams(7.5, l1, l2))]
-    rng = make_rng(45)
-    battery = rng.uniform(0, P.B_m, 64)
-    gamma_g = rng.exponential(1.0, 64)
-    gamma_h = rng.exponential(1.0, 64)
-    for policy in policies:
+@pytest.mark.parametrize("users", [1, 2, 3])
+def test_joint_rules_decide_batch_rows_independently(users):
+    # one call over many frames equals one one-frame call per frame
+    rng = make_rng(58)
+    tp = ThresholdParams(8.5, *threshold_lambdas(P))
+    gamma_g, gamma_h = rng.exponential(1.0, (2, 200, users))
+    gamma_h[::9, 0] = 0.0    # dead harvesting channels
+    battery = rng.uniform(0, P.B_m / 10, 200)
+    batch = column_batch(gamma_g, gamma_h)
+    for policy in (GreedyTransmit(), ThresholdHeuristic(tp)):
         for block in (0, P.N - 1):
-            batch = policy.decide_batch(block, battery, column_batch(gamma_g, gamma_h))
-            np.testing.assert_array_equal(
-                batch, one_at_a_time(policy, block, battery, gamma_g, gamma_h))
+            acts = policy.decide_batch(block, battery, batch)
+            assert acts.shape == (200, users) and 0 < acts.sum() < acts.size
+            for f in range(200):
+                np.testing.assert_array_equal(
+                    acts[f], joint_action(policy, block, battery[f], gamma_g[f], gamma_h[f]))
+
+
+one_user_params = st.builds(
+    lambda n, tau_ms, d_h, w_d, cap, p_avg, mu_g, mu_h: P.evolve(
+        N=n, tau=tau_ms * 1e-3, d_H=d_h, w_D=w_d, p_H_max=cap, P_avg=p_avg, mu_G=mu_g,
+        mu_H=mu_h),
+    st.integers(1, 60), st.floats(0.1, 10.0), st.floats(10.0, 45.0), st.floats(0.001, 1.0),
+    st.floats(0.01, 2.0), st.floats(0.002, 0.05), st.floats(0.5, 2.0), st.floats(0.5, 2.0))
+
+
+def assert_one_user_rules_are_single_user_rules(params, gamma_g, gamma_h, battery, zeta):
+    batch = column_batch(gamma_g, gamma_h, params)
+    tp = ThresholdParams(zeta, *threshold_lambdas(params))
+    level = _threshold_level(tp.zeta, tp.lambda1, tp.lambda2, params)
+    for block in sorted({0, params.N // 2, params.N - 1}):
+        p_h = batch.p_h[:, :, block]
+        score = ratio_metric(batch.skip[:, :, block], p_h)
+        gt = GreedyTransmit().decide_batch(block, battery, batch)
+        th = ThresholdHeuristic(tp).decide_batch(block, battery, batch)
+        assert gt.dtype == th.dtype == np.int8
+        np.testing.assert_array_equal(gt, serve_feasible(p_h, battery[:, None], params))
+        np.testing.assert_array_equal(
+            th, _threshold_serve(block, battery[:, None], p_h, score, level, params))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(params=one_user_params, seed=st.integers(0, 2**16), zeta=st.floats(0.0, 50.0))
+def test_property_one_user_rules_are_the_single_user_rules(params, seed, zeta):
+    # at one user the admission is serve_feasible itself, bit for bit, on
+    # random states and on the battery, cap and dead-channel edges
+    rng = make_rng(seed)
+    gamma_g = rng.exponential(params.mu_G, 64)
+    gamma_h = rng.exponential(params.mu_H, 64)
+    gamma_h[-4:] = 0.0                                   # dead channel: p_h = inf
+    p_h = column_batch(gamma_g, gamma_h, params).p_h[:, 0, 0]
+    battery = rng.uniform(0.0, params.B_m, 64)
+    battery[:24] = p_h[:24] * params.tau                 # battery == p_h * tau exactly
+    battery[24:28] = 0.0
+    assert_one_user_rules_are_single_user_rules(params, gamma_g, gamma_h, battery, zeta)
+    # p_h == p_H_max exactly, with a battery that covers it and one that
+    # holds exactly its spend
+    at_cap = params.evolve(p_H_max=float(p_h[0]))
+    battery[32:40] = np.where(np.arange(8) % 2 == 0, params.B_m, p_h[0] * params.tau)
+    gamma_h[32:40] = gamma_h[0]
+    assert_one_user_rules_are_single_user_rules(at_cap, gamma_g, gamma_h, battery, zeta)
+
+
+def test_one_user_greedy_refuses_where_only_the_spend_fits():
+    # a battery of exactly p_h * tau where p_h * tau / tau rounds below p_h:
+    # the spend fits the battery, serve_feasible does not, and both rules
+    # at one user follow serve_feasible
+    batch = column_batch([1.0], [0.722])
+    p = float(batch.p_h[0, 0, 0])
+    battery = np.array([p * P.tau])
+    assert p * P.tau <= battery[0] and p > battery[0] / P.tau
+    assert GreedyTransmit().decide_batch(0, battery, batch).tolist() == [[0]]
+    th = ThresholdHeuristic(ThresholdParams(0.0, *threshold_lambdas(P)))
+    assert th.decide_batch(P.N - 1, battery, batch).tolist() == [[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +606,14 @@ def test_multiuser_threshold_admits_by_metric_under_caps():
     battery = 6e-5
     p1 = float(inversion_power(channel_gain(P.d_H, 1.0, P), P))
     capped = P.evolve(p_H_max=p1 * 1.5)
-    acts = joint_action(MultiuserThreshold(tp), 0, battery, [0.05, 3.0], [1.0, 1.2], capped)
+    acts = joint_action(ThresholdHeuristic(tp), 0, battery, [0.05, 3.0], [1.0, 1.2], capped)
     assert acts.sum() == 1
     assert acts[0] == 1  # drop-risk user (bad G-channel) wins the slot
 
 
 def test_multiuser_threshold_pools_battery():
     l1, l2 = threshold_lambdas(P)
-    th = MultiuserThreshold(ThresholdParams(0.0, l1, l2))
+    th = ThresholdHeuristic(ThresholdParams(0.0, l1, l2))
     roomy = P.evolve(p_H_max=10.0)
     p1 = float(inversion_power(channel_gain(P.d_H, 1.0, P), P))
     ones = np.ones(2)
@@ -561,9 +625,21 @@ def test_multiuser_threshold_pools_battery():
     assert acts.sum() == 1
 
 
+def admit_oracle(candidates, users, battery, p):
+    """Admit (key, u, p_h) candidates in sorted order in plain floats while
+    the summed power fits min(battery / tau, p_H_max)."""
+    acts = np.zeros(users, dtype=np.int8)
+    power_used = 0.0
+    for _, u, p_h in sorted(candidates):
+        if power_used + p_h <= min(battery / p.tau, p.p_H_max):
+            power_used += p_h
+            acts[u] = 1
+    return acts
+
+
 def joint_threshold_oracle(block, battery, gamma_g, gamma_h, tp, p):
-    """The joint threshold rule one user at a time in plain floats: the
-    reference for the array form in MultiuserThreshold.decide_batch."""
+    """The threshold rule at any user count one user at a time in plain
+    floats: the reference for ThresholdHeuristic.decide_batch."""
     scored = []
     for u in range(len(gamma_g)):
         p_h = float(inversion_power(channel_gain(p.d_H, gamma_h[u], p), p))
@@ -574,36 +650,69 @@ def joint_threshold_oracle(block, battery, gamma_g, gamma_h, tp, p):
         level = tp.zeta * p.P_avg * p.tau * (tp.lambda1 / tp.lambda2)
         if block >= p.N - 1 or battery * score >= level:
             scored.append((-score, u, p_h))
-    acts = np.zeros(len(gamma_g), dtype=np.int8)
-    power_used = energy_used = 0.0
-    for _, u, p_h in sorted(scored):
-        spend = p_h * p.tau
-        if power_used + p_h <= p.p_H_max and energy_used + spend <= battery:
-            power_used += p_h
-            energy_used += spend
-            acts[u] = 1
-    return acts
+    return admit_oracle(scored, len(gamma_g), battery, p)
+
+
+def joint_greedy_oracle(battery, gamma_h, p):
+    """GT at any user count in plain floats: cheapest inversion power first
+    (ties: lower user)."""
+    powers = [float(inversion_power(channel_gain(p.d_H, g, p), p)) for g in gamma_h]
+    return admit_oracle([(p_h, u, p_h) for u, p_h in enumerate(powers)], len(gamma_h),
+                        battery, p)
+
+
+def oracle_states():
+    """(point, zeta, block, battery, gamma_g, gamma_h) two-user states: 900
+    random ones, then 900 whose battery is exactly the two users' summed
+    spends, where summing powers and summing spends can round apart."""
+    rng = make_rng(57)
+    for exact in (False, True):
+        for p_avg_mw in (10.0, 20.0, 30.0):
+            point = P.evolve(P_avg=p_avg_mw * 1e-3)
+            for zeta in (0.0, 8.5, 50.0):
+                for _ in range(100):
+                    block = int(rng.integers(0, point.N))
+                    battery = float(rng.uniform(0, point.B_m / 10))
+                    gamma_g, gamma_h = rng.exponential(1.0, 2), rng.exponential(1.0, 2)
+                    if exact:
+                        spends = inversion_power(channel_gain(point.d_H, gamma_h, point),
+                                                 point) * point.tau
+                        battery = float(spends[0]) + float(spends[1])
+                    yield point, zeta, block, battery, gamma_g, gamma_h
+
+
+def count_rounding_states(states):
+    """How many battery-equals-summed-spends states the two admission forms
+    (summed power against battery / tau, summed spend against the battery)
+    decide apart: the oracle tests below must meet some."""
+    apart = 0
+    for point, _, _, battery, _, gamma_h in states:
+        p = [float(x) for x in inversion_power(channel_gain(point.d_H, gamma_h, point), point)]
+        if max(p) <= min(battery / point.tau, point.p_H_max) and p[0] + p[1] <= point.p_H_max:
+            apart += (p[0] + p[1] <= battery / point.tau) != (
+                p[0] * point.tau + p[1] * point.tau <= battery)
+    return apart
 
 
 def test_multiuser_threshold_matches_per_user_oracle():
-    rng = make_rng(57)
-    for p_avg_mw in (10.0, 20.0, 30.0):
-        point = P.evolve(P_avg=p_avg_mw * 1e-3)
-        l1, l2 = threshold_lambdas(point)
-        for zeta in (0.0, 8.5, 50.0):
-            tp = ThresholdParams(zeta, l1, l2)
-            th = MultiuserThreshold(tp)
-            for _ in range(100):
-                block = int(rng.integers(0, point.N))
-                battery = float(rng.uniform(0, point.B_m / 10))
-                gamma_g, gamma_h = rng.exponential(1.0, 2), rng.exponential(1.0, 2)
-                np.testing.assert_array_equal(
-                    joint_action(th, block, battery, gamma_g, gamma_h, point),
-                    joint_threshold_oracle(block, battery, gamma_g, gamma_h, tp, point))
+    states = list(oracle_states())
+    assert count_rounding_states(states) > 0
+    for point, zeta, block, battery, gamma_g, gamma_h in states:
+        tp = ThresholdParams(zeta, *threshold_lambdas(point))
+        np.testing.assert_array_equal(
+            joint_action(ThresholdHeuristic(tp), block, battery, gamma_g, gamma_h, point),
+            joint_threshold_oracle(block, battery, gamma_g, gamma_h, tp, point))
+
+
+def test_multiuser_greedy_matches_per_user_oracle():
+    for point, _, block, battery, gamma_g, gamma_h in oracle_states():
+        np.testing.assert_array_equal(
+            joint_action(GreedyTransmit(), block, battery, gamma_g, gamma_h, point),
+            joint_greedy_oracle(battery, gamma_h, point))
 
 
 def test_multiuser_greedy_admits_cheapest_first():
-    gt = MultiuserGreedyTransmit()
+    gt = GreedyTransmit()
     # user 2 has the better harvesting channel: lower power, admitted first
     gamma_h = np.array([0.3, 2.0])
     gamma_g = np.array([1.0, 1.0])
@@ -614,24 +723,6 @@ def test_multiuser_greedy_admits_cheapest_first():
     # plenty of battery: both fit under the summed peak
     acts = joint_action(gt, 0, 1.0, gamma_g, gamma_h)
     np.testing.assert_array_equal(acts, [1, 1])
-
-
-@pytest.mark.parametrize("users", [2, 3])
-def test_joint_rules_decide_batch_rows_independently(users):
-    # one call over many frames equals one one-frame call per frame
-    rng = make_rng(58)
-    tp = ThresholdParams(8.5, *threshold_lambdas(P))
-    gamma_g, gamma_h = rng.exponential(1.0, (2, 200, users))
-    gamma_h[::9, 0] = 0.0    # dead harvesting channels
-    battery = rng.uniform(0, P.B_m / 10, 200)
-    batch = column_batch(gamma_g, gamma_h)
-    for policy in (MultiuserGreedyTransmit(), MultiuserThreshold(tp)):
-        for block in (0, P.N - 1):
-            acts = policy.decide_batch(block, battery, batch)
-            assert acts.shape == (200, users) and 0 < acts.sum() < acts.size
-            for f in range(200):
-                np.testing.assert_array_equal(
-                    acts[f], joint_action(policy, block, battery[f], gamma_g[f], gamma_h[f]))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)

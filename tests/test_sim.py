@@ -24,8 +24,6 @@ from hesnet.offline import ENERGY_RTOL, exhaustive_plan, greedy_plan
 from hesnet.policies import (
     GreedyTransmit,
     MdpTablePolicy,
-    MultiuserGreedyTransmit,
-    MultiuserThreshold,
     ThresholdHeuristic,
     ThresholdParams,
     threshold_lambdas,
@@ -146,8 +144,8 @@ def test_run_frame_checks_length():
 def test_run_batch_refuses_more_than_one_user():
     two = sample_trajectories(P, 62, 3, users=2)
     with pytest.raises(InvalidParameterError, match="one user, got 2"):
-        run_batch(MultiuserGreedyTransmit(), two)
-    costs, _, _ = multiuser_frame_metrics(MultiuserGreedyTransmit(), two)
+        run_batch(GreedyTransmit(), two)
+    costs, _, _ = multiuser_frame_metrics(GreedyTransmit(), two)
     assert costs.shape == (3,)
 
 
@@ -386,7 +384,7 @@ def test_offline_evaluation_refuses_a_capped_battery():
     with pytest.raises(ModelMismatchError, match="uncapped battery"):
         offline_frame_metrics(greedy_plan, two)
     # the causal walks and the solvers themselves stay usable on capped params
-    multiuser_frame_metrics(MultiuserGreedyTransmit(), two)
+    multiuser_frame_metrics(GreedyTransmit(), two)
     solve(greedy_plan, Frame.of(sample_trajectory(capped, 79)))
     # a battery of exactly N * E_m never clamps
     exact = P.evolve(N=5).evolve(B_m=5 * P.E_m)
@@ -582,7 +580,7 @@ def test_multiuser_rejects_bad_action_value():
 
 def test_multiuser_monte_carlo_invariant():
     params = two_user_setup()
-    gt = MultiuserGreedyTransmit()
+    gt = GreedyTransmit()
 
     def run():
         arrays = multiuser_frame_metrics(gt, sample_trajectories(params, 76, 50, users=2))
@@ -719,9 +717,9 @@ def assert_lockstep_matches_oracle(policy, batch):
 
 def joint_policy(name, params, zeta=3.0):
     if name == "GT":
-        return MultiuserGreedyTransmit()
+        return GreedyTransmit()
     if name == "Threshold":
-        return MultiuserThreshold(ThresholdParams(zeta, *threshold_lambdas(params)))
+        return ThresholdHeuristic(ThresholdParams(zeta, *threshold_lambdas(params)))
     return name
 
 
