@@ -21,7 +21,6 @@ from .errors import (
     StructureViolationError,
 )
 from .model import (
-    ExponentialFading,
     FrameBatch,
     SystemParams,
     channel_gain,

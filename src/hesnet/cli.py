@@ -504,6 +504,10 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_offline_solve(cfg: RunConfig, args) -> int:
+    if cfg.users > 1:
+        raise ConfigError(
+            f"offline-solve plans one user, got users={cfg.users}: its trajectory and replay "
+            "files hold one user's gains")
     params = cfg.params
     require_uncapped_battery(params)
     if args.replay:

@@ -23,6 +23,7 @@ when `CostToGo.u` is read.  Policy artifacts hold the serve table alone.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ from .errors import (
     InvalidStateError,
     StructureViolationError,
 )
-from .model import ExponentialFading, SystemParams, link_terms, serve_feasible
+from .model import SystemParams, link_terms, serve_feasible
 
 __all__ = [
     "QuantizationGrid",
@@ -57,21 +58,29 @@ __all__ = [
 # quantization
 # ---------------------------------------------------------------------------
 
-def equiprobable_channel_states(K: int, fading) -> tuple[np.ndarray, np.ndarray]:
-    """Split a fading distribution into K states of probability exactly 1/K.
+def equiprobable_channel_states(K: int, mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split exponential fading of mean `mean` into K states of probability
+    exactly 1/K.
 
-    `fading` is a distribution exposing quantile/interval_mean (see
-    ExponentialFading) or a bare positive float taken as an exponential
-    mean.  Returns (levels, boundaries): levels[k] is the conditional mean
-    on [boundaries[k], boundaries[k+1]); boundaries run 0..inf.
+    Returns (levels, boundaries): boundaries run 0..inf through the
+    quantiles -mean * log1p(-k/K), and levels[k] is the conditional mean
+    on [boundaries[k], boundaries[k+1]), lo + mean on the unbounded tail.
     """
-    if isinstance(fading, (int, float, np.floating)):
-        fading = ExponentialFading(float(fading))
     if not (isinstance(K, (int, np.integer)) and K >= 1):
         raise InvalidParameterError(f"K must be a positive integer, got {K!r}")
-    bounds = np.array([fading.quantile(k / K) for k in range(K + 1)])
-    levels = np.array([fading.interval_mean(bounds[k], bounds[k + 1]) for k in range(K)])
-    return levels, bounds
+    if not (math.isfinite(mean) and mean > 0):
+        raise InvalidParameterError(f"fading mean must be > 0, got {mean!r}")
+    mean = float(mean)
+    # -(k / K), not -k / K: the latter makes the first bound -0.0
+    bounds = np.array([-mean * math.log1p(-(k / K)) for k in range(K)] + [math.inf])
+    levels = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if math.isinf(hi):
+            levels.append(lo + mean)   # memoryless tail
+        else:
+            w_lo, w_hi = math.exp(-lo / mean), math.exp(-hi / mean)
+            levels.append(mean + (lo * w_lo - hi * w_hi) / (w_lo - w_hi))
+    return np.array(levels), bounds
 
 
 @dataclass(frozen=True)
@@ -120,8 +129,8 @@ def build_grid(params: SystemParams, M: int = 100, K: int = 25) -> QuantizationG
     channel states per link of the exponential fading in `params`."""
     if not (isinstance(M, (int, np.integer)) and M >= 1):
         raise InvalidParameterError(f"M must be a positive integer, got {M!r}")
-    levels_g, bounds_g = equiprobable_channel_states(K, ExponentialFading(params.mu_G))
-    levels_h, bounds_h = equiprobable_channel_states(K, ExponentialFading(params.mu_H))
+    levels_g, bounds_g = equiprobable_channel_states(K, params.mu_G)
+    levels_h, bounds_h = equiprobable_channel_states(K, params.mu_H)
     b_m = params.B_m
     mids = (2.0 * np.arange(1, M + 1) - 1.0) * b_m / (2.0 * M)
     edges = np.linspace(0.0, b_m, M + 1)

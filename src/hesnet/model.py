@@ -30,7 +30,6 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "SystemParams",
-    "ExponentialFading",
     "channel_gain",
     "rate",
     "inversion_power",
@@ -136,45 +135,6 @@ class SystemParams:
         blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"),
                           default=float).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# stochastic models
-# ---------------------------------------------------------------------------
-
-class ExponentialFading:
-    """Exponentially distributed block fading power gain (Rayleigh amplitude).
-
-    The quantile and interval-mean methods are what the quantizer needs, so
-    any distribution exposing the same two methods can stand in.
-    """
-
-    def __init__(self, mean: float):
-        if not (math.isfinite(mean) and mean > 0):
-            raise InvalidParameterError(f"fading mean must be > 0, got {mean!r}")
-        self.mean = float(mean)
-
-    def quantile(self, p: float) -> float:
-        """Inverse CDF; quantile(1.0) is +inf."""
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(f"quantile level must be in [0, 1], got {p!r}")
-        if p == 1.0:
-            return math.inf
-        return -self.mean * math.log1p(-p)
-
-    def interval_mean(self, lo: float, hi: float) -> float:
-        """E[gamma | lo <= gamma < hi].  `hi` may be +inf."""
-        if not 0.0 <= lo < hi:
-            raise InvalidParameterError(f"need 0 <= lo < hi, got [{lo}, {hi})")
-        mu = self.mean
-        if math.isinf(hi):
-            return lo + mu  # memoryless tail
-        w_lo = math.exp(-lo / mu)
-        w_hi = math.exp(-hi / mu)
-        return mu + (lo * w_lo - hi * w_hi) / (w_lo - w_hi)
-
-    def __repr__(self):
-        return f"ExponentialFading(mean={self.mean!r})"
 
 
 # ---------------------------------------------------------------------------

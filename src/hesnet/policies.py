@@ -5,10 +5,10 @@ method, `decide_batch(block, battery, batch)`: the block index, the
 (frames,) shared battery states and the `FrameBatch` whose (frames, U)
 column `block` holds the block's precomputed link terms in, a (frames, U)
 0/1 array out.  The greedy and threshold rules take any U: they rank the
-users and admit them while `serve_feasible` holds for the summed power
-against the shared battery and the summed peak cap of `batch.params`, so
-one user is the single-user rule exactly.  The table lookups read the
-column at U = 1.  The threshold rule needs two closed-form constants,
+users and admit them (`sim._admit_in_order`) while `serve_feasible` holds
+for the summed power against the shared battery and the summed peak cap
+of `batch.params`, so one user is the single-user rule exactly.  The
+table lookups read the column at U = 1.  The threshold rule needs two closed-form constants,
 the mean skip cost lambda1 and the mean feasible battery power lambda2;
 they are exact for exponential fading, and a Monte Carlo cross-check of
 both lives in the test suite.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .mdp import (
 )
 from .model import FrameBatch, SystemParams, kappa, link_terms, sample_trajectories, serve_feasible
 from .offline import ratio_metric
-from .sim import _battery_slack, _overdraw_error
+from .sim import _admit_in_order, _battery_slack, _pay
 
 __all__ = [
     "ThresholdParams",
@@ -133,22 +134,6 @@ def _threshold_serve(block, battery, p_h, score, level, params: SystemParams):
 # greedy and threshold rules
 # ---------------------------------------------------------------------------
 
-def _admit(order, eligible, p_h, battery, params: SystemParams):
-    """Serve eligible users in `order`, a (frames, users) permutation per
-    row, while their summed power passes `serve_feasible` against the
-    shared (frames,) battery and the summed peak cap params.p_H_max.  One
-    user is served exactly where eligible & serve_feasible(p_h, battery)."""
-    rows = np.arange(p_h.shape[0])
-    acts = np.zeros(p_h.shape, dtype=np.int8)
-    power_used = np.zeros(p_h.shape[0])
-    for u in order.T:
-        p = p_h[rows, u]
-        ok = eligible[rows, u] & serve_feasible(power_used + p, battery, params)
-        power_used = np.where(ok, power_used + p, power_used)
-        acts[rows, u] = ok
-    return acts
-
-
 class GreedyTransmit:
     """Myopic baseline: serve from the battery whenever the block's
     inversion power fits both the stored energy and the peak cap; users
@@ -157,8 +142,9 @@ class GreedyTransmit:
 
     def decide_batch(self, block, battery, batch: FrameBatch):
         p_h = batch.p_h[:, :, block]
-        return _admit(np.argsort(p_h, axis=1, kind="stable"), np.ones(p_h.shape, dtype=bool),
-                      p_h, battery, batch.params)
+        fits = partial(serve_feasible, battery=battery, params=batch.params)
+        order = np.argsort(p_h, axis=1, kind="stable")
+        return _admit_in_order(order, np.ones(p_h.shape, dtype=bool), p_h, fits).astype(np.int8)
 
 
 class ThresholdHeuristic:
@@ -182,7 +168,9 @@ class ThresholdHeuristic:
         score = ratio_metric(batch.skip[:, :, block], p_h)
         level = _threshold_level(self.tp.zeta, self.tp.lambda1, self.tp.lambda2, params)
         eligible = _threshold_serve(block, battery[:, None], p_h, score, level, params)
-        return _admit(np.argsort(-score, axis=1, kind="stable"), eligible, p_h, battery, params)
+        fits = partial(serve_feasible, battery=battery, params=params)
+        order = np.argsort(-score, axis=1, kind="stable")
+        return _admit_in_order(order, eligible, p_h, fits).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +226,14 @@ class MdpTablePolicy:
         return np.where(demote, 0, act).astype(np.int8)
 
 
-def look_ahead_build(params: SystemParams, grid=None, *, M: int = 100, K: int = 25) -> PolicyTable:
+def look_ahead_build(params: SystemParams, *, M: int = 100, K: int = 25) -> PolicyTable:
     """Two-block policy table on the real battery range.
 
     Solving a 2-horizon recursion on the full grid yields the rule "serve
     now or bank for one more block"; its first-block slice is the
     look-ahead decision for every non-terminal block.
     """
-    grid = grid if grid is not None else build_grid(params, M=M, K=K)
-    return monotone_backward_induction(build_mdp_model(params, grid), 2)[0]
+    return monotone_backward_induction(build_mdp_model(params, build_grid(params, M=M, K=K)), 2)[0]
 
 
 class LookAhead(MdpTablePolicy):
@@ -299,30 +286,22 @@ def _split_block(block, segments, e, p_h, skip, score, slack, levels, params: Sy
     battery and a skip-cost sum in `frame`.  e, p_h, skip, score and the
     battery slack are the block's (frames,) columns.  Each segment is
     credited the arrival (clamped at B_m), cut by `_threshold_cut`, and
-    split into its served part, which spends p_h * tau (clamped at 0), and
-    its skipped part, which adds the skip cost; empty parts are dropped.  A
-    serve over the peak cap (exact) or the battery plus slack raises, as in
-    `sim._walk`.  Returns the children, still in (frame, lo) order.
+    split into its served part, which pays p_h * tau through the walk's own
+    check (`sim._pay`), and its skipped part, which adds the skip cost;
+    empty parts are dropped.  Returns the children, still in (frame, lo)
+    order.
     """
     frame, lo, hi, battery, cost = segments
     battery = np.minimum(battery + e[frame], params.B_m)
     p = p_h[frame]
     cut = _threshold_cut(block, battery, p, score[frame], levels, lo, hi, params)
     served, skipped = cut > lo, cut < hi
-    power = np.where(served, p, 0.0)
-    spend = power * params.tau
-    over = spend > battery + slack[frame]
-    if power.max(initial=0.0) > params.p_H_max or over.any():
-        at = int(np.argmax((power > params.p_H_max) | over))
-        raise _overdraw_error(block, int(frame[at]), battery[at], spend[at], power[at],
-                              params.p_H_max)
+    paid = _pay(block, frame, battery, np.where(served, p, 0.0)[:, None], slack[frame], params)
     charged = cost + skip[frame]
     split = np.flatnonzero(served & skipped)
     # each segment's served part, or its skipped part when none serves,
     # then the skipped part of a split segment right after it
-    first = (frame, lo, np.where(served, cut, hi),
-             np.where(served, np.maximum(battery - spend, 0.0), battery),
-             np.where(served, cost, charged))
+    first = (frame, lo, np.where(served, cut, hi), paid, np.where(served, cost, charged))
     if split.size == 0:
         return first
     second = (frame[split], cut[split], hi[split], battery[split], charged[split])

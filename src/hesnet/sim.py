@@ -13,9 +13,9 @@ summed peak power holds out, and the rest drop.  Offline plans are
 replayed through the same walk (`replay_plan`).  `run_batch` (one user
 only) sums the block terms with +=, every other evaluation per frame with
 math.fsum (`frame_totals`), so an offline plan's cost is its exact
-skip-cost sum.  The zeta calibrator (`policies.calibrate_zeta`) walks
-intervals of candidates instead of frames, under the same battery slack
-and serve checks (`_battery_slack`, `_overdraw_error`).
+skip-cost sum.  The walk and the zeta calibrator pay every block through
+one check, `_pay`; the grid BS and the greedy and threshold policies admit
+users through one rule, `_admit_in_order`.
 `metrics_from_arrays` is the one aggregator.
 """
 
@@ -95,23 +95,42 @@ def _overdraw_error(block: int, frame: int, battery, spend, power, p_max) -> Inv
         f"{float(power)!r} W, peak {p_max!r} W")
 
 
+def _pay(block: int, frame, battery, served, slack, params: SystemParams):
+    """Pay one block's (rows, U) served powers, summed in user order as the
+    offline engine sums them, out of the (rows,) battery.  A serve over the
+    peak cap params.p_H_max (exact per user, 1e-12 slack on the sum) or the
+    battery plus `slack` raises, naming frame[row].  Returns the battery
+    after the spend, clamped at 0."""
+    p_max = params.p_H_max
+    power = served[:, 0]
+    for u in range(1, served.shape[1]):
+        power = power + served[:, u]
+    spend = power * params.tau
+    over = spend > battery + slack
+    # one user's power is its sum: the exact check covers the slack one
+    if (served.max(initial=0.0) > p_max or power.max(initial=0.0) > p_max * (1.0 + 1e-12)
+            or over.any()):
+        at = int(np.argmax((served > p_max).any(axis=-1)
+                           | (power > p_max * (1.0 + 1e-12)) | over))
+        raise _overdraw_error(block, int(frame[at]), battery[at], spend[at], power[at], p_max)
+    return np.maximum(battery - spend, 0.0)
+
+
 def _walk(decide, p_h, e_h, params: SystemParams, battery):
     """The per-block battery walk of every evaluation, at any user count.
 
     `p_h` holds (frames, U, N) harvesting inversion powers over (frames, N)
     arrivals `e_h`; `battery` is the (frames,) starting charge.  Per block:
     credit the arrival (clamped at B_m), ask `decide(block, battery)` for a
-    (frames, U) 0/1 array, reject any other, reject a serve over the peak
-    cap params.p_H_max (exact per user, 1e-12 slack on the sum in user
-    order) or over the battery plus `_battery_slack`, spend.  Yields the
-    serve masks.
+    (frames, U) 0/1 array, reject any other, pay the served users' powers
+    (`_pay`, under `_battery_slack`).  Yields the serve masks.
     """
     frames, users = p_h.shape[:2]
-    p_max = params.p_H_max
     battery = np.asarray(battery, dtype=float)
     if battery.shape != (frames,):
         raise InvalidParameterError(
             f"the walk takes a (frames,) battery, got shape {battery.shape} for {frames} frames")
+    rows = np.arange(frames)
     arrived = np.zeros(frames)
     for i in range(params.N):
         arrived = arrived + e_h[:, i]
@@ -126,65 +145,51 @@ def _walk(decide, p_h, e_h, params: SystemParams, battery):
             at = int(np.argmin(valid.all(axis=-1)))
             raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block {i + 1} "
                                      f"of frame {at}, expected 0 or 1 per user")
-        served = np.where(serve, p_h[:, :, i], 0.0)
-        power = served[:, 0]
-        for u in range(1, users):   # in user order, as the offline engine sums
-            power = power + served[:, u]
-        spend = power * params.tau
-        over = spend > battery + _battery_slack(arrived)
-        # one user's power is its sum: the exact check covers the slack one
-        if (served.max(initial=0.0) > p_max
-                or (users > 1 and power.max(initial=0.0) > p_max * (1.0 + 1e-12))
-                or over.any()):
-            at = int(np.argmax((served > p_max).any(axis=-1)
-                               | (power > p_max * (1.0 + 1e-12)) | over))
-            raise _overdraw_error(i, at, battery[at], spend[at], power[at], p_max)
-        battery = np.maximum(battery - spend, 0.0)
+        battery = _pay(i, rows, battery, np.where(serve, p_h[:, :, i], 0.0),
+                       _battery_slack(arrived), params)
         yield serve
 
 
-def _grid_admission(serve, p_g, reach, p_max: float):
-    """(frames, U) users the grid BS carries in one block.
-
-    The users the harvesting BS skipped and the grid BS can reach (within
-    kappa and, alone, within `p_max`) wait; they are admitted cheapest
-    inversion power first (ties: lower user) while the summed power stays
-    within `p_max`.  A lone user is admitted exactly when it waits.
-    """
-    admitted = ~serve & reach
-    if admitted.shape[1] > 1:
-        waiting, used, rows = admitted.copy(), np.zeros(len(p_g)), np.arange(len(p_g))
-        for u in np.argsort(p_g, axis=1, kind="stable").T:
-            p = p_g[rows, u]
-            admit = waiting[rows, u] & (used + p <= p_max)
-            used = np.where(admit, used + p, used)
-            admitted[rows, u] = admit
+def _admit_in_order(order, eligible, power, fits):
+    """(frames, U) bool mask of the `eligible` users admitted in `order`, a
+    (frames, U) permutation per row, each while `fits` holds for the power
+    admitted so far plus its own.  A lone user is admitted exactly where
+    eligible & fits(power)."""
+    if power.shape[1] == 1:
+        return eligible & fits(power[:, 0])[:, None]
+    rows = np.arange(power.shape[0])
+    admitted = np.zeros(power.shape, dtype=bool)
+    used = np.zeros(power.shape[0])
+    for u in order.T:
+        p = power[rows, u]
+        admit = eligible[rows, u] & fits(used + p)
+        used = np.where(admit, used + p, used)
+        admitted[rows, u] = admit
     return admitted
 
 
 def _outcomes(decide, batch: FrameBatch):
-    """Walk one shared battery per frame of `batch` under `decide` and
-    settle every block: the served users pay nothing, the users
-    `_grid_admission` admits under the grid BS's summed peak power
-    params.p_G_max pay their skip cost, and the rest drop at w_D.  One user
-    is admitted exactly when it transmits, since then p_G_inv <= kappa <=
-    p_G_max.  Yields each block's (frames, U) serve and admitted masks,
+    """Walk one shared battery per frame of `batch` under `decide` (called
+    as `decide_batch` is) and settle every block: the served users pay
+    nothing, the skipped users the grid BS can reach are admitted cheapest
+    first (ties: lower user) while their summed power stays within
+    params.p_G_max and pay their skip cost, and the rest drop at w_D.  One
+    user is admitted exactly when it transmits, since then p_G_inv <= kappa
+    <= p_G_max.  Yields each block's (frames, U) serve and admitted masks,
     costs and grid energies in J.
     """
     params, p_g, skip = batch.params, batch.p_g, batch.skip
     cap = params.p_G_max * (1.0 + 1e-12)
     reach = batch.transmits & (p_g <= cap)
-    for i, serve in enumerate(_walk(decide, batch.p_h, batch.e_h, params,
-                                    np.zeros(batch.frames))):
-        admitted = _grid_admission(serve, p_g[:, :, i], reach[:, :, i], cap)
+    order = np.argsort(p_g, axis=1, kind="stable")
+    walk = _walk(lambda i, battery: decide(i, battery, batch), batch.p_h, batch.e_h, params,
+                 np.zeros(batch.frames))
+    for i, serve in enumerate(walk):
+        admitted = _admit_in_order(order[:, :, i], ~serve & reach[:, :, i], p_g[:, :, i],
+                                   lambda total: total <= cap)
         yield (serve, admitted,
                np.where(serve, 0.0, np.where(admitted, skip[:, :, i], params.w_D)),
                np.where(admitted, p_g[:, :, i] * params.tau, 0.0))
-
-
-def _policy_outcomes(policy, batch: FrameBatch):
-    """`_outcomes` with `policy.decide_batch` deciding each block."""
-    return _outcomes(lambda i, battery: policy.decide_batch(i, battery, batch), batch)
 
 
 def _stacked(steps):
@@ -207,7 +212,7 @@ def replay_plan(plan, batch: FrameBatch):
     (frames, U, N) outcome arrays (serve, admitted, cost, grid energy in
     J); an unaffordable plan raises."""
     plan = np.asarray(plan)
-    return _stacked(_outcomes(lambda i, battery: plan[:, :, i], batch))
+    return _stacked(_outcomes(lambda i, battery, batch: plan[:, :, i], batch))
 
 
 def run_batch(policy, batch: FrameBatch):
@@ -224,7 +229,7 @@ def run_batch(policy, batch: FrameBatch):
     costs = np.zeros(batch.frames)
     grid = np.zeros(batch.frames)
     drops = np.zeros(batch.frames, dtype=np.int64)
-    for serve, admitted, cost, energy in _policy_outcomes(policy, batch):
+    for serve, admitted, cost, energy in _outcomes(policy.decide_batch, batch):
         costs += cost[:, 0]
         grid += energy[:, 0]
         drops += ~serve[:, 0] & ~admitted[:, 0]
@@ -350,7 +355,7 @@ def multiuser_frame_metrics(policy, batch: FrameBatch):
     power is exhausted; the rest drop.  Returns per-frame arrays (costs,
     grid energies, drop counts), the sums totalled with math.fsum.
     """
-    return frame_totals(*_stacked(_policy_outcomes(policy, batch)))
+    return frame_totals(*_stacked(_outcomes(policy.decide_batch, batch)))
 
 
 def offline_frame_metrics(solve, batch: FrameBatch):

@@ -252,6 +252,16 @@ def test_offline_solve_exhaustive_over_cap_is_resource_limit(tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+def test_offline_solve_refuses_more_than_one_user(tmp_path, capsys):
+    # the trajectory and replay formats hold one user; planning only the
+    # first of two users would be a silent wrong answer
+    for extra in (["--set", "users=2"], ["--preset", "fig5-two-user"]):
+        out = tmp_path / extra[-1]
+        assert main(["offline-solve", *extra, "--out", str(out)]) == 2
+        assert "users=2" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_offline_solve_greedy_only_over_cap(tmp_path):
     assert main(["offline-solve", "--set", "n_blocks=60", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "offline_summary.json").read_text())

@@ -40,7 +40,7 @@ from hesnet.mdp import (
     quantize_energy,
     save_policy_artifact,
 )
-from hesnet.model import ExponentialFading, SystemParams, link_terms, make_rng, serve_feasible
+from hesnet.model import SystemParams, link_terms, make_rng, serve_feasible
 
 P = SystemParams()
 
@@ -95,7 +95,7 @@ def test_equiprobable_states_unit_mean_k2():
 def test_equiprobable_states_have_equal_mass_and_conditional_means():
     mu = 1.4
     k = 7
-    levels, bounds = equiprobable_channel_states(k, ExponentialFading(mu))
+    levels, bounds = equiprobable_channel_states(k, mu)
     cdf = lambda x: -math.expm1(-x / mu)
     pdf = lambda x: math.exp(-x / mu) / mu
     for i in range(k):
@@ -114,6 +114,33 @@ def test_equiprobable_single_state_is_the_mean():
     levels, bounds = equiprobable_channel_states(1, 0.7)
     np.testing.assert_allclose(levels, [0.7], rtol=1e-12)
     np.testing.assert_allclose(bounds, [0.0, math.inf])
+
+
+def test_equiprobable_bounds_run_from_positive_zero_to_inf():
+    # -mean * log1p(-k / K) would make the first bound -0.0, which passes
+    # == 0.0 but changes the bytes of every trained table
+    for k in (1, 2, 7, 25):
+        _, bounds = equiprobable_channel_states(k, 2.0)
+        assert math.copysign(1.0, bounds[0]) == 1.0
+        assert bounds[-1] == math.inf
+    _, bounds = equiprobable_channel_states(2, 2.0)
+    assert np.isclose(bounds[1], 2.0 * math.log(2.0), rtol=1e-12)
+    for mean in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            equiprobable_channel_states(2, mean)
+
+
+def test_equiprobable_levels_are_conditional_means_by_quadrature():
+    mu = 1.7
+    pdf = lambda x: math.exp(-x / mu) / mu
+    for k in (2, 5, 40):
+        levels, bounds = equiprobable_channel_states(k, mu)
+        for i in range(k - 1):
+            num, _ = integrate.quad(lambda x: x * pdf(x), bounds[i], bounds[i + 1])
+            den, _ = integrate.quad(pdf, bounds[i], bounds[i + 1])
+            assert np.isclose(levels[i], num / den, rtol=1e-9)
+        # unbounded tail: memorylessness gives lo + mean
+        assert levels[-1] == bounds[-2] + mu
 
 
 def test_channel_state_index_boundaries():

@@ -4,11 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from hesnet.errors import InvalidParameterError
 from hesnet.model import (
-    ExponentialFading,
     FrameBatch,
     SystemParams,
     channel_gain,
@@ -109,27 +107,6 @@ def test_cost_parameter_never_exceeds_drop_price():
 # ---------------------------------------------------------------------------
 # stochastic models
 # ---------------------------------------------------------------------------
-
-def test_exponential_quantiles():
-    f = ExponentialFading(2.0)
-    assert f.quantile(0.0) == 0.0
-    assert f.quantile(1.0) == math.inf
-    assert np.isclose(f.quantile(0.5), 2.0 * math.log(2.0), rtol=1e-12)
-    with pytest.raises(InvalidParameterError):
-        f.quantile(1.5)
-
-
-def test_exponential_interval_mean_against_quadrature():
-    f = ExponentialFading(1.7)
-    pdf = lambda x: math.exp(-x / 1.7) / 1.7
-    for lo, hi in [(0.0, 0.4), (0.4, 2.0), (2.0, 9.0), (1e-4, 1e-3)]:
-        num, _ = integrate.quad(lambda x: x * pdf(x), lo, hi)
-        den, _ = integrate.quad(pdf, lo, hi)
-        assert np.isclose(f.interval_mean(lo, hi), num / den, rtol=1e-9)
-    # unbounded tail: memorylessness gives lo + mean
-    assert f.interval_mean(3.0, math.inf) == 3.0 + 1.7
-    assert np.isclose(f.interval_mean(0.0, math.inf), 1.7, rtol=1e-12)
-
 
 def test_exponential_sampling_moments():
     # the sampler's gains are exponential with means mu_G and mu_H

@@ -5,7 +5,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -257,6 +257,14 @@ def assert_one_user_rules_are_single_user_rules(params, gamma_g, gamma_h, batter
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(params=one_user_params, seed=st.integers(0, 2**16), zeta=st.floats(0.0, 50.0))
+# a power-of-two tau: battery / tau == p_h exactly for every battery = p_h * tau,
+# so p_h == min(battery / tau, p_H_max) on both sides of the min at the cap
+@example(params=P.evolve(tau=2.0 ** -10, P_avg=0.02), seed=0, zeta=5.0)
+# level 0: a dead channel (p_h = inf, score 0) and an empty battery clear the
+# threshold, so serve_feasible alone must refuse them
+@example(params=P, seed=1, zeta=0.0)
+# one block, the last: both rules are serve_feasible at p_h = inf and battery = 0
+@example(params=P.evolve(N=1), seed=2, zeta=50.0)
 def test_property_one_user_rules_are_the_single_user_rules(params, seed, zeta):
     # at one user the admission is serve_feasible itself, bit for bit, on
     # random states and on the battery, cap and dead-channel edges
