@@ -12,12 +12,13 @@ dense (M, K, K) compare costs less than that walk, so MBIA takes the dense
 mask, checks it has the threshold structure the walk relies on, and reports
 the walk's evaluation counts in closed form.
 
-Both solvers share one recursion, one expectation path and one compare, so
-their tables agree bitwise, not just within tolerance.  The recursion needs only
-the per-level sums u_hat of the next block, so a solve keeps the two action
-values q0/q1 per block and sums one block's (M, K, K) slice of the
-per-state values at a time; the full (N, M, K, K) table is rebuilt only
-when `CostToGo.u` is read.  Policy artifacts hold the serve table alone.
+MBIA is `backward_induction` followed by a per-block staircase check, so
+the two solvers' tables agree bitwise, not just within tolerance.  The
+recursion needs only the per-level sums u_hat of the next block, so a solve
+keeps the two action values q0/q1 per block and sums one block's (M, K, K)
+slice of the per-state values at a time; the full (N, M, K, K) table is
+rebuilt only when `CostToGo.u` is read.  Policy artifacts hold the serve
+table alone.
 """
 
 from __future__ import annotations
@@ -265,36 +266,6 @@ def _expected_values(model: MdpModel, u_hat_next: np.ndarray):
 _RISE_RTOL = 1e-12
 
 
-def _induction(model: MdpModel, N: int, serve_rule):
-    """Backward recursion shared by both solvers: `serve_rule(t, q0, q1)` maps
-    block t's (M, K) action values -- q0 per G-state, q1 per H-state, inf
-    where serving is not allowed -- to a pair: the (M, K_G, K_H) serve mask
-    and an extra per block, returned as a list in block order.  Only u_hat
-    feeds the next block, so each block's per-state values live in one
-    temporary slice."""
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
-    m, k = model.grid.M, model.grid.K
-    params_hash = model.params.content_hash()
-    actions = np.zeros((N, m, k, k), dtype=np.uint8)
-    q0, q1 = np.zeros((N, m, k)), np.zeros((N, m, k))
-    u_hat = np.zeros((N, m))
-    mask = np.where(model.allowed, 0.0, np.inf)  # (M, K) additive mask on q1
-    extras = [None] * N
-    for t in range(N - 1, -1, -1):
-        ev0, ev1 = ((np.zeros(m), np.zeros((m, k))) if t == N - 1
-                    else _expected_values(model, u_hat[t + 1]))
-        np.add(model.cost_G[None, :], ev0[:, None], out=q0[t])
-        np.add(ev1, mask, out=q1[t])
-        act, extras[t] = serve_rule(t, q0[t], q1[t])
-        actions[t] = act
-        # one block's (M, K, K) slice of u, summed and dropped
-        u_hat[t] = np.where(act, q1[t, :, None, :], q0[t, :, :, None]).sum(axis=(1, 2))
-    return (PolicyTable(actions=actions, grid=model.grid, params_hash=params_hash),
-            CostToGo(q0=q0, q1=q1, u_hat=u_hat, params_hash=params_hash, actions=actions),
-            extras)
-
-
 def _dense_mask(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
     """(M, K_G, K_H) serve mask: serve wherever it costs no more than not
     serving, so ties serve."""
@@ -305,15 +276,33 @@ def backward_induction(model: MdpModel, N: int):
     """Exact solve of the finite-horizon recursion over all N*M*K^2 states.
 
     The terminal block minimizes the stage cost alone.  Ties between the
-    two actions resolve to serving (action 1).  Returns (PolicyTable,
-    CostToGo).
+    two actions resolve to serving (action 1).  Only u_hat feeds the next
+    block, so each block's per-state values live in one temporary slice.
+    Returns (PolicyTable, CostToGo).
     """
-    return _induction(model, N, lambda t, q0, q1: (_dense_mask(q0, q1), None))[:2]
+    if not (isinstance(N, (int, np.integer)) and N >= 1):
+        raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
+    m, k = model.grid.M, model.grid.K
+    params_hash = model.params.content_hash()
+    actions = np.zeros((N, m, k, k), dtype=np.uint8)
+    q0, q1 = np.zeros((N, m, k)), np.zeros((N, m, k))
+    u_hat = np.zeros((N, m))
+    mask = np.where(model.allowed, 0.0, np.inf)  # (M, K) additive mask on q1
+    for t in range(N - 1, -1, -1):
+        ev0, ev1 = ((np.zeros(m), np.zeros((m, k))) if t == N - 1
+                    else _expected_values(model, u_hat[t + 1]))
+        np.add(model.cost_G[None, :], ev0[:, None], out=q0[t])
+        np.add(ev1, mask, out=q1[t])
+        act = actions[t] = _dense_mask(q0[t], q1[t])
+        # one block's (M, K, K) slice of u, summed and dropped
+        u_hat[t] = np.where(act, q1[t, :, None, :], q0[t, :, :, None]).sum(axis=(1, 2))
+    return (PolicyTable(actions=actions, grid=model.grid, params_hash=params_hash),
+            CostToGo(q0=q0, q1=q1, u_hat=u_hat, params_hash=params_hash, actions=actions))
 
 
-def _staircase_mask(t: int, q0: np.ndarray, q1: np.ndarray):
-    """Block t's dense serve mask, checked to be the threshold staircase of
-    the paper's walk, and per battery level the states that walk evaluates.
+def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Check block t's bool serve `mask` is the threshold staircase of the
+    paper's walk, and count per battery level the states that walk evaluates.
 
     The walk starts at the best state of both channels: a serve fills the
     column below it and drops the H cursor, a skip fills the row to its
@@ -328,27 +317,30 @@ def _staircase_mask(t: int, q0: np.ndarray, q1: np.ndarray):
         if np.any(q[:, 1:] > q[:, :-1] + _RISE_RTOL * np.abs(q[:, :-1])):
             raise StructureViolationError(
                 f"block t={t}: {name}-state axis rises; the monotone walk is not exact")
-    mask = _dense_mask(q0, q1)
     top = mask.sum(axis=1) - 1  # (M, K_H) highest served G-state, -1: none
     # a column that serves at a G-state it skips below is not a prefix
     if np.any(mask[:, 1:] > mask[:, :-1]) or np.any(np.diff(top, axis=1) < 0):
         raise StructureViolationError(
             f"block t={t}: the serve mask is not a threshold staircase")
     k = q0.shape[1]
-    return mask, np.where(top[:, 0] >= 0, 2 * k - 1 - top[:, 0], k + (top >= 0).sum(axis=1))
+    return np.where(top[:, 0] >= 0, 2 * k - 1 - top[:, 0], k + (top >= 0).sum(axis=1))
 
 
 def monotone_backward_induction(model: MdpModel, N: int):
     """The paper's monotone backward induction (MBIA), checked, not re-enacted.
 
-    Each block's table is the dense compare of `backward_induction`, so the
-    two agree bitwise; `_staircase_mask` checks it is the threshold
-    staircase the paper's walk relies on and counts the at most 2K-1 states
-    that walk evaluates per battery level instead of K^2.  Returns
-    (PolicyTable, CostToGo, eval_counts of shape (N, M)).
+    MBIA is backward induction that exploits the threshold structure, so
+    the solve is `backward_induction` itself and the two agree bitwise.
+    `_staircase_counts` then checks each block, from the last to the
+    first, is the threshold staircase the paper's walk relies on, and
+    counts the at most 2K-1 states that walk evaluates per battery level
+    instead of K^2.  Returns (PolicyTable, CostToGo, eval_counts of shape
+    (N, M)).
     """
-    policy, values, counts = _induction(model, N, _staircase_mask)
-    return policy, values, np.stack(counts)
+    policy, values = backward_induction(model, N)
+    counts = [_staircase_counts(t, values.q0[t], values.q1[t], policy.actions[t].view(bool))
+              for t in range(N - 1, -1, -1)]
+    return policy, values, np.stack(counts[::-1])
 
 
 # ---------------------------------------------------------------------------

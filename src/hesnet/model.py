@@ -131,10 +131,13 @@ class SystemParams:
         return dataclasses.asdict(self)
 
     def content_hash(self) -> str:
-        """SHA-256 over the canonical parameter encoding (hex digest)."""
-        blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"),
-                          default=float).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """SHA-256 over the canonical parameter encoding (hex digest), computed
+        once per instance: the fields are frozen and `evolve` builds a new one."""
+        if "_content_hash" not in self.__dict__:
+            blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"),
+                              default=float).encode()
+            object.__setattr__(self, "_content_hash", hashlib.sha256(blob).hexdigest())
+        return self.__dict__["_content_hash"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ column `block` holds the block's precomputed link terms in, a (frames, U)
 users and admit them (`sim._admit_in_order`) while `serve_feasible` holds
 for the summed power against the shared battery and the summed peak cap
 of `batch.params`, so one user is the single-user rule exactly.  The
-table lookups read the column at U = 1.  The threshold rule needs two closed-form constants,
-the mean skip cost lambda1 and the mean feasible battery power lambda2;
-they are exact for exponential fading, and a Monte Carlo cross-check of
-both lives in the test suite.
+table lookups play one user and refuse a batch of more.  The threshold
+rule needs two closed-form constants, the mean skip cost lambda1 and the
+mean feasible battery power lambda2; they are exact for exponential
+fading, and a Monte Carlo cross-check of both lives in the test suite.
 """
 
 from __future__ import annotations
@@ -177,24 +177,6 @@ class ThresholdHeuristic:
 # table-lookup policies
 # ---------------------------------------------------------------------------
 
-def _check_hash_once(policy, params: SystemParams):
-    """Reject a table trained on different parameters.
-
-    SystemParams is frozen, so a (table, params) pair that matched once
-    matches for good: hash once per run instead of once per block.  The
-    pair is held, not its ids, so a freed object's id cannot be reused.
-    """
-    ok = policy._hash_ok
-    if ok is None or ok[0] is not policy.table or ok[1] is not params:
-        params_hash = params.content_hash()
-        if policy.table.params_hash != params_hash:
-            raise StalePolicyError(
-                "policy table was trained on different parameters; retrain it "
-                f"(table hash {policy.table.params_hash[:12]}..., params hash "
-                f"{params_hash[:12]}...)")
-        policy._hash_ok = (policy.table, params)
-
-
 class MdpTablePolicy:
     """Plays a trained full-horizon policy table.
 
@@ -202,12 +184,12 @@ class MdpTablePolicy:
     action assumes the bin's mid-value battery, and when the true battery
     (or the peak cap) cannot cover this block's spend, the action demotes
     to 0.  That is the only divergence from the table.  A table trained on
-    different parameters raises a stale-policy error.
+    different parameters raises a stale-policy error, a batch of more than
+    one user InvalidParameterError.
     """
 
     def __init__(self, table: PolicyTable):
         self.table = table
-        self._hash_ok = None
 
     def decide_batch(self, block, battery, batch: FrameBatch):
         return self._play(block, block, battery, batch)
@@ -215,7 +197,14 @@ class MdpTablePolicy:
     def _play(self, t, block, battery, batch: FrameBatch):
         """Table slice t at the states of block `block`, demoted where the
         true battery or the peak cap cannot pay."""
-        _check_hash_once(self, batch.params)
+        if batch.users != 1:
+            raise InvalidParameterError(f"a policy table plays one user, got {batch.users}")
+        params_hash = batch.params.content_hash()
+        if self.table.params_hash != params_hash:
+            raise StalePolicyError(
+                "policy table was trained on different parameters; retrain it "
+                f"(table hash {self.table.params_hash[:12]}..., params hash "
+                f"{params_hash[:12]}...)")
         if not 0 <= t < self.table.N:
             raise InvalidParameterError(f"block {t} outside the table horizon {self.table.N}")
         grid = self.table.grid

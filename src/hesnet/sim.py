@@ -180,12 +180,11 @@ def _outcomes(decide, batch: FrameBatch):
     """
     params, p_g, skip = batch.params, batch.p_g, batch.skip
     cap = params.p_G_max * (1.0 + 1e-12)
-    reach = batch.transmits & (p_g <= cap)
     order = np.argsort(p_g, axis=1, kind="stable")
     walk = _walk(lambda i, battery: decide(i, battery, batch), batch.p_h, batch.e_h, params,
                  np.zeros(batch.frames))
     for i, serve in enumerate(walk):
-        admitted = _admit_in_order(order[:, :, i], ~serve & reach[:, :, i], p_g[:, :, i],
+        admitted = _admit_in_order(order[:, :, i], ~serve & batch.transmits[:, :, i], p_g[:, :, i],
                                    lambda total: total <= cap)
         yield (serve, admitted,
                np.where(serve, 0.0, np.where(admitted, skip[:, :, i], params.w_D)),

@@ -7,20 +7,11 @@ import math
 import time
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesnet.cli import (
-    AXES,
-    PARAM_KEYS,
-    ZETA_GRID_MAX,
-    RunConfig,
-    main,
-    parse_kv_text,
-    resolve_config,
-)
+from hesnet.cli import ZETA_GRID_MAX, main, parse_kv_text, resolve_config
 from hesnet.errors import ConfigError, HesnetError, ResourceLimitError
 from hesnet.mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction
 from hesnet.model import SystemParams, sample_trajectories

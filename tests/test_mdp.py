@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import os
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -24,8 +23,9 @@ from hesnet.errors import (
 )
 from hesnet.mdp import (
     _RISE_RTOL,
+    _dense_mask,
     _expected_values,
-    _staircase_mask,
+    _staircase_counts,
     CostToGo,
     PolicyTable,
     QuantizationGrid,
@@ -572,20 +572,22 @@ def test_kernel_rejects_levels_off_the_bin_mid_values():
 def test_walk_rejects_a_real_precondition_violation():
     model = build_mdp_model(P, build_grid(P, M=6, K=3))
     # skip cost rising with the G-state: q0 rises along the G axis
-    with pytest.raises(StructureViolationError, match="q0"):
-        monotone_backward_induction(dataclasses.replace(model, cost_G=model.cost_G[::-1]), 3)
+    with pytest.raises(StructureViolationError, match="block t=4: q0"):
+        monotone_backward_induction(dataclasses.replace(model, cost_G=model.cost_G[::-1]), 5)
     # serving allowed at a worse H-state but not at a better one: q1 jumps to inf
     allowed = np.ones_like(model.allowed)
     allowed[:, -1] = False
-    with pytest.raises(StructureViolationError, match="q1"):
-        monotone_backward_induction(dataclasses.replace(model, allowed=allowed), 3)
+    with pytest.raises(StructureViolationError, match="block t=4: q1"):
+        monotone_backward_induction(dataclasses.replace(model, allowed=allowed), 5)
     # serving at the best H-state drains the battery: below the terminal
-    # block, its expected cost rises above that of the next-best H-state
+    # block, its expected cost rises above that of the next-best H-state;
+    # blocks are checked last to first, so the error names the first block
+    # below the terminal one
     kernel1 = model.kernel1.copy()
     kernel1[-1] = 0.0
     kernel1[-1, :, 0] = 1.0
-    with pytest.raises(StructureViolationError, match="q1"):
-        monotone_backward_induction(dataclasses.replace(model, kernel1=kernel1), 3)
+    with pytest.raises(StructureViolationError, match="block t=3: q1"):
+        monotone_backward_induction(dataclasses.replace(model, kernel1=kernel1), 5)
 
 
 def test_walk_tolerates_rises_of_rounding_size():
@@ -598,17 +600,23 @@ def test_walk_tolerates_rises_of_rounding_size():
         monotone_backward_induction(real, 3)
 
 
+def staircase(q0, q1):
+    """Block 0's dense mask and the walk's evaluation counts, checked."""
+    mask = _dense_mask(q0, q1)
+    return mask, _staircase_counts(0, q0, q1, mask)
+
+
 def test_staircase_mask_refuses_a_serve_inside_a_tolerated_rise():
     c = 0.3
     up = np.nextafter(c, np.inf)
     # q0's 1-ulp rise passes the rise check, but serving at H-state 1 ties
     # at G-state 1 and loses at G-state 0: the column is not a prefix
     with pytest.raises(StructureViolationError, match="staircase"):
-        _staircase_mask(0, np.array([[c, up]]), np.array([[np.inf, up]]))
+        staircase(np.array([[c, up]]), np.array([[np.inf, up]]))
     # the same along H: a 1-ulp rise of q1 serves H-state 0 and not H-state 1
     with pytest.raises(StructureViolationError, match="staircase"):
-        _staircase_mask(0, np.array([[c, c]]), np.array([[c, up]]))
-    mask, evals = _staircase_mask(0, np.array([[c, c]]), np.array([[np.inf, c]]))
+        staircase(np.array([[c, c]]), np.array([[c, up]]))
+    mask, evals = staircase(np.array([[c, c]]), np.array([[np.inf, c]]))
     np.testing.assert_array_equal(mask[0], [[False, True], [False, True]])
     np.testing.assert_array_equal(evals, [3])
 
@@ -644,7 +652,7 @@ def test_property_staircase_mask_equals_per_level_walk(data, m, k):
     # serving is not allowed at the worst H-states of some levels: inf first
     for i, blocked in enumerate(data.draw(arrays(np.int64, m, elements=st.integers(0, k)))):
         q1[i, :blocked] = np.inf
-    mask, evals = _staircase_mask(0, q0, q1)
+    mask, evals = staircase(q0, q1)
     assert mask.shape == (m, k, k) and evals.dtype == np.int64
     for i in range(m):
         pol, _, n = monotone_slice(q0[i], q1[i], k)

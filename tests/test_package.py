@@ -1,6 +1,7 @@
-"""The public surface: exported names resolve and the README's library
-example runs as written."""
+"""The public surface: exported names resolve, the README's library
+example runs as written, and no module imports a name it never uses."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -14,7 +15,8 @@ import pytest
 import hesnet
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hesnet.__path__))
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -49,3 +51,26 @@ def test_cli_import_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+def unused_imports(path):
+    """Names `path` imports but never reads: a name counts as used when it
+    appears as a bare name anywhere in the module (attribute roots too)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    # no linter is configured; __init__.py imports are the package's re-exports
+    files = [path for folder in (ROOT / "src" / "hesnet", ROOT / "tests")
+             for path in sorted(folder.rglob("*.py")) if path.name != "__init__.py"]
+    assert files
+    found = {str(path.relative_to(ROOT)): names for path in files if (names := unused_imports(path))}
+    assert found == {}

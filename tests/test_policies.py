@@ -37,7 +37,7 @@ from hesnet.policies import (
     look_ahead_build,
     threshold_lambdas,
 )
-from hesnet.sim import _battery_slack, apply_axis, run_batch
+from hesnet.sim import _battery_slack, apply_axis, multiuser_frame_metrics, run_batch
 
 P = SystemParams()
 
@@ -330,22 +330,34 @@ def test_stale_table_raises_from_run_batch():
 
 def test_matching_table_hashes_params_once_per_run(monkeypatch):
     calls = []
-    content_hash = SystemParams.content_hash
+    as_dict = SystemParams.as_dict
 
     def counting(self):
         calls.append(self)
-        return content_hash(self)
+        return as_dict(self)
 
-    monkeypatch.setattr(SystemParams, "content_hash", counting)
+    monkeypatch.setattr(SystemParams, "as_dict", counting)
     batch = sample_trajectories(P, 52, 4)
-    # equal content, new object
-    again = FrameBatch(P.evolve(), batch.gamma_g, batch.gamma_h, batch.e_h)
     for policy in (MdpTablePolicy(small_table(P)), LookAhead(look_ahead_build(P, M=10, K=4))):
+        # equal content, new objects never hashed before
+        first, again = (FrameBatch(P.evolve(), batch.gamma_g, batch.gamma_h, batch.e_h)
+                        for _ in range(2))
         calls.clear()
-        run_batch(policy, batch)
+        run_batch(policy, first)
         assert len(calls) == 1
         run_batch(policy, again)
         assert len(calls) == 2
+
+
+def test_table_policies_refuse_more_than_one_user():
+    # one-user tables would play against a shared battery: refused, not
+    # blamed on an overdraw or played silently
+    batch = sample_trajectories(P, 1, 50, users=2)
+    for policy in (MdpTablePolicy(small_table(P)), LookAhead(look_ahead_build(P, M=10, K=5))):
+        with pytest.raises(InvalidParameterError, match="one user"):
+            multiuser_frame_metrics(policy, batch)
+        with pytest.raises(InvalidParameterError, match="one user"):
+            policy.decide_batch(0, np.zeros(batch.frames), batch)
 
 
 def test_mdp_policy_demotes_infeasible_lookup():
