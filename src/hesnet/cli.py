@@ -8,22 +8,23 @@ then --config, then command-line --set pairs and flags.  Unknown keys are
 rejected rather than ignored.
 
 Exit codes: 0 success, 2 configuration error (including a malformed,
-truncated or oversized policy artifact), 3 resource limit (the
-exhaustive solver's block cap, a zeta grid of more than ZETA_GRID_MAX
-candidates), 4 artifact/parameter mismatch (including an offline
-evaluation on a battery below N * E_m, which the offline solvers do not
-model).
+truncated or oversized policy artifact or replay file, the Threshold rule
+at w_d = 0, and offline-solve at users > 1), 3 resource limit (the
+exhaustive solver's block cap, also for the explicit Exhaustive policy
+token, and a zeta grid of more than ZETA_GRID_MAX candidates), 4
+artifact/parameter mismatch (including an offline evaluation on a
+battery below N * E_m, which the offline solvers do not model).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -58,6 +59,7 @@ from .sim import (
     point_rows,
     replay_plan,
     sweep,
+    write_json,
     write_manifest,
     write_rows_csv,
 )
@@ -99,11 +101,13 @@ PARAM_KEYS = {
     "b_m_j": ("B_m", float),
 }
 
-RUN_KEYS = {
+# Every run key but axis, axis_values and artifact_dir has its default in
+# presets/default.cfg; each is also the dest of its command-line flag, if any.
+RUN_KEYS = (
     "m_levels", "k_states", "policies", "axis", "axis_values", "frames",
     "seed", "out_dir", "artifact_dir", "zeta", "zeta_grid", "zeta_budget",
     "users", "threads", "solver",
-}
+)
 
 # sweep-axis config token -> (internal axis name, raw-unit -> SI scale)
 AXES = {
@@ -132,7 +136,7 @@ class RunConfig:
     frames: int
     seed: int
     out_dir: str
-    artifact_dir: str           # where simulate looks for trained tables
+    artifact_dir: str           # where mdp-train writes and simulate reads tables
     zeta: object                # float or the string "auto"
     zeta_grid: tuple
     zeta_budget: int
@@ -159,14 +163,11 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict:
     return out
 
 
-def _preset_dir():
-    return resources.files("hesnet").joinpath("presets")
-
-
 def _load_preset_text(name: str) -> str:
-    f = _preset_dir().joinpath(f"{name}.cfg")
+    presets = resources.files("hesnet").joinpath("presets")
+    f = presets.joinpath(f"{name}.cfg")
     if not f.is_file():
-        names = sorted(p.name[:-4] for p in _preset_dir().iterdir() if p.name.endswith(".cfg"))
+        names = sorted(p.name[:-4] for p in presets.iterdir() if p.name.endswith(".cfg"))
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(names)}")
     return f.read_text()
 
@@ -212,7 +213,7 @@ def _merge_source(kv: dict, source: str, field_map: dict, run_map: dict, raw: di
             field_map[field] = (key, value)
             raw[key] = value
         elif key in RUN_KEYS:
-            run_map[key] = (key, value, source)
+            run_map[key] = (value, source)
             raw[key] = value
         else:
             raise ConfigError(f"{source}: unknown key {key!r}")
@@ -220,6 +221,12 @@ def _merge_source(kv: dict, source: str, field_map: dict, run_map: dict, raw: di
 
 # Largest seed: make_rng keys on 64 bits and zeta calibration draws at seed + 1.
 SEED_MAX = 2 ** 64 - 2
+
+# integer run key -> (minimum, maximum or None)
+INT_KEYS = {
+    "m_levels": (1, None), "k_states": (1, None), "frames": (1, None), "seed": (0, SEED_MAX),
+    "users": (1, None), "threads": (1, None), "zeta_budget": (1, None),
+}
 
 # Most zeta candidates a grid may hold; the default 0:0.5:200 has 401.
 ZETA_GRID_MAX = 100_000
@@ -245,17 +252,16 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
     field_map: dict = {}
     run_map: dict = {}
     raw: dict = {}
-    _merge_source(parse_kv_text(_load_preset_text("default"), "preset default"),
-                  "preset default", field_map, run_map, raw)
+    sources = [("preset default", _load_preset_text("default"))]
     if preset and preset != "default":
-        _merge_source(parse_kv_text(_load_preset_text(preset), f"preset {preset}"),
-                      f"preset {preset}", field_map, run_map, raw)
+        sources.append((f"preset {preset}", _load_preset_text(preset)))
     if config_path:
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        _merge_source(parse_kv_text(path.read_text(), str(path)), str(path),
-                      field_map, run_map, raw)
+        sources.append((str(path), path.read_text()))
+    for source, text in sources:
+        _merge_source(parse_kv_text(text, source), source, field_map, run_map, raw)
     if overrides:
         _merge_source(dict(overrides), "command line", field_map, run_map, raw)
 
@@ -271,20 +277,14 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
         raise ConfigError(f"invalid physical configuration: {exc}") from exc
 
     def run_value(key, default=None):
-        return run_map.get(key, (key, default, "default"))[1]
+        return run_map.get(key, (default,))[0]
 
     def run_source(key):
-        return run_map.get(key, (key, None, "config"))[2]
+        return run_map.get(key, (None, "config"))[1]
 
-    m_levels = _int(run_value("m_levels", "100"), "m_levels", run_source("m_levels"))
-    k_states = _int(run_value("k_states", "25"), "k_states", run_source("k_states"))
-    frames = _int(run_value("frames", "1000"), "frames", run_source("frames"))
-    seed = _int(run_value("seed", "1"), "seed", run_source("seed"), minimum=0, maximum=SEED_MAX)
-    users = _int(run_value("users", "1"), "users", run_source("users"))
-    threads = _int(run_value("threads", "1"), "threads", run_source("threads"))
-    zeta_budget = _int(run_value("zeta_budget", "1000"), "zeta_budget", run_source("zeta_budget"))
-
-    policies = tuple(t.strip() for t in run_value("policies", "").split(",") if t.strip())
+    ints = {key: _int(run_value(key), key, run_source(key), *bounds)
+            for key, bounds in INT_KEYS.items()}
+    policies = tuple(t.strip() for t in run_value("policies").split(",") if t.strip())
 
     axis_token = run_value("axis", "none").lower()
     if axis_token in ("none", ""):
@@ -305,7 +305,7 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
             raise ConfigError("axis_values is empty")
         axis_values = tuple(v * scale for v in axis_values_raw)
 
-    zeta_text = str(run_value("zeta", "auto")).lower()
+    zeta_text = run_value("zeta").lower()
     if zeta_text == "auto":
         zeta: object = "auto"
     else:
@@ -313,22 +313,18 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
         if zeta < 0:
             raise ConfigError(f"zeta must be >= 0, got {zeta}")
 
-    zeta_grid = _parse_zeta_grid(run_value("zeta_grid", "0:0.5:200"), run_source("zeta_grid"))
+    zeta_grid = _parse_zeta_grid(run_value("zeta_grid"), run_source("zeta_grid"))
 
-    solver = str(run_value("solver", "auto")).lower()
+    solver = run_value("solver").lower()
     if solver not in ("auto", "greedy", "exhaustive"):
         raise ConfigError(f"solver must be auto, greedy, or exhaustive, got {solver!r}")
 
-    out_dir = str(run_value("out_dir", "runs"))
-    artifact_dir = str(run_value("artifact_dir", "") or out_dir)
-
+    out_dir = run_value("out_dir")
     return RunConfig(
-        params=params, m_levels=m_levels, k_states=k_states, policies=policies,
-        axis=axis, axis_key=axis_key, axis_values=axis_values,
-        axis_values_raw=axis_values_raw, frames=frames, seed=seed,
-        out_dir=out_dir, artifact_dir=artifact_dir, zeta=zeta,
-        zeta_grid=zeta_grid, zeta_budget=zeta_budget, users=users,
-        threads=threads, solver=solver, raw=raw,
+        params=params, policies=policies, axis=axis, axis_key=axis_key,
+        axis_values=axis_values, axis_values_raw=axis_values_raw, out_dir=out_dir,
+        artifact_dir=run_value("artifact_dir") or out_dir, zeta=zeta, zeta_grid=zeta_grid,
+        solver=solver, raw=raw, **ints,
     )
 
 
@@ -336,101 +332,115 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
 # policy construction
 # ---------------------------------------------------------------------------
 
-def _mbia_m_from_token(token: str, default_m: int) -> int:
-    t = token.lower()
-    if t == "mbia":
-        return default_m
-    if t.startswith("mbia-m") and t[6:].isdigit():
-        return int(t[6:])
-    raise ConfigError(f"bad MBIA policy token {token!r}; use MBIA or MBIA-M<levels>")
-
-
 def _artifact_path(cfg: RunConfig, m: int) -> Path:
+    """The M=m table's file: mdp-train writes it, simulate reads it."""
     return Path(cfg.artifact_dir) / f"mbia_M{m}_K{cfg.k_states}.pol"
 
 
-def _resolve_zeta(cfg: RunConfig, point: SystemParams) -> float:
+@dataclass
+class _Run:
+    """What one run's policy factories share: the config, whether MBIA
+    trains at each point (sweep) or loads its artifact (simulate), and the
+    zeta and artifact logs they fill in for the manifest."""
+
+    cfg: RunConfig
+    train_mbia: bool
+    zeta: dict = field(default_factory=dict)
+    artifacts: dict = field(default_factory=dict)
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+def _threshold(run: _Run, m: int, point: SystemParams):
+    cfg = run.cfg
     if cfg.zeta == "auto":
         # calibration gets its own trajectory stream so the pick is not
         # tuned to the exact frames it will be scored on
-        return calibrate_zeta(cfg.zeta_grid, point, cfg.zeta_budget, cfg.seed + 1)
-    return float(cfg.zeta)
+        tp, _ = calibrate_zeta(cfg.zeta_grid, point, cfg.zeta_budget, cfg.seed + 1)
+    else:
+        tp = ThresholdParams(cfg.zeta, *threshold_lambdas(point))
+    with run.lock:
+        run.zeta[point.content_hash()[:12]] = {
+            "zeta_star": tp.zeta, "lambda1": tp.lambda1, "lambda2": tp.lambda2}
+    return ThresholdHeuristic(tp)
 
 
-def _online_factories(cfg: RunConfig, mbia_mode: str):
-    """Map config policy tokens to display-name -> factory(params) callables.
+def _mbia(run: _Run, m: int, point: SystemParams):
+    cfg = run.cfg
+    if run.train_mbia:
+        grid = build_grid(point, M=m, K=cfg.k_states)
+        return MdpTablePolicy(monotone_backward_induction(build_mdp_model(point, grid), point.N)[0])
+    path = _artifact_path(cfg, m)
+    if not path.is_file():
+        raise ConfigError(
+            f"policy artifact not found: {path}; train it first with "
+            f"'hesnet mdp-train --set m_levels={m} --set k_states={cfg.k_states} "
+            f"--out {path.parent}'")
+    table = load_policy_artifact(path)
+    if table.params_hash != point.content_hash():
+        raise StalePolicyError(
+            f"{path} was trained for parameter hash {table.params_hash[:12]}..., "
+            f"this run hashes to {point.content_hash()[:12]}...; retrain with mdp-train")
+    with run.lock:
+        run.artifacts[f"MBIA-M{m}"] = {
+            "path": str(path), "sha256": file_sha256(path), "params_hash": table.params_hash}
+    return MdpTablePolicy(table)
 
-    mbia_mode: "load" reads trained artifacts (simulate), "train" runs the
-    induction inline per sweep point.  With users > 1 the table policies
-    (Look-Ahead, MBIA) and Exhaustive are refused; GT, Threshold and
-    GP-only decide every user of a block.  Returns (factories,
-    include_offline, zeta_log, artifact_log); the logs fill in as factories
-    run.
+
+# Policy tokens, matched case-insensitively: name -> (other spellings,
+# factory(run, m, point), decides any user count).  An online policy's
+# name is its CSV row; MBIA-M<levels> is MBIA at m = <levels>, else m is
+# m_levels.  GA and Exhaustive add the offline rows (point_rows names them).
+POLICIES = {
+    "GT": ((), lambda run, m, point: GreedyTransmit(), True),
+    "Look-Ahead": (("LA", "LookAhead"), lambda run, m, point: LookAhead(
+        look_ahead_build(point, M=m, K=run.cfg.k_states)), False),
+    "Threshold": (("TH",), _threshold, True),
+    "GP-only": (("GPonly",), lambda run, m, point: GridOnlyPolicy(), True),
+    "GA": (("Greedy",), None, True),
+    "Exhaustive": ((), None, False),
+    "MBIA": ((), _mbia, False),
+}
+_SPELLINGS = {s.lower(): name for name, (aliases, _, _) in POLICIES.items()
+              for s in (name, *aliases)}
+
+
+def _online_factories(cfg: RunConfig, train_mbia: bool):
+    """Map config policy tokens to row name -> factory(point) callables.
+
+    Every token is parsed before any is refused for the run: at users > 1
+    the single-user ones, and the Exhaustive token over EXHAUSTIVE_CAP
+    blocks (a resource limit).  Returns (factories, include_offline, run);
+    run.zeta and run.artifacts fill in as the factories run.
     """
+    if not cfg.policies:
+        raise ConfigError("policy list is empty; set policies=... in the config")
+    parsed = []
+    for token in cfg.policies:
+        t, m = token.lower(), cfg.m_levels
+        if t.startswith("mbia-m") and t[6:].isdecimal():
+            t, m = "mbia", _int(t[6:], "policies", "config")   # M >= 1, as m_levels
+        if t not in _SPELLINGS:
+            raise ConfigError(f"unknown policy token {token!r}; one of {', '.join(POLICIES)} "
+                              "(or an alias), MBIA-M<levels>")
+        parsed.append((token, _SPELLINGS[t], m))
+    run = _Run(cfg, train_mbia)
     factories: dict = {}
     include_offline = False
-    zeta_log: dict = {}
-    artifact_log: dict = {}
-    lock = threading.Lock()
-
-    def threshold_factory(point: SystemParams):
-        lam1, lam2 = threshold_lambdas(point)
-        z = _resolve_zeta(cfg, point)
-        with lock:
-            zeta_log[point.content_hash()[:12]] = {
-                "zeta_star": z, "lambda1": lam1, "lambda2": lam2}
-        return ThresholdHeuristic(ThresholdParams(z, lam1, lam2))
-
-    def mbia_factory(m: int):
-        def load(point: SystemParams):
-            path = _artifact_path(cfg, m)
-            if not path.is_file():
-                raise ConfigError(
-                    f"policy artifact not found: {path}; train it first with "
-                    f"'hesnet mdp-train --set m_levels={m} --set k_states={cfg.k_states} "
-                    f"--out {path.parent}'")
-            table = load_policy_artifact(path)
-            if table.params_hash != point.content_hash():
-                raise StalePolicyError(
-                    f"{path} was trained for parameter hash {table.params_hash[:12]}..., "
-                    f"this run hashes to {point.content_hash()[:12]}...; retrain with mdp-train")
-            with lock:
-                artifact_log[f"MBIA-M{m}"] = {
-                    "path": str(path), "sha256": file_sha256(path),
-                    "params_hash": table.params_hash}
-            return MdpTablePolicy(table)
-
-        def train(point: SystemParams):
-            grid = build_grid(point, M=m, K=cfg.k_states)
-            table, _, _ = monotone_backward_induction(build_mdp_model(point, grid), point.N)
-            return MdpTablePolicy(table)
-
-        return load if mbia_mode == "load" else train
-
-    for token in cfg.policies:
-        t = token.lower()
-        if cfg.users > 1 and t not in ("gt", "th", "threshold", "gp-only", "gponly", "ga",
-                                        "greedy"):
-            raise ConfigError(
-                f"policy {token!r} is single-user only; runs with users={cfg.users} "
-                f"support GT, Threshold, GP-only, GA")
-        if t in ("ga", "greedy", "exhaustive"):
+    for token, name, m in parsed:
+        _, factory, any_users = POLICIES[name]
+        if cfg.users > 1 and not any_users:
+            supported = ", ".join(n for n, (_, _, any_u) in POLICIES.items() if any_u)
+            raise ConfigError(f"policy {token!r} is single-user only; runs with "
+                              f"users={cfg.users} support {supported}")
+        if factory is None:
+            # the single-user offline token asks for the Exhaustive row itself
+            if not any_users and cfg.params.N > EXHAUSTIVE_CAP:
+                raise ResourceLimitError(f"policy {token!r}: exhaustive search over "
+                                         f"N={cfg.params.N} blocks exceeds cap {EXHAUSTIVE_CAP}")
             include_offline = True
-        elif t == "gt":
-            factories["GT"] = lambda p: GreedyTransmit()
-        elif t in ("la", "lookahead", "look-ahead"):
-            factories["Look-Ahead"] = (
-                lambda p, m=cfg.m_levels, k=cfg.k_states: LookAhead(look_ahead_build(p, M=m, K=k)))
-        elif t in ("th", "threshold"):
-            factories["Threshold"] = threshold_factory
-        elif t in ("gp-only", "gponly"):
-            factories["GP-only"] = lambda p: GridOnlyPolicy()
-        elif t.startswith("mbia"):
-            m = _mbia_m_from_token(token, cfg.m_levels)
-            factories[f"MBIA-M{m}"] = mbia_factory(m)
         else:
-            raise ConfigError(f"unknown policy token {token!r}")
-    return factories, include_offline, zeta_log, artifact_log
+            factories[f"{name}-M{m}" if factory is _mbia else name] = partial(factory, run, m)
+    return factories, include_offline, run
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +561,7 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
         report["gap"] = gap = report["solvers"]["greedy"]["total_cost"] - opt
         report["gap_relative"] = gap / opt if opt else 0.0
     summary_path = out / "offline_summary.json"
-    summary_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(summary_path, report)
 
     print(f"offline solve: N={params.N}, {source}")
     for solver_name, info in report["solvers"].items():
@@ -568,8 +578,8 @@ def cmd_mdp_train(cfg: RunConfig, args) -> int:
     grid = build_grid(params, M=cfg.m_levels, K=cfg.k_states)
     model = build_mdp_model(params, grid)
     table, _, counts = monotone_backward_induction(model, params.N)
-    out = _out_dir(cfg)
-    path = out / f"mbia_M{cfg.m_levels}_K{cfg.k_states}.pol"
+    path = _artifact_path(cfg, cfg.m_levels)
+    path.parent.mkdir(parents=True, exist_ok=True)
     save_policy_artifact(path, table)
     per_state_bound = 2 * cfg.k_states - 1
     log = {
@@ -584,8 +594,7 @@ def cmd_mdp_train(cfg: RunConfig, args) -> int:
         "artifact_bytes": path.stat().st_size,
         "artifact_sha256": file_sha256(path),
     }
-    (out / f"mbia_M{cfg.m_levels}_K{cfg.k_states}.train.json").write_text(
-        json.dumps(log, indent=2, sort_keys=True) + "\n")
+    write_json(path.with_suffix(".train.json"), log)
     print(f"trained M={cfg.m_levels} K={cfg.k_states} N={params.N}: "
           f"{log['evaluations_total']} evaluations "
           f"(bound {log['bound_total']}, dense {log['dense_equivalent_total']})")
@@ -617,39 +626,33 @@ def _finish_run(cfg: RunConfig, rows, csv_name: str, manifest_name: str, **extra
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    if not cfg.policies:
-        raise ConfigError("policy list is empty; set policies=... in the config")
-    factories, include_offline, zeta_log, artifact_log = _online_factories(cfg, "load")
+    factories, include_offline, run = _online_factories(cfg, train_mbia=False)
     rows = point_rows(cfg.params, "none", 0.0, factories, cfg.frames, cfg.seed, include_offline,
                       cfg.users)
     return _finish_run(cfg, rows, "simulate.csv", "simulate_manifest.json",
-                       command="simulate", zeta=zeta_log, artifacts=artifact_log)
+                       command="simulate", zeta=run.zeta, artifacts=run.artifacts)
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.axis is None:
         raise ConfigError("sweep needs axis=... and axis_values=... (e.g. axis=p_avg_mw)")
-    if not cfg.policies:
-        raise ConfigError("policy list is empty; set policies=... in the config")
-    factories, include_offline, zeta_log, artifact_log = _online_factories(cfg, "train")
+    factories, include_offline, run = _online_factories(cfg, train_mbia=True)
     rows = sweep(cfg.params, cfg.axis, cfg.axis_values, factories, cfg.frames,
                  cfg.seed, include_offline=include_offline, threads=cfg.threads,
                  users=cfg.users)
     return _finish_run(cfg, rows, f"sweep_{cfg.axis_key}.csv", "sweep_manifest.json",
                        command="sweep", axis=cfg.axis_key,
                        axis_values=list(cfg.axis_values_raw),
-                       zeta=zeta_log, artifacts=artifact_log,
+                       zeta=run.zeta, artifacts=run.artifacts,
                        threads=cfg.threads, mbia_trained_inline=True)
 
 
 def cmd_calibrate_zeta(cfg: RunConfig, args) -> int:
     point = cfg.params
-    lam1, lam2 = threshold_lambdas(point)
-    zeta_star, costs = calibrate_zeta(cfg.zeta_grid, point, cfg.zeta_budget,
-                                      cfg.seed, return_costs=True)
+    tp, costs = calibrate_zeta(cfg.zeta_grid, point, cfg.zeta_budget, cfg.seed)
     out = _out_dir(cfg)
     doc = {
-        "zeta_star": zeta_star, "lambda1": lam1, "lambda2": lam2,
+        "zeta_star": tp.zeta, "lambda1": tp.lambda1, "lambda2": tp.lambda2,
         "budget_frames": cfg.zeta_budget, "seed": cfg.seed, "users": cfg.users,
         "params_hash": point.content_hash(),
         "grid": {"start": cfg.zeta_grid[0], "stop": cfg.zeta_grid[-1],
@@ -657,9 +660,9 @@ def cmd_calibrate_zeta(cfg: RunConfig, args) -> int:
         "cost_at_star": float(np.min(costs)),
     }
     path = out / "zeta.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"zeta* = {zeta_star:g} (cost {doc['cost_at_star']:.6g} over "
-          f"{cfg.zeta_budget} frames; lambda1={lam1:.6g}, lambda2={lam2:.6g})")
+    write_json(path, doc)
+    print(f"zeta* = {tp.zeta:g} (cost {doc['cost_at_star']:.6g} over "
+          f"{cfg.zeta_budget} frames; lambda1={tp.lambda1:.6g}, lambda2={tp.lambda2:.6g})")
     print(f"wrote {path}")
     return 0
 
@@ -693,14 +696,8 @@ def _flag_overrides(args) -> dict:
         if not sep or not key.strip() or not value.strip():
             raise ConfigError(f"--set needs KEY=VALUE, got {pair!r}")
         overrides[key.strip().lower()] = value.strip()
-    flag_map = {
-        "out": "out_dir", "frames": "frames", "seed": "seed", "threads": "threads",
-        "m_levels": "m_levels", "k_states": "k_states", "artifact_dir": "artifact_dir",
-        "axis": "axis", "axis_values": "axis_values", "zeta_grid": "zeta_grid",
-        "budget": "zeta_budget", "solver": "solver",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    for key in RUN_KEYS:     # a flag's dest is its config key
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = str(value)
     return overrides
@@ -714,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="key=value configuration file")
     common.add_argument("--set", dest="assignments", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config key (repeatable)")
-    common.add_argument("--out", metavar="DIR", help="output directory (out_dir)")
+    common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory (out_dir)")
     common.add_argument("--frames", type=int, help="Monte Carlo frames")
     common.add_argument("--seed", type=int, help="base RNG seed")
     common.add_argument("--threads", type=int, help="max concurrent sweep points")
@@ -753,8 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pick the threshold scale by simulated search")
     p.add_argument("--zeta-grid", dest="zeta_grid", metavar="START:STEP:STOP",
                    help="candidate grid (default 0:0.5:200)")
-    p.add_argument("--budget", type=int, metavar="FRAMES",
-                   help="frames per candidate")
+    p.add_argument("--budget", dest="zeta_budget", type=int, metavar="FRAMES",
+                   help="frames per candidate (zeta_budget)")
 
     sub.add_parser("quantize-info", parents=[common],
                    help="print battery and channel quantization tables")
@@ -774,25 +771,17 @@ DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(preset=args.preset, config_path=args.config,
                              overrides=_flag_overrides(args))
         return DISPATCH[args.command](cfg, args)
-    except (StalePolicyError, ModelMismatchError) as exc:
-        _fail(exc)
-        return 4
-    except ResourceLimitError as exc:
-        _fail(exc)
-        return 3
-    except HesnetError as exc:  # configuration, replay, artifact and parameter errors
-        _fail(exc)
-        return 2
-
-
-def _fail(exc) -> None:
-    print(f"hesnet: error: {exc}", file=sys.stderr)
+    except HesnetError as exc:
+        print(f"hesnet: error: {exc}", file=sys.stderr)
+        if isinstance(exc, (StalePolicyError, ModelMismatchError)):
+            return 4
+        # configuration, replay, artifact and parameter errors are 2
+        return 3 if isinstance(exc, ResourceLimitError) else 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ fading, and a Monte Carlo cross-check of both lives in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -315,13 +315,16 @@ def _calibration_costs(batch: FrameBatch, score, levels):
     return np.repeat(cost, hi - lo).reshape(frames, n).T.copy()
 
 
-def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
-                   return_costs: bool = False):
-    """Pick the zeta minimizing mean frame cost over shared trajectories.
+def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int):
+    """The calibrated threshold rule at `params`: the zeta minimizing mean
+    frame cost over shared trajectories, with its lambdas.
 
-    Every candidate is scored on the same `budget` frames (keyed by `seed`),
-    so the argmin is deterministic; ties resolve to the first candidate in
-    the given order.
+    Returns (ThresholdParams(zeta*, lambda1, lambda2), costs), where
+    costs[j] is the mean frame cost of candidates[j].  Every candidate is
+    scored on the same `budget` frames (keyed by `seed`), so the argmin is
+    deterministic; ties resolve to the first candidate in the given order.
+    The lambdas (`threshold_lambdas`) are computed, and a degenerate pair
+    refused, before any frame is walked.
 
     The threshold level is zeta times a positive constant, so candidates
     sorted (stably) by level decide alike while they share a battery
@@ -339,11 +342,10 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
         raise InvalidParameterError("candidates must be finite, nonnegative, and nonempty")
     if budget < 1:
         raise InvalidParameterError(f"budget must be >= 1 frame, got {budget!r}")
-    lambda1, lambda2 = threshold_lambdas(params)
-    ThresholdParams(float(cand[0]), lambda1, lambda2)  # rejects degenerate lambdas
+    tp = ThresholdParams(float(cand[0]), *threshold_lambdas(params))
     batch = sample_trajectories(params, seed, budget)
     score = ratio_metric(batch.skip[:, 0], batch.p_h[:, 0])
-    level = _threshold_level(cand, lambda1, lambda2, params)
+    level = _threshold_level(cand, tp.lambda1, tp.lambda2, params)
     order = np.argsort(level, kind="stable")
     chunk = max(1, _CALIBRATION_ROWS // budget)
     costs = np.empty(cand.size)
@@ -351,5 +353,4 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int, *,
         rows = order[lo:lo + chunk]
         # row by row, so each mean is the 1-D reduction a lone candidate gets
         costs[rows] = [row.mean() for row in _calibration_costs(batch, score, level[rows])]
-    best = float(cand[int(np.argmin(costs))])
-    return (best, costs) if return_costs else best
+    return replace(tp, zeta=float(cand[int(np.argmin(costs))])), costs

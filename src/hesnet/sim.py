@@ -47,6 +47,7 @@ __all__ = [
     "point_rows",
     "multiuser_frame_metrics",
     "write_rows_csv",
+    "write_json",
     "write_manifest",
     "CSV_HEADER",
 ]
@@ -396,11 +397,14 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
+def write_json(path, doc: dict) -> None:
+    """Every JSON file the package writes: sorted keys, two-space indent, a
+    final newline; numpy scalars are written as floats."""
+    with open(path, "w") as f:
+        f.write(json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n")
+
+
 def write_manifest(path, params: SystemParams, **extras) -> None:
     """JSON run manifest: full parameter snapshot plus run-specific extras
     (artifact hashes, calibrated thresholds, output digests)."""
-    doc = {"params": params.as_dict(), "params_hash": params.content_hash()}
-    doc.update(extras)
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True, default=float)
-        f.write("\n")
+    write_json(path, {"params": params.as_dict(), "params_hash": params.content_hash(), **extras})

@@ -267,7 +267,7 @@ def test_criterion_07_policy_ordering_at_reference(ref_scale_solution):
     batch = sample_trajectories(REF, seed, frames)
 
     lam1, lam2 = threshold_lambdas(REF)
-    zeta_star = calibrate_zeta(tuple(np.arange(0.0, 200.0001, 0.5)), REF, 2000, seed + 1)
+    zeta_star = calibrate_zeta(tuple(np.arange(0.0, 200.0001, 0.5)), REF, 2000, seed + 1)[0].zeta
 
     per_frame = {}
     policies = {
@@ -320,7 +320,8 @@ def test_criterion_08_drop_ratio_floors():
     frames = 100_000
     seed = 808
     lam1, lam2 = threshold_lambdas(params)
-    zeta_star = calibrate_zeta(tuple(np.arange(0.0, 200.0001, 0.5)), params, 2000, seed + 1)
+    zeta_star = calibrate_zeta(tuple(np.arange(0.0, 200.0001, 0.5)), params, 2000,
+                               seed + 1)[0].zeta
     policies = {
         "GT": GreedyTransmit(),
         "Look-Ahead": LookAhead(look_ahead_build(params, M=100, K=25)),
@@ -388,7 +389,7 @@ def test_criterion_10_two_user_extension():
         batch = sample_trajectories(point, seed, frames, users=2)
 
         lam1, lam2 = threshold_lambdas(point)
-        zeta = calibrate_zeta(tuple(np.arange(0.0, 60.0001, 1.0)), point, 800, seed + 1)
+        zeta = calibrate_zeta(tuple(np.arange(0.0, 60.0001, 1.0)), point, 800, seed + 1)[0].zeta
         mu_policies = {
             "GT": GreedyTransmit(),
             "Threshold": ThresholdHeuristic(ThresholdParams(zeta, lam1, lam2)),

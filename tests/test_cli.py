@@ -6,12 +6,13 @@ import json
 import math
 import time
 import tracemalloc
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesnet.cli import ZETA_GRID_MAX, main, parse_kv_text, resolve_config
+from hesnet.cli import RUN_KEYS, ZETA_GRID_MAX, main, parse_kv_text, resolve_config
 from hesnet.errors import ConfigError, HesnetError, ResourceLimitError
 from hesnet.mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction
 from hesnet.model import SystemParams, sample_trajectories
@@ -57,6 +58,12 @@ def test_default_config_matches_reference_parameters():
     assert cfg.zeta == "auto"
     assert len(cfg.zeta_grid) == 401
     assert cfg.zeta_grid[0] == 0.0 and cfg.zeta_grid[-1] == pytest.approx(200.0)
+
+
+def test_default_preset_sets_every_run_key_but_the_axis_and_artifact_dir():
+    # resolve_config has no fallback of its own for these keys
+    text = (resources.files("hesnet") / "presets" / "default.cfg").read_text()
+    assert set(RUN_KEYS) - set(parse_kv_text(text)) == {"axis", "axis_values", "artifact_dir"}
 
 
 def test_db_keys_convert_at_parse_time():
@@ -279,6 +286,14 @@ def test_mdp_train_writes_artifact_and_retrains_identically(tmp_path):
     assert art.read_bytes() == first  # retraining is byte-identical
 
 
+def test_mdp_train_writes_where_simulate_reads(tmp_path):
+    art, out = tmp_path / "art", tmp_path / "out"
+    assert main(["mdp-train"] + SMALL + ["--set", f"artifact_dir={art}", "--out", str(out)]) == 0
+    assert sorted(p.name for p in art.iterdir()) == ["mbia_M4_K2.pol", "mbia_M4_K2.train.json"]
+    assert main(["simulate"] + SMALL + ["--set", "policies=MBIA-M4", "--artifact-dir", str(art),
+                                        "--out", str(out)]) == 0
+
+
 def test_mdp_train_logs_artifact_bytes_and_simulate_reads_legacy_files(tmp_path):
     assert main(["mdp-train"] + SMALL + ["--out", str(tmp_path / "new")]) == 0
     blob = (tmp_path / "new" / "mbia_M4_K2.pol").read_bytes()
@@ -361,13 +376,36 @@ def test_offline_rows_on_a_capped_battery_are_exit_4(tmp_path, capsys):
             (tmp_path / "simulate.csv").read_text().splitlines()[1:]] == ["GT"]
 
 
-def test_simulate_rejects_unknown_policy(tmp_path):
+def test_simulate_rejects_unknown_policy(tmp_path, capsys):
     assert main(["simulate"] + SMALL + ["--set", "policies=Oracle",
                  "--out", str(tmp_path)]) == 2
+    # an unknown token is reported as unknown at any user count
+    for users in ("1", "2"):
+        for token in ("Oracle", "MBIA-Mx"):
+            assert main(["simulate"] + SMALL + ["--set", f"users={users}",
+                         "--set", f"policies=GT,{token}", "--out", str(tmp_path)]) == 2
+            assert f"unknown policy token {token!r}" in capsys.readouterr().err
+    # MBIA-M<levels> takes the bound of m_levels, before any artifact is looked for
+    assert main(["simulate"] + SMALL + ["--set", "policies=GT,MBIA-M0",
+                 "--out", str(tmp_path)]) == 2
+    assert "must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_simulate_exhaustive_token_over_the_cap_is_resource_limit(tmp_path, capsys):
+    out = tmp_path / "over"
+    assert main(["simulate", "--set", "n_blocks=21", "--set", "policies=GT,Exhaustive",
+                 "--frames", "5", "--out", str(out)]) == 3
+    assert "exceeds cap 20" in capsys.readouterr().err
+    assert not out.exists()   # refused before any work
+    # GA adds the Exhaustive row only within the cap
+    assert main(["simulate", "--set", "n_blocks=21", "--set", "policies=GT,GA",
+                 "--frames", "5", "--out", str(out)]) == 0
+    rows = (out / "simulate.csv").read_text().splitlines()[1:]
+    assert [row.split(",", 1)[0] for row in rows] == ["GT", "Greedy"]
 
 
 def test_simulate_two_user_rejects_table_policies(tmp_path, capsys):
-    for token in ("MBIA-M4", "LA", "Exhaustive"):
+    for token in ("LA", "LookAhead", "look-ahead", "MBIA", "MBIA-M4", "Exhaustive"):
         assert main(["simulate"] + SMALL + ["--set", "users=2",
                      "--set", f"policies=GT,{token}", "--out", str(tmp_path)]) == 2
         assert "single-user only" in capsys.readouterr().err
@@ -381,6 +419,14 @@ def test_simulate_two_user_runs(tmp_path):
     assert [l.split(",", 1)[0] for l in lines[1:]] == ["GT", "Threshold", "Greedy"]
     manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
     assert manifest["users"] == 2
+    # every spelling of a policy that decides any user count runs
+    rows = {"GT": "GT", "TH": "Threshold", "Threshold": "Threshold", "GP-only": "GP-only",
+            "GPonly": "GP-only", "GA": "Greedy", "Greedy": "Greedy"}
+    for token, row in rows.items():
+        assert main(["simulate"] + SMALL + ["--set", "users=2", "--set", f"policies={token}",
+                                            "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
+        assert [line.split(",", 1)[0] for line in lines] == [row]
 
 
 def test_simulate_two_user_grid_only_row_is_the_joint_walk(tmp_path):

@@ -192,7 +192,7 @@ _COSTS = {}
 def calibration_costs_digest(point, grid, seed):
     key = (point.content_hash(), tuple(grid), seed)
     if key not in _COSTS:   # presets share points; score each once
-        _, costs = calibrate_zeta(grid, point, 400, seed, return_costs=True)
+        _, costs = calibrate_zeta(grid, point, 400, seed)
         assert costs.shape == (len(grid),)
         _COSTS[key] = hashlib.sha256(np.asarray(costs, dtype="<f8").tobytes()).hexdigest()
     return _COSTS[key]

@@ -74,3 +74,34 @@ def test_no_unused_imports():
     assert files
     found = {str(path.relative_to(ROOT)): names for path in files if (names := unused_imports(path))}
     assert found == {}
+
+
+def unreferenced_definitions(folder):
+    """Module-level functions and classes of the modules in `folder` that
+    are neither in their module's __all__ nor read (as a bare name or an
+    attribute) anywhere in the folder outside their own definition."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(folder.glob("*.py"))}
+    reads = [({n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+               if isinstance(n, (ast.Name, ast.Attribute))}, node)
+             for tree in trees.values() for node in tree.body]
+    found = []
+    for path, tree in trees.items():
+        exported = next((ast.literal_eval(node.value) for node in tree.body
+                         if isinstance(node, ast.Assign)
+                         and any(getattr(t, "id", None) == "__all__" for t in node.targets)), [])
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in exported
+                    and not any(node.name in names for names, other in reads if other is not node)):
+                found.append(f"{path.name}:{node.name}")
+    return found
+
+
+def test_no_unreferenced_functions(tmp_path):
+    # the dead-helper counterpart of test_no_unused_imports
+    assert unreferenced_definitions(ROOT / "src" / "hesnet") == []
+    (tmp_path / "mod.py").write_text(
+        "__all__ = ['public']\n\ndef public():\n    return _used()\n\n\ndef _used():\n"
+        "    return 1\n\n\ndef _dead():\n    return _dead()\n\n\nclass _Gone:\n    pass\n")
+    assert unreferenced_definitions(tmp_path) == ["mod.py:_dead", "mod.py:_Gone"]

@@ -432,17 +432,18 @@ def calibrate_by_run_batch(cand, params, budget, seed):
 
 def assert_matches_oracle(cand, params, budget, seed):
     cand = np.asarray(cand, dtype=float)
-    zeta, costs = calibrate_zeta(cand, params, budget, seed, return_costs=True)
+    tp, costs = calibrate_zeta(cand, params, budget, seed)
     ref_zeta, ref_costs = calibrate_by_run_batch(cand, params, budget, seed)
     assert np.array_equal(costs, ref_costs)
-    assert zeta == ref_zeta
-    return zeta, costs
+    assert tp.zeta == ref_zeta
+    assert (tp.lambda1, tp.lambda2) == threshold_lambdas(params)
+    return tp.zeta, costs
 
 
 def test_calibrate_zeta_deterministic_argmin():
     cand = np.arange(0.0, 30.1, 3.0)
     z1, costs = assert_matches_oracle(cand, P, 200, 48)
-    z2 = calibrate_zeta(cand, P, budget=200, seed=48)
+    z2 = calibrate_zeta(cand, P, budget=200, seed=48)[0].zeta
     assert z1 == z2
     assert z1 in cand
     assert costs.shape == cand.shape
@@ -487,10 +488,10 @@ def test_calibrate_zeta_exact_when_nothing_is_feasible():
 
 def test_calibrate_zeta_exact_across_chunks(monkeypatch):
     cand = np.arange(0.0, 50.1, 5.0)
-    whole = calibrate_zeta(cand, P, 120, 55, return_costs=True)
+    whole = calibrate_zeta(cand, P, 120, 55)
     monkeypatch.setattr(policies, "_CALIBRATION_ROWS", 3 * 120 + 1)   # chunks of 3
     zeta, costs = assert_matches_oracle(cand, P, 120, 55)
-    assert zeta == whole[0]
+    assert zeta == whole[0].zeta
     assert np.array_equal(costs, whole[1])
 
 
@@ -604,7 +605,7 @@ def test_calibration_walk_checks_every_serve(monkeypatch):
 
 
 def test_calibrated_threshold_beats_greedy():
-    zeta = calibrate_zeta(np.arange(0.0, 40.1, 2.0), P, budget=400, seed=49)
+    zeta = calibrate_zeta(np.arange(0.0, 40.1, 2.0), P, budget=400, seed=49)[0].zeta
     l1, l2 = threshold_lambdas(P)
     batch = sample_trajectories(P, 50, 2000)
     c_th, _, _ = run_batch(ThresholdHeuristic(ThresholdParams(zeta, l1, l2)), batch)

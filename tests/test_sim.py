@@ -103,7 +103,7 @@ class AlwaysServe:
 # one-frame walk
 # ---------------------------------------------------------------------------
 
-def test_run_frame_cost_identity():
+def test_per_frame_cost_identity():
     # five frames keyed (60, f), each totalled exactly
     batch = sample_trajectories(P, 60, 5)
     costs, grid, drops = multiuser_frame_metrics(GreedyTransmit(), batch)
@@ -112,7 +112,7 @@ def test_run_frame_cost_identity():
         assert 0 <= dropped <= P.N and energy >= 0
 
 
-def test_run_frame_rejects_infeasible_serve():
+def test_battery_walk_rejects_infeasible_serve():
     one = np.ones((1, 1, 3))
     batch = FrameBatch(P.evolve(N=3), one, one, np.zeros((1, 3)))
     with pytest.raises(InvalidActionError):
@@ -121,7 +121,7 @@ def test_run_frame_rejects_infeasible_serve():
         multiuser_frame_metrics(AlwaysServe(), batch)
 
 
-def test_run_frame_rejects_bad_action_value():
+def test_battery_walk_rejects_bad_action_value():
     # every walk shares the per-block step, so each refuses an action of 2
     class Weird:
         def decide_batch(self, block, battery, batch):
@@ -133,7 +133,7 @@ def test_run_frame_rejects_bad_action_value():
         run_batch(Weird(), sample_trajectories(P, 61, 5))
 
 
-def test_run_frame_checks_length():
+def test_frame_batch_checks_length():
     # every entry point takes a FrameBatch, which refuses a frame of the
     # wrong length before any walk
     frame = sample_trajectory(P.evolve(N=10), 62)
