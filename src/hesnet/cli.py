@@ -407,14 +407,15 @@ _SPELLINGS = {s.lower(): name for name, (aliases, _, _) in POLICIES.items()
 def _online_factories(cfg: RunConfig, train_mbia: bool):
     """Map config policy tokens to row name -> factory(point) callables.
 
-    Every token is parsed before any is refused for the run: at users > 1
-    the single-user ones, and the Exhaustive token over EXHAUSTIVE_CAP
-    blocks (a resource limit).  Returns (factories, include_offline, run);
+    Every token is parsed before any is refused for the run: a second
+    token for one policy (at one M, for MBIA), at users > 1 the
+    single-user ones, and the Exhaustive token over EXHAUSTIVE_CAP blocks
+    (a resource limit).  Returns (factories, include_offline, run);
     run.zeta and run.artifacts fill in as the factories run.
     """
     if not cfg.policies:
         raise ConfigError("policy list is empty; set policies=... in the config")
-    parsed = []
+    parsed = {}
     for token in cfg.policies:
         t, m = token.lower(), cfg.m_levels
         if t.startswith("mbia-m") and t[6:].isdecimal():
@@ -422,11 +423,16 @@ def _online_factories(cfg: RunConfig, train_mbia: bool):
         if t not in _SPELLINGS:
             raise ConfigError(f"unknown policy token {token!r}; one of {', '.join(POLICIES)} "
                               "(or an alias), MBIA-M<levels>")
-        parsed.append((token, _SPELLINGS[t], m))
+        name = _SPELLINGS[t]
+        row = f"{name}-M{m}" if name == "MBIA" else name
+        if row in parsed:
+            raise ConfigError(f"policy tokens {parsed[row][0]!r} and {token!r} both name "
+                              f"{row}; list each policy once")
+        parsed[row] = (token, name, m)
     run = _Run(cfg, train_mbia)
     factories: dict = {}
     include_offline = False
-    for token, name, m in parsed:
+    for row, (token, name, m) in parsed.items():
         _, factory, any_users = POLICIES[name]
         if cfg.users > 1 and not any_users:
             supported = ", ".join(n for n, (_, _, any_u) in POLICIES.items() if any_u)
@@ -439,7 +445,7 @@ def _online_factories(cfg: RunConfig, train_mbia: bool):
                                          f"N={cfg.params.N} blocks exceeds cap {EXHAUSTIVE_CAP}")
             include_offline = True
         else:
-            factories[f"{name}-M{m}" if factory is _mbia else name] = partial(factory, run, m)
+            factories[row] = partial(factory, run, m)
     return factories, include_offline, run
 
 

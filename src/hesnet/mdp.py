@@ -155,11 +155,15 @@ def quantize_energy(epsilon, grid: QuantizationGrid):
 
 
 def channel_state_index(gamma, bounds: np.ndarray):
-    """0-based channel state of a gain: interval [bounds[k], bounds[k+1])."""
+    """0-based channel state of a gain: interval [bounds[k], bounds[k+1]).
+
+    The state is the count of interior bounds at or below the gain, one
+    search with no clamp: bounds run 0..inf, so the outer two never move it.
+    """
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise InvalidStateError(f"channel gain must be >= 0, got {gamma!r}")
-    idx = np.clip(np.searchsorted(bounds, g, side="right") - 1, 0, bounds.shape[0] - 2)
+    idx = np.searchsorted(bounds[1:-1], g, side="right")
     return int(idx) if idx.ndim == 0 else idx.astype(np.int64)
 
 

@@ -230,19 +230,26 @@ def serve_feasible(p_h, battery, params: SystemParams):
 # trajectory sampling
 # ---------------------------------------------------------------------------
 
-def make_rng(*key: int) -> np.random.Generator:
-    """Counter-based generator (Philox4x64) for a (stream, substream) key.
-
-    The same key always yields the same draws, on any machine and with any
-    worker layout, which is what makes paired policy comparisons and
-    parallel Monte Carlo reproducible.
-    """
+def _key_words(key) -> list[int]:
+    """The two 64-bit Philox key words of a one- or two-part integer key."""
     if not 1 <= len(key) <= 2:
         raise InvalidParameterError("rng key takes one or two integer components")
     words = [int(k) & (2 ** 64 - 1) for k in key]
     if len(words) == 1:
         words.append(0x9E3779B97F4A7C15)  # salt: keeps (k,) and (k, 0) distinct
-    return np.random.Generator(np.random.Philox(key=np.asarray(words, dtype=np.uint64)))
+    return words
+
+
+def make_rng(*key: int) -> np.random.Generator:
+    """Counter-based generator (Philox4x64) for a (stream, substream) key.
+
+    The same key always yields the same draws, on any machine and with any
+    worker layout, which is what makes paired policy comparisons and
+    parallel Monte Carlo reproducible.  The samplers do not build one per
+    frame: they re-key one generator per call to each frame's key with a
+    zero counter, which draws exactly what `make_rng(*key)` would.
+    """
+    return np.random.Generator(np.random.Philox(key=np.asarray(_key_words(key), dtype=np.uint64)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,22 +300,39 @@ class FrameBatch:
         return self.gamma_g.shape[1]
 
 
-def _sample(params: SystemParams, users: int, keys) -> FrameBatch:
-    """A FrameBatch whose frame f is drawn from make_rng(*keys[f]) in a
+def _sample(params: SystemParams, users: int, keys: np.ndarray) -> FrameBatch:
+    """A FrameBatch whose frame f draws what make_rng(*keys[f]) would, in a
     fixed order: user 1 grid gains, user 1 harvesting gains, user 2 grid
-    gains, ..., then the shared arrivals, uniform on [0, E_m]."""
-    if not keys:
+    gains, ..., then the shared arrivals, uniform on [0, E_m].
+
+    `keys` is a (frames, 2) uint64 array of Philox key words.  One
+    generator serves the call (never the module: concurrent sweeps sample
+    at once); each frame sets its key with a zero counter and an empty
+    buffer, the state of a freshly built generator, because Philox's draws
+    depend on that state alone.  The draws are unit-scale and scaled once
+    per array: numpy's exponential(mu) is mu * standard_exponential() and
+    uniform(0, E_m) is 0 + E_m * random(), so every value is bit for bit
+    the one the scaled draw would give.
+    """
+    if len(keys) == 0:
         raise InvalidParameterError("frames must be >= 1")
     n = params.N
     gg = np.empty((len(keys), users, n))
     gh = np.empty((len(keys), users, n))
     eh = np.empty((len(keys), n))
+    bitgen = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
     for f, key in enumerate(keys):
-        rng = make_rng(*key)
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
         for u in range(users):
-            gg[f, u] = rng.exponential(params.mu_G, n)
-            gh[f, u] = rng.exponential(params.mu_H, n)
-        eh[f] = rng.uniform(0.0, params.E_m, n)
+            rng.standard_exponential(out=gg[f, u])
+            rng.standard_exponential(out=gh[f, u])
+        rng.random(out=eh[f])
+    gg *= params.mu_G
+    gh *= params.mu_H
+    eh *= params.E_m
     return FrameBatch(params, gg, gh, eh)
 
 
@@ -320,7 +344,7 @@ def sample_trajectory(params: SystemParams, seed) -> FrameBatch:
     gives frame f of `sample_trajectories(params, s, ...)`.
     """
     key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    return _sample(params, 1, [key])
+    return _sample(params, 1, np.array([_key_words(key)], dtype=np.uint64))
 
 
 def sample_trajectories(params: SystemParams, seed: int, frames: int,
@@ -336,4 +360,7 @@ def sample_trajectories(params: SystemParams, seed: int, frames: int,
     """
     if not isinstance(users, (int, np.integer)) or users < 1:
         raise InvalidParameterError(f"users must be a positive integer, got {users!r}")
-    return _sample(params, users, [(seed, f) for f in range(frames)])
+    keys = np.empty((max(frames, 0), 2), dtype=np.uint64)
+    keys[:, 0] = _key_words((seed, 0))[0]
+    keys[:, 1] = np.arange(len(keys))
+    return _sample(params, users, keys)

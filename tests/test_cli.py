@@ -391,6 +391,24 @@ def test_simulate_rejects_unknown_policy(tmp_path, capsys):
     assert "must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("tokens", [("GT", "gt"), ("LA", "look-ahead"), ("MBIA", "MBIA-M100"),
+                                    ("GA", "Greedy")])
+def test_repeated_policy_row_is_refused_before_any_work(tmp_path, capsys, command, tokens):
+    # two spellings of one row would collapse into one; the refusal names
+    # both tokens and comes before training, artifacts or output
+    out = tmp_path / "out"
+    argv = [command, "--set", "n_blocks=8", "--set", "m_levels=100", "--frames", "5",
+            "--set", "policies=Threshold," + ",".join(tokens),
+            "--set", f"artifact_dir={tmp_path / 'missing'}", "--out", str(out)]
+    if command == "sweep":
+        argv += ["--set", "axis=p_avg_mw", "--set", "axis_values=10,20"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"policy tokens {tokens[0]!r} and {tokens[1]!r}" in err
+    assert not out.exists()
+
+
 def test_simulate_exhaustive_token_over_the_cap_is_resource_limit(tmp_path, capsys):
     out = tmp_path / "over"
     assert main(["simulate", "--set", "n_blocks=21", "--set", "policies=GT,Exhaustive",

@@ -154,6 +154,29 @@ def test_channel_state_index_boundaries():
         channel_state_index(-0.1, bounds)
 
 
+@pytest.mark.parametrize("K", [1, 4, 25])
+def test_channel_state_index_matches_clipped_search(K):
+    """One search over the interior bounds is the clamped search over all
+    K + 1 at every bound, one ulp either side of it, and the extremes."""
+    _, bounds = equiprobable_channel_states(K, 1.3)
+    finite = bounds[np.isfinite(bounds)]
+    probes = np.concatenate([bounds, np.nextafter(finite, -np.inf)[1:],
+                             np.nextafter(finite, np.inf), [0.0, 1e300, np.inf]])
+    clipped = np.clip(np.searchsorted(bounds, probes, side="right") - 1, 0, K - 1)
+    np.testing.assert_array_equal(channel_state_index(probes, bounds), clipped)
+    for g, k in zip(probes, clipped):
+        assert channel_state_index(float(g), bounds) == k
+    # a (frames, 1) column of a (frames, users, N) batch, as the table
+    # policies read it, is a strided view
+    gains = np.zeros((probes.size, 1, 3))
+    gains[:, 0, 1] = probes
+    column = gains[:, :, 1]
+    assert not column.flags.c_contiguous
+    idx = channel_state_index(column, bounds)
+    assert idx.shape == (probes.size, 1) and idx.dtype == np.int64
+    np.testing.assert_array_equal(idx[:, 0], clipped)
+
+
 # ---------------------------------------------------------------------------
 # battery quantization
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Link budget, fading/arrival models, parameter plumbing."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from hesnet.cli import SEED_MAX
 from hesnet.errors import InvalidParameterError
 from hesnet.model import (
     FrameBatch,
@@ -236,6 +240,69 @@ def test_sampler_draw_order_and_one_user_slice(params):
         sample_trajectories(params, 14, 0)
     with pytest.raises(InvalidParameterError, match="users"):
         sample_trajectories(params, 14, 5, users=0)
+
+
+def _fresh_generator_batch(params, seed, frames, users):
+    """The batch of a new make_rng(seed, f) per frame: the reference the
+    sampler's one re-keyed generator must reproduce."""
+    n = params.N
+    gg, gh, eh = np.empty((frames, users, n)), np.empty((frames, users, n)), np.empty((frames, n))
+    for f in range(frames):
+        rng = make_rng(seed, f)
+        for u in range(users):
+            gg[f, u] = rng.exponential(params.mu_G, n)
+            gh[f, u] = rng.exponential(params.mu_H, n)
+        eh[f] = rng.uniform(0.0, params.E_m, n)
+    return gg, gh, eh
+
+
+@pytest.mark.parametrize("params", [P, P.evolve(mu_G=0.37, mu_H=2.9, E_m=7.3e-5, N=9)])
+@pytest.mark.parametrize("users", [1, 3])
+@pytest.mark.parametrize("seed", [SEED_MAX, SEED_MAX + 1])  # the largest run seed, its calibration stream
+def test_sampler_is_bitwise_a_fresh_generator_per_frame(params, users, seed):
+    batch = sample_trajectories(params, seed, 7, users)
+    want = _fresh_generator_batch(params, seed, 7, users)
+    for got, ref in zip((batch.gamma_g, batch.gamma_h, batch.e_h), want):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_concurrent_samplers_match_serial_calls():
+    # two threads each sampling their own seed at once, as sweep(threads=2) does
+    seeds = (5, 6)
+    serial = [sample_trajectories(P, seed, 40, 2) for seed in seeds]
+    barrier = threading.Barrier(2, timeout=30)
+
+    def draw(seed):
+        barrier.wait()
+        return [sample_trajectories(P, seed, 40, 2) for _ in range(5)]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(draw, seed) for seed in seeds]
+            concurrent = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(old_interval)
+    for want, batches in zip(serial, concurrent):
+        for batch in batches:
+            for name in ("gamma_g", "gamma_h", "e_h"):
+                np.testing.assert_array_equal(getattr(batch, name), getattr(want, name))
+
+
+def test_sampler_builds_one_bit_generator_per_call(monkeypatch):
+    built = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    sample_trajectories(P, 3, 25, users=2)
+    assert len(built) == 1
+    sample_trajectory(P, (3, 4))
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------
