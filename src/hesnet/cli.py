@@ -10,8 +10,9 @@ rejected rather than ignored.
 Exit codes: 0 success, 2 configuration error (including a malformed,
 truncated or oversized policy artifact or replay file, the Threshold rule
 at w_d = 0, and offline-solve at users > 1), 3 resource limit (the
-exhaustive solver's block cap, also for the explicit Exhaustive policy
-token, and a zeta grid of more than ZETA_GRID_MAX candidates), 4
+Exhaustive policy token over the exhaustive solver's EXHAUSTIVE_CAP
+blocks, refused before any work, and a zeta grid of more than
+ZETA_GRID_MAX candidates), 4
 artifact/parameter mismatch (including an offline evaluation on a
 battery below N * E_m, which the offline solvers do not model).
 """
@@ -106,7 +107,7 @@ PARAM_KEYS = {
 RUN_KEYS = (
     "m_levels", "k_states", "policies", "axis", "axis_values", "frames",
     "seed", "out_dir", "artifact_dir", "zeta", "zeta_grid", "zeta_budget",
-    "users", "threads", "solver",
+    "users", "threads",
 )
 
 # sweep-axis config token -> (internal axis name, raw-unit -> SI scale)
@@ -142,7 +143,6 @@ class RunConfig:
     zeta_budget: int
     users: int
     threads: int
-    solver: str
     raw: dict                   # resolved key -> string, echoed in manifests
 
 
@@ -315,16 +315,12 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
 
     zeta_grid = _parse_zeta_grid(run_value("zeta_grid"), run_source("zeta_grid"))
 
-    solver = run_value("solver").lower()
-    if solver not in ("auto", "greedy", "exhaustive"):
-        raise ConfigError(f"solver must be auto, greedy, or exhaustive, got {solver!r}")
-
     out_dir = run_value("out_dir")
     return RunConfig(
         params=params, policies=policies, axis=axis, axis_key=axis_key,
         axis_values=axis_values, axis_values_raw=axis_values_raw, out_dir=out_dir,
         artifact_dir=run_value("artifact_dir") or out_dir, zeta=zeta, zeta_grid=zeta_grid,
-        solver=solver, raw=raw, **ints,
+        raw=raw, **ints,
     )
 
 
@@ -387,17 +383,17 @@ def _mbia(run: _Run, m: int, point: SystemParams):
 
 
 # Policy tokens, matched case-insensitively: name -> (other spellings,
-# factory(run, m, point), decides any user count).  An online policy's
-# name is its CSV row; MBIA-M<levels> is MBIA at m = <levels>, else m is
-# m_levels.  GA and Exhaustive add the offline rows (point_rows names them).
+# online factory(run, m, point) or offline plan function, decides any
+# user count).  A policy's name is its one CSV row; MBIA-M<levels> is MBIA
+# at m = <levels>, else m is m_levels.
 POLICIES = {
     "GT": ((), lambda run, m, point: GreedyTransmit(), True),
     "Look-Ahead": (("LA", "LookAhead"), lambda run, m, point: LookAhead(
         look_ahead_build(point, M=m, K=run.cfg.k_states)), False),
     "Threshold": (("TH",), _threshold, True),
     "GP-only": (("GPonly",), lambda run, m, point: GridOnlyPolicy(), True),
-    "GA": (("Greedy",), None, True),
-    "Exhaustive": ((), None, False),
+    "Greedy": (("GA",), greedy_plan, True),
+    "Exhaustive": ((), exhaustive_plan, False),
     "MBIA": ((), _mbia, False),
 }
 _SPELLINGS = {s.lower(): name for name, (aliases, _, _) in POLICIES.items()
@@ -405,13 +401,14 @@ _SPELLINGS = {s.lower(): name for name, (aliases, _, _) in POLICIES.items()
 
 
 def _online_factories(cfg: RunConfig, train_mbia: bool):
-    """Map config policy tokens to row name -> factory(point) callables.
+    """Map config policy tokens to their rows: online row name ->
+    factory(point) callable, and offline row name -> plan function.
 
     Every token is parsed before any is refused for the run: a second
     token for one policy (at one M, for MBIA), at users > 1 the
     single-user ones, and the Exhaustive token over EXHAUSTIVE_CAP blocks
-    (a resource limit).  Returns (factories, include_offline, run);
-    run.zeta and run.artifacts fill in as the factories run.
+    (a resource limit).  Returns (factories, plans, run); run.zeta and
+    run.artifacts fill in as the factories run.
     """
     if not cfg.policies:
         raise ConfigError("policy list is empty; set policies=... in the config")
@@ -431,22 +428,21 @@ def _online_factories(cfg: RunConfig, train_mbia: bool):
         parsed[row] = (token, name, m)
     run = _Run(cfg, train_mbia)
     factories: dict = {}
-    include_offline = False
+    plans: dict = {}
     for row, (token, name, m) in parsed.items():
-        _, factory, any_users = POLICIES[name]
+        _, build, any_users = POLICIES[name]
         if cfg.users > 1 and not any_users:
             supported = ", ".join(n for n, (_, _, any_u) in POLICIES.items() if any_u)
             raise ConfigError(f"policy {token!r} is single-user only; runs with "
                               f"users={cfg.users} support {supported}")
-        if factory is None:
-            # the single-user offline token asks for the Exhaustive row itself
-            if not any_users and cfg.params.N > EXHAUSTIVE_CAP:
-                raise ResourceLimitError(f"policy {token!r}: exhaustive search over "
-                                         f"N={cfg.params.N} blocks exceeds cap {EXHAUSTIVE_CAP}")
-            include_offline = True
+        if build is exhaustive_plan and cfg.params.N > EXHAUSTIVE_CAP:
+            raise ResourceLimitError(f"policy {token!r}: exhaustive search over "
+                                     f"N={cfg.params.N} blocks exceeds cap {EXHAUSTIVE_CAP}")
+        if build in (greedy_plan, exhaustive_plan):
+            plans[row] = build
         else:
-            factories[row] = partial(factory, run, m)
-    return factories, include_offline, run
+            factories[row] = partial(build, run, m)
+    return factories, plans, run
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +533,8 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
         dump.parent.mkdir(parents=True, exist_ok=True)
         _write_trajectory(dump, batch)
     solvers = {"greedy": greedy_plan}
-    if cfg.solver == "exhaustive" or (cfg.solver == "auto" and params.N <= EXHAUSTIVE_CAP):
+    if params.N <= EXHAUSTIVE_CAP:
         solvers["exhaustive"] = exhaustive_plan
-    # over the cap exhaustive_plan raises the resource-limit error (exit 3)
     plans = {name: solve(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
              for name, solve in solvers.items()}
 
@@ -632,9 +627,8 @@ def _finish_run(cfg: RunConfig, rows, csv_name: str, manifest_name: str, **extra
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    factories, include_offline, run = _online_factories(cfg, train_mbia=False)
-    rows = point_rows(cfg.params, "none", 0.0, factories, cfg.frames, cfg.seed, include_offline,
-                      cfg.users)
+    factories, plans, run = _online_factories(cfg, train_mbia=False)
+    rows = point_rows(cfg.params, "none", 0.0, factories, cfg.frames, cfg.seed, plans, cfg.users)
     return _finish_run(cfg, rows, "simulate.csv", "simulate_manifest.json",
                        command="simulate", zeta=run.zeta, artifacts=run.artifacts)
 
@@ -642,10 +636,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.axis is None:
         raise ConfigError("sweep needs axis=... and axis_values=... (e.g. axis=p_avg_mw)")
-    factories, include_offline, run = _online_factories(cfg, train_mbia=True)
+    factories, plans, run = _online_factories(cfg, train_mbia=True)
     rows = sweep(cfg.params, cfg.axis, cfg.axis_values, factories, cfg.frames,
-                 cfg.seed, include_offline=include_offline, threads=cfg.threads,
-                 users=cfg.users)
+                 cfg.seed, plans=plans, threads=cfg.threads, users=cfg.users)
     return _finish_run(cfg, rows, f"sweep_{cfg.axis_key}.csv", "sweep_manifest.json",
                        command="sweep", axis=cfg.axis_key,
                        axis_values=list(cfg.axis_values_raw),
@@ -732,8 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solve one frame with full side information")
     p.add_argument("--replay", metavar="PATH", help="read the trajectory from a dump file")
     p.add_argument("--dump", metavar="PATH", help="write the trajectory in replay format")
-    p.add_argument("--solver", choices=["auto", "greedy", "exhaustive"],
-                   help="offline solver selection")
 
     p = sub.add_parser("mdp-train", parents=[common],
                        help="train a decision table by monotone backward induction")

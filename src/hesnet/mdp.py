@@ -404,8 +404,9 @@ def load_policy_artifact(path):
             header = None
         if not isinstance(header, dict):
             raise InvalidParameterError(f"{path}: unreadable artifact header")
-        if header.get("version") != 1:
-            raise InvalidParameterError(f"{path}: unsupported artifact version {header.get('version')!r}")
+        version = header.get("version")
+        if type(version) is not int or version != 1:   # True == 1.0 == 1
+            raise InvalidParameterError(f"{path}: unsupported artifact version {version!r}")
         n, m, k = (header.get(key) for key in ("n", "m", "k"))
         params_hash, has_values = header.get("params_hash"), header.get("has_values")
         if not (all(type(v) is int and v > 0 for v in (n, m, k))

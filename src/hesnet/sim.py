@@ -6,17 +6,18 @@ station's per-block sum over the users.  A single frame is a one-frame
 batch and a single user is U = 1.  There are three entry points, all
 taking the batch: `run_batch` and `multiuser_frame_metrics` walk a policy
 (any object with `decide_batch`), `offline_frame_metrics` plans with an
-offline plan function and replays the plans.  One battery walk, `_walk`,
-serves them all, and one outcome rule, `_outcomes`, settles each block:
-users the harvesting BS skips go to the grid BS cheapest first while its
-summed peak power holds out, and the rest drop.  Offline plans are
-replayed through the same walk (`replay_plan`).  `run_batch` (one user
-only) sums the block terms with +=, every other evaluation per frame with
-math.fsum (`frame_totals`), so an offline plan's cost is its exact
-skip-cost sum.  The walk and the zeta calibrator pay every block through
-one check, `_pay`; the grid BS and the greedy and threshold policies admit
-users through one rule, `_admit_in_order`.
-`metrics_from_arrays` is the one aggregator.
+offline plan function and replays the plans.  One battery walk,
+`_outcomes`, serves them all and settles each block: users the harvesting
+BS skips go to the grid BS cheapest first while its summed peak power
+holds out, and the rest drop.  Offline plans are replayed through the
+same walk (`replay_plan`).  `run_batch` (one user only) sums the block
+terms with +=, every other evaluation per frame with math.fsum
+(`frame_totals`), so an offline plan's cost is its exact skip-cost sum.
+The walk and the zeta calibrator pay every block through one check,
+`_pay`; the grid BS and the greedy and threshold policies admit users
+through one rule, `_admit_in_order`.  `metrics_from_arrays` is the one
+aggregator.  `point_rows` and `sweep` write one row per online policy
+factory, then one per offline plan function they are given.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import numpy as np
 
 from .errors import InvalidActionError, InvalidParameterError
 from .model import FrameBatch, SystemParams, sample_trajectories
-from .offline import (ENERGY_RTOL, EXHAUSTIVE_CAP, exhaustive_plan, greedy_plan,
-                      require_uncapped_battery)
+from .offline import ENERGY_RTOL, require_uncapped_battery
 
 __all__ = [
     "RunMetrics",
@@ -57,8 +57,8 @@ __all__ = [
 class RunMetrics:
     """Aggregates of one Monte Carlo run.
 
-    mean_total_cost always equals w_G * mean_grid_energy + w_D * N *
-    drop_ratio up to accumulation rounding; tests pin that identity.
+    mean_total_cost always equals w_G * mean_grid_energy + w_D * users *
+    N * drop_ratio up to accumulation rounding; tests pin that identity.
     """
 
     policy: str
@@ -117,40 +117,6 @@ def _pay(block: int, frame, battery, served, slack, params: SystemParams):
     return np.maximum(battery - spend, 0.0)
 
 
-def _walk(decide, p_h, e_h, params: SystemParams, battery):
-    """The per-block battery walk of every evaluation, at any user count.
-
-    `p_h` holds (frames, U, N) harvesting inversion powers over (frames, N)
-    arrivals `e_h`; `battery` is the (frames,) starting charge.  Per block:
-    credit the arrival (clamped at B_m), ask `decide(block, battery)` for a
-    (frames, U) 0/1 array, reject any other, pay the served users' powers
-    (`_pay`, under `_battery_slack`).  Yields the serve masks.
-    """
-    frames, users = p_h.shape[:2]
-    battery = np.asarray(battery, dtype=float)
-    if battery.shape != (frames,):
-        raise InvalidParameterError(
-            f"the walk takes a (frames,) battery, got shape {battery.shape} for {frames} frames")
-    rows = np.arange(frames)
-    arrived = np.zeros(frames)
-    for i in range(params.N):
-        arrived = arrived + e_h[:, i]
-        battery = np.minimum(battery + e_h[:, i], params.B_m)
-        act = np.asarray(decide(i, battery))
-        if act.shape != (frames, users):
-            raise InvalidActionError(f"policy returned shape {act.shape} at block {i + 1}, "
-                                     f"expected {(frames, users)}")
-        serve = act == 1
-        valid = serve | (act == 0)
-        if not valid.all():
-            at = int(np.argmin(valid.all(axis=-1)))
-            raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block {i + 1} "
-                                     f"of frame {at}, expected 0 or 1 per user")
-        battery = _pay(i, rows, battery, np.where(serve, p_h[:, :, i], 0.0),
-                       _battery_slack(arrived), params)
-        yield serve
-
-
 def _admit_in_order(order, eligible, power, fits):
     """(frames, U) bool mask of the `eligible` users admitted in `order`, a
     (frames, U) permutation per row, each while `fits` holds for the power
@@ -170,8 +136,13 @@ def _admit_in_order(order, eligible, power, fits):
 
 
 def _outcomes(decide, batch: FrameBatch):
-    """Walk one shared battery per frame of `batch` under `decide` (called
-    as `decide_batch` is) and settle every block: the served users pay
+    """The per-block battery walk of every evaluation, at any user count.
+
+    One battery per frame of `batch`, shared by its users, starts empty.
+    Per block: credit the arrival (clamped at B_m), ask `decide(block,
+    battery, batch)` (called as `decide_batch` is) for a (frames, U) 0/1
+    array, reject any other, and pay the served users' powers (`_pay`,
+    under `_battery_slack`).  Then settle the block: the served users pay
     nothing, the skipped users the grid BS can reach are admitted cheapest
     first (ties: lower user) while their summed power stays within
     params.p_G_max and pay their skip cost, and the rest drop at w_D.  One
@@ -179,12 +150,28 @@ def _outcomes(decide, batch: FrameBatch):
     <= p_G_max.  Yields each block's (frames, U) serve and admitted masks,
     costs and grid energies in J.
     """
-    params, p_g, skip = batch.params, batch.p_g, batch.skip
+    params, p_g, p_h, e_h, skip = batch.params, batch.p_g, batch.p_h, batch.e_h, batch.skip
+    frames, users = batch.frames, batch.users
     cap = params.p_G_max * (1.0 + 1e-12)
     order = np.argsort(p_g, axis=1, kind="stable")
-    walk = _walk(lambda i, battery: decide(i, battery, batch), batch.p_h, batch.e_h, params,
-                 np.zeros(batch.frames))
-    for i, serve in enumerate(walk):
+    rows = np.arange(frames)
+    battery = np.zeros(frames)
+    arrived = np.zeros(frames)
+    for i in range(params.N):
+        arrived = arrived + e_h[:, i]
+        battery = np.minimum(battery + e_h[:, i], params.B_m)
+        act = np.asarray(decide(i, battery, batch))
+        if act.shape != (frames, users):
+            raise InvalidActionError(f"policy returned shape {act.shape} at block {i + 1}, "
+                                     f"expected {(frames, users)}")
+        serve = act == 1
+        valid = serve | (act == 0)
+        if not valid.all():
+            at = int(np.argmin(valid.all(axis=-1)))
+            raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block {i + 1} "
+                                     f"of frame {at}, expected 0 or 1 per user")
+        battery = _pay(i, rows, battery, np.where(serve, p_h[:, :, i], 0.0),
+                       _battery_slack(arrived), params)
         admitted = _admit_in_order(order[:, :, i], ~serve & batch.transmits[:, :, i], p_g[:, :, i],
                                    lambda total: total <= cap)
         yield (serve, admitted,
@@ -285,39 +272,35 @@ def metrics_row(m: RunMetrics, axis: str, value: float) -> dict:
 
 
 def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
-               frames: int, seed: int, include_offline: bool, users: int = 1) -> list[dict]:
+               frames: int, seed: int, plans: dict | None = None, users: int = 1) -> list[dict]:
     """Rows of every policy at one parameter point, on shared trajectories.
 
     `axis` and `value` only label the rows; a point run passes "none", 0.0.
     The `users` users share the EH battery and both stations' per-block
     peak powers (`point.p_H_max`, `point.p_G_max`); with more than one the
     factories must build policies that decide every user of a block (GT,
-    Threshold, GP-only), not table lookups.  With `include_offline` the
-    offline rows follow (`offline_frame_metrics`): Greedy, then, for one
-    user, the Exhaustive optimum whenever 2^N enumeration is within the cap.
+    Threshold, GP-only), not table lookups.  `plans` maps a row name to an
+    offline plan function (`greedy_plan`, `exhaustive_plan`); their rows
+    follow the online ones, in order, each from `offline_frame_metrics`.
     """
     batch = sample_trajectories(point, seed, frames, users)
     # one user keeps run_batch's += totals: the single-user CSVs are pinned to them
     online = run_batch if users == 1 else multiuser_frame_metrics
     runs = [(name, online(factory(point), batch)) for name, factory in policy_factories.items()]
-    if include_offline:
-        plans = {"Greedy": greedy_plan, "Exhaustive": exhaustive_plan}
-        if users > 1 or point.N > EXHAUSTIVE_CAP:
-            del plans["Exhaustive"]
-        runs += [(name, offline_frame_metrics(solve, batch)) for name, solve in plans.items()]
+    runs += [(name, offline_frame_metrics(solve, batch)) for name, solve in (plans or {}).items()]
     return [metrics_row(metrics_from_arrays(name, users * point.N, seed, *arrays), axis, value)
             for name, arrays in runs]
 
 
 def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
-          frames: int, seed: int, *, include_offline: bool = True,
+          frames: int, seed: int, *, plans: dict | None = None,
           threads: int = 1, users: int = 1) -> list[dict]:
     """Evaluate policies across one parameter axis with shared trajectories.
 
     `policy_factories` maps a display name to a callable(params) -> policy,
     so per-point state (retrained tables, recalibrated thresholds) is built
     where it belongs.  Each point's rows come from `point_rows`, for
-    `users` users, with the offline rows last when `include_offline`.
+    `users` users, with a row per offline plan function in `plans` last.
 
     Axis points are independent, so with `threads` > 1 they are evaluated
     concurrently; row order stays (value-major, policy-minor) either way.
@@ -328,7 +311,7 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
 
     def at(v):
         return point_rows(apply_axis(params, axis, v), axis, v, policy_factories, frames,
-                          seed, include_offline, users)
+                          seed, plans, users)
 
     if threads == 1 or len(values) <= 1:
         chunks = [at(v) for v in values]

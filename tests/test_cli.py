@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesnet.cli import RUN_KEYS, ZETA_GRID_MAX, main, parse_kv_text, resolve_config
+from hesnet.cli import (
+    DISPATCH,
+    RUN_KEYS,
+    ZETA_GRID_MAX,
+    build_parser,
+    main,
+    parse_kv_text,
+    resolve_config,
+)
 from hesnet.errors import ConfigError, HesnetError, ResourceLimitError
 from hesnet.mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction
 from hesnet.model import SystemParams, sample_trajectories
@@ -238,16 +246,11 @@ def test_offline_solve_replay_rejects_arrivals_above_e_m(tmp_path, capsys):
     # a sampled frame stays within E_m, so its dump still replays
     for seed in ("1", "2", "3"):
         dump = tmp_path / f"traj{seed}.txt"
-        base = ["offline-solve", "--seed", seed, "--solver", "greedy"]
+        base = ["offline-solve", "--seed", seed]
         assert main(base + ["--out", str(tmp_path / "a"), "--dump", str(dump)]) == 0
         assert main(base + ["--out", str(tmp_path / "b"), "--replay", str(dump)]) == 0
         assert ((tmp_path / "a" / "offline_summary.json").read_bytes()
                 == (tmp_path / "b" / "offline_summary.json").read_bytes())
-
-
-def test_offline_solve_exhaustive_over_cap_is_resource_limit(tmp_path):
-    assert main(["offline-solve", "--set", "n_blocks=60", "--solver", "exhaustive",
-                 "--out", str(tmp_path)]) == 3
 
 
 def test_offline_solve_refuses_more_than_one_user(tmp_path, capsys):
@@ -323,7 +326,7 @@ def test_mdp_train_logs_artifact_bytes_and_simulate_reads_legacy_files(tmp_path)
 
 def test_simulate_loads_artifact_and_pins_csv_header(tmp_path):
     assert main(["mdp-train"] + SMALL + ["--out", str(tmp_path)]) == 0
-    argv = ["simulate"] + SMALL + ["--set", "policies=GT,Threshold,MBIA-M4,GA",
+    argv = ["simulate"] + SMALL + ["--set", "policies=GT,Threshold,MBIA-M4,GA,Exhaustive",
                                    "--out", str(tmp_path)]
     assert main(argv) == 0
     lines = (tmp_path / "simulate.csv").read_text().splitlines()
@@ -415,11 +418,26 @@ def test_simulate_exhaustive_token_over_the_cap_is_resource_limit(tmp_path, caps
                  "--frames", "5", "--out", str(out)]) == 3
     assert "exceeds cap 20" in capsys.readouterr().err
     assert not out.exists()   # refused before any work
-    # GA adds the Exhaustive row only within the cap
+    # GA names the Greedy row alone, at any N
     assert main(["simulate", "--set", "n_blocks=21", "--set", "policies=GT,GA",
                  "--frames", "5", "--out", str(out)]) == 0
     rows = (out / "simulate.csv").read_text().splitlines()[1:]
     assert [row.split(",", 1)[0] for row in rows] == ["GT", "Greedy"]
+
+
+def test_each_offline_token_names_one_row(tmp_path):
+    # within the exhaustive cap too, a row is written only for its own token,
+    # and the offline rows follow the online ones in token order
+    for policies, rows in (("GT,GA", ["GT", "Greedy"]),
+                           ("GT,GA,Exhaustive", ["GT", "Greedy", "Exhaustive"]),
+                           ("GT,Exhaustive", ["GT", "Exhaustive"]),
+                           ("Exhaustive,GT,Greedy", ["GT", "Exhaustive", "Greedy"])):
+        assert main(["simulate"] + SMALL + ["--set", f"policies={policies}",
+                                            "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
+        assert [line.split(",", 1)[0] for line in lines] == rows, policies
+    manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
+    assert "solver" not in manifest["config"]
 
 
 def test_simulate_two_user_rejects_table_policies(tmp_path, capsys):
@@ -475,7 +493,7 @@ def test_sweep_axis_required(tmp_path):
 
 
 def test_sweep_rows_and_threads_determinism(tmp_path):
-    cases = [(1, "GT,MBIA-M4,GA", ["GT", "MBIA-M4", "Greedy", "Exhaustive"]),
+    cases = [(1, "GT,MBIA-M4,GA,Exhaustive", ["GT", "MBIA-M4", "Greedy", "Exhaustive"]),
              (2, "GA,GT,Threshold", ["GT", "Threshold", "Greedy"])]   # offline rows last
     for users, policies, rows in cases:
         base = ["sweep"] + SMALL + ["--set", f"users={users}", "--set", f"policies={policies}",
@@ -498,7 +516,7 @@ def test_sweep_rows_and_threads_determinism(tmp_path):
 
 def test_sweep_preset_smoke(tmp_path):
     assert main(["sweep", "--preset", "fig7"] + SMALL +
-                ["--set", "axis_values=0.01,1.0", "--set", "policies=GT,GP-only,GA",
+                ["--set", "axis_values=0.01,1.0", "--set", "policies=GT,GP-only,GA,Exhaustive",
                  "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "sweep_w_d.csv").read_text().splitlines()
     names = {l.split(",", 1)[0] for l in lines[1:]}
@@ -526,6 +544,18 @@ def test_quantize_info_prints_reference_levels(capsys):
     assert repr(1.0 - math.log(2.0)) in out   # low equi-probable state, unit mean
     assert repr(1.0 + math.log(2.0)) in out   # high state
     assert "0.00175" in out                   # top battery level of a 2 mJ pack
+
+
+def test_every_flag_is_a_run_key_or_a_command_input(capsys):
+    # _flag_overrides reads only RUN_KEYS, so a flag whose key left them
+    # would be parsed and then silently ignored
+    inputs = {"command", "preset", "config", "assignments", "replay", "dump"}
+    for command in DISPATCH:
+        dests = set(vars(build_parser().parse_args([command])))
+        assert dests <= set(RUN_KEYS) | inputs, (command, dests - set(RUN_KEYS) - inputs)
+    with pytest.raises(SystemExit) as exc:   # the solver key and its flag are gone
+        main(["offline-solve", "--solver", "greedy"])
+    assert exc.value.code == 2 and "--solver" in capsys.readouterr().err
 
 
 def test_main_rejects_malformed_set(tmp_path):

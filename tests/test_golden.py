@@ -128,7 +128,7 @@ OFFLINE_SHA256 = {
     "n12": (["--set", "n_blocks=12"],
             "875561edda182477edf1ebf598736775957b447b7af8a5c25e832a25d2474758",
             "c41b666e64b38ce3d69c54b0d882b673e97672b6020cf3cad8d9fc6ceff31718"),
-    "n50-greedy": (["--solver", "greedy"],
+    "n50-greedy": ([],
                    "2e3710b241990a58e5f78f1a4f9a79aacff3ea96148c9e46aa49609e956bb773",
                    "6157b1aee9b4f1df808bd69ec2bcb49692325a3594083ca20338d2abf13b2201"),
 }

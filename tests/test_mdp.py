@@ -823,6 +823,8 @@ def test_artifact_rejects_trailing_byte_and_bad_headers(tmp_path):
         head.replace(b'"m":3', b'"m":3.0') + b"\n",   # m not an integer
         head.replace(b'"n":2', b'"n":true') + b"\n",  # n a boolean
         head.replace(b'"has_values":false', b'"has_values":0') + b"\n",
+        head.replace(b'"version":1', b'"version":true') + b"\n",  # version a boolean
+        head.replace(b'"version":1', b'"version":1.0') + b"\n",   # version not an integer
     ]
     for bad in bad_headers:
         with pytest.raises(InvalidParameterError):

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesnet.errors import InvalidActionError, InvalidParameterError, ModelMismatchError
+from hesnet.errors import (
+    InvalidActionError,
+    InvalidParameterError,
+    ModelMismatchError,
+    ResourceLimitError,
+)
 from hesnet.mdp import backward_induction, build_grid, build_mdp_model
 from hesnet.model import (
     FrameBatch,
@@ -31,7 +36,6 @@ from hesnet.policies import (
 from hesnet.sim import (
     CSV_HEADER,
     GridOnlyPolicy,
-    _walk,
     apply_axis,
     frame_totals,
     metrics_from_arrays,
@@ -195,64 +199,46 @@ def test_batch_rejects_infeasible_serve():
                                             np.zeros_like(batch.e_h)))
 
 
-def run_walk(decide, p_h, e_h, params, battery):
-    """Drive the walk over (frames, U, N) powers to its end."""
-    for _ in _walk(decide, p_h, e_h, params, battery):
-        pass
-
-
 def test_affordability_check_locates_overdraw():
-    # only frame 1 starts empty, and 1e-9 J arrives there before block 7
+    # frame 0's block-1 arrival fills its battery; frame 1 gets 1e-9 J, just
+    # before block 7, the one block the plan serves
     params = P.evolve(N=7)
-    p_h = np.full((2, 1, 7), 0.01)
+    gains = np.full((2, 1, 7), 100.0)
     e_h = np.zeros((2, 7))
+    e_h[0, 0] = params.B_m
     e_h[1, 6] = 1e-9
-    full = params.B_m
-
-    def serve_last(i, battery):
-        return np.full(battery.shape + (1,), int(i == 6), dtype=np.int8)
-
-    run_walk(serve_last, p_h, e_h, params, np.array([full, full]))
+    serve_last = np.zeros((2, 1, 7), dtype=np.int8)
+    serve_last[:, :, 6] = 1
+    replay_plan(serve_last[:1], FrameBatch(params, gains[:1], gains[:1], e_h[:1]))
     with pytest.raises(InvalidActionError, match="block 7 of frame 1 with battery 1e-09 J"):
-        run_walk(serve_last, p_h, e_h, params, np.array([full, 0.0]))
+        replay_plan(serve_last, FrameBatch(params, gains, gains, e_h))
 
 
-def test_walk_takes_one_battery_per_frame():
-    params = P.evolve(N=7)
-
-    def skip(i, battery):
-        return np.zeros(battery.shape + (1,), dtype=np.int8)
-
-    with pytest.raises(InvalidParameterError, match="takes a \\(frames,\\) battery"):
-        run_walk(skip, np.full((2, 1, 7), 0.01), np.zeros((2, 7)), params, np.zeros((3, 2)))
+def capped_at(params, cap, gains):
+    """A one-block batch whose arrival E_m pays any serve, under peak cap `cap`."""
+    return FrameBatch(params.evolve(p_H_max=float(cap)), gains, gains,
+                      np.full((1, 1), params.E_m))
 
 
 def test_single_user_peak_check_is_exact():
     params = P.evolve(N=1, P_avg=0.5)   # one block's arrival pays a 0.5 W serve
-    e_h = np.full((1, 1), params.E_m)
-
-    def serve(i, battery):
-        return np.ones((1, 1), dtype=np.int8)
-
-    run_walk(serve, np.full((1, 1, 1), params.p_H_max), e_h, params, np.zeros(1))
-    above = np.nextafter(params.p_H_max, np.inf)
+    gains = np.ones((1, 1, 1))
+    power = capped_at(params, params.p_H_max, gains).p_h[0, 0, 0]
+    serve = np.ones((1, 1, 1), dtype=np.int8)
+    replay_plan(serve, capped_at(params, power, gains))
     with pytest.raises(InvalidActionError, match="block 1 of frame 0"):
-        run_walk(serve, np.full((1, 1, 1), above), e_h, params, np.zeros(1))
+        replay_plan(serve, capped_at(params, np.nextafter(power, 0.0), gains))
 
 
 def test_joint_serve_of_one_user_above_the_summed_cap_raises():
     # the summed power is within the 1e-12 slack, the one served user is not
-    cap = 0.4
-    params = P.evolve(N=1, P_avg=0.5, p_H_max=cap)
-    p_h = np.array([[[np.nextafter(cap, np.inf)], [0.1]]])
-
-    def first_user(i, battery):
-        return np.array([[1, 0]], dtype=np.int8)
-
+    params = P.evolve(N=1, P_avg=0.5)
+    gains = np.array([[[1.0], [2.0]]])
+    power = capped_at(params, params.p_H_max, gains).p_h[0, 0, 0]
+    first_user = np.array([[[1], [0]]], dtype=np.int8)
     with pytest.raises(InvalidActionError, match="block 1 of frame 0"):
-        run_walk(first_user, p_h, np.full((1, 1), params.E_m), params, np.zeros(1))
-    run_walk(first_user, np.array([[[cap], [0.1]]]), np.full((1, 1), params.E_m), params,
-             np.zeros(1))
+        replay_plan(first_user, capped_at(params, np.nextafter(power, 0.0), gains))
+    replay_plan(first_user, capped_at(params, power, gains))
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +404,11 @@ def test_apply_axis_rules():
 def test_sweep_rows_and_offline_inclusion():
     params = P.evolve(N=8)
     rows = sweep(params, "P_avg", [0.01, 0.02], {"GT": lambda p: GreedyTransmit()},
-                 frames=20, seed=71)
-    names = {r["policy"] for r in rows}
-    assert names == {"GT", "Greedy", "Exhaustive"}  # N=8 is within the cap
-    assert len(rows) == 6
+                 frames=20, seed=71, plans={"Greedy": greedy_plan, "Exhaustive": exhaustive_plan})
+    assert [r["policy"] for r in rows] == ["GT", "Greedy", "Exhaustive"] * 2
+    # no plans, no offline rows
+    assert [r["policy"] for r in sweep(params, "P_avg", [0.01], {"GT": lambda p: GreedyTransmit()},
+                                       frames=20, seed=71)] == ["GT"]
     for row in rows:
         assert list(row.keys()) == CSV_HEADER
         assert row["grid_energy_mj"] == pytest.approx(row["grid_energy_j"] * 1e3, rel=1e-12)
@@ -433,9 +420,10 @@ def test_sweep_rows_and_offline_inclusion():
 
 
 def test_sweep_skips_exhaustive_beyond_cap():
-    rows = sweep(P, "w_D", [0.01], {"GT": lambda p: GreedyTransmit()}, frames=5, seed=72)
-    names = {r["policy"] for r in rows}
-    assert "Greedy" in names and "Exhaustive" not in names
+    # a row is asked for by name, so an exhaustive plan over the cap is refused
+    with pytest.raises(ResourceLimitError, match="exceeds cap 20"):
+        sweep(P, "w_D", [0.01], {"GT": lambda p: GreedyTransmit()}, frames=5, seed=72,
+              plans={"Greedy": greedy_plan, "Exhaustive": exhaustive_plan})
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +620,9 @@ uncapped_params = short_frame_params.map(lambda p: p.evolve(B_m=p.N * p.E_m))
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(params=uncapped_params, zeta=st.floats(0.0, 50.0), seed=st.integers(0, 2**16))
 def test_property_cost_identity(params, zeta, seed):
-    # mean cost == w_G * mean grid energy + w_D * N * drop ratio, for the
-    # batch walk under three policies and for the offline evaluation
+    # mean cost == w_G * mean grid energy + w_D * users * N * drop ratio,
+    # here with one user, for the batch walk under three policies and for
+    # the offline evaluation
     l1, l2 = threshold_lambdas(params)
     table, _ = backward_induction(build_mdp_model(params, build_grid(params, M=6, K=3)),
                                   params.N)
