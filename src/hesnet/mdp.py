@@ -12,13 +12,15 @@ dense (M, K, K) compare costs less than that walk, so MBIA takes the dense
 mask, checks it has the threshold structure the walk relies on, and reports
 the walk's evaluation counts in closed form.
 
-MBIA is `backward_induction` followed by a per-block staircase check, so
-the two solvers' tables agree bitwise, not just within tolerance.  The
-recursion needs only the per-level sums u_hat of the next block, so a solve
-keeps the two action values q0/q1 per block and sums one block's (M, K, K)
-slice of the per-state values at a time; the full (N, M, K, K) table is
-rebuilt only when `CostToGo.u` is read.  Policy artifacts hold the serve
-table alone.
+MBIA is `backward_induction` followed by a per-block staircase check, and
+the staircase is the policy: `PolicyTable.top` holds the highest served
+G-state per (block, battery level, H-state), so a lookup searches one
+channel, and it expands bitwise to the dense mask in `CostToGo.actions`.
+The recursion needs only the per-level sums u_hat of the next block, so a
+solve keeps the two action values q0/q1 per block and sums one block's
+(M, K, K) slice of the per-state values at a time; the full (N, M, K, K)
+table is rebuilt only when `CostToGo.u` is read.  Policy artifacts hold
+the grid and the thresholds alone.
 """
 
 from __future__ import annotations
@@ -220,15 +222,17 @@ def build_mdp_model(params: SystemParams, grid: QuantizationGrid) -> MdpModel:
 
 @dataclass(frozen=True)
 class PolicyTable:
-    """Binary decision per (block, battery level, G-state, H-state)."""
+    """Threshold policy: serve at (block t, battery level m, G-state kg,
+    H-state kh) iff kg <= top[t, m, kh], with top in [-1, K-1] (-1: serve
+    nowhere) and not falling along the H axis."""
 
-    actions: np.ndarray  # (N, M, K, K) uint8
+    top: np.ndarray  # (N, M, K) int16
     grid: QuantizationGrid
     params_hash: str
 
     @property
     def N(self) -> int:
-        return self.actions.shape[0]
+        return self.top.shape[0]
 
 
 @dataclass(frozen=True)
@@ -237,16 +241,16 @@ class CostToGo:
 
     `q0[t, m, kg]` is the cost of not serving at G-state kg and
     `q1[t, m, kh]` the cost of serving at H-state kh (inf where serving is
-    not allowed); `actions` is the policy's serve table itself, not a copy.
-    The per-state table `u` is rebuilt from these on each read (25 MB at
-    N=50, M=100, K=25), so a solve that never reads it never holds it.
+    not allowed); `actions` is the dense serve mask.  The per-state table
+    `u` is rebuilt from these on each read (25 MB at N=50, M=100, K=25), so
+    a solve that never reads it never holds it.
     """
 
     q0: np.ndarray        # (N, M, K) per G-state
     q1: np.ndarray        # (N, M, K) per H-state
     u_hat: np.ndarray     # (N, M) sum of u over both channel states
     params_hash: str
-    actions: np.ndarray   # (N, M, K, K) uint8, the PolicyTable's array
+    actions: np.ndarray   # (N, M, K, K) uint8 serve mask
 
     @property
     def u(self) -> np.ndarray:
@@ -282,7 +286,7 @@ def backward_induction(model: MdpModel, N: int):
     The terminal block minimizes the stage cost alone.  Ties between the
     two actions resolve to serving (action 1).  Only u_hat feeds the next
     block, so each block's per-state values live in one temporary slice.
-    Returns (PolicyTable, CostToGo).
+    Returns the CostToGo, whose `actions` is the dense serve mask.
     """
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
@@ -300,13 +304,13 @@ def backward_induction(model: MdpModel, N: int):
         act = actions[t] = _dense_mask(q0[t], q1[t])
         # one block's (M, K, K) slice of u, summed and dropped
         u_hat[t] = np.where(act, q1[t, :, None, :], q0[t, :, :, None]).sum(axis=(1, 2))
-    return (PolicyTable(actions=actions, grid=model.grid, params_hash=params_hash),
-            CostToGo(q0=q0, q1=q1, u_hat=u_hat, params_hash=params_hash, actions=actions))
+    return CostToGo(q0=q0, q1=q1, u_hat=u_hat, params_hash=params_hash, actions=actions)
 
 
-def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray, mask: np.ndarray):
     """Check block t's bool serve `mask` is the threshold staircase of the
-    paper's walk, and count per battery level the states that walk evaluates.
+    paper's walk; return its (M, K_H) thresholds `top` and the (M,) counts
+    of states that walk evaluates.
 
     The walk starts at the best state of both channels: a serve fills the
     column below it and drops the H cursor, a skip fills the row to its
@@ -321,13 +325,13 @@ def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray, mask: np.ndarray) 
         if np.any(q[:, 1:] > q[:, :-1] + _RISE_RTOL * np.abs(q[:, :-1])):
             raise StructureViolationError(
                 f"block t={t}: {name}-state axis rises; the monotone walk is not exact")
-    top = mask.sum(axis=1) - 1  # (M, K_H) highest served G-state, -1: none
+    top = mask.sum(axis=1, dtype=np.int16) - 1  # (M, K_H) highest served G-state, -1: none
     # a column that serves at a G-state it skips below is not a prefix
     if np.any(mask[:, 1:] > mask[:, :-1]) or np.any(np.diff(top, axis=1) < 0):
         raise StructureViolationError(
             f"block t={t}: the serve mask is not a threshold staircase")
     k = q0.shape[1]
-    return np.where(top[:, 0] >= 0, 2 * k - 1 - top[:, 0], k + (top >= 0).sum(axis=1))
+    return top, np.where(top[:, 0] >= 0, 2 * k - 1 - top[:, 0], k + (top >= 0).sum(axis=1))
 
 
 def monotone_backward_induction(model: MdpModel, N: int):
@@ -336,15 +340,16 @@ def monotone_backward_induction(model: MdpModel, N: int):
     MBIA is backward induction that exploits the threshold structure, so
     the solve is `backward_induction` itself and the two agree bitwise.
     `_staircase_counts` then checks each block, from the last to the
-    first, is the threshold staircase the paper's walk relies on, and
-    counts the at most 2K-1 states that walk evaluates per battery level
-    instead of K^2.  Returns (PolicyTable, CostToGo, eval_counts of shape
-    (N, M)).
+    first, is the threshold staircase the paper's walk relies on, keeps
+    its thresholds, and counts the at most 2K-1 states that walk evaluates
+    per battery level instead of K^2.  Returns (PolicyTable, CostToGo,
+    eval_counts of shape (N, M)).
     """
-    policy, values = backward_induction(model, N)
-    counts = [_staircase_counts(t, values.q0[t], values.q1[t], policy.actions[t].view(bool))
-              for t in range(N - 1, -1, -1)]
-    return policy, values, np.stack(counts[::-1])
+    values = backward_induction(model, N)
+    checked = [_staircase_counts(t, values.q0[t], values.q1[t], values.actions[t].view(bool))
+               for t in range(N - 1, -1, -1)]
+    top, counts = (np.stack(a[::-1]) for a in zip(*checked))
+    return PolicyTable(top=top, grid=model.grid, params_hash=values.params_hash), values, counts
 
 
 # ---------------------------------------------------------------------------
@@ -352,50 +357,43 @@ def monotone_backward_induction(model: MdpModel, N: int):
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"HESNETPOLICY 1\n"
-_HEADER_LIMIT = 4096  # bytes; a written header is about 120
+_HEADER_LIMIT = 4096  # bytes; a written header is about 110
 
 
 def save_policy_artifact(path, policy: PolicyTable) -> None:
     """Write a policy table to a versioned binary file.
 
-    Layout: magic line; one JSON header line with n/m/k, the params hash and
-    a has_values flag (always false here); then raw little-endian row-major
-    arrays in fixed order (battery levels, bin edges, G bounds/levels, H
-    bounds/levels, actions as uint8).  Older version-1 files with
-    has_values true carry u and u_hat as float64 after the actions.  The
-    writer is deterministic: identical inputs give identical bytes.
+    Layout: magic line; one JSON header line with the version (2), n/m/k
+    and the params hash; then raw little-endian row-major arrays in fixed
+    order (battery levels, bin edges, G bounds/levels, H bounds/levels as
+    float64, the (N, M, K) thresholds as int16).  The writer is
+    deterministic: identical inputs give identical bytes.
     """
     g = policy.grid
-    header = {
-        "version": 1,
-        "n": int(policy.N),
-        "m": int(g.M),
-        "k": int(g.K),
-        "params_hash": policy.params_hash,
-        "has_values": False,
-    }
+    header = {"version": 2, "n": int(policy.N), "m": int(g.M), "k": int(g.K),
+              "params_hash": policy.params_hash}
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
         for arr in (g.battery_levels, g.bin_edges, g.bounds_G, g.levels_G, g.bounds_H, g.levels_H):
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(policy.actions, dtype="|u1").tobytes())
+        f.write(np.ascontiguousarray(policy.top, dtype="<i2").tobytes())
 
 
 def load_policy_artifact(path):
     """Read a file written by `save_policy_artifact`.
 
-    The header line is read with a length limit, n/m/k must be positive
-    integers, and the file size must equal the size the header implies
-    before any array is read, so a corrupt, truncated or padded file
-    raises InvalidParameterError instead of driving a large read.  A file
-    with has_values true must hold its value block too, which is not read.
-    Returns the PolicyTable.  Consumers are responsible for comparing the
-    stored params hash against their own configuration.
+    The header line is read with a length limit, the version must be 2
+    (older files held a dense serve table: retrain them with `mdp-train`),
+    n/m/k must be positive integers, and the file size must equal the size
+    the header implies before any array is read, so a corrupt, truncated or
+    padded file raises InvalidParameterError instead of driving a large
+    read.  So does a threshold outside [-1, K-1] or one that falls along the
+    H axis.  Returns the PolicyTable.  Consumers are responsible for
+    comparing the stored params hash against their own configuration.
     """
     with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
-        if magic != _MAGIC:
+        if f.read(len(_MAGIC)) != _MAGIC:
             raise InvalidParameterError(f"{path}: not a policy artifact (bad magic)")
         line = f.readline(_HEADER_LIMIT)
         try:
@@ -405,33 +403,26 @@ def load_policy_artifact(path):
         if not isinstance(header, dict):
             raise InvalidParameterError(f"{path}: unreadable artifact header")
         version = header.get("version")
-        if type(version) is not int or version != 1:   # True == 1.0 == 1
-            raise InvalidParameterError(f"{path}: unsupported artifact version {version!r}")
+        if type(version) is not int or version != 2:   # 2.0 == 2
+            raise InvalidParameterError(f"{path}: unsupported artifact version {version!r}; "
+                                        f"retrain it with 'hesnet mdp-train'")
         n, m, k = (header.get(key) for key in ("n", "m", "k"))
-        params_hash, has_values = header.get("params_hash"), header.get("has_values")
-        if not (all(type(v) is int and v > 0 for v in (n, m, k))
-                and isinstance(params_hash, str) and isinstance(has_values, bool)):
-            raise InvalidParameterError(f"{path}: artifact header needs positive integers n, m, k, "
-                                        f"a params_hash and a has_values flag, got {line[:200]!r}")
-        cells = n * m * k * k
+        params_hash = header.get("params_hash")
+        if not (all(type(v) is int and v > 0 for v in (n, m, k)) and isinstance(params_hash, str)):
+            raise InvalidParameterError(f"{path}: artifact header needs positive integers n, m, k "
+                                        f"and a params_hash, got {line[:200]!r}")
         # battery levels, bin edges, then bounds and levels of both channels
-        size = f.tell() + 8 * (2 * m + 1 + 2 * (2 * k + 1)) + cells
-        if has_values:
-            size += 8 * (cells + n * m)
+        lengths = (m, m + 1, k + 1, k, k + 1, k)
+        size = f.tell() + 8 * sum(lengths) + 2 * n * m * k
         actual = os.fstat(f.fileno()).st_size
         if actual != size:
             raise InvalidParameterError(
                 f"{path}: {actual} bytes, but its header (n={n}, m={m}, k={k}) implies {size}")
-
-        def read_f8(count):
-            return np.fromfile(f, dtype="<f8", count=count)
-
-        battery_levels = read_f8(m)
-        bin_edges = read_f8(m + 1)
-        bounds_g = read_f8(k + 1)
-        levels_g = read_f8(k)
-        bounds_h = read_f8(k + 1)
-        levels_h = read_f8(k)
-        grid = QuantizationGrid(battery_levels, bin_edges, levels_g, bounds_g, levels_h, bounds_h)
-        actions = np.fromfile(f, dtype="|u1", count=cells).reshape(n, m, k, k)
-    return PolicyTable(actions=actions, grid=grid, params_hash=params_hash)
+        levels, edges, bounds_g, levels_g, bounds_h, levels_h = np.split(
+            np.fromfile(f, dtype="<f8", count=sum(lengths)), np.cumsum(lengths[:-1]))
+        grid = QuantizationGrid(levels, edges, levels_g, bounds_g, levels_h, bounds_h)
+        top = np.fromfile(f, dtype="<i2", count=n * m * k).reshape(n, m, k)
+    if top.min() < -1 or top.max() > k - 1 or np.any(top[:, :, 1:] < top[:, :, :-1]):
+        raise InvalidParameterError(
+            f"{path}: thresholds must lie in [-1, {k - 1}] and not fall along the H axis")
+    return PolicyTable(top=top, grid=grid, params_hash=params_hash)

@@ -178,14 +178,15 @@ class ThresholdHeuristic:
 # ---------------------------------------------------------------------------
 
 class MdpTablePolicy:
-    """Plays a trained full-horizon policy table.
+    """Plays a trained full-horizon threshold table.
 
-    A lookup at the quantized state, bridged back to reality: the tabled
-    action assumes the bin's mid-value battery, and when the true battery
-    (or the peak cap) cannot cover this block's spend, the action demotes
-    to 0.  That is the only divergence from the table.  A table trained on
-    different parameters raises a stale-policy error, a batch of more than
-    one user InvalidParameterError.
+    A lookup at the quantized state, bridged back to reality: the block
+    serves iff its G-gain lies below the G bound over the threshold of its
+    battery bin and H-state.  That action assumes the bin's mid-value
+    battery, and when the true battery (or the peak cap) cannot cover this
+    block's spend, it demotes to 0, the only divergence from the table.  A
+    table trained on different parameters raises a stale-policy error, a
+    batch of more than one user InvalidParameterError.
     """
 
     def __init__(self, table: PolicyTable):
@@ -208,11 +209,12 @@ class MdpTablePolicy:
         if not 0 <= t < self.table.N:
             raise InvalidParameterError(f"block {t} outside the table horizon {self.table.N}")
         grid = self.table.grid
-        act = self.table.actions[t, battery_level_index(battery, grid)[:, None],
-                                 channel_state_index(batch.gamma_g[:, :, block], grid.bounds_G),
-                                 channel_state_index(batch.gamma_h[:, :, block], grid.bounds_H)]
-        demote = ~serve_feasible(batch.p_h[:, :, block], battery[:, None], batch.params)
-        return np.where(demote, 0, act).astype(np.int8)
+        top = self.table.top[t, battery_level_index(battery, grid)[:, None],
+                             channel_state_index(batch.gamma_h[:, :, block], grid.bounds_H)]
+        # bounds_G[0] = 0 serves no gain at top = -1, bounds_G[K] = inf all at K-1
+        serve = batch.gamma_g[:, :, block] < grid.bounds_G[top + 1]
+        serve &= serve_feasible(batch.p_h[:, :, block], battery[:, None], batch.params)
+        return serve.astype(np.int8)
 
 
 def look_ahead_build(params: SystemParams, *, M: int = 100, K: int = 25) -> PolicyTable:

@@ -1,19 +1,28 @@
-"""Per-frame references for the offline solvers' batch plans.
+"""References for the offline solvers' batch plans and for table lookups.
 
 `hesnet.offline` maps (frames, U, N) arrays to plans and leaves the
 feasibility of a plan to the battery walk that replays it.  The checks here
 read one frame at a time in plain numpy, independently of both: the first
 constraint a 0/1 vector breaks, its exact skip cost, and the pairwise swap
 condition every greedy plan meets.
+
+`hesnet.mdp` stores a policy as per-column thresholds.  The dense
+(N, M, K, K) serve mask they stand for, the player that looks it up with
+one search per channel, and the version-1 artifact layout that held it
+live here as their references.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from hesnet.mdp import battery_level_index, channel_state_index
+from hesnet.model import serve_feasible
 from hesnet.offline import ENERGY_RTOL
 
 
@@ -82,3 +91,43 @@ def swap_free(alpha, fr: Frame) -> bool:
     no_more_power = fr.p_h[sel][:, None] >= fr.p_h[uns][None, :]
     return not bool(np.any(later & cheaper & no_more_power))
 
+
+
+def staircase_actions(top) -> np.ndarray:
+    """The (N, M, K, K) uint8 serve mask of (N, M, K) thresholds: G-state kg
+    serves at H-state kh iff kg <= top[..., kh]."""
+    top = np.asarray(top)
+    k = top.shape[-1]
+    return (np.arange(k)[:, None] <= top[..., None, :]).astype(np.uint8)
+
+
+class DenseTablePolicy:
+    """Plays a dense serve mask such as `CostToGo.actions`: slice `block`
+    at the battery bin and both channel states, demoted to 0 where the
+    true battery or the peak cap cannot pay, as `MdpTablePolicy` demotes."""
+
+    def __init__(self, actions, grid):
+        self.actions, self.grid = actions, grid
+
+    def decide_batch(self, block, battery, batch):
+        assert batch.users == 1
+        grid = self.grid
+        act = self.actions[block, battery_level_index(battery, grid)[:, None],
+                           channel_state_index(batch.gamma_g[:, :, block], grid.bounds_G),
+                           channel_state_index(batch.gamma_h[:, :, block], grid.bounds_H)]
+        demote = ~serve_feasible(batch.p_h[:, :, block], battery[:, None], batch.params)
+        return np.where(demote, 0, act).astype(np.int8)
+
+
+def v1_artifact(path, top, grid, params_hash) -> bytes:
+    """Write a version-1 policy file, the layout that held the dense uint8
+    serve mask after the grid, and return its bytes."""
+    header = {"version": 1, "n": top.shape[0], "m": grid.M, "k": grid.K,
+              "params_hash": params_hash, "has_values": False}
+    blob = b"HESNETPOLICY 1\n" + json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    blob += b"\n" + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (
+        grid.battery_levels, grid.bin_edges, grid.bounds_G, grid.levels_G, grid.bounds_H,
+        grid.levels_H))
+    blob += staircase_actions(top).tobytes()
+    Path(path).write_bytes(blob)
+    return blob

@@ -22,9 +22,10 @@ from hesnet.cli import (
     resolve_config,
 )
 from hesnet.errors import ConfigError, HesnetError, ResourceLimitError
-from hesnet.mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction
+from hesnet.mdp import load_policy_artifact
 from hesnet.model import SystemParams, sample_trajectories
 from hesnet.sim import GridOnlyPolicy, metrics_from_arrays, multiuser_frame_metrics
+from oracles import v1_artifact
 
 GOLDEN_HEADER = ("policy,axis,axis_value,mean_total_cost,stderr_total_cost,"
                  "grid_energy_j,grid_energy_mj,drop_ratio,frames,seed")
@@ -284,7 +285,7 @@ def test_mdp_train_writes_artifact_and_retrains_identically(tmp_path):
     assert log["per_state_max"] <= log["per_state_bound"] == 3
     assert log["bound_total"] == 3 * 4 * 8
     table = load_policy_artifact(art)
-    assert table.N == 8 and table.actions.shape == (8, 4, 2, 2)
+    assert table.N == 8 and table.top.shape == (8, 4, 2)
     assert main(argv) == 0
     assert art.read_bytes() == first  # retraining is byte-identical
 
@@ -297,27 +298,24 @@ def test_mdp_train_writes_where_simulate_reads(tmp_path):
                                         "--out", str(out)]) == 0
 
 
-def test_mdp_train_logs_artifact_bytes_and_simulate_reads_legacy_files(tmp_path):
+def test_mdp_train_logs_artifact_bytes_and_simulate_refuses_v1_files(tmp_path, capsys):
     assert main(["mdp-train"] + SMALL + ["--out", str(tmp_path / "new")]) == 0
     blob = (tmp_path / "new" / "mbia_M4_K2.pol").read_bytes()
     log = json.loads((tmp_path / "new" / "mbia_M4_K2.train.json").read_text())
     header_end = blob.index(b"\n", len(b"HESNETPOLICY 1\n")) + 1
-    # header, grid (M mids, M+1 edges, K+1 bounds and K levels per channel), N*M*K^2 actions
-    assert log["artifact_bytes"] == len(blob) == header_end + 8 * (9 + 2 * 5) + 8 * 4 * 2 * 2
+    # header, grid (M mids, M+1 edges, K+1 bounds and K levels per channel), N*M*K int16 thresholds
+    assert log["artifact_bytes"] == len(blob) == header_end + 8 * (9 + 2 * 5) + 2 * 8 * 4 * 2
     assert log["artifact_sha256"] == hashlib.sha256(blob).hexdigest()
-    # the same table in the older values-bearing layout: actions, then u and u_hat
-    params = resolve_config(overrides={"n_blocks": "8", "m_levels": "4", "k_states": "2"}).params
-    _, values, _ = monotone_backward_induction(build_mdp_model(params, build_grid(params, M=4, K=2)), 8)
+    # the same table in the version-1 layout, a dense uint8 serve mask, is refused
+    table = load_policy_artifact(tmp_path / "new" / "mbia_M4_K2.pol")
     (tmp_path / "old").mkdir()
-    (tmp_path / "old" / "mbia_M4_K2.pol").write_bytes(
-        blob[:header_end].replace(b'"has_values":false', b'"has_values":true') + blob[header_end:]
-        + values.u.astype("<f8").tobytes() + values.u_hat.astype("<f8").tobytes())
-    csvs = []
-    for d in (tmp_path / "new", tmp_path / "old"):
-        assert main(["simulate"] + SMALL + ["--set", "policies=MBIA-M4", "--artifact-dir", str(d),
-                                            "--out", str(d)]) == 0
-        csvs.append((d / "simulate.csv").read_bytes())
-    assert csvs[0] == csvs[1]
+    v1_artifact(tmp_path / "old" / "mbia_M4_K2.pol", table.top, table.grid, table.params_hash)
+    capsys.readouterr()
+    assert main(["simulate"] + SMALL + ["--set", "policies=MBIA-M4", "--artifact-dir",
+                                        str(tmp_path / "old"), "--out", str(tmp_path / "old")]) == 2
+    err = capsys.readouterr().err
+    assert "unsupported artifact version 1" in err and "mdp-train" in err
+    assert not (tmp_path / "old" / "simulate.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from hesnet.mdp import (
     _dense_mask,
     _expected_values,
     _staircase_counts,
-    CostToGo,
     PolicyTable,
     QuantizationGrid,
     backward_induction,
@@ -41,6 +40,7 @@ from hesnet.mdp import (
     save_policy_artifact,
 )
 from hesnet.model import SystemParams, link_terms, make_rng, serve_feasible
+from oracles import staircase_actions, v1_artifact
 
 P = SystemParams()
 
@@ -356,23 +356,23 @@ def test_backward_induction_matches_tree_oracle(d_h, p_h_max):
     params = P.evolve(N=2, d_H=d_h, p_H_max=p_h_max)
     grid = build_grid(params, M=2, K=2)
     model = build_mdp_model(params, grid)
-    policy, values = backward_induction(model, 2)
+    values = backward_induction(model, 2)
     u0, a0, u1, a1 = tree_oracle(params, grid)
     for m in range(2):
         for kg in range(2):
             for kh in range(2):
                 assert np.isclose(values.u[0, m, kg, kh], u0[m, kg, kh], rtol=1e-9)
                 assert np.isclose(values.u[1, m, kg, kh], u1[m, kg, kh], rtol=1e-9)
-                assert policy.actions[0, m, kg, kh] == a0[m, kg, kh]
-                assert policy.actions[1, m, kg, kh] == a1[m, kg, kh]
+                assert values.actions[0, m, kg, kh] == a0[m, kg, kh]
+                assert values.actions[1, m, kg, kh] == a1[m, kg, kh]
 
 
 def test_terminal_block_serves_whenever_feasible():
     grid = build_grid(P, M=6, K=3)
     model = build_mdp_model(P, grid)
-    policy, values = backward_induction(model, 4)
+    values = backward_induction(model, 4)
     np.testing.assert_array_equal(
-        policy.actions[-1], np.broadcast_to(model.allowed[:, None, :], (6, 3, 3)))
+        values.actions[-1], np.broadcast_to(model.allowed[:, None, :], (6, 3, 3)))
     # terminal cost is the stage cost alone
     expect = np.where(model.allowed[:, None, :], 0.0, model.cost_G[None, :, None])
     np.testing.assert_array_equal(values.u[-1], np.broadcast_to(expect, (6, 3, 3)))
@@ -382,23 +382,23 @@ def test_costs_to_go_are_finite_nonnegative_and_consistent():
     params = P.evolve(d_H=55.0)  # some states disallowed at the peak cap
     grid = build_grid(params, M=10, K=4)
     model = build_mdp_model(params, grid)
-    policy, values = backward_induction(model, 6)
+    values = backward_induction(model, 6)
     assert np.all(np.isfinite(values.u)) and np.all(values.u >= 0)
     np.testing.assert_array_equal(values.u_hat, values.u.sum(axis=(2, 3)))
     # serving never happens in a disallowed state
-    assert not np.any(policy.actions.astype(bool) & ~model.allowed[None, :, None, :])
+    assert not np.any(values.actions.astype(bool) & ~model.allowed[None, :, None, :])
 
 
 def test_value_nonincreasing_in_battery_and_horizon_structure():
     grid = build_grid(P, M=16, K=5)
     model = build_mdp_model(P, grid)
-    policy, values = backward_induction(model, 10)
+    values = backward_induction(model, 10)
     # more stored energy never hurts
     assert np.all(np.diff(values.u_hat, axis=1) <= 0)
     assert np.all(np.diff(values.u, axis=1) <= 0)
     # decisions are thresholds in the channel axes: worse G-state or better
     # H-state favors serving (no such structure along the battery axis)
-    acts = policy.actions.astype(np.int8)
+    acts = values.actions.astype(np.int8)
     assert np.all(np.diff(acts, axis=2) <= 0)
     assert np.all(np.diff(acts, axis=3) >= 0)
 
@@ -415,9 +415,10 @@ def test_monotone_solver_bitwise_identical_small_sweep():
         k = int(rng.choice([2, 3, 5]))
         grid = build_grid(params, M=m, K=k)
         model = build_mdp_model(params, grid)
-        pol_a, val_a = backward_induction(model, params.N)
+        val_a = backward_induction(model, params.N)
         pol_b, val_b, counts = monotone_backward_induction(model, params.N)
-        np.testing.assert_array_equal(pol_a.actions, pol_b.actions)
+        np.testing.assert_array_equal(val_a.actions, val_b.actions)
+        np.testing.assert_array_equal(staircase_actions(pol_b.top), val_a.actions)
         assert np.array_equal(val_a.u, val_b.u)
         assert np.array_equal(val_a.u_hat, val_b.u_hat)
         assert counts.shape == (params.N, m)
@@ -433,8 +434,8 @@ def test_monotone_solver_single_state_channel():
 
 def test_monotone_solve_holds_no_value_table():
     # the (N, M, K, K) float64 table would be 25 MB here; the solve holds the
-    # uint8 actions (3.1 MB), q0/q1 (1 MB each) and one block's slice (6 MB
-    # peak measured)
+    # uint8 serve mask (3.1 MB), q0/q1 (1 MB each), the int16 thresholds
+    # (0.25 MB) and one block's slice (6 MB peak measured)
     model = build_mdp_model(P, build_grid(P, M=100, K=25))
     tracemalloc.start()
     try:
@@ -443,8 +444,9 @@ def test_monotone_solve_holds_no_value_table():
     finally:
         tracemalloc.stop()
     assert peak < 12e6
-    assert values.actions is table.actions
-    dense_table, dense_values = backward_induction(model, 50)
+    assert table.top.shape == (50, 100, 25) and table.top.dtype == np.int16
+    assert np.array_equal(staircase_actions(table.top), values.actions)
+    dense_values = backward_induction(model, 50)
     assert np.array_equal(values.u, dense_values.u)
     assert np.array_equal(values.u_hat, values.u.sum(axis=(2, 3)))
 
@@ -529,10 +531,11 @@ def per_level_monotone(model, n):
 def assert_walk_matches_oracles(model, n):
     table, values, counts = monotone_backward_induction(model, n)
     expected = per_level_monotone(model, n)
-    for got, want in zip((table.actions, values.u, values.u_hat, counts), expected):
+    for got, want in zip((staircase_actions(table.top), values.u, values.u_hat, counts), expected):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    dense_table, dense_values = backward_induction(model, n)
-    assert np.array_equal(dense_table.actions, table.actions)
+    dense_values = backward_induction(model, n)
+    assert np.array_equal(dense_values.actions, staircase_actions(table.top))
+    assert np.array_equal(dense_values.actions, values.actions)
     assert np.array_equal(dense_values.u, values.u)
     assert np.array_equal(dense_values.u_hat, values.u_hat)
     k = model.grid.K
@@ -580,7 +583,7 @@ def test_peak_cap_below_every_inversion_power_serves_nothing():
     model = assert_kernels_match_rows(params, grid)
     assert not model.allowed.any() and not model.kernel1.any()
     table, values, counts = monotone_backward_induction(model, params.N)
-    assert not table.actions.any()
+    assert np.all(table.top == -1)
     np.testing.assert_array_equal(counts, np.full((4, 6), 3))  # the G cursor alone walks
     assert_walk_matches_oracles(model, params.N)
 
@@ -624,9 +627,10 @@ def test_walk_tolerates_rises_of_rounding_size():
 
 
 def staircase(q0, q1):
-    """Block 0's dense mask and the walk's evaluation counts, checked."""
+    """Block 0's dense mask, its thresholds and the walk's evaluation
+    counts, checked."""
     mask = _dense_mask(q0, q1)
-    return mask, _staircase_counts(0, q0, q1, mask)
+    return (mask, *_staircase_counts(0, q0, q1, mask))
 
 
 def test_staircase_mask_refuses_a_serve_inside_a_tolerated_rise():
@@ -639,8 +643,9 @@ def test_staircase_mask_refuses_a_serve_inside_a_tolerated_rise():
     # the same along H: a 1-ulp rise of q1 serves H-state 0 and not H-state 1
     with pytest.raises(StructureViolationError, match="staircase"):
         staircase(np.array([[c, c]]), np.array([[c, up]]))
-    mask, evals = staircase(np.array([[c, c]]), np.array([[np.inf, c]]))
+    mask, top, evals = staircase(np.array([[c, c]]), np.array([[np.inf, c]]))
     np.testing.assert_array_equal(mask[0], [[False, True], [False, True]])
+    np.testing.assert_array_equal(top, [[-1, 1]])
     np.testing.assert_array_equal(evals, [3])
 
 
@@ -675,11 +680,12 @@ def test_property_staircase_mask_equals_per_level_walk(data, m, k):
     # serving is not allowed at the worst H-states of some levels: inf first
     for i, blocked in enumerate(data.draw(arrays(np.int64, m, elements=st.integers(0, k)))):
         q1[i, :blocked] = np.inf
-    mask, evals = staircase(q0, q1)
+    mask, top, evals = staircase(q0, q1)
     assert mask.shape == (m, k, k) and evals.dtype == np.int64
     for i in range(m):
         pol, _, n = monotone_slice(q0[i], q1[i], k)
         assert np.array_equal(mask[i], pol) and evals[i] == n
+        assert np.array_equal(staircase_actions(top[i]), pol)
 
 
 @PROPERTY_SETTINGS
@@ -699,80 +705,75 @@ def test_property_monotone_raises_or_equals_dense(params, m, k):
 def test_artifact_round_trip_and_determinism(tmp_path):
     grid = build_grid(P, M=5, K=3)
     model = build_mdp_model(P, grid)
-    policy, _ = backward_induction(model, 4)
+    policy, _, _ = monotone_backward_induction(model, 4)
     f1, f2 = tmp_path / "a.pol", tmp_path / "b.pol"
     save_policy_artifact(f1, policy)
     save_policy_artifact(f2, policy)
     assert f1.read_bytes() == f2.read_bytes()
     loaded_policy = load_policy_artifact(f1)
     assert isinstance(loaded_policy, PolicyTable)
-    np.testing.assert_array_equal(loaded_policy.actions, policy.actions)
-    assert loaded_policy.actions.dtype == np.uint8
+    np.testing.assert_array_equal(loaded_policy.top, policy.top)
+    assert loaded_policy.top.dtype == np.int16
     np.testing.assert_array_equal(loaded_policy.grid.battery_levels, grid.battery_levels)
     np.testing.assert_array_equal(loaded_policy.grid.bounds_H, grid.bounds_H)
     assert loaded_policy.params_hash == P.content_hash()
 
 
-def artifact_size(n, m, k, values: bool) -> int:
-    """Bytes after the header line: the grid, the actions and, in a
-    values-bearing file, the u and u_hat blocks."""
-    cells = n * m * k * k
-    return 8 * (2 * m + 1 + 2 * (2 * k + 1)) + cells + (8 * (cells + n * m) if values else 0)
+def artifact_size(n, m, k) -> int:
+    """Bytes after the header line: the grid, then the int16 thresholds."""
+    return 8 * (2 * m + 1 + 2 * (2 * k + 1)) + 2 * n * m * k
+
+
+def small_artifact(tmp_path, n=2, m=3, k=2):
+    """A trained table, its file and the file's bytes."""
+    policy, _, _ = monotone_backward_induction(build_mdp_model(P, build_grid(P, M=m, K=k)), n)
+    f = tmp_path / "p.pol"
+    save_policy_artifact(f, policy)
+    return policy, f, f.read_bytes()
 
 
 def test_artifact_without_values(tmp_path):
-    grid = build_grid(P, M=3, K=2)
-    model = build_mdp_model(P, grid)
-    policy, _ = backward_induction(model, 2)
-    f = tmp_path / "p.pol"
-    save_policy_artifact(f, policy)
-    head, body = f.read_bytes()[len(b"HESNETPOLICY 1\n"):].split(b"\n", 1)
-    assert json.loads(head)["has_values"] is False
-    assert len(body) == artifact_size(2, 3, 2, values=False)
+    policy, f, blob = small_artifact(tmp_path)
+    head, body = blob[len(b"HESNETPOLICY 1\n"):].split(b"\n", 1)
+    assert json.loads(head) == {"version": 2, "n": 2, "m": 3, "k": 2,
+                                "params_hash": P.content_hash()}
+    assert len(body) == artifact_size(2, 3, 2)
     loaded_policy = load_policy_artifact(f)
-    np.testing.assert_array_equal(loaded_policy.actions, policy.actions)
+    np.testing.assert_array_equal(loaded_policy.top, policy.top)
 
 
-def legacy_artifact(path, policy: PolicyTable, values: CostToGo) -> bytes:
-    """A version-1 file with has_values true, in the layout the writer used
-    before value blocks were dropped: actions, then u, then u_hat."""
-    g = policy.grid
-    header = {"version": 1, "n": policy.N, "m": g.M, "k": g.K,
-              "params_hash": policy.params_hash, "has_values": True}
-    blob = b"HESNETPOLICY 1\n" + json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    blob += b"\n" + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (
-        g.battery_levels, g.bin_edges, g.bounds_G, g.levels_G, g.bounds_H, g.levels_H))
-    blob += policy.actions.astype("|u1").tobytes()
-    blob += values.u.astype("<f8").tobytes() + values.u_hat.astype("<f8").tobytes()
-    Path(path).write_bytes(blob)
-    return blob
-
-
-def test_legacy_artifact_with_values_loads_its_actions(tmp_path):
+def test_v1_artifact_is_refused(tmp_path):
     grid = build_grid(P, M=4, K=3)
-    policy, values = backward_induction(build_mdp_model(P, grid), 3)
-    legacy = tmp_path / "legacy.pol"
-    blob = legacy_artifact(legacy, policy, values)
-    assert len(blob.split(b"\n", 2)[2]) == artifact_size(3, 4, 3, values=True)
-    loaded = load_policy_artifact(legacy)
-    np.testing.assert_array_equal(loaded.actions, policy.actions)
-    np.testing.assert_array_equal(loaded.grid.levels_H, grid.levels_H)
-    assert loaded.params_hash == policy.params_hash
-    # the size check still covers the value block it does not read
-    for name, bad in (("padded", blob + b"\0"), ("truncated", blob[:-8]),
-                      ("no_values", blob[:-8 * (values.u.size + values.u_hat.size)])):
-        (tmp_path / f"{name}.pol").write_bytes(bad)
-        with pytest.raises(InvalidParameterError, match="implies"):
-            load_policy_artifact(tmp_path / f"{name}.pol")
+    policy, _, _ = monotone_backward_induction(build_mdp_model(P, grid), 3)
+    old = tmp_path / "v1.pol"
+    v1_artifact(old, policy.top, grid, policy.params_hash)
+    with pytest.raises(InvalidParameterError, match="unsupported artifact version 1; .*mdp-train"):
+        load_policy_artifact(old)
+
+
+def test_artifact_rejects_thresholds_out_of_range_or_falling(tmp_path):
+    policy, f, blob = small_artifact(tmp_path, n=2, m=3, k=4)
+    top_at = len(blob) - 2 * policy.top.size
+    bad_tops = []
+    for value in (-2, 4, -32768, 32767):   # below -1, above K-1, the int16 extremes
+        top = policy.top.copy()
+        top[1, 2, 0] = value
+        bad_tops.append(top)
+    falling = np.zeros_like(policy.top)
+    falling[0, 1, :2] = (1, 0)              # H-state 1 serves less than H-state 0
+    bad_tops.append(falling)
+    for top in bad_tops:
+        f.write_bytes(blob[:top_at] + top.astype("<i2").tobytes())
+        with pytest.raises(InvalidParameterError, match="thresholds"):
+            load_policy_artifact(f)
+    # the extremes of the range load
+    for value in (-1, 3):
+        f.write_bytes(blob[:top_at] + np.full_like(policy.top, value).astype("<i2").tobytes())
+        assert np.all(load_policy_artifact(f).top == value)
 
 
 def test_artifact_rejects_corruption(tmp_path):
-    grid = build_grid(P, M=3, K=2)
-    model = build_mdp_model(P, grid)
-    policy, _ = backward_induction(model, 2)
-    f = tmp_path / "p.pol"
-    save_policy_artifact(f, policy)
-    blob = f.read_bytes()
+    _, f, blob = small_artifact(tmp_path)
     truncated = tmp_path / "t.pol"
     truncated.write_bytes(blob[:len(blob) - 16])
     with pytest.raises(InvalidParameterError):
@@ -790,8 +791,8 @@ def artifact_with_header(tmp_path, header: bytes, body: bytes = b"") -> Path:
 
 
 def test_artifact_rejects_oversized_header_claim_without_allocating(tmp_path):
-    header = json.dumps({"version": 1, "n": 10**9, "m": 100, "k": 25,
-                         "params_hash": P.content_hash(), "has_values": True})
+    header = json.dumps({"version": 2, "n": 10**9, "m": 100, "k": 25,
+                         "params_hash": P.content_hash()})
     f = artifact_with_header(tmp_path, header.encode() + b"\n", bytes(4096))
     tracemalloc.start()
     try:
@@ -804,11 +805,7 @@ def test_artifact_rejects_oversized_header_claim_without_allocating(tmp_path):
 
 
 def test_artifact_rejects_trailing_byte_and_bad_headers(tmp_path):
-    grid = build_grid(P, M=3, K=2)
-    policy, _ = backward_induction(build_mdp_model(P, grid), 2)
-    f = tmp_path / "p.pol"
-    save_policy_artifact(f, policy)
-    blob = f.read_bytes()
+    policy, _, blob = small_artifact(tmp_path)
     padded = tmp_path / "padded.pol"
     padded.write_bytes(blob + b"\0")
     with pytest.raises(InvalidParameterError, match="implies"):
@@ -822,13 +819,13 @@ def test_artifact_rejects_trailing_byte_and_bad_headers(tmp_path):
         head.replace(b'"k":2', b'"k":0') + b"\n",     # k not positive
         head.replace(b'"m":3', b'"m":3.0') + b"\n",   # m not an integer
         head.replace(b'"n":2', b'"n":true') + b"\n",  # n a boolean
-        head.replace(b'"has_values":false', b'"has_values":0') + b"\n",
-        head.replace(b'"version":1', b'"version":true') + b"\n",  # version a boolean
-        head.replace(b'"version":1', b'"version":1.0') + b"\n",   # version not an integer
+        head.replace(b'"params_hash":', b'"params_hash":0,"old_hash":') + b"\n",  # hash not a string
+        head.replace(b'"version":2', b'"version":true') + b"\n",  # version a boolean
+        head.replace(b'"version":2', b'"version":2.0') + b"\n",   # version not an integer
     ]
     for bad in bad_headers:
         with pytest.raises(InvalidParameterError):
             load_policy_artifact(artifact_with_header(tmp_path, bad, body))
     # the untouched header still loads
     loaded = load_policy_artifact(artifact_with_header(tmp_path, head + b"\n", body))
-    np.testing.assert_array_equal(loaded.actions, policy.actions)
+    np.testing.assert_array_equal(loaded.top, policy.top)

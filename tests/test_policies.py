@@ -38,6 +38,7 @@ from hesnet.policies import (
     threshold_lambdas,
 )
 from hesnet.sim import _battery_slack, apply_axis, multiuser_frame_metrics, run_batch
+from oracles import DenseTablePolicy
 
 P = SystemParams()
 
@@ -366,7 +367,7 @@ def test_mdp_policy_demotes_infeasible_lookup():
     # true battery far below the mid cannot, so the lookup demotes
     grid = table.grid
     kh_best = grid.K - 1
-    raw = int(table.actions[P.N - 1, 0, 0, kh_best])
+    raw = int(table.top[P.N - 1, 0, kh_best] >= 0)   # G-state 0 serves
     assert raw == 1
     tiny = 1e-9  # bin 0 mid is 8.3e-5 J, the true battery is not enough
     assert decide_one(MdpTablePolicy(table), P.N - 1, tiny, 1.0, float(grid.levels_H[kh_best])) == 0
@@ -378,7 +379,7 @@ def test_mdp_policy_respects_table_horizon():
         decide_one(MdpTablePolicy(table), block=P.N)
 
 
-def test_mdp_batch_matches_scalar():
+def test_table_policy_batch_matches_one_at_a_time():
     table = small_table(P)
     policy = MdpTablePolicy(table)
     rng = make_rng(46)
@@ -389,6 +390,35 @@ def test_mdp_batch_matches_scalar():
         batch = policy.decide_batch(block, battery, column_batch(gamma_g, gamma_h))
         np.testing.assert_array_equal(
             batch, one_at_a_time(policy, block, battery, gamma_g, gamma_h))
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+def test_threshold_lookup_decides_as_the_dense_table(preset):
+    # one H search and a strict compare against bounds_G[top + 1] against
+    # searches of both channels into the dense mask, on every block, with
+    # gains of exactly 0 and exactly on every interior bound of either
+    # channel, where side="right" and the strict "<" must agree
+    params = resolve_config(preset=preset).params
+    table, values, _ = monotone_backward_induction(
+        build_mdp_model(params, build_grid(params, M=25, K=25)), params.N)
+    grid = table.grid
+    lookup, dense = MdpTablePolicy(table), DenseTablePolicy(values.actions, grid)
+    rng = make_rng(48)
+    edges_g = np.concatenate([[0.0], grid.bounds_G[1:-1], rng.exponential(params.mu_G, 40)])
+    edges_h = np.concatenate([[0.0], grid.bounds_H[1:-1], rng.exponential(params.mu_H, 40)])
+    gamma_g, gamma_h = (a.ravel() for a in np.meshgrid(edges_g, edges_h))
+    # each state at a battery on a bin edge, at a bin mid-value and at random
+    battery = np.concatenate([np.resize(grid.bin_edges, gamma_g.size),
+                              np.resize(grid.battery_levels, gamma_g.size),
+                              rng.uniform(0.0, params.B_m, gamma_g.size)])
+    batch = column_batch(np.tile(gamma_g, 3), np.tile(gamma_h, 3), params)
+    served = 0
+    for block in range(params.N):
+        got = lookup.decide_batch(block, battery, batch)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, dense.decide_batch(block, battery, batch))
+        served += int(got.sum())
+    assert 0 < served < params.N * battery.size   # both actions are exercised
 
 
 def test_look_ahead_structure():

@@ -28,7 +28,6 @@ from hesnet.model import (
 from hesnet.offline import ENERGY_RTOL, exhaustive_plan, greedy_plan
 from hesnet.policies import (
     GreedyTransmit,
-    MdpTablePolicy,
     ThresholdHeuristic,
     ThresholdParams,
     threshold_lambdas,
@@ -47,7 +46,7 @@ from hesnet.sim import (
     write_manifest,
     write_rows_csv,
 )
-from oracles import Frame, plan_args, service_cost, solve
+from oracles import DenseTablePolicy, Frame, plan_args, service_cost, solve
 
 P = SystemParams()
 
@@ -179,7 +178,7 @@ def test_grid_only_policy_never_serves():
 # batch walk
 # ---------------------------------------------------------------------------
 
-def test_batch_matches_scalar_walk():
+def test_run_batch_matches_fsum_walk():
     l1, l2 = threshold_lambdas(P)
     policies = [GreedyTransmit(), ThresholdHeuristic(ThresholdParams(8.0, l1, l2))]
     batch = sample_trajectories(P, 65, 50)
@@ -601,10 +600,11 @@ def test_property_online_frame_cost_at_least_exhaustive_optimum(params, zeta, se
     # the offline optimum sees the whole frame and no battery cap, so no
     # causal policy beats it on any frame; both sides are exact fsums
     l1, l2 = threshold_lambdas(params)
-    table, _ = backward_induction(build_mdp_model(params, build_grid(params, M=6, K=3)),
-                                  params.N)
+    grid = build_grid(params, M=6, K=3)
+    dense = DenseTablePolicy(backward_induction(build_mdp_model(params, grid), params.N).actions,
+                             grid)
     policies = (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(zeta, l1, l2)),
-                MdpTablePolicy(table))
+                dense)
     batch = sample_trajectories(params, seed, 3)
     costs = [multiuser_frame_metrics(policy, batch)[0] for policy in policies]
     for f in range(3):
@@ -624,12 +624,13 @@ def test_property_cost_identity(params, zeta, seed):
     # here with one user, for the batch walk under three policies and for
     # the offline evaluation
     l1, l2 = threshold_lambdas(params)
-    table, _ = backward_induction(build_mdp_model(params, build_grid(params, M=6, K=3)),
-                                  params.N)
+    grid = build_grid(params, M=6, K=3)
+    dense = DenseTablePolicy(backward_induction(build_mdp_model(params, grid), params.N).actions,
+                             grid)
     batch = sample_trajectories(params, seed, 8)
     runs = [run_batch(policy, batch)
             for policy in (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(zeta, l1, l2)),
-                           MdpTablePolicy(table))]
+                           dense)]
     runs.append(offline_frame_metrics(greedy_plan, batch))
     for arrays in runs:
         m = metrics_from_arrays("X", params.N, seed, *arrays)
