@@ -9,12 +9,12 @@ rejected rather than ignored.
 
 Exit codes: 0 success, 2 configuration error (including a malformed,
 truncated or oversized policy artifact or replay file, the Threshold rule
-at w_d = 0, and offline-solve at users > 1), 3 resource limit (the
-Exhaustive policy token over the exhaustive solver's EXHAUSTIVE_CAP
-blocks, refused before any work, and a zeta grid of more than
-ZETA_GRID_MAX candidates), 4
-artifact/parameter mismatch (including an offline evaluation on a
-battery below N * E_m, which the offline solvers do not model).
+at w_d = 0, and offline-solve and mdp-train at users > 1), 3 resource
+limit (the Exhaustive policy token over the exhaustive solver's
+EXHAUSTIVE_CAP blocks, refused before any work, and a zeta grid of more
+than ZETA_GRID_MAX candidates), 4 artifact/parameter mismatch (including
+an offline evaluation on a battery below N * E_m, which the offline
+solvers do not model).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import hashlib
 import math
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -336,11 +336,14 @@ def _artifact_path(cfg: RunConfig, m: int) -> Path:
 @dataclass
 class _Run:
     """What one run's policy factories share: the config, whether MBIA
-    trains at each point (sweep) or loads its artifact (simulate), and the
-    zeta and artifact logs they fill in for the manifest."""
+    trains at each point (sweep) or loads its artifact (simulate), the M of
+    every MBIA row, the MBIA tables built so far (one per point and M), and
+    the zeta and artifact logs they fill in for the manifest."""
 
     cfg: RunConfig
     train_mbia: bool
+    mbia_levels: frozenset = frozenset()
+    tables: dict = field(default_factory=dict)
     zeta: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -360,26 +363,48 @@ def _threshold(run: _Run, m: int, point: SystemParams):
     return ThresholdHeuristic(tp)
 
 
-def _mbia(run: _Run, m: int, point: SystemParams):
+def _mbia_table(run: _Run, m: int, point: SystemParams):
+    """The M=m MBIA table at `point`, trained (sweep) or loaded (simulate)
+    once per run and shared by every factory that plays it."""
+    key = (point.content_hash(), m)
+    with run.lock:
+        if key in run.tables:
+            return run.tables[key]
     cfg = run.cfg
     if run.train_mbia:
         grid = build_grid(point, M=m, K=cfg.k_states)
-        return MdpTablePolicy(monotone_backward_induction(build_mdp_model(point, grid), point.N)[0])
-    path = _artifact_path(cfg, m)
-    if not path.is_file():
-        raise ConfigError(
-            f"policy artifact not found: {path}; train it first with "
-            f"'hesnet mdp-train --set m_levels={m} --set k_states={cfg.k_states} "
-            f"--out {path.parent}'")
-    table = load_policy_artifact(path)
-    if table.params_hash != point.content_hash():
-        raise StalePolicyError(
-            f"{path} was trained for parameter hash {table.params_hash[:12]}..., "
-            f"this run hashes to {point.content_hash()[:12]}...; retrain with mdp-train")
+        table = monotone_backward_induction(build_mdp_model(point, grid), point.N)[0]
+    else:
+        path = _artifact_path(cfg, m)
+        if not path.is_file():
+            raise ConfigError(
+                f"policy artifact not found: {path}; train it first with "
+                f"'hesnet mdp-train --set m_levels={m} --set k_states={cfg.k_states} "
+                f"--out {path.parent}'")
+        table = load_policy_artifact(path)
+        if table.params_hash != point.content_hash():
+            raise StalePolicyError(
+                f"{path} was trained for parameter hash {table.params_hash[:12]}..., "
+                f"this run hashes to {point.content_hash()[:12]}...; retrain with mdp-train")
+        with run.lock:
+            run.artifacts[f"MBIA-M{m}"] = {
+                "path": str(path), "sha256": file_sha256(path), "params_hash": table.params_hash}
     with run.lock:
-        run.artifacts[f"MBIA-M{m}"] = {
-            "path": str(path), "sha256": file_sha256(path), "params_hash": table.params_hash}
-    return MdpTablePolicy(table)
+        run.tables[key] = table
+    return table
+
+
+def _mbia(run: _Run, m: int, point: SystemParams):
+    return MdpTablePolicy(_mbia_table(run, m, point))
+
+
+def _look_ahead(run: _Run, m: int, point: SystemParams):
+    if point.N >= 2 and m in run.mbia_levels:
+        # a 2-block recursion over the same model is the last two blocks
+        # of the N-block one, so the run's MBIA table holds it bitwise
+        table = _mbia_table(run, m, point)
+        return LookAhead(replace(table, top=table.top[-2:]))
+    return LookAhead(look_ahead_build(point, M=m, K=run.cfg.k_states))
 
 
 # Policy tokens, matched case-insensitively: name -> (other spellings,
@@ -388,8 +413,7 @@ def _mbia(run: _Run, m: int, point: SystemParams):
 # at m = <levels>, else m is m_levels.
 POLICIES = {
     "GT": ((), lambda run, m, point: GreedyTransmit(), True),
-    "Look-Ahead": (("LA", "LookAhead"), lambda run, m, point: LookAhead(
-        look_ahead_build(point, M=m, K=run.cfg.k_states)), False),
+    "Look-Ahead": (("LA", "LookAhead"), _look_ahead, False),
     "Threshold": (("TH",), _threshold, True),
     "GP-only": (("GPonly",), lambda run, m, point: GridOnlyPolicy(), True),
     "Greedy": (("GA",), greedy_plan, True),
@@ -426,7 +450,7 @@ def _online_factories(cfg: RunConfig, train_mbia: bool):
             raise ConfigError(f"policy tokens {parsed[row][0]!r} and {token!r} both name "
                               f"{row}; list each policy once")
         parsed[row] = (token, name, m)
-    run = _Run(cfg, train_mbia)
+    run = _Run(cfg, train_mbia, frozenset(m for _, name, m in parsed.values() if name == "MBIA"))
     factories: dict = {}
     plans: dict = {}
     for row, (token, name, m) in parsed.items():
@@ -575,6 +599,10 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
 
 
 def cmd_mdp_train(cfg: RunConfig, args) -> int:
+    if cfg.users > 1:
+        raise ConfigError(
+            f"mdp-train trains a one-user table, got users={cfg.users}: the table "
+            "policies play one user")
     params = cfg.params
     grid = build_grid(params, M=cfg.m_levels, K=cfg.k_states)
     model = build_mdp_model(params, grid)

@@ -15,12 +15,15 @@ the walk's evaluation counts in closed form.
 MBIA is `backward_induction` followed by a per-block staircase check, and
 the staircase is the policy: `PolicyTable.top` holds the highest served
 G-state per (block, battery level, H-state), so a lookup searches one
-channel, and it expands bitwise to the dense mask in `CostToGo.actions`.
-The recursion needs only the per-level sums u_hat of the next block, so a
-solve keeps the two action values q0/q1 per block and sums one block's
-(M, K, K) slice of the per-state values at a time; the full (N, M, K, K)
-table is rebuilt only when `CostToGo.u` is read.  Policy artifacts hold
-the grid and the thresholds alone.
+channel.  The recursion needs only the per-level sums u_hat of the next
+block, the sum of the cheaper action value over both channel states, so a
+solve keeps the two action values q0/q1 per block and nothing per state:
+the dense (N, M, K, K) serve mask `CostToGo.actions` and cost-to-go
+`CostToGo.u` are rebuilt from q0/q1 when read, and the thresholds expand
+bitwise to that mask.  The staircase check takes the thresholds from one
+compare per block and tests the prefix and ordering conditions only where
+q0 or q1 rise, the only places they can break.  Policy artifacts hold the
+grid and the thresholds alone.
 """
 
 from __future__ import annotations
@@ -241,16 +244,21 @@ class CostToGo:
 
     `q0[t, m, kg]` is the cost of not serving at G-state kg and
     `q1[t, m, kh]` the cost of serving at H-state kh (inf where serving is
-    not allowed); `actions` is the dense serve mask.  The per-state table
-    `u` is rebuilt from these on each read (25 MB at N=50, M=100, K=25), so
-    a solve that never reads it never holds it.
+    not allowed).  The dense serve mask `actions` and the per-state table
+    `u` are rebuilt from these on each read (3.1 MB and 25 MB at N=50,
+    M=100, K=25), so a solve that never reads them never holds them.
     """
 
     q0: np.ndarray        # (N, M, K) per G-state
     q1: np.ndarray        # (N, M, K) per H-state
     u_hat: np.ndarray     # (N, M) sum of u over both channel states
     params_hash: str
-    actions: np.ndarray   # (N, M, K, K) uint8 serve mask
+
+    @property
+    def actions(self) -> np.ndarray:
+        """(N, M, K, K) uint8 serve mask: serve wherever it costs no more
+        than not serving, so ties serve."""
+        return (self.q1[:, :, None, :] <= self.q0[:, :, :, None]).view(np.uint8)
 
     @property
     def u(self) -> np.ndarray:
@@ -274,25 +282,19 @@ def _expected_values(model: MdpModel, u_hat_next: np.ndarray):
 _RISE_RTOL = 1e-12
 
 
-def _dense_mask(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    """(M, K_G, K_H) serve mask: serve wherever it costs no more than not
-    serving, so ties serve."""
-    return q1[:, None, :] <= q0[:, :, None]
-
-
 def backward_induction(model: MdpModel, N: int):
     """Exact solve of the finite-horizon recursion over all N*M*K^2 states.
 
     The terminal block minimizes the stage cost alone.  Ties between the
     two actions resolve to serving (action 1).  Only u_hat feeds the next
-    block, so each block's per-state values live in one temporary slice.
-    Returns the CostToGo, whose `actions` is the dense serve mask.
+    block: a state's value is the cheaper of its two action values, so each
+    block's per-state values live in one temporary slice.  Returns the
+    CostToGo, whose `actions` is the dense serve mask.
     """
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
     m, k = model.grid.M, model.grid.K
     params_hash = model.params.content_hash()
-    actions = np.zeros((N, m, k, k), dtype=np.uint8)
     q0, q1 = np.zeros((N, m, k)), np.zeros((N, m, k))
     u_hat = np.zeros((N, m))
     mask = np.where(model.allowed, 0.0, np.inf)  # (M, K) additive mask on q1
@@ -301,33 +303,42 @@ def backward_induction(model: MdpModel, N: int):
                     else _expected_values(model, u_hat[t + 1]))
         np.add(model.cost_G[None, :], ev0[:, None], out=q0[t])
         np.add(ev1, mask, out=q1[t])
-        act = actions[t] = _dense_mask(q0[t], q1[t])
         # one block's (M, K, K) slice of u, summed and dropped
-        u_hat[t] = np.where(act, q1[t, :, None, :], q0[t, :, :, None]).sum(axis=(1, 2))
-    return CostToGo(q0=q0, q1=q1, u_hat=u_hat, params_hash=params_hash, actions=actions)
+        u_hat[t] = np.minimum(q1[t, :, None, :], q0[t, :, :, None]).sum(axis=(1, 2))
+    return CostToGo(q0=q0, q1=q1, u_hat=u_hat, params_hash=params_hash)
 
 
-def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray, mask: np.ndarray):
-    """Check block t's bool serve `mask` is the threshold staircase of the
-    paper's walk; return its (M, K_H) thresholds `top` and the (M,) counts
-    of states that walk evaluates.
+def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray):
+    """Check block t's serve mask, q1[:, None, :] <= q0[:, :, None], is the
+    threshold staircase of the paper's walk; return its (M, K_H) thresholds
+    `top` and the (M,) counts of states that walk evaluates.
 
     The walk starts at the best state of both channels: a serve fills the
     column below it and drops the H cursor, a skip fills the row to its
     left and drops the G cursor.  It decides as the compare does when every
     H-column is a prefix of G-states whose top served G-state `top` is
     nondecreasing in the H-state, as q0 and q1 nonincreasing (up to
-    `_RISE_RTOL`) imply; anything else raises StructureViolationError.  The
-    walk stops after K serves and K-1-top[0] skips or, where column 0 is
-    never served, after K skips and one serve per served column.
+    `_RISE_RTOL`) imply; anything else raises StructureViolationError.  A
+    column can stop being a prefix only where q0 rises along G, and `top`
+    can fall only where q1 rises along H, so the rise tolerance and both
+    conditions are tested at those places alone.  The walk stops after K
+    serves and K-1-top[0] skips or, where column 0 is never served, after
+    K skips and one serve per served column.
     """
+    rises = []
     for name, q in (("q0 along the G", q0), ("q1 along the H", q1)):
-        if np.any(q[:, 1:] > q[:, :-1] + _RISE_RTOL * np.abs(q[:, :-1])):
+        lv, j = rise = np.nonzero(~(q[:, 1:] <= q[:, :-1]))
+        if lv.size and np.any(q[lv, j + 1] > q[lv, j] + _RISE_RTOL * np.abs(q[lv, j])):
             raise StructureViolationError(
                 f"block t={t}: {name}-state axis rises; the monotone walk is not exact")
-    top = mask.sum(axis=1, dtype=np.int16) - 1  # (M, K_H) highest served G-state, -1: none
-    # a column that serves at a G-state it skips below is not a prefix
-    if np.any(mask[:, 1:] > mask[:, :-1]) or np.any(np.diff(top, axis=1) < 0):
+        rises.append(rise)
+    # (M, K_H) highest served G-state, -1: none
+    top = (q1[:, None, :] <= q0[:, :, None]).sum(axis=1, dtype=np.int16) - 1
+    # a column breaks at G-state kg where it serves at kg + 1 but not at kg
+    (lv, kg), (lh, kh) = rises
+    served = q1[lv]  # every column of a level where q0 rises
+    if ((lv.size and np.any((served <= q0[lv, kg + 1, None]) & ~(served <= q0[lv, kg, None])))
+            or (lh.size and np.any(top[lh, kh + 1] < top[lh, kh]))):
         raise StructureViolationError(
             f"block t={t}: the serve mask is not a threshold staircase")
     k = q0.shape[1]
@@ -346,8 +357,7 @@ def monotone_backward_induction(model: MdpModel, N: int):
     eval_counts of shape (N, M)).
     """
     values = backward_induction(model, N)
-    checked = [_staircase_counts(t, values.q0[t], values.q1[t], values.actions[t].view(bool))
-               for t in range(N - 1, -1, -1)]
+    checked = [_staircase_counts(t, values.q0[t], values.q1[t]) for t in range(N - 1, -1, -1)]
     top, counts = (np.stack(a[::-1]) for a in zip(*checked))
     return PolicyTable(top=top, grid=model.grid, params_hash=values.params_hash), values, counts
 

@@ -271,6 +271,7 @@ class FrameBatch:
     p_h: np.ndarray = field(init=False)   # W, harvesting BS inversion power
     skip: np.ndarray = field(init=False)  # cost of a block the harvesting BS skips
     transmits: np.ndarray = field(init=False)  # the grid BS carries a skipped block
+    _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         arrays = [np.asarray(getattr(self, name), dtype=float)
@@ -299,6 +300,15 @@ class FrameBatch:
     def users(self) -> int:
         return self.gamma_g.shape[1]
 
+    def cached(self, key, compute):
+        """`compute()` for `key`, run on the first call only and kept with
+        the batch, so terms that several policies derive from it (the table
+        lookups' channel states) are computed once per batch.  Not locked:
+        a batch is walked by one thread at a time."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
 
 def _sample(params: SystemParams, users: int, keys: np.ndarray) -> FrameBatch:
     """A FrameBatch whose frame f draws what make_rng(*keys[f]) would, in a
@@ -309,7 +319,9 @@ def _sample(params: SystemParams, users: int, keys: np.ndarray) -> FrameBatch:
     generator serves the call (never the module: concurrent sweeps sample
     at once); each frame sets its key with a zero counter and an empty
     buffer, the state of a freshly built generator, because Philox's draws
-    depend on that state alone.  The draws are unit-scale and scaled once
+    depend on that state alone.  A frame's 2U exponential rows are one
+    draw into its contiguous (U, 2, N) block, which fills them in the same
+    order as one draw per row.  The draws are unit-scale and scaled once
     per array: numpy's exponential(mu) is mu * standard_exponential() and
     uniform(0, E_m) is 0 + E_m * random(), so every value is bit for bit
     the one the scaled draw would give.
@@ -317,8 +329,7 @@ def _sample(params: SystemParams, users: int, keys: np.ndarray) -> FrameBatch:
     if len(keys) == 0:
         raise InvalidParameterError("frames must be >= 1")
     n = params.N
-    gg = np.empty((len(keys), users, n))
-    gh = np.empty((len(keys), users, n))
+    ex = np.empty((len(keys), users, 2, n))   # per user: grid gains, then harvesting gains
     eh = np.empty((len(keys), n))
     bitgen = np.random.Philox(key=keys[0])
     rng = np.random.Generator(bitgen)
@@ -326,14 +337,10 @@ def _sample(params: SystemParams, users: int, keys: np.ndarray) -> FrameBatch:
     for f, key in enumerate(keys):
         fresh["state"]["key"] = key
         bitgen.state = fresh
-        for u in range(users):
-            rng.standard_exponential(out=gg[f, u])
-            rng.standard_exponential(out=gh[f, u])
+        rng.standard_exponential(out=ex[f])
         rng.random(out=eh[f])
-    gg *= params.mu_G
-    gh *= params.mu_H
     eh *= params.E_m
-    return FrameBatch(params, gg, gh, eh)
+    return FrameBatch(params, ex[:, :, 0] * params.mu_G, ex[:, :, 1] * params.mu_H, eh)
 
 
 def sample_trajectory(params: SystemParams, seed) -> FrameBatch:

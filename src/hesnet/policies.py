@@ -209,12 +209,20 @@ class MdpTablePolicy:
         if not 0 <= t < self.table.N:
             raise InvalidParameterError(f"block {t} outside the table horizon {self.table.N}")
         grid = self.table.grid
-        top = self.table.top[t, battery_level_index(battery, grid)[:, None],
-                             channel_state_index(batch.gamma_h[:, :, block], grid.bounds_H)]
+        top = self.table.top[t, battery_level_index(battery, grid),
+                             _h_states(batch, grid.bounds_H)[block]]
         # bounds_G[0] = 0 serves no gain at top = -1, bounds_G[K] = inf all at K-1
-        serve = batch.gamma_g[:, :, block] < grid.bounds_G[top + 1]
-        serve &= serve_feasible(batch.p_h[:, :, block], battery[:, None], batch.params)
-        return serve.astype(np.int8)
+        serve = batch.gamma_g[:, 0, block] < grid.bounds_G[top + 1]
+        serve &= serve_feasible(batch.p_h[:, 0, block], battery, batch.params)
+        return serve[:, None].astype(np.int8)
+
+
+def _h_states(batch: FrameBatch, bounds_H: np.ndarray) -> np.ndarray:
+    """(N, frames) H-state of every block of one-user `batch`: one search
+    per batch and set of bounds, shared by every table policy that plays
+    the batch."""
+    return batch.cached(("h_states", bounds_H.tobytes()),
+                        lambda: channel_state_index(batch.gamma_h[:, 0].T, bounds_H))
 
 
 def look_ahead_build(params: SystemParams, *, M: int = 100, K: int = 25) -> PolicyTable:
@@ -229,7 +237,13 @@ def look_ahead_build(params: SystemParams, *, M: int = 100, K: int = 25) -> Poli
 
 class LookAhead(MdpTablePolicy):
     """Two-block table: its first-block slice for interior blocks, greedy
-    on the last one."""
+    on the last one.
+
+    The table is `look_ahead_build`'s or, when the run also holds an MBIA
+    table at the same M over N >= 2 blocks, that table's last two blocks:
+    a 2-block recursion over the same model is the last two steps of the
+    N-block one, so the two are the same thresholds bit for bit.
+    """
 
     def __init__(self, table: PolicyTable):
         if table.N != 2:

@@ -7,9 +7,10 @@ constraint a 0/1 vector breaks, its exact skip cost, and the pairwise swap
 condition every greedy plan meets.
 
 `hesnet.mdp` stores a policy as per-column thresholds.  The dense
-(N, M, K, K) serve mask they stand for, the player that looks it up with
-one search per channel, and the version-1 artifact layout that held it
-live here as their references.
+(N, M, K, K) serve mask they stand for, the staircase check that reads
+every entry of it, the player that looks it up with one search per
+channel, and the version-1 artifact layout that held it live here as their
+references.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hesnet.mdp import battery_level_index, channel_state_index
+from hesnet.errors import StructureViolationError
+from hesnet.mdp import _RISE_RTOL, battery_level_index, channel_state_index
 from hesnet.model import serve_feasible
 from hesnet.offline import ENERGY_RTOL
 
@@ -99,6 +101,23 @@ def staircase_actions(top) -> np.ndarray:
     top = np.asarray(top)
     k = top.shape[-1]
     return (np.arange(k)[:, None] <= top[..., None, :]).astype(np.uint8)
+
+
+def dense_staircase_counts(t: int, q0, q1):
+    """`mdp._staircase_counts` on block t's whole (M, K_G, K_H) serve mask:
+    the same rise checks, then every column tested for a prefix and every
+    H-step for a falling threshold; the same errors, or (top, counts)."""
+    for name, q in (("q0 along the G", q0), ("q1 along the H", q1)):
+        if np.any(q[:, 1:] > q[:, :-1] + _RISE_RTOL * np.abs(q[:, :-1])):
+            raise StructureViolationError(
+                f"block t={t}: {name}-state axis rises; the monotone walk is not exact")
+    mask = q1[:, None, :] <= q0[:, :, None]
+    top = mask.sum(axis=1, dtype=np.int16) - 1
+    if np.any(mask[:, 1:] > mask[:, :-1]) or np.any(np.diff(top, axis=1) < 0):
+        raise StructureViolationError(
+            f"block t={t}: the serve mask is not a threshold staircase")
+    k = q0.shape[1]
+    return top, np.where(top[:, 0] >= 0, 2 * k - 1 - top[:, 0], k + (top >= 0).sum(axis=1))
 
 
 class DenseTablePolicy:

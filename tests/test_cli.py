@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from hesnet.cli import (
     DISPATCH,
     RUN_KEYS,
     ZETA_GRID_MAX,
+    _online_factories,
     build_parser,
     main,
     parse_kv_text,
@@ -24,6 +26,7 @@ from hesnet.cli import (
 from hesnet.errors import ConfigError, HesnetError, ResourceLimitError
 from hesnet.mdp import load_policy_artifact
 from hesnet.model import SystemParams, sample_trajectories
+from hesnet.policies import look_ahead_build
 from hesnet.sim import GridOnlyPolicy, metrics_from_arrays, multiuser_frame_metrics
 from oracles import v1_artifact
 
@@ -264,6 +267,15 @@ def test_offline_solve_refuses_more_than_one_user(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_mdp_train_refuses_more_than_one_user(tmp_path, capsys):
+    # the table policies play one user, so a table trained at users=2 could
+    # never be played; it is refused before any solve
+    out = tmp_path / "two"
+    assert main(["mdp-train", "--preset", "fig5-two-user", "--out", str(out)]) == 2
+    assert "users=2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_offline_solve_greedy_only_over_cap(tmp_path):
     assert main(["offline-solve", "--set", "n_blocks=60", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "offline_summary.json").read_text())
@@ -362,6 +374,40 @@ def test_simulate_stale_artifact_is_exit_4(tmp_path, capsys):
                                         "--set", "w_d=0.3", "--out", str(tmp_path)])
     assert code == 4
     assert "retrain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset,changes", [
+    ("fig3", {}), ("fig4", {}), ("default", {}), ("fig6", {}), ("default", {"n_blocks": "2"})])
+def test_look_ahead_plays_the_last_two_blocks_of_the_mbia_table(preset, changes):
+    # a run holding MBIA at Look-Ahead's M solves once; the 2-block
+    # recursion is the last two blocks of the N-block one, bit for bit
+    cfg = resolve_config(preset=preset, overrides={"policies": "LA,MBIA", **changes})
+    factories, _, run = _online_factories(cfg, train_mbia=True)
+    played = factories["Look-Ahead"](cfg.params).table
+    assert len(run.tables) == 1
+    mbia = factories[f"MBIA-M{cfg.m_levels}"](cfg.params).table
+    assert played.top.base is mbia.top and len(run.tables) == 1
+    built = look_ahead_build(cfg.params, M=cfg.m_levels, K=cfg.k_states)
+    assert played.top.dtype == built.top.dtype and np.array_equal(played.top, built.top)
+    assert played.params_hash == built.params_hash
+
+
+def test_look_ahead_loading_the_mbia_artifact_fails_and_plays_as_mbia_alone(tmp_path, capsys):
+    def simulate(policies, *extra):
+        code = main(["simulate"] + SMALL + ["--set", f"policies={policies}", *extra,
+                                            "--out", str(tmp_path)])
+        return code, capsys.readouterr().err
+    # a missing, then a stale artifact: Look-Ahead loads it first, and the
+    # run fails with MBIA's own exit code and message
+    assert simulate("LA,MBIA-M4") == simulate("MBIA-M4") != (0, "")
+    assert main(["mdp-train"] + SMALL + ["--out", str(tmp_path)]) == 0
+    stale = simulate("MBIA-M4", "--set", "w_d=0.3")
+    assert stale[0] == 4 and simulate("LA,MBIA-M4", "--set", "w_d=0.3") == stale
+    # with the table at hand, Look-Ahead's row is the one it gets alone
+    assert simulate("LA") == (0, "")
+    alone = (tmp_path / "simulate.csv").read_text().splitlines()[1]
+    assert simulate("LA,MBIA-M4") == (0, "")
+    assert (tmp_path / "simulate.csv").read_text().splitlines()[1] == alone
 
 
 def test_offline_rows_on_a_capped_battery_are_exit_4(tmp_path, capsys):

@@ -23,7 +23,6 @@ from hesnet.errors import (
 )
 from hesnet.mdp import (
     _RISE_RTOL,
-    _dense_mask,
     _expected_values,
     _staircase_counts,
     PolicyTable,
@@ -40,7 +39,7 @@ from hesnet.mdp import (
     save_policy_artifact,
 )
 from hesnet.model import SystemParams, link_terms, make_rng, serve_feasible
-from oracles import staircase_actions, v1_artifact
+from oracles import dense_staircase_counts, staircase_actions, v1_artifact
 
 P = SystemParams()
 
@@ -433,9 +432,9 @@ def test_monotone_solver_single_state_channel():
 
 
 def test_monotone_solve_holds_no_value_table():
-    # the (N, M, K, K) float64 table would be 25 MB here; the solve holds the
-    # uint8 serve mask (3.1 MB), q0/q1 (1 MB each), the int16 thresholds
-    # (0.25 MB) and one block's slice (6 MB peak measured)
+    # the (N, M, K, K) float64 table would be 25 MB here and the uint8 serve
+    # mask 3.1 MB; the solve holds q0/q1 (1 MB each), the int16 thresholds
+    # (0.25 MB) and one block's (M, K, K) slice (2.7 MB peak measured)
     model = build_mdp_model(P, build_grid(P, M=100, K=25))
     tracemalloc.start()
     try:
@@ -443,7 +442,7 @@ def test_monotone_solve_holds_no_value_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 4e6
     assert table.top.shape == (50, 100, 25) and table.top.dtype == np.int16
     assert np.array_equal(staircase_actions(table.top), values.actions)
     dense_values = backward_induction(model, 50)
@@ -629,8 +628,7 @@ def test_walk_tolerates_rises_of_rounding_size():
 def staircase(q0, q1):
     """Block 0's dense mask, its thresholds and the walk's evaluation
     counts, checked."""
-    mask = _dense_mask(q0, q1)
-    return (mask, *_staircase_counts(0, q0, q1, mask))
+    return (q1[:, None, :] <= q0[:, :, None], *_staircase_counts(0, q0, q1))
 
 
 def test_staircase_mask_refuses_a_serve_inside_a_tolerated_rise():
@@ -686,6 +684,61 @@ def test_property_staircase_mask_equals_per_level_walk(data, m, k):
         pol, _, n = monotone_slice(q0[i], q1[i], k)
         assert np.array_equal(mask[i], pol) and evals[i] == n
         assert np.array_equal(staircase_actions(top[i]), pol)
+
+
+# entry j of a row from entry j-1: tied, risen by one ulp, by 1e-13 (under
+# _RISE_RTOL) or by 1e-9 (over it), or +inf
+RISES = {
+    "tie": lambda prev: prev,
+    "ulp": lambda prev: np.nextafter(prev, np.inf),
+    "tolerated": lambda prev: prev * (1.0 + 1e-13),
+    "real": lambda prev: prev * (1.0 + 1e-9),
+    "inf": lambda prev: np.inf,
+}
+
+
+@st.composite
+def rows_with_rises(draw, m, k, kinds, pool=None):
+    """(m, k) rows high to low, from five values or, with a `pool`, from
+    the entries of the same row of `pool` and +inf, with entries replaced,
+    left to right, by one of the `kinds` of RISES over the entry before
+    them."""
+    if pool is None:
+        q = draw(nonincreasing_rows(m, k))
+    else:
+        picks = draw(arrays(np.int64, (m, k), elements=st.integers(0, k)))
+        values = np.hstack([pool, np.full((m, 1), np.inf)])
+        q = np.sort(np.take_along_axis(values, picks, axis=1), axis=1)[:, ::-1].copy()
+    picks = draw(arrays(np.int64, (m, k), elements=st.integers(0, 2 * len(kinds) - 1)))
+    for (i, j), pick in np.ndenumerate(picks):
+        if j and pick < len(kinds):   # half the entries keep their drawn value
+            q[i, j] = RISES[kinds[pick]](q[i, j - 1])
+    return q
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(data=st.data(), m=st.integers(1, 4), k=st.integers(1, 6))
+def test_property_staircase_check_equals_dense_oracle(data, m, k):
+    # the check tests only where q0 or q1 rise; the oracle reads the whole mask
+    q0 = data.draw(rows_with_rises(m, k, ("tie", "ulp", "tolerated", "real")))
+    # q1 from q0's own entries: a serve inside one of q0's rises needs a q1
+    # entry in that rise, above its lower end and at most its upper one
+    q1 = data.draw(rows_with_rises(m, k, ("tie", "ulp", "tolerated", "real", "inf"),
+                                   pool=q0 if data.draw(st.booleans()) else None))
+
+    def outcome(check):
+        try:
+            return check(7, q0, q1)
+        except StructureViolationError as exc:
+            return str(exc)
+
+    got, want = outcome(_staircase_counts), outcome(dense_staircase_counts)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @PROPERTY_SETTINGS

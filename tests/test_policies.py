@@ -421,6 +421,22 @@ def test_threshold_lookup_decides_as_the_dense_table(preset):
     assert 0 < served < params.N * battery.size   # both actions are exercised
 
 
+def test_table_policies_search_the_h_states_once_per_batch(monkeypatch):
+    # Look-Ahead and MBIA at two M share K, so one search serves all three
+    calls = []
+    search = policies.channel_state_index
+    monkeypatch.setattr(policies, "channel_state_index",
+                        lambda gamma, bounds: calls.append(gamma.shape) or search(gamma, bounds))
+    players = [LookAhead(look_ahead_build(P, M=100, K=25))] + [
+        MdpTablePolicy(monotone_backward_induction(
+            build_mdp_model(P, build_grid(P, M=m, K=25)), P.N)[0]) for m in (25, 100)]
+    for seed in (1, 2):
+        batch = sample_trajectories(P, seed, 40)
+        for policy in players:
+            run_batch(policy, batch)
+    assert calls == [(P.N, 40)] * 2
+
+
 def test_look_ahead_structure():
     table = look_ahead_build(P, M=10, K=4)
     assert table.N == 2

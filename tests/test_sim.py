@@ -251,7 +251,7 @@ def crn_metrics(policy, name, params, frames, seed):
     return metrics_from_arrays(name, params.N, seed, *arrays)
 
 
-def test_monte_carlo_metrics_invariant():
+def test_crn_metrics_cost_identity():
     m = crn_metrics(GreedyTransmit(), "GT", P, 300, seed=67)
     assert math.isclose(m.mean_total_cost,
                         P.w_G * m.mean_grid_energy + P.w_D * P.N * m.drop_ratio,
@@ -260,12 +260,12 @@ def test_monte_carlo_metrics_invariant():
     assert m.stderr_total_cost > 0
 
 
-def test_monte_carlo_single_frame_flags_stderr():
+def test_crn_metrics_single_frame_has_zero_stderr():
     m = crn_metrics(GreedyTransmit(), "GT", P, 1, seed=68)
     assert m.stderr_total_cost == 0.0
 
 
-def test_monte_carlo_prefix_property():
+def test_run_batch_frame_prefix_property():
     c1, _, _ = run_batch(GreedyTransmit(), sample_trajectories(P, 69, 40))
     c2, _, _ = run_batch(GreedyTransmit(), sample_trajectories(P, 69, 80))
     np.testing.assert_array_equal(c1, c2[:40])
@@ -565,7 +565,7 @@ def test_multiuser_rejects_bad_action_value():
         one_frame_multiuser(PerFrameRule(), gamma, gamma, np.array([1e-3]), params)
 
 
-def test_multiuser_monte_carlo_invariant():
+def test_multiuser_frame_metrics_cost_identity_and_repeat():
     params = two_user_setup()
     gt = GreedyTransmit()
 
