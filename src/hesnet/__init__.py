@@ -34,7 +34,7 @@ from .model import (
     sample_trajectories,
     sample_trajectory,
 )
-from .offline import exhaustive_plan, greedy_plan, ratio_metric
+from .offline import greedy_plan, optimal_plan, ratio_metric
 from .mdp import (
     CostToGo,
     MdpModel,

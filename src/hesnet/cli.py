@@ -10,11 +10,10 @@ rejected rather than ignored.
 Exit codes: 0 success, 2 configuration error (including a malformed,
 truncated or oversized policy artifact or replay file, the Threshold rule
 at w_d = 0, and offline-solve and mdp-train at users > 1), 3 resource
-limit (the Exhaustive policy token over the exhaustive solver's
-EXHAUSTIVE_CAP blocks, refused before any work, and a zeta grid of more
-than ZETA_GRID_MAX candidates), 4 artifact/parameter mismatch (including
-an offline evaluation on a battery below N * E_m, which the offline
-solvers do not model).
+limit (a frame whose offline optimum's Pareto front outgrows FRONT_MAX
+states, and a zeta grid of more than ZETA_GRID_MAX candidates), 4
+artifact/parameter mismatch (including an offline evaluation on a battery
+below N * E_m, which the offline solvers do not model).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction, save_policy_artifact
 from .model import FrameBatch, SystemParams, sample_trajectory
-from .offline import EXHAUSTIVE_CAP, exhaustive_plan, greedy_plan, require_uncapped_battery
+from .offline import greedy_plan, optimal_plan, require_uncapped_battery
 from .policies import (
     GreedyTransmit,
     LookAhead,
@@ -417,7 +416,7 @@ POLICIES = {
     "Threshold": (("TH",), _threshold, True),
     "GP-only": (("GPonly",), lambda run, m, point: GridOnlyPolicy(), True),
     "Greedy": (("GA",), greedy_plan, True),
-    "Exhaustive": ((), exhaustive_plan, False),
+    "Exhaustive": ((), optimal_plan, False),
     "MBIA": ((), _mbia, False),
 }
 _SPELLINGS = {s.lower(): name for name, (aliases, _, _) in POLICIES.items()
@@ -429,9 +428,8 @@ def _online_factories(cfg: RunConfig, train_mbia: bool):
     factory(point) callable, and offline row name -> plan function.
 
     Every token is parsed before any is refused for the run: a second
-    token for one policy (at one M, for MBIA), at users > 1 the
-    single-user ones, and the Exhaustive token over EXHAUSTIVE_CAP blocks
-    (a resource limit).  Returns (factories, plans, run); run.zeta and
+    token for one policy (at one M, for MBIA), and at users > 1 the
+    single-user ones.  Returns (factories, plans, run); run.zeta and
     run.artifacts fill in as the factories run.
     """
     if not cfg.policies:
@@ -459,10 +457,7 @@ def _online_factories(cfg: RunConfig, train_mbia: bool):
             supported = ", ".join(n for n, (_, _, any_u) in POLICIES.items() if any_u)
             raise ConfigError(f"policy {token!r} is single-user only; runs with "
                               f"users={cfg.users} support {supported}")
-        if build is exhaustive_plan and cfg.params.N > EXHAUSTIVE_CAP:
-            raise ResourceLimitError(f"policy {token!r}: exhaustive search over "
-                                     f"N={cfg.params.N} blocks exceeds cap {EXHAUSTIVE_CAP}")
-        if build in (greedy_plan, exhaustive_plan):
+        if build in (greedy_plan, optimal_plan):
             plans[row] = build
         else:
             factories[row] = partial(build, run, m)
@@ -556,11 +551,8 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
         dump = Path(args.dump)
         dump.parent.mkdir(parents=True, exist_ok=True)
         _write_trajectory(dump, batch)
-    solvers = {"greedy": greedy_plan}
-    if params.N <= EXHAUSTIVE_CAP:
-        solvers["exhaustive"] = exhaustive_plan
     plans = {name: solve(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
-             for name, solve in solvers.items()}
+             for name, solve in (("greedy", greedy_plan), ("exhaustive", optimal_plan))}
 
     out = _out_dir(cfg)
     csv_path = out / "offline_schedule.csv"
@@ -581,10 +573,9 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
             float(batch.p_g[0, 0, i] if i_g[i] else 0.0),
             float(batch.p_h[0, 0, i] if i_h[i] else 0.0)))) for i in range(params.N)]
     write_rows_csv(csv_path, rows, header=OFFLINE_HEADER)
-    if "exhaustive" in plans:
-        opt = report["solvers"]["exhaustive"]["total_cost"]
-        report["gap"] = gap = report["solvers"]["greedy"]["total_cost"] - opt
-        report["gap_relative"] = gap / opt if opt else 0.0
+    opt = report["solvers"]["exhaustive"]["total_cost"]
+    report["gap"] = gap = report["solvers"]["greedy"]["total_cost"] - opt
+    report["gap_relative"] = gap / opt if opt else 0.0
     summary_path = out / "offline_summary.json"
     write_json(summary_path, report)
 
@@ -592,8 +583,7 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
     for solver_name, info in report["solvers"].items():
         print(f"  {solver_name:<11} cost={info['total_cost']:.10g} "
               f"grid_mj={info['grid_energy_j'] * 1e3:.6g} drops={info['drops']}")
-    if "gap" in report:
-        print(f"  gap = {report['gap']:.10g} ({100 * report['gap_relative']:.3g}% above optimal)")
+    print(f"  gap = {report['gap']:.10g} ({100 * report['gap_relative']:.3g}% above optimal)")
     print(f"wrote {csv_path} and {summary_path}")
     return 0
 

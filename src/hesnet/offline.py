@@ -7,9 +7,9 @@ p_H_inv,i * tau joules of battery under prefix energy causality and the peak
 power cap.  Both solvers here map the same batch arrays, (frames, U, N) skip
 costs and harvesting inversion powers over (frames, N) shared arrivals, to a
 (frames, U, N) 0/1 plan: `greedy_plan` (Greedy Assignment, any user count)
-and `exhaustive_plan` (the exact optimum by 2^N enumeration, one user).
-Plans are checked and scored by replaying them through the battery walk of
-the causal policies (`sim.replay_plan`), whose over-draw check is the one
+and `optimal_plan` (the exact optimum by a Pareto walk, one user).  Plans
+are checked and scored by replaying them through the battery walk of the
+causal policies (`sim.replay_plan`), whose over-draw check is the one
 feasibility check on every plan.
 
 The greedy scores are fixed per block and feasibility only shrinks as blocks
@@ -26,11 +26,11 @@ from .model import SystemParams
 
 __all__ = [
     "ENERGY_RTOL",
-    "EXHAUSTIVE_CAP",
+    "FRONT_MAX",
     "require_uncapped_battery",
     "ratio_metric",
     "greedy_plan",
-    "exhaustive_plan",
+    "optimal_plan",
 ]
 
 # Relative slack on every energy-causality comparison.  Accumulated prefix
@@ -38,7 +38,10 @@ __all__ = [
 # checks compare unaccumulated values and stay exact.
 ENERGY_RTOL = 1e-9
 
-EXHAUSTIVE_CAP = 20  # hard cap on N for 2^N enumeration
+# Most states the optimal plan's Pareto walk keeps after a block.  Sampled
+# frames keep a few hundred; a frame whose every skip cost equals its spend
+# keeps every prefix, and the front doubles per block.
+FRONT_MAX = 1 << 16
 
 
 def require_uncapped_battery(params: SystemParams) -> None:
@@ -121,46 +124,51 @@ def greedy_plan(c, p_h, e_h, tau: float, p_H_max_sum: float) -> np.ndarray:
     return sel
 
 
-def exhaustive_plan(c, p_h, e_h, tau: float, p_H_max: float) -> np.ndarray:
-    """The optimal one-user plan of each frame by full 2^N enumeration.
+def optimal_plan(c, p_h, e_h, tau: float, p_H_max: float) -> np.ndarray:
+    """The optimal one-user plan of each frame by a Pareto walk over its blocks.
 
     Takes `greedy_plan`'s (frames, 1, N) and (frames, N) arrays and returns
-    a (frames, 1, N) plan.  Ties between optimal selections break toward
-    the lexicographically smallest 0/1 vector.  N above EXHAUSTIVE_CAP is
-    refused: the search doubles per block, and this oracle exists for
-    desk-scale verification only.
+    a (frames, 1, N) plan.  Per frame the walk keeps (battery spend, skip
+    cost so far) states of 0/1 prefixes, in prefix order.  Each branches
+    into skip (cost + c_i) and, within the peak cap and the prefix arrivals
+    (ENERGY_RTOL relative slack), serve (spend + p_h,i * tau).  A state is
+    dropped when one with no more spend has a lower cost, or an equal cost
+    and a smaller prefix, so the first cheapest state left is the
+    lexicographically smallest optimal plan (costs summed in block order).
+    This is Nemhauser and Ullmann's knapsack dynamic program; its front
+    stays small on random frames, but a crafted frame can double it every
+    block, so a front past FRONT_MAX states raises ResourceLimitError.
     """
     c, p_h, e_h = _plan_inputs(c, p_h, e_h, tau, p_H_max)
     frames, users, n = c.shape
     if users != 1:
-        raise InvalidParameterError(f"exhaustive search plans one user, got {users}")
-    if n > EXHAUSTIVE_CAP:
-        raise ResourceLimitError(
-            f"exhaustive search over N={n} blocks exceeds cap {EXHAUSTIVE_CAP}")
+        raise InvalidParameterError(f"optimal_plan plans one user, got {users}")
     c, p_h = c[:, 0], p_h[:, 0]
-    avail = np.cumsum(e_h, axis=1)
-    headroom = avail * (1.0 + ENERGY_RTOL)
-    # finite stand-in for inf keeps 0 * inf out of the matmuls; such blocks
-    # are killed by the peak-power mask anyway
-    spend = np.where(np.isfinite(p_h), p_h * tau, 2.0 * (avail[:, -1:] + 1.0))
-    peak_bad = (p_h > p_H_max).astype(np.int8)
-
-    # bit (n-1-j) holds alpha_j, so ascending code order is ascending
-    # lexicographic order of alpha and ties resolve by taking the first hit
-    shifts = (n - 1 - np.arange(n)).astype(np.uint32)
-    best_cost = np.full(frames, np.inf)
-    best_code = np.zeros(frames, dtype=np.uint32)  # every-alpha-zero is always feasible
-    chunk = 1 << 16
-    for start in range(0, 1 << n, chunk):
-        codes = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
-        bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-        for f in range(frames):
-            ok = bits @ peak_bad[f] == 0
-            ok &= np.all(np.cumsum(bits * spend[f], axis=1) <= headroom[f], axis=1)
-            if not ok.any():
-                continue
-            costs = np.where(ok, (1 - bits) @ c[f], np.inf)
-            lo = int(np.argmin(costs))
-            if costs[lo] < best_cost[f]:
-                best_cost[f], best_code[f] = costs[lo], codes[lo]
-    return ((best_code[:, None] >> shifts) & 1).astype(np.int8)[:, None]
+    budget = np.cumsum(e_h, axis=1) * (1.0 + ENERGY_RTOL)
+    spends = p_h * tau
+    plan = np.zeros((frames, 1, n), dtype=np.int8)
+    for f in range(frames):
+        spend, cost = np.zeros(1), np.zeros(1)
+        kept = []   # per block, each kept state's child index: 2 * parent + served
+        for i in range(n):
+            fits = (p_h[f, i] <= p_H_max) & (spend + spends[f, i] <= budget[f, i])
+            # skip and serve children interleaved keep the prefix order
+            idx = np.flatnonzero(np.column_stack((np.ones_like(fits), fits)))
+            served = idx % 2 == 1
+            spend = spend[idx // 2] + np.where(served, spends[f, i], 0.0)
+            cost = cost[idx // 2] + np.where(served, 0.0, c[f, i])
+            # a state's rank is its place in (cost, prefix) order; taken in
+            # (spend, rank) order, a state stays if it out-ranks all before it
+            by_cost = np.argsort(cost, kind="stable")
+            ranks = np.argsort(spend[by_cost], kind="stable")
+            keep = np.sort(by_cost[ranks[ranks == np.minimum.accumulate(ranks)]])
+            idx, spend, cost = idx[keep], spend[keep], cost[keep]
+            if idx.size > FRONT_MAX:
+                raise ResourceLimitError(
+                    f"frame {f}: the optimal plan's Pareto front holds {idx.size} states "
+                    f"after block {i + 1}, over FRONT_MAX = {FRONT_MAX}")
+            kept.append(idx)
+        state = int(np.argmin(cost))
+        for i in range(n - 1, -1, -1):
+            state, plan[f, 0, i] = divmod(int(kept[i][state]), 2)
+    return plan

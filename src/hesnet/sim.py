@@ -280,7 +280,7 @@ def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
     peak powers (`point.p_H_max`, `point.p_G_max`); with more than one the
     factories must build policies that decide every user of a block (GT,
     Threshold, GP-only), not table lookups.  `plans` maps a row name to an
-    offline plan function (`greedy_plan`, `exhaustive_plan`); their rows
+    offline plan function (`greedy_plan`, `optimal_plan`); their rows
     follow the online ones, in order, each from `offline_frame_metrics`.
     """
     batch = sample_trajectories(point, seed, frames, users)
@@ -344,9 +344,9 @@ def multiuser_frame_metrics(policy, batch: FrameBatch):
 def offline_frame_metrics(solve, batch: FrameBatch):
     """Plan every frame of a batch offline and replay the plans.
 
-    `solve` is an offline plan function (`greedy_plan`, or `exhaustive_plan`
-    for one user, subject to its 2^N cap), called once over the batch's
-    arrays with the summed peak cap params.p_H_max.  The plans are walked by
+    `solve` is an offline plan function (`greedy_plan`, or `optimal_plan`
+    for one user), called once over the batch's arrays with the summed peak
+    cap params.p_H_max.  The plans are walked by
     `replay_plan`.  Returns per-frame arrays (costs, grid energies, drop
     counts); a plan's cost is its exact math.fsum skip sum.  The solvers
     model an uncapped battery, so B_m < N * E_m raises ModelMismatchError.

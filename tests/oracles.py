@@ -4,7 +4,8 @@
 feasibility of a plan to the battery walk that replays it.  The checks here
 read one frame at a time in plain numpy, independently of both: the first
 constraint a 0/1 vector breaks, its exact skip cost, and the pairwise swap
-condition every greedy plan meets.
+condition every greedy plan meets.  The 2^N enumerator that was the
+package's exact optimum is the reference for its Pareto walk at N <= 15.
 
 `hesnet.mdp` stores a policy as per-column thresholds.  The dense
 (N, M, K, K) serve mask they stand for, the staircase check that reads
@@ -22,10 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hesnet.errors import StructureViolationError
+from hesnet.errors import InvalidParameterError, StructureViolationError
 from hesnet.mdp import _RISE_RTOL, battery_level_index, channel_state_index
 from hesnet.model import serve_feasible
-from hesnet.offline import ENERGY_RTOL
+from hesnet.offline import ENERGY_RTOL, _plan_inputs
 
 
 class Frame(NamedTuple):
@@ -93,6 +94,47 @@ def swap_free(alpha, fr: Frame) -> bool:
     no_more_power = fr.p_h[sel][:, None] >= fr.p_h[uns][None, :]
     return not bool(np.any(later & cheaper & no_more_power))
 
+
+def exhaustive_plan(c, p_h, e_h, tau: float, p_H_max: float) -> np.ndarray:
+    """The optimal one-user plan of each frame by full 2^N enumeration.
+
+    Takes `greedy_plan`'s (frames, 1, N) and (frames, N) arrays and returns
+    a (frames, 1, N) plan.  Ties between optimal selections, as its
+    matrix-product cost sums see them, break toward the lexicographically
+    smallest 0/1 vector; those sums can split an exact tie by an ulp.  The
+    search doubles per block, so it serves desk-scale frames only.
+    """
+    c, p_h, e_h = _plan_inputs(c, p_h, e_h, tau, p_H_max)
+    frames, users, n = c.shape
+    if users != 1:
+        raise InvalidParameterError(f"exhaustive search plans one user, got {users}")
+    c, p_h = c[:, 0], p_h[:, 0]
+    avail = np.cumsum(e_h, axis=1)
+    headroom = avail * (1.0 + ENERGY_RTOL)
+    # finite stand-in for inf keeps 0 * inf out of the matmuls; such blocks
+    # are killed by the peak-power mask anyway
+    spend = np.where(np.isfinite(p_h), p_h * tau, 2.0 * (avail[:, -1:] + 1.0))
+    peak_bad = (p_h > p_H_max).astype(np.int8)
+
+    # bit (n-1-j) holds alpha_j, so ascending code order is ascending
+    # lexicographic order of alpha and ties resolve by taking the first hit
+    shifts = (n - 1 - np.arange(n)).astype(np.uint32)
+    best_cost = np.full(frames, np.inf)
+    best_code = np.zeros(frames, dtype=np.uint32)  # every-alpha-zero is always feasible
+    chunk = 1 << 16
+    for start in range(0, 1 << n, chunk):
+        codes = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
+        bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+        for f in range(frames):
+            ok = bits @ peak_bad[f] == 0
+            ok &= np.all(np.cumsum(bits * spend[f], axis=1) <= headroom[f], axis=1)
+            if not ok.any():
+                continue
+            costs = np.where(ok, (1 - bits) @ c[f], np.inf)
+            lo = int(np.argmin(costs))
+            if costs[lo] < best_cost[f]:
+                best_cost[f], best_code[f] = costs[lo], codes[lo]
+    return ((best_code[:, None] >> shifts) & 1).astype(np.int8)[:, None]
 
 
 def staircase_actions(top) -> np.ndarray:

@@ -105,3 +105,27 @@ def test_no_unreferenced_functions(tmp_path):
         "__all__ = ['public']\n\ndef public():\n    return _used()\n\n\ndef _used():\n"
         "    return 1\n\n\ndef _dead():\n    return _dead()\n\n\nclass _Gone:\n    pass\n")
     assert unreferenced_definitions(tmp_path) == ["mod.py:_dead", "mod.py:_Gone"]
+
+
+def unread_definitions(path):
+    """Module-level functions and classes of `path` that no other module in
+    its folder reads, as a bare name or an attribute."""
+    reads = {n.id if isinstance(n, ast.Name) else n.attr
+             for other in sorted(path.parent.glob("*.py")) if other != path
+             for n in ast.walk(ast.parse(other.read_text(), filename=str(other)))
+             if isinstance(n, (ast.Name, ast.Attribute))}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in reads]
+
+
+def test_every_oracle_is_read_by_another_test_module(tmp_path):
+    # a reference no test reads checks nothing, even when another oracle calls it
+    assert unread_definitions(ROOT / "tests" / "oracles.py") == []
+    (tmp_path / "oracles.py").write_text(
+        "def used():\n    return _helper()\n\n\ndef _helper():\n    return 1\n\n\n"
+        "class Gone:\n    pass\n")
+    (tmp_path / "test_mod.py").write_text(
+        "from oracles import used\n\n\ndef test_used():\n    assert used() == 1\n")
+    assert unread_definitions(tmp_path / "oracles.py") == ["oracles.py:_helper", "oracles.py:Gone"]

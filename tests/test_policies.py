@@ -664,7 +664,7 @@ def test_calibrated_threshold_beats_greedy():
 # multi-user rules
 # ---------------------------------------------------------------------------
 
-def test_multiuser_threshold_admits_by_metric_under_caps():
+def test_joint_threshold_admits_by_metric_under_caps():
     l1, l2 = threshold_lambdas(P)
     tp = ThresholdParams(0.0, l1, l2)  # zeta 0: tentative == feasible
     # both users feasible alone; battery covers only the cheaper one...
@@ -678,7 +678,7 @@ def test_multiuser_threshold_admits_by_metric_under_caps():
     assert acts[0] == 1  # drop-risk user (bad G-channel) wins the slot
 
 
-def test_multiuser_threshold_pools_battery():
+def test_joint_threshold_pools_battery():
     l1, l2 = threshold_lambdas(P)
     th = ThresholdHeuristic(ThresholdParams(0.0, l1, l2))
     roomy = P.evolve(p_H_max=10.0)
@@ -761,7 +761,7 @@ def count_rounding_states(states):
     return apart
 
 
-def test_multiuser_threshold_matches_per_user_oracle():
+def test_joint_threshold_matches_per_user_oracle():
     states = list(oracle_states())
     assert count_rounding_states(states) > 0
     for point, zeta, block, battery, gamma_g, gamma_h in states:
@@ -771,14 +771,14 @@ def test_multiuser_threshold_matches_per_user_oracle():
             joint_threshold_oracle(block, battery, gamma_g, gamma_h, tp, point))
 
 
-def test_multiuser_greedy_matches_per_user_oracle():
+def test_joint_gt_matches_per_user_oracle():
     for point, _, block, battery, gamma_g, gamma_h in oracle_states():
         np.testing.assert_array_equal(
             joint_action(GreedyTransmit(), block, battery, gamma_g, gamma_h, point),
             joint_greedy_oracle(battery, gamma_h, point))
 
 
-def test_multiuser_greedy_admits_cheapest_first():
+def test_joint_gt_admits_cheapest_first():
     gt = GreedyTransmit()
     # user 2 has the better harvesting channel: lower power, admitted first
     gamma_h = np.array([0.3, 2.0])

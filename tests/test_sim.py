@@ -10,12 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesnet.errors import (
-    InvalidActionError,
-    InvalidParameterError,
-    ModelMismatchError,
-    ResourceLimitError,
-)
+from hesnet.errors import InvalidActionError, InvalidParameterError, ModelMismatchError
 from hesnet.mdp import backward_induction, build_grid, build_mdp_model
 from hesnet.model import (
     FrameBatch,
@@ -25,7 +20,7 @@ from hesnet.model import (
     sample_trajectories,
     sample_trajectory,
 )
-from hesnet.offline import ENERGY_RTOL, exhaustive_plan, greedy_plan
+from hesnet.offline import ENERGY_RTOL, greedy_plan, optimal_plan
 from hesnet.policies import (
     GreedyTransmit,
     ThresholdHeuristic,
@@ -152,7 +147,7 @@ def test_run_batch_refuses_more_than_one_user():
     assert costs.shape == (3,)
 
 
-def test_scripted_replay_reproduces_offline_cost_exactly():
+def test_replayed_plan_costs_its_exact_skip_sum():
     for seed in range(100):
         batch = sample_trajectory(P, (63, seed))
         alpha, cost = solve(greedy_plan, Frame.of(batch))
@@ -161,7 +156,7 @@ def test_scripted_replay_reproduces_offline_cost_exactly():
     for n in (8, 12, 16):
         params = P.evolve(N=n)
         batch = sample_trajectories(params, 63, 40)
-        for solver in (greedy_plan, exhaustive_plan):
+        for solver in (greedy_plan, optimal_plan):
             plan = solver(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
             costs, _, _ = frame_totals(*replay_plan(plan, batch))
             assert costs.tolist() == [math.fsum(batch.skip[f, 0][plan[f, 0] == 0])
@@ -282,7 +277,7 @@ def test_offline_frame_metrics_match_scripted_replay_bitwise(solver, changes):
     # and what the expansion oracle reads off each frame's link terms
     params = P.evolve(**changes)
     frames = sample_trajectories(params, 77, 60)
-    plan = {"greedy": greedy_plan, "exhaustive": exhaustive_plan}[solver]
+    plan = {"greedy": greedy_plan, "exhaustive": optimal_plan}[solver]
     got = offline_frame_metrics(plan, frames)
     for f in range(frames.frames):
         batch = FrameBatch(params, frames.gamma_g[f:f + 1], frames.gamma_h[f:f + 1],
@@ -379,7 +374,7 @@ def test_offline_evaluation_refuses_a_capped_battery():
 def test_offline_frame_metrics_orders_solvers():
     batch = sample_trajectories(P.evolve(N=10), 70, 30)
     c_greedy, _, _ = offline_frame_metrics(greedy_plan, batch)
-    c_opt, _, _ = offline_frame_metrics(exhaustive_plan, batch)
+    c_opt, _, _ = offline_frame_metrics(optimal_plan, batch)
     assert np.all(c_greedy >= c_opt - 1e-15)
 
 
@@ -403,7 +398,7 @@ def test_apply_axis_rules():
 def test_sweep_rows_and_offline_inclusion():
     params = P.evolve(N=8)
     rows = sweep(params, "P_avg", [0.01, 0.02], {"GT": lambda p: GreedyTransmit()},
-                 frames=20, seed=71, plans={"Greedy": greedy_plan, "Exhaustive": exhaustive_plan})
+                 frames=20, seed=71, plans={"Greedy": greedy_plan, "Exhaustive": optimal_plan})
     assert [r["policy"] for r in rows] == ["GT", "Greedy", "Exhaustive"] * 2
     # no plans, no offline rows
     assert [r["policy"] for r in sweep(params, "P_avg", [0.01], {"GT": lambda p: GreedyTransmit()},
@@ -418,11 +413,14 @@ def test_sweep_rows_and_offline_inclusion():
         assert at["Greedy"]["mean_total_cost"] <= at["GT"]["mean_total_cost"] + 1e-15
 
 
-def test_sweep_skips_exhaustive_beyond_cap():
-    # a row is asked for by name, so an exhaustive plan over the cap is refused
-    with pytest.raises(ResourceLimitError, match="exceeds cap 20"):
-        sweep(P, "w_D", [0.01], {"GT": lambda p: GreedyTransmit()}, frames=5, seed=72,
-              plans={"Greedy": greedy_plan, "Exhaustive": exhaustive_plan})
+def test_sweep_runs_the_exhaustive_row_at_the_papers_n():
+    # the optimum's walk is bounded by its front, not by N: at N = 50 the
+    # Exhaustive row is written and never costs more than the Greedy one
+    rows = sweep(P, "w_D", [0.01, 0.1], {"GT": lambda p: GreedyTransmit()}, frames=5, seed=72,
+                 plans={"Greedy": greedy_plan, "Exhaustive": optimal_plan})
+    assert [r["policy"] for r in rows] == ["GT", "Greedy", "Exhaustive"] * 2
+    for greedy, optimum in zip(rows[1::3], rows[2::3]):
+        assert optimum["mean_total_cost"] <= greedy["mean_total_cost"]
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +535,9 @@ def test_multiuser_frame_metrics_greedy_walks_pooled_plans():
     costs, grid, drops = offline_frame_metrics(greedy_plan, batch)   # unbounded grid BS
     for f in range(8):
         assert costs[f] == pooled_greedy(batch, f)[1]
-    # the exhaustive optimum plans one user: a two-user batch is refused
+    # the optimum plans one user: a two-user batch is refused
     with pytest.raises(InvalidParameterError, match="plans one user, got 2"):
-        offline_frame_metrics(exhaustive_plan, batch)
+        offline_frame_metrics(optimal_plan, batch)
 
 
 def test_metrics_aggregate_over_users_times_blocks():
@@ -608,7 +606,7 @@ def test_property_online_frame_cost_at_least_exhaustive_optimum(params, zeta, se
     batch = sample_trajectories(params, seed, 3)
     costs = [multiuser_frame_metrics(policy, batch)[0] for policy in policies]
     for f in range(3):
-        _, opt = solve(exhaustive_plan, Frame.of(batch, f))
+        _, opt = solve(optimal_plan, Frame.of(batch, f))
         for cost in costs:
             assert cost[f] >= opt
 
