@@ -53,13 +53,13 @@ from .mdp import (
 )
 from .policies import (
     GreedyTransmit,
-    LookAhead,
     MdpTablePolicy,
     ThresholdHeuristic,
     ThresholdParams,
     calibrate_zeta,
     exponential_integral_E1,
     look_ahead_build,
+    look_ahead_table,
     threshold_lambdas,
 )
 from .sim import (

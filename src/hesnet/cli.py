@@ -9,11 +9,12 @@ rejected rather than ignored.
 
 Exit codes: 0 success, 2 configuration error (including a malformed,
 truncated or oversized policy artifact or replay file, the Threshold rule
-at w_d = 0, and offline-solve and mdp-train at users > 1), 3 resource
-limit (a frame whose offline optimum's Pareto front outgrows FRONT_MAX
-states, and a zeta grid of more than ZETA_GRID_MAX candidates), 4
-artifact/parameter mismatch (including an offline evaluation on a battery
-below N * E_m, which the offline solvers do not model).
+at w_d = 0, and offline-solve, mdp-train and calibrate-zeta at users >
+1), 3 resource limit (a frame whose offline optimum's Pareto front
+outgrows FRONT_MAX states, and a zeta grid of more than ZETA_GRID_MAX
+candidates), 4 artifact/parameter mismatch (including an offline
+evaluation on a battery below N * E_m, which the offline solvers do not
+model).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import hashlib
 import math
 import sys
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -44,12 +45,12 @@ from .model import FrameBatch, SystemParams, sample_trajectory
 from .offline import greedy_plan, optimal_plan, require_uncapped_battery
 from .policies import (
     GreedyTransmit,
-    LookAhead,
     MdpTablePolicy,
     ThresholdHeuristic,
     ThresholdParams,
     calibrate_zeta,
     look_ahead_build,
+    look_ahead_table,
     threshold_lambdas,
 )
 from .sim import (
@@ -399,11 +400,10 @@ def _mbia(run: _Run, m: int, point: SystemParams):
 
 def _look_ahead(run: _Run, m: int, point: SystemParams):
     if point.N >= 2 and m in run.mbia_levels:
-        # a 2-block recursion over the same model is the last two blocks
-        # of the N-block one, so the run's MBIA table holds it bitwise
-        table = _mbia_table(run, m, point)
-        return LookAhead(replace(table, top=table.top[-2:]))
-    return LookAhead(look_ahead_build(point, M=m, K=run.cfg.k_states))
+        # the run's MBIA table holds the 2-block thresholds bitwise
+        # (look_ahead_table), so Look-Ahead needs no solve of its own
+        return MdpTablePolicy(look_ahead_table(_mbia_table(run, m, point), point.N))
+    return MdpTablePolicy(look_ahead_build(point, M=m, K=run.cfg.k_states))
 
 
 # Policy tokens, matched case-insensitively: name -> (other spellings,
@@ -665,6 +665,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_calibrate_zeta(cfg: RunConfig, args) -> int:
+    if cfg.users > 1:
+        raise ConfigError(f"calibrate-zeta scores one user's threshold rule, got users={cfg.users}")
     point = cfg.params
     tp, costs = calibrate_zeta(cfg.zeta_grid, point, cfg.zeta_budget, cfg.seed)
     out = _out_dir(cfg)

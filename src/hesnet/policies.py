@@ -7,11 +7,12 @@ column `block` holds the block's precomputed link terms in, a (frames, U)
 0/1 array out.  The greedy and threshold rules take any U: they rank the
 users and admit them (`sim._admit_in_order`) while `serve_feasible` holds
 for the summed power against the shared battery and the summed peak cap
-of `batch.params`, so one user is the single-user rule exactly.  The
-table lookups play one user and refuse a batch of more.  The threshold
-rule needs two closed-form constants, the mean skip cost lambda1 and the
-mean feasible battery power lambda2; they are exact for exponential
-fading, and a Monte Carlo cross-check of both lives in the test suite.
+of `batch.params`, so one user is the single-user rule exactly.  MBIA
+and Look-Ahead are threshold tables that `MdpTablePolicy` plays for one
+user.  The threshold rule needs two closed-form constants, the mean skip
+cost lambda1 and the mean feasible battery power lambda2; they are exact
+for exponential fading, and a Monte Carlo cross-check of both lives in
+the test suite.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ __all__ = [
     "ThresholdParams",
     "GreedyTransmit",
     "ThresholdHeuristic",
-    "LookAhead",
     "MdpTablePolicy",
     "exponential_integral_E1",
     "threshold_lambdas",
     "calibrate_zeta",
     "look_ahead_build",
+    "look_ahead_table",
 ]
 
 
@@ -178,7 +179,7 @@ class ThresholdHeuristic:
 # ---------------------------------------------------------------------------
 
 class MdpTablePolicy:
-    """Plays a trained full-horizon threshold table.
+    """Plays an N-block threshold table, MBIA's or `look_ahead_table`'s.
 
     A lookup at the quantized state, bridged back to reality: the block
     serves iff its G-gain lies below the G bound over the threshold of its
@@ -193,11 +194,6 @@ class MdpTablePolicy:
         self.table = table
 
     def decide_batch(self, block, battery, batch: FrameBatch):
-        return self._play(block, block, battery, batch)
-
-    def _play(self, t, block, battery, batch: FrameBatch):
-        """Table slice t at the states of block `block`, demoted where the
-        true battery or the peak cap cannot pay."""
         if batch.users != 1:
             raise InvalidParameterError(f"a policy table plays one user, got {batch.users}")
         params_hash = batch.params.content_hash()
@@ -206,10 +202,10 @@ class MdpTablePolicy:
                 "policy table was trained on different parameters; retrain it "
                 f"(table hash {self.table.params_hash[:12]}..., params hash "
                 f"{params_hash[:12]}...)")
-        if not 0 <= t < self.table.N:
-            raise InvalidParameterError(f"block {t} outside the table horizon {self.table.N}")
+        if not 0 <= block < self.table.N:
+            raise InvalidParameterError(f"block {block} outside the table horizon {self.table.N}")
         grid = self.table.grid
-        top = self.table.top[t, battery_level_index(battery, grid),
+        top = self.table.top[block, battery_level_index(battery, grid),
                              _h_states(batch, grid.bounds_H)[block]]
         # bounds_G[0] = 0 serves no gain at top = -1, bounds_G[K] = inf all at K-1
         serve = batch.gamma_g[:, 0, block] < grid.bounds_G[top + 1]
@@ -225,35 +221,22 @@ def _h_states(batch: FrameBatch, bounds_H: np.ndarray) -> np.ndarray:
                         lambda: channel_state_index(batch.gamma_h[:, 0].T, bounds_H))
 
 
+def look_ahead_table(table: PolicyTable, N: int) -> PolicyTable:
+    """Look-Ahead's N-block table from a 2-block solve or an MBIA table on
+    one model (a 2-block recursion is the N-block one's last two steps, so
+    both give the same bytes): the two-blocks-left slice, "serve now or
+    bank for one more block", at every interior block, and K - 1 on the
+    last, which serves every finite gain where `serve_feasible` holds:
+    GreedyTransmit's one-user rule."""
+    top = np.repeat(table.top[-2][None], N, axis=0)
+    top[-1] = table.grid.K - 1
+    return replace(table, top=top)
+
+
 def look_ahead_build(params: SystemParams, *, M: int = 100, K: int = 25) -> PolicyTable:
-    """Two-block policy table on the real battery range.
-
-    Solving a 2-horizon recursion on the full grid yields the rule "serve
-    now or bank for one more block"; its first-block slice is the
-    look-ahead decision for every non-terminal block.
-    """
-    return monotone_backward_induction(build_mdp_model(params, build_grid(params, M=M, K=K)), 2)[0]
-
-
-class LookAhead(MdpTablePolicy):
-    """Two-block table: its first-block slice for interior blocks, greedy
-    on the last one.
-
-    The table is `look_ahead_build`'s or, when the run also holds an MBIA
-    table at the same M over N >= 2 blocks, that table's last two blocks:
-    a 2-block recursion over the same model is the last two steps of the
-    N-block one, so the two are the same thresholds bit for bit.
-    """
-
-    def __init__(self, table: PolicyTable):
-        if table.N != 2:
-            raise InvalidParameterError("look-ahead needs a 2-block table")
-        super().__init__(table)
-
-    def decide_batch(self, block, battery, batch: FrameBatch):
-        if block >= batch.params.N - 1:
-            return GreedyTransmit().decide_batch(block, battery, batch)
-        return self._play(0, block, battery, batch)
+    """Look-Ahead's table at `params` from a 2-block solve on the full grid."""
+    model = build_mdp_model(params, build_grid(params, M=M, K=K))
+    return look_ahead_table(monotone_backward_induction(model, 2)[0], params.N)
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,10 @@ def exhaustive_plan(c, p_h, e_h, tau: float, p_H_max: float) -> np.ndarray:
     """The optimal one-user plan of each frame by full 2^N enumeration.
 
     Takes `greedy_plan`'s (frames, 1, N) and (frames, N) arrays and returns
-    a (frames, 1, N) plan.  Ties between optimal selections, as its
-    matrix-product cost sums see them, break toward the lexicographically
-    smallest 0/1 vector; those sums can split an exact tie by an ulp.  The
-    search doubles per block, so it serves desk-scale frames only.
+    a (frames, 1, N) plan.  Each plan's skip costs are summed in block
+    order, as `optimal_plan` sums them, and ties between optimal plans
+    break toward the lexicographically smallest 0/1 vector.  The search
+    doubles per block, so it serves desk-scale frames only.
     """
     c, p_h, e_h = _plan_inputs(c, p_h, e_h, tau, p_H_max)
     frames, users, n = c.shape
@@ -130,7 +130,10 @@ def exhaustive_plan(c, p_h, e_h, tau: float, p_H_max: float) -> np.ndarray:
             ok &= np.all(np.cumsum(bits * spend[f], axis=1) <= headroom[f], axis=1)
             if not ok.any():
                 continue
-            costs = np.where(ok, (1 - bits) @ c[f], np.inf)
+            costs = np.zeros(codes.size)
+            for i in range(n):
+                costs = costs + np.where(bits[:, i], 0.0, c[f, i])
+            costs[~ok] = np.inf
             lo = int(np.argmin(costs))
             if costs[lo] < best_cost[f]:
                 best_cost[f], best_code[f] = costs[lo], codes[lo]

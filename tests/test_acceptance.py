@@ -31,7 +31,6 @@ from hesnet.model import (
 from hesnet.offline import greedy_plan, optimal_plan
 from hesnet.policies import (
     GreedyTransmit,
-    LookAhead,
     MdpTablePolicy,
     ThresholdHeuristic,
     ThresholdParams,
@@ -273,7 +272,7 @@ def test_criterion_07_policy_ordering_at_reference(ref_scale_solution):
     per_frame = {}
     policies = {
         "GT": GreedyTransmit(),
-        "Look-Ahead": LookAhead(look_ahead_build(REF, M=100, K=25)),
+        "Look-Ahead": MdpTablePolicy(look_ahead_build(REF, M=100, K=25)),
         "Threshold": ThresholdHeuristic(ThresholdParams(zeta_star, lam1, lam2)),
         "MBIA-M25": MdpTablePolicy(_train_table(REF, 25)),
         "MBIA-M100": MdpTablePolicy(ref_scale_solution["table"]),
@@ -325,7 +324,7 @@ def test_criterion_08_drop_ratio_floors():
                                seed + 1)[0].zeta
     policies = {
         "GT": GreedyTransmit(),
-        "Look-Ahead": LookAhead(look_ahead_build(params, M=100, K=25)),
+        "Look-Ahead": MdpTablePolicy(look_ahead_build(params, M=100, K=25)),
         "MBIA-M100": MdpTablePolicy(_train_table(params, 100)),
         "Threshold": ThresholdHeuristic(ThresholdParams(zeta_star, lam1, lam2)),
     }
@@ -360,7 +359,7 @@ def test_criterion_09_online_never_beats_offline_optimum(trajectory_bank_n15):
     lam1, lam2 = threshold_lambdas(params)
     policies = {
         "GT": GreedyTransmit(),
-        "Look-Ahead": LookAhead(look_ahead_build(params, M=100, K=25)),
+        "Look-Ahead": MdpTablePolicy(look_ahead_build(params, M=100, K=25)),
         "Threshold": ThresholdHeuristic(ThresholdParams(10.0, lam1, lam2)),
         "MBIA-M25": MdpTablePolicy(_train_table(params, 25)),
     }

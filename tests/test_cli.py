@@ -276,6 +276,15 @@ def test_mdp_train_refuses_more_than_one_user(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_calibrate_zeta_refuses_more_than_one_user(tmp_path, capsys):
+    # the calibrator walks one user's threshold rule; its zeta would be
+    # reported for a shared-battery rule it never scored
+    out = tmp_path / "two"
+    assert main(["calibrate-zeta", "--preset", "fig5-two-user", "--out", str(out)]) == 2
+    assert "users=2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_offline_solve_writes_both_solvers_and_the_gap_at_any_n(tmp_path):
     assert main(["offline-solve", "--set", "n_blocks=60", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "offline_summary.json").read_text())
@@ -400,12 +409,19 @@ def test_look_ahead_plays_the_last_two_blocks_of_the_mbia_table(preset, changes)
     cfg = resolve_config(preset=preset, overrides={"policies": "LA,MBIA", **changes})
     factories, _, run = _online_factories(cfg, train_mbia=True)
     played = factories["Look-Ahead"](cfg.params).table
+    factories[f"MBIA-M{cfg.m_levels}"](cfg.params)
     assert len(run.tables) == 1
-    mbia = factories[f"MBIA-M{cfg.m_levels}"](cfg.params).table
-    assert played.top.base is mbia.top and len(run.tables) == 1
     built = look_ahead_build(cfg.params, M=cfg.m_levels, K=cfg.k_states)
     assert played.top.dtype == built.top.dtype and np.array_equal(played.top, built.top)
     assert played.params_hash == built.params_hash
+
+
+def test_look_ahead_at_one_block_is_greedy_transmit(tmp_path):
+    # the single block is Look-Ahead's last, which serves every feasible gain
+    assert main(["simulate"] + SMALL + ["--set", "n_blocks=1", "--set", "policies=GT,LA",
+                                        "--out", str(tmp_path)]) == 0
+    gt, la = ((tmp_path / "simulate.csv").read_text().splitlines()[1:])
+    assert gt.startswith("GT,") and la.replace("Look-Ahead,", "GT,", 1) == gt
 
 
 def test_look_ahead_loading_the_mbia_artifact_fails_and_plays_as_mbia_alone(tmp_path, capsys):

@@ -19,7 +19,6 @@ from hesnet.model import (
     sample_trajectory,
 )
 from hesnet.offline import ENERGY_RTOL, FRONT_MAX, greedy_plan, optimal_plan, ratio_metric
-from hesnet.sim import frame_totals, replay_plan
 from oracles import (
     Frame,
     exhaustive_plan,
@@ -331,36 +330,30 @@ def test_exhaustive_plan_solves_each_frame_of_a_batch_alone():
 # the Pareto walk against the 2^N enumerator
 # ---------------------------------------------------------------------------
 
-def assert_agrees_with_enumerator(batch, same_plans):
-    """optimal_plan and exhaustive_plan over `batch`: equal replayed
-    (fsum) costs on every frame, and equal plans if `same_plans`."""
+def assert_agrees_with_enumerator(batch):
+    """optimal_plan and exhaustive_plan over `batch`: equal plans, and so
+    equal replayed (fsum) costs, on every frame."""
     args = (batch.skip, batch.p_h, batch.e_h, batch.params.tau, batch.params.p_H_max)
-    plan, reference = optimal_plan(*args), exhaustive_plan(*args)
-    np.testing.assert_array_equal(frame_totals(*replay_plan(plan, batch))[0],
-                                  frame_totals(*replay_plan(reference, batch))[0])
-    if same_plans:
-        np.testing.assert_array_equal(plan, reference)
+    np.testing.assert_array_equal(optimal_plan(*args), exhaustive_plan(*args))
 
 
 @pytest.mark.parametrize("p_avg", [0.01, P.P_avg])
 @pytest.mark.parametrize("n", [8, 12, 15])
 def test_optimal_plan_equals_the_enumerator_on_sampled_frames(n, p_avg):
-    # both break ties toward the lexicographically smallest plan, so at the
-    # default point the plans match; elsewhere only the costs are pinned
+    # both sum skip costs in block order and break ties toward the
+    # lexicographically smallest plan, so the plans match
     params = P.evolve(N=n, P_avg=p_avg)
-    assert_agrees_with_enumerator(sample_trajectories(params, 29 + n, 200),
-                                  same_plans=p_avg == P.P_avg)
+    assert_agrees_with_enumerator(sample_trajectories(params, 29 + n, 200))
 
 
 @pytest.mark.parametrize("side", ["H", "G"])
 def test_optimal_plan_costs_equal_the_enumerator_on_constant_channels(side):
-    # a constant channel makes plans tie, and the enumerator's matrix-product
-    # sums can round a tie apart, so only the costs are compared
+    # a constant channel makes plans tie, so the two tie-breaks must agree
     params = P.evolve(N=12)
     batch = sample_trajectories(params, 30, 300)
     const = np.repeat(make_rng(31).exponential(1.0, (300, 1, 1)), 12, axis=2)
     gamma_g, gamma_h = (batch.gamma_g, const) if side == "H" else (const, batch.gamma_h)
-    assert_agrees_with_enumerator(FrameBatch(params, gamma_g, gamma_h, batch.e_h), False)
+    assert_agrees_with_enumerator(FrameBatch(params, gamma_g, gamma_h, batch.e_h))
 
 
 def test_optimal_plan_equals_the_enumerator_on_edge_cases():
@@ -370,6 +363,7 @@ def test_optimal_plan_equals_the_enumerator_on_edge_cases():
     cases = {
         "dead H channels": FrameBatch(params, batch.gamma_g,
                                       np.where(dead[0], 0.0, batch.gamma_h), batch.e_h),
+        # a dead G link prices its block at w_D, so such blocks tie
         "dead G channels": FrameBatch(params, np.where(dead[1], 0.0, batch.gamma_g),
                                       batch.gamma_h, batch.e_h),
         "N = 1": sample_trajectories(P.evolve(N=1), 34, 100),
@@ -377,9 +371,8 @@ def test_optimal_plan_equals_the_enumerator_on_edge_cases():
             params.evolve(p_H_max=0.5 * float(batch.p_h.min())), batch.gamma_g,
             batch.gamma_h, batch.e_h),
     }
-    for name, case in cases.items():
-        # a dead G link prices its block at w_D, so such blocks tie
-        assert_agrees_with_enumerator(case, same_plans=name != "dead G channels")
+    for case in cases.values():
+        assert_agrees_with_enumerator(case)
     capped = cases["peak cap below every inversion power"]
     assert not optimal_plan(capped.skip, capped.p_h, capped.e_h, capped.params.tau,
                             capped.params.p_H_max).any()

@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,25 +77,35 @@ def test_no_unused_imports():
     assert found == {}
 
 
+def _reads(node):
+    """How often each name is read under `node`, as a bare name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
 def unreferenced_definitions(folder):
     """Module-level functions and classes of the modules in `folder` that
-    are neither in their module's __all__ nor read (as a bare name or an
-    attribute) anywhere in the folder outside their own definition."""
+    are not in their module's __all__, and private methods (`_x`, not
+    dunders) of their classes, that nothing in the folder reads (as a bare
+    name or an attribute) outside their own definition."""
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(folder.glob("*.py"))}
-    reads = [({n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-               if isinstance(n, (ast.Name, ast.Attribute))}, node)
-             for tree in trees.values() for node in tree.body]
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
     found = []
     for path, tree in trees.items():
         exported = next((ast.literal_eval(node.value) for node in tree.body
                          if isinstance(node, ast.Assign)
                          and any(getattr(t, "id", None) == "__all__" for t in node.targets)), [])
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name not in exported
-                    and not any(node.name in names for names, other in reads if other is not node)):
-                found.append(f"{path.name}:{node.name}")
+            if not isinstance(node, defs):
+                continue
+            members = [(f"{node.name}.{m.name}", m) for m in node.body
+                       if isinstance(m, defs[:2]) and m.name.startswith("_")
+                       and not m.name.endswith("__")] if isinstance(node, ast.ClassDef) else []
+            top = [] if node.name in exported else [(node.name, node)]
+            found += [f"{path.name}:{label}" for label, d in top + members
+                      if reads[d.name] == _reads(d)[d.name]]
     return found
 
 
@@ -102,9 +113,13 @@ def test_no_unreferenced_functions(tmp_path):
     # the dead-helper counterpart of test_no_unused_imports
     assert unreferenced_definitions(ROOT / "src" / "hesnet") == []
     (tmp_path / "mod.py").write_text(
-        "__all__ = ['public']\n\ndef public():\n    return _used()\n\n\ndef _used():\n"
-        "    return 1\n\n\ndef _dead():\n    return _dead()\n\n\nclass _Gone:\n    pass\n")
-    assert unreferenced_definitions(tmp_path) == ["mod.py:_dead", "mod.py:_Gone"]
+        "__all__ = ['public', 'Public']\n\ndef public():\n    return _used()\n\n\ndef _used():\n"
+        "    return 1\n\n\ndef _dead():\n    return _dead()\n\n\nclass _Gone:\n    pass\n\n\n"
+        "class Public:\n    def __init__(self):\n        self._read()\n\n"
+        "    def _read(self):\n        return 1\n\n    def _unread(self):\n"
+        "        return self._unread()\n")
+    assert unreferenced_definitions(tmp_path) == ["mod.py:_dead", "mod.py:_Gone",
+                                                  "mod.py:Public._unread"]
 
 
 def unread_definitions(path):

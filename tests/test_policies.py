@@ -26,7 +26,6 @@ from hesnet.model import (
 from hesnet.offline import ratio_metric
 from hesnet.policies import (
     GreedyTransmit,
-    LookAhead,
     MdpTablePolicy,
     ThresholdHeuristic,
     ThresholdParams,
@@ -35,6 +34,7 @@ from hesnet.policies import (
     calibrate_zeta,
     exponential_integral_E1,
     look_ahead_build,
+    look_ahead_table,
     threshold_lambdas,
 )
 from hesnet.sim import _battery_slack, apply_axis, multiuser_frame_metrics, run_batch
@@ -323,7 +323,7 @@ def test_mdp_policy_stale_hash_rejected():
 def test_stale_table_raises_from_run_batch():
     batch = sample_trajectories(P, 51, 4)
     stale = FrameBatch(P.evolve(w_D=0.5), batch.gamma_g, batch.gamma_h, batch.e_h)
-    for policy in (MdpTablePolicy(small_table(P)), LookAhead(look_ahead_build(P, M=10, K=4))):
+    for policy in (MdpTablePolicy(small_table(P)), MdpTablePolicy(look_ahead_build(P, M=10, K=4))):
         run_batch(policy, batch)   # a matching run first must not mask the stale one
         with pytest.raises(StalePolicyError):
             run_batch(policy, stale)
@@ -339,7 +339,7 @@ def test_matching_table_hashes_params_once_per_run(monkeypatch):
 
     monkeypatch.setattr(SystemParams, "as_dict", counting)
     batch = sample_trajectories(P, 52, 4)
-    for policy in (MdpTablePolicy(small_table(P)), LookAhead(look_ahead_build(P, M=10, K=4))):
+    for policy in (MdpTablePolicy(small_table(P)), MdpTablePolicy(look_ahead_build(P, M=10, K=4))):
         # equal content, new objects never hashed before
         first, again = (FrameBatch(P.evolve(), batch.gamma_g, batch.gamma_h, batch.e_h)
                         for _ in range(2))
@@ -354,7 +354,7 @@ def test_table_policies_refuse_more_than_one_user():
     # one-user tables would play against a shared battery: refused, not
     # blamed on an overdraw or played silently
     batch = sample_trajectories(P, 1, 50, users=2)
-    for policy in (MdpTablePolicy(small_table(P)), LookAhead(look_ahead_build(P, M=10, K=5))):
+    for policy in (MdpTablePolicy(small_table(P)), MdpTablePolicy(look_ahead_build(P, M=10, K=5))):
         with pytest.raises(InvalidParameterError, match="one user"):
             multiuser_frame_metrics(policy, batch)
         with pytest.raises(InvalidParameterError, match="one user"):
@@ -427,7 +427,7 @@ def test_table_policies_search_the_h_states_once_per_batch(monkeypatch):
     search = policies.channel_state_index
     monkeypatch.setattr(policies, "channel_state_index",
                         lambda gamma, bounds: calls.append(gamma.shape) or search(gamma, bounds))
-    players = [LookAhead(look_ahead_build(P, M=100, K=25))] + [
+    players = [MdpTablePolicy(look_ahead_build(P, M=100, K=25))] + [
         MdpTablePolicy(monotone_backward_induction(
             build_mdp_model(P, build_grid(P, M=m, K=25)), P.N)[0]) for m in (25, 100)]
     for seed in (1, 2):
@@ -438,10 +438,16 @@ def test_table_policies_search_the_h_states_once_per_batch(monkeypatch):
 
 
 def test_look_ahead_structure():
+    # N blocks: the 2-block solve's first slice on every interior block,
+    # every G-state served (K - 1) on the last
+    two = monotone_backward_induction(build_mdp_model(P, build_grid(P, M=10, K=4)), 2)[0]
     table = look_ahead_build(P, M=10, K=4)
-    assert table.N == 2
-    la = LookAhead(table)
-    # interior blocks all use the same first-slice rule
+    assert table.top.shape == (P.N, 10, 4) and table.top.dtype == two.top.dtype
+    assert table.params_hash == two.params_hash
+    np.testing.assert_array_equal(table.top[:-1], np.broadcast_to(two.top[0], (P.N - 1, 10, 4)))
+    assert (table.top[-1] == 3).all()
+    assert look_ahead_table(two, 1).top.tolist() == [[[3] * 4] * 10]
+    la = MdpTablePolicy(table)
     rng = make_rng(47)
     battery = rng.uniform(0, P.B_m, 64)
     gamma_g = rng.exponential(1.0, 64)
@@ -456,8 +462,6 @@ def test_look_ahead_structure():
         la.decide_batch(P.N - 1, battery, batch),
         gt.decide_batch(P.N - 1, battery, batch))
     np.testing.assert_array_equal(a1, one_at_a_time(la, 25, battery, gamma_g, gamma_h))
-    with pytest.raises(InvalidParameterError):
-        LookAhead(small_table(P))  # full-horizon table is not a 2-block rule
 
 
 # ---------------------------------------------------------------------------
