@@ -25,7 +25,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -722,7 +722,10 @@ def _flag_overrides(args) -> dict:
     return overrides
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every command, built on first use.  Parsing keeps
+    no state in it: argparse copies the `--set` append default per call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--preset", metavar="NAME",
                         help="built-in configuration: default, fig3, fig4, "

@@ -7,12 +7,15 @@ batch and a single user is U = 1.  There are three entry points, all
 taking the batch: `run_batch` and `multiuser_frame_metrics` walk a policy
 (any object with `decide_batch`), `offline_frame_metrics` plans with an
 offline plan function and replays the plans.  One battery walk,
-`_outcomes`, serves them all and settles each block: users the harvesting
-BS skips go to the grid BS cheapest first while its summed peak power
-holds out, and the rest drop.  Offline plans are replayed through the
-same walk (`replay_plan`).  `run_batch` (one user only) sums the block
-terms with +=, every other evaluation per frame with math.fsum
-(`frame_totals`), so an offline plan's cost is its exact skip-cost sum.
+`_outcomes`, serves them all.  Only the battery is causal, so the walk
+loops over blocks for the battery alone and fills a serve mask; one
+settlement of the whole batch (`_settle`) then sends the users the
+harvesting BS skips to the grid BS cheapest first while its summed peak
+power holds out, drops the rest, and prices every block.  Offline plans
+are replayed through the same walk (`replay_plan`).  `run_batch` (one
+user only) sums the block terms in block order, every other evaluation
+per frame with math.fsum (`frame_totals`), so an offline plan's cost is
+its exact skip-cost sum.
 The walk and the zeta calibrator pay every block through one check,
 `_pay`; the grid BS and the greedy and threshold policies admit users
 through one rule, `_admit_in_order`.  `metrics_from_arrays` is the one
@@ -78,7 +81,7 @@ class GridOnlyPolicy:
 
 
 # ---------------------------------------------------------------------------
-# the battery walk and the per-block outcome
+# the battery walk and the batch settlement
 # ---------------------------------------------------------------------------
 
 def _battery_slack(arrived):
@@ -136,25 +139,20 @@ def _admit_in_order(order, eligible, power, fits):
 
 
 def _outcomes(decide, batch: FrameBatch):
-    """The per-block battery walk of every evaluation, at any user count.
+    """The battery walk of every evaluation, at any user count.
 
     One battery per frame of `batch`, shared by its users, starts empty.
     Per block: credit the arrival (clamped at B_m), ask `decide(block,
     battery, batch)` (called as `decide_batch` is) for a (frames, U) 0/1
     array, reject any other, and pay the served users' powers (`_pay`,
-    under `_battery_slack`).  Then settle the block: the served users pay
-    nothing, the skipped users the grid BS can reach are admitted cheapest
-    first (ties: lower user) while their summed power stays within
-    params.p_G_max and pay their skip cost, and the rest drop at w_D.  One
-    user is admitted exactly when it transmits, since then p_G_inv <= kappa
-    <= p_G_max.  Yields each block's (frames, U) serve and admitted masks,
-    costs and grid energies in J.
+    under `_battery_slack`).  Only the battery is causal, so the walk only
+    fills the (frames, U, N) serve mask; `_settle` then prices every block
+    at once and its arrays are returned.
     """
-    params, p_g, p_h, e_h, skip = batch.params, batch.p_g, batch.p_h, batch.e_h, batch.skip
+    params, p_h, e_h = batch.params, batch.p_h, batch.e_h
     frames, users = batch.frames, batch.users
-    cap = params.p_G_max * (1.0 + 1e-12)
-    order = np.argsort(p_g, axis=1, kind="stable")
     rows = np.arange(frames)
+    serve = np.empty((frames, users, params.N), dtype=bool)
     battery = np.zeros(frames)
     arrived = np.zeros(frames)
     for i in range(params.N):
@@ -164,25 +162,43 @@ def _outcomes(decide, batch: FrameBatch):
         if act.shape != (frames, users):
             raise InvalidActionError(f"policy returned shape {act.shape} at block {i + 1}, "
                                      f"expected {(frames, users)}")
-        serve = act == 1
-        valid = serve | (act == 0)
+        served = act == 1
+        valid = served | (act == 0)
         if not valid.all():
             at = int(np.argmin(valid.all(axis=-1)))
             raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block {i + 1} "
                                      f"of frame {at}, expected 0 or 1 per user")
-        battery = _pay(i, rows, battery, np.where(serve, p_h[:, :, i], 0.0),
+        battery = _pay(i, rows, battery, np.where(served, p_h[:, :, i], 0.0),
                        _battery_slack(arrived), params)
-        admitted = _admit_in_order(order[:, :, i], ~serve & batch.transmits[:, :, i], p_g[:, :, i],
-                                   lambda total: total <= cap)
-        yield (serve, admitted,
-               np.where(serve, 0.0, np.where(admitted, skip[:, :, i], params.w_D)),
-               np.where(admitted, p_g[:, :, i] * params.tau, 0.0))
+        serve[:, :, i] = served
+    return _settle(serve, batch)
 
 
-def _stacked(steps):
-    """Per-block outcomes stacked to (frames, U, N) arrays (serve, admitted,
-    cost, grid energy)."""
-    return tuple(np.stack(terms, axis=-1) for terms in zip(*steps))
+def _settle(serve, batch: FrameBatch):
+    """Price a (frames, U, N) serve mask over `batch` in one pass.
+
+    The served users pay nothing.  In each (frame, block) the skipped users
+    the grid BS can reach are admitted cheapest first (ties: lower user)
+    while their summed power stays within params.p_G_max, and pay their
+    skip cost; the rest drop at w_D.  One user is admitted exactly when it
+    transmits, since then p_G_inv <= kappa <= p_G_max.  Returns (frames, U,
+    N) arrays (serve, admitted, cost, grid energy in J).
+    """
+    params, p_g = batch.params, batch.p_g
+    frames, users, n = serve.shape
+    cap = params.p_G_max * (1.0 + 1e-12)
+
+    def per_block(a):   # (frames * N, U): one row per (frame, block)
+        return a.transpose(0, 2, 1).reshape(frames * n, users)
+
+    power = per_block(p_g)
+    admitted = _admit_in_order(np.argsort(power, axis=1, kind="stable"),
+                               per_block(~serve & batch.transmits), power,
+                               lambda total: total <= cap)
+    admitted = np.ascontiguousarray(admitted.reshape(frames, n, users).transpose(0, 2, 1))
+    return (serve, admitted,
+            np.where(serve, 0.0, np.where(admitted, batch.skip, params.w_D)),
+            np.where(admitted, p_g * params.tau, 0.0))
 
 
 def frame_totals(serve, admitted, cost, grid):
@@ -195,32 +211,32 @@ def frame_totals(serve, admitted, cost, grid):
 
 
 def replay_plan(plan, batch: FrameBatch):
-    """Walk a (frames, U, N) 0/1 serving plan over `batch` and return its
-    (frames, U, N) outcome arrays (serve, admitted, cost, grid energy in
-    J); an unaffordable plan raises."""
+    """Walk a (frames, U, N) 0/1 serving plan over `batch`, settle the
+    batch once and return its (frames, U, N) outcome arrays (serve,
+    admitted, cost, grid energy in J); an unaffordable plan raises."""
     plan = np.asarray(plan)
-    return _stacked(_outcomes(lambda i, battery, batch: plan[:, :, i], batch))
+    return _outcomes(lambda i, battery, batch: plan[:, :, i], batch)
 
 
 def run_batch(policy, batch: FrameBatch):
     """Walk a one-user batch in lockstep under `policy`.
 
     Returns per-frame arrays (costs, grid energies, drop counts), each the
-    running += sum of the per-block terms.  This stays apart from
+    sum of the settled per-block terms in block order (a sequential
+    accumulate, bitwise a running +=).  This stays apart from
     `multiuser_frame_metrics`, whose math.fsum totals can differ in the
     last bits, because the single-user CSVs are pinned to these sums.
     """
     if batch.users != 1:
         raise InvalidParameterError(
             f"run_batch walks one user, got {batch.users}; use multiuser_frame_metrics")
-    costs = np.zeros(batch.frames)
-    grid = np.zeros(batch.frames)
-    drops = np.zeros(batch.frames, dtype=np.int64)
-    for serve, admitted, cost, energy in _outcomes(policy.decide_batch, batch):
-        costs += cost[:, 0]
-        grid += energy[:, 0]
-        drops += ~serve[:, 0] & ~admitted[:, 0]
-    return costs, grid, drops
+    serve, admitted, cost, energy = _outcomes(policy.decide_batch, batch)
+
+    def block_order_sum(terms):   # the copy lets go of the (frames, N) running sums
+        return np.add.accumulate(terms[:, 0], axis=1)[:, -1].copy()
+
+    return (block_order_sum(cost), block_order_sum(energy),
+            np.sum(~serve[:, 0] & ~admitted[:, 0], axis=1, dtype=np.int64))
 
 
 def metrics_from_arrays(name, packets: int, seed, costs, grid, drops) -> RunMetrics:
@@ -284,7 +300,7 @@ def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
     follow the online ones, in order, each from `offline_frame_metrics`.
     """
     batch = sample_trajectories(point, seed, frames, users)
-    # one user keeps run_batch's += totals: the single-user CSVs are pinned to them
+    # one user keeps run_batch's block-order totals: the single-user CSVs are pinned to them
     online = run_batch if users == 1 else multiuser_frame_metrics
     runs = [(name, online(factory(point), batch)) for name, factory in policy_factories.items()]
     runs += [(name, offline_frame_metrics(solve, batch)) for name, solve in (plans or {}).items()]
@@ -338,7 +354,7 @@ def multiuser_frame_metrics(policy, batch: FrameBatch):
     power is exhausted; the rest drop.  Returns per-frame arrays (costs,
     grid energies, drop counts), the sums totalled with math.fsum.
     """
-    return frame_totals(*_stacked(_outcomes(policy.decide_batch, batch)))
+    return frame_totals(*_outcomes(policy.decide_batch, batch))
 
 
 def offline_frame_metrics(solve, batch: FrameBatch):

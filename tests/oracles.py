@@ -12,6 +12,10 @@ package's exact optimum is the reference for its Pareto walk at N <= 15.
 every entry of it, the player that looks it up with one search per
 channel, and the version-1 artifact layout that held it live here as their
 references.
+
+`hesnet.sim` walks the battery block by block and then settles the whole
+batch at once.  The walk that settled each block inside the loop is the
+reference for that split.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hesnet.errors import InvalidParameterError, StructureViolationError
+from hesnet.errors import InvalidActionError, InvalidParameterError, StructureViolationError
 from hesnet.mdp import _RISE_RTOL, battery_level_index, channel_state_index
-from hesnet.model import serve_feasible
+from hesnet.model import FrameBatch, serve_feasible
 from hesnet.offline import ENERGY_RTOL, _plan_inputs
+from hesnet.sim import _admit_in_order, _battery_slack, _pay
 
 
 class Frame(NamedTuple):
@@ -195,3 +200,41 @@ def v1_artifact(path, top, grid, params_hash) -> bytes:
     blob += staircase_actions(top).tobytes()
     Path(path).write_bytes(blob)
     return blob
+
+
+def block_walk(decide, batch: FrameBatch):
+    """`sim._outcomes` with every block settled inside the battery walk, the
+    grid BS's in-order admission run once per block; returns the per-block
+    outcomes stacked to (frames, U, N) arrays (serve, admitted, cost, grid
+    energy in J), or raises where that walk raises."""
+
+    def steps():
+        params, p_g, p_h, e_h, skip = batch.params, batch.p_g, batch.p_h, batch.e_h, batch.skip
+        frames, users = batch.frames, batch.users
+        cap = params.p_G_max * (1.0 + 1e-12)
+        order = np.argsort(p_g, axis=1, kind="stable")
+        rows = np.arange(frames)
+        battery = np.zeros(frames)
+        arrived = np.zeros(frames)
+        for i in range(params.N):
+            arrived = arrived + e_h[:, i]
+            battery = np.minimum(battery + e_h[:, i], params.B_m)
+            act = np.asarray(decide(i, battery, batch))
+            if act.shape != (frames, users):
+                raise InvalidActionError(f"policy returned shape {act.shape} at block {i + 1}, "
+                                         f"expected {(frames, users)}")
+            serve = act == 1
+            valid = serve | (act == 0)
+            if not valid.all():
+                at = int(np.argmin(valid.all(axis=-1)))
+                raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block {i + 1} "
+                                         f"of frame {at}, expected 0 or 1 per user")
+            battery = _pay(i, rows, battery, np.where(serve, p_h[:, :, i], 0.0),
+                           _battery_slack(arrived), params)
+            admitted = _admit_in_order(order[:, :, i], ~serve & batch.transmits[:, :, i],
+                                       p_g[:, :, i], lambda total: total <= cap)
+            yield (serve, admitted,
+                   np.where(serve, 0.0, np.where(admitted, skip[:, :, i], params.w_D)),
+                   np.where(admitted, p_g[:, :, i] * params.tau, 0.0))
+
+    return tuple(np.stack(terms, axis=-1) for terms in zip(*steps()))

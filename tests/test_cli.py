@@ -627,6 +627,18 @@ def test_every_flag_is_a_run_key_or_a_command_input(capsys):
     assert exc.value.code == 2 and "--solver" in capsys.readouterr().err
 
 
+def test_cached_parser_carries_no_set_into_the_next_call(monkeypatch):
+    # main parses every command with one parser; an earlier call's --set
+    # list must not reach a later call that gives none
+    seen = []
+    monkeypatch.setitem(DISPATCH, "quantize-info", lambda cfg, args: seen.append(cfg) or 0)
+    assert main(["quantize-info", "--set", "m_levels=4"]) == 0
+    assert main(["quantize-info"]) == 0
+    assert build_parser() is build_parser()
+    assert (seen[0].m_levels, seen[1].m_levels) == (4, resolve_config().m_levels) != (4, 4)
+    assert seen[0].raw != seen[1].raw == resolve_config().raw
+
+
 def test_main_rejects_malformed_set(tmp_path):
     assert main(["simulate", "--set", "oops", "--out", str(tmp_path)]) == 2
 

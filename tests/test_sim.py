@@ -35,13 +35,14 @@ from hesnet.sim import (
     metrics_from_arrays,
     multiuser_frame_metrics,
     offline_frame_metrics,
+    _outcomes,
     replay_plan,
     run_batch,
     sweep,
     write_manifest,
     write_rows_csv,
 )
-from oracles import DenseTablePolicy, Frame, plan_args, service_cost, solve
+from oracles import DenseTablePolicy, Frame, block_walk, plan_args, service_cost, solve
 
 P = SystemParams()
 
@@ -449,6 +450,92 @@ def test_manifest_contents(tmp_path):
     assert doc["params"]["w_D"] == P.w_D
     assert doc["zeta_star"] == 7.5
     assert doc["artifacts"]["policy"] == "abc123"
+
+
+# ---------------------------------------------------------------------------
+# the battery walk and its one settlement against the per-block walk
+# ---------------------------------------------------------------------------
+
+def settlement_cases(users):
+    """(name, batch) pairs at `users` users over the edge cases of the grid
+    BS's admission and the battery walk."""
+    base = sample_trajectories(P, 90 + users, 12, users)
+    g, h, e = base.gamma_g, base.gamma_h, base.e_h
+    dead_g, dead_h = g.copy(), h.copy()
+    dead_g[:, :, ::3] = 0.0     # inf inversion powers on both links
+    dead_h[:, :, 1::3] = 0.0
+    # a summed grid cap that one typical user fits and two do not
+    capped = P.evolve(p_G_max=1.5 * float(np.median(base.p_g[base.transmits])))
+    return [
+        ("sampled", base),
+        ("summed grid cap binds", FrameBatch(capped, g, h, e)),
+        ("tied p_g", FrameBatch(capped, np.repeat(g[:, :1], users, axis=1), h, e)),
+        ("dead channels", FrameBatch(P, dead_g, dead_h, e)),
+        ("N = 1", FrameBatch(P.evolve(N=1), g[:, :, :1], h[:, :, :1], e[:, :1])),
+        ("peak cap below every p_h",
+         FrameBatch(P.evolve(p_H_max=0.5 * float(base.p_h.min())), g, h, e)),
+    ]
+
+
+def assert_walks_agree(walk, decide, batch):
+    """`walk()` returns `block_walk(decide, batch)`'s arrays bit for bit, or
+    raises its error word for word."""
+    try:
+        want = block_walk(decide, batch)
+    except InvalidActionError as exc:
+        with pytest.raises(InvalidActionError) as got:
+            walk()
+        assert str(got.value) == str(exc)
+        return
+    got = walk()
+    assert len(got) == len(want) == 4
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("users", [1, 2, 3])
+def test_batch_settlement_matches_the_per_block_walk(users):
+    l1, l2 = threshold_lambdas(P)
+    policies = [GreedyTransmit(), ThresholdHeuristic(ThresholdParams(8.0, l1, l2)),
+                GridOnlyPolicy(), AlwaysServe()]
+    for name, batch in settlement_cases(users):
+        params = batch.params
+        plan = greedy_plan(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
+        assert_walks_agree(lambda: replay_plan(plan, batch),
+                           lambda i, battery, batch: plan[:, :, i], batch)
+        for policy in policies:
+            assert_walks_agree(lambda: _outcomes(policy.decide_batch, batch),
+                               policy.decide_batch, batch)
+        serve, admitted, _, _ = replay_plan(plan, batch)
+        refused = ~serve & batch.transmits & ~admitted
+        # one user is admitted wherever it transmits; the capped cases bind
+        if users == 1 or name in ("summed grid cap binds", "tied p_g"):
+            assert refused.any() == (users > 1), name
+
+
+def test_settlement_breaks_p_g_ties_toward_the_lower_user():
+    batch = dict(settlement_cases(3))["tied p_g"]
+    serve, admitted, _, _ = replay_plan(np.zeros((12, 3, P.N), dtype=np.int8), batch)
+    assert not serve.any() and admitted.any()
+    # tied users share their transmit flags, so admission only ever stops
+    assert np.all(admitted[:, 1:] <= admitted[:, :-1])
+    assert (admitted[:, 0] & ~admitted[:, 1]).any()
+
+
+def test_run_batch_totals_are_block_order_sums_that_own_their_memory():
+    l1, l2 = threshold_lambdas(P)
+    batch = sample_trajectories(P, 92, 40)
+    for policy in (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(8.0, l1, l2)),
+                   GridOnlyPolicy()):
+        serve, admitted, cost, energy = block_walk(policy.decide_batch, batch)
+        want = (np.zeros(40), np.zeros(40), np.zeros(40, dtype=np.int64))
+        for i in range(P.N):   # the running sums run_batch is pinned to
+            want[0][:] += cost[:, 0, i]
+            want[1][:] += energy[:, 0, i]
+            want[2][:] += ~serve[:, 0, i] & ~admitted[:, 0, i]
+        for got, total in zip(run_batch(policy, batch), want):
+            assert (got.dtype, got.tobytes()) == (total.dtype, total.tobytes())
+            assert got.base is None   # no view keeps the (frames, N) running sums alive
 
 
 # ---------------------------------------------------------------------------
