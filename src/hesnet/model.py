@@ -333,8 +333,12 @@ def _sample(params: SystemParams, users: int, keys: np.ndarray) -> FrameBatch:
     eh = np.empty((len(keys), n))
     bitgen = np.random.Philox(key=keys[0])
     rng = np.random.Generator(bitgen)
+    # plain ints: the setter reads the state item by item, and numpy
+    # scalars make that its slowest part
     fresh = bitgen.state
-    for f, key in enumerate(keys):
+    fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
+    for f, key in enumerate(keys.tolist()):
         fresh["state"]["key"] = key
         bitgen.state = fresh
         rng.standard_exponential(out=ex[f])

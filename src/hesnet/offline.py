@@ -94,34 +94,49 @@ def greedy_plan(c, p_h, e_h, tau: float, p_H_max_sum: float) -> np.ndarray:
     users run in user order, not pick order, so the float sums and hence
     the picks match a rescan of the whole selection after every pick.
     Returns the (frames, U, N) 0/1 selection.
+
+    Every pick's power and spend are gathered in visiting order up front.
+    The walk keeps, per frame, the selected (block, user) powers and
+    spends, their per-block sums and the tail slack, the slack's minimum
+    from each block onward; a pick is tested against these at its block
+    with two flat lookups.  Only the frames that keep a pick update their
+    state: the block's sums over users (a sequential accumulate, so in
+    user order) and the tail slack (a cumsum and a reversed minimum
+    accumulate of the whole row).
     """
     c, p_h, e_h = _plan_inputs(c, p_h, e_h, tau, p_H_max_sum)
     frames, users, n = c.shape
-    scores = ratio_metric(c, p_h)
-    # block-major flat index: block * U + user, so a stable sort breaks ties
-    # toward the earlier block, then the lower user
-    order = np.argsort(-scores.transpose(0, 2, 1).reshape(frames, n * users), axis=1,
-                       kind="stable")
+    # block-major: (frames, N, U), flat index block * U + user, so a stable
+    # sort breaks ties toward the earlier block, then the lower user
+    p_bu = np.ascontiguousarray(p_h.transpose(0, 2, 1))
+    scores = ratio_metric(c.transpose(0, 2, 1), p_bu).reshape(frames, n * users)
+    order = np.argsort(-scores, axis=1, kind="stable")
     blocks, picked_users = np.divmod(order, users)
-    spend = p_h * tau
-    budget = np.cumsum(e_h, axis=1) * (1.0 + ENERGY_RTOL)
-    sel = np.zeros((frames, users, n), dtype=np.int8)
-    used = np.zeros((frames, n))    # J, selected spend per block
-    power = np.zeros((frames, n))   # W, selected power per block
     rows = np.arange(frames)
-    for u, j in zip(picked_users.T, blocks.T):
-        slack = budget - np.cumsum(used, axis=1)
-        tail_slack = np.minimum.accumulate(slack[:, ::-1], axis=1)[:, ::-1]
-        p = p_h[rows, u, j]
-        keep = (p + power[rows, j] <= p_H_max_sum) & (spend[rows, u, j] <= tail_slack[rows, j])
-        f, u, j = rows[keep], u[keep], j[keep]
-        sel[f, u, j] = 1
-        on = sel[f, :, j] == 1
-        used[f, j] = power[f, j] = 0.0
-        for v in range(users):
-            used[f, j] += np.where(on[:, v], spend[f, v, j], 0.0)
-            power[f, j] += np.where(on[:, v], p_h[f, v, j], 0.0)
-    return sel
+    # per pick step, (frames,) columns: the flat (frame, block) index, power, spend
+    at = (rows[:, None] * n + blocks).T.copy()
+    pick_p = np.take_along_axis(p_bu.reshape(frames, -1), order, axis=1).T.copy()
+    pick_spend = pick_p * tau
+    budget = np.cumsum(e_h, axis=1) * (1.0 + ENERGY_RTOL)
+    chosen_p = np.zeros((frames, n, users))       # W, selected power per (block, user)
+    chosen_spend = np.zeros((frames, n, users))   # J, selected spend per (block, user)
+    used = np.zeros((frames, n))                  # J, selected spend per block
+    power = np.zeros((frames, n))                 # W, selected power per block
+    tail = budget.copy()   # nothing selected: the slack is the nondecreasing budget
+    for k, (idx, p, spend) in enumerate(zip(at, pick_p, pick_spend)):
+        keep = (p + power.take(idx) <= p_H_max_sum) & (spend <= tail.take(idx))
+        if not keep.any():
+            continue
+        f = np.flatnonzero(keep)
+        j, u = blocks[f, k], picked_users[f, k]
+        chosen_p[f, j, u] = p[f]
+        chosen_spend[f, j, u] = spend[f]
+        power[f, j] = np.add.accumulate(chosen_p[f, j], axis=1)[:, -1]
+        used[f, j] = np.add.accumulate(chosen_spend[f, j], axis=1)[:, -1]
+        slack = budget[f] - np.cumsum(used[f], axis=1)
+        tail[f] = np.minimum.accumulate(slack[:, ::-1], axis=1)[:, ::-1]
+    # every power is > 0 (_plan_inputs), so the selection is where one was chosen
+    return (chosen_p > 0).transpose(0, 2, 1).astype(np.int8)
 
 
 def optimal_plan(c, p_h, e_h, tau: float, p_H_max: float) -> np.ndarray:

@@ -256,14 +256,21 @@ def _threshold_cut(block, battery, p_h, score, levels, lo, hi, params: SystemPar
     battery * score >= level, so the candidates that serve are a prefix of
     the segment: [lo[j], cut[j]).  Returns cut; a NaN product serves none,
     and the last block serves the whole segment whenever feasible.
+
+    Whole segments are decided first: one whose top level levels[hi - 1]
+    is cleared serves whole, one whose bottom level levels[lo] is not
+    serves none (a NaN product clears neither).  Only the segments that
+    straddle a level are searched.
     """
     feas = serve_feasible(p_h, battery, params)
     if block >= params.N - 1:
         return np.where(feas, hi, lo)
     with np.errstate(invalid="ignore"):
         x = battery * score
-    cut = np.clip(np.searchsorted(levels, x, side="right"), lo, hi)
-    return np.where(feas & ~np.isnan(x), cut, lo)
+    cut = np.where(feas & (x >= levels[hi - 1]), hi, lo)
+    straddle = np.flatnonzero(feas & (x >= levels[lo]) & (x < levels[hi - 1]))
+    cut[straddle] = np.searchsorted(levels, x[straddle], side="right")
+    return cut
 
 
 def _split_block(block, segments, e, p_h, skip, score, slack, levels, params: SystemParams):
@@ -286,14 +293,22 @@ def _split_block(block, segments, e, p_h, skip, score, slack, levels, params: Sy
     served, skipped = cut > lo, cut < hi
     paid = _pay(block, frame, battery, np.where(served, p, 0.0)[:, None], slack[frame], params)
     charged = cost + skip[frame]
-    split = np.flatnonzero(served & skipped)
+    split = served & skipped
     # each segment's served part, or its skipped part when none serves,
     # then the skipped part of a split segment right after it
     first = (frame, lo, np.where(served, cut, hi), paid, np.where(served, cost, charged))
-    if split.size == 0:
+    if not split.any():
         return first
-    second = (frame[split], cut[split], hi[split], battery[split], charged[split])
-    return tuple(np.insert(a, split + 1, b) for a, b in zip(first, second))
+    extra = np.cumsum(split)
+    dest = np.arange(split.size) + extra - split   # each parent's first child
+    second = dest[split] + 1
+    out = []
+    for a, b in zip(first, (frame, cut, hi, battery, charged)):
+        child = np.empty(split.size + int(extra[-1]), dtype=a.dtype)
+        child[dest] = a
+        child[second] = b[split]
+        out.append(child)
+    return tuple(out)
 
 
 def _calibration_costs(batch: FrameBatch, score, levels):
@@ -350,6 +365,6 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int):
     costs = np.empty(cand.size)
     for lo in range(0, cand.size, chunk):
         rows = order[lo:lo + chunk]
-        # row by row, so each mean is the 1-D reduction a lone candidate gets
-        costs[rows] = [row.mean() for row in _calibration_costs(batch, score, level[rows])]
+        # each row is one contiguous reduction, the 1-D mean a lone candidate gets
+        costs[rows] = _calibration_costs(batch, score, level[rows]).mean(axis=1)
     return replace(tp, zeta=float(cand[int(np.argmin(costs))])), costs

@@ -222,8 +222,8 @@ def run_batch(policy, batch: FrameBatch):
     """Walk a one-user batch in lockstep under `policy`.
 
     Returns per-frame arrays (costs, grid energies, drop counts), each the
-    sum of the settled per-block terms in block order (a sequential
-    accumulate, bitwise a running +=).  This stays apart from
+    sum of the settled per-block terms in block order (one column += per
+    block).  This stays apart from
     `multiuser_frame_metrics`, whose math.fsum totals can differ in the
     last bits, because the single-user CSVs are pinned to these sums.
     """
@@ -232,8 +232,11 @@ def run_batch(policy, batch: FrameBatch):
             f"run_batch walks one user, got {batch.users}; use multiuser_frame_metrics")
     serve, admitted, cost, energy = _outcomes(policy.decide_batch, batch)
 
-    def block_order_sum(terms):   # the copy lets go of the (frames, N) running sums
-        return np.add.accumulate(terms[:, 0], axis=1)[:, -1].copy()
+    def block_order_sum(terms):
+        total = terms[:, 0, 0].copy()
+        for i in range(1, terms.shape[2]):
+            total += terms[:, 0, i]
+        return total
 
     return (block_order_sum(cost), block_order_sum(energy),
             np.sum(~serve[:, 0] & ~admitted[:, 0], axis=1, dtype=np.int64))

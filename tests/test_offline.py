@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hesnet.cli import resolve_config
 from hesnet.errors import InvalidParameterError, ResourceLimitError
 from hesnet.model import (
     FrameBatch,
@@ -19,6 +20,7 @@ from hesnet.model import (
     sample_trajectory,
 )
 from hesnet.offline import ENERGY_RTOL, FRONT_MAX, greedy_plan, optimal_plan, ratio_metric
+from hesnet.sim import apply_axis
 from oracles import (
     Frame,
     exhaustive_plan,
@@ -479,6 +481,39 @@ def test_greedy_plan_sums_block_power_in_user_order():
     np.testing.assert_array_equal(plan[0, :, 0], [1, 1, 1, 0])
     instances = [inst_of(c[0, u], p[0, u], [10.0], p_h_max=0.7) for u in range(4)]
     np.testing.assert_array_equal(plan[0], oracle_multiuser_greedy(instances, 0.7))
+
+
+def test_greedy_plan_sums_block_spend_in_user_order():
+    # block 0's users are picked 2, 1, 0 and all fit; their spends summed in
+    # user order, (0.1 + 0.2) + 0.3, are one ulp over the pick order's
+    # (0.3 + 0.2) + 0.1 = 0.6, so block 1's spend, exactly the slack the pick
+    # order would leave, no longer fits: at three users a running += in pick
+    # order would keep it
+    e = np.array([[1.0, 0.0]])
+    budget = float(np.cumsum(e[0])[-1] * (1.0 + ENERGY_RTOL))
+    s = budget - 0.6
+    assert s > budget - ((0.1 + 0.2) + 0.3)
+    c = np.array([[[0.1, 0.1], [0.4, 0.0], [0.9, 0.0]]])
+    p = np.array([[[0.1, s], [0.2, 5.0], [0.3, 5.0]]])
+    plan = greedy_plan(c, p, e, 1.0, np.inf)
+    np.testing.assert_array_equal(plan[0], [[1, 0], [1, 0], [1, 0]])
+    instances = [inst_of(c[0, u], p[0, u], e[0], p_h_max=np.inf) for u in range(3)]
+    np.testing.assert_array_equal(plan[0], oracle_multiuser_greedy(instances, np.inf))
+
+
+def test_greedy_plan_matches_oracle_on_two_user_preset_frames():
+    cfg = resolve_config(preset="fig5-two-user")
+    assert cfg.users == 2 and list(cfg.axis_values_raw) == [10, 20, 30]   # mW
+    for value in cfg.axis_values:
+        point = apply_axis(cfg.params, cfg.axis, value)
+        assert point.N == 50
+        batch = sample_trajectories(point, cfg.seed, 30, cfg.users)
+        plan = greedy_plan(batch.skip, batch.p_h, batch.e_h, point.tau, point.p_H_max)
+        assert plan.any()
+        for f in range(batch.frames):
+            instances = [Frame.of(batch, f, u) for u in range(cfg.users)]
+            np.testing.assert_array_equal(plan[f], oracle_multiuser_greedy(instances,
+                                                                           point.p_H_max))
 
 
 # small grids force ties; decimal powers make the order of per-block sums

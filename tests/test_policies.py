@@ -545,6 +545,24 @@ def test_calibrate_zeta_exact_across_chunks(monkeypatch):
     assert np.array_equal(costs, whole[1])
 
 
+@pytest.mark.parametrize("budget", [1, 37])
+def test_calibrate_zeta_costs_are_per_row_means(budget):
+    # one mean over the (candidates, frames) cost matrix is bitwise each
+    # row's own 1-D mean, at one frame and at an odd frame count
+    cand = np.arange(0.0, 40.1, 0.5)
+    tp, costs = calibrate_zeta(cand, P, budget, 58)
+    l1, l2 = threshold_lambdas(P)
+    batch = sample_trajectories(P, 58, budget)
+    level = _threshold_level(cand, l1, l2, P)
+    order = np.argsort(level, kind="stable")
+    matrix = policies._calibration_costs(batch, ratio_metric(batch.skip[:, 0], batch.p_h[:, 0]),
+                                         level[order])
+    want = np.empty(cand.size)
+    want[order] = [row.mean() for row in matrix]
+    assert np.array_equal(costs, want)
+    assert_matches_oracle(cand[::8], P, budget, 58)
+
+
 def test_calibrate_zeta_tie_resolves_to_first_candidate():
     # thresholds this high never serve an interior block: every cost ties
     cand = [3e9, 1e9, 2e9]
@@ -573,11 +591,15 @@ STEP_ENERGIES = st.sampled_from([0.0, 1e-9, 1e-6, 1e-5, P.E_m, P.B_m, 2 * P.B_m]
 
 def step_segments(draw, frames, candidates):
     """(frame, lo, hi, battery, cost) segments tiling [0, candidates) of each
-    frame in (frame, lo) order."""
+    frame in (frame, lo) order; some frames are cut into one-candidate
+    segments."""
     segments = []
     for f in range(frames):
-        cuts = sorted(draw(st.sets(st.integers(1, candidates - 1), max_size=candidates - 1))
-                      if candidates > 1 else [])
+        if draw(st.booleans()):
+            cuts = list(range(1, candidates))
+        else:
+            cuts = sorted(draw(st.sets(st.integers(1, candidates - 1),
+                                       max_size=candidates - 1)) if candidates > 1 else [])
         for lo, hi in zip([0, *cuts], [*cuts, candidates]):
             segments.append((f, lo, hi, draw(st.sampled_from([0.0, 1e-9, 1e-6, P.E_m, P.B_m])),
                              draw(st.sampled_from([0.0, 0.5, 2.0]))))
@@ -597,19 +619,24 @@ def test_property_split_block_matches_per_candidate_rule(data):
                      for values in (STEP_ENERGIES, STEP_POWERS, STEP_SCORES))
     skip = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]),
                                   min_size=frames, max_size=frames)))
-    # shuffled candidate levels with duplicates, one of them hit exactly
-    # by a battery * score product when that product is finite
-    shuffled = draw(st.lists(STEP_LEVELS, min_size=1, max_size=6))
-    segments = step_segments(draw, frames, len(shuffled))
+    # sorted candidate levels with duplicates; when a segment's battery *
+    # score product is finite, one level equals it exactly: the segment's
+    # first level, its last or any other, the rest moved aside to keep the
+    # levels nondecreasing
+    shuffled = np.array(draw(st.lists(STEP_LEVELS, min_size=1, max_size=6)))
+    levels = shuffled[np.argsort(shuffled, kind="stable")]
+    segments = step_segments(draw, frames, levels.size)
     frame, lo, hi, battery, cost = segments
     charged = np.minimum(battery + e[frame], params.B_m)
     with np.errstate(invalid="ignore"):
         products = charged * score[frame]
     hit = draw(st.integers(0, len(products) - 1))
     if np.isfinite(products[hit]):
-        shuffled[draw(st.integers(0, len(shuffled) - 1))] = float(products[hit])
-    shuffled = np.array(shuffled)
-    levels = shuffled[np.argsort(shuffled, kind="stable")]
+        x = float(products[hit])
+        k = draw(st.sampled_from([lo[hit], hi[hit] - 1, draw(st.integers(0, levels.size - 1))]))
+        levels[:k] = np.minimum(levels[:k], x)
+        levels[k:] = np.maximum(levels[k:], x)
+        levels[k] = x
     slack = _battery_slack(e)
     out = policies._split_block(block, segments, e, p_h, skip, score, slack, levels, params)
     # nonempty children in (frame, lo) order, one battery and cost per cell
