@@ -550,7 +550,7 @@ def test_calibrate_zeta_costs_are_per_row_means(budget):
     # one mean over the (candidates, frames) cost matrix is bitwise each
     # row's own 1-D mean, at one frame and at an odd frame count
     cand = np.arange(0.0, 40.1, 0.5)
-    tp, costs = calibrate_zeta(cand, P, budget, 58)
+    _, costs = calibrate_zeta(cand, P, budget, 58)
     l1, l2 = threshold_lambdas(P)
     batch = sample_trajectories(P, 58, budget)
     level = _threshold_level(cand, l1, l2, P)
@@ -623,8 +623,7 @@ def test_property_split_block_matches_per_candidate_rule(data):
     # score product is finite, one level equals it exactly: the segment's
     # first level, its last or any other, the rest moved aside to keep the
     # levels nondecreasing
-    shuffled = np.array(draw(st.lists(STEP_LEVELS, min_size=1, max_size=6)))
-    levels = shuffled[np.argsort(shuffled, kind="stable")]
+    levels = np.sort(draw(st.lists(STEP_LEVELS, min_size=1, max_size=6)))
     segments = step_segments(draw, frames, levels.size)
     frame, lo, hi, battery, cost = segments
     charged = np.minimum(battery + e[frame], params.B_m)
@@ -655,6 +654,23 @@ def test_property_split_block_matches_per_candidate_rule(data):
                     else (b_k, c + skip[f]))
             assert got.pop((f, k)) == want
     assert not got
+
+
+def test_threshold_cut_decides_segment_edges():
+    # battery * score equal to a segment's first level, its last level, a
+    # level in between; below and above the segment; one-candidate
+    # segments; NaN and inf products
+    levels = np.array([1.0, 2.0, 2.0, 3.0, 4.0])
+    x, lo, hi = (np.array(a) for a in zip(
+        (1.0, 0, 5), (2.0, 1, 4), (4.0, 0, 5), (3.0, 1, 4), (2.0, 0, 5), (2.5, 0, 5),
+        (0.5, 0, 5), (9.0, 2, 5), (3.0, 3, 4), (2.9, 3, 4), (math.nan, 0, 5),
+        (math.inf, 0, 5)))
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    battery, p_h = np.ones(x.size), np.full(x.size, 1e-3)
+    cut = policies._threshold_cut(0, battery, p_h, x, levels, lo, hi, P)
+    want = [a + sum(bool(_threshold_serve(0, 1.0, 1e-3, s, levels[k], P)) for k in range(a, b))
+            for s, a, b in zip(x, lo, hi)]
+    assert cut.tolist() == want == [1, 3, 5, 4, 3, 3, 0, 5, 4, 3, 0, 5]
 
 
 def test_calibration_walk_checks_every_serve(monkeypatch):
