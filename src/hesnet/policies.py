@@ -12,7 +12,9 @@ and Look-Ahead are threshold tables that `MdpTablePolicy` plays for one
 user.  The threshold rule needs two closed-form constants, the mean skip
 cost lambda1 and the mean feasible battery power lambda2; they are exact
 for exponential fading, and a Monte Carlo cross-check of both lives in
-the test suite.
+the test suite.  Both rest on the exponential integral E1, computed here
+in plain `math` by routine E1XB of Zhang & Jin, so the package needs
+numpy alone at run time.
 """
 
 from __future__ import annotations
@@ -49,14 +51,35 @@ __all__ = [
 ]
 
 
+def _scaled_e1_tail(x: float) -> float:
+    """e^x E1(x) for x > 1: E1XB's continued fraction, summed bottom-up."""
+    t0 = 0.0
+    for k in range(20 + int(80.0 / x), 0, -1):
+        t0 = k / (1.0 + k / (x + t0))
+    return 1.0 / (x + t0)
+
+
+def _e1(x: float) -> float:
+    """E1(x) at one x > 0 by routine E1XB (Zhang & Jin, Computation of
+    Special Functions, 1996): a power series up to x = 1, the continued
+    fraction above it."""
+    if x > 1.0:
+        return math.exp(-x) * _scaled_e1_tail(x)
+    total = term = 1.0
+    for k in range(1, 26):
+        term = -term * k * x / (k + 1.0) ** 2
+        total += term
+        if abs(term) <= abs(total) * 1e-15:
+            break
+    return -0.5772156649015328 - math.log(x) + x * total   # Euler's gamma
+
+
 def exponential_integral_E1(x):
     """E1(x) = integral of exp(-t)/t from x to infinity, for x > 0."""
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise InvalidParameterError(f"E1 is used on x > 0 only, got {x!r}")
-    from scipy import special   # here, not at import: it is most of the CLI's start-up
-
-    out = special.exp1(arr)
+    out = np.vectorize(_e1, otypes=[float])(arr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -67,8 +90,10 @@ def threshold_lambdas(params: SystemParams):
     probability the grid BS's inversion power exceeds kappa, plus the
     expected grid bill below it.  lambda2 is the expected inversion power
     of the harvesting link given it fits under the peak cap.  Both
-    expectations integrate the exponential fading law of `params`.  At
-    w_D = 0 kappa is 0 and lambda1 would be 0, so the rule is refused.
+    expectations integrate the exponential fading law of `params`:
+    lambda1 through E1(x_g), lambda2 through e^x E1(x) at x_h, which past
+    x_h = 1 is E1XB's continued fraction taken without its e^-x factor.
+    At w_D = 0 kappa is 0 and lambda1 would be 0, so the rule is refused.
     """
     if params.w_D == 0:
         raise InvalidParameterError(
@@ -81,13 +106,12 @@ def threshold_lambdas(params: SystemParams):
     lambda1 = (params.w_D * -math.expm1(-x_g)
                + params.w_G * params.tau * a_g * exponential_integral_E1(x_g))
     x_h = a_h / params.p_H_max
-    # e^x E1(x) = U(1, 1, x); past x = 700 exp nears overflow and E1 subnormals
-    if x_h <= 700.0:
-        lambda2 = a_h * exponential_integral_E1(x_h) * math.exp(x_h)
+    # past x = 1 e^x E1(x) is the continued fraction itself, so a large x
+    # neither overflows exp(x) nor loses digits to a subnormal E1(x)
+    if x_h > 1.0:
+        lambda2 = a_h * _scaled_e1_tail(x_h)
     else:
-        from scipy import special
-
-        lambda2 = a_h * float(special.hyperu(1.0, 1.0, x_h))
+        lambda2 = a_h * exponential_integral_E1(x_h) * math.exp(x_h)
     return lambda1, lambda2
 
 

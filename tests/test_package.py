@@ -1,8 +1,11 @@
 """The public surface: exported names resolve, the README's library
-example runs as written, and no module imports a name it never uses."""
+example runs as written, the CLI runs without scipy, and no module imports
+a name it never uses."""
 
 import ast
+import hashlib
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import hesnet
+from test_golden import SWEEP_SHA256, TINY
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hesnet.__path__))
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,17 +45,26 @@ def test_readme_library_example_runs(capsys):
     assert lines[0].split()[1:] == ["<=", "49"]
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special is most of the start-up time and serves two scalar
-    # calls in threshold_lambdas, which import it when they run
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    # scipy is a test dependency only: a fig4 sweep that calibrates zeta
+    # and a two-user Threshold simulate run in an interpreter that cannot
+    # import it, and the sweep writes its pinned bytes
+    probe = ("import json, sys; sys.modules['scipy'] = None; "
+             "from hesnet.cli import main; "
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+             "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy') "
+             "and sys.modules[m] is not None)]))")
+    runs = [["sweep", "--preset", "fig4", *TINY, "--set", "zeta=auto", "--out", str(tmp_path / "f4")],
+            ["simulate", "--preset", "fig5-two-user", "--frames", "20",
+             "--set", "policies=GT,Threshold", "--out", str(tmp_path / "two")]]
     src = str(Path(hesnet.__file__).resolve().parent.parent)
-    probe = ("import sys; import hesnet.cli; "
-             "print('scipy.special' in sys.modules, 'hesnet.policies' in sys.modules)")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.split() == ["False", "True"]
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0, 0], []]
+    name, digest = SWEEP_SHA256["fig4"]
+    assert hashlib.sha256((tmp_path / "f4" / name).read_bytes()).hexdigest() == digest
 
 
 def unused_imports(path):

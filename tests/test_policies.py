@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from hesnet import policies
 from hesnet.cli import resolve_config
@@ -19,6 +19,7 @@ from hesnet.model import (
     channel_gain,
     cost_parameter,
     inversion_power,
+    link_terms,
     make_rng,
     sample_trajectories,
     serve_feasible,
@@ -30,6 +31,7 @@ from hesnet.policies import (
     ThresholdHeuristic,
     ThresholdParams,
     _threshold_level,
+    _scaled_e1_tail,
     _threshold_serve,
     calibrate_zeta,
     exponential_integral_E1,
@@ -66,6 +68,17 @@ def test_e1_upper_bound():
     assert np.all(vals > 0)
 
 
+def test_e1_matches_scipy_exp1():
+    xs = np.logspace(-6, math.log10(700.0), 2000)
+    np.testing.assert_allclose(exponential_integral_E1(xs), special.exp1(xs), rtol=1e-14, atol=0)
+
+
+def test_e1_keeps_scalars_and_shapes():
+    assert type(exponential_integral_E1(2.0)) is float
+    assert type(exponential_integral_E1(np.float64(0.5))) is float
+    assert exponential_integral_E1(np.ones((2, 3))).shape == (2, 3)
+
+
 def test_e1_domain_errors():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(InvalidParameterError):
@@ -82,6 +95,68 @@ def test_lambdas_reference_values():
     l1, l2 = threshold_lambdas(P)
     assert np.isclose(l1, 0.0020464474268296671, rtol=1e-10)
     assert np.isclose(l2, 0.094026326014883453, rtol=1e-10)
+
+
+def harvest_x(params):
+    """The harvesting link's inversion power at its mean gain, and x_h."""
+    _, a_h, _, _ = (float(term) for term in link_terms(params.mu_G, params.mu_H, params))
+    return a_h, a_h / params.p_H_max
+
+
+def test_lambda2_past_700_matches_hyperu():
+    # e^x E1(x) = U(1, 1, x); past x = 700 exp(x) nears overflow and E1(x)
+    # goes subnormal, so lambda2 takes the continued fraction itself
+    assert _scaled_e1_tail(700.0) == 0.0014265364183008867
+    a_h, _ = harvest_x(P)
+    for x in (700.0, 701.0, 1e3, 1e4, 1e6):
+        params = P.evolve(p_H_max=a_h / x)
+        _, x_h = harvest_x(params)
+        _, l2 = threshold_lambdas(params)
+        assert math.isclose(l2, a_h * float(special.hyperu(1.0, 1.0, x_h)), rel_tol=1e-14)
+
+
+# preset -> (axis value, or None for the preset's own point; lambda1 and
+# lambda2 reprs).  fig3's lambda2 at d_H = 40, 50 and 60 m read
+# 0.1780264243211348, 0.2618994923604876 and 0.33177507451289107 with
+# scipy.special.exp1: the power series here differs from it by a few ulps
+# at x_h = 0.282 and 0.689, and at x_h = 1.429 lambda2 is a_h times the
+# scaled continued fraction rather than a_h E1(x) e^x.
+DEFAULT_LAMBDAS = ("0.0020464474268296674", "0.09402632601488346")
+LAMBDA_REPRS = {
+    "default": ((None, *DEFAULT_LAMBDAS),),
+    "fig3": (
+        (None, *DEFAULT_LAMBDAS),
+        (20.0, "0.0035609960823462608", "0.03122197592424606"),
+        (30.0, *DEFAULT_LAMBDAS),
+        (40.0, "0.0009837848492323597", "0.17802642432113489"),
+        (50.0, "0.000365775043381085", "0.26189949236048765"),
+        (60.0, "8.679168886399755e-05", "0.331775074512891"),
+    ),
+    "fig4": ((None, *DEFAULT_LAMBDAS),
+             *((v, *DEFAULT_LAMBDAS) for v in (0.01, 0.015, 0.02, 0.025, 0.03))),
+    "fig5-two-user": ((None, *DEFAULT_LAMBDAS),
+                      *((v, *DEFAULT_LAMBDAS) for v in (0.01, 0.02, 0.03))),
+}
+LAMBDA_REPRS["fig6"] = LAMBDA_REPRS["fig7"] = (
+    (None, *DEFAULT_LAMBDAS),
+    (0.001, "0.0005689219897203204", DEFAULT_LAMBDAS[1]),
+    (0.00316, "0.0009640255052439889", DEFAULT_LAMBDAS[1]),
+    (0.01, *DEFAULT_LAMBDAS),
+    (0.0316, "0.005464621916047598", DEFAULT_LAMBDAS[1]),
+    (0.1, "0.01628884113190438", DEFAULT_LAMBDAS[1]),
+    (0.316, "0.0504705860240837", DEFAULT_LAMBDAS[1]),
+    (1.0, "0.1587127781826515", DEFAULT_LAMBDAS[1]),
+)
+
+
+@pytest.mark.parametrize("preset", sorted(LAMBDA_REPRS))
+def test_lambdas_pinned_at_preset_and_axis_points(preset):
+    cfg = resolve_config(preset=preset)
+    table = LAMBDA_REPRS[preset]
+    assert [value for value, _, _ in table[1:]] == list(cfg.axis_values)
+    for value, l1, l2 in table:
+        point = cfg.params if value is None else apply_axis(cfg.params, cfg.axis, value)
+        assert tuple(map(repr, threshold_lambdas(point))) == (l1, l2), value
 
 
 def lambdas_by_monte_carlo(params, n=1_000_000, seed=41):
