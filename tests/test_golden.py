@@ -12,8 +12,8 @@ claims to change no number has to keep these bytes; a change that moves a
 number on purpose updates the hashes and says why.  The N=12 digests were
 taken with the 2^N enumerator as the optimum, so they pin the Pareto walk
 that replaced it to the enumerator's plan.  The hashes were taken
-on x86-64 Linux with numpy 2.4 and scipy 1.17, the versions
-ci/constraints.txt pins for CI.
+on x86-64 Linux with numpy 2.4, the version ci/constraints.txt pins for
+CI; the package computes E1 itself, so no scipy code reaches these bytes.
 
 The zeta calibrator's cost vectors are pinned too: the full default grid
 (401 candidates) at a 400-frame budget, at every shipped preset's own

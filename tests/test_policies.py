@@ -30,8 +30,8 @@ from hesnet.policies import (
     MdpTablePolicy,
     ThresholdHeuristic,
     ThresholdParams,
-    _threshold_level,
     _scaled_e1_tail,
+    _threshold_level,
     _threshold_serve,
     calibrate_zeta,
     exponential_integral_E1,
@@ -97,20 +97,14 @@ def test_lambdas_reference_values():
     assert np.isclose(l2, 0.094026326014883453, rtol=1e-10)
 
 
-def harvest_x(params):
-    """The harvesting link's inversion power at its mean gain, and x_h."""
-    _, a_h, _, _ = (float(term) for term in link_terms(params.mu_G, params.mu_H, params))
-    return a_h, a_h / params.p_H_max
-
-
-def test_lambda2_past_700_matches_hyperu():
+def test_lambda2_at_large_x_matches_hyperu():
     # e^x E1(x) = U(1, 1, x); past x = 700 exp(x) nears overflow and E1(x)
     # goes subnormal, so lambda2 takes the continued fraction itself
     assert _scaled_e1_tail(700.0) == 0.0014265364183008867
-    a_h, _ = harvest_x(P)
+    _, a_h, _, _ = (float(term) for term in link_terms(P.mu_G, P.mu_H, P))
     for x in (700.0, 701.0, 1e3, 1e4, 1e6):
         params = P.evolve(p_H_max=a_h / x)
-        _, x_h = harvest_x(params)
+        x_h = a_h / params.p_H_max
         _, l2 = threshold_lambdas(params)
         assert math.isclose(l2, a_h * float(special.hyperu(1.0, 1.0, x_h)), rel_tol=1e-14)
 
