@@ -162,14 +162,36 @@ def quantize_energy(epsilon, grid: QuantizationGrid):
 def channel_state_index(gamma, bounds: np.ndarray):
     """0-based channel state of a gain: interval [bounds[k], bounds[k+1]).
 
-    The state is the count of interior bounds at or below the gain, one
-    search with no clamp: bounds run 0..inf, so the outer two never move it.
+    The state is the count of interior bounds at or below the gain: the
+    outer two bounds never move it.  The bounds of `build_grid` are the
+    quantiles -mean * log1p(-k/K) of exponential fading, so the state is
+    first read in closed form, floor(K * -expm1(-g / mean)) with the mean
+    taken from bounds[1], and moved one step either way against its two
+    bounds; only the gains that still fall outside their state's interval
+    are searched.  So the result equals the search for any increasing
+    bounds.
     """
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise InvalidStateError(f"channel gain must be >= 0, got {gamma!r}")
-    idx = np.searchsorted(bounds[1:-1], g, side="right")
-    return int(idx) if idx.ndim == 0 else idx.astype(np.int64)
+    inner = bounds[1:-1]
+    k = inner.size + 1
+    if g.ndim == 0 or k < 2 or not 0.0 < inner[0] < math.inf:
+        idx = np.searchsorted(inner, g, side="right")
+        return int(idx) if idx.ndim == 0 else idx.astype(np.int64)
+    # state s spans [edges[s], edges[s + 1]); the second inf keeps a gain of
+    # inf, stepped up to state k, inside the array until it is searched
+    edges = np.concatenate(([-np.inf], inner, [np.inf, np.inf]))
+    mean = inner[0] / -math.log1p(-1.0 / k)
+    # fmin sends a NaN estimate to the last state; the check below then searches it
+    with np.errstate(over="ignore"):
+        idx = np.fmin(k * -np.expm1(g / -mean), k - 1).astype(np.int64)
+    idx -= g < edges[idx]
+    idx += g >= edges[idx + 1]
+    miss = ~((edges[idx] <= g) & (g < edges[idx + 1]))
+    if miss.any():
+        idx[miss] = np.searchsorted(inner, g[miss], side="right")
+    return idx
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ method, `decide_batch(block, battery, batch)`: the block index, the
 (frames,) shared battery states and the `FrameBatch` whose (frames, U)
 column `block` holds the block's precomputed link terms in, a (frames, U)
 0/1 array out.  The greedy and threshold rules take any U: they rank the
-users and admit them (`sim._admit_in_order`) while `serve_feasible` holds
-for the summed power against the shared battery and the summed peak cap
-of `batch.params`, so one user is the single-user rule exactly.  MBIA
+users and admit them while `serve_feasible` holds for the summed power
+against the shared battery and the summed peak cap of `batch.params`, so
+one user is the single-user rule exactly.  What does not depend on the
+battery is computed once per batch (`FrameBatch.cached`): the greedy
+rule's cheapest-first running sums and, at U > 1, the threshold rule's
+score and order, and the threshold level.  MBIA
 and Look-Ahead are threshold tables that `MdpTablePolicy` plays for one
 user.  The threshold rule needs two closed-form constants, the mean skip
 cost lambda1 and the mean feasible battery power lambda2; they are exact
@@ -163,13 +166,32 @@ class GreedyTransmit:
     """Myopic baseline: serve from the battery whenever the block's
     inversion power fits both the stored energy and the peak cap; users
     sharing the battery are admitted cheapest inversion power first (ties:
-    lower user)."""
+    lower user), read off running sums computed once per batch
+    (`_cheapest_first_totals`)."""
 
     def decide_batch(self, block, battery, batch: FrameBatch):
-        p_h = batch.p_h[:, :, block]
-        fits = partial(serve_feasible, battery=battery, params=batch.params)
-        order = np.argsort(p_h, axis=1, kind="stable")
-        return _admit_in_order(order, np.ones(p_h.shape, dtype=bool), p_h, fits).astype(np.int8)
+        need = _cheapest_first_totals(batch)[:, :, block]
+        return serve_feasible(need, battery[:, None], batch.params).astype(np.int8)
+
+
+def _cheapest_first_totals(batch: FrameBatch) -> np.ndarray:
+    """(frames, U, N) summed power of each user and every user cheaper than
+    it (ties: lower user), once per batch; one user's own p_h at U = 1.
+
+    With every user eligible, `_admit_in_order` in cheapest-first order
+    admits a prefix: once a user does not fit, no dearer one does, and the
+    admitted ones have used their running sum.  That sum is this one, added
+    in the same order, so a user is admitted exactly where its total fits.
+    """
+    if batch.users == 1:
+        return batch.p_h
+
+    def totals():
+        order = np.argsort(batch.p_h, axis=1, kind="stable")
+        running = np.cumsum(np.take_along_axis(batch.p_h, order, axis=1), axis=1)
+        return np.take_along_axis(running, np.argsort(order, axis=1), axis=1)
+
+    return batch.cached("cheapest_first_totals", totals)
 
 
 class ThresholdHeuristic:
@@ -181,21 +203,34 @@ class ThresholdHeuristic:
     zeta = 0 one user's rule degenerates to greedy transmission for every
     state.  Users sharing the battery each apply the rule to the whole battery;
     those that pass are admitted in decreasing ratio_metric order (ties:
-    lower user).
+    lower user).  The level, and at U > 1 the score and that order, are
+    computed once per batch.
     """
 
     def __init__(self, tp: ThresholdParams):
         self.tp = tp
 
     def decide_batch(self, block, battery, batch: FrameBatch):
-        params = batch.params
+        params, tp = batch.params, self.tp
         p_h = batch.p_h[:, :, block]
-        score = ratio_metric(batch.skip[:, :, block], p_h)
-        level = _threshold_level(self.tp.zeta, self.tp.lambda1, self.tp.lambda2, params)
+        level = batch.cached(("threshold_level", tp), lambda: _threshold_level(
+            tp.zeta, tp.lambda1, tp.lambda2, params))
+        if batch.users == 1:
+            score, order = ratio_metric(batch.skip[:, :, block], p_h), None
+        else:
+            score, order = (a[:, :, block] for a in batch.cached("threshold_order", partial(
+                _score_order, batch)))
         eligible = _threshold_serve(block, battery[:, None], p_h, score, level, params)
         fits = partial(serve_feasible, battery=battery, params=params)
-        order = np.argsort(-score, axis=1, kind="stable")
         return _admit_in_order(order, eligible, p_h, fits).astype(np.int8)
+
+
+def _score_order(batch: FrameBatch):
+    """(frames, U, N) threshold score ratio_metric(skip cost, p_h) of every
+    user and block, and the users in decreasing score order (ties: lower
+    user)."""
+    score = ratio_metric(batch.skip, batch.p_h)
+    return score, np.argsort(-score, axis=1, kind="stable")
 
 
 # ---------------------------------------------------------------------------

@@ -6,21 +6,24 @@ station's per-block sum over the users.  A single frame is a one-frame
 batch and a single user is U = 1.  There are three entry points, all
 taking the batch: `run_batch` and `multiuser_frame_metrics` walk a policy
 (any object with `decide_batch`), `offline_frame_metrics` plans with an
-offline plan function and replays the plans.  One battery walk,
-`_outcomes`, serves them all.  Only the battery is causal, so the walk
-loops over blocks for the battery alone and fills a serve mask; one
-settlement of the whole batch (`_settle`) then sends the users the
-harvesting BS skips to the grid BS cheapest first while its summed peak
-power holds out, drops the rest, and prices every block.  Offline plans
-are replayed through the same walk (`replay_plan`).  `run_batch` (one
-user only) sums the block terms in block order, every other evaluation
-per frame with math.fsum (`frame_totals`), so an offline plan's cost is
-its exact skip-cost sum.
+offline plan function and replays the plans.  One battery walk, `_walk`,
+serves them all, each as a walk of one decider, and `point_rows` walks
+every policy and plan of a sweep point in it at once: per block the
+arrival is credited once and all the deciders' batteries are paid in one
+check.  Only the battery is causal, so the walk loops over blocks for the
+battery alone and fills a serve mask per decider; one settlement of a
+decider's whole batch (`_settle`) then sends the users the harvesting BS
+skips to the grid BS cheapest first while its summed peak power holds
+out, drops the rest, and prices every block.  Offline plans are replayed
+through the same walk (`replay_plan`).  `run_batch` (one user only) sums
+the block terms in block order, every other evaluation per frame with
+math.fsum (`frame_totals`), so an offline plan's cost is its exact
+skip-cost sum.
 The walk and the zeta calibrator pay every block through one check,
-`_pay`; the grid BS and the greedy and threshold policies admit users
-through one rule, `_admit_in_order`.  `metrics_from_arrays` is the one
-aggregator.  `point_rows` and `sweep` write one row per online policy
-factory, then one per offline plan function they are given.
+`_pay`; the grid BS and the threshold policy admit users through one
+rule, `_admit_in_order`.  `metrics_from_arrays` is the one aggregator.
+`point_rows` and `sweep` write one row per online policy factory, then
+one per offline plan function they are given.
 """
 
 from __future__ import annotations
@@ -100,15 +103,16 @@ def _overdraw_error(block: int, frame: int, battery, spend, power, p_max) -> Inv
 
 
 def _pay(block: int, frame, battery, served, slack, params: SystemParams):
-    """Pay one block's (rows, U) served powers, summed in user order as the
-    offline engine sums them, out of the (rows,) battery.  A serve over the
-    peak cap params.p_H_max (exact per user, 1e-12 slack on the sum) or the
-    battery plus `slack` raises, naming frame[row].  Returns the battery
-    after the spend, clamped at 0."""
+    """Pay one block's (..., U) served powers, summed in user order as the
+    offline engine sums them, out of the battery, one entry per row of
+    `served`.  A serve over the peak cap params.p_H_max (exact per user,
+    1e-12 slack on the sum) or the battery plus `slack` raises, naming the
+    first such row (in C order) by its entry of `frame`, an array of the
+    battery's shape.  Returns the battery after the spend, clamped at 0."""
     p_max = params.p_H_max
-    power = served[:, 0]
-    for u in range(1, served.shape[1]):
-        power = power + served[:, u]
+    power = served[..., 0]
+    for u in range(1, served.shape[-1]):
+        power = power + served[..., u]
     spend = power * params.tau
     over = spend > battery + slack
     # one user's power is its sum: the exact check covers the slack one
@@ -116,7 +120,8 @@ def _pay(block: int, frame, battery, served, slack, params: SystemParams):
             or over.any()):
         at = int(np.argmax((served > p_max).any(axis=-1)
                            | (power > p_max * (1.0 + 1e-12)) | over))
-        raise _overdraw_error(block, int(frame[at]), battery[at], spend[at], power[at], p_max)
+        raise _overdraw_error(block, int(frame.flat[at]), battery.flat[at], spend.flat[at],
+                              power.flat[at], p_max)
     return np.maximum(battery - spend, 0.0)
 
 
@@ -124,7 +129,7 @@ def _admit_in_order(order, eligible, power, fits):
     """(frames, U) bool mask of the `eligible` users admitted in `order`, a
     (frames, U) permutation per row, each while `fits` holds for the power
     admitted so far plus its own.  A lone user is admitted exactly where
-    eligible & fits(power)."""
+    eligible & fits(power), and needs no order (None)."""
     if power.shape[1] == 1:
         return eligible & fits(power[:, 0])[:, None]
     rows = np.arange(power.shape[0])
@@ -138,40 +143,53 @@ def _admit_in_order(order, eligible, power, fits):
     return admitted
 
 
-def _outcomes(decide, batch: FrameBatch):
-    """The battery walk of every evaluation, at any user count.
+def _walk(decides, batch: FrameBatch):
+    """The battery walk of every evaluation, at any user count, for P
+    deciders at once.
 
-    One battery per frame of `batch`, shared by its users, starts empty.
-    Per block: credit the arrival (clamped at B_m), ask `decide(block,
-    battery, batch)` (called as `decide_batch` is) for a (frames, U) 0/1
-    array, reject any other, and pay the served users' powers (`_pay`,
-    under `_battery_slack`).  Only the battery is causal, so the walk only
-    fills the (frames, U, N) serve mask; `_settle` then prices every block
-    at once and its arrays are returned.
+    Each decider has its own battery per frame of `batch`, shared by the
+    frame's users, starting empty.  Per block the arrival is credited once
+    to all P batteries (clamped at B_m); each `decide(block, battery,
+    batch)` (called as `decide_batch` is, on its own (frames,) battery) is
+    asked in order for a (frames, U) 0/1 array, and any other is rejected
+    at once; then the served users' powers of all P * frames rows are paid
+    in one `_pay` (under `_battery_slack`), which names the first
+    overdrawing row, decider-major.  So the first failing block raises, a
+    bad action in it before any overdraw in it, each with the text the
+    decider's lone walk would raise.  Only the battery is causal, so the
+    walk only fills the (P, frames, U, N) serve mask it returns; `_settle`
+    prices one decider's slice at a time.
     """
     params, p_h, e_h = batch.params, batch.p_h, batch.e_h
-    frames, users = batch.frames, batch.users
-    rows = np.arange(frames)
-    serve = np.empty((frames, users, params.N), dtype=bool)
-    battery = np.zeros(frames)
+    frames, users, count = batch.frames, batch.users, len(decides)
+    rows = np.broadcast_to(np.arange(frames), (count, frames))
+    serve = np.empty((count, frames, users, params.N), dtype=bool)
+    battery = np.zeros((count, frames))
     arrived = np.zeros(frames)
     for i in range(params.N):
         arrived = arrived + e_h[:, i]
         battery = np.minimum(battery + e_h[:, i], params.B_m)
-        act = np.asarray(decide(i, battery, batch))
-        if act.shape != (frames, users):
-            raise InvalidActionError(f"policy returned shape {act.shape} at block {i + 1}, "
-                                     f"expected {(frames, users)}")
-        served = act == 1
-        valid = served | (act == 0)
-        if not valid.all():
-            at = int(np.argmin(valid.all(axis=-1)))
-            raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block {i + 1} "
-                                     f"of frame {at}, expected 0 or 1 per user")
-        battery = _pay(i, rows, battery, np.where(served, p_h[:, :, i], 0.0),
+        for j, decide in enumerate(decides):
+            act = np.asarray(decide(i, battery[j], batch))
+            if act.shape != (frames, users):
+                raise InvalidActionError(f"policy returned shape {act.shape} at block {i + 1}, "
+                                         f"expected {(frames, users)}")
+            served = act == 1
+            valid = served | (act == 0)
+            if not valid.all():
+                at = int(np.argmin(valid.all(axis=-1)))
+                raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block {i + 1} "
+                                         f"of frame {at}, expected 0 or 1 per user")
+            serve[j, :, :, i] = served
+        battery = _pay(i, rows, battery, np.where(serve[:, :, :, i], p_h[:, :, i], 0.0),
                        _battery_slack(arrived), params)
-        serve[:, :, i] = served
-    return _settle(serve, batch)
+    return serve
+
+
+def _outcomes(decide, batch: FrameBatch):
+    """One decider's walk (`_walk`), settled (`_settle`): its (frames, U, N)
+    outcome arrays (serve, admitted, cost, grid energy in J)."""
+    return _settle(_walk([decide], batch)[0], batch)
 
 
 def _settle(serve, batch: FrameBatch):
@@ -192,13 +210,14 @@ def _settle(serve, batch: FrameBatch):
         return a.transpose(0, 2, 1).reshape(frames * n, users)
 
     power = per_block(p_g)
-    admitted = _admit_in_order(np.argsort(power, axis=1, kind="stable"),
-                               per_block(~serve & batch.transmits), power,
+    order = None if users == 1 else np.argsort(power, axis=1, kind="stable")
+    admitted = _admit_in_order(order, per_block(~serve & batch.transmits), power,
                                lambda total: total <= cap)
     admitted = np.ascontiguousarray(admitted.reshape(frames, n, users).transpose(0, 2, 1))
-    return (serve, admitted,
-            np.where(serve, 0.0, np.where(admitted, batch.skip, params.w_D)),
-            np.where(admitted, p_g * params.tau, 0.0))
+    # exact: of each pair of terms one is +0.0, and skip is finite and >= 0;
+    # the transmits mask goes first because p_g is inf on a dead grid link
+    return (serve, admitted, batch.skip * admitted + params.w_D * (~serve & ~admitted),
+            np.where(batch.transmits, p_g * params.tau, 0.0) * admitted)
 
 
 def frame_totals(serve, admitted, cost, grid):
@@ -210,28 +229,31 @@ def frame_totals(serve, admitted, cost, grid):
     return fsum_rows(cost), fsum_rows(grid), np.sum(~serve & ~admitted, axis=(1, 2))
 
 
+def _plan_decider(plan):
+    """A decider that plays the (frames, U, N) 0/1 `plan`."""
+    return lambda i, battery, batch: plan[:, :, i]
+
+
+def _solve(solve, batch: FrameBatch):
+    """The offline plan function `solve`'s (frames, U, N) plan of `batch`,
+    under the summed peak cap params.p_H_max.  The solvers model an
+    uncapped battery, so B_m < N * E_m raises ModelMismatchError."""
+    params = batch.params
+    require_uncapped_battery(params)
+    return np.asarray(solve(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max))
+
+
 def replay_plan(plan, batch: FrameBatch):
     """Walk a (frames, U, N) 0/1 serving plan over `batch`, settle the
     batch once and return its (frames, U, N) outcome arrays (serve,
     admitted, cost, grid energy in J); an unaffordable plan raises."""
-    plan = np.asarray(plan)
-    return _outcomes(lambda i, battery, batch: plan[:, :, i], batch)
+    return _outcomes(_plan_decider(np.asarray(plan)), batch)
 
 
-def run_batch(policy, batch: FrameBatch):
-    """Walk a one-user batch in lockstep under `policy`.
-
-    Returns per-frame arrays (costs, grid energies, drop counts), each the
-    sum of the settled per-block terms in block order (one column += per
-    block).  This stays apart from
-    `multiuser_frame_metrics`, whose math.fsum totals can differ in the
-    last bits, because the single-user CSVs are pinned to these sums.
-    """
-    if batch.users != 1:
-        raise InvalidParameterError(
-            f"run_batch walks one user, got {batch.users}; use multiuser_frame_metrics")
-    serve, admitted, cost, energy = _outcomes(policy.decide_batch, batch)
-
+def _block_order_totals(serve, admitted, cost, energy):
+    """Per-frame (costs, grid energies, drop counts) of one user's (frames,
+    1, N) outcome arrays, each summed in block order (one column += per
+    block): the totals the single-user CSVs are pinned to."""
     def block_order_sum(terms):
         total = terms[:, 0, 0].copy()
         for i in range(1, terms.shape[2]):
@@ -240,6 +262,21 @@ def run_batch(policy, batch: FrameBatch):
 
     return (block_order_sum(cost), block_order_sum(energy),
             np.sum(~serve[:, 0] & ~admitted[:, 0], axis=1, dtype=np.int64))
+
+
+def run_batch(policy, batch: FrameBatch):
+    """Walk a one-user batch in lockstep under `policy`.
+
+    Returns per-frame arrays (costs, grid energies, drop counts), each the
+    sum of the settled per-block terms in block order
+    (`_block_order_totals`).  This stays apart from
+    `multiuser_frame_metrics`, whose math.fsum totals can differ in the
+    last bits, because the single-user CSVs are pinned to these sums.
+    """
+    if batch.users != 1:
+        raise InvalidParameterError(
+            f"run_batch walks one user, got {batch.users}; use multiuser_frame_metrics")
+    return _block_order_totals(*_outcomes(policy.decide_batch, batch))
 
 
 def metrics_from_arrays(name, packets: int, seed, costs, grid, drops) -> RunMetrics:
@@ -300,15 +337,29 @@ def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
     factories must build policies that decide every user of a block (GT,
     Threshold, GP-only), not table lookups.  `plans` maps a row name to an
     offline plan function (`greedy_plan`, `optimal_plan`); their rows
-    follow the online ones, in order, each from `offline_frame_metrics`.
+    follow the online ones, in order.
+
+    Every policy is built by its factory and every plan solved first (an
+    uncapped battery is required before any plan, as in
+    `offline_frame_metrics`); then one battery walk (`_walk`) plays them
+    all, so the first block where any of them fails raises that one's
+    error.  Each is then settled and totalled on its own: one user's online
+    rows in block order (`_block_order_totals`, as `run_batch`), every other
+    row with math.fsum (`frame_totals`), so every row equals the lone
+    evaluation's bit for bit.
     """
     batch = sample_trajectories(point, seed, frames, users)
+    policies = [factory(point) for factory in policy_factories.values()]
+    solved = [_solve(solve, batch) for solve in (plans or {}).values()]
+    serve = _walk([policy.decide_batch for policy in policies]
+                  + [_plan_decider(plan) for plan in solved], batch)
     # one user keeps run_batch's block-order totals: the single-user CSVs are pinned to them
-    online = run_batch if users == 1 else multiuser_frame_metrics
-    runs = [(name, online(factory(point), batch)) for name, factory in policy_factories.items()]
-    runs += [(name, offline_frame_metrics(solve, batch)) for name, solve in (plans or {}).items()]
-    return [metrics_row(metrics_from_arrays(name, users * point.N, seed, *arrays), axis, value)
-            for name, arrays in runs]
+    online = _block_order_totals if users == 1 else frame_totals
+    totals = [online] * len(policies) + [frame_totals] * len(solved)
+    names = [*policy_factories, *(plans or {})]
+    return [metrics_row(metrics_from_arrays(name, users * point.N, seed,
+                                            *total(*_settle(mask, batch))), axis, value)
+            for name, total, mask in zip(names, totals, serve)]
 
 
 def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
@@ -370,10 +421,7 @@ def offline_frame_metrics(solve, batch: FrameBatch):
     counts); a plan's cost is its exact math.fsum skip sum.  The solvers
     model an uncapped battery, so B_m < N * E_m raises ModelMismatchError.
     """
-    params = batch.params
-    require_uncapped_battery(params)
-    plan = solve(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
-    return frame_totals(*replay_plan(plan, batch))
+    return frame_totals(*replay_plan(_solve(solve, batch), batch))
 
 
 # ---------------------------------------------------------------------------

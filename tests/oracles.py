@@ -15,7 +15,9 @@ references.
 
 `hesnet.sim` walks the battery block by block and then settles the whole
 batch at once.  The walk that settled each block inside the loop is the
-reference for that split.
+reference for that split.  A sweep point walks every policy and plan of
+the point in one battery walk; the loop that evaluated them one walk
+apiece is the reference for that.
 """
 
 from __future__ import annotations
@@ -31,7 +33,17 @@ from hesnet.errors import InvalidActionError, InvalidParameterError, StructureVi
 from hesnet.mdp import _RISE_RTOL, battery_level_index, channel_state_index
 from hesnet.model import FrameBatch, serve_feasible
 from hesnet.offline import ENERGY_RTOL, _plan_inputs
-from hesnet.sim import _admit_in_order, _battery_slack, _pay
+from hesnet import sim
+from hesnet.sim import (
+    _admit_in_order,
+    _battery_slack,
+    _pay,
+    metrics_from_arrays,
+    metrics_row,
+    multiuser_frame_metrics,
+    offline_frame_metrics,
+    run_batch,
+)
 
 
 class Frame(NamedTuple):
@@ -238,3 +250,16 @@ def block_walk(decide, batch: FrameBatch):
                    np.where(admitted, p_g[:, :, i] * params.tau, 0.0))
 
     return tuple(np.stack(terms, axis=-1) for terms in zip(*steps()))
+
+
+def per_policy_point_rows(point, axis, value, policy_factories, frames, seed, plans=None,
+                          users=1):
+    """`sim.point_rows` as one walk per policy (`run_batch` for one user,
+    `multiuser_frame_metrics` for more) and one `offline_frame_metrics`
+    per plan, on the batch `sim.sample_trajectories` draws for the point."""
+    batch = sim.sample_trajectories(point, seed, frames, users)
+    online = run_batch if users == 1 else multiuser_frame_metrics
+    runs = [(name, online(factory(point), batch)) for name, factory in policy_factories.items()]
+    runs += [(name, offline_frame_metrics(solve, batch)) for name, solve in (plans or {}).items()]
+    return [metrics_row(metrics_from_arrays(name, users * point.N, seed, *arrays), axis, value)
+            for name, arrays in runs]

@@ -176,6 +176,28 @@ def test_channel_state_index_matches_clipped_search(K):
     np.testing.assert_array_equal(idx[:, 0], clipped)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(K=st.integers(1, 40), mean=st.floats(1e-3, 1e3), warp=st.floats(0.25, 4.0),
+       seed=st.integers(0, 2**16))
+def test_property_channel_state_index_is_the_interior_search(K, mean, warp, seed):
+    """The closed-form state, its one-step correction and the search of its
+    misses give the plain interior search bit for bit: on quantile bounds
+    (warp 1) and on bounds bent away from them, at and one ulp either side
+    of every bound, at 0, at huge gains and at gains far from the mean."""
+    _, quantiles = equiprobable_channel_states(K, mean)
+    bounds = quantiles ** warp
+    finite = bounds[np.isfinite(bounds)]
+    rng = make_rng(seed)
+    gains = np.concatenate([finite, np.nextafter(finite, np.inf), np.nextafter(finite[1:], 0.0),
+                            [0.0, 1e300, np.finfo(float).max], rng.exponential(mean, 100),
+                            rng.exponential(mean * 50.0, 50)])
+    want = np.searchsorted(bounds[1:-1], gains, side="right").astype(np.int64)
+    got = channel_state_index(gains, bounds)
+    assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+    got = channel_state_index(gains.reshape(-1, 1)[:, ::-1], bounds)   # a strided (rows, 1) view
+    assert got.shape == (gains.size, 1) and got[:, 0].tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # battery quantization
 # ---------------------------------------------------------------------------

@@ -908,6 +908,14 @@ def test_joint_gt_admits_cheapest_first():
     np.testing.assert_array_equal(acts, [1, 1])
 
 
+def test_joint_gt_breaks_power_ties_toward_the_lower_user():
+    # three users at one inversion power, a battery for two of them
+    roomy = P.evolve(p_H_max=10.0)
+    p = float(inversion_power(channel_gain(roomy.d_H, 1.0, roomy), roomy))
+    acts = joint_action(GreedyTransmit(), 0, 2.5 * p * roomy.tau, np.ones(3), np.ones(3), roomy)
+    np.testing.assert_array_equal(acts, [1, 1, 0])
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(n=st.integers(2, 60), block=st.integers(0, 58), seed=st.integers(0, 2**16),
        zetas=st.lists(st.floats(0.0, 200.0), min_size=2, max_size=5))

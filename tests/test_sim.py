@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesnet.errors import InvalidActionError, InvalidParameterError, ModelMismatchError
+from hesnet import sim
+from hesnet.errors import (
+    InvalidActionError,
+    InvalidParameterError,
+    ModelMismatchError,
+    StalePolicyError,
+)
 from hesnet.mdp import backward_induction, build_grid, build_mdp_model
 from hesnet.model import (
     FrameBatch,
@@ -23,8 +29,10 @@ from hesnet.model import (
 from hesnet.offline import ENERGY_RTOL, greedy_plan, optimal_plan
 from hesnet.policies import (
     GreedyTransmit,
+    MdpTablePolicy,
     ThresholdHeuristic,
     ThresholdParams,
+    look_ahead_build,
     threshold_lambdas,
 )
 from hesnet.sim import (
@@ -36,13 +44,22 @@ from hesnet.sim import (
     multiuser_frame_metrics,
     offline_frame_metrics,
     _outcomes,
+    point_rows,
     replay_plan,
     run_batch,
     sweep,
     write_manifest,
     write_rows_csv,
 )
-from oracles import DenseTablePolicy, Frame, block_walk, plan_args, service_cost, solve
+from oracles import (
+    DenseTablePolicy,
+    Frame,
+    block_walk,
+    per_policy_point_rows,
+    plan_args,
+    service_cost,
+    solve,
+)
 
 P = SystemParams()
 
@@ -422,6 +439,123 @@ def test_sweep_runs_the_exhaustive_row_at_the_papers_n():
     assert [r["policy"] for r in rows] == ["GT", "Greedy", "Exhaustive"] * 2
     for greedy, optimum in zip(rows[1::3], rows[2::3]):
         assert optimum["mean_total_cost"] <= greedy["mean_total_cost"]
+
+
+def point_factories(users):
+    """Row name -> policy factory: GT, Threshold and GP-only, and at one
+    user a Look-Ahead table."""
+    factories = {
+        "GT": lambda p: GreedyTransmit(),
+        "Threshold": lambda p: ThresholdHeuristic(ThresholdParams(8.0, *threshold_lambdas(p))),
+        "GP-only": lambda p: GridOnlyPolicy(),
+    }
+    if users == 1:
+        factories["Look-Ahead"] = lambda p: MdpTablePolicy(look_ahead_build(p, M=10, K=5))
+    return factories
+
+
+@pytest.mark.parametrize("users", [1, 2])
+def test_point_rows_equal_one_walk_per_policy(users, monkeypatch):
+    # every row of a point comes out of one battery walk, field for field the
+    # row its own walk gives, here on dead channels of both links and under a
+    # summed grid cap that binds
+    base = sample_trajectories(P, 93 + users, 12, users)
+    gamma_g, gamma_h = base.gamma_g.copy(), base.gamma_h.copy()
+    gamma_g[:, :, ::3] = 0.0
+    gamma_h[:, :, 1::3] = 0.0
+    capped = P.evolve(p_G_max=1.5 * float(np.median(base.p_g[base.transmits])))
+    monkeypatch.setattr(sim, "sample_trajectories", lambda point, seed, frames, users: FrameBatch(
+        point, gamma_g, gamma_h, base.e_h))
+    walks = []
+    walk = sim._walk
+    monkeypatch.setattr(sim, "_walk", lambda decides, batch: walks.append(len(decides)) or walk(
+        decides, batch))
+    plans = {"Greedy": greedy_plan, "Exhaustive": optimal_plan} if users == 1 else {
+        "Greedy": greedy_plan}
+    for point in (P, capped):
+        args = (point, "P_avg", 0.02, point_factories(users), 12, 95, plans, users)
+        want = per_policy_point_rows(*args)
+        walks.clear()
+        got = point_rows(*args)
+        assert walks == [len(want)]
+        assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+    if users > 1:   # the summed cap turns users away somewhere
+        batch = sim.sample_trajectories(capped, 95, 12, users)
+        _, admitted, _, _ = replay_plan(np.zeros((12, users, P.N), np.int8), batch)
+        assert (batch.transmits & ~admitted).any()
+
+
+class MisbehavesAt:
+    """GT until block `at`, then the action `act(batch)` on every block."""
+
+    def __init__(self, at, act):
+        self.at, self.act = at, act
+
+    def decide_batch(self, block, battery, batch):
+        if block < self.at:
+            return GreedyTransmit().decide_batch(block, battery, batch)
+        return self.act(batch)
+
+
+def bad_shape(batch):
+    return np.zeros((batch.frames, batch.users + 1), dtype=np.int8)
+
+
+def a_two(batch):
+    act = np.zeros((batch.frames, batch.users), dtype=np.int8)
+    act[4, -1] = 2
+    return act
+
+
+def overdraw(batch):
+    return np.ones((batch.frames, batch.users), dtype=np.int8)
+
+
+def serve_everything(c, p_h, e_h, tau, p_max):
+    """An offline "plan" that serves every block: unaffordable."""
+    return np.ones(c.shape, dtype=np.int8)
+
+
+def lone_error(evaluate, *args):
+    with pytest.raises(Exception) as exc:
+        evaluate(*args)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("users", [1, 2])
+def test_point_walk_raises_what_the_first_failing_lone_walk_raises(users):
+    batch = sample_trajectories(P, 96, 10, users)
+    online = run_batch if users == 1 else multiuser_frame_metrics
+    good = point_factories(users)
+
+    def point_error(factories, plans=None):
+        return lone_error(point_rows, P, "none", 0.0, factories, 10, 96, plans, users)
+
+    for act in (bad_shape, a_two, overdraw):
+        for at in (0, 6):
+            bad = MisbehavesAt(at, act)
+            want = lone_error(online, bad, batch)
+            assert want[0] is InvalidActionError
+            assert point_error({**good, "bad": lambda p: bad}, {"Greedy": greedy_plan}) == want
+            # the earliest failing block raises, whatever the row order
+            late = MisbehavesAt(at + 2, overdraw)
+            assert point_error({"late": lambda p: late, "bad": lambda p: bad}) == want
+    # in one block, the first row that fails raises
+    first, second = MisbehavesAt(3, a_two), MisbehavesAt(3, bad_shape)
+    assert point_error({"first": lambda p: first, "second": lambda p: second}) == lone_error(
+        online, first, batch)
+    # a plan that cannot be paid raises as its own replay does
+    want = lone_error(offline_frame_metrics, serve_everything, batch)
+    assert want[0] is InvalidActionError
+    assert point_error(good, {"Greedy": greedy_plan, "all": serve_everything}) == want
+
+
+def test_stale_table_in_a_point_raises_as_its_lone_walk_does():
+    stale = MdpTablePolicy(look_ahead_build(P.evolve(w_D=0.5), M=10, K=4))
+    want = lone_error(run_batch, stale, sample_trajectories(P, 97, 6))
+    assert want[0] is StalePolicyError
+    factories = {**point_factories(1), "stale": lambda p: stale}
+    assert lone_error(point_rows, P, "none", 0.0, factories, 6, 97) == want
 
 
 # ---------------------------------------------------------------------------
