@@ -64,14 +64,10 @@ from .policies import (
 )
 from .sim import (
     GridOnlyPolicy,
-    RunMetrics,
     apply_axis,
     frame_totals,
-    metrics_from_arrays,
-    multiuser_frame_metrics,
-    offline_frame_metrics,
-    replay_plan,
-    run_batch,
+    metrics_row,
+    outcomes,
     sweep,
     write_manifest,
     write_rows_csv,

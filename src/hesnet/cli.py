@@ -57,8 +57,8 @@ from .sim import (
     GridOnlyPolicy,
     file_sha256,
     frame_totals,
+    outcomes,
     point_rows,
-    replay_plan,
     sweep,
     write_json,
     write_manifest,
@@ -295,6 +295,9 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
             raise ConfigError(
                 f"{run_source('axis')}: unknown axis {axis_token!r}; one of {', '.join(sorted(AXES))}")
         axis, scale = AXES[axis_token]
+        if axis == "P_avg" and "B_m" in field_map:
+            raise ConfigError("b_m_j cannot be set with axis = p_avg_mw: every point of that "
+                              "axis re-derives B_m = N * E_m")
         axis_key = axis_token
         values_text = run_value("axis_values", "")
         if not values_text:
@@ -559,8 +562,8 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
     rows = []
     report: dict = {"params_hash": params.content_hash(), "n_blocks": params.N,
                     "trajectory_sha256": _trajectory_sha256(batch), "solvers": {}}
-    for solver_name, plan in plans.items():
-        serve, admitted, costs, grid = replay_plan(plan, batch)
+    for solver_name, (serve, admitted, costs, grid) in zip(
+            plans, outcomes(batch, plans=plans.values())):
         cost, energy, drops = frame_totals(serve, admitted, costs, grid)
         report["solvers"][solver_name] = {
             "total_cost": float(cost[0]), "grid_energy_j": float(energy[0]),

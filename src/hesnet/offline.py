@@ -9,7 +9,7 @@ costs and harvesting inversion powers over (frames, N) shared arrivals, to a
 (frames, U, N) 0/1 plan: `greedy_plan` (Greedy Assignment, any user count)
 and `optimal_plan` (the exact optimum by a Pareto walk, one user).  Plans
 are checked and scored by replaying them through the battery walk of the
-causal policies (`sim.replay_plan`), whose over-draw check is the one
+causal policies (`sim.outcomes`), whose over-draw check is the one
 feasibility check on every plan.
 
 The greedy scores are fixed per block and feasibility only shrinks as blocks

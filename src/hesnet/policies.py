@@ -407,8 +407,8 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int):
     segments per frame, not every candidate (`_calibration_costs`).
     Chunks of at most _CALIBRATION_ROWS candidate-frame cells bound
     memory.  The score ratio_metric(skip cost, p_H) is computed once on
-    (frames, N) arrays.  Each cost equals, bit for bit, the mean of
-    run_batch's frame costs for that candidate alone.
+    (frames, N) arrays.  Each cost equals, bit for bit, the mean of the
+    block-order frame costs of that candidate's lone walk (`sim.outcomes`).
     """
     cand = np.asarray(list(candidates), dtype=float)
     if cand.size == 0 or np.any(~np.isfinite(cand)) or np.any(cand < 0):

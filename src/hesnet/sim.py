@@ -3,27 +3,26 @@
 Every evaluation takes a `FrameBatch`: (frames, U, N) gains over (frames,
 N) shared arrivals, under one `SystemParams` whose peak powers cap each
 station's per-block sum over the users.  A single frame is a one-frame
-batch and a single user is U = 1.  There are three entry points, all
-taking the batch: `run_batch` and `multiuser_frame_metrics` walk a policy
-(any object with `decide_batch`), `offline_frame_metrics` plans with an
-offline plan function and replays the plans.  One battery walk, `_walk`,
-serves them all, each as a walk of one decider, and `point_rows` walks
-every policy and plan of a sweep point in it at once: per block the
-arrival is credited once and all the deciders' batteries are paid in one
-check.  Only the battery is causal, so the walk loops over blocks for the
-battery alone and fills a serve mask per decider; one settlement of a
-decider's whole batch (`_settle`) then sends the users the harvesting BS
-skips to the grid BS cheapest first while its summed peak power holds
-out, drops the rest, and prices every block.  Offline plans are replayed
-through the same walk (`replay_plan`).  `run_batch` (one user only) sums
-the block terms in block order, every other evaluation per frame with
-math.fsum (`frame_totals`), so an offline plan's cost is its exact
-skip-cost sum.
+batch and a single user is U = 1.  There is one entry point,
+`outcomes(batch, policies, plans)`: one battery walk, `_walk`, plays every
+policy (any object with `decide_batch`) and then every (frames, U, N) 0/1
+plan, one battery each; per block the arrival is credited once and all
+the rows' serves are paid in one check.  Only the battery is causal, so
+the walk loops over blocks for the battery alone and fills a serve mask
+per row; one settlement of a row's whole batch (`_settle`), made when the
+row is read, then sends the users the harvesting BS skips to the grid BS
+cheapest first while its summed peak power holds out, drops the rest, and
+prices every block.  `frame_totals` sums a row's terms per frame with
+math.fsum, so an offline plan's cost is its exact skip-cost sum.
 The walk and the zeta calibrator pay every block through one check,
 `_pay`; the grid BS and the threshold policy admit users through one
-rule, `_admit_in_order`.  `metrics_from_arrays` is the one aggregator.
-`point_rows` and `sweep` write one row per online policy factory, then
-one per offline plan function they are given.
+rule, `_admit_in_order`.  `point_rows` is the one place that writes CSV
+rows: it solves a point's offline plans (`_solve`), walks them with its
+policies in one `outcomes` call, totals each row (one user's online rows
+in block order, `_block_order_totals`, every other row with
+`frame_totals`) and aggregates it with `metrics_row`.  `point_rows` and
+`sweep` write one row per online policy factory, then one per offline
+plan function they are given.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,39 +39,17 @@ from .model import FrameBatch, SystemParams, sample_trajectories
 from .offline import ENERGY_RTOL, require_uncapped_battery
 
 __all__ = [
-    "RunMetrics",
     "GridOnlyPolicy",
-    "run_batch",
-    "sweep",
-    "offline_frame_metrics",
-    "replay_plan",
+    "outcomes",
     "frame_totals",
-    "metrics_from_arrays",
     "metrics_row",
     "point_rows",
-    "multiuser_frame_metrics",
+    "sweep",
     "write_rows_csv",
     "write_json",
     "write_manifest",
     "CSV_HEADER",
 ]
-
-
-@dataclass(frozen=True)
-class RunMetrics:
-    """Aggregates of one Monte Carlo run.
-
-    mean_total_cost always equals w_G * mean_grid_energy + w_D * users *
-    N * drop_ratio up to accumulation rounding; tests pin that identity.
-    """
-
-    policy: str
-    frames: int
-    seed: int
-    mean_total_cost: float
-    stderr_total_cost: float   # 0.0 when frames == 1 (flagged, not estimated)
-    mean_grid_energy: float    # J per frame
-    drop_ratio: float          # dropped packets / (frames * users * N)
 
 
 class GridOnlyPolicy:
@@ -186,12 +162,6 @@ def _walk(decides, batch: FrameBatch):
     return serve
 
 
-def _outcomes(decide, batch: FrameBatch):
-    """One decider's walk (`_walk`), settled (`_settle`): its (frames, U, N)
-    outcome arrays (serve, admitted, cost, grid energy in J)."""
-    return _settle(_walk([decide], batch)[0], batch)
-
-
 def _settle(serve, batch: FrameBatch):
     """Price a (frames, U, N) serve mask over `batch` in one pass.
 
@@ -220,6 +190,24 @@ def _settle(serve, batch: FrameBatch):
             np.where(batch.transmits, p_g * params.tau, 0.0) * admitted)
 
 
+def outcomes(batch: FrameBatch, policies=(), plans=()):
+    """Walk every policy in `policies` (by its `decide_batch`), then every
+    (frames, U, N) 0/1 plan in `plans`, over `batch` in one battery walk
+    (`_walk`), one battery each, and return an iterator of each row's
+    (frames, U, N) outcome arrays (serve, admitted, cost, grid energy in
+    J), in that order.
+
+    The walk runs when `outcomes` is called, so the first block where any
+    row fails raises then, with the error that row's lone walk raises.
+    Each row is settled (`_settle`) only when it is read, so a caller that
+    totals a row before reading the next holds one settlement at a time.
+    """
+    plans = [np.asarray(plan) for plan in plans]
+    serve = _walk([policy.decide_batch for policy in policies]
+                  + [lambda i, battery, batch, plan=plan: plan[:, :, i] for plan in plans], batch)
+    return (_settle(mask, batch) for mask in serve)
+
+
 def frame_totals(serve, admitted, cost, grid):
     """Per-frame (costs, grid energies, drop counts) of (frames, U, N)
     outcome arrays; the sums are row-wise math.fsum, so exact."""
@@ -227,27 +215,6 @@ def frame_totals(serve, admitted, cost, grid):
         return np.array([math.fsum(row) for row in a.reshape(a.shape[0], -1).tolist()])
 
     return fsum_rows(cost), fsum_rows(grid), np.sum(~serve & ~admitted, axis=(1, 2))
-
-
-def _plan_decider(plan):
-    """A decider that plays the (frames, U, N) 0/1 `plan`."""
-    return lambda i, battery, batch: plan[:, :, i]
-
-
-def _solve(solve, batch: FrameBatch):
-    """The offline plan function `solve`'s (frames, U, N) plan of `batch`,
-    under the summed peak cap params.p_H_max.  The solvers model an
-    uncapped battery, so B_m < N * E_m raises ModelMismatchError."""
-    params = batch.params
-    require_uncapped_battery(params)
-    return np.asarray(solve(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max))
-
-
-def replay_plan(plan, batch: FrameBatch):
-    """Walk a (frames, U, N) 0/1 serving plan over `batch`, settle the
-    batch once and return its (frames, U, N) outcome arrays (serve,
-    admitted, cost, grid energy in J); an unaffordable plan raises."""
-    return _outcomes(_plan_decider(np.asarray(plan)), batch)
 
 
 def _block_order_totals(serve, admitted, cost, energy):
@@ -264,33 +231,13 @@ def _block_order_totals(serve, admitted, cost, energy):
             np.sum(~serve[:, 0] & ~admitted[:, 0], axis=1, dtype=np.int64))
 
 
-def run_batch(policy, batch: FrameBatch):
-    """Walk a one-user batch in lockstep under `policy`.
-
-    Returns per-frame arrays (costs, grid energies, drop counts), each the
-    sum of the settled per-block terms in block order
-    (`_block_order_totals`).  This stays apart from
-    `multiuser_frame_metrics`, whose math.fsum totals can differ in the
-    last bits, because the single-user CSVs are pinned to these sums.
-    """
-    if batch.users != 1:
-        raise InvalidParameterError(
-            f"run_batch walks one user, got {batch.users}; use multiuser_frame_metrics")
-    return _block_order_totals(*_outcomes(policy.decide_batch, batch))
-
-
-def metrics_from_arrays(name, packets: int, seed, costs, grid, drops) -> RunMetrics:
-    """RunMetrics from per-frame (costs, grid energies, drop counts);
-    `packets` per frame is users * N."""
-    frames = costs.shape[0]
-    stderr = float(costs.std(ddof=1) / math.sqrt(frames)) if frames > 1 else 0.0
-    return RunMetrics(
-        policy=name, frames=frames, seed=seed,
-        mean_total_cost=float(costs.mean()),
-        stderr_total_cost=stderr,
-        mean_grid_energy=float(grid.mean()),
-        drop_ratio=float(drops.sum() / (frames * packets)),
-    )
+def _solve(solve, batch: FrameBatch):
+    """The offline plan function `solve`'s (frames, U, N) plan of `batch`,
+    under the summed peak cap params.p_H_max.  The solvers model an
+    uncapped battery, so B_m < N * E_m raises ModelMismatchError."""
+    params = batch.params
+    require_uncapped_battery(params)
+    return np.asarray(solve(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max))
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +268,21 @@ def apply_axis(params: SystemParams, axis: str, value: float) -> SystemParams:
     return params.evolve(**{axis: float(value)})
 
 
-def metrics_row(m: RunMetrics, axis: str, value: float) -> dict:
-    return dict(zip(CSV_HEADER, (m.policy, axis, value, m.mean_total_cost, m.stderr_total_cost,
-                                 m.mean_grid_energy, m.mean_grid_energy * 1e3, m.drop_ratio,
-                                 m.frames, m.seed)))
+def metrics_row(name, axis: str, value, packets: int, seed, costs, grid, drops) -> dict:
+    """The CSV row (CSV_HEADER) of per-frame arrays (costs, grid energies,
+    drop counts): `name` fills the policy column, `axis` and `value` label
+    the point, and `packets` per frame is users * N.
+
+    mean_total_cost always equals w_G * grid_energy_j + w_D * packets *
+    drop_ratio up to accumulation rounding; tests pin that identity.
+    stderr_total_cost is 0.0 at one frame (flagged, not estimated).
+    """
+    frames = costs.shape[0]
+    stderr = float(costs.std(ddof=1) / math.sqrt(frames)) if frames > 1 else 0.0
+    grid_energy = float(grid.mean())
+    return dict(zip(CSV_HEADER, (name, axis, value, float(costs.mean()), stderr, grid_energy,
+                                 grid_energy * 1e3, float(drops.sum() / (frames * packets)),
+                                 frames, seed)))
 
 
 def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
@@ -340,26 +298,23 @@ def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
     follow the online ones, in order.
 
     Every policy is built by its factory and every plan solved first (an
-    uncapped battery is required before any plan, as in
-    `offline_frame_metrics`); then one battery walk (`_walk`) plays them
-    all, so the first block where any of them fails raises that one's
-    error.  Each is then settled and totalled on its own: one user's online
-    rows in block order (`_block_order_totals`, as `run_batch`), every other
-    row with math.fsum (`frame_totals`), so every row equals the lone
-    evaluation's bit for bit.
+    uncapped battery is required before any plan, `_solve`); then one
+    `outcomes` walk plays them all, so the first block where any of them
+    fails raises that one's error.  Each row is then settled, totalled and
+    aggregated (`metrics_row`) before the next is read: one user's online
+    rows in block order (`_block_order_totals`), every other row with
+    math.fsum (`frame_totals`).
     """
     batch = sample_trajectories(point, seed, frames, users)
     policies = [factory(point) for factory in policy_factories.values()]
     solved = [_solve(solve, batch) for solve in (plans or {}).values()]
-    serve = _walk([policy.decide_batch for policy in policies]
-                  + [_plan_decider(plan) for plan in solved], batch)
-    # one user keeps run_batch's block-order totals: the single-user CSVs are pinned to them
+    settled = outcomes(batch, policies, solved)
+    # one user's online rows keep block-order sums: the single-user CSVs are pinned to them
     online = _block_order_totals if users == 1 else frame_totals
     totals = [online] * len(policies) + [frame_totals] * len(solved)
     names = [*policy_factories, *(plans or {})]
-    return [metrics_row(metrics_from_arrays(name, users * point.N, seed,
-                                            *total(*_settle(mask, batch))), axis, value)
-            for name, total, mask in zip(names, totals, serve)]
+    return [metrics_row(name, axis, value, users * point.N, seed, *total(*next(settled)))
+            for name, total in zip(names, totals)]
 
 
 def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
@@ -391,37 +346,6 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(at, values))
     return [row for chunk in chunks for row in chunk]
-
-
-# ---------------------------------------------------------------------------
-# exact per-frame totals: any policy at any user count, offline plans
-# ---------------------------------------------------------------------------
-
-def multiuser_frame_metrics(policy, batch: FrameBatch):
-    """Walk a batch of any user count in lockstep under `policy`.
-
-    One battery per frame, shared by the users.  Per block the policy
-    picks the users the harvesting BS serves; they must jointly respect the
-    battery and its summed peak power, and a policy breaking either is an
-    internal invariant breach.  Users left to the grid BS are admitted
-    cheapest inversion power first (ties: lower user) until its summed peak
-    power is exhausted; the rest drop.  Returns per-frame arrays (costs,
-    grid energies, drop counts), the sums totalled with math.fsum.
-    """
-    return frame_totals(*_outcomes(policy.decide_batch, batch))
-
-
-def offline_frame_metrics(solve, batch: FrameBatch):
-    """Plan every frame of a batch offline and replay the plans.
-
-    `solve` is an offline plan function (`greedy_plan`, or `optimal_plan`
-    for one user), called once over the batch's arrays with the summed peak
-    cap params.p_H_max.  The plans are walked by
-    `replay_plan`.  Returns per-frame arrays (costs, grid energies, drop
-    counts); a plan's cost is its exact math.fsum skip sum.  The solvers
-    model an uncapped battery, so B_m < N * E_m raises ModelMismatchError.
-    """
-    return frame_totals(*replay_plan(_solve(solve, batch), batch))
 
 
 # ---------------------------------------------------------------------------

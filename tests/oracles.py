@@ -17,7 +17,8 @@ references.
 batch at once.  The walk that settled each block inside the loop is the
 reference for that split.  A sweep point walks every policy and plan of
 the point in one battery walk; the loop that evaluated them one walk
-apiece is the reference for that.
+apiece is the reference for that, built from one-row `sim.outcomes`
+calls (`walk`, `replay`) and their per-frame totals.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ from hesnet import sim
 from hesnet.sim import (
     _admit_in_order,
     _battery_slack,
+    _block_order_totals,
     _pay,
-    metrics_from_arrays,
+    _solve,
+    frame_totals,
     metrics_row,
-    multiuser_frame_metrics,
-    offline_frame_metrics,
-    run_batch,
+    outcomes,
 )
 
 
@@ -215,10 +216,10 @@ def v1_artifact(path, top, grid, params_hash) -> bytes:
 
 
 def block_walk(decide, batch: FrameBatch):
-    """`sim._outcomes` with every block settled inside the battery walk, the
-    grid BS's in-order admission run once per block; returns the per-block
-    outcomes stacked to (frames, U, N) arrays (serve, admitted, cost, grid
-    energy in J), or raises where that walk raises."""
+    """One `sim.outcomes` row with every block settled inside the battery
+    walk, the grid BS's in-order admission run once per block; returns the
+    per-block outcomes stacked to (frames, U, N) arrays (serve, admitted,
+    cost, grid energy in J), or raises where that walk raises."""
 
     def steps():
         params, p_g, p_h, e_h, skip = batch.params, batch.p_g, batch.p_h, batch.e_h, batch.skip
@@ -252,14 +253,47 @@ def block_walk(decide, batch: FrameBatch):
     return tuple(np.stack(terms, axis=-1) for terms in zip(*steps()))
 
 
+def walk(policy, batch: FrameBatch):
+    """`policy`'s (frames, U, N) outcome arrays (serve, admitted, cost, grid
+    energy in J): a `sim.outcomes` walk of it alone."""
+    [arrays] = outcomes(batch, [policy])
+    return arrays
+
+
+def replay(plan, batch: FrameBatch):
+    """A (frames, U, N) 0/1 plan's outcome arrays: a `sim.outcomes` walk
+    of it alone."""
+    [arrays] = outcomes(batch, plans=[plan])
+    return arrays
+
+
+def block_totals(policy, batch: FrameBatch):
+    """One user's per-frame (costs, grid energies, drop counts) under
+    `policy`, summed in block order as its CSV row is."""
+    return _block_order_totals(*walk(policy, batch))
+
+
+def exact_totals(policy, batch: FrameBatch):
+    """Per-frame (costs, grid energies, drop counts) under `policy` at any
+    user count, summed with math.fsum (`sim.frame_totals`)."""
+    return frame_totals(*walk(policy, batch))
+
+
+def plan_totals(solve, batch: FrameBatch):
+    """Per-frame (costs, grid energies, drop counts) of the offline plan
+    function `solve`'s plan of `batch`, replayed and summed with math.fsum;
+    a capped battery raises ModelMismatchError before any plan."""
+    return frame_totals(*replay(_solve(solve, batch), batch))
+
+
 def per_policy_point_rows(point, axis, value, policy_factories, frames, seed, plans=None,
                           users=1):
-    """`sim.point_rows` as one walk per policy (`run_batch` for one user,
-    `multiuser_frame_metrics` for more) and one `offline_frame_metrics`
-    per plan, on the batch `sim.sample_trajectories` draws for the point."""
+    """`sim.point_rows` as one walk per policy (`block_totals` for one
+    user, `exact_totals` for more) and one `plan_totals` per plan, on the
+    batch `sim.sample_trajectories` draws for the point."""
     batch = sim.sample_trajectories(point, seed, frames, users)
-    online = run_batch if users == 1 else multiuser_frame_metrics
+    online = block_totals if users == 1 else exact_totals
     runs = [(name, online(factory(point), batch)) for name, factory in policy_factories.items()]
-    runs += [(name, offline_frame_metrics(solve, batch)) for name, solve in (plans or {}).items()]
-    return [metrics_row(metrics_from_arrays(name, users * point.N, seed, *arrays), axis, value)
+    runs += [(name, plan_totals(solve, batch)) for name, solve in (plans or {}).items()]
+    return [metrics_row(name, axis, value, users * point.N, seed, *arrays)
             for name, arrays in runs]

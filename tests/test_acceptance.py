@@ -38,8 +38,8 @@ from hesnet.policies import (
     look_ahead_build,
     threshold_lambdas,
 )
-from hesnet.sim import multiuser_frame_metrics, offline_frame_metrics, run_batch
-from oracles import Frame, solve, staircase_actions, swap_free
+from hesnet.sim import _block_order_totals, frame_totals, outcomes
+from oracles import Frame, plan_totals, solve, staircase_actions, swap_free
 
 REF = SystemParams()  # reference parameter set used throughout
 
@@ -103,8 +103,8 @@ def trajectory_bank_n15():
     batch = sample_trajectories(params, 77, frames)
     plan = greedy_plan(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
     swap_ok = np.array([swap_free(plan[f, 0], Frame.of(batch, f)) for f in range(frames)])
-    cost_greedy, _, _ = offline_frame_metrics(greedy_plan, batch)
-    cost_opt, _, _ = offline_frame_metrics(optimal_plan, batch)
+    cost_greedy, _, _ = plan_totals(greedy_plan, batch)
+    cost_opt, _, _ = plan_totals(optimal_plan, batch)
     return {"params": params, "batch": batch,
             "cost_greedy": cost_greedy, "cost_opt": cost_opt, "swap_ok": swap_ok}
 
@@ -278,10 +278,9 @@ def test_criterion_07_policy_ordering_at_reference(ref_scale_solution):
         "MBIA-M100": MdpTablePolicy(ref_scale_solution["table"]),
         "MBIA-M400": MdpTablePolicy(_train_table(REF, 400)),
     }
-    for name, policy in policies.items():
-        costs, _, _ = run_batch(policy, batch)
-        per_frame[name] = costs
-    per_frame["GA"], _, _ = offline_frame_metrics(greedy_plan, batch)
+    for name, arrays in zip(policies, outcomes(batch, policies.values())):
+        per_frame[name] = _block_order_totals(*arrays)[0]
+    per_frame["GA"], _, _ = plan_totals(greedy_plan, batch)
 
     def margin(worse, better):
         """Paired mean difference in units of its standard error."""
@@ -331,8 +330,8 @@ def test_criterion_08_drop_ratio_floors():
     floors = {"GT": 8.19, "Look-Ahead": 3.51, "MBIA-M100": 3.36, "Threshold": 3.32}
     batch = sample_trajectories(params, seed, frames)
     drops_pct = {}
-    for name, policy in policies.items():
-        _, _, drops = run_batch(policy, batch)
+    for name, arrays in zip(policies, outcomes(batch, policies.values())):
+        drops = _block_order_totals(*arrays)[2]
         drops_pct[name] = 100.0 * float(drops.sum()) / (frames * params.N)
     detail = ", ".join(f"{k} {v:.2f}% (target {floors[k]})" for k, v in drops_pct.items())
     primary_ok = all(abs(drops_pct[k] - floors[k]) <= 0.5 for k in floors)
@@ -366,8 +365,8 @@ def test_criterion_09_online_never_beats_offline_optimum(trajectory_bank_n15):
     batch = bank["batch"]
     frames = batch.frames
     violations = 0
-    for policy in policies.values():
-        costs, _, _ = multiuser_frame_metrics(policy, batch)
+    for arrays in outcomes(batch, policies.values()):
+        costs, _, _ = frame_totals(*arrays)
         # exact comparison, frame by frame: both sides are exact-sum costs
         violations += sum(cost < opt for cost, opt in zip(costs.tolist(),
                                                           bank["cost_opt"].tolist()))
@@ -394,10 +393,10 @@ def test_criterion_10_two_user_extension():
             "GT": GreedyTransmit(),
             "Threshold": ThresholdHeuristic(ThresholdParams(zeta, lam1, lam2)),
         }
-        costs = {name: multiuser_frame_metrics(policy, batch)[0]
-                 for name, policy in mu_policies.items()}
+        costs = {name: frame_totals(*arrays)[0]
+                 for name, arrays in zip(mu_policies, outcomes(batch, mu_policies.values()))}
         # each frame's pooled offline plan
-        costs["GA"] = offline_frame_metrics(greedy_plan, batch)[0]
+        costs["GA"] = plan_totals(greedy_plan, batch)[0]
 
         def margin(worse, better):
             d = costs[worse] - costs[better]
@@ -423,8 +422,8 @@ def test_criterion_11_greedy_near_optimal_at_the_papers_n():
     t0 = time.perf_counter()
     cfg = resolve_config()
     batch = sample_trajectories(cfg.params, cfg.seed, 100)
-    cost_greedy, _, _ = offline_frame_metrics(greedy_plan, batch)
-    cost_opt, _, _ = offline_frame_metrics(optimal_plan, batch)
+    cost_greedy, _, _ = plan_totals(greedy_plan, batch)
+    cost_opt, _, _ = plan_totals(optimal_plan, batch)
     below = int(np.sum(cost_greedy < cost_opt))
     ratio = float(cost_greedy.mean() / cost_opt.mean())
     elapsed = time.perf_counter() - t0

@@ -27,8 +27,8 @@ from hesnet.errors import ConfigError, HesnetError, ResourceLimitError
 from hesnet.mdp import load_policy_artifact
 from hesnet.model import SystemParams, sample_trajectories
 from hesnet.policies import look_ahead_build
-from hesnet.sim import GridOnlyPolicy, metrics_from_arrays, multiuser_frame_metrics
-from oracles import v1_artifact
+from hesnet.sim import GridOnlyPolicy, metrics_row
+from oracles import exact_totals, v1_artifact
 
 GOLDEN_HEADER = ("policy,axis,axis_value,mean_total_cost,stderr_total_cost,"
                  "grid_energy_j,grid_energy_mj,drop_ratio,frames,seed")
@@ -448,6 +448,22 @@ def test_offline_rows_on_a_capped_battery_are_exit_4(tmp_path, capsys):
             (tmp_path / "simulate.csv").read_text().splitlines()[1:]] == ["GT"]
 
 
+def test_battery_cap_with_a_p_avg_axis_is_refused(tmp_path, capsys):
+    # each point of the p_avg_mw axis re-derives B_m = N * E_m, so a
+    # configured b_m_j would be written to the manifest but never run
+    capped = ["--frames", "20", "--set", "axis_values=20", "--set", "zeta=8.5",
+              "--set", "policies=GT,GA", "--set", "b_m_j=8e-5", "--out", str(tmp_path)]
+    assert main(["sweep", "--preset", "fig4", *capped]) == 2
+    err = capsys.readouterr().err
+    assert "b_m_j" in err and "p_avg_mw" in err
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(ConfigError, match="b_m_j cannot be set with axis = p_avg_mw"):
+        resolve_config(overrides={"b_m_j": "8e-5", "axis": "p_avg_mw", "axis_values": "20"})
+    # other axes keep a configured cap
+    assert resolve_config(overrides={"b_m_j": "8e-5", "axis": "w_d",
+                                     "axis_values": "0.1"}).params.B_m == 8e-5
+
+
 def test_simulate_rejects_unknown_policy(tmp_path, capsys):
     assert main(["simulate"] + SMALL + ["--set", "policies=Oracle",
                  "--out", str(tmp_path)]) == 2
@@ -543,12 +559,12 @@ def test_simulate_two_user_grid_only_row_is_the_joint_walk(tmp_path):
         rows = {row["policy"]: row for row in csv.DictReader(f)}
     cfg = resolve_config(overrides={"n_blocks": "8", "users": "2"})
     batch = sample_trajectories(cfg.params, cfg.seed, 30, users=2)
-    m = metrics_from_arrays("GP-only", 2 * cfg.params.N, cfg.seed,
-                            *multiuser_frame_metrics(GridOnlyPolicy(), batch))
+    m = metrics_row("GP-only", "none", 0.0, 2 * cfg.params.N, cfg.seed,
+                    *exact_totals(GridOnlyPolicy(), batch))
     row = rows["GP-only"]
     assert (float(row["mean_total_cost"]), float(row["stderr_total_cost"]),
             float(row["grid_energy_j"]), float(row["drop_ratio"]), int(row["frames"])) == (
-        m.mean_total_cost, m.stderr_total_cost, m.mean_grid_energy, m.drop_ratio, 30)
+        m["mean_total_cost"], m["stderr_total_cost"], m["grid_energy_j"], m["drop_ratio"], 30)
     assert float(row["mean_total_cost"]) > float(rows["GT"]["mean_total_cost"])
 
 

@@ -39,8 +39,8 @@ from hesnet.policies import (
     look_ahead_table,
     threshold_lambdas,
 )
-from hesnet.sim import _battery_slack, apply_axis, multiuser_frame_metrics, run_batch
-from oracles import DenseTablePolicy
+from hesnet.sim import _battery_slack, apply_axis
+from oracles import DenseTablePolicy, block_totals, walk
 
 P = SystemParams()
 
@@ -393,9 +393,9 @@ def test_stale_table_raises_from_run_batch():
     batch = sample_trajectories(P, 51, 4)
     stale = FrameBatch(P.evolve(w_D=0.5), batch.gamma_g, batch.gamma_h, batch.e_h)
     for policy in (MdpTablePolicy(small_table(P)), MdpTablePolicy(look_ahead_build(P, M=10, K=4))):
-        run_batch(policy, batch)   # a matching run first must not mask the stale one
+        walk(policy, batch)   # a matching run first must not mask the stale one
         with pytest.raises(StalePolicyError):
-            run_batch(policy, stale)
+            walk(policy, stale)
 
 
 def test_matching_table_hashes_params_once_per_run(monkeypatch):
@@ -413,9 +413,9 @@ def test_matching_table_hashes_params_once_per_run(monkeypatch):
         first, again = (FrameBatch(P.evolve(), batch.gamma_g, batch.gamma_h, batch.e_h)
                         for _ in range(2))
         calls.clear()
-        run_batch(policy, first)
+        walk(policy, first)
         assert len(calls) == 1
-        run_batch(policy, again)
+        walk(policy, again)
         assert len(calls) == 2
 
 
@@ -425,7 +425,7 @@ def test_table_policies_refuse_more_than_one_user():
     batch = sample_trajectories(P, 1, 50, users=2)
     for policy in (MdpTablePolicy(small_table(P)), MdpTablePolicy(look_ahead_build(P, M=10, K=5))):
         with pytest.raises(InvalidParameterError, match="one user"):
-            multiuser_frame_metrics(policy, batch)
+            walk(policy, batch)
         with pytest.raises(InvalidParameterError, match="one user"):
             policy.decide_batch(0, np.zeros(batch.frames), batch)
 
@@ -502,7 +502,7 @@ def test_table_policies_search_the_h_states_once_per_batch(monkeypatch):
     for seed in (1, 2):
         batch = sample_trajectories(P, seed, 40)
         for policy in players:
-            run_batch(policy, batch)
+            walk(policy, batch)
     assert calls == [(P.N, 40)] * 2
 
 
@@ -537,14 +537,15 @@ def test_look_ahead_structure():
 # calibration
 # ---------------------------------------------------------------------------
 
-def calibrate_by_run_batch(cand, params, budget, seed):
-    """Reference calibrator: one ThresholdHeuristic run_batch per candidate."""
+def calibrate_by_lone_walks(cand, params, budget, seed):
+    """Reference calibrator: one ThresholdHeuristic walk per candidate, its
+    frame costs summed in block order."""
     l1, l2 = threshold_lambdas(params)
     batch = sample_trajectories(params, seed, budget)
     costs = np.empty(len(cand))
     for i, zeta in enumerate(cand):
         policy = ThresholdHeuristic(ThresholdParams(float(zeta), l1, l2))
-        frame_costs, _, _ = run_batch(policy, batch)
+        frame_costs, _, _ = block_totals(policy, batch)
         costs[i] = frame_costs.mean()
     return float(cand[int(np.argmin(costs))]), costs
 
@@ -552,7 +553,7 @@ def calibrate_by_run_batch(cand, params, budget, seed):
 def assert_matches_oracle(cand, params, budget, seed):
     cand = np.asarray(cand, dtype=float)
     tp, costs = calibrate_zeta(cand, params, budget, seed)
-    ref_zeta, ref_costs = calibrate_by_run_batch(cand, params, budget, seed)
+    ref_zeta, ref_costs = calibrate_by_lone_walks(cand, params, budget, seed)
     assert np.array_equal(costs, ref_costs)
     assert tp.zeta == ref_zeta
     assert (tp.lambda1, tp.lambda2) == threshold_lambdas(params)
@@ -770,8 +771,8 @@ def test_calibrated_threshold_beats_greedy():
     zeta = calibrate_zeta(np.arange(0.0, 40.1, 2.0), P, budget=400, seed=49)[0].zeta
     l1, l2 = threshold_lambdas(P)
     batch = sample_trajectories(P, 50, 2000)
-    c_th, _, _ = run_batch(ThresholdHeuristic(ThresholdParams(zeta, l1, l2)), batch)
-    c_gt, _, _ = run_batch(GreedyTransmit(), batch)
+    c_th, _, _ = block_totals(ThresholdHeuristic(ThresholdParams(zeta, l1, l2)), batch)
+    c_gt, _, _ = block_totals(GreedyTransmit(), batch)
     diff = c_gt - c_th
     assert diff.mean() > 2 * diff.std(ddof=1) / math.sqrt(diff.size)
 

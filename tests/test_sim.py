@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,9 @@ from hesnet.sim import (
     GridOnlyPolicy,
     apply_axis,
     frame_totals,
-    metrics_from_arrays,
-    multiuser_frame_metrics,
-    offline_frame_metrics,
-    _outcomes,
+    metrics_row,
+    outcomes,
     point_rows,
-    replay_plan,
-    run_batch,
     sweep,
     write_manifest,
     write_rows_csv,
@@ -54,11 +51,16 @@ from hesnet.sim import (
 from oracles import (
     DenseTablePolicy,
     Frame,
+    block_totals,
     block_walk,
+    exact_totals,
     per_policy_point_rows,
     plan_args,
+    plan_totals,
+    replay,
     service_cost,
     solve,
+    walk,
 )
 
 P = SystemParams()
@@ -105,8 +107,8 @@ def expand_solution(alpha, batch: FrameBatch, f: int) -> FullSolution:
 
 def replay_one(alpha, batch: FrameBatch):
     """(cost, grid energy in J, drops) of a one-user plan for a one-frame
-    batch, walked by `replay_plan` and totalled by `frame_totals`."""
-    costs, grid, drops = frame_totals(*replay_plan(np.asarray(alpha)[None, None], batch))
+    batch, walked by `outcomes` and totalled by `frame_totals`."""
+    costs, grid, drops = frame_totals(*replay(np.asarray(alpha)[None, None], batch))
     return float(costs[0]), float(grid[0]), int(drops[0])
 
 
@@ -122,7 +124,7 @@ class AlwaysServe:
 def test_per_frame_cost_identity():
     # five frames keyed (60, f), each totalled exactly
     batch = sample_trajectories(P, 60, 5)
-    costs, grid, drops = multiuser_frame_metrics(GreedyTransmit(), batch)
+    costs, grid, drops = exact_totals(GreedyTransmit(), batch)
     for cost, energy, dropped in zip(costs, grid, drops):
         assert math.isclose(cost, P.w_G * energy + P.w_D * dropped, rel_tol=1e-12, abs_tol=1e-18)
         assert 0 <= dropped <= P.N and energy >= 0
@@ -132,21 +134,19 @@ def test_battery_walk_rejects_infeasible_serve():
     one = np.ones((1, 1, 3))
     batch = FrameBatch(P.evolve(N=3), one, one, np.zeros((1, 3)))
     with pytest.raises(InvalidActionError):
-        run_batch(AlwaysServe(), batch)
-    with pytest.raises(InvalidActionError):
-        multiuser_frame_metrics(AlwaysServe(), batch)
+        outcomes(batch, [AlwaysServe()])   # the walk raises before any row is read
 
 
 def test_battery_walk_rejects_bad_action_value():
-    # every walk shares the per-block step, so each refuses an action of 2
+    # the walk refuses an action of 2 in a one-frame batch and in a larger one
     class Weird:
         def decide_batch(self, block, battery, batch):
             return np.full(batch.p_h.shape[:2], 2 if block == 3 else 0, dtype=np.int8)
 
     with pytest.raises(InvalidActionError, match=r"returned \[2\] at block 4"):
-        multiuser_frame_metrics(Weird(), sample_trajectory(P, 61))
+        walk(Weird(), sample_trajectory(P, 61))
     with pytest.raises(InvalidActionError, match=r"returned \[2\] at block 4"):
-        run_batch(Weird(), sample_trajectories(P, 61, 5))
+        walk(Weird(), sample_trajectories(P, 61, 5))
 
 
 def test_frame_batch_checks_length():
@@ -155,14 +155,6 @@ def test_frame_batch_checks_length():
     frame = sample_trajectory(P.evolve(N=10), 62)
     with pytest.raises(InvalidParameterError, match="blocks, params.N"):
         FrameBatch(P, frame.gamma_g, frame.gamma_h, frame.e_h)
-
-
-def test_run_batch_refuses_more_than_one_user():
-    two = sample_trajectories(P, 62, 3, users=2)
-    with pytest.raises(InvalidParameterError, match="one user, got 2"):
-        run_batch(GreedyTransmit(), two)
-    costs, _, _ = multiuser_frame_metrics(GreedyTransmit(), two)
-    assert costs.shape == (3,)
 
 
 def test_replayed_plan_costs_its_exact_skip_sum():
@@ -176,14 +168,14 @@ def test_replayed_plan_costs_its_exact_skip_sum():
         batch = sample_trajectories(params, 63, 40)
         for solver in (greedy_plan, optimal_plan):
             plan = solver(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
-            costs, _, _ = frame_totals(*replay_plan(plan, batch))
+            costs, _, _ = frame_totals(*replay(plan, batch))
             assert costs.tolist() == [math.fsum(batch.skip[f, 0][plan[f, 0] == 0])
                                       for f in range(40)]
 
 
 def test_grid_only_policy_never_serves():
     batch = sample_trajectory(P, 64)
-    cost, grid, drops = multiuser_frame_metrics(GridOnlyPolicy(), batch)
+    cost, grid, drops = exact_totals(GridOnlyPolicy(), batch)
     assert (cost[0], grid[0], drops[0]) == replay_one(np.zeros(P.N), batch)
 
 
@@ -196,8 +188,8 @@ def test_run_batch_matches_fsum_walk():
     policies = [GreedyTransmit(), ThresholdHeuristic(ThresholdParams(8.0, l1, l2))]
     batch = sample_trajectories(P, 65, 50)
     for policy in policies:
-        costs, grid, drops = run_batch(policy, batch)
-        exact = multiuser_frame_metrics(policy, batch)
+        costs, grid, drops = block_totals(policy, batch)
+        exact = exact_totals(policy, batch)
         for f, (c, g, d) in enumerate(zip(*exact)):
             assert math.isclose(costs[f], c, rel_tol=1e-12, abs_tol=1e-18)
             assert math.isclose(grid[f], g, rel_tol=1e-12, abs_tol=1e-18)
@@ -207,8 +199,8 @@ def test_run_batch_matches_fsum_walk():
 def test_batch_rejects_infeasible_serve():
     batch = sample_trajectories(P, 66, 4)
     with pytest.raises(InvalidActionError):
-        run_batch(AlwaysServe(), FrameBatch(P, batch.gamma_g, batch.gamma_h,
-                                            np.zeros_like(batch.e_h)))
+        block_totals(AlwaysServe(), FrameBatch(P, batch.gamma_g, batch.gamma_h,
+                                               np.zeros_like(batch.e_h)))
 
 
 def test_affordability_check_locates_overdraw():
@@ -221,9 +213,9 @@ def test_affordability_check_locates_overdraw():
     e_h[1, 6] = 1e-9
     serve_last = np.zeros((2, 1, 7), dtype=np.int8)
     serve_last[:, :, 6] = 1
-    replay_plan(serve_last[:1], FrameBatch(params, gains[:1], gains[:1], e_h[:1]))
+    replay(serve_last[:1], FrameBatch(params, gains[:1], gains[:1], e_h[:1]))
     with pytest.raises(InvalidActionError, match="block 7 of frame 1 with battery 1e-09 J"):
-        replay_plan(serve_last, FrameBatch(params, gains, gains, e_h))
+        replay(serve_last, FrameBatch(params, gains, gains, e_h))
 
 
 def capped_at(params, cap, gains):
@@ -237,9 +229,9 @@ def test_single_user_peak_check_is_exact():
     gains = np.ones((1, 1, 1))
     power = capped_at(params, params.p_H_max, gains).p_h[0, 0, 0]
     serve = np.ones((1, 1, 1), dtype=np.int8)
-    replay_plan(serve, capped_at(params, power, gains))
+    replay(serve, capped_at(params, power, gains))
     with pytest.raises(InvalidActionError, match="block 1 of frame 0"):
-        replay_plan(serve, capped_at(params, np.nextafter(power, 0.0), gains))
+        replay(serve, capped_at(params, np.nextafter(power, 0.0), gains))
 
 
 def test_joint_serve_of_one_user_above_the_summed_cap_raises():
@@ -249,8 +241,8 @@ def test_joint_serve_of_one_user_above_the_summed_cap_raises():
     power = capped_at(params, params.p_H_max, gains).p_h[0, 0, 0]
     first_user = np.array([[[1], [0]]], dtype=np.int8)
     with pytest.raises(InvalidActionError, match="block 1 of frame 0"):
-        replay_plan(first_user, capped_at(params, np.nextafter(power, 0.0), gains))
-    replay_plan(first_user, capped_at(params, power, gains))
+        replay(first_user, capped_at(params, np.nextafter(power, 0.0), gains))
+    replay(first_user, capped_at(params, power, gains))
 
 
 # ---------------------------------------------------------------------------
@@ -258,29 +250,29 @@ def test_joint_serve_of_one_user_above_the_summed_cap_raises():
 # ---------------------------------------------------------------------------
 
 def crn_metrics(policy, name, params, frames, seed):
-    """RunMetrics of a single-user policy on `frames` CRN frames keyed
+    """The CSV row of a single-user policy on `frames` CRN frames keyed
     (seed, f)."""
-    arrays = run_batch(policy, sample_trajectories(params, seed, frames))
-    return metrics_from_arrays(name, params.N, seed, *arrays)
+    arrays = block_totals(policy, sample_trajectories(params, seed, frames))
+    return metrics_row(name, "none", 0.0, params.N, seed, *arrays)
 
 
 def test_crn_metrics_cost_identity():
     m = crn_metrics(GreedyTransmit(), "GT", P, 300, seed=67)
-    assert math.isclose(m.mean_total_cost,
-                        P.w_G * m.mean_grid_energy + P.w_D * P.N * m.drop_ratio,
+    assert math.isclose(m["mean_total_cost"],
+                        P.w_G * m["grid_energy_j"] + P.w_D * P.N * m["drop_ratio"],
                         rel_tol=1e-9)
-    assert m.frames == 300 and m.seed == 67 and m.policy == "GT"
-    assert m.stderr_total_cost > 0
+    assert m["frames"] == 300 and m["seed"] == 67 and m["policy"] == "GT"
+    assert m["stderr_total_cost"] > 0
 
 
 def test_crn_metrics_single_frame_has_zero_stderr():
     m = crn_metrics(GreedyTransmit(), "GT", P, 1, seed=68)
-    assert m.stderr_total_cost == 0.0
+    assert m["stderr_total_cost"] == 0.0
 
 
 def test_run_batch_frame_prefix_property():
-    c1, _, _ = run_batch(GreedyTransmit(), sample_trajectories(P, 69, 40))
-    c2, _, _ = run_batch(GreedyTransmit(), sample_trajectories(P, 69, 80))
+    c1, _, _ = block_totals(GreedyTransmit(), sample_trajectories(P, 69, 40))
+    c2, _, _ = block_totals(GreedyTransmit(), sample_trajectories(P, 69, 80))
     np.testing.assert_array_equal(c1, c2[:40])
 
 
@@ -296,7 +288,7 @@ def test_offline_frame_metrics_match_scripted_replay_bitwise(solver, changes):
     params = P.evolve(**changes)
     frames = sample_trajectories(params, 77, 60)
     plan = {"greedy": greedy_plan, "exhaustive": optimal_plan}[solver]
-    got = offline_frame_metrics(plan, frames)
+    got = plan_totals(plan, frames)
     for f in range(frames.frames):
         batch = FrameBatch(params, frames.gamma_g[f:f + 1], frames.gamma_h[f:f + 1],
                            frames.e_h[f:f + 1])
@@ -315,7 +307,7 @@ def test_plan_on_the_energy_slack_boundary_replays():
     unit = float(link_terms(1.0, 1.0, params)[1])   # p_H_inv at unit fading
     gh = unit * params.tau / spends
     batch = FrameBatch(params, np.ones((1, 1, 2)), gh[None, None], np.full((1, 2), params.E_m))
-    costs, grid, drops = offline_frame_metrics(greedy_plan, batch)
+    costs, grid, drops = plan_totals(greedy_plan, batch)
     assert (costs[0], grid[0], drops[0]) == (0.0, 0.0, 0)
 
 
@@ -331,10 +323,10 @@ class PlayPlan:
 
 def test_one_user_joint_replay_equals_offline_frame_metrics():
     batch = sample_trajectories(P, 80, 40)
-    want = offline_frame_metrics(greedy_plan, batch)
+    want = plan_totals(greedy_plan, batch)
     plan = greedy_plan(batch.skip, batch.p_h, batch.e_h, P.tau, P.p_H_max)
-    for got in (frame_totals(*replay_plan(plan, batch)),
-                multiuser_frame_metrics(PlayPlan(plan), batch)):
+    for got in (frame_totals(*replay(plan, batch)),
+                exact_totals(PlayPlan(plan), batch)):
         for arr, ref in zip(got, want):
             assert np.array_equal(arr, ref)
 
@@ -343,7 +335,7 @@ def test_replay_plan_partitions_blocks():
     params = P.evolve(N=12)
     batch = sample_trajectories(params, 25, 20)
     plan = greedy_plan(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
-    serve, admitted, cost, grid = replay_plan(plan, batch)
+    serve, admitted, cost, grid = replay(plan, batch)
     dropped = ~serve & ~admitted
     assert not np.any(serve & admitted)
     assert np.array_equal(serve, plan == 1)
@@ -370,29 +362,29 @@ def test_replay_plan_boundary_power_transmits():
     assert kappa(params) == p_g
     batch = FrameBatch(params, np.array([[[1.0, np.nextafter(1.0, 0.0)]]]), np.zeros((1, 1, 2)),
                        np.zeros((1, 2)))
-    serve, admitted, _, _ = replay_plan(np.zeros((1, 1, 2), dtype=np.int8), batch)
+    serve, admitted, _, _ = replay(np.zeros((1, 1, 2), dtype=np.int8), batch)
     assert admitted[0, 0].tolist() == [True, False] and not serve.any()
 
 
 def test_offline_evaluation_refuses_a_capped_battery():
     capped = P.evolve(B_m=2 * P.E_m)
     with pytest.raises(ModelMismatchError, match="uncapped battery"):
-        offline_frame_metrics(greedy_plan, sample_trajectories(capped, 79, 3))
+        plan_totals(greedy_plan, sample_trajectories(capped, 79, 3))
     two = sample_trajectories(capped, 79, 2, users=2)
     with pytest.raises(ModelMismatchError, match="uncapped battery"):
-        offline_frame_metrics(greedy_plan, two)
+        plan_totals(greedy_plan, two)
     # the causal walks and the solvers themselves stay usable on capped params
-    multiuser_frame_metrics(GreedyTransmit(), two)
+    exact_totals(GreedyTransmit(), two)
     solve(greedy_plan, Frame.of(sample_trajectory(capped, 79)))
     # a battery of exactly N * E_m never clamps
     exact = P.evolve(N=5).evolve(B_m=5 * P.E_m)
-    offline_frame_metrics(greedy_plan, sample_trajectories(exact, 79, 2))
+    plan_totals(greedy_plan, sample_trajectories(exact, 79, 2))
 
 
 def test_offline_frame_metrics_orders_solvers():
     batch = sample_trajectories(P.evolve(N=10), 70, 30)
-    c_greedy, _, _ = offline_frame_metrics(greedy_plan, batch)
-    c_opt, _, _ = offline_frame_metrics(optimal_plan, batch)
+    c_greedy, _, _ = plan_totals(greedy_plan, batch)
+    c_opt, _, _ = plan_totals(optimal_plan, batch)
     assert np.all(c_greedy >= c_opt - 1e-15)
 
 
@@ -481,7 +473,7 @@ def test_point_rows_equal_one_walk_per_policy(users, monkeypatch):
         assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
     if users > 1:   # the summed cap turns users away somewhere
         batch = sim.sample_trajectories(capped, 95, 12, users)
-        _, admitted, _, _ = replay_plan(np.zeros((12, users, P.N), np.int8), batch)
+        _, admitted, _, _ = replay(np.zeros((12, users, P.N), np.int8), batch)
         assert (batch.transmits & ~admitted).any()
 
 
@@ -525,7 +517,7 @@ def lone_error(evaluate, *args):
 @pytest.mark.parametrize("users", [1, 2])
 def test_point_walk_raises_what_the_first_failing_lone_walk_raises(users):
     batch = sample_trajectories(P, 96, 10, users)
-    online = run_batch if users == 1 else multiuser_frame_metrics
+    online = block_totals if users == 1 else exact_totals
     good = point_factories(users)
 
     def point_error(factories, plans=None):
@@ -545,14 +537,45 @@ def test_point_walk_raises_what_the_first_failing_lone_walk_raises(users):
     assert point_error({"first": lambda p: first, "second": lambda p: second}) == lone_error(
         online, first, batch)
     # a plan that cannot be paid raises as its own replay does
-    want = lone_error(offline_frame_metrics, serve_everything, batch)
+    want = lone_error(plan_totals, serve_everything, batch)
     assert want[0] is InvalidActionError
     assert point_error(good, {"Greedy": greedy_plan, "all": serve_everything}) == want
 
 
+@pytest.mark.parametrize("users", [1, 2])
+def test_rows_are_settled_one_at_a_time_when_read(users, monkeypatch):
+    # the walk comes with the call and each row's settlement with its read;
+    # a point lets go of one row's outcome arrays before it settles the next
+    batch = sample_trajectories(P, 98, 6, users)
+    policies = [GreedyTransmit(), GridOnlyPolicy()]
+    plan = greedy_plan(batch.skip, batch.p_h, batch.e_h, P.tau, P.p_H_max)
+    want = [walk(policy, batch) for policy in policies] + [replay(plan, batch)]
+    settled = []
+    settle = sim._settle
+
+    def tracked(serve, batch):
+        assert all(ref() is None for ref in settled), "an earlier row's outcomes are alive"
+        arrays = settle(serve, batch)
+        settled.append(weakref.ref(arrays[2]))
+        return arrays
+
+    monkeypatch.setattr(sim, "_settle", tracked)
+    rows = outcomes(batch, policies, [plan])
+    assert settled == []
+    for k, lone in enumerate(want, 1):
+        assert [a.tobytes() for a in next(rows)] == [a.tobytes() for a in lone]
+        assert len(settled) == k
+    assert next(rows, None) is None
+    settled.clear()
+    point_rows(P, "none", 0.0, {"GT": lambda p: GreedyTransmit(),
+                                "GP-only": lambda p: GridOnlyPolicy()},
+               6, 98, {"Greedy": greedy_plan}, users)
+    assert len(settled) == 3
+
+
 def test_stale_table_in_a_point_raises_as_its_lone_walk_does():
     stale = MdpTablePolicy(look_ahead_build(P.evolve(w_D=0.5), M=10, K=4))
-    want = lone_error(run_batch, stale, sample_trajectories(P, 97, 6))
+    want = lone_error(block_totals, stale, sample_trajectories(P, 97, 6))
     assert want[0] is StalePolicyError
     factories = {**point_factories(1), "stale": lambda p: stale}
     assert lone_error(point_rows, P, "none", 0.0, factories, 6, 97) == want
@@ -635,12 +658,12 @@ def test_batch_settlement_matches_the_per_block_walk(users):
     for name, batch in settlement_cases(users):
         params = batch.params
         plan = greedy_plan(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
-        assert_walks_agree(lambda: replay_plan(plan, batch),
+        assert_walks_agree(lambda: replay(plan, batch),
                            lambda i, battery, batch: plan[:, :, i], batch)
         for policy in policies:
-            assert_walks_agree(lambda: _outcomes(policy.decide_batch, batch),
+            assert_walks_agree(lambda: walk(policy, batch),
                                policy.decide_batch, batch)
-        serve, admitted, _, _ = replay_plan(plan, batch)
+        serve, admitted, _, _ = replay(plan, batch)
         refused = ~serve & batch.transmits & ~admitted
         # one user is admitted wherever it transmits; the capped cases bind
         if users == 1 or name in ("summed grid cap binds", "tied p_g"):
@@ -649,7 +672,7 @@ def test_batch_settlement_matches_the_per_block_walk(users):
 
 def test_settlement_breaks_p_g_ties_toward_the_lower_user():
     batch = dict(settlement_cases(3))["tied p_g"]
-    serve, admitted, _, _ = replay_plan(np.zeros((12, 3, P.N), dtype=np.int8), batch)
+    serve, admitted, _, _ = replay(np.zeros((12, 3, P.N), dtype=np.int8), batch)
     assert not serve.any() and admitted.any()
     # tied users share their transmit flags, so admission only ever stops
     assert np.all(admitted[:, 1:] <= admitted[:, :-1])
@@ -663,11 +686,11 @@ def test_run_batch_totals_are_block_order_sums_that_own_their_memory():
                    GridOnlyPolicy()):
         serve, admitted, cost, energy = block_walk(policy.decide_batch, batch)
         want = (np.zeros(40), np.zeros(40), np.zeros(40, dtype=np.int64))
-        for i in range(P.N):   # the running sums run_batch is pinned to
+        for i in range(P.N):   # the running sums the single-user CSVs are pinned to
             want[0][:] += cost[:, 0, i]
             want[1][:] += energy[:, 0, i]
             want[2][:] += ~serve[:, 0, i] & ~admitted[:, 0, i]
-        for got, total in zip(run_batch(policy, batch), want):
+        for got, total in zip(block_totals(policy, batch), want):
             assert (got.dtype, got.tobytes()) == (total.dtype, total.tobytes())
             assert got.base is None   # no view keeps the (frames, N) running sums alive
 
@@ -688,9 +711,9 @@ def one_frame_multiuser(policy, gamma_g, gamma_h, e_h, params):
     batch = FrameBatch(params, np.asarray(gamma_g)[None], np.asarray(gamma_h)[None],
                        np.asarray(e_h)[None])
     if isinstance(policy, np.ndarray):
-        costs, grid, drops = frame_totals(*replay_plan(policy, batch))
+        costs, grid, drops = frame_totals(*replay(policy, batch))
     else:
-        costs, grid, drops = multiuser_frame_metrics(policy, batch)
+        costs, grid, drops = exact_totals(policy, batch)
     return costs[0], grid[0], drops[0]
 
 
@@ -753,21 +776,23 @@ def test_multiuser_rejects_joint_overdraw():
 
 def test_multiuser_frame_metrics_greedy_walks_pooled_plans():
     batch = sample_trajectories(two_user_setup().evolve(p_G_max=1e9), 78, 8, users=2)
-    costs, grid, drops = offline_frame_metrics(greedy_plan, batch)   # unbounded grid BS
+    costs, grid, drops = plan_totals(greedy_plan, batch)   # unbounded grid BS
     for f in range(8):
         assert costs[f] == pooled_greedy(batch, f)[1]
     # the optimum plans one user: a two-user batch is refused
     with pytest.raises(InvalidParameterError, match="plans one user, got 2"):
-        offline_frame_metrics(optimal_plan, batch)
+        plan_totals(optimal_plan, batch)
 
 
 def test_metrics_aggregate_over_users_times_blocks():
     costs, grid, drops = np.array([1.0, 3.0]), np.array([0.5, 1.5]), np.array([4, 6])
-    m = metrics_from_arrays("X", 2 * P.N, 9, costs, grid, drops)
-    assert (m.policy, m.frames, m.seed) == ("X", 2, 9)
-    assert m.mean_total_cost == 2.0 and m.mean_grid_energy == 1.0
-    assert m.stderr_total_cost == pytest.approx(1.0)
-    assert m.drop_ratio == 10 / (2 * 2 * P.N)
+    m = metrics_row("X", "w_D", 0.5, 2 * P.N, 9, costs, grid, drops)
+    assert (m["policy"], m["axis"], m["axis_value"], m["frames"], m["seed"]) == (
+        "X", "w_D", 0.5, 2, 9)
+    assert m["mean_total_cost"] == 2.0 and m["grid_energy_j"] == 1.0
+    assert m["grid_energy_mj"] == 1e3
+    assert m["stderr_total_cost"] == pytest.approx(1.0)
+    assert m["drop_ratio"] == 10 / (2 * 2 * P.N)
 
 
 def test_multiuser_rejects_bad_action_value():
@@ -789,15 +814,15 @@ def test_multiuser_frame_metrics_cost_identity_and_repeat():
     gt = GreedyTransmit()
 
     def run():
-        arrays = multiuser_frame_metrics(gt, sample_trajectories(params, 76, 50, users=2))
-        return metrics_from_arrays("GT", 2 * P.N, 76, *arrays)
+        arrays = exact_totals(gt, sample_trajectories(params, 76, 50, users=2))
+        return metrics_row("GT", "none", 0.0, 2 * P.N, 76, *arrays)
 
     m = run()
     assert math.isclose(
-        m.mean_total_cost,
-        P.w_G * m.mean_grid_energy + P.w_D * 2 * P.N * m.drop_ratio, rel_tol=1e-9)
+        m["mean_total_cost"],
+        P.w_G * m["grid_energy_j"] + P.w_D * 2 * P.N * m["drop_ratio"], rel_tol=1e-9)
     m2 = run()
-    assert m.mean_total_cost == m2.mean_total_cost
+    assert m["mean_total_cost"] == m2["mean_total_cost"]
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +850,7 @@ def test_property_online_frame_cost_at_least_exhaustive_optimum(params, zeta, se
     policies = (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(zeta, l1, l2)),
                 dense)
     batch = sample_trajectories(params, seed, 3)
-    costs = [multiuser_frame_metrics(policy, batch)[0] for policy in policies]
+    costs = [frame_totals(*arrays)[0] for arrays in outcomes(batch, policies)]
     for f in range(3):
         _, opt = solve(optimal_plan, Frame.of(batch, f))
         for cost in costs:
@@ -847,20 +872,21 @@ def test_property_cost_identity(params, zeta, seed):
     dense = DenseTablePolicy(backward_induction(build_mdp_model(params, grid), params.N).actions,
                              grid)
     batch = sample_trajectories(params, seed, 8)
-    runs = [run_batch(policy, batch)
+    runs = [block_totals(policy, batch)
             for policy in (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(zeta, l1, l2)),
                            dense)]
-    runs.append(offline_frame_metrics(greedy_plan, batch))
+    runs.append(plan_totals(greedy_plan, batch))
     for arrays in runs:
-        m = metrics_from_arrays("X", params.N, seed, *arrays)
-        assert math.isclose(m.mean_total_cost,
-                            params.w_G * m.mean_grid_energy + params.w_D * params.N * m.drop_ratio,
+        m = metrics_row("X", "none", 0.0, params.N, seed, *arrays)
+        assert math.isclose(m["mean_total_cost"],
+                            params.w_G * m["grid_energy_j"]
+                            + params.w_D * params.N * m["drop_ratio"],
                             rel_tol=1e-9, abs_tol=1e-18)
 
 
 def oracle_frame_multiuser(policy, batch, f):
     """Frame f of a batch walked block by block in plain floats: the
-    per-frame walk `multiuser_frame_metrics` replaced, kept as its
+    per-frame walk the batch walk (`outcomes`) replaced, kept as its
     reference.  The link terms come from `link_terms` on the frame's gains,
     the policy is asked through a one-frame batch, or `policy` is a (U, N)
     plan to replay; served powers are summed with np.sum, grid users
@@ -912,9 +938,9 @@ def assert_lockstep_matches_oracle(policy, batch):
     the walk's per-frame arrays and how many users the summed grid cap
     turned away."""
     if policy == "greedy":
-        got = offline_frame_metrics(greedy_plan, batch)
+        got = plan_totals(greedy_plan, batch)
     else:
-        got = multiuser_frame_metrics(policy, batch)
+        got = exact_totals(policy, batch)
     capped = 0
     for f in range(batch.frames):
         frame_policy = pooled_greedy(batch, f)[0] if policy == "greedy" else policy
