@@ -68,6 +68,7 @@ from .sim import (
     frame_totals,
     metrics_row,
     outcomes,
+    solve_plan,
     sweep,
     write_manifest,
     write_rows_csv,

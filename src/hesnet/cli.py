@@ -9,12 +9,12 @@ rejected rather than ignored.
 
 Exit codes: 0 success, 2 configuration error (including a malformed,
 truncated or oversized policy artifact or replay file, the Threshold rule
-at w_d = 0, and offline-solve, mdp-train and calibrate-zeta at users >
-1), 3 resource limit (a frame whose offline optimum's Pareto front
-outgrows FRONT_MAX states, and a zeta grid of more than ZETA_GRID_MAX
-candidates), 4 artifact/parameter mismatch (including an offline
-evaluation on a battery below N * E_m, which the offline solvers do not
-model).
+at w_d = 0, a p_avg_mw sweep with b_m_j set to other than N * E_m, and
+offline-solve, mdp-train and calibrate-zeta at users > 1), 3 resource
+limit (a frame whose offline optimum's Pareto front outgrows FRONT_MAX
+states, and a zeta grid of more than ZETA_GRID_MAX candidates), 4
+artifact/parameter mismatch (including an offline evaluation on a
+battery below N * E_m, which the offline solvers do not model).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction, save_policy_artifact
 from .model import FrameBatch, SystemParams, sample_trajectory
-from .offline import greedy_plan, optimal_plan, require_uncapped_battery
+from .offline import greedy_plan, optimal_plan
 from .policies import (
     GreedyTransmit,
     MdpTablePolicy,
@@ -54,11 +54,13 @@ from .policies import (
     threshold_lambdas,
 )
 from .sim import (
+    SWEEP_AXES,
     GridOnlyPolicy,
     file_sha256,
     frame_totals,
     outcomes,
     point_rows,
+    solve_plan,
     sweep,
     write_json,
     write_manifest,
@@ -110,13 +112,8 @@ RUN_KEYS = (
     "users", "threads",
 )
 
-# sweep-axis config token -> (internal axis name, raw-unit -> SI scale)
-AXES = {
-    "d_h_m": ("d_H", 1.0),
-    "p_avg_mw": ("P_avg", 1e-3),
-    "w_d": ("w_D", 1.0),
-    "p_h_max_w": ("p_H_max", 1.0),
-}
+# sweep-axis config key -> internal axis name; PARAM_KEYS converts its values
+AXES = {key: field for key, (field, _) in PARAM_KEYS.items() if field in SWEEP_AXES}
 
 OFFLINE_HEADER = ["solver", "block", "gamma_G", "gamma_H", "e_H_j",
                   "alpha", "i_G", "i_H", "i_D", "p_G_w", "p_H_w"]
@@ -294,11 +291,7 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
         if axis_token not in AXES:
             raise ConfigError(
                 f"{run_source('axis')}: unknown axis {axis_token!r}; one of {', '.join(sorted(AXES))}")
-        axis, scale = AXES[axis_token]
-        if axis == "P_avg" and "B_m" in field_map:
-            raise ConfigError("b_m_j cannot be set with axis = p_avg_mw: every point of that "
-                              "axis re-derives B_m = N * E_m")
-        axis_key = axis_token
+        axis, axis_key = AXES[axis_token], axis_token
         values_text = run_value("axis_values", "")
         if not values_text:
             raise ConfigError("axis is set but axis_values is empty")
@@ -306,7 +299,7 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
                                 for v in values_text.split(",") if v.strip())
         if not axis_values_raw:
             raise ConfigError("axis_values is empty")
-        axis_values = tuple(v * scale for v in axis_values_raw)
+        axis_values = tuple(PARAM_KEYS[axis_key][1](v) for v in axis_values_raw)
 
     zeta_text = run_value("zeta").lower()
     if zeta_text == "auto":
@@ -352,12 +345,16 @@ class _Run:
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
+def _calibrate(cfg: RunConfig, point: SystemParams):
+    """The run's calibration at `point`, on stream seed + 1, not the frames
+    a run scores the pick on; `zeta = auto` and `calibrate-zeta` share it."""
+    return calibrate_zeta(cfg.zeta_grid, point, cfg.zeta_budget, cfg.seed + 1)
+
+
 def _threshold(run: _Run, m: int, point: SystemParams):
     cfg = run.cfg
     if cfg.zeta == "auto":
-        # calibration gets its own trajectory stream so the pick is not
-        # tuned to the exact frames it will be scored on
-        tp, _ = calibrate_zeta(cfg.zeta_grid, point, cfg.zeta_budget, cfg.seed + 1)
+        tp, _ = _calibrate(cfg, point)
     else:
         tp = ThresholdParams(cfg.zeta, *threshold_lambdas(point))
     with run.lock:
@@ -543,19 +540,19 @@ def cmd_offline_solve(cfg: RunConfig, args) -> int:
             f"offline-solve plans one user, got users={cfg.users}: its trajectory and replay "
             "files hold one user's gains")
     params = cfg.params
-    require_uncapped_battery(params)
     if args.replay:
         batch = _read_trajectory(Path(args.replay), params)
         source = f"replay {args.replay}"
     else:
         batch = sample_trajectory(params, cfg.seed)
         source = f"seed {cfg.seed}"
+    # solved before anything is written: a refused plan leaves no file
+    plans = {name: solve_plan(solve, batch)
+             for name, solve in (("greedy", greedy_plan), ("exhaustive", optimal_plan))}
     if args.dump:
         dump = Path(args.dump)
         dump.parent.mkdir(parents=True, exist_ok=True)
         _write_trajectory(dump, batch)
-    plans = {name: solve(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
-             for name, solve in (("greedy", greedy_plan), ("exhaustive", optimal_plan))}
 
     out = _out_dir(cfg)
     csv_path = out / "offline_schedule.csv"
@@ -670,13 +667,12 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 def cmd_calibrate_zeta(cfg: RunConfig, args) -> int:
     if cfg.users > 1:
         raise ConfigError(f"calibrate-zeta scores one user's threshold rule, got users={cfg.users}")
-    point = cfg.params
-    tp, costs = calibrate_zeta(cfg.zeta_grid, point, cfg.zeta_budget, cfg.seed)
+    tp, costs = _calibrate(cfg, cfg.params)
     out = _out_dir(cfg)
     doc = {
         "zeta_star": tp.zeta, "lambda1": tp.lambda1, "lambda2": tp.lambda2,
         "budget_frames": cfg.zeta_budget, "seed": cfg.seed, "users": cfg.users,
-        "params_hash": point.content_hash(),
+        "params_hash": cfg.params.content_hash(),
         "grid": {"start": cfg.zeta_grid[0], "stop": cfg.zeta_grid[-1],
                  "count": len(cfg.zeta_grid)},
         "cost_at_star": float(np.min(costs)),
@@ -764,8 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common],
                        help="Monte Carlo across one parameter axis")
-    p.add_argument("--axis", metavar="KEY",
-                   help="axis key: d_h_m, p_avg_mw, w_d, or p_h_max_w")
+    p.add_argument("--axis", metavar="KEY", help=f"axis key: {', '.join(sorted(AXES))}")
     p.add_argument("--axis-values", dest="axis_values", metavar="V1,V2,...",
                    help="axis points in the key's units")
 

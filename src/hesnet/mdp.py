@@ -289,7 +289,7 @@ class CostToGo:
 
 
 def _expected_values(model: MdpModel, u_hat_next: np.ndarray):
-    """Expectation terms shared by both solvers (bitwise-identical path).
+    """Next-block expectation terms of one step of `backward_induction`.
 
     Channel states regenerate independently with probability 1/K each, so
     the next-state expectation factorizes through u_hat: ev0[m] (no spend)

@@ -9,8 +9,8 @@ users and admit them while `serve_feasible` holds for the summed power
 against the shared battery and the summed peak cap of `batch.params`, so
 one user is the single-user rule exactly.  What does not depend on the
 battery is computed once per batch (`FrameBatch.cached`): the greedy
-rule's cheapest-first running sums and, at U > 1, the threshold rule's
-score and order, and the threshold level.  MBIA
+rule's cheapest-first running sums, the threshold rule's score (which the
+calibrator reads too), its order and its level.  MBIA
 and Look-Ahead are threshold tables that `MdpTablePolicy` plays for one
 user.  The threshold rule needs two closed-form constants, the mean skip
 cost lambda1 and the mean feasible battery power lambda2; they are exact
@@ -203,8 +203,8 @@ class ThresholdHeuristic:
     zeta = 0 one user's rule degenerates to greedy transmission for every
     state.  Users sharing the battery each apply the rule to the whole battery;
     those that pass are admitted in decreasing ratio_metric order (ties:
-    lower user).  The level, and at U > 1 the score and that order, are
-    computed once per batch.
+    lower user).  The level, the score and that order are computed once
+    per batch.
     """
 
     def __init__(self, tp: ThresholdParams):
@@ -215,22 +215,17 @@ class ThresholdHeuristic:
         p_h = batch.p_h[:, :, block]
         level = batch.cached(("threshold_level", tp), lambda: _threshold_level(
             tp.zeta, tp.lambda1, tp.lambda2, params))
-        if batch.users == 1:
-            score, order = ratio_metric(batch.skip[:, :, block], p_h), None
-        else:
-            score, order = (a[:, :, block] for a in batch.cached("threshold_order", partial(
-                _score_order, batch)))
-        eligible = _threshold_serve(block, battery[:, None], p_h, score, level, params)
+        score = _threshold_score(batch)
+        order = batch.cached("threshold_order", lambda: np.argsort(-score, axis=1, kind="stable"))
+        eligible = _threshold_serve(block, battery[:, None], p_h, score[..., block], level, params)
         fits = partial(serve_feasible, battery=battery, params=params)
-        return _admit_in_order(order, eligible, p_h, fits).astype(np.int8)
+        return _admit_in_order(order[..., block], eligible, p_h, fits).astype(np.int8)
 
 
-def _score_order(batch: FrameBatch):
+def _threshold_score(batch: FrameBatch):
     """(frames, U, N) threshold score ratio_metric(skip cost, p_h) of every
-    user and block, and the users in decreasing score order (ties: lower
-    user)."""
-    score = ratio_metric(batch.skip, batch.p_h)
-    return score, np.argsort(-score, axis=1, kind="stable")
+    user and block, once per batch: the policy and the calibrator read it."""
+    return batch.cached("threshold_score", lambda: ratio_metric(batch.skip, batch.p_h))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +401,9 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int):
     block splits a segment at most once, so the walk touches a few
     segments per frame, not every candidate (`_calibration_costs`).
     Chunks of at most _CALIBRATION_ROWS candidate-frame cells bound
-    memory.  The score ratio_metric(skip cost, p_H) is computed once on
-    (frames, N) arrays.  Each cost equals, bit for bit, the mean of the
-    block-order frame costs of that candidate's lone walk (`sim.outcomes`).
+    memory.  The score is the policy's own (`_threshold_score`).  Each cost
+    equals, bit for bit, the mean of the block-order frame costs of that
+    candidate's lone walk (`sim.outcomes`).
     """
     cand = np.asarray(list(candidates), dtype=float)
     if cand.size == 0 or np.any(~np.isfinite(cand)) or np.any(cand < 0):
@@ -417,7 +412,7 @@ def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int):
         raise InvalidParameterError(f"budget must be >= 1 frame, got {budget!r}")
     tp = ThresholdParams(float(cand[0]), *threshold_lambdas(params))
     batch = sample_trajectories(params, seed, budget)
-    score = ratio_metric(batch.skip[:, 0], batch.p_h[:, 0])
+    score = _threshold_score(batch)[:, 0]
     level = _threshold_level(cand, tp.lambda1, tp.lambda2, params)
     order = np.argsort(level, kind="stable")
     chunk = max(1, _CALIBRATION_ROWS // budget)

@@ -17,7 +17,7 @@ math.fsum, so an offline plan's cost is its exact skip-cost sum.
 The walk and the zeta calibrator pay every block through one check,
 `_pay`; the grid BS and the threshold policy admit users through one
 rule, `_admit_in_order`.  `point_rows` is the one place that writes CSV
-rows: it solves a point's offline plans (`_solve`), walks them with its
+rows: it solves a point's offline plans (`solve_plan`), walks them with its
 policies in one `outcomes` call, totals each row (one user's online rows
 in block order, `_block_order_totals`, every other row with
 `frame_totals`) and aggregates it with `metrics_row`.  `point_rows` and
@@ -41,6 +41,7 @@ from .offline import ENERGY_RTOL, require_uncapped_battery
 __all__ = [
     "GridOnlyPolicy",
     "outcomes",
+    "solve_plan",
     "frame_totals",
     "metrics_row",
     "point_rows",
@@ -105,7 +106,7 @@ def _admit_in_order(order, eligible, power, fits):
     """(frames, U) bool mask of the `eligible` users admitted in `order`, a
     (frames, U) permutation per row, each while `fits` holds for the power
     admitted so far plus its own.  A lone user is admitted exactly where
-    eligible & fits(power), and needs no order (None)."""
+    eligible & fits(power), and `order` (which may be None) is not read."""
     if power.shape[1] == 1:
         return eligible & fits(power[:, 0])[:, None]
     rows = np.arange(power.shape[0])
@@ -231,7 +232,7 @@ def _block_order_totals(serve, admitted, cost, energy):
             np.sum(~serve[:, 0] & ~admitted[:, 0], axis=1, dtype=np.int64))
 
 
-def _solve(solve, batch: FrameBatch):
+def solve_plan(solve, batch: FrameBatch):
     """The offline plan function `solve`'s (frames, U, N) plan of `batch`,
     under the summed peak cap params.p_H_max.  The solvers model an
     uncapped battery, so B_m < N * E_m raises ModelMismatchError."""
@@ -256,9 +257,15 @@ def apply_axis(params: SystemParams, axis: str, value: float) -> SystemParams:
 
     The d_H axis moves the user along the line between the two BSs: d_G
     shrinks as d_H grows, keeping d_H + d_G fixed at its current total.
+    Each P_avg point re-derives B_m = N * E_m, so a B_m pinned to any
+    other value is refused rather than dropped.
     """
     if axis not in SWEEP_AXES:
         raise InvalidParameterError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
+    if axis == "P_avg" and params.B_m != params.N * params.E_m:
+        raise InvalidParameterError(
+            f"B_m = {params.B_m!r} J differs from N * E_m = {params.N * params.E_m!r} J, "
+            "and every point of the P_avg axis re-derives B_m = N * E_m; leave B_m unset")
     if axis == "d_H":
         total = params.d_H + params.d_G
         if not 0.0 < value < total:
@@ -298,7 +305,7 @@ def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
     follow the online ones, in order.
 
     Every policy is built by its factory and every plan solved first (an
-    uncapped battery is required before any plan, `_solve`); then one
+    uncapped battery is required before any plan, `solve_plan`); then one
     `outcomes` walk plays them all, so the first block where any of them
     fails raises that one's error.  Each row is then settled, totalled and
     aggregated (`metrics_row`) before the next is read: one user's online
@@ -307,7 +314,7 @@ def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
     """
     batch = sample_trajectories(point, seed, frames, users)
     policies = [factory(point) for factory in policy_factories.values()]
-    solved = [_solve(solve, batch) for solve in (plans or {}).values()]
+    solved = [solve_plan(solve, batch) for solve in (plans or {}).values()]
     settled = outcomes(batch, policies, solved)
     # one user's online rows keep block-order sums: the single-user CSVs are pinned to them
     online = _block_order_totals if users == 1 else frame_totals

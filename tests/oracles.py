@@ -40,10 +40,10 @@ from hesnet.sim import (
     _battery_slack,
     _block_order_totals,
     _pay,
-    _solve,
     frame_totals,
     metrics_row,
     outcomes,
+    solve_plan,
 )
 
 
@@ -283,7 +283,7 @@ def plan_totals(solve, batch: FrameBatch):
     """Per-frame (costs, grid energies, drop counts) of the offline plan
     function `solve`'s plan of `batch`, replayed and summed with math.fsum;
     a capped battery raises ModelMismatchError before any plan."""
-    return frame_totals(*replay(_solve(solve, batch), batch))
+    return frame_totals(*replay(solve_plan(solve, batch), batch))
 
 
 def per_policy_point_rows(point, axis, value, policy_factories, frames, seed, plans=None,

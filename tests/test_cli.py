@@ -450,18 +450,32 @@ def test_offline_rows_on_a_capped_battery_are_exit_4(tmp_path, capsys):
 
 def test_battery_cap_with_a_p_avg_axis_is_refused(tmp_path, capsys):
     # each point of the p_avg_mw axis re-derives B_m = N * E_m, so a
-    # configured b_m_j would be written to the manifest but never run
+    # configured b_m_j would be written to the manifest but never run; the
+    # sweep refuses it at its first point (sim.apply_axis), before any file
     capped = ["--frames", "20", "--set", "axis_values=20", "--set", "zeta=8.5",
               "--set", "policies=GT,GA", "--set", "b_m_j=8e-5", "--out", str(tmp_path)]
     assert main(["sweep", "--preset", "fig4", *capped]) == 2
     err = capsys.readouterr().err
-    assert "b_m_j" in err and "p_avg_mw" in err
+    assert "B_m = 8e-05 J differs from N * E_m" in err and "P_avg axis" in err
     assert not any(tmp_path.iterdir())
-    with pytest.raises(ConfigError, match="b_m_j cannot be set with axis = p_avg_mw"):
-        resolve_config(overrides={"b_m_j": "8e-5", "axis": "p_avg_mw", "axis_values": "20"})
+    # the config itself resolves: only a sweep over p_avg_mw refuses it
+    assert resolve_config(overrides={"b_m_j": "8e-5", "axis": "p_avg_mw",
+                                     "axis_values": "20"}).params.B_m == 8e-5
     # other axes keep a configured cap
     assert resolve_config(overrides={"b_m_j": "8e-5", "axis": "w_d",
                                      "axis_values": "0.1"}).params.B_m == 8e-5
+
+
+def test_battery_cap_runs_under_a_preset_with_a_p_avg_axis(tmp_path):
+    # fig4 names the p_avg_mw axis, but simulate and mdp-train do not sweep
+    # it, so a configured b_m_j is theirs to run
+    pinned = ["--preset", "fig4", "--set", "b_m_j=2e-3"]
+    assert main(["simulate", *pinned, "--frames", "20", "--set", "policies=GT,GA",
+                 "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
+    assert manifest["params"]["B_m"] == 2e-3 and manifest["config"]["b_m_j"] == "2e-3"
+    assert main(["mdp-train", *pinned, "--m-levels", "4", "--set", "k_states=2",
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_simulate_rejects_unknown_policy(tmp_path, capsys):
@@ -620,6 +634,20 @@ def test_calibrate_zeta_outputs(tmp_path):
     assert doc["budget_frames"] == 50
     assert doc["lambda1"] > 0 and doc["lambda2"] > 0
     assert doc["grid"]["count"] == 4
+
+
+def test_calibrate_zeta_reports_the_zeta_auto_plays(tmp_path):
+    # both calibrate on stream seed + 1, so the command reports the pick a
+    # run with zeta = auto makes at the same point
+    budget = ["--set", "zeta_budget=40"]
+    assert main(["calibrate-zeta", "--seed", "3", *budget, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "zeta.json").read_text())
+    assert main(["simulate", "--seed", "3", *budget, "--frames", "5",
+                 "--set", "policies=Threshold", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
+    assert manifest["config"]["zeta"] == "auto"
+    assert manifest["zeta"] == {doc["params_hash"][:12]: {
+        key: doc[key] for key in ("zeta_star", "lambda1", "lambda2")}}
 
 
 def test_quantize_info_prints_reference_levels(capsys):

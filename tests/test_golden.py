@@ -17,10 +17,13 @@ CI; the package computes E1 itself, so no scipy code reaches these bytes.
 
 The zeta calibrator's cost vectors are pinned too: the full default grid
 (401 candidates) at a 400-frame budget, at every shipped preset's own
-point (its seed) and at every axis point (seed + 1), the points a sweep
-calibrates at.  The digests were taken with a calibrator that walked
-every (candidate, frame) battery on its own, so they pin the interval walk
-to the bits of a walk per candidate on the full grid.
+point and at every axis point.  The axis points are drawn on seed + 1,
+the stream every command calibrates on (`zeta = auto` and
+`calibrate-zeta`); the preset's own point is drawn on the preset's seed
+itself, which pins the library call `calibrate_zeta` and no command.
+The digests were taken with a calibrator that walked every (candidate,
+frame) battery on its own, so they pin the interval walk to the bits of
+a walk per candidate on the full grid.
 
 The MBIA tables that `mdp-train` writes at the benchmark's fig3 points
 (K=25, M=25 and 100) are pinned by the `.pol` sha256, and their walk
@@ -62,7 +65,10 @@ SWEEP_SHA256 = {
              "6cdeae807854e5b7cee01cd380d6d4830cf16f9614402ffbc712aeadb1c6d599"),
 }
 
-ZETA_SHA256 = "2518893342e4d6f770c0d3280d081f5e1034ffba5ba1f1135189b378fb049453"
+# calibrate-zeta draws on seed + 1, the stream `zeta = auto` calibrates on;
+# drawn on the seed itself, the same file hashed
+# 2518893342e4d6f770c0d3280d081f5e1034ffba5ba1f1135189b378fb049453
+ZETA_SHA256 = "60571822da4cb1339cf3f6566e90a8c7294db20fa912af288492fb3687004fd4"
 
 MULTIUSER_SHA256 = {
     "three-user-simulate": (

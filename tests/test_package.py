@@ -135,6 +135,33 @@ def test_no_unreferenced_functions(tmp_path):
                                                   "mod.py:Public._unread"]
 
 
+def rule_copies(folder):
+    """Calls in the modules of `folder` that restate `sim.solve_plan`: a
+    call of the uncapped-battery rule outside sim, or of an offline solver
+    by name anywhere (a plan function is passed around, and solved through
+    `solve_plan`)."""
+    found = []
+    for path in sorted(folder.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in ("greedy_plan", "optimal_plan") or (
+                    name == "require_uncapped_battery" and path.name != "sim.py"):
+                found.append(f"{path.name}:{node.lineno}:{name}")
+    return found
+
+
+def test_offline_plans_are_solved_in_sim_alone(tmp_path):
+    assert rule_copies(ROOT / "src" / "hesnet") == []
+    (tmp_path / "sim.py").write_text("def solve_plan(solve, params):\n"
+                                     "    require_uncapped_battery(params)\n"
+                                     "    return solve(params)\n")
+    (tmp_path / "cli.py").write_text(
+        "from . import offline\n\n\ndef cmd(params):\n    offline.require_uncapped_battery(params)\n"
+        "    return {f: f(params) for f in (greedy_plan, offline.optimal_plan)}, greedy_plan(1)\n")
+    assert rule_copies(tmp_path) == ["cli.py:5:require_uncapped_battery", "cli.py:6:greedy_plan"]
+
+
 def unread_definitions(path):
     """Module-level functions and classes of `path` that no other module in
     its folder reads, as a bare name or an attribute."""

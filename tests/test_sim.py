@@ -405,6 +405,29 @@ def test_apply_axis_rules():
         apply_axis(P, "frequency", 1.0)
 
 
+def test_p_avg_axis_refuses_a_pinned_battery():
+    # each P_avg point re-derives B_m = N * E_m, so a B_m pinned to another
+    # value would be dropped without a word; it is refused at the first point
+    pinned = P.evolve(B_m=1e-3)
+    with pytest.raises(InvalidParameterError, match="B_m = 0.001 J differs from N \\* E_m"):
+        apply_axis(pinned, "P_avg", 0.03)
+    built = []
+
+    def factory(point):
+        built.append(point)
+        return GreedyTransmit()
+
+    for threads in (1, 2):
+        with pytest.raises(InvalidParameterError, match="P_avg axis"):
+            sweep(pinned.evolve(N=8, B_m=1e-4), "P_avg", [0.01, 0.02], {"GT": factory},
+                  frames=5, seed=71, threads=threads)
+    assert built == []
+    # the other axes keep the pinned cap, and a B_m equal to N * E_m scales
+    assert apply_axis(pinned, "w_D", 0.5).B_m == 1e-3
+    scaled = apply_axis(P.evolve(B_m=P.N * P.E_m), "P_avg", 0.03)
+    assert scaled.B_m == scaled.N * scaled.E_m > P.B_m
+
+
 def test_sweep_rows_and_offline_inclusion():
     params = P.evolve(N=8)
     rows = sweep(params, "P_avg", [0.01, 0.02], {"GT": lambda p: GreedyTransmit()},
