@@ -37,11 +37,13 @@ __all__ = [
     "kappa",
     "cost_parameter",
     "link_terms",
+    "power_limit",
     "serve_feasible",
     "FrameBatch",
     "make_rng",
     "sample_trajectory",
     "sample_trajectories",
+    "sample_points",
 ]
 
 
@@ -220,10 +222,16 @@ def link_terms(gamma_g, gamma_h, params: SystemParams):
     return p_g, p_h, cost_parameter(p_g, params), p_g <= kappa(params)
 
 
+def power_limit(battery, params: SystemParams):
+    """The most power one block may draw from the harvesting BS: the
+    battery's worth, battery / tau, capped at params.p_H_max."""
+    return np.minimum(np.asarray(battery, dtype=float) / params.tau, params.p_H_max)
+
+
 def serve_feasible(p_h, battery, params: SystemParams):
     """Whether one block at inversion power p_h fits the battery and the
-    peak cap params.p_H_max."""
-    return p_h <= np.minimum(np.asarray(battery, dtype=float) / params.tau, params.p_H_max)
+    peak cap params.p_H_max (`power_limit`)."""
+    return p_h <= power_limit(battery, params)
 
 
 # ---------------------------------------------------------------------------
@@ -310,25 +318,25 @@ class FrameBatch:
         return self._cache[key]
 
 
-def _sample(params: SystemParams, users: int, keys: np.ndarray) -> FrameBatch:
-    """A FrameBatch whose frame f draws what make_rng(*keys[f]) would, in a
-    fixed order: user 1 grid gains, user 1 harvesting gains, user 2 grid
-    gains, ..., then the shared arrivals, uniform on [0, E_m].
+def _sample(n: int, users: int, keys: np.ndarray):
+    """The unit draws of the frames keyed `keys` at N = n: a (frames, U, 2,
+    N) array of standard exponentials (per user, grid gains, then
+    harvesting gains) and a (frames, N) array uniform on [0, 1).  Frame f
+    draws what make_rng(*keys[f]) would, in a fixed order: user 1 grid
+    gains, user 1 harvesting gains, user 2 grid gains, ..., then the
+    shared arrivals.  No parameter but N enters, so the points of a sweep
+    share one draw and differ only in `_scale`.
 
     `keys` is a (frames, 2) uint64 array of Philox key words.  One
-    generator serves the call (never the module: concurrent sweeps sample
-    at once); each frame sets its key with a zero counter and an empty
-    buffer, the state of a freshly built generator, because Philox's draws
-    depend on that state alone.  A frame's 2U exponential rows are one
-    draw into its contiguous (U, 2, N) block, which fills them in the same
-    order as one draw per row.  The draws are unit-scale and scaled once
-    per array: numpy's exponential(mu) is mu * standard_exponential() and
-    uniform(0, E_m) is 0 + E_m * random(), so every value is bit for bit
-    the one the scaled draw would give.
+    generator serves the call (never the module: concurrent calibrations
+    sample at once); each frame sets its key with a zero counter and an
+    empty buffer, the state of a freshly built generator, because Philox's
+    draws depend on that state alone.  A frame's 2U exponential rows are
+    one draw into its contiguous (U, 2, N) block, which fills them in the
+    same order as one draw per row.
     """
     if len(keys) == 0:
         raise InvalidParameterError("frames must be >= 1")
-    n = params.N
     ex = np.empty((len(keys), users, 2, n))   # per user: grid gains, then harvesting gains
     eh = np.empty((len(keys), n))
     bitgen = np.random.Philox(key=keys[0])
@@ -343,8 +351,16 @@ def _sample(params: SystemParams, users: int, keys: np.ndarray) -> FrameBatch:
         bitgen.state = fresh
         rng.standard_exponential(out=ex[f])
         rng.random(out=eh[f])
-    eh *= params.E_m
-    return FrameBatch(params, ex[:, :, 0] * params.mu_G, ex[:, :, 1] * params.mu_H, eh)
+    return ex, eh
+
+
+def _scale(params: SystemParams, ex: np.ndarray, eh: np.ndarray) -> FrameBatch:
+    """The FrameBatch of `_sample`'s unit draws at `params`, in new arrays
+    (the draws are only read).  numpy's exponential(mu) is mu *
+    standard_exponential() and uniform(0, E_m) is 0 + E_m * random(), so
+    every value is bit for bit the one the scaled draw would give."""
+    return FrameBatch(params, ex[:, :, 0] * params.mu_G, ex[:, :, 1] * params.mu_H,
+                      eh * params.E_m)
 
 
 def sample_trajectory(params: SystemParams, seed) -> FrameBatch:
@@ -355,7 +371,7 @@ def sample_trajectory(params: SystemParams, seed) -> FrameBatch:
     gives frame f of `sample_trajectories(params, s, ...)`.
     """
     key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    return _sample(params, 1, np.array([_key_words(key)], dtype=np.uint64))
+    return _scale(params, *_sample(params.N, 1, np.array([_key_words(key)], dtype=np.uint64)))
 
 
 def sample_trajectories(params: SystemParams, seed: int, frames: int,
@@ -369,9 +385,23 @@ def sample_trajectories(params: SystemParams, seed: int, frames: int,
     user's gains before the arrivals, so the first user of a larger batch
     has a one-user batch's gains.
     """
+    [batch] = sample_points([params], seed, frames, users)
+    return batch
+
+
+def sample_points(points, seed: int, frames: int, users: int = 1) -> list[FrameBatch]:
+    """`sample_trajectories(point, seed, frames, users)` at each of
+    `points`, bit for bit, from one draw: the draws keyed (seed, f) are
+    parameter-free (`_sample`), so only their scaling runs per point.  The
+    draws are taken at the first point's N, so a point of another N is
+    refused as any batch of the wrong length is; they are let go on
+    return."""
     if not isinstance(users, (int, np.integer)) or users < 1:
         raise InvalidParameterError(f"users must be a positive integer, got {users!r}")
+    if not points:
+        return []
     keys = np.empty((max(frames, 0), 2), dtype=np.uint64)
     keys[:, 0] = _key_words((seed, 0))[0]
     keys[:, 1] = np.arange(len(keys))
-    return _sample(params, users, keys)
+    ex, eh = _sample(points[0].N, users, keys)
+    return [_scale(point, ex, eh) for point in points]

@@ -5,10 +5,11 @@ method, `decide_batch(block, battery, batch)`: the block index, the
 (frames,) shared battery states and the `FrameBatch` whose (frames, U)
 column `block` holds the block's precomputed link terms in, a (frames, U)
 0/1 array out.  The greedy and threshold rules take any U: they rank the
-users and admit them while `serve_feasible` holds for the summed power
-against the shared battery and the summed peak cap of `batch.params`, so
-one user is the single-user rule exactly.  What does not depend on the
-battery is computed once per batch (`FrameBatch.cached`): the greedy
+users and admit them while the summed power stays within the block's
+`power_limit`, set by the shared battery and the summed peak cap of
+`batch.params` once per block, so one user is the single-user rule
+(`serve_feasible`) exactly.  What does not depend on the battery is
+computed once per batch (`FrameBatch.cached`): the greedy
 rule's cheapest-first running sums, the threshold rule's score (which the
 calibrator reads too), its order and its level.  MBIA
 and Look-Ahead are threshold tables that `MdpTablePolicy` plays for one
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -37,7 +37,15 @@ from .mdp import (
     channel_state_index,
     monotone_backward_induction,
 )
-from .model import FrameBatch, SystemParams, kappa, link_terms, sample_trajectories, serve_feasible
+from .model import (
+    FrameBatch,
+    SystemParams,
+    kappa,
+    link_terms,
+    power_limit,
+    sample_trajectories,
+    serve_feasible,
+)
 from .offline import ratio_metric
 from .sim import _admit_in_order, _battery_slack, _pay
 
@@ -141,17 +149,18 @@ def _threshold_level(zeta, lambda1, lambda2, params: SystemParams):
     return zeta * params.P_avg * params.tau * float(ratio_metric(lambda1, lambda2))
 
 
-def _threshold_serve(block, battery, p_h, score, level, params: SystemParams):
+def _threshold_serve(block, battery, limit, p_h, score, level, params: SystemParams):
     """The threshold rule of `ThresholdHeuristic`, user by user.
 
-    Infeasible states never serve; the last block serves whenever feasible;
+    Infeasible states, where p_h exceeds `limit` (the block's
+    `power_limit`), never serve; the last block serves whenever feasible;
     otherwise serve when battery * score clears `level`, where score is
     ratio_metric(skip cost, p_h) and level comes from _threshold_level.  A
-    (frames, users) block broadcasts against a (frames, 1) shared battery.
-    The calibrator applies the same rule to intervals of candidates through
-    `_threshold_cut`.
+    (frames, users) block broadcasts against a (frames, 1) shared battery
+    and limit.  The calibrator applies the same rule to intervals of
+    candidates through `_threshold_cut`.
     """
-    feas = serve_feasible(p_h, battery, params)
+    feas = p_h <= limit
     if block >= params.N - 1:
         return feas
     with np.errstate(invalid="ignore"):
@@ -217,9 +226,10 @@ class ThresholdHeuristic:
             tp.zeta, tp.lambda1, tp.lambda2, params))
         score = _threshold_score(batch)
         order = batch.cached("threshold_order", lambda: np.argsort(-score, axis=1, kind="stable"))
-        eligible = _threshold_serve(block, battery[:, None], p_h, score[..., block], level, params)
-        fits = partial(serve_feasible, battery=battery, params=params)
-        return _admit_in_order(order[..., block], eligible, p_h, fits).astype(np.int8)
+        limit = power_limit(battery, params)
+        eligible = _threshold_serve(block, battery[:, None], limit[:, None], p_h,
+                                    score[..., block], level, params)
+        return _admit_in_order(order[..., block], eligible, p_h, limit).astype(np.int8)
 
 
 def _threshold_score(batch: FrameBatch):

@@ -16,13 +16,20 @@ prices every block.  `frame_totals` sums a row's terms per frame with
 math.fsum, so an offline plan's cost is its exact skip-cost sum.
 The walk and the zeta calibrator pay every block through one check,
 `_pay`; the grid BS and the threshold policy admit users through one
-rule, `_admit_in_order`.  `point_rows` is the one place that writes CSV
-rows: it solves a point's offline plans (`solve_plan`), walks them with its
+rule, `_admit_in_order`, under a power limit per row.
+
+`sweep` and `point_rows` (its one-point case) write CSV rows through one
+path, `_rows`.  A sweep draws its frames once and solves its plans once;
+refusals come first.  The unit draws keyed (seed, f) are parameter-free,
+so every point's batch is a scaling of one draw (`sample_points`).  A plan
+function decides each frame alone, so the points that share (tau,
+p_H_max) are planned by one call on their frames joined (`_solve_plans`),
+after every point's battery has passed `require_uncapped_battery` and
+before any policy factory runs.  Then each point walks its plans with its
 policies in one `outcomes` call, totals each row (one user's online rows
 in block order, `_block_order_totals`, every other row with
-`frame_totals`) and aggregates it with `metrics_row`.  `point_rows` and
-`sweep` write one row per online policy factory, then one per offline
-plan function they are given.
+`frame_totals`) and aggregates it with `metrics_row`: one row per online
+policy factory, then one per offline plan function.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidActionError, InvalidParameterError
-from .model import FrameBatch, SystemParams, sample_trajectories
+from .errors import InvalidActionError, InvalidParameterError, ResourceLimitError
+from .model import FrameBatch, SystemParams, sample_points
 from .offline import ENERGY_RTOL, require_uncapped_battery
 
 __all__ = [
@@ -102,19 +109,20 @@ def _pay(block: int, frame, battery, served, slack, params: SystemParams):
     return np.maximum(battery - spend, 0.0)
 
 
-def _admit_in_order(order, eligible, power, fits):
+def _admit_in_order(order, eligible, power, limit):
     """(frames, U) bool mask of the `eligible` users admitted in `order`, a
-    (frames, U) permutation per row, each while `fits` holds for the power
-    admitted so far plus its own.  A lone user is admitted exactly where
-    eligible & fits(power), and `order` (which may be None) is not read."""
+    (frames, U) permutation per row, each while the power admitted so far
+    plus its own stays within `limit`, a (frames,) power bound per row or
+    one bound for all.  A lone user is admitted exactly where eligible and
+    power <= limit, and `order` (which may be None) is not read."""
     if power.shape[1] == 1:
-        return eligible & fits(power[:, 0])[:, None]
+        return eligible & (power[:, 0] <= limit)[:, None]
     rows = np.arange(power.shape[0])
     admitted = np.zeros(power.shape, dtype=bool)
     used = np.zeros(power.shape[0])
     for u in order.T:
         p = power[rows, u]
-        admit = eligible[rows, u] & fits(used + p)
+        admit = eligible[rows, u] & (used + p <= limit)
         used = np.where(admit, used + p, used)
         admitted[rows, u] = admit
     return admitted
@@ -151,12 +159,18 @@ def _walk(decides, batch: FrameBatch):
             if act.shape != (frames, users):
                 raise InvalidActionError(f"policy returned shape {act.shape} at block {i + 1}, "
                                          f"expected {(frames, users)}")
-            served = act == 1
-            valid = served | (act == 0)
-            if not valid.all():
-                at = int(np.argmin(valid.all(axis=-1)))
-                raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block {i + 1} "
-                                         f"of frame {at}, expected 0 or 1 per user")
+            # a one-byte action is 0 or 1 where its byte is (int8 -1 reads 255),
+            # and its bytes are then the serve mask's
+            if act.dtype.itemsize == 1 and act.dtype.kind in "biu" and (
+                    act.view(np.uint8) <= 1).all():
+                served = act.view(np.bool_)
+            else:
+                served = act == 1
+                valid = served | (act == 0)
+                if not valid.all():
+                    at = int(np.argmin(valid.all(axis=-1)))
+                    raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block "
+                                             f"{i + 1} of frame {at}, expected 0 or 1 per user")
             serve[j, :, :, i] = served
         battery = _pay(i, rows, battery, np.where(serve[:, :, :, i], p_h[:, :, i], 0.0),
                        _battery_slack(arrived), params)
@@ -182,8 +196,7 @@ def _settle(serve, batch: FrameBatch):
 
     power = per_block(p_g)
     order = None if users == 1 else np.argsort(power, axis=1, kind="stable")
-    admitted = _admit_in_order(order, per_block(~serve & batch.transmits), power,
-                               lambda total: total <= cap)
+    admitted = _admit_in_order(order, per_block(~serve & batch.transmits), power, cap)
     admitted = np.ascontiguousarray(admitted.reshape(frames, n, users).transpose(0, 2, 1))
     # exact: of each pair of terms one is +0.0, and skip is finite and >= 0;
     # the transmits mask goes first because p_g is inf on a dead grid link
@@ -236,9 +249,49 @@ def solve_plan(solve, batch: FrameBatch):
     """The offline plan function `solve`'s (frames, U, N) plan of `batch`,
     under the summed peak cap params.p_H_max.  The solvers model an
     uncapped battery, so B_m < N * E_m raises ModelMismatchError."""
-    params = batch.params
-    require_uncapped_battery(params)
-    return np.asarray(solve(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max))
+    [[plan]] = _solve_plans([solve], [batch])
+    return plan
+
+
+def _solve_plans(solves, batches):
+    """Per batch of `batches`, the plan of each offline plan function in
+    `solves`, in order.  Given any plan function, every batch's battery is
+    refused (`require_uncapped_battery`) before anything is solved.  A plan
+    function decides each frame from that frame's arrays alone, so the
+    batches that share (tau, p_H_max) are solved by one call on their
+    frames joined (`_solve_joined`): group by group in order of first
+    appearance, each plan function in turn."""
+    if solves:
+        for batch in batches:
+            require_uncapped_battery(batch.params)
+    groups: dict = {}
+    for k, batch in enumerate(batches):
+        groups.setdefault((batch.params.tau, batch.params.p_H_max), []).append(k)
+    solved = [[] for _ in batches]
+    for members in groups.values():
+        for solve in solves:
+            for k, plan in zip(members, _solve_joined(solve, [batches[k] for k in members])):
+                solved[k].append(plan)
+    return solved
+
+
+def _solve_joined(solve, batches):
+    """`solve`'s plan of each of `batches` (one tau and p_H_max) from one
+    call: a lone batch passes its own arrays, several their frames joined.
+    If the joint call raises ResourceLimitError, each batch is solved
+    alone, so the error names its frame within its batch, as a lone solve
+    does."""
+    params = batches[0].params
+    if len(batches) == 1:
+        return [np.asarray(solve(batches[0].skip, batches[0].p_h, batches[0].e_h, params.tau,
+                                 params.p_H_max))]
+    joined = [np.concatenate([getattr(batch, name) for batch in batches])
+              for name in ("skip", "p_h", "e_h")]
+    try:
+        plan = np.asarray(solve(*joined, params.tau, params.p_H_max))
+    except ResourceLimitError:
+        return [_solve_joined(solve, [batch])[0] for batch in batches]
+    return np.split(plan, np.cumsum([batch.frames for batch in batches])[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +347,8 @@ def metrics_row(name, axis: str, value, packets: int, seed, costs, grid, drops) 
 
 def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
                frames: int, seed: int, plans: dict | None = None, users: int = 1) -> list[dict]:
-    """Rows of every policy at one parameter point, on shared trajectories.
+    """Rows of every policy at one parameter point, on shared trajectories:
+    the one-point case of `sweep` (`_rows`).
 
     `axis` and `value` only label the rows; a point run passes "none", 0.0.
     The `users` users share the EH battery and both stations' per-block
@@ -303,25 +357,8 @@ def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
     Threshold, GP-only), not table lookups.  `plans` maps a row name to an
     offline plan function (`greedy_plan`, `optimal_plan`); their rows
     follow the online ones, in order.
-
-    Every policy is built by its factory and every plan solved first (an
-    uncapped battery is required before any plan, `solve_plan`); then one
-    `outcomes` walk plays them all, so the first block where any of them
-    fails raises that one's error.  Each row is then settled, totalled and
-    aggregated (`metrics_row`) before the next is read: one user's online
-    rows in block order (`_block_order_totals`), every other row with
-    math.fsum (`frame_totals`).
     """
-    batch = sample_trajectories(point, seed, frames, users)
-    policies = [factory(point) for factory in policy_factories.values()]
-    solved = [solve_plan(solve, batch) for solve in (plans or {}).values()]
-    settled = outcomes(batch, policies, solved)
-    # one user's online rows keep block-order sums: the single-user CSVs are pinned to them
-    online = _block_order_totals if users == 1 else frame_totals
-    totals = [online] * len(policies) + [frame_totals] * len(solved)
-    names = [*policy_factories, *(plans or {})]
-    return [metrics_row(name, axis, value, users * point.N, seed, *total(*next(settled)))
-            for name, total in zip(names, totals)]
+    return _rows([(point, axis, value)], policy_factories, frames, seed, plans, users, 1)
 
 
 def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
@@ -331,27 +368,60 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
 
     `policy_factories` maps a display name to a callable(params) -> policy,
     so per-point state (retrained tables, recalibrated thresholds) is built
-    where it belongs.  Each point's rows come from `point_rows`, for
-    `users` users, with a row per offline plan function in `plans` last.
+    where it belongs.  Each point's rows are `point_rows`' rows there, for
+    `users` users, with a row per offline plan function in `plans` last;
+    they come from one pass over all the points (`_rows`), which draws the
+    frames once and solves each plan function once per (tau, p_H_max).
 
-    Axis points are independent, so with `threads` > 1 they are evaluated
-    concurrently; row order stays (value-major, policy-minor) either way.
+    Axis points are independent, so with `threads` > 1 their policies are
+    built and walked concurrently; row order stays (value-major,
+    policy-minor) either way.
     """
     if not isinstance(threads, int) or threads < 1:
         raise InvalidParameterError(f"threads must be a positive integer, got {threads!r}")
-    values = list(values)
+    points = [(apply_axis(params, axis, v), axis, v) for v in values]
+    return _rows(points, policy_factories, frames, seed, plans, users, threads)
 
-    def at(v):
-        return point_rows(apply_axis(params, axis, v), axis, v, policy_factories, frames,
-                          seed, plans, users)
 
-    if threads == 1 or len(values) <= 1:
-        chunks = [at(v) for v in values]
+def _rows(points, policy_factories: dict, frames: int, seed: int, plans: dict | None,
+          users: int, threads: int) -> list[dict]:
+    """The rows of every (params, axis, value) point of `points` (one N),
+    value-major, policy-minor.
+
+    Shared work first, in this thread: the frames are drawn once
+    (`sample_points`), every point's battery is refused or its plans are
+    solved (`_solve_plans`), and only then does any factory run.  Per
+    point, on up to `threads` threads, every policy is built by its factory
+    and one `outcomes` walk plays them with the point's plans, so the first
+    block where any of them fails raises that one's error.  Each row is
+    then settled, totalled and aggregated (`metrics_row`) before the next
+    is read: one user's online rows in block order (`_block_order_totals`),
+    every other row with math.fsum (`frame_totals`).  A point lets go of
+    its batch and plans once its rows are made.
+    """
+    plans = plans or {}
+    batches = sample_points([point for point, _, _ in points], seed, frames, users)
+    solved = _solve_plans(list(plans.values()), batches)
+    names = [*policy_factories, *plans]
+    # one user's online rows keep block-order sums: the single-user CSVs are pinned to them
+    online = _block_order_totals if users == 1 else frame_totals
+    totals = [online] * len(policy_factories) + [frame_totals] * len(plans)
+
+    def at(k):
+        (point, axis, value), batch, point_plans = points[k], batches[k], solved[k]
+        batches[k] = solved[k] = None
+        policies = [factory(point) for factory in policy_factories.values()]
+        settled = outcomes(batch, policies, point_plans)
+        return [metrics_row(name, axis, value, users * point.N, seed, *total(*next(settled)))
+                for name, total in zip(names, totals)]
+
+    if threads == 1 or len(points) <= 1:
+        chunks = [at(k) for k in range(len(points))]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(at, values))
+            chunks = list(pool.map(at, range(len(points))))
     return [row for chunk in chunks for row in chunk]
 
 

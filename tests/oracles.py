@@ -18,7 +18,10 @@ batch at once.  The walk that settled each block inside the loop is the
 reference for that split.  A sweep point walks every policy and plan of
 the point in one battery walk; the loop that evaluated them one walk
 apiece is the reference for that, built from one-row `sim.outcomes`
-calls (`walk`, `replay`) and their per-frame totals.
+calls (`walk`, `replay`) and their per-frame totals.  A sweep draws its
+frames and solves its plans once for all its points; the sweep that ran
+each point alone (its own `sample_trajectories` batch, `solve_plan` per
+plan function, one `outcomes` walk) is the reference for that.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from hesnet.errors import InvalidActionError, InvalidParameterError, StructureViolationError
 from hesnet.mdp import _RISE_RTOL, battery_level_index, channel_state_index
-from hesnet.model import FrameBatch, serve_feasible
+from hesnet.model import FrameBatch, sample_trajectories, serve_feasible
 from hesnet.offline import ENERGY_RTOL, _plan_inputs
 from hesnet import sim
 from hesnet.sim import (
@@ -40,6 +43,7 @@ from hesnet.sim import (
     _battery_slack,
     _block_order_totals,
     _pay,
+    apply_axis,
     frame_totals,
     metrics_row,
     outcomes,
@@ -245,7 +249,7 @@ def block_walk(decide, batch: FrameBatch):
             battery = _pay(i, rows, battery, np.where(serve, p_h[:, :, i], 0.0),
                            _battery_slack(arrived), params)
             admitted = _admit_in_order(order[:, :, i], ~serve & batch.transmits[:, :, i],
-                                       p_g[:, :, i], lambda total: total <= cap)
+                                       p_g[:, :, i], cap)
             yield (serve, admitted,
                    np.where(serve, 0.0, np.where(admitted, skip[:, :, i], params.w_D)),
                    np.where(admitted, p_g[:, :, i] * params.tau, 0.0))
@@ -290,10 +294,30 @@ def per_policy_point_rows(point, axis, value, policy_factories, frames, seed, pl
                           users=1):
     """`sim.point_rows` as one walk per policy (`block_totals` for one
     user, `exact_totals` for more) and one `plan_totals` per plan, on the
-    batch `sim.sample_trajectories` draws for the point."""
-    batch = sim.sample_trajectories(point, seed, frames, users)
+    batch `sim.sample_points` draws for the point."""
+    [batch] = sim.sample_points([point], seed, frames, users)
     online = block_totals if users == 1 else exact_totals
     runs = [(name, online(factory(point), batch)) for name, factory in policy_factories.items()]
     runs += [(name, plan_totals(solve, batch)) for name, solve in (plans or {}).items()]
     return [metrics_row(name, axis, value, users * point.N, seed, *arrays)
             for name, arrays in runs]
+
+
+def point_by_point_sweep(params, axis, values, policy_factories, frames, seed, plans=None,
+                         users=1):
+    """`sim.sweep`'s rows with every point run alone, in value order: the
+    point's own `sample_trajectories` batch, its factories, `solve_plan` per
+    plan function and one `outcomes` walk of all its rows, each totalled
+    as `sim.point_rows` totals it."""
+    rows = []
+    for value in values:
+        point = apply_axis(params, axis, value)
+        batch = sample_trajectories(point, seed, frames, users)
+        policies = [factory(point) for factory in policy_factories.values()]
+        solved = [solve_plan(solve, batch) for solve in (plans or {}).values()]
+        online = _block_order_totals if users == 1 else frame_totals
+        totals = [online] * len(policies) + [frame_totals] * len(solved)
+        for name, total, arrays in zip([*policy_factories, *(plans or {})], totals,
+                                       outcomes(batch, policies, solved)):
+            rows.append(metrics_row(name, axis, value, users * point.N, seed, *total(*arrays)))
+    return rows

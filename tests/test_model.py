@@ -21,6 +21,7 @@ from hesnet.model import (
     make_rng,
     rate,
     required_snr,
+    sample_points,
     sample_trajectories,
     sample_trajectory,
 )
@@ -267,7 +268,9 @@ def test_sampler_is_bitwise_a_fresh_generator_per_frame(params, users, seed):
 
 
 def test_concurrent_samplers_match_serial_calls():
-    # two threads each sampling their own seed at once, as sweep(threads=2) does
+    # two threads each sampling their own seed at once, as the zeta
+    # calibrations of two sweep points do under sweep(threads=2); the sweep
+    # itself draws its frames once, in its calling thread
     seeds = (5, 6)
     serial = [sample_trajectories(P, seed, 40, 2) for seed in seeds]
     barrier = threading.Barrier(2, timeout=30)
@@ -303,6 +306,31 @@ def test_sampler_builds_one_bit_generator_per_call(monkeypatch):
     assert len(built) == 1
     sample_trajectory(P, (3, 4))
     assert len(built) == 2
+
+
+def test_shared_draws_scale_to_each_points_own_batch(monkeypatch):
+    # a sweep's points scale one draw: each batch is the point's own
+    # sample_trajectories batch, bit for bit, and owns its arrays
+    points = [P, P.evolve(mu_G=0.37, mu_H=2.9), P.evolve(P_avg=0.035),
+              P.evolve(d_H=20.0, d_G=60.0, w_D=0.1)]
+    names = ("gamma_g", "gamma_h", "e_h", "p_g", "p_h", "skip", "transmits")
+    for users in (1, 2):
+        batches = sample_points(points, 17, 9, users)
+        for point, batch in zip(points, batches):
+            want = sample_trajectories(point, 17, 9, users)
+            for name in names:
+                got, ref = getattr(batch, name), getattr(want, name)
+                assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+        for a, b in zip(batches, batches[1:]):
+            assert not any(np.shares_memory(getattr(a, n), getattr(b, n)) for n in names[:3])
+    built = []
+    real = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1) or real(*a, **k))
+    sample_points(points, 17, 9, 2)
+    assert len(built) == 1
+    assert sample_points([], 17, 9) == []
+    with pytest.raises(InvalidParameterError, match="50 blocks, params.N = 10"):
+        sample_points([P, P.evolve(N=10)], 17, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,21 @@ def test_exhaustive_plan_solves_each_frame_of_a_batch_alone():
         np.testing.assert_array_equal(plan[f, 0], solve(optimal_plan, inst)[0])
 
 
+@pytest.mark.parametrize("users", [1, 2])
+def test_greedy_plan_of_joined_frames_is_the_parts_plans_joined(users):
+    # a sweep plans the frames of its points in one call: each frame is
+    # planned from its own arrays, so the joint plan is the parts' plans
+    parts = [sample_trajectories(apply_axis(P, "P_avg", v), 40 + k, 7 + k, users)
+             for k, v in enumerate((0.005, 0.02, 0.05))]
+    assert len({b.params.E_m for b in parts}) == 3
+    joined = greedy_plan(*(np.concatenate([getattr(b, name) for b in parts])
+                           for name in ("skip", "p_h", "e_h")), P.tau, P.p_H_max)
+    alone = np.concatenate([greedy_plan(b.skip, b.p_h, b.e_h, P.tau, P.p_H_max) for b in parts])
+    assert (joined.dtype, joined.shape, joined.tobytes()) == (alone.dtype, alone.shape,
+                                                              alone.tobytes())
+    assert joined.any() and not joined.all()
+
+
 # ---------------------------------------------------------------------------
 # the Pareto walk against the 2^N enumerator
 # ---------------------------------------------------------------------------

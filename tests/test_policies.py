@@ -21,6 +21,7 @@ from hesnet.model import (
     inversion_power,
     link_terms,
     make_rng,
+    power_limit,
     sample_trajectories,
     serve_feasible,
 )
@@ -322,7 +323,8 @@ def assert_one_user_rules_are_single_user_rules(params, gamma_g, gamma_h, batter
         assert gt.dtype == th.dtype == np.int8
         np.testing.assert_array_equal(gt, serve_feasible(p_h, battery[:, None], params))
         np.testing.assert_array_equal(
-            th, _threshold_serve(block, battery[:, None], p_h, score, level, params))
+            th, _threshold_serve(block, battery[:, None], power_limit(battery[:, None], params),
+                                 p_h, score, level, params))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -389,7 +391,7 @@ def test_mdp_policy_stale_hash_rejected():
         policy.decide_batch(0, np.array([1e-4]), column_batch([1.0], [1.0], other))
 
 
-def test_stale_table_raises_from_run_batch():
+def test_stale_table_raises_from_its_walk():
     batch = sample_trajectories(P, 51, 4)
     stale = FrameBatch(P.evolve(w_D=0.5), batch.gamma_g, batch.gamma_h, batch.e_h)
     for policy in (MdpTablePolicy(small_table(P)), MdpTablePolicy(look_ahead_build(P, M=10, K=4))):
@@ -719,7 +721,8 @@ def test_property_split_block_matches_per_candidate_rule(data):
     for f, a, b, bat, c in zip(*segments):
         for k in range(a, b):
             b_k = min(bat + e[f], params.B_m)
-            serve = policies._threshold_serve(block, b_k, p_h[f], score[f], levels[k], params)
+            serve = policies._threshold_serve(block, b_k, power_limit(b_k, params), p_h[f],
+                                              score[f], levels[k], params)
             want = ((np.maximum(b_k - p_h[f] * params.tau, 0.0), c) if serve
                     else (b_k, c + skip[f]))
             assert got.pop((f, k)) == want
@@ -738,7 +741,8 @@ def test_threshold_cut_decides_segment_edges():
     lo, hi = lo.astype(np.intp), hi.astype(np.intp)
     battery, p_h = np.ones(x.size), np.full(x.size, 1e-3)
     cut = policies._threshold_cut(0, battery, p_h, x, levels, lo, hi, P)
-    want = [a + sum(bool(_threshold_serve(0, 1.0, 1e-3, s, levels[k], P)) for k in range(a, b))
+    want = [a + sum(bool(_threshold_serve(0, 1.0, power_limit(1.0, P), 1e-3, s, levels[k], P))
+                    for k in range(a, b))
             for s, a, b in zip(x, lo, hi)]
     assert cut.tolist() == want == [1, 3, 5, 4, 3, 3, 0, 5, 4, 3, 0, 5]
 

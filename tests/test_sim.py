@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesnet import sim
+from hesnet import offline, sim
 from hesnet.errors import (
     InvalidActionError,
     InvalidParameterError,
     ModelMismatchError,
+    ResourceLimitError,
     StalePolicyError,
 )
 from hesnet.mdp import backward_induction, build_grid, build_mdp_model
@@ -38,6 +39,7 @@ from hesnet.policies import (
 )
 from hesnet.sim import (
     CSV_HEADER,
+    SWEEP_AXES,
     GridOnlyPolicy,
     apply_axis,
     frame_totals,
@@ -56,6 +58,7 @@ from oracles import (
     exact_totals,
     per_policy_point_rows,
     plan_args,
+    point_by_point_sweep,
     plan_totals,
     replay,
     service_cost,
@@ -183,7 +186,7 @@ def test_grid_only_policy_never_serves():
 # batch walk
 # ---------------------------------------------------------------------------
 
-def test_run_batch_matches_fsum_walk():
+def test_block_order_totals_match_fsum_totals():
     l1, l2 = threshold_lambdas(P)
     policies = [GreedyTransmit(), ThresholdHeuristic(ThresholdParams(8.0, l1, l2))]
     batch = sample_trajectories(P, 65, 50)
@@ -270,7 +273,7 @@ def test_crn_metrics_single_frame_has_zero_stderr():
     assert m["stderr_total_cost"] == 0.0
 
 
-def test_run_batch_frame_prefix_property():
+def test_block_order_totals_keep_the_frame_prefix():
     c1, _, _ = block_totals(GreedyTransmit(), sample_trajectories(P, 69, 40))
     c2, _, _ = block_totals(GreedyTransmit(), sample_trajectories(P, 69, 80))
     np.testing.assert_array_equal(c1, c2[:40])
@@ -282,7 +285,7 @@ def test_run_batch_frame_prefix_property():
     ("greedy", {"d_H": 45.0, "d_G": 35.0, "p_H_max": 0.1}),
     ("exhaustive", {"N": 10}),
 ])
-def test_offline_frame_metrics_match_scripted_replay_bitwise(solver, changes):
+def test_plan_totals_match_scripted_replay_bitwise(solver, changes):
     # the batch evaluation equals solving and replaying each frame on its own,
     # and what the expansion oracle reads off each frame's link terms
     params = P.evolve(**changes)
@@ -331,7 +334,7 @@ def test_one_user_joint_replay_equals_offline_frame_metrics():
             assert np.array_equal(arr, ref)
 
 
-def test_replay_plan_partitions_blocks():
+def test_plan_replay_partitions_blocks():
     params = P.evolve(N=12)
     batch = sample_trajectories(params, 25, 20)
     plan = greedy_plan(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
@@ -351,7 +354,7 @@ def test_replay_plan_partitions_blocks():
     assert np.all(grid[~admitted] == 0.0) and drops.sum() == dropped.sum()
 
 
-def test_replay_plan_boundary_power_transmits():
+def test_plan_replay_boundary_power_transmits():
     # a grid power exactly at kappa transmits, one ulp of fading below drops
     base = P.evolve(N=2)
     p_g = float(link_terms(1.0, 1.0, base)[0])
@@ -381,7 +384,7 @@ def test_offline_evaluation_refuses_a_capped_battery():
     plan_totals(greedy_plan, sample_trajectories(exact, 79, 2))
 
 
-def test_offline_frame_metrics_orders_solvers():
+def test_plan_totals_order_the_solvers():
     batch = sample_trajectories(P.evolve(N=10), 70, 30)
     c_greedy, _, _ = plan_totals(greedy_plan, batch)
     c_opt, _, _ = plan_totals(optimal_plan, batch)
@@ -456,6 +459,74 @@ def test_sweep_runs_the_exhaustive_row_at_the_papers_n():
         assert optimum["mean_total_cost"] <= greedy["mean_total_cost"]
 
 
+# values of every sweep axis; the repeated cap plans points 1 and 3 in one call
+SWEEP_VALUES = {"d_H": (20.0, 30.0, 45.0), "P_avg": (0.01, 0.02, 0.04),
+                "w_D": (0.005, 0.01, 0.1), "p_H_max": (0.5, 0.05, 0.5)}
+
+
+@pytest.mark.parametrize("users", [1, 2])
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_sweep_rows_equal_the_point_by_point_sweep(axis, users):
+    # one frame draw and one plan solve per sweep move no bit of any row,
+    # on either thread count
+    assert set(SWEEP_VALUES) == set(SWEEP_AXES)
+    params = P.evolve(N=12)
+    plans = {"Greedy": greedy_plan}
+    if users == 1:
+        plans["Exhaustive"] = optimal_plan
+    args = (params, axis, SWEEP_VALUES[axis], point_factories(users), 9, 81)
+    want = point_by_point_sweep(*args, plans, users)
+    for threads in (1, 2):
+        got = sweep(*args, plans=plans, threads=threads, users=users)
+        assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+
+
+def test_capped_battery_sweep_refuses_before_any_factory_runs():
+    # the offline solvers' uncapped-battery rule is checked at every point
+    # before any policy is built: no table is trained, no zeta calibrated
+    capped = P.evolve(N=8, B_m=4 * P.E_m)
+    built = []
+
+    def factory(point):
+        built.append(point)
+        return GreedyTransmit()
+
+    want = lone_error(sim.solve_plan, greedy_plan, sample_trajectories(capped, 73, 4))
+    assert want[0] is ModelMismatchError
+    plans = {"Greedy": greedy_plan}
+    for threads in (1, 2):
+        assert lone_error(lambda: sweep(capped, "w_D", [0.01, 0.02], {"GT": factory}, frames=4,
+                                        seed=73, plans=plans, threads=threads)) == want
+    assert lone_error(point_rows, capped, "none", 0.0, {"GT": factory}, 4, 73, plans) == want
+    assert built == []
+    # with no plan the capped battery is walked
+    assert len(sweep(capped, "w_D", [0.01], {"GT": factory}, frames=4, seed=73)) == 1
+    assert len(built) == 1
+
+
+def test_exhaustive_refusal_in_a_sweep_reads_as_its_lone_point(monkeypatch):
+    # the points' frames are planned joined; a front over FRONT_MAX is
+    # re-solved point by point, so the error names the frame within its point
+    monkeypatch.setattr(offline, "FRONT_MAX", 12)
+    params = P.evolve(N=12)
+    plans = {"Greedy": greedy_plan, "Exhaustive": optimal_plan}
+    factories = {"GT": lambda p: GreedyTransmit()}
+
+    def lone(v):
+        return lone_error(point_rows, apply_axis(params, "P_avg", v), "P_avg", v, factories, 6, 5,
+                          plans)
+
+    # at this bound the first point plans and the second is refused at its frame 3
+    point_rows(apply_axis(params, "P_avg", 0.005), "P_avg", 0.005, factories, 6, 5, plans)
+    want = lone(0.02)
+    assert want[0] is ResourceLimitError and want[1].startswith("frame 3: ")
+    for values in ((0.005, 0.02, 0.05), (0.05, 0.02)):
+        for threads in (1, 2):
+            got = lone_error(lambda: sweep(params, "P_avg", values, factories, frames=6, seed=5,
+                                           plans=plans, threads=threads))
+            assert got == (want if values[0] == 0.005 else lone(0.05))
+
+
 def point_factories(users):
     """Row name -> policy factory: GT, Threshold and GP-only, and at one
     user a Look-Ahead table."""
@@ -479,8 +550,8 @@ def test_point_rows_equal_one_walk_per_policy(users, monkeypatch):
     gamma_g[:, :, ::3] = 0.0
     gamma_h[:, :, 1::3] = 0.0
     capped = P.evolve(p_G_max=1.5 * float(np.median(base.p_g[base.transmits])))
-    monkeypatch.setattr(sim, "sample_trajectories", lambda point, seed, frames, users: FrameBatch(
-        point, gamma_g, gamma_h, base.e_h))
+    monkeypatch.setattr(sim, "sample_points", lambda points, seed, frames, users: [
+        FrameBatch(point, gamma_g, gamma_h, base.e_h) for point in points])
     walks = []
     walk = sim._walk
     monkeypatch.setattr(sim, "_walk", lambda decides, batch: walks.append(len(decides)) or walk(
@@ -495,7 +566,7 @@ def test_point_rows_equal_one_walk_per_policy(users, monkeypatch):
         assert walks == [len(want)]
         assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
     if users > 1:   # the summed cap turns users away somewhere
-        batch = sim.sample_trajectories(capped, 95, 12, users)
+        [batch] = sim.sample_points([capped], 95, 12, users)
         _, admitted, _, _ = replay(np.zeros((12, users, P.N), np.int8), batch)
         assert (batch.transmits & ~admitted).any()
 
@@ -594,6 +665,44 @@ def test_rows_are_settled_one_at_a_time_when_read(users, monkeypatch):
                                 "GP-only": lambda p: GridOnlyPolicy()},
                6, 98, {"Greedy": greedy_plan}, users)
     assert len(settled) == 3
+
+
+def one_bad(dtype, bad):
+    """An action of `dtype`, 0 but for `bad` at frame 4's last user."""
+    def act(batch):
+        a = np.zeros((batch.frames, batch.users), dtype=dtype)
+        a[4, -1] = bad
+        return a
+
+    return act
+
+
+@pytest.mark.parametrize("users", [1, 2])
+def test_walk_checks_one_byte_and_other_actions_alike(users):
+    # int8, uint8 and bool actions are checked through their bytes, other
+    # dtypes by value; a bad action raises the same text either way
+    batch = sample_trajectories(P, 99, 6, users)
+    for dtype, bad in ((np.int8, -1), (np.int8, 2), (np.uint8, 255), (np.float64, 0.5),
+                       (np.float64, 2.0), (np.int64, -1)):
+        act = one_bad(dtype, bad)
+        with pytest.raises(InvalidActionError) as exc:
+            walk(MisbehavesAt(3, act), batch)
+        assert str(exc.value) == (f"policy returned {act(batch)[4].tolist()!r} at block 4 of "
+                                  "frame 4, expected 0 or 1 per user")
+    # every dtype of a valid action walks alike
+    want = [a.tobytes() for a in walk(GreedyTransmit(), batch)]
+    for dtype in (bool, np.uint8, np.float64, np.int64):
+        assert [a.tobytes() for a in walk(CastGreedy(dtype), batch)] == want
+
+
+class CastGreedy:
+    """GT with its actions cast to `dtype`."""
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+
+    def decide_batch(self, block, battery, batch):
+        return GreedyTransmit().decide_batch(block, battery, batch).astype(self.dtype)
 
 
 def test_stale_table_in_a_point_raises_as_its_lone_walk_does():
@@ -702,7 +811,7 @@ def test_settlement_breaks_p_g_ties_toward_the_lower_user():
     assert (admitted[:, 0] & ~admitted[:, 1]).any()
 
 
-def test_run_batch_totals_are_block_order_sums_that_own_their_memory():
+def test_block_order_totals_are_running_sums_that_own_their_memory():
     l1, l2 = threshold_lambdas(P)
     batch = sample_trajectories(P, 92, 40)
     for policy in (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(8.0, l1, l2)),
@@ -797,7 +906,7 @@ def test_multiuser_rejects_joint_overdraw():
         one_frame_multiuser(sel, gamma, gamma, np.array([1e-9]), P.evolve(N=1))
 
 
-def test_multiuser_frame_metrics_greedy_walks_pooled_plans():
+def test_two_user_greedy_plan_totals_walk_pooled_plans():
     batch = sample_trajectories(two_user_setup().evolve(p_G_max=1e9), 78, 8, users=2)
     costs, grid, drops = plan_totals(greedy_plan, batch)   # unbounded grid BS
     for f in range(8):
@@ -832,7 +941,7 @@ def test_multiuser_rejects_bad_action_value():
         one_frame_multiuser(PerFrameRule(), gamma, gamma, np.array([1e-3]), params)
 
 
-def test_multiuser_frame_metrics_cost_identity_and_repeat():
+def test_two_user_totals_cost_identity_and_repeat():
     params = two_user_setup()
     gt = GreedyTransmit()
 
