@@ -388,16 +388,13 @@ def _rows(points, policy_factories: dict, frames: int, seed: int, plans: dict | 
     """The rows of every (params, axis, value) point of `points` (one N),
     value-major, policy-minor.
 
-    Shared work first, in this thread: the frames are drawn once
-    (`sample_points`), every point's battery is refused or its plans are
-    solved (`_solve_plans`), and only then does any factory run.  Per
-    point, on up to `threads` threads, every policy is built by its factory
-    and one `outcomes` walk plays them with the point's plans, so the first
-    block where any of them fails raises that one's error.  Each row is
-    then settled, totalled and aggregated (`metrics_row`) before the next
-    is read: one user's online rows in block order (`_block_order_totals`),
-    every other row with math.fsum (`frame_totals`).  A point lets go of
-    its batch and plans once its rows are made.
+    The shared work runs first, in this thread: one draw (`sample_points`)
+    and the plans (`_solve_plans`).  Then per point, on up to `threads`
+    threads, its factories build its policies and one `outcomes` walk
+    plays them with its plans, so the first block where any row fails
+    raises that row's error.  Each row is settled, totalled and aggregated
+    (`metrics_row`) before the next is read, and a point lets go of its
+    batch and plans once its rows are made.
     """
     plans = plans or {}
     batches = sample_points([point for point, _, _ in points], seed, frames, users)
