@@ -285,7 +285,7 @@ def test_block_order_totals_keep_the_frame_prefix():
     ("greedy", {"d_H": 45.0, "d_G": 35.0, "p_H_max": 0.1}),
     ("exhaustive", {"N": 10}),
 ])
-def test_plan_totals_match_scripted_replay_bitwise(solver, changes):
+def test_offline_frame_metrics_match_scripted_replay_bitwise(solver, changes):
     # the batch evaluation equals solving and replaying each frame on its own,
     # and what the expansion oracle reads off each frame's link terms
     params = P.evolve(**changes)
