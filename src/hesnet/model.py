@@ -385,23 +385,21 @@ def sample_trajectories(params: SystemParams, seed: int, frames: int,
     user's gains before the arrivals, so the first user of a larger batch
     has a one-user batch's gains.
     """
-    [batch] = sample_points([params], seed, frames, users)
-    return batch
+    return sample_points([params], seed, frames, users)(0)
 
 
-def sample_points(points, seed: int, frames: int, users: int = 1) -> list[FrameBatch]:
-    """`sample_trajectories(point, seed, frames, users)` at each of
-    `points`, bit for bit, from one draw: the draws keyed (seed, f) are
-    parameter-free (`_sample`), so only their scaling runs per point.  The
-    draws are taken at the first point's N, so a point of another N is
-    refused as any batch of the wrong length is; they are let go on
-    return."""
+def sample_points(points, seed: int, frames: int, users: int = 1):
+    """A function k -> `sample_trajectories(points[k], seed, frames,
+    users)`, bit for bit, from one draw: the draws keyed (seed, f) are
+    parameter-free (`_sample`), so a call only scales them (`_scale`), into
+    new arrays.  A caller holds the draws and the batches it keeps, no
+    more.  The draws are taken at the first point's N, so a point of
+    another N is refused, when its batch is built, as any batch of the
+    wrong length is."""
     if not isinstance(users, (int, np.integer)) or users < 1:
         raise InvalidParameterError(f"users must be a positive integer, got {users!r}")
-    if not points:
-        return []
     keys = np.empty((max(frames, 0), 2), dtype=np.uint64)
     keys[:, 0] = _key_words((seed, 0))[0]
     keys[:, 1] = np.arange(len(keys))
     ex, eh = _sample(points[0].N, users, keys)
-    return [_scale(point, ex, eh) for point in points]
+    return lambda k: _scale(points[k], ex, eh)

@@ -21,15 +21,17 @@ rule, `_admit_in_order`, under a power limit per row.
 `sweep` and `point_rows` (its one-point case) write CSV rows through one
 path, `_rows`.  A sweep draws its frames once and solves its plans once;
 refusals come first.  The unit draws keyed (seed, f) are parameter-free,
-so every point's batch is a scaling of one draw (`sample_points`).  A plan
-function decides each frame alone, so the points that share (tau,
-p_H_max) are planned by one call on their frames joined (`_solve_plans`),
-after every point's battery has passed `require_uncapped_battery` and
-before any policy factory runs.  Then each point walks its plans with its
-policies in one `outcomes` call, totals each row (one user's online rows
-in block order, `_block_order_totals`, every other row with
-`frame_totals`) and aggregates it with `metrics_row`: one row per online
-policy factory, then one per offline plan function.
+so every point's batch is a scaling of one draw (`sample_points`), built
+where it is read and let go after.  A plan function decides each frame
+alone, so the points that share (tau, p_H_max) are planned by one call on
+their plan inputs joined (`_solve_plans`, up to _JOIN_FRAMES frames a
+call), after every point's battery has passed `require_uncapped_battery`
+and before any policy factory runs.  Then each point builds its batch
+again and walks its plans with its policies in one `outcomes` call,
+totals each row (one user's online rows in block order,
+`_block_order_totals`, every other row with `frame_totals`) and
+aggregates it with `metrics_row`: one row per online policy factory,
+then one per offline plan function.
 """
 
 from __future__ import annotations
@@ -159,18 +161,12 @@ def _walk(decides, batch: FrameBatch):
             if act.shape != (frames, users):
                 raise InvalidActionError(f"policy returned shape {act.shape} at block {i + 1}, "
                                          f"expected {(frames, users)}")
-            # a one-byte action is 0 or 1 where its byte is (int8 -1 reads 255),
-            # and its bytes are then the serve mask's
-            if act.dtype.itemsize == 1 and act.dtype.kind in "biu" and (
-                    act.view(np.uint8) <= 1).all():
-                served = act.view(np.bool_)
-            else:
-                served = act == 1
-                valid = served | (act == 0)
-                if not valid.all():
-                    at = int(np.argmin(valid.all(axis=-1)))
-                    raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block "
-                                             f"{i + 1} of frame {at}, expected 0 or 1 per user")
+            served = act == 1
+            bad = act != served   # neither 0 nor 1: -1, 2, 0.5, nan
+            if bad.any():
+                at = int(np.argmax(bad.any(axis=-1)))
+                raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block "
+                                         f"{i + 1} of frame {at}, expected 0 or 1 per user")
             serve[j, :, :, i] = served
         battery = _pay(i, rows, battery, np.where(serve[:, :, :, i], p_h[:, :, i], 0.0),
                        _battery_slack(arrived), params)
@@ -249,49 +245,75 @@ def solve_plan(solve, batch: FrameBatch):
     """The offline plan function `solve`'s (frames, U, N) plan of `batch`,
     under the summed peak cap params.p_H_max.  The solvers model an
     uncapped battery, so B_m < N * E_m raises ModelMismatchError."""
-    [[plan]] = _solve_plans([solve], [batch])
+    [[plan]] = _solve_plans([solve], [batch.params], batch.frames, lambda k: batch)
     return plan
 
 
-def _solve_plans(solves, batches):
-    """Per batch of `batches`, the plan of each offline plan function in
-    `solves`, in order.  Given any plan function, every batch's battery is
-    refused (`require_uncapped_battery`) before anything is solved.  A plan
+# Most frames one plan call takes from several points.  greedy_plan's cost
+# per frame stops falling at about this many frames (fig4 and fig5-two-user
+# on a 2-vCPU x86-64 host), and its working arrays grow with them.
+_JOIN_FRAMES = 512
+
+
+def _solve_plans(solves, points, frames: int, batch_at):
+    """Per point of `points`, the plan of each offline plan function in
+    `solves`, in order, of its `frames`-frame batch `batch_at(k)`.
+
+    Given any plan function, every point's battery is refused
+    (`require_uncapped_battery`) before anything is solved.  A plan
     function decides each frame from that frame's arrays alone, so the
-    batches that share (tau, p_H_max) are solved by one call on their
-    frames joined (`_solve_joined`): group by group in order of first
-    appearance, each plan function in turn."""
-    if solves:
-        for batch in batches:
-            require_uncapped_battery(batch.params)
-    groups: dict = {}
-    for k, batch in enumerate(batches):
-        groups.setdefault((batch.params.tau, batch.params.p_H_max), []).append(k)
-    solved = [[] for _ in batches]
-    for members in groups.values():
-        for solve in solves:
-            for k, plan in zip(members, _solve_joined(solve, [batches[k] for k in members])):
-                solved[k].append(plan)
+    points that share (tau, p_H_max) are solved by one call per plan
+    function on their plan inputs joined (`_joined_inputs`), in value
+    order and at most _JOIN_FRAMES frames a call, or one point.  If a call
+    raises ResourceLimitError, the points are solved alone in order, each
+    plan function in turn, and the first error raises: the frame it names
+    is within the first point that fails, as a point-by-point run names it.
+    """
+    if not solves:
+        return [[] for _ in points]
+    for point in points:
+        require_uncapped_battery(point)
+    per_call = max(1, _JOIN_FRAMES // frames)
+    calls, last = [], {}   # (tau, p_H_max, members) per call; each key's last members
+    for k, point in enumerate(points):
+        key = (point.tau, point.p_H_max)
+        if key not in last or len(last[key]) == per_call:
+            last[key] = []
+            calls.append((*key, last[key]))
+        last[key].append(k)
+    solved = [[] for _ in points]
+    try:
+        for tau, p_max, members in calls:
+            inputs = _joined_inputs(members, batch_at)
+            for solve in solves:
+                plan = np.asarray(solve(*inputs, tau, p_max))
+                for k, part in zip(members, np.split(plan, len(members))):
+                    solved[k].append(part)
+    except ResourceLimitError:
+        if len(points) > 1:   # a lone point's error is already its own
+            for k, point in enumerate(points):
+                batch = batch_at(k)
+                for solve in solves:
+                    solve(batch.skip, batch.p_h, batch.e_h, point.tau, point.p_H_max)
+        raise
     return solved
 
 
-def _solve_joined(solve, batches):
-    """`solve`'s plan of each of `batches` (one tau and p_H_max) from one
-    call: a lone batch passes its own arrays, several their frames joined.
-    If the joint call raises ResourceLimitError, each batch is solved
-    alone, so the error names its frame within its batch, as a lone solve
-    does."""
-    params = batches[0].params
-    if len(batches) == 1:
-        return [np.asarray(solve(batches[0].skip, batches[0].p_h, batches[0].e_h, params.tau,
-                                 params.p_H_max))]
-    joined = [np.concatenate([getattr(batch, name) for batch in batches])
-              for name in ("skip", "p_h", "e_h")]
-    try:
-        plan = np.asarray(solve(*joined, params.tau, params.p_H_max))
-    except ResourceLimitError:
-        return [_solve_joined(solve, [batch])[0] for batch in batches]
-    return np.split(plan, np.cumsum([batch.frames for batch in batches])[:-1])
+def _joined_inputs(members, batch_at):
+    """The plan inputs (skip, p_h, e_h) of the batches `batch_at(k)`, k in
+    `members`, their frames joined in that order.  Each batch is built in
+    turn and let go once copied in, so the joined inputs and one batch are
+    held at a time; a lone member passes its own arrays."""
+    joined = []
+    for i, k in enumerate(members):
+        batch = batch_at(k)
+        parts = (batch.skip, batch.p_h, batch.e_h)
+        if len(members) == 1:
+            return parts
+        joined = joined or [np.empty((len(members) * len(a), *a.shape[1:])) for a in parts]
+        for whole, part in zip(joined, parts):
+            whole[i * len(part):(i + 1) * len(part)] = part
+    return joined
 
 
 # ---------------------------------------------------------------------------
@@ -390,25 +412,28 @@ def _rows(points, policy_factories: dict, frames: int, seed: int, plans: dict | 
 
     The shared work runs first, in this thread: one draw (`sample_points`)
     and the plans (`_solve_plans`).  Then per point, on up to `threads`
-    threads, its factories build its policies and one `outcomes` walk
-    plays them with its plans, so the first block where any row fails
-    raises that row's error.  Each row is settled, totalled and aggregated
-    (`metrics_row`) before the next is read, and a point lets go of its
-    batch and plans once its rows are made.
+    threads, its batch is built from the draw, its factories build its
+    policies and one `outcomes` walk plays them with its plans, so the
+    first block where any row fails raises that row's error.  Each row is
+    settled, totalled and aggregated (`metrics_row`) before the next is
+    read, so a thread holds one batch and one settlement at a time.
     """
+    if not points:
+        return []
     plans = plans or {}
-    batches = sample_points([point for point, _, _ in points], seed, frames, users)
-    solved = _solve_plans(list(plans.values()), batches)
+    params = [point for point, _, _ in points]
+    batch_at = sample_points(params, seed, frames, users)
+    solved = _solve_plans(list(plans.values()), params, frames, batch_at)
     names = [*policy_factories, *plans]
     # one user's online rows keep block-order sums: the single-user CSVs are pinned to them
     online = _block_order_totals if users == 1 else frame_totals
     totals = [online] * len(policy_factories) + [frame_totals] * len(plans)
 
     def at(k):
-        (point, axis, value), batch, point_plans = points[k], batches[k], solved[k]
-        batches[k] = solved[k] = None
+        (point, axis, value), point_plans = points[k], solved[k]
+        solved[k] = None
         policies = [factory(point) for factory in policy_factories.values()]
-        settled = outcomes(batch, policies, point_plans)
+        settled = outcomes(batch_at(k), policies, point_plans)
         return [metrics_row(name, axis, value, users * point.N, seed, *total(*next(settled)))
                 for name, total in zip(names, totals)]
 

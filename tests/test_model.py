@@ -310,13 +310,14 @@ def test_sampler_builds_one_bit_generator_per_call(monkeypatch):
 
 def test_shared_draws_scale_to_each_points_own_batch(monkeypatch):
     # a sweep's points scale one draw: each batch is the point's own
-    # sample_trajectories batch, bit for bit, and owns its arrays
+    # sample_trajectories batch, bit for bit, built anew on every call
     points = [P, P.evolve(mu_G=0.37, mu_H=2.9), P.evolve(P_avg=0.035),
               P.evolve(d_H=20.0, d_G=60.0, w_D=0.1)]
     names = ("gamma_g", "gamma_h", "e_h", "p_g", "p_h", "skip", "transmits")
     for users in (1, 2):
-        batches = sample_points(points, 17, 9, users)
-        for point, batch in zip(points, batches):
+        batch_at = sample_points(points, 17, 9, users)
+        batches = [batch_at(k) for k in range(len(points))] + [batch_at(0)]
+        for point, batch in zip(points + points[:1], batches):
             want = sample_trajectories(point, 17, 9, users)
             for name in names:
                 got, ref = getattr(batch, name), getattr(want, name)
@@ -326,11 +327,12 @@ def test_shared_draws_scale_to_each_points_own_batch(monkeypatch):
     built = []
     real = np.random.Philox
     monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1) or real(*a, **k))
-    sample_points(points, 17, 9, 2)
+    batch_at = sample_points(points, 17, 9, 2)
+    batch_at(0), batch_at(3)
     assert len(built) == 1
-    assert sample_points([], 17, 9) == []
+    batch_at = sample_points([P, P.evolve(N=10)], 17, 9)
     with pytest.raises(InvalidParameterError, match="50 blocks, params.N = 10"):
-        sample_points([P, P.evolve(N=10)], 17, 9)
+        batch_at(1)
 
 
 # ---------------------------------------------------------------------------

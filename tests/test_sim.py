@@ -466,9 +466,9 @@ SWEEP_VALUES = {"d_H": (20.0, 30.0, 45.0), "P_avg": (0.01, 0.02, 0.04),
 
 @pytest.mark.parametrize("users", [1, 2])
 @pytest.mark.parametrize("axis", SWEEP_AXES)
-def test_sweep_rows_equal_the_point_by_point_sweep(axis, users):
-    # one frame draw and one plan solve per sweep move no bit of any row,
-    # on either thread count
+def test_sweep_rows_equal_the_point_by_point_sweep(axis, users, monkeypatch):
+    # one frame draw per sweep and one plan call per (tau, p_H_max), up to
+    # _JOIN_FRAMES frames a call, move no bit of any row, on either thread count
     assert set(SWEEP_VALUES) == set(SWEEP_AXES)
     params = P.evolve(N=12)
     plans = {"Greedy": greedy_plan}
@@ -476,9 +476,19 @@ def test_sweep_rows_equal_the_point_by_point_sweep(axis, users):
         plans["Exhaustive"] = optimal_plan
     args = (params, axis, SWEEP_VALUES[axis], point_factories(users), 9, 81)
     want = point_by_point_sweep(*args, plans, users)
-    for threads in (1, 2):
-        got = sweep(*args, plans=plans, threads=threads, users=users)
-        assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+    calls = []   # frames per plan call
+    counted = {name: lambda *a, solve=solve: calls.append(len(a[0])) or solve(*a)
+               for name, solve in plans.items()}
+    # points per call -> frames per call, at 9 frames a point
+    sizes = ({3: [18, 9], 2: [18, 9], 1: [9, 9, 9]} if axis == "p_H_max" else
+             {3: [27], 2: [18, 9], 1: [9, 9, 9]})
+    for join, per_call in ((sim._JOIN_FRAMES, 3), (18, 2), (17, 1)):
+        monkeypatch.setattr(sim, "_JOIN_FRAMES", join)
+        for threads in (1, 2):
+            calls.clear()
+            got = sweep(*args, plans=counted, threads=threads, users=users)
+            assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+            assert calls == [n for n in sizes[per_call] for _ in plans]
 
 
 def test_capped_battery_sweep_refuses_before_any_factory_runs():
@@ -525,6 +535,24 @@ def test_exhaustive_refusal_in_a_sweep_reads_as_its_lone_point(monkeypatch):
             got = lone_error(lambda: sweep(params, "P_avg", values, factories, frames=6, seed=5,
                                            plans=plans, threads=threads))
             assert got == (want if values[0] == 0.005 else lone(0.05))
+    # each cap of the p_H_max axis is planned on its own, a repeated cap with
+    # its twin; here cap 0.05 plans, 0.1 fails at its frame 1 and 0.5 at its
+    # frame 0, and the first failing value is the one named
+    params = params.evolve(P_avg=0.03)
+    fails = {v: lone_error(point_rows, apply_axis(params, "p_H_max", v), "p_H_max", v,
+                           factories, 6, 5, plans) for v in (0.1, 0.5)}
+    assert fails[0.1][1].startswith("frame 1: ") and fails[0.5][1].startswith("frame 0: ")
+    for values in ((0.05, 0.1, 0.05, 0.5), (0.05, 0.5, 0.05, 0.1), (0.5, 0.1, 0.5)):
+        for threads in (1, 2):
+            got = lone_error(lambda: sweep(params, "p_H_max", values, factories, frames=6,
+                                           seed=5, plans=plans, threads=threads))
+            assert got == fails[next(v for v in values if v in fails)]
+    # points planned in one call after another point still raise in point
+    # order: the second point's error, though the first and third share a cap
+    points = [params.evolve(P_avg=0.005, p_H_max=0.5), params.evolve(p_H_max=0.1),
+              params.evolve(p_H_max=0.5)]
+    got = lone_error(sim._solve_plans, [optimal_plan], points, 6, sim.sample_points(points, 5, 6, 1))
+    assert got == fails[0.1]
 
 
 def point_factories(users):
@@ -550,8 +578,8 @@ def test_point_rows_equal_one_walk_per_policy(users, monkeypatch):
     gamma_g[:, :, ::3] = 0.0
     gamma_h[:, :, 1::3] = 0.0
     capped = P.evolve(p_G_max=1.5 * float(np.median(base.p_g[base.transmits])))
-    monkeypatch.setattr(sim, "sample_points", lambda points, seed, frames, users: [
-        FrameBatch(point, gamma_g, gamma_h, base.e_h) for point in points])
+    monkeypatch.setattr(sim, "sample_points", lambda points, seed, frames, users: (
+        lambda k: FrameBatch(points[k], gamma_g, gamma_h, base.e_h)))
     walks = []
     walk = sim._walk
     monkeypatch.setattr(sim, "_walk", lambda decides, batch: walks.append(len(decides)) or walk(
@@ -566,7 +594,7 @@ def test_point_rows_equal_one_walk_per_policy(users, monkeypatch):
         assert walks == [len(want)]
         assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
     if users > 1:   # the summed cap turns users away somewhere
-        [batch] = sim.sample_points([capped], 95, 12, users)
+        batch = sim.sample_points([capped], 95, 12, users)(0)
         _, admitted, _, _ = replay(np.zeros((12, users, P.N), np.int8), batch)
         assert (batch.transmits & ~admitted).any()
 
@@ -678,12 +706,11 @@ def one_bad(dtype, bad):
 
 
 @pytest.mark.parametrize("users", [1, 2])
-def test_walk_checks_one_byte_and_other_actions_alike(users):
-    # int8, uint8 and bool actions are checked through their bytes, other
-    # dtypes by value; a bad action raises the same text either way
+def test_walk_checks_every_action_dtype_alike(users):
+    # an action of any dtype is 0 or 1 by value; a bad one raises one text
     batch = sample_trajectories(P, 99, 6, users)
     for dtype, bad in ((np.int8, -1), (np.int8, 2), (np.uint8, 255), (np.float64, 0.5),
-                       (np.float64, 2.0), (np.int64, -1)):
+                       (np.float64, 2.0), (np.float64, np.nan), (np.int64, -1)):
         act = one_bad(dtype, bad)
         with pytest.raises(InvalidActionError) as exc:
             walk(MisbehavesAt(3, act), batch)
