@@ -40,6 +40,7 @@ import csv
 import hashlib
 import json
 import math
+from functools import partial
 
 import numpy as np
 
@@ -416,7 +417,8 @@ def _rows(points, policy_factories: dict, frames: int, seed: int, plans: dict | 
     policies and one `outcomes` walk plays them with its plans, so the
     first block where any row fails raises that row's error.  Each row is
     settled, totalled and aggregated (`metrics_row`) before the next is
-    read, so a thread holds one batch and one settlement at a time.
+    read, so a thread holds one batch and one settlement at a time; the
+    draw is let go once the last point's batch is built.
     """
     if not points:
         return []
@@ -424,16 +426,18 @@ def _rows(points, policy_factories: dict, frames: int, seed: int, plans: dict | 
     params = [point for point, _, _ in points]
     batch_at = sample_points(params, seed, frames, users)
     solved = _solve_plans(list(plans.values()), params, frames, batch_at)
+    builds = [partial(batch_at, k) for k in range(len(points))]
+    del batch_at   # the draws go with the last point's build
     names = [*policy_factories, *plans]
     # one user's online rows keep block-order sums: the single-user CSVs are pinned to them
     online = _block_order_totals if users == 1 else frame_totals
     totals = [online] * len(policy_factories) + [frame_totals] * len(plans)
 
     def at(k):
-        (point, axis, value), point_plans = points[k], solved[k]
-        solved[k] = None
+        (point, axis, value), point_plans, batch = points[k], solved[k], builds[k]()
+        solved[k] = builds[k] = None
         policies = [factory(point) for factory in policy_factories.values()]
-        settled = outcomes(batch_at(k), policies, point_plans)
+        settled = outcomes(batch, policies, point_plans)
         return [metrics_row(name, axis, value, users * point.N, seed, *total(*next(settled)))
                 for name, total in zip(names, totals)]
 

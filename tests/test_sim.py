@@ -695,6 +695,30 @@ def test_rows_are_settled_one_at_a_time_when_read(users, monkeypatch):
     assert len(settled) == 3
 
 
+def test_a_sweep_lets_its_draws_go_with_the_last_points_batch(monkeypatch):
+    # each point's batch is built from the shared draws when its walk starts;
+    # once the last point's is built no reference to the draws is left
+    refs = []
+    draws = sim.sample_points
+
+    def tracked(*args):
+        batch_at = draws(*args)
+        refs.append(weakref.ref(batch_at))
+        return batch_at
+
+    monkeypatch.setattr(sim, "sample_points", tracked)
+    alive = []
+
+    def factory(point):   # runs after its point's batch is built
+        alive.append(refs[-1]() is not None)
+        return GreedyTransmit()
+
+    for plans in (None, {"Greedy": greedy_plan}):
+        alive.clear()
+        sweep(P, "P_avg", (0.01, 0.02, 0.04), {"GT": factory}, frames=4, seed=3, plans=plans)
+        assert alive == [True, True, False]
+
+
 def one_bad(dtype, bad):
     """An action of `dtype`, 0 but for `bad` at frame 4's last user."""
     def act(batch):
