@@ -43,7 +43,6 @@ __all__ = [
     "make_rng",
     "sample_trajectory",
     "sample_trajectories",
-    "sample_points",
 ]
 
 
@@ -318,25 +317,25 @@ class FrameBatch:
         return self._cache[key]
 
 
-def _sample(n: int, users: int, keys: np.ndarray):
-    """The unit draws of the frames keyed `keys` at N = n: a (frames, U, 2,
-    N) array of standard exponentials (per user, grid gains, then
-    harvesting gains) and a (frames, N) array uniform on [0, 1).  Frame f
-    draws what make_rng(*keys[f]) would, in a fixed order: user 1 grid
-    gains, user 1 harvesting gains, user 2 grid gains, ..., then the
-    shared arrivals.  No parameter but N enters, so the points of a sweep
-    share one draw and differ only in `_scale`.
+def _sample(params: SystemParams, users: int, keys: np.ndarray) -> FrameBatch:
+    """A FrameBatch whose frame f draws what make_rng(*keys[f]) would, in a
+    fixed order: user 1 grid gains, user 1 harvesting gains, user 2 grid
+    gains, ..., then the shared arrivals, uniform on [0, E_m].
 
     `keys` is a (frames, 2) uint64 array of Philox key words.  One
-    generator serves the call (never the module: concurrent calibrations
-    sample at once); each frame sets its key with a zero counter and an
-    empty buffer, the state of a freshly built generator, because Philox's
-    draws depend on that state alone.  A frame's 2U exponential rows are
-    one draw into its contiguous (U, 2, N) block, which fills them in the
-    same order as one draw per row.
+    generator serves the call (never the module: concurrent sweeps sample
+    at once); each frame sets its key with a zero counter and an empty
+    buffer, the state of a freshly built generator, because Philox's draws
+    depend on that state alone.  A frame's 2U exponential rows are one
+    draw into its contiguous (U, 2, N) block, which fills them in the same
+    order as one draw per row.  The draws are unit-scale and scaled once
+    per array: numpy's exponential(mu) is mu * standard_exponential() and
+    uniform(0, E_m) is 0 + E_m * random(), so every value is bit for bit
+    the one the scaled draw would give.
     """
     if len(keys) == 0:
         raise InvalidParameterError("frames must be >= 1")
+    n = params.N
     ex = np.empty((len(keys), users, 2, n))   # per user: grid gains, then harvesting gains
     eh = np.empty((len(keys), n))
     bitgen = np.random.Philox(key=keys[0])
@@ -351,16 +350,8 @@ def _sample(n: int, users: int, keys: np.ndarray):
         bitgen.state = fresh
         rng.standard_exponential(out=ex[f])
         rng.random(out=eh[f])
-    return ex, eh
-
-
-def _scale(params: SystemParams, ex: np.ndarray, eh: np.ndarray) -> FrameBatch:
-    """The FrameBatch of `_sample`'s unit draws at `params`, in new arrays
-    (the draws are only read).  numpy's exponential(mu) is mu *
-    standard_exponential() and uniform(0, E_m) is 0 + E_m * random(), so
-    every value is bit for bit the one the scaled draw would give."""
-    return FrameBatch(params, ex[:, :, 0] * params.mu_G, ex[:, :, 1] * params.mu_H,
-                      eh * params.E_m)
+    eh *= params.E_m
+    return FrameBatch(params, ex[:, :, 0] * params.mu_G, ex[:, :, 1] * params.mu_H, eh)
 
 
 def sample_trajectory(params: SystemParams, seed) -> FrameBatch:
@@ -371,7 +362,7 @@ def sample_trajectory(params: SystemParams, seed) -> FrameBatch:
     gives frame f of `sample_trajectories(params, s, ...)`.
     """
     key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    return _scale(params, *_sample(params.N, 1, np.array([_key_words(key)], dtype=np.uint64)))
+    return _sample(params, 1, np.array([_key_words(key)], dtype=np.uint64))
 
 
 def sample_trajectories(params: SystemParams, seed: int, frames: int,
@@ -385,21 +376,9 @@ def sample_trajectories(params: SystemParams, seed: int, frames: int,
     user's gains before the arrivals, so the first user of a larger batch
     has a one-user batch's gains.
     """
-    return sample_points([params], seed, frames, users)(0)
-
-
-def sample_points(points, seed: int, frames: int, users: int = 1):
-    """A function k -> `sample_trajectories(points[k], seed, frames,
-    users)`, bit for bit, from one draw: the draws keyed (seed, f) are
-    parameter-free (`_sample`), so a call only scales them (`_scale`), into
-    new arrays.  A caller holds the draws and the batches it keeps, no
-    more.  The draws are taken at the first point's N, so a point of
-    another N is refused, when its batch is built, as any batch of the
-    wrong length is."""
     if not isinstance(users, (int, np.integer)) or users < 1:
         raise InvalidParameterError(f"users must be a positive integer, got {users!r}")
     keys = np.empty((max(frames, 0), 2), dtype=np.uint64)
     keys[:, 0] = _key_words((seed, 0))[0]
     keys[:, 1] = np.arange(len(keys))
-    ex, eh = _sample(points[0].N, users, keys)
-    return lambda k: _scale(points[k], ex, eh)
+    return _sample(params, users, keys)

@@ -19,19 +19,17 @@ The walk and the zeta calibrator pay every block through one check,
 rule, `_admit_in_order`, under a power limit per row.
 
 `sweep` and `point_rows` (its one-point case) write CSV rows through one
-path, `_rows`.  A sweep draws its frames once and solves its plans once;
-refusals come first.  The unit draws keyed (seed, f) are parameter-free,
-so every point's batch is a scaling of one draw (`sample_points`), built
-where it is read and let go after.  A plan function decides each frame
-alone, so the points that share (tau, p_H_max) are planned by one call on
-their plan inputs joined (`_solve_plans`, up to _JOIN_FRAMES frames a
-call), after every point's battery has passed `require_uncapped_battery`
-and before any policy factory runs.  Then each point builds its batch
-again and walks its plans with its policies in one `outcomes` call,
-totals each row (one user's online rows in block order,
-`_block_order_totals`, every other row with `frame_totals`) and
-aggregates it with `metrics_row`: one row per online policy factory,
-then one per offline plan function.
+path, `_rows`.  Given any offline plan function, every point's battery
+passes `require_uncapped_battery` before any other work.  The points then
+run in chunks of consecutive points that share (tau, p_H_max), at most
+_JOIN_FRAMES frames or one point each.  A chunk draws each point's batch
+once (`sample_trajectories`); a plan function decides each frame alone,
+so it plans the whole chunk in one call on the batches' plan inputs
+joined (`_solve_plans`).  Then each point builds its policies and walks
+them with its plans in one `outcomes` call, totals each row (one user's
+online rows in block order, `_block_order_totals`, every other row with
+`frame_totals`) and aggregates it with `metrics_row`: one row per online
+policy factory, then one per offline plan function.
 """
 
 from __future__ import annotations
@@ -40,12 +38,11 @@ import csv
 import hashlib
 import json
 import math
-from functools import partial
 
 import numpy as np
 
 from .errors import InvalidActionError, InvalidParameterError, ResourceLimitError
-from .model import FrameBatch, SystemParams, sample_points
+from .model import FrameBatch, SystemParams, sample_trajectories
 from .offline import ENERGY_RTOL, require_uncapped_battery
 
 __all__ = [
@@ -246,7 +243,8 @@ def solve_plan(solve, batch: FrameBatch):
     """The offline plan function `solve`'s (frames, U, N) plan of `batch`,
     under the summed peak cap params.p_H_max.  The solvers model an
     uncapped battery, so B_m < N * E_m raises ModelMismatchError."""
-    [[plan]] = _solve_plans([solve], [batch.params], batch.frames, lambda k: batch)
+    require_uncapped_battery(batch.params)
+    [[plan]] = _solve_plans([solve], [batch])
     return plan
 
 
@@ -256,65 +254,32 @@ def solve_plan(solve, batch: FrameBatch):
 _JOIN_FRAMES = 512
 
 
-def _solve_plans(solves, points, frames: int, batch_at):
-    """Per point of `points`, the plan of each offline plan function in
-    `solves`, in order, of its `frames`-frame batch `batch_at(k)`.
+def _solve_plans(solves, batches):
+    """Per batch of `batches`, all of one (tau, p_H_max) and one frame
+    count, the plan of each offline plan function in `solves`, in order.
 
-    Given any plan function, every point's battery is refused
-    (`require_uncapped_battery`) before anything is solved.  A plan
-    function decides each frame from that frame's arrays alone, so the
-    points that share (tau, p_H_max) are solved by one call per plan
-    function on their plan inputs joined (`_joined_inputs`), in value
-    order and at most _JOIN_FRAMES frames a call, or one point.  If a call
-    raises ResourceLimitError, the points are solved alone in order, each
-    plan function in turn, and the first error raises: the frame it names
-    is within the first point that fails, as a point-by-point run names it.
+    A plan function decides each frame from that frame's arrays alone, so
+    it is called once on the batches' plan inputs (skip, p_h, e_h) joined
+    in order, or on a lone batch's own.  If a call raises
+    ResourceLimitError, the batches are solved alone in order, each plan
+    function in turn, and the first error raises: the frame it names is
+    within the first batch that fails, as a batch-by-batch run names it.
+    The callers refuse a capped battery (`require_uncapped_battery`).
     """
     if not solves:
-        return [[] for _ in points]
-    for point in points:
-        require_uncapped_battery(point)
-    per_call = max(1, _JOIN_FRAMES // frames)
-    calls, last = [], {}   # (tau, p_H_max, members) per call; each key's last members
-    for k, point in enumerate(points):
-        key = (point.tau, point.p_H_max)
-        if key not in last or len(last[key]) == per_call:
-            last[key] = []
-            calls.append((*key, last[key]))
-        last[key].append(k)
-    solved = [[] for _ in points]
+        return [[] for _ in batches]
+    params = batches[0].params
+    inputs = [np.concatenate(parts) if len(batches) > 1 else parts[0]
+              for parts in zip(*((batch.skip, batch.p_h, batch.e_h) for batch in batches))]
     try:
-        for tau, p_max, members in calls:
-            inputs = _joined_inputs(members, batch_at)
-            for solve in solves:
-                plan = np.asarray(solve(*inputs, tau, p_max))
-                for k, part in zip(members, np.split(plan, len(members))):
-                    solved[k].append(part)
+        plans = [np.asarray(solve(*inputs, params.tau, params.p_H_max)) for solve in solves]
     except ResourceLimitError:
-        if len(points) > 1:   # a lone point's error is already its own
-            for k, point in enumerate(points):
-                batch = batch_at(k)
+        if len(batches) > 1:   # a lone batch's error is already its own
+            for batch in batches:
                 for solve in solves:
-                    solve(batch.skip, batch.p_h, batch.e_h, point.tau, point.p_H_max)
+                    solve(batch.skip, batch.p_h, batch.e_h, params.tau, params.p_H_max)
         raise
-    return solved
-
-
-def _joined_inputs(members, batch_at):
-    """The plan inputs (skip, p_h, e_h) of the batches `batch_at(k)`, k in
-    `members`, their frames joined in that order.  Each batch is built in
-    turn and let go once copied in, so the joined inputs and one batch are
-    held at a time; a lone member passes its own arrays."""
-    joined = []
-    for i, k in enumerate(members):
-        batch = batch_at(k)
-        parts = (batch.skip, batch.p_h, batch.e_h)
-        if len(members) == 1:
-            return parts
-        joined = joined or [np.empty((len(members) * len(a), *a.shape[1:])) for a in parts]
-        for whole, part in zip(joined, parts):
-            whole[i * len(part):(i + 1) * len(part)] = part
-    return joined
+    return [list(parts) for parts in zip(*(np.split(plan, len(batches)) for plan in plans))]
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +358,11 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
     so per-point state (retrained tables, recalibrated thresholds) is built
     where it belongs.  Each point's rows are `point_rows`' rows there, for
     `users` users, with a row per offline plan function in `plans` last;
-    they come from one pass over all the points (`_rows`), which draws the
-    frames once and solves each plan function once per (tau, p_H_max).
+    `_rows` runs the points in chunks of one (tau, p_H_max) and plans each
+    chunk with one call per plan function.
 
-    Axis points are independent, so with `threads` > 1 their policies are
-    built and walked concurrently; row order stays (value-major,
-    policy-minor) either way.
+    Chunks are independent, so with `threads` > 1 they run concurrently;
+    row order stays (value-major, policy-minor) either way.
     """
     if not isinstance(threads, int) or threads < 1:
         raise InvalidParameterError(f"threads must be a positive integer, got {threads!r}")
@@ -408,47 +372,58 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
 
 def _rows(points, policy_factories: dict, frames: int, seed: int, plans: dict | None,
           users: int, threads: int) -> list[dict]:
-    """The rows of every (params, axis, value) point of `points` (one N),
+    """The rows of every (params, axis, value) point of `points`,
     value-major, policy-minor.
 
-    The shared work runs first, in this thread: one draw (`sample_points`)
-    and the plans (`_solve_plans`).  Then per point, on up to `threads`
-    threads, its batch is built from the draw, its factories build its
-    policies and one `outcomes` walk plays them with its plans, so the
-    first block where any row fails raises that row's error.  Each row is
+    Given any plan function, every point's battery is refused
+    (`require_uncapped_battery`) before anything else runs.  The points
+    are then run in chunks: runs of consecutive points that share (tau,
+    p_H_max), at most _JOIN_FRAMES frames or a single point each, on up to
+    `threads` threads.  A chunk draws each point's batch once
+    (`sample_trajectories`), plans all of them with one call per plan
+    function (`_solve_plans`), and then per point builds its policies
+    and plays them with its plans in one `outcomes` walk, so the first
+    block where any row fails raises that row's error.  Each row is
     settled, totalled and aggregated (`metrics_row`) before the next is
-    read, so a thread holds one batch and one settlement at a time; the
-    draw is let go once the last point's batch is built.
+    read, so a thread holds one chunk's batches and one settlement at a
+    time.
     """
-    if not points:
-        return []
     plans = plans or {}
-    params = [point for point, _, _ in points]
-    batch_at = sample_points(params, seed, frames, users)
-    solved = _solve_plans(list(plans.values()), params, frames, batch_at)
-    builds = [partial(batch_at, k) for k in range(len(points))]
-    del batch_at   # the draws go with the last point's build
+    if plans:
+        for point, _, _ in points:
+            require_uncapped_battery(point)
     names = [*policy_factories, *plans]
     # one user's online rows keep block-order sums: the single-user CSVs are pinned to them
     online = _block_order_totals if users == 1 else frame_totals
     totals = [online] * len(policy_factories) + [frame_totals] * len(plans)
+    chunks = []   # runs of consecutive points of one (tau, p_H_max)
+    for point in points:
+        if (chunks and (len(chunks[-1]) + 1) * frames <= _JOIN_FRAMES
+                and (chunks[-1][0][0].tau, chunks[-1][0][0].p_H_max)
+                == (point[0].tau, point[0].p_H_max)):
+            chunks[-1].append(point)
+        else:
+            chunks.append([point])
 
-    def at(k):
-        (point, axis, value), point_plans, batch = points[k], solved[k], builds[k]()
-        solved[k] = builds[k] = None
-        policies = [factory(point) for factory in policy_factories.values()]
-        settled = outcomes(batch, policies, point_plans)
-        return [metrics_row(name, axis, value, users * point.N, seed, *total(*next(settled)))
-                for name, total in zip(names, totals)]
+    def run(chunk):
+        batches = [sample_trajectories(point, seed, frames, users) for point, _, _ in chunk]
+        solved = _solve_plans(list(plans.values()), batches)
+        rows = []
+        for (point, axis, value), batch, point_plans in zip(chunk, batches, solved):
+            policies = [factory(point) for factory in policy_factories.values()]
+            settled = outcomes(batch, policies, point_plans)
+            rows += [metrics_row(name, axis, value, users * point.N, seed, *total(*next(settled)))
+                     for name, total in zip(names, totals)]
+        return rows
 
-    if threads == 1 or len(points) <= 1:
-        chunks = [at(k) for k in range(len(points))]
+    if threads == 1 or len(chunks) <= 1:
+        done = [run(chunk) for chunk in chunks]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(at, range(len(points))))
-    return [row for chunk in chunks for row in chunk]
+            done = list(pool.map(run, chunks))
+    return [row for rows in done for row in rows]
 
 
 # ---------------------------------------------------------------------------

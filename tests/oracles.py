@@ -294,8 +294,8 @@ def per_policy_point_rows(point, axis, value, policy_factories, frames, seed, pl
                           users=1):
     """`sim.point_rows` as one walk per policy (`block_totals` for one
     user, `exact_totals` for more) and one `plan_totals` per plan, on the
-    batch `sim.sample_points` draws for the point."""
-    batch = sim.sample_points([point], seed, frames, users)(0)
+    batch `sim.sample_trajectories` draws for the point."""
+    batch = sim.sample_trajectories(point, seed, frames, users)
     online = block_totals if users == 1 else exact_totals
     runs = [(name, online(factory(point), batch)) for name, factory in policy_factories.items()]
     runs += [(name, plan_totals(solve, batch)) for name, solve in (plans or {}).items()]

@@ -21,7 +21,6 @@ from hesnet.model import (
     make_rng,
     rate,
     required_snr,
-    sample_points,
     sample_trajectories,
     sample_trajectory,
 )
@@ -306,33 +305,6 @@ def test_sampler_builds_one_bit_generator_per_call(monkeypatch):
     assert len(built) == 1
     sample_trajectory(P, (3, 4))
     assert len(built) == 2
-
-
-def test_shared_draws_scale_to_each_points_own_batch(monkeypatch):
-    # a sweep's points scale one draw: each batch is the point's own
-    # sample_trajectories batch, bit for bit, built anew on every call
-    points = [P, P.evolve(mu_G=0.37, mu_H=2.9), P.evolve(P_avg=0.035),
-              P.evolve(d_H=20.0, d_G=60.0, w_D=0.1)]
-    names = ("gamma_g", "gamma_h", "e_h", "p_g", "p_h", "skip", "transmits")
-    for users in (1, 2):
-        batch_at = sample_points(points, 17, 9, users)
-        batches = [batch_at(k) for k in range(len(points))] + [batch_at(0)]
-        for point, batch in zip(points + points[:1], batches):
-            want = sample_trajectories(point, 17, 9, users)
-            for name in names:
-                got, ref = getattr(batch, name), getattr(want, name)
-                assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
-        for a, b in zip(batches, batches[1:]):
-            assert not any(np.shares_memory(getattr(a, n), getattr(b, n)) for n in names[:3])
-    built = []
-    real = np.random.Philox
-    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1) or real(*a, **k))
-    batch_at = sample_points(points, 17, 9, 2)
-    batch_at(0), batch_at(3)
-    assert len(built) == 1
-    batch_at = sample_points([P, P.evolve(N=10)], 17, 9)
-    with pytest.raises(InvalidParameterError, match="50 blocks, params.N = 10"):
-        batch_at(1)
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ def test_block_order_totals_keep_the_frame_prefix():
     ("greedy", {"d_H": 45.0, "d_G": 35.0, "p_H_max": 0.1}),
     ("exhaustive", {"N": 10}),
 ])
-def test_offline_frame_metrics_match_scripted_replay_bitwise(solver, changes):
+def test_plan_totals_match_scripted_replay_bitwise(solver, changes):
     # the batch evaluation equals solving and replaying each frame on its own,
     # and what the expansion oracle reads off each frame's link terms
     params = P.evolve(**changes)
@@ -324,7 +324,7 @@ class PlayPlan:
         return self.plan[:, :, block]
 
 
-def test_one_user_joint_replay_equals_offline_frame_metrics():
+def test_one_user_plan_totals_equal_replayed_and_played_as_a_policy():
     batch = sample_trajectories(P, 80, 40)
     want = plan_totals(greedy_plan, batch)
     plan = greedy_plan(batch.skip, batch.p_h, batch.e_h, P.tau, P.p_H_max)
@@ -459,7 +459,8 @@ def test_sweep_runs_the_exhaustive_row_at_the_papers_n():
         assert optimum["mean_total_cost"] <= greedy["mean_total_cost"]
 
 
-# values of every sweep axis; the repeated cap plans points 1 and 3 in one call
+# values of every sweep axis; no two neighbours of the p_H_max axis share a
+# cap, so its points are planned one call each
 SWEEP_VALUES = {"d_H": (20.0, 30.0, 45.0), "P_avg": (0.01, 0.02, 0.04),
                 "w_D": (0.005, 0.01, 0.1), "p_H_max": (0.5, 0.05, 0.5)}
 
@@ -467,8 +468,9 @@ SWEEP_VALUES = {"d_H": (20.0, 30.0, 45.0), "P_avg": (0.01, 0.02, 0.04),
 @pytest.mark.parametrize("users", [1, 2])
 @pytest.mark.parametrize("axis", SWEEP_AXES)
 def test_sweep_rows_equal_the_point_by_point_sweep(axis, users, monkeypatch):
-    # one frame draw per sweep and one plan call per (tau, p_H_max), up to
-    # _JOIN_FRAMES frames a call, move no bit of any row, on either thread count
+    # one plan call per chunk of consecutive points of one (tau, p_H_max), up
+    # to _JOIN_FRAMES frames a call, moves no bit of any row, on either
+    # thread count
     assert set(SWEEP_VALUES) == set(SWEEP_AXES)
     params = P.evolve(N=12)
     plans = {"Greedy": greedy_plan}
@@ -480,7 +482,7 @@ def test_sweep_rows_equal_the_point_by_point_sweep(axis, users, monkeypatch):
     counted = {name: lambda *a, solve=solve: calls.append(len(a[0])) or solve(*a)
                for name, solve in plans.items()}
     # points per call -> frames per call, at 9 frames a point
-    sizes = ({3: [18, 9], 2: [18, 9], 1: [9, 9, 9]} if axis == "p_H_max" else
+    sizes = ({3: [9, 9, 9], 2: [9, 9, 9], 1: [9, 9, 9]} if axis == "p_H_max" else
              {3: [27], 2: [18, 9], 1: [9, 9, 9]})
     for join, per_call in ((sim._JOIN_FRAMES, 3), (18, 2), (17, 1)):
         monkeypatch.setattr(sim, "_JOIN_FRAMES", join)
@@ -488,7 +490,9 @@ def test_sweep_rows_equal_the_point_by_point_sweep(axis, users, monkeypatch):
             calls.clear()
             got = sweep(*args, plans=counted, threads=threads, users=users)
             assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
-            assert calls == [n for n in sizes[per_call] for _ in plans]
+            # chunks run concurrently on two threads, so their calls interleave
+            order = list if threads == 1 else sorted
+            assert order(calls) == order(n for n in sizes[per_call] for _ in plans)
 
 
 def test_capped_battery_sweep_refuses_before_any_factory_runs():
@@ -512,6 +516,20 @@ def test_capped_battery_sweep_refuses_before_any_factory_runs():
     # with no plan the capped battery is walked
     assert len(sweep(capped, "w_D", [0.01], {"GT": factory}, frames=4, seed=73)) == 1
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("frames", [0, -1])
+def test_a_run_of_no_frames_is_refused(frames):
+    # on one chunk (P_avg) or three (p_H_max), with or without plans
+    factories = {"GT": lambda p: GreedyTransmit()}
+    for plans in (None, {"Greedy": greedy_plan}):
+        for axis in ("P_avg", "p_H_max"):
+            for threads in (1, 2):
+                with pytest.raises(InvalidParameterError, match=r"^frames must be >= 1$"):
+                    sweep(P, axis, SWEEP_VALUES[axis], factories, frames=frames, seed=4,
+                          plans=plans, threads=threads)
+        with pytest.raises(InvalidParameterError, match=r"^frames must be >= 1$"):
+            point_rows(P, "none", 0.0, factories, frames, 4, plans)
 
 
 def test_exhaustive_refusal_in_a_sweep_reads_as_its_lone_point(monkeypatch):
@@ -547,12 +565,12 @@ def test_exhaustive_refusal_in_a_sweep_reads_as_its_lone_point(monkeypatch):
             got = lone_error(lambda: sweep(params, "p_H_max", values, factories, frames=6,
                                            seed=5, plans=plans, threads=threads))
             assert got == fails[next(v for v in values if v in fails)]
-    # points planned in one call after another point still raise in point
-    # order: the second point's error, though the first and third share a cap
-    points = [params.evolve(P_avg=0.005, p_H_max=0.5), params.evolve(p_H_max=0.1),
-              params.evolve(p_H_max=0.5)]
-    got = lone_error(sim._solve_plans, [optimal_plan], points, 6, sim.sample_points(points, 5, 6, 1))
-    assert got == fails[0.1]
+    # two batches of one cap planned in one call, the second failing, raise
+    # the second's error at its own frame, not at its frame in the call
+    batches = [sample_trajectories(params.evolve(P_avg=0.005, p_H_max=0.5), 5, 6),
+               sample_trajectories(params.evolve(p_H_max=0.5), 5, 6)]
+    got = lone_error(sim._solve_plans, [greedy_plan, optimal_plan], batches)
+    assert got == fails[0.5]
 
 
 def point_factories(users):
@@ -578,8 +596,8 @@ def test_point_rows_equal_one_walk_per_policy(users, monkeypatch):
     gamma_g[:, :, ::3] = 0.0
     gamma_h[:, :, 1::3] = 0.0
     capped = P.evolve(p_G_max=1.5 * float(np.median(base.p_g[base.transmits])))
-    monkeypatch.setattr(sim, "sample_points", lambda points, seed, frames, users: (
-        lambda k: FrameBatch(points[k], gamma_g, gamma_h, base.e_h)))
+    monkeypatch.setattr(sim, "sample_trajectories", lambda point, seed, frames, users: (
+        FrameBatch(point, gamma_g, gamma_h, base.e_h)))
     walks = []
     walk = sim._walk
     monkeypatch.setattr(sim, "_walk", lambda decides, batch: walks.append(len(decides)) or walk(
@@ -594,7 +612,7 @@ def test_point_rows_equal_one_walk_per_policy(users, monkeypatch):
         assert walks == [len(want)]
         assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
     if users > 1:   # the summed cap turns users away somewhere
-        batch = sim.sample_points([capped], 95, 12, users)(0)
+        batch = sim.sample_trajectories(capped, 95, 12, users)
         _, admitted, _, _ = replay(np.zeros((12, users, P.N), np.int8), batch)
         assert (batch.transmits & ~admitted).any()
 
@@ -695,28 +713,38 @@ def test_rows_are_settled_one_at_a_time_when_read(users, monkeypatch):
     assert len(settled) == 3
 
 
-def test_a_sweep_lets_its_draws_go_with_the_last_points_batch(monkeypatch):
-    # each point's batch is built from the shared draws when its walk starts;
-    # once the last point's is built no reference to the draws is left
-    refs = []
-    draws = sim.sample_points
+def test_a_sweep_builds_each_points_batch_once_and_lets_a_chunk_go(monkeypatch):
+    # each point's batch is drawn once, when its chunk starts, and a chunk's
+    # batches are let go before the next chunk draws; here at two points a
+    # chunk, so the points run as (0, 1), (2, 3), (4)
+    values = (0.01, 0.02, 0.03, 0.04, 0.05)
+    monkeypatch.setattr(sim, "_JOIN_FRAMES", 8)
+    built = []   # one entry per FrameBatch built anywhere
+    post_init = FrameBatch.__post_init__
+    monkeypatch.setattr(FrameBatch, "__post_init__", lambda self: built.append(1) or post_init(
+        self))
+    refs = []   # a weakref to each batch the sweep draws, in draw order
+    draw = sim.sample_trajectories
 
     def tracked(*args):
-        batch_at = draws(*args)
-        refs.append(weakref.ref(batch_at))
-        return batch_at
+        batch = draw(*args)
+        refs.append(weakref.ref(batch))
+        return batch
 
-    monkeypatch.setattr(sim, "sample_points", tracked)
-    alive = []
+    monkeypatch.setattr(sim, "sample_trajectories", tracked)
 
-    def factory(point):   # runs after its point's batch is built
-        alive.append(refs[-1]() is not None)
+    def factory(point):   # runs after its chunk's batches are drawn
+        first = values.index(point.P_avg) // 2 * 2   # its chunk's first point
+        assert len(refs) == min(first + 2, len(values))
+        assert all(ref() is None for ref in refs[:first]), "an earlier chunk's batch is alive"
+        assert all(ref() is not None for ref in refs[first:])
         return GreedyTransmit()
 
     for plans in (None, {"Greedy": greedy_plan}):
-        alive.clear()
-        sweep(P, "P_avg", (0.01, 0.02, 0.04), {"GT": factory}, frames=4, seed=3, plans=plans)
-        assert alive == [True, True, False]
+        built.clear()
+        refs.clear()
+        sweep(P, "P_avg", values, {"GT": factory}, frames=4, seed=3, plans=plans)
+        assert len(refs) == len(built) == len(values)
 
 
 def one_bad(dtype, bad):
