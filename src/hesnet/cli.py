@@ -609,6 +609,9 @@ def cmd_mdp_train(cfg: RunConfig, args) -> int:
         "per_state_max": int(counts.max()),
         "per_state_bound": per_state_bound,
         "dense_equivalent_total": cfg.k_states ** 2 * cfg.m_levels * params.N,
+        # the mid-value kernel that never credits a harvest: with no spend,
+        # every battery level stays where it is (fig3 at M <= 25)
+        "kernel0_is_identity": bool(np.abs(model.kernel0 - np.eye(cfg.m_levels)).max() <= 1e-12),
         "artifact": path.name,
         "artifact_bytes": path.stat().st_size,
         "artifact_sha256": file_sha256(path),

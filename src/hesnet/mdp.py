@@ -7,23 +7,28 @@ equal bins represented by mid-values, each channel into K equi-probable
 states represented by conditional means; the kernels are built in closed
 form.  Backward induction solves the resulting Bellman recursion exactly.
 The monotone variant (MBIA) is the paper's threshold walk, which evaluates
-at most 2K-1 states per (block, battery level) instead of K^2.  In numpy the
-dense (M, K, K) compare costs less than that walk, so MBIA takes the dense
-mask, checks it has the threshold structure the walk relies on, and reports
-the walk's evaluation counts in closed form.
+at most 2K-1 states per (block, battery level) instead of K^2.  MBIA here
+is the exact solve, checked to have the threshold structure that walk
+relies on, with the walk's evaluation counts reported in closed form.
 
-MBIA is `backward_induction` followed by a per-block staircase check, and
-the staircase is the policy: `PolicyTable.top` holds the highest served
-G-state per (block, battery level, H-state), so a lookup searches one
-channel.  The recursion needs only the per-level sums u_hat of the next
-block, the sum of the cheaper action value over both channel states, so a
-solve keeps the two action values q0/q1 per block and nothing per state:
-the dense (N, M, K, K) serve mask `CostToGo.actions` and cost-to-go
-`CostToGo.u` are rebuilt from q0/q1 when read, and the thresholds expand
-bitwise to that mask.  The staircase check takes the thresholds from one
-compare per block and tests the prefix and ordering conditions only where
-q0 or q1 rise, the only places they can break.  Policy artifacts hold the
-grid and the thresholds alone.
+The recursion needs only the per-level sums u_hat of the next block, the
+sum of the cheaper action value over both channel states, so a solve
+keeps the two action values q0/q1 per block and nothing per state.  A
+level's q0 is the skip costs plus one term, so it is sorted in the skip
+costs' order, and each H-column serves the G-states of its highest skip
+values: one search per block counts them, with every count checked
+exactly against q0, and u_hat and the thresholds both follow from the
+counts at O(MK log K) per block, so no (M, K, K) array is built.  The
+dense (N, M, K, K) serve mask `CostToGo.actions` and cost-to-go
+`CostToGo.u` are rebuilt from q0/q1 when read.  MBIA is
+`backward_induction` followed by a per-block staircase check, and the
+staircase is the policy: `PolicyTable.top` holds the highest served
+G-state per (block, battery level, H-state), the solve's own counts less
+one, which expand bitwise to the dense mask, so a lookup searches one
+channel.  The check tests the prefix and ordering conditions only where q0
+or q1 rise, the only places they can break.  So MBIA's tables are bitwise
+the dense solver's.  Policy artifacts hold the grid and the thresholds
+alone.
 """
 
 from __future__ import annotations
@@ -269,12 +274,16 @@ class CostToGo:
     not allowed).  The dense serve mask `actions` and the per-state table
     `u` are rebuilt from these on each read (3.1 MB and 25 MB at N=50,
     M=100, K=25), so a solve that never reads them never holds them.
+    `top[t, m, kh]` is the number of G-states H-state kh serves less one,
+    the highest served G-state wherever that column of `actions` is a
+    prefix, as MBIA checks it is (0.25 MB).
     """
 
     q0: np.ndarray        # (N, M, K) per G-state
     q1: np.ndarray        # (N, M, K) per H-state
     u_hat: np.ndarray     # (N, M) sum of u over both channel states
     params_hash: str
+    top: np.ndarray       # (N, M, K) int16 column sums of actions, less one
 
     @property
     def actions(self) -> np.ndarray:
@@ -302,6 +311,32 @@ def _expected_values(model: MdpModel, u_hat_next: np.ndarray):
 # Relative rise tolerated in q0 along the G axis and q1 along the H axis: the
 # shipped presets show 1-ulp rises (3.3e-16 at M=100, K=25) that change nothing.
 _RISE_RTOL = 1e-12
+_NONE = np.zeros(0, dtype=np.intp)
+
+
+def _cuts(rows: np.ndarray, base: np.ndarray, shift: np.ndarray, q1: np.ndarray):
+    """Count each level's skip values below each of its serve values.
+
+    `rows` is (M, K+2): each level's q0 sorted low to high between a -inf
+    and a +inf column.  Returns (cut, at): cut[m, kh] is the number of
+    entries of row m below q1[m, kh], K minus the number of G-states H-state
+    kh serves (q1 <= q0), and `at` is the flat index of rows[m, cut[m, kh]].
+    A cut is first read off one search of q1 - shift[m] in the sorted
+    `base`, of which every row should be about a shift; it stands where the
+    row's entries on both sides of it bracket q1, which in a sorted row
+    makes it exact, and every other cut is counted over its whole row.
+    """
+    m, k = q1.shape
+    cut = np.searchsorted(base, q1 - shift[:, None])
+    offsets = np.arange(0, rows.size, k + 2)[:, None]
+    at = cut + offsets
+    flat = rows.ravel()
+    hit = (flat[at] < q1) & (flat[at + 1] >= q1)
+    if not hit.all():
+        lv, kh = np.nonzero(~hit)
+        cut[lv, kh] = k - (q1[lv, kh, None] <= rows[lv, 1:-1]).sum(axis=1)
+        at = cut + offsets
+    return cut, at
 
 
 def backward_induction(model: MdpModel, N: int):
@@ -309,9 +344,18 @@ def backward_induction(model: MdpModel, N: int):
 
     The terminal block minimizes the stage cost alone.  Ties between the
     two actions resolve to serving (action 1).  Only u_hat feeds the next
-    block: a state's value is the cheaper of its two action values, so each
-    block's per-state values live in one temporary slice.  Returns the
-    CostToGo, whose `actions` is the dense serve mask.
+    block, and a state's value is the cheaper of its two action values, so
+    no per-state value is formed.  q0[t, m, kg] is the rounded sum of
+    cost_G[kg] and ev0[m], and rounding is monotone, so every level's q0
+    is sorted in the order of cost_G (one stable argsort, which holds for
+    a cost_G with rises too), a shift of the sorted costs, and each
+    H-column serves the G-states of its highest skip values.  `_cuts`
+    counts them, giving the CostToGo's `top`, and a level's u_hat is the
+    sum over its columns of the count times the column's q1 plus the sum
+    of the skip values it leaves unserved, a prefix sum of the sorted row:
+    the K^2 minima summed in another order, at O(MK log K) per block
+    instead of O(MK^2).  Returns the CostToGo, whose `actions` is the dense
+    serve mask.
     """
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
@@ -319,18 +363,30 @@ def backward_induction(model: MdpModel, N: int):
     params_hash = model.params.content_hash()
     q0, q1 = np.zeros((N, m, k)), np.zeros((N, m, k))
     u_hat = np.zeros((N, m))
+    top = np.empty((N, m, k), dtype=np.int16)
     mask = np.where(model.allowed, 0.0, np.inf)  # (M, K) additive mask on q1
+    costs = model.cost_G[np.argsort(model.cost_G, kind="stable")]
+    # q0[t] in the order of costs, padded for _cuts, and its prefix sums:
+    # low[m, j] is the sum of level m's j lowest skip values
+    rows = np.empty((m, k + 2))
+    rows[:, 0], rows[:, -1] = -np.inf, np.inf
+    low = np.zeros((m, k + 2))
     for t in range(N - 1, -1, -1):
         ev0, ev1 = ((np.zeros(m), np.zeros((m, k))) if t == N - 1
                     else _expected_values(model, u_hat[t + 1]))
         np.add(model.cost_G[None, :], ev0[:, None], out=q0[t])
         np.add(ev1, mask, out=q1[t])
-        # one block's (M, K, K) slice of u, summed and dropped
-        u_hat[t] = np.minimum(q1[t, :, None, :], q0[t, :, :, None]).sum(axis=(1, 2))
-    return CostToGo(q0=q0, q1=q1, u_hat=u_hat, params_hash=params_hash)
+        np.add(costs, ev0[:, None], out=rows[:, 1:-1])
+        cut, at = _cuts(rows, costs, ev0, q1[t])
+        np.subtract(k - 1, cut, out=top[t], casting="unsafe")
+        np.cumsum(rows[:, 1:-1], axis=1, out=low[:, 1:-1])
+        # a served column's q1 is its ev1, and a count of 0 times a finite
+        # ev1 adds nothing where q1 is inf
+        u_hat[t] = ((k - cut) * ev1 + low.ravel()[at]).sum(axis=1)
+    return CostToGo(q0=q0, q1=q1, u_hat=u_hat, params_hash=params_hash, top=top)
 
 
-def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray):
+def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray, top=None):
     """Check block t's serve mask, q1[:, None, :] <= q0[:, :, None], is the
     threshold staircase of the paper's walk; return its (M, K_H) thresholds
     `top` and the (M,) counts of states that walk evaluates.
@@ -343,27 +399,31 @@ def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray):
     `_RISE_RTOL`) imply; anything else raises StructureViolationError.  A
     column can stop being a prefix only where q0 rises along G, and `top`
     can fall only where q1 rises along H, so the rise tolerance and both
-    conditions are tested at those places alone.  The walk stops after K
-    serves and K-1-top[0] skips or, where column 0 is never served, after
-    K skips and one serve per served column.
+    conditions are tested at those places alone.  `top` is each column's
+    count of served G-states less one: the solve's (`CostToGo.top[t]`), or
+    else counted here by `_cuts`, so no (M, K, K) mask is built.  The walk
+    stops after K serves and K-1-top[0] skips or, where column 0 is never
+    served, after K skips and one serve per served column.
     """
     rises = []
     for name, q in (("q0 along the G", q0), ("q1 along the H", q1)):
-        lv, j = rise = np.nonzero(~(q[:, 1:] <= q[:, :-1]))
+        falls = q[:, 1:] <= q[:, :-1]
+        lv, j = rise = np.nonzero(~falls) if not falls.all() else (_NONE, _NONE)
         if lv.size and np.any(q[lv, j + 1] > q[lv, j] + _RISE_RTOL * np.abs(q[lv, j])):
             raise StructureViolationError(
                 f"block t={t}: {name}-state axis rises; the monotone walk is not exact")
         rises.append(rise)
-    # (M, K_H) highest served G-state, -1: none
-    top = (q1[:, None, :] <= q0[:, :, None]).sum(axis=1, dtype=np.int16) - 1
-    # a column breaks at G-state kg where it serves at kg + 1 but not at kg
+    k = q0.shape[1]
+    if top is None:   # (M, K_H) highest served G-state, -1: none
+        rows = np.pad(np.sort(q0, axis=1), ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
+        top = (k - 1 - _cuts(rows, rows[0, 1:-1], np.zeros(len(q0)), q1)[0]).astype(np.int16)
+    # a column breaks at G-state kg where it serves at kg + 1 but not at kg;
+    # q1[lv] holds every column of a level where q0 rises
     (lv, kg), (lh, kh) = rises
-    served = q1[lv]  # every column of a level where q0 rises
-    if ((lv.size and np.any((served <= q0[lv, kg + 1, None]) & ~(served <= q0[lv, kg, None])))
+    if ((lv.size and np.any((q1[lv] <= q0[lv, kg + 1, None]) & ~(q1[lv] <= q0[lv, kg, None])))
             or (lh.size and np.any(top[lh, kh + 1] < top[lh, kh]))):
         raise StructureViolationError(
             f"block t={t}: the serve mask is not a threshold staircase")
-    k = q0.shape[1]
     return top, np.where(top[:, 0] >= 0, 2 * k - 1 - top[:, 0], k + (top >= 0).sum(axis=1))
 
 
@@ -375,13 +435,16 @@ def monotone_backward_induction(model: MdpModel, N: int):
     `_staircase_counts` then checks each block, from the last to the
     first, is the threshold staircase the paper's walk relies on, keeps
     its thresholds, and counts the at most 2K-1 states that walk evaluates
-    per battery level instead of K^2.  Returns (PolicyTable, CostToGo,
-    eval_counts of shape (N, M)).
+    per battery level instead of K^2.  The thresholds are the solve's own
+    `top`, so the check builds no (M, K, K) mask and the table shares the
+    solve's array.  Returns (PolicyTable, CostToGo, eval_counts of shape
+    (N, M)).
     """
     values = backward_induction(model, N)
-    checked = [_staircase_counts(t, values.q0[t], values.q1[t]) for t in range(N - 1, -1, -1)]
-    top, counts = (np.stack(a[::-1]) for a in zip(*checked))
-    return PolicyTable(top=top, grid=model.grid, params_hash=values.params_hash), values, counts
+    counts = np.empty(values.u_hat.shape, dtype=np.int64)
+    for t in range(N - 1, -1, -1):
+        counts[t] = _staircase_counts(t, values.q0[t], values.q1[t], values.top[t])[1]
+    return PolicyTable(top=values.top, grid=model.grid, params_hash=values.params_hash), values, counts
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,8 @@ def staircase_actions(top) -> np.ndarray:
 
 def dense_staircase_counts(t: int, q0, q1):
     """`mdp._staircase_counts` on block t's whole (M, K_G, K_H) serve mask:
-    the same rise checks, then every column tested for a prefix and every
+    the same rise checks, then the thresholds as the mask's column sums,
+    not counted by search, every column tested for a prefix and every
     H-step for a falling threshold; the same errors, or (top, counts)."""
     for name, q in (("q0 along the G", q0), ("q1 along the H", q1)):
         if np.any(q[:, 1:] > q[:, :-1] + _RISE_RTOL * np.abs(q[:, :-1])):

@@ -327,6 +327,15 @@ def test_mdp_train_writes_artifact_and_retrains_identically(tmp_path):
     assert art.read_bytes() == first  # retraining is byte-identical
 
 
+@pytest.mark.parametrize("m,identity", [(10, True), (25, True), (100, False)])
+def test_mdp_train_flags_a_kernel_that_never_credits_a_harvest(m, identity, tmp_path):
+    # at fig3's point half a battery bin holds a block's largest harvest up
+    # to M = 25, so with no spend every mid-value re-quantizes to itself
+    assert main(["mdp-train", "--preset", "fig3", "--m-levels", str(m), "--out", str(tmp_path)]) == 0
+    log = json.loads((tmp_path / f"mbia_M{m}_K25.train.json").read_text())
+    assert log["kernel0_is_identity"] is identity
+
+
 def test_mdp_train_writes_where_simulate_reads(tmp_path):
     art, out = tmp_path / "art", tmp_path / "out"
     assert main(["mdp-train"] + SMALL + ["--set", f"artifact_dir={art}", "--out", str(out)]) == 0

@@ -33,7 +33,9 @@ every battery level, so they pin the dense compare to the bits of that
 walk.  The version-2 digests below hold thresholds, not dense tables; they
 were taken after checking that each table's staircase expansion equals the
 dense table the pinned version-1 file held, so the chain back to the walk
-is unbroken.
+is unbroken.  The tables at the fig4 middle point (M=25 and 100), at the
+base points of default, fig6 and fig7 and at fig6's w_D = 1 end are pinned
+too, with their evaluation totals.
 """
 
 import hashlib
@@ -155,6 +157,27 @@ MBIA_POL_SHA256 = {
     (60, 25): "043e6a56c344793a28b8d23dcad9a9919186e40e3102f95f264c6c8fab60de64",
     (60, 100): "f7d8e9179a6dfeb3212757caad2dba4a9a3b2904beb8c87845c72812904b1503",
 }
+# (preset, --set override or None, m_levels) -> (sha256 of mbia_M{m}_K25.pol,
+# evaluations_total), taken before the solver stopped summing each block's
+# dense (M, K, K) minimum; default, fig6 and fig7 share their base point with
+# fig4's middle one, so those four tables are one, and fig6's w_D = 1 end
+# adds a table of its own
+MBIA_PRESET_POL = {
+    ("fig4", "p_avg_mw=20", 25): (
+        "ffc4c18a46899de622b6cd2aa9cb9ea5611b74bcb670632aba612ca95db93e3c", 58202),
+    ("fig4", "p_avg_mw=20", 100): (
+        "32e9c27d48f6f5884d43cb02f31c769de5bed1e73b99ac917045bbe1ecefeb56", 234462),
+    ("default", None, 100): (
+        "32e9c27d48f6f5884d43cb02f31c769de5bed1e73b99ac917045bbe1ecefeb56", 234462),
+    ("fig6", None, 100): (
+        "32e9c27d48f6f5884d43cb02f31c769de5bed1e73b99ac917045bbe1ecefeb56", 234462),
+    ("fig7", None, 100): (
+        "32e9c27d48f6f5884d43cb02f31c769de5bed1e73b99ac917045bbe1ecefeb56", 234462),
+    ("fig6", "w_d=1.0", 25): (
+        "4d0d3bb9f8cdbe4247aef359842d97ffcb57c4a814ebe54e55fcd2df3c413724", 58267),
+    ("fig6", "w_d=1.0", 100): (
+        "f1c725b36f875cc0c7944a72fe87fda3df7ad06f061533e5bb9097fb58b22762", 234500),
+}
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
@@ -231,3 +254,13 @@ def test_mdp_train_table_bytes_and_walk_counts(d_h, m, tmp_path):
     want = json.loads(BENCH_REFERENCE.read_text())["mbia-train-simulate"]["evaluations_total"]
     assert log["evaluations_total"] == want[f"d{d_h}/mbia_M{m}_K25"]
     assert sha256(tmp_path / f"mbia_M{m}_K25.pol") == MBIA_POL_SHA256[(d_h, m)]
+
+
+@pytest.mark.parametrize("preset,override,m", sorted(MBIA_PRESET_POL, key=str))
+def test_mdp_train_table_bytes_at_preset_points(preset, override, m, tmp_path):
+    point = ["--set", override] if override else []
+    assert main(["mdp-train", "--preset", preset, *point, "--set", "k_states=25",
+                 "--m-levels", str(m), "--out", str(tmp_path)]) == 0
+    log = json.loads((tmp_path / f"mbia_M{m}_K25.train.json").read_text())
+    assert (sha256(tmp_path / f"mbia_M{m}_K25.pol"), log["evaluations_total"]) == (
+        MBIA_PRESET_POL[(preset, override, m)])

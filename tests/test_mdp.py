@@ -23,6 +23,7 @@ from hesnet.errors import (
 )
 from hesnet.mdp import (
     _RISE_RTOL,
+    _cuts,
     _expected_values,
     _staircase_counts,
     PolicyTable,
@@ -39,9 +40,14 @@ from hesnet.mdp import (
     save_policy_artifact,
 )
 from hesnet.model import SystemParams, link_terms, make_rng, serve_feasible
+from hesnet.sim import apply_axis
 from oracles import dense_staircase_counts, staircase_actions, v1_artifact
 
 P = SystemParams()
+# relative agreement of values summed in different orders: the solver sums
+# each level's K^2 minima by columns' counts and sorted prefix sums, numpy
+# and the oracles by its dense (K, K) slice
+VALUE_RTOL = 1e-13
 
 
 def energy_transition_probs(level: float, consumption: float, grid: QuantizationGrid,
@@ -405,7 +411,8 @@ def test_costs_to_go_are_finite_nonnegative_and_consistent():
     model = build_mdp_model(params, grid)
     values = backward_induction(model, 6)
     assert np.all(np.isfinite(values.u)) and np.all(values.u >= 0)
-    np.testing.assert_array_equal(values.u_hat, values.u.sum(axis=(2, 3)))
+    # u_hat sums the same minima in another order than numpy's dense sum
+    np.testing.assert_allclose(values.u_hat, values.u.sum(axis=(2, 3)), rtol=VALUE_RTOL, atol=0)
     # serving never happens in a disallowed state
     assert not np.any(values.actions.astype(bool) & ~model.allowed[None, :, None, :])
 
@@ -456,7 +463,8 @@ def test_monotone_solver_single_state_channel():
 def test_monotone_solve_holds_no_value_table():
     # the (N, M, K, K) float64 table would be 25 MB here and the uint8 serve
     # mask 3.1 MB; the solve holds q0/q1 (1 MB each), the int16 thresholds
-    # (0.25 MB) and one block's (M, K, K) slice (2.7 MB peak measured)
+    # (0.25 MB) and per-block (M, K) rows (2.50 MB peak measured); one
+    # block's (M, K, K) float64 slice, 0.5 MB, took it to 2.71 MB
     model = build_mdp_model(P, build_grid(P, M=100, K=25))
     tracemalloc.start()
     try:
@@ -464,12 +472,12 @@ def test_monotone_solve_holds_no_value_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 2.7e6
     assert table.top.shape == (50, 100, 25) and table.top.dtype == np.int16
     assert np.array_equal(staircase_actions(table.top), values.actions)
     dense_values = backward_induction(model, 50)
     assert np.array_equal(values.u, dense_values.u)
-    assert np.array_equal(values.u_hat, values.u.sum(axis=(2, 3)))
+    np.testing.assert_allclose(values.u_hat, values.u.sum(axis=(2, 3)), rtol=VALUE_RTOL, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +559,14 @@ def per_level_monotone(model, n):
 
 def assert_walk_matches_oracles(model, n):
     table, values, counts = monotone_backward_induction(model, n)
-    expected = per_level_monotone(model, n)
-    for got, want in zip((staircase_actions(table.top), values.u, values.u_hat, counts), expected):
+    actions, u, u_hat, want_counts = per_level_monotone(model, n)
+    # the oracle sums each level's K^2 values densely, so values agree to
+    # rounding and tables and counts bit for bit
+    for got, want in ((staircase_actions(table.top), actions), (counts, want_counts)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    for got, want in ((values.u, u), (values.u_hat, u_hat)):
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=VALUE_RTOL, atol=0)
     dense_values = backward_induction(model, n)
     assert np.array_equal(dense_values.actions, staircase_actions(table.top))
     assert np.array_equal(dense_values.actions, values.actions)
@@ -583,6 +596,33 @@ def test_lockstep_walk_matches_per_level_walk_at_presets(preset):
     params = resolve_config(preset=preset).params
     for m in (10, 25, 100):
         assert_walk_matches_oracles(build_mdp_model(params, build_grid(params, M=m, K=25)), params.N)
+
+
+def preset_points():
+    """Every shipped preset's own point and the two ends of its axis, each
+    distinct point once: (name, params)."""
+    points = {}
+    for preset in shipped_presets():
+        cfg = resolve_config(preset=preset)
+        for value in (None, *cfg.axis_values[:1], *cfg.axis_values[-1:]):
+            point = cfg.params if value is None else apply_axis(cfg.params, cfg.axis, value)
+            points.setdefault(point.content_hash(), (f"{preset}-{value or 'base'}", point))
+    return list(points.values())
+
+
+@pytest.mark.parametrize("params", [p for _, p in preset_points()],
+                         ids=[name for name, _ in preset_points()])
+def test_level_sums_lie_within_ulps_of_the_exact_sum_at_presets(params):
+    # within 16 ulps of the correctly rounded sum of each level's K^2 minima,
+    # not equal to one particular rounding of it (4 ulps measured at most)
+    for m in (10, 25, 100):
+        values = backward_induction(build_mdp_model(params, build_grid(params, M=m, K=25)),
+                                    params.N)
+        for t in range(params.N):
+            u = np.minimum(values.q1[t, :, None, :], values.q0[t, :, :, None])
+            exact = np.array([math.fsum(level.ravel()) for level in u])
+            ulps = np.abs(values.u_hat[t] - exact) / np.spacing(exact)
+            assert ulps.max() <= 16, (m, t, ulps.max())
 
 
 @pytest.mark.parametrize("params,m,k", [
@@ -761,6 +801,58 @@ def test_property_staircase_check_equals_dense_oracle(data, m, k):
         assert not isinstance(got, str), got
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def assert_cuts_equal_dense_counts(q0, q1, costs, ev0):
+    """`_cuts` on q0 in the order of `costs` against the dense compare."""
+    m, k = q0.shape
+    asc = np.argsort(costs, kind="stable")
+    rows = np.pad(q0[:, asc], ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
+    cut, at = _cuts(rows, costs[asc], ev0, q1)
+    assert np.array_equal(k - cut, (q1[:, None, :] <= q0[:, :, None]).sum(axis=1))
+    assert np.array_equal(at, cut + (k + 2) * np.arange(m)[:, None])
+    return cut
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data(), m=st.integers(1, 5), k=st.integers(1, 8))
+def test_property_cuts_equal_dense_column_sums(data, m, k):
+    # skip costs with ties, rises of every size and +inf, each level's q0
+    # their rounded shift as in a solve, so its rows sort in their order
+    costs = data.draw(rows_with_rises(1, k, ("tie", "ulp", "tolerated", "real", "inf")))[0]
+    ev0 = data.draw(arrays(np.float64, m, elements=st.sampled_from(
+        [0.0, 1e-17, 0.1, 1.0 / 3.0, 2.5, 1e3])))
+    q0 = costs[None, :] + ev0[:, None]
+    # q1 from q0's own entries and their neighbours, or apart from them
+    q1 = data.draw(rows_with_rises(m, k, ("tie", "ulp", "tolerated", "real", "inf"),
+                                   pool=q0 if data.draw(st.booleans()) else None))
+    assert_cuts_equal_dense_counts(q0, q1, costs, ev0)
+
+
+def test_cuts_recount_rows_that_are_not_shifts_of_the_costs():
+    # every row sorts in the costs' order, but the searches read level 1 as
+    # a shift of the costs (it is stretched) and level 2 too (it is flat)
+    costs = np.array([3.0, 2.0, 1.0, 0.0])
+    q0 = np.array([[3.0, 2.0, 1.0, 0.0], [30.0, 20.0, 10.0, 0.0], [5.0, 5.0, 5.0, 5.0]])
+    q1 = np.array([[2.5, 1.0, 0.5, -1.0], [25.0, 15.0, 10.0, 5.0], [6.0, 5.0, 4.0, np.inf]])
+    ev0 = np.zeros(3)
+    guess = np.searchsorted(np.sort(costs), q1 - ev0[:, None])
+    cut = assert_cuts_equal_dense_counts(q0, q1, costs, ev0)
+    assert np.array_equal(guess[0], cut[0])
+    assert np.all((guess != cut)[1:].any(axis=1))   # both recounted
+    np.testing.assert_array_equal(4 - cut, [[1, 3, 3, 4], [1, 2, 3, 3], [0, 4, 4, 0]])
+
+
+def test_cuts_serve_ties_that_the_search_rounds_past():
+    # fl(fl(c + e) - e) > c for these: shifted back, a q1 tied with q0 lands
+    # above its cost, so the search leaves the tied G-state unserved and the
+    # bracket has to catch it
+    costs = np.array([0.7, 0.1])
+    ev0 = np.array([1000.0, 2.5])
+    q0 = costs[None, :] + ev0[:, None]
+    assert np.all(q0 - ev0[:, None] > costs)
+    cut = assert_cuts_equal_dense_counts(q0, q0[:, ::-1].copy(), costs, ev0)
+    np.testing.assert_array_equal(2 - cut, [[2, 1], [2, 1]])
 
 
 @PROPERTY_SETTINGS
