@@ -48,6 +48,7 @@ from .mdp import (
     equiprobable_channel_states,
     load_policy_artifact,
     monotone_backward_induction,
+    predicted_cost,
     quantize_energy,
     save_policy_artifact,
 )

@@ -40,7 +40,14 @@ from .errors import (
     ResourceLimitError,
     StalePolicyError,
 )
-from .mdp import build_grid, build_mdp_model, load_policy_artifact, monotone_backward_induction, save_policy_artifact
+from .mdp import (
+    build_grid,
+    build_mdp_model,
+    load_policy_artifact,
+    monotone_backward_induction,
+    predicted_cost,
+    save_policy_artifact,
+)
 from .model import FrameBatch, SystemParams, sample_trajectory
 from .offline import greedy_plan, optimal_plan
 from .policies import (
@@ -596,7 +603,7 @@ def cmd_mdp_train(cfg: RunConfig, args) -> int:
     params = cfg.params
     grid = build_grid(params, M=cfg.m_levels, K=cfg.k_states)
     model = build_mdp_model(params, grid)
-    table, _, counts = monotone_backward_induction(model, params.N)
+    table, values, counts = monotone_backward_induction(model, params.N)
     path = _artifact_path(cfg, cfg.m_levels)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_policy_artifact(path, table)
@@ -612,6 +619,8 @@ def cmd_mdp_train(cfg: RunConfig, args) -> int:
         # the mid-value kernel that never credits a harvest: with no spend,
         # every battery level stays where it is (fig3 at M <= 25)
         "kernel0_is_identity": bool(np.abs(model.kernel0 - np.eye(cfg.m_levels)).max() <= 1e-12),
+        # the model's own expected frame cost of the table, from an empty battery
+        "predicted_cost": predicted_cost(model, values),
         "artifact": path.name,
         "artifact_bytes": path.stat().st_size,
         "artifact_sha256": file_sha256(path),

@@ -4,9 +4,17 @@ The online problem is a per-block choice: spend battery on this packet or
 leave it to the grid BS / the drop rule.  The state is (battery level,
 G-channel state, H-channel state) on a finite grid: battery quantized into M
 equal bins represented by mid-values, each channel into K equi-probable
-states represented by conditional means; the kernels are built in closed
-form.  Backward induction solves the resulting Bellman recursion exactly.
-The monotone variant (MBIA) is the paper's threshold walk, which evaluates
+states represented by conditional means.  The battery kernels are built in
+closed form and stored as a band: a residual plus a Uniform[0, E_m]
+arrival reaches at most ceil(E_m M / B_m) + 1 consecutive levels, so each
+(action, level) row keeps a start level and B = min(M, ceil(E_m M / B_m)
++ 2) probabilities, and the dense (K+1, M, M) stack is built only when
+`MdpModel.kernel0` or `kernel1` is read.  A block's expectation is one
+gather of the next u_hat at the band, one product and one sum over the
+band in order, so no BLAS call enters a value and the values do not
+depend on which BLAS kernel the machine runs.  Backward induction solves
+the resulting Bellman recursion exactly.  The monotone variant (MBIA) is
+the paper's threshold walk, which evaluates
 at most 2K-1 states per (block, battery level) instead of K^2.  MBIA here
 is the exact solve, checked to have the threshold structure that walk
 relies on, with the walk's evaluation counts reported in closed form.
@@ -60,6 +68,7 @@ __all__ = [
     "build_mdp_model",
     "backward_induction",
     "monotone_backward_induction",
+    "predicted_cost",
     "save_policy_artifact",
     "load_policy_artifact",
 ]
@@ -203,47 +212,100 @@ def channel_state_index(gamma, bounds: np.ndarray):
 # model assembly
 # ---------------------------------------------------------------------------
 
+def _arrival_band(grid: QuantizationGrid, E_m: float, base: np.ndarray):
+    """Band rows of the next-level distribution from residuals `base`.
+
+    A residual plus a Uniform[0, E_m] arrival lands in at most
+    ceil(E_m M / B_m) + 1 consecutive bins, the first the bin of the
+    residual itself, so the band is B = min(M, ceil(E_m M / B_m) + 2)
+    bins wide and starts at that bin, clipped to M - B.  Each entry takes
+    the length of the arrival interval that lands in its bin over E_m, the
+    top bin absorbing overflow past B_m.  Returns (index, probs), both of
+    shape (B, *base.shape): the band's levels, index[0] its start, and
+    their probabilities.
+    """
+    m = grid.M
+    width = min(m, math.ceil(E_m * m / grid.B_m) + 2)
+    # edges[start] <= base < edges[start + 1]: a search, not a division, so
+    # every bin left of the band has hi <= lo exactly
+    start = np.minimum(np.searchsorted(grid.bin_edges[1:-1], base, side="right"), m - width)
+    index = start + np.arange(width).reshape((-1,) + (1,) * np.ndim(base))
+    probs = grid.bin_edges[index] - base
+    np.maximum(probs, 0.0, out=probs)
+    hi = np.append(grid.bin_edges[1:-1], np.inf)[index] - base
+    np.minimum(hi, E_m, out=hi)
+    np.subtract(hi, probs, out=probs)
+    np.maximum(probs, 0.0, out=probs)
+    probs /= E_m
+    return index, probs
+
+
 @dataclass(frozen=True)
 class MdpModel:
-    """Grid-level system description consumed by the induction solvers."""
+    """Grid-level system description consumed by the induction solvers.
+
+    The battery kernels are stored as a band.  Action r is no spend (r = 0)
+    or a serve at H-state r - 1; from level m it moves the battery to level
+    `band_start[r, m] + b` with probability `band[b, r, m]`, for b below
+    the band width B = min(M, ceil(E_m M / B_m) + 2), and to no other level.
+    A serve that is not allowed has an all-zero band.  `kernel0` and
+    `kernel1` expand the band into the dense (M, M) and (K, M, M) kernels
+    on each read.
+    """
 
     params: SystemParams
     grid: QuantizationGrid
-    p_inv_H: np.ndarray   # (K,) W, inversion power at each H-state gain
-    cost_G: np.ndarray    # (K,) skip cost at each G-state gain
-    allowed: np.ndarray   # (M, K) bool, action 1 permitted
-    kernel0: np.ndarray   # (M, M) next-level distribution, no spend
-    kernel1: np.ndarray   # (K, M, M) next-level distribution when serving;
-                          #           zero rows where not allowed
+    p_inv_H: np.ndarray     # (K,) W, inversion power at each H-state gain
+    cost_G: np.ndarray      # (K,) skip cost at each G-state gain
+    allowed: np.ndarray     # (M, K) bool, action 1 permitted
+    band_start: np.ndarray  # (K+1, M) first next level of each action's band
+    band: np.ndarray        # (B, K+1, M) next-level probabilities in the band
+
+    def __post_init__(self):
+        # the gather index of the band, built once for every solve block
+        index = self.band_start + np.arange(self.band.shape[0])[:, None, None]
+        object.__setattr__(self, "_band_index", index)
+
+    def _expand(self, actions: slice) -> np.ndarray:
+        """The dense (actions, M, M) kernels of a slice of the actions."""
+        band = self.band[:, actions]
+        dense = np.zeros((band.shape[1], self.grid.M, self.grid.M))
+        np.put_along_axis(dense, self._band_index[:, actions].transpose(1, 2, 0),
+                          band.transpose(1, 2, 0), axis=2)
+        return dense
+
+    @property
+    def kernel0(self) -> np.ndarray:
+        """(M, M) next-level distribution after no spend."""
+        return self._expand(slice(0, 1))[0]
+
+    @property
+    def kernel1(self) -> np.ndarray:
+        """(K, M, M) next-level distribution after serving at each H-state;
+        zero rows where serving is not allowed."""
+        return self._expand(slice(1, None))
 
 
 def build_mdp_model(params: SystemParams, grid: QuantizationGrid) -> MdpModel:
-    """Precompute per-state powers, skip costs, action masks and kernels.
+    """Precompute per-state powers, skip costs, action masks and kernel bands.
 
-    Kernel row i is the distribution of the next battery level from level i
-    after no spend (kernel0) or serving at each H-state (kernel1): the residual
-    plus a Uniform[0, E_m] arrival, re-quantized, each next bin taking the
-    length of the arrival interval that lands in it over E_m, the top bin
-    absorbing overflow past B_m.  Built in closed form, broadcast over battery
-    levels and H-states."""
+    The band of level m under action r is the distribution of the next
+    battery level after no spend (r = 0) or serving at H-state r - 1: the
+    residual plus a Uniform[0, E_m] arrival, re-quantized (`_arrival_band`).
+    Built in closed form, broadcast over battery levels and H-states, with
+    no (K+1, M, M) array."""
     _, p_inv_h, cost_g, _ = link_terms(grid.levels_G, grid.levels_H, params)
     levels = grid.battery_levels
     if not np.allclose(quantize_energy(levels, grid), levels, rtol=1e-9, atol=0.0):
         raise InvalidStateError("battery levels are not the bin mid-values of this grid")
     allowed = serve_feasible(p_inv_h[None, :], levels[:, None], params)
     spend = p_inv_h * params.tau
-    # probs[r, i]: the row of level i after no spend (r = 0) or serving at H-state r-1
-    base = np.maximum(levels - np.append(0.0, spend)[:, None], 0.0)[:, :, None]
-    lo = grid.bin_edges[:-1] - base
-    np.maximum(lo, 0.0, out=lo)
-    probs = np.append(grid.bin_edges[1:-1], np.inf) - base
-    np.minimum(probs, params.E_m, out=probs)
-    probs -= lo
-    np.maximum(probs, 0.0, out=probs)
-    probs /= params.E_m
-    probs[1:] *= allowed.T[:, :, None]
+    base = np.maximum(levels - np.append(0.0, spend)[:, None], 0.0)
+    index, band = _arrival_band(grid, params.E_m, base)
+    band[:, 1:] *= allowed.T
+    # the start is copied so the model holds no second (B, K+1, M) index
     return MdpModel(params=params, grid=grid, p_inv_H=p_inv_h, cost_G=cost_g,
-                    allowed=allowed, kernel0=probs[0], kernel1=probs[1:])
+                    allowed=allowed, band_start=index[0].copy(), band=band)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +365,14 @@ def _expected_values(model: MdpModel, u_hat_next: np.ndarray):
     Channel states regenerate independently with probability 1/K each, so
     the next-state expectation factorizes through u_hat: ev0[m] (no spend)
     and ev1[m, kh] (spend at H-state kh), both already divided by K^2.
+    Each is the sum over the kernel's band, taken in band order by one
+    reduction over its leading axis, so no BLAS call enters a value.
     """
-    inv_k2 = 1.0 / (model.grid.K * model.grid.K)
-    return (model.kernel0 @ u_hat_next) * inv_k2, (model.kernel1 @ u_hat_next).T * inv_k2
+    terms = u_hat_next[model._band_index]
+    terms *= model.band
+    ev = np.add.reduce(terms, axis=0)
+    ev *= 1.0 / (model.grid.K * model.grid.K)
+    return ev[0], ev[1:].T
 
 
 # Relative rise tolerated in q0 along the G axis and q1 along the H axis: the
@@ -445,6 +512,19 @@ def monotone_backward_induction(model: MdpModel, N: int):
     for t in range(N - 1, -1, -1):
         counts[t] = _staircase_counts(t, values.q0[t], values.q1[t], values.top[t])[1]
     return PolicyTable(top=values.top, grid=model.grid, params_hash=values.params_hash), values, counts
+
+
+def predicted_cost(model: MdpModel, values: CostToGo) -> float:
+    """The model's expected frame cost of its own policy, from an empty battery.
+
+    A frame starts with the battery at 0 and the first arrival, so the
+    first block's level follows the band from residual 0; u_hat[0] weighted
+    by it and divided by K^2 averages the cost-to-go over that level and
+    both channel states.  Summed in band order like `_expected_values`.
+    """
+    index, probs = _arrival_band(model.grid, model.params.E_m, np.zeros(1))
+    total = np.add.reduce(values.u_hat[0][index] * probs, axis=0)
+    return float(total[0] / (model.grid.K * model.grid.K))
 
 
 # ---------------------------------------------------------------------------

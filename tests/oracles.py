@@ -7,7 +7,10 @@ constraint a 0/1 vector breaks, its exact skip cost, and the pairwise swap
 condition every greedy plan meets.  The 2^N enumerator that was the
 package's exact optimum is the reference for its Pareto walk at N <= 15.
 
-`hesnet.mdp` stores a policy as per-column thresholds.  The dense
+`hesnet.mdp` stores each battery kernel as a band of next levels and
+takes the next-block expectation over the band alone.  The per-row sum
+over a dense kernel's nonzero entries, in column order, is the reference
+for that.  It stores a policy as per-column thresholds.  The dense
 (N, M, K, K) serve mask they stand for, the staircase check that reads
 every entry of it, the player that looks it up with one search per
 channel, and the version-1 artifact layout that held it live here as their
@@ -160,6 +163,19 @@ def exhaustive_plan(c, p_h, e_h, tau: float, p_H_max: float) -> np.ndarray:
             if costs[lo] < best_cost[f]:
                 best_cost[f], best_code[f] = costs[lo], codes[lo]
     return ((best_code[:, None] >> shifts) & 1).astype(np.int8)[:, None]
+
+
+def kernel_expectation(kernel, u_hat, k: int) -> np.ndarray:
+    """Each row of a dense (..., M, M) kernel times `u_hat`, divided by
+    k^2: the row's nonzero products summed one at a time in column order,
+    so independent of any BLAS kernel."""
+    out = np.zeros(kernel.shape[:-1])
+    for row in np.ndindex(out.shape):
+        total = 0.0
+        for j in np.flatnonzero(kernel[row]):
+            total += kernel[row][j] * u_hat[j]
+        out[row] = total
+    return out * (1.0 / (k * k))
 
 
 def staircase_actions(top) -> np.ndarray:

@@ -336,6 +336,20 @@ def test_mdp_train_flags_a_kernel_that_never_credits_a_harvest(m, identity, tmp_
     assert log["kernel0_is_identity"] is identity
 
 
+def test_mdp_train_predicts_the_simulated_cost_of_its_table(tmp_path):
+    # the model's expected frame cost of its own table, from an empty
+    # battery, against the table played on 2000 frames at fig3's point
+    art = tmp_path / "art"
+    assert main(["mdp-train", "--preset", "fig3", "--m-levels", "100", "--out", str(art)]) == 0
+    log = json.loads((art / "mbia_M100_K25.train.json").read_text())
+    assert main(["simulate", "--preset", "fig3", "--set", "policies=MBIA-M100", "--frames", "2000",
+                 "--artifact-dir", str(art), "--out", str(tmp_path / "sim")]) == 0
+    with open(tmp_path / "sim" / "simulate.csv") as f:
+        (row,) = csv.DictReader(f)
+    mean, stderr = float(row["mean_total_cost"]), float(row["stderr_total_cost"])
+    assert abs(log["predicted_cost"] - mean) <= 4 * stderr
+
+
 def test_mdp_train_writes_where_simulate_reads(tmp_path):
     art, out = tmp_path / "art", tmp_path / "out"
     assert main(["mdp-train"] + SMALL + ["--set", f"artifact_dir={art}", "--out", str(out)]) == 0

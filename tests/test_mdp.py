@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
+import hesnet
 from hesnet.cli import resolve_config
 from hesnet.errors import (
     InvalidActionError,
@@ -41,7 +45,7 @@ from hesnet.mdp import (
 )
 from hesnet.model import SystemParams, link_terms, make_rng, serve_feasible
 from hesnet.sim import apply_axis
-from oracles import dense_staircase_counts, staircase_actions, v1_artifact
+from oracles import dense_staircase_counts, kernel_expectation, staircase_actions, v1_artifact
 
 P = SystemParams()
 # relative agreement of values summed in different orders: the solver sums
@@ -463,7 +467,7 @@ def test_monotone_solver_single_state_channel():
 def test_monotone_solve_holds_no_value_table():
     # the (N, M, K, K) float64 table would be 25 MB here and the uint8 serve
     # mask 3.1 MB; the solve holds q0/q1 (1 MB each), the int16 thresholds
-    # (0.25 MB) and per-block (M, K) rows (2.50 MB peak measured); one
+    # (0.25 MB) and per-block (M, K) rows (2.53 MB peak measured); one
     # block's (M, K, K) float64 slice, 0.5 MB, took it to 2.71 MB
     model = build_mdp_model(P, build_grid(P, M=100, K=25))
     tracemalloc.start()
@@ -582,12 +586,17 @@ def test_closed_form_kernels_match_per_row_loop(preset):
     for m in (1, 10, 25, 100):
         for k in (1, 5, 25):
             model = assert_kernels_match_rows(params, build_grid(params, M=m, K=k))
-            # the batched expectation is the per-H-state stack of matrix-vector products
+            # the banded expectation sums each row's nonzero products in
+            # column order, bit for bit, and agrees with the dense
+            # matrix-vector products to rounding
             u_hat = np.linspace(3.0, 1.0, m) * k
             ev0, ev1 = _expected_values(model, u_hat)
+            assert np.array_equal(ev0, kernel_expectation(model.kernel0, u_hat, k))
+            assert np.array_equal(ev1, kernel_expectation(model.kernel1, u_hat, k).T)
             stack = np.stack([model.kernel1[j] @ u_hat for j in range(k)], axis=1)
-            assert np.array_equal(ev1, stack * (1.0 / (k * k)))
-            assert np.array_equal(ev0, (model.kernel0 @ u_hat) * (1.0 / (k * k)))
+            np.testing.assert_allclose(ev1, stack * (1.0 / (k * k)), rtol=1e-13, atol=0)
+            np.testing.assert_allclose(ev0, (model.kernel0 @ u_hat) * (1.0 / (k * k)),
+                                       rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("preset", shipped_presets())
@@ -642,11 +651,83 @@ def test_peak_cap_below_every_inversion_power_serves_nothing():
     params = P.evolve(N=4, p_H_max=1e-9)
     grid = build_grid(params, M=6, K=3)
     model = assert_kernels_match_rows(params, grid)
-    assert not model.allowed.any() and not model.kernel1.any()
+    assert not model.allowed.any() and not model.band[:, 1:].any() and not model.kernel1.any()
     table, values, counts = monotone_backward_induction(model, params.N)
     assert np.all(table.top == -1)
     np.testing.assert_array_equal(counts, np.full((4, 6), 3))  # the G cursor alone walks
     assert_walk_matches_oracles(model, params.N)
+
+
+@pytest.mark.parametrize("params,m,k,width", [
+    (P.evolve(N=3), 1, 1, 1),                # one level: the band is that level
+    (P.evolve(N=5, d_H=55.0), 6, 1, 4),      # one channel state
+    (P.evolve(N=6, B_m=P.E_m), 8, 4, 8),     # an arrival spans the battery: the whole row
+    (P.evolve(N=4, p_H_max=1e-9), 6, 3, 4),  # no serve allowed: all-zero serve bands
+])
+def test_band_expands_to_the_per_row_kernels_at_edge_cases(params, m, k, width):
+    # the expanded band equals the per-row oracle over whole rows, so every
+    # entry outside the band is exactly 0
+    model = assert_kernels_match_rows(params, build_grid(params, M=m, K=k))
+    assert model.band.shape == (width, k + 1, m)
+    assert model.band_start.min() >= 0 and model.band_start.max() <= m - width
+
+
+def test_band_of_a_serve_that_empties_the_battery():
+    # a point where serving at the best H-state from the lowest level (B_m / 8
+    # at M = 4) is allowed, though its spend exceeds the level by rounding:
+    # the residual is clamped to 0
+    for d_h in np.linspace(20.0, 40.0, 200):
+        point = P.evolve(N=4, d_H=float(d_h))
+        p_h = build_mdp_model(point, build_grid(point, M=4, K=2)).p_inv_H[-1]
+        level = np.nextafter(p_h * point.tau, 0.0)
+        if level / point.tau >= p_h and 8 * level >= point.E_m:
+            params = point.evolve(B_m=float(8 * level))
+            break
+    else:
+        pytest.fail("no point found whose allowed serve empties the lowest level")
+    grid = build_grid(params, M=4, K=2)
+    model = assert_kernels_match_rows(params, grid)
+    assert model.allowed[0, -1] and grid.battery_levels[0] - model.p_inv_H[-1] * params.tau < 0
+    assert model.band_start[-1, 0] == 0
+    assert_walk_matches_oracles(model, params.N)
+
+
+def test_values_do_not_depend_on_the_blas_kernel():
+    # a solve's values are sums in band order, so two OpenBLAS core types
+    # give one u_hat; at fig3's point the dense matrix-vector products of
+    # Prescott and Haswell kernels rounded it apart
+    script = ("import hashlib\n"
+              "from hesnet.cli import resolve_config\n"
+              "from hesnet.mdp import backward_induction, build_grid, build_mdp_model\n"
+              "p = resolve_config(preset='fig3').params\n"
+              "values = backward_induction(build_mdp_model(p, build_grid(p, M=25, K=25)), p.N)\n"
+              "print(hashlib.sha256(values.u_hat.tobytes()).hexdigest())\n")
+    src = str(Path(hesnet.__file__).parents[1])
+    digests = []
+    for coretype in ("Prescott", None):
+        env = {key: v for key, v in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        digests.append(run.stdout)
+    assert digests[0] == digests[1] != ""
+
+
+def test_model_and_solve_at_m800_hold_no_dense_kernel():
+    # the (K+1, M, M) float64 kernels alone would be 133 MB here; the solve
+    # holds q0/q1 (8 MB each), the int16 thresholds (2 MB) and the band
+    # with its gather index (3 MB each), 28.7 MB peak measured
+    tracemalloc.start()
+    try:
+        model = build_mdp_model(P, build_grid(P, M=800, K=25))
+        table, _, _ = monotone_backward_induction(model, P.N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.band.shape == (18, 26, 800) and table.top.shape == (50, 800, 25)
+    assert peak < 32e6
 
 
 def test_kernel_rejects_levels_off_the_bin_mid_values():
@@ -670,11 +751,14 @@ def test_walk_rejects_a_real_precondition_violation():
     # block, its expected cost rises above that of the next-best H-state;
     # blocks are checked last to first, so the error names the first block
     # below the terminal one
-    kernel1 = model.kernel1.copy()
-    kernel1[-1] = 0.0
-    kernel1[-1, :, 0] = 1.0
+    band, start = model.band.copy(), model.band_start.copy()
+    band[:, -1] = 0.0
+    band[0, -1] = 1.0
+    start[-1] = 0
+    drained = dataclasses.replace(model, band=band, band_start=start)
+    assert np.array_equal(drained.kernel1[-1], np.eye(6)[[0] * 6])
     with pytest.raises(StructureViolationError, match="block t=3: q1"):
-        monotone_backward_induction(dataclasses.replace(model, kernel1=kernel1), 5)
+        monotone_backward_induction(drained, 5)
 
 
 def test_walk_tolerates_rises_of_rounding_size():
