@@ -36,11 +36,9 @@ from .model import (
 )
 from .offline import greedy_plan, optimal_plan, ratio_metric
 from .mdp import (
-    CostToGo,
     MdpModel,
     PolicyTable,
     QuantizationGrid,
-    backward_induction,
     battery_level_index,
     build_grid,
     build_mdp_model,

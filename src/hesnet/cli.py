@@ -603,11 +603,12 @@ def cmd_mdp_train(cfg: RunConfig, args) -> int:
     params = cfg.params
     grid = build_grid(params, M=cfg.m_levels, K=cfg.k_states)
     model = build_mdp_model(params, grid)
-    table, values, counts = monotone_backward_induction(model, params.N)
+    table, u_hat, counts = monotone_backward_induction(model, params.N)
     path = _artifact_path(cfg, cfg.m_levels)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_policy_artifact(path, table)
     per_state_bound = 2 * cfg.k_states - 1
+    stays = model.band_start[0] + np.arange(len(model.band))[:, None] == np.arange(cfg.m_levels)
     log = {
         "m_levels": cfg.m_levels, "k_states": cfg.k_states, "n_blocks": params.N,
         "params_hash": params.content_hash(),
@@ -617,10 +618,11 @@ def cmd_mdp_train(cfg: RunConfig, args) -> int:
         "per_state_bound": per_state_bound,
         "dense_equivalent_total": cfg.k_states ** 2 * cfg.m_levels * params.N,
         # the mid-value kernel that never credits a harvest: with no spend,
-        # every battery level stays where it is (fig3 at M <= 25)
-        "kernel0_is_identity": bool(np.abs(model.kernel0 - np.eye(cfg.m_levels)).max() <= 1e-12),
+        # every battery level stays where it is (fig3 at M <= 25); level m
+        # lies in its own no-spend band, so the band alone holds the difference
+        "kernel0_is_identity": bool(np.abs(model.band[:, 0] - stays).max() <= 1e-12),
         # the model's own expected frame cost of the table, from an empty battery
-        "predicted_cost": predicted_cost(model, values),
+        "predicted_cost": predicted_cost(model, u_hat),
         "artifact": path.name,
         "artifact_bytes": path.stat().st_size,
         "artifact_sha256": file_sha256(path),

@@ -8,35 +8,29 @@ states represented by conditional means.  The battery kernels are built in
 closed form and stored as a band: a residual plus a Uniform[0, E_m]
 arrival reaches at most ceil(E_m M / B_m) + 1 consecutive levels, so each
 (action, level) row keeps a start level and B = min(M, ceil(E_m M / B_m)
-+ 2) probabilities, and the dense (K+1, M, M) stack is built only when
-`MdpModel.kernel0` or `kernel1` is read.  A block's expectation is one
-gather of the next u_hat at the band, one product and one sum over the
-band in order, so no BLAS call enters a value and the values do not
-depend on which BLAS kernel the machine runs.  Backward induction solves
-the resulting Bellman recursion exactly.  The monotone variant (MBIA) is
-the paper's threshold walk, which evaluates
-at most 2K-1 states per (block, battery level) instead of K^2.  MBIA here
-is the exact solve, checked to have the threshold structure that walk
-relies on, with the walk's evaluation counts reported in closed form.
++ 2) probabilities, and no dense (K+1, M, M) kernel is built.  A block's
+expectation is one gather of the next u_hat at the band, one product and
+one sum over the band in order, so no BLAS call enters a value and the
+values do not depend on which BLAS kernel the machine runs.
 
+One solver, the paper's monotone backward induction (MBIA), solves the
+resulting Bellman recursion exactly, one block at a time from the last.
 The recursion needs only the per-level sums u_hat of the next block, the
-sum of the cheaper action value over both channel states, so a solve
-keeps the two action values q0/q1 per block and nothing per state.  A
-level's q0 is the skip costs plus one term, so it is sorted in the skip
-costs' order, and each H-column serves the G-states of its highest skip
-values: one search per block counts them, with every count checked
-exactly against q0, and u_hat and the thresholds both follow from the
-counts at O(MK log K) per block, so no (M, K, K) array is built.  The
-dense (N, M, K, K) serve mask `CostToGo.actions` and cost-to-go
-`CostToGo.u` are rebuilt from q0/q1 when read.  MBIA is
-`backward_induction` followed by a per-block staircase check, and the
-staircase is the policy: `PolicyTable.top` holds the highest served
-G-state per (block, battery level, H-state), the solve's own counts less
-one, which expand bitwise to the dense mask, so a lookup searches one
+sum of the cheaper action value over both channel states, so a block's
+two action values q0/q1 live in one (M, K) buffer pair and nothing per
+state is kept.  A level's q0 is the skip costs plus one term, so it is
+sorted in the skip costs' order, and each H-column serves the G-states of
+its highest skip values: one search per block counts them, with every
+count checked exactly against q0, and u_hat and the thresholds both follow
+from the counts at O(MK log K) per block, so no (M, K, K) array is built.
+Each block is then checked to be the threshold staircase the paper's
+two-cursor walk relies on, and the staircase is the policy:
+`PolicyTable.top` holds the highest served G-state per (block, battery
+level, H-state), the solve's own counts less one, so a lookup searches one
 channel.  The check tests the prefix and ordering conditions only where q0
-or q1 rise, the only places they can break.  So MBIA's tables are bitwise
-the dense solver's.  Policy artifacts hold the grid and the thresholds
-alone.
+or q1 rise, the only places they can break, and reports the walk's at most
+2K-1 evaluations per (block, level) in closed form.  Policy artifacts hold
+the grid and the thresholds alone.
 """
 
 from __future__ import annotations
@@ -59,14 +53,12 @@ __all__ = [
     "QuantizationGrid",
     "MdpModel",
     "PolicyTable",
-    "CostToGo",
     "equiprobable_channel_states",
     "build_grid",
     "quantize_energy",
     "battery_level_index",
     "channel_state_index",
     "build_mdp_model",
-    "backward_induction",
     "monotone_backward_induction",
     "predicted_cost",
     "save_policy_artifact",
@@ -242,15 +234,13 @@ def _arrival_band(grid: QuantizationGrid, E_m: float, base: np.ndarray):
 
 @dataclass(frozen=True)
 class MdpModel:
-    """Grid-level system description consumed by the induction solvers.
+    """Grid-level system description consumed by the induction solver.
 
     The battery kernels are stored as a band.  Action r is no spend (r = 0)
     or a serve at H-state r - 1; from level m it moves the battery to level
     `band_start[r, m] + b` with probability `band[b, r, m]`, for b below
     the band width B = min(M, ceil(E_m M / B_m) + 2), and to no other level.
-    A serve that is not allowed has an all-zero band.  `kernel0` and
-    `kernel1` expand the band into the dense (M, M) and (K, M, M) kernels
-    on each read.
+    A serve that is not allowed has an all-zero band.
     """
 
     params: SystemParams
@@ -265,25 +255,6 @@ class MdpModel:
         # the gather index of the band, built once for every solve block
         index = self.band_start + np.arange(self.band.shape[0])[:, None, None]
         object.__setattr__(self, "_band_index", index)
-
-    def _expand(self, actions: slice) -> np.ndarray:
-        """The dense (actions, M, M) kernels of a slice of the actions."""
-        band = self.band[:, actions]
-        dense = np.zeros((band.shape[1], self.grid.M, self.grid.M))
-        np.put_along_axis(dense, self._band_index[:, actions].transpose(1, 2, 0),
-                          band.transpose(1, 2, 0), axis=2)
-        return dense
-
-    @property
-    def kernel0(self) -> np.ndarray:
-        """(M, M) next-level distribution after no spend."""
-        return self._expand(slice(0, 1))[0]
-
-    @property
-    def kernel1(self) -> np.ndarray:
-        """(K, M, M) next-level distribution after serving at each H-state;
-        zero rows where serving is not allowed."""
-        return self._expand(slice(1, None))
 
 
 def build_mdp_model(params: SystemParams, grid: QuantizationGrid) -> MdpModel:
@@ -327,40 +298,8 @@ class PolicyTable:
         return self.top.shape[0]
 
 
-@dataclass(frozen=True)
-class CostToGo:
-    """Optimal expected remaining cost, kept as the two action values.
-
-    `q0[t, m, kg]` is the cost of not serving at G-state kg and
-    `q1[t, m, kh]` the cost of serving at H-state kh (inf where serving is
-    not allowed).  The dense serve mask `actions` and the per-state table
-    `u` are rebuilt from these on each read (3.1 MB and 25 MB at N=50,
-    M=100, K=25), so a solve that never reads them never holds them.
-    `top[t, m, kh]` is the number of G-states H-state kh serves less one,
-    the highest served G-state wherever that column of `actions` is a
-    prefix, as MBIA checks it is (0.25 MB).
-    """
-
-    q0: np.ndarray        # (N, M, K) per G-state
-    q1: np.ndarray        # (N, M, K) per H-state
-    u_hat: np.ndarray     # (N, M) sum of u over both channel states
-    params_hash: str
-    top: np.ndarray       # (N, M, K) int16 column sums of actions, less one
-
-    @property
-    def actions(self) -> np.ndarray:
-        """(N, M, K, K) uint8 serve mask: serve wherever it costs no more
-        than not serving, so ties serve."""
-        return (self.q1[:, :, None, :] <= self.q0[:, :, :, None]).view(np.uint8)
-
-    @property
-    def u(self) -> np.ndarray:
-        """(N, M, K, K) cost-to-go of the chosen action at every state."""
-        return np.where(self.actions, self.q1[:, :, None, :], self.q0[:, :, :, None])
-
-
 def _expected_values(model: MdpModel, u_hat_next: np.ndarray):
-    """Next-block expectation terms of one step of `backward_induction`.
+    """Next-block expectation terms of one step of `monotone_backward_induction`.
 
     Channel states regenerate independently with probability 1/K each, so
     the next-state expectation factorizes through u_hat: ev0[m] (no spend)
@@ -406,71 +345,24 @@ def _cuts(rows: np.ndarray, base: np.ndarray, shift: np.ndarray, q1: np.ndarray)
     return cut, at
 
 
-def backward_induction(model: MdpModel, N: int):
-    """Exact solve of the finite-horizon recursion over all N*M*K^2 states.
-
-    The terminal block minimizes the stage cost alone.  Ties between the
-    two actions resolve to serving (action 1).  Only u_hat feeds the next
-    block, and a state's value is the cheaper of its two action values, so
-    no per-state value is formed.  q0[t, m, kg] is the rounded sum of
-    cost_G[kg] and ev0[m], and rounding is monotone, so every level's q0
-    is sorted in the order of cost_G (one stable argsort, which holds for
-    a cost_G with rises too), a shift of the sorted costs, and each
-    H-column serves the G-states of its highest skip values.  `_cuts`
-    counts them, giving the CostToGo's `top`, and a level's u_hat is the
-    sum over its columns of the count times the column's q1 plus the sum
-    of the skip values it leaves unserved, a prefix sum of the sorted row:
-    the K^2 minima summed in another order, at O(MK log K) per block
-    instead of O(MK^2).  Returns the CostToGo, whose `actions` is the dense
-    serve mask.
-    """
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
-    m, k = model.grid.M, model.grid.K
-    params_hash = model.params.content_hash()
-    q0, q1 = np.zeros((N, m, k)), np.zeros((N, m, k))
-    u_hat = np.zeros((N, m))
-    top = np.empty((N, m, k), dtype=np.int16)
-    mask = np.where(model.allowed, 0.0, np.inf)  # (M, K) additive mask on q1
-    costs = model.cost_G[np.argsort(model.cost_G, kind="stable")]
-    # q0[t] in the order of costs, padded for _cuts, and its prefix sums:
-    # low[m, j] is the sum of level m's j lowest skip values
-    rows = np.empty((m, k + 2))
-    rows[:, 0], rows[:, -1] = -np.inf, np.inf
-    low = np.zeros((m, k + 2))
-    for t in range(N - 1, -1, -1):
-        ev0, ev1 = ((np.zeros(m), np.zeros((m, k))) if t == N - 1
-                    else _expected_values(model, u_hat[t + 1]))
-        np.add(model.cost_G[None, :], ev0[:, None], out=q0[t])
-        np.add(ev1, mask, out=q1[t])
-        np.add(costs, ev0[:, None], out=rows[:, 1:-1])
-        cut, at = _cuts(rows, costs, ev0, q1[t])
-        np.subtract(k - 1, cut, out=top[t], casting="unsafe")
-        np.cumsum(rows[:, 1:-1], axis=1, out=low[:, 1:-1])
-        # a served column's q1 is its ev1, and a count of 0 times a finite
-        # ev1 adds nothing where q1 is inf
-        u_hat[t] = ((k - cut) * ev1 + low.ravel()[at]).sum(axis=1)
-    return CostToGo(q0=q0, q1=q1, u_hat=u_hat, params_hash=params_hash, top=top)
-
-
-def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray, top=None):
+def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray, top: np.ndarray):
     """Check block t's serve mask, q1[:, None, :] <= q0[:, :, None], is the
-    threshold staircase of the paper's walk; return its (M, K_H) thresholds
-    `top` and the (M,) counts of states that walk evaluates.
+    threshold staircase of the paper's walk with (M, K_H) thresholds `top`;
+    return the (M,) counts of states that walk evaluates.
 
-    The walk starts at the best state of both channels: a serve fills the
-    column below it and drops the H cursor, a skip fills the row to its
-    left and drops the G cursor.  It decides as the compare does when every
-    H-column is a prefix of G-states whose top served G-state `top` is
-    nondecreasing in the H-state, as q0 and q1 nonincreasing (up to
-    `_RISE_RTOL`) imply; anything else raises StructureViolationError.  A
-    column can stop being a prefix only where q0 rises along G, and `top`
-    can fall only where q1 rises along H, so the rise tolerance and both
-    conditions are tested at those places alone.  `top` is each column's
-    count of served G-states less one: the solve's (`CostToGo.top[t]`), or
-    else counted here by `_cuts`, so no (M, K, K) mask is built.  The walk
-    stops after K serves and K-1-top[0] skips or, where column 0 is never
-    served, after K skips and one serve per served column.
+    `top` is each H-column's count of served G-states less one, as the
+    solve counts it, so no (M, K, K) mask is built.  The walk starts at the
+    best state of both channels: a serve fills the column below it and
+    drops the H cursor, a skip fills the row to its left and drops the G
+    cursor.  It decides as the compare does when every H-column is a
+    prefix of G-states whose top served G-state `top` is nondecreasing in
+    the H-state, as q0 and q1 nonincreasing (up to `_RISE_RTOL`) imply;
+    anything else raises StructureViolationError.  A column can stop being
+    a prefix only where q0 rises along G, and `top` can fall only where q1
+    rises along H, so the rise tolerance and both conditions are tested at
+    those places alone.  The walk stops after K serves and K-1-top[0] skips
+    or, where column 0 is never served, after K skips and one serve per
+    served column.
     """
     rises = []
     for name, q in (("q0 along the G", q0), ("q1 along the H", q1)):
@@ -480,10 +372,6 @@ def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray, top=None):
             raise StructureViolationError(
                 f"block t={t}: {name}-state axis rises; the monotone walk is not exact")
         rises.append(rise)
-    k = q0.shape[1]
-    if top is None:   # (M, K_H) highest served G-state, -1: none
-        rows = np.pad(np.sort(q0, axis=1), ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
-        top = (k - 1 - _cuts(rows, rows[0, 1:-1], np.zeros(len(q0)), q1)[0]).astype(np.int16)
     # a column breaks at G-state kg where it serves at kg + 1 but not at kg;
     # q1[lv] holds every column of a level where q0 rises
     (lv, kg), (lh, kh) = rises
@@ -491,39 +379,76 @@ def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray, top=None):
             or (lh.size and np.any(top[lh, kh + 1] < top[lh, kh]))):
         raise StructureViolationError(
             f"block t={t}: the serve mask is not a threshold staircase")
-    return top, np.where(top[:, 0] >= 0, 2 * k - 1 - top[:, 0], k + (top >= 0).sum(axis=1))
+    k = q0.shape[1]
+    return np.where(top[:, 0] >= 0, 2 * k - 1 - top[:, 0], k + (top >= 0).sum(axis=1))
 
 
 def monotone_backward_induction(model: MdpModel, N: int):
-    """The paper's monotone backward induction (MBIA), checked, not re-enacted.
+    """The paper's monotone backward induction (MBIA): the exact solve of
+    the finite-horizon recursion over all N*M*K^2 states, checked block by
+    block to have the threshold structure the paper's walk relies on.
 
-    MBIA is backward induction that exploits the threshold structure, so
-    the solve is `backward_induction` itself and the two agree bitwise.
-    `_staircase_counts` then checks each block, from the last to the
-    first, is the threshold staircase the paper's walk relies on, keeps
-    its thresholds, and counts the at most 2K-1 states that walk evaluates
-    per battery level instead of K^2.  The thresholds are the solve's own
-    `top`, so the check builds no (M, K, K) mask and the table shares the
-    solve's array.  Returns (PolicyTable, CostToGo, eval_counts of shape
-    (N, M)).
+    The terminal block minimizes the stage cost alone.  Ties between the
+    two actions resolve to serving (action 1).  Only u_hat feeds the next
+    block, and a state's value is the cheaper of its two action values, so
+    no per-state value is formed and a block's q0/q1 are overwritten by the
+    next.  q0[m, kg] is the rounded sum of cost_G[kg] and ev0[m], and
+    rounding is monotone, so every level's q0 is sorted in the order of
+    cost_G (one stable argsort, which holds for a cost_G with rises too), a
+    shift of the sorted costs, and each H-column serves the G-states of its
+    highest skip values.  `_cuts` counts them, giving the thresholds `top`,
+    and a level's u_hat is the sum over its columns of the count times the
+    column's q1 plus the sum of the skip values it leaves unserved, a
+    prefix sum of the sorted row: the K^2 minima summed in another order,
+    at O(MK log K) per block instead of O(MK^2).  `_staircase_counts` checks
+    each block's q0/q1 against its thresholds as soon as they are solved,
+    so a violation raises StructureViolationError naming the block before
+    any earlier block is solved, and counts the at most 2K-1 states the walk
+    evaluates per battery level instead of K^2.  Returns (PolicyTable,
+    u_hat of shape (N, M), eval_counts of shape (N, M)).
     """
-    values = backward_induction(model, N)
-    counts = np.empty(values.u_hat.shape, dtype=np.int64)
+    if not (isinstance(N, (int, np.integer)) and N >= 1):
+        raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
+    m, k = model.grid.M, model.grid.K
+    q0, q1 = np.empty((m, k)), np.empty((m, k))
+    u_hat = np.zeros((N, m))
+    top = np.empty((N, m, k), dtype=np.int16)
+    counts = np.empty((N, m), dtype=np.int64)
+    mask = np.where(model.allowed, 0.0, np.inf)  # (M, K) additive mask on q1
+    costs = model.cost_G[np.argsort(model.cost_G, kind="stable")]
+    # q0 in the order of costs, padded for _cuts, and its prefix sums:
+    # low[m, j] is the sum of level m's j lowest skip values
+    rows = np.empty((m, k + 2))
+    rows[:, 0], rows[:, -1] = -np.inf, np.inf
+    low = np.zeros((m, k + 2))
     for t in range(N - 1, -1, -1):
-        counts[t] = _staircase_counts(t, values.q0[t], values.q1[t], values.top[t])[1]
-    return PolicyTable(top=values.top, grid=model.grid, params_hash=values.params_hash), values, counts
+        ev0, ev1 = ((np.zeros(m), np.zeros((m, k))) if t == N - 1
+                    else _expected_values(model, u_hat[t + 1]))
+        np.add(model.cost_G[None, :], ev0[:, None], out=q0)
+        np.add(ev1, mask, out=q1)
+        np.add(costs, ev0[:, None], out=rows[:, 1:-1])
+        cut, at = _cuts(rows, costs, ev0, q1)
+        np.subtract(k - 1, cut, out=top[t], casting="unsafe")
+        counts[t] = _staircase_counts(t, q0, q1, top[t])
+        np.cumsum(rows[:, 1:-1], axis=1, out=low[:, 1:-1])
+        # a served column's q1 is its ev1, and a count of 0 times a finite
+        # ev1 adds nothing where q1 is inf
+        u_hat[t] = ((k - cut) * ev1 + low.ravel()[at]).sum(axis=1)
+    table = PolicyTable(top=top, grid=model.grid, params_hash=model.params.content_hash())
+    return table, u_hat, counts
 
 
-def predicted_cost(model: MdpModel, values: CostToGo) -> float:
+def predicted_cost(model: MdpModel, u_hat: np.ndarray) -> float:
     """The model's expected frame cost of its own policy, from an empty battery.
 
     A frame starts with the battery at 0 and the first arrival, so the
-    first block's level follows the band from residual 0; u_hat[0] weighted
-    by it and divided by K^2 averages the cost-to-go over that level and
-    both channel states.  Summed in band order like `_expected_values`.
+    first block's level follows the band from residual 0; `u_hat[0]` (the
+    solve's (N, M) level sums) weighted by it and divided by K^2 averages
+    the cost-to-go over that level and both channel states.  Summed in
+    band order like `_expected_values`.
     """
     index, probs = _arrival_band(model.grid, model.params.E_m, np.zeros(1))
-    total = np.add.reduce(values.u_hat[0][index] * probs, axis=0)
+    total = np.add.reduce(u_hat[0][index] * probs, axis=0)
     return float(total[0] / (model.grid.K * model.grid.K))
 
 

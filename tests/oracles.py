@@ -8,13 +8,15 @@ condition every greedy plan meets.  The 2^N enumerator that was the
 package's exact optimum is the reference for its Pareto walk at N <= 15.
 
 `hesnet.mdp` stores each battery kernel as a band of next levels and
-takes the next-block expectation over the band alone.  The per-row sum
-over a dense kernel's nonzero entries, in column order, is the reference
-for that.  It stores a policy as per-column thresholds.  The dense
-(N, M, K, K) serve mask they stand for, the staircase check that reads
-every entry of it, the player that looks it up with one search per
-channel, and the version-1 artifact layout that held it live here as their
-references.
+takes the next-block expectation over the band alone.  The dense kernels
+the band expands to, and the per-row sum over a dense kernel's nonzero
+entries, in column order, are the references for that.  Its solve keeps
+one block's action values at a time and returns the per-level sums u_hat
+and per-column thresholds.  Every block's action values, rebuilt from
+u_hat, with the dense (N, M, K, K) serve mask and cost-to-go they imply,
+the staircase check that reads every entry of that mask, the player that
+looks it up with one search per channel, and the version-1 artifact layout
+that held it live here as their references.
 
 `hesnet.sim` walks the battery block by block and then settles the whole
 batch at once.  The walk that settled each block inside the loop is the
@@ -37,7 +39,12 @@ from typing import NamedTuple
 import numpy as np
 
 from hesnet.errors import InvalidActionError, InvalidParameterError, StructureViolationError
-from hesnet.mdp import _RISE_RTOL, battery_level_index, channel_state_index
+from hesnet.mdp import (
+    _RISE_RTOL,
+    _expected_values,
+    battery_level_index,
+    channel_state_index,
+)
 from hesnet.model import FrameBatch, sample_trajectories, serve_feasible
 from hesnet.offline import ENERGY_RTOL, _plan_inputs
 from hesnet import sim
@@ -165,6 +172,54 @@ def exhaustive_plan(c, p_h, e_h, tau: float, p_H_max: float) -> np.ndarray:
     return ((best_code[:, None] >> shifts) & 1).astype(np.int8)[:, None]
 
 
+def dense_kernels(model):
+    """A model's band expanded to the dense (M, M) no-spend kernel and the
+    (K, M, M) serve kernels: each band entry at its level, 0 elsewhere."""
+    band, m = model.band, model.grid.M
+    index = model.band_start + np.arange(band.shape[0])[:, None, None]
+    dense = np.zeros((band.shape[1], m, m))
+    np.put_along_axis(dense, index.transpose(1, 2, 0), band.transpose(1, 2, 0), axis=2)
+    return dense[0], dense[1:]
+
+
+class ActionValues(NamedTuple):
+    """Every block's action values: `q0[t, m, kg]` the cost of not serving
+    at G-state kg, `q1[t, m, kh]` the cost of serving at H-state kh (inf
+    where serving is not allowed), each (N, M, K)."""
+
+    q0: np.ndarray
+    q1: np.ndarray
+
+    @classmethod
+    def of(cls, model, u_hat) -> "ActionValues":
+        """The action values `mdp.monotone_backward_induction` compares at
+        each block, rebuilt from its (N, M) `u_hat`: block t's expectation
+        of u_hat[t + 1] (zero at the last block) plus the skip costs for q0
+        and the serve mask for q1, added as the solve adds them, so bitwise
+        the values it compared."""
+        n, m = u_hat.shape
+        k = model.grid.K
+        q0, q1 = np.empty((n, m, k)), np.empty((n, m, k))
+        mask = np.where(model.allowed, 0.0, np.inf)
+        for t in range(n):
+            ev0, ev1 = ((np.zeros(m), np.zeros((m, k))) if t == n - 1
+                        else _expected_values(model, u_hat[t + 1]))
+            q0[t] = model.cost_G[None, :] + ev0[:, None]
+            q1[t] = ev1 + mask
+        return cls(q0, q1)
+
+    @property
+    def actions(self) -> np.ndarray:
+        """(N, M, K, K) uint8 serve mask: serve wherever it costs no more
+        than not serving, so ties serve."""
+        return (self.q1[:, :, None, :] <= self.q0[:, :, :, None]).view(np.uint8)
+
+    @property
+    def u(self) -> np.ndarray:
+        """(N, M, K, K) cost-to-go of the chosen action at every state."""
+        return np.where(self.actions, self.q1[:, :, None, :], self.q0[:, :, :, None])
+
+
 def kernel_expectation(kernel, u_hat, k: int) -> np.ndarray:
     """Each row of a dense (..., M, M) kernel times `u_hat`, divided by
     k^2: the row's nonzero products summed one at a time in column order,
@@ -205,9 +260,10 @@ def dense_staircase_counts(t: int, q0, q1):
 
 
 class DenseTablePolicy:
-    """Plays a dense serve mask such as `CostToGo.actions`: slice `block`
-    at the battery bin and both channel states, demoted to 0 where the
-    true battery or the peak cap cannot pay, as `MdpTablePolicy` demotes."""
+    """Plays a dense serve mask such as `ActionValues.actions`: slice
+    `block` at the battery bin and both channel states, demoted to 0 where
+    the true battery or the peak cap cannot pay, as `MdpTablePolicy`
+    demotes."""
 
     def __init__(self, actions, grid):
         self.actions, self.grid = actions, grid

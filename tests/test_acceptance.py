@@ -15,7 +15,6 @@ import pytest
 from hesnet.cli import resolve_config
 from hesnet.mdp import (
     _expected_values,
-    backward_induction,
     build_grid,
     build_mdp_model,
     monotone_backward_induction,
@@ -39,7 +38,7 @@ from hesnet.policies import (
     threshold_lambdas,
 )
 from hesnet.sim import _block_order_totals, frame_totals, outcomes
-from oracles import Frame, plan_totals, solve, staircase_actions, swap_free
+from oracles import ActionValues, Frame, plan_totals, solve, staircase_actions, swap_free
 
 REF = SystemParams()  # reference parameter set used throughout
 
@@ -78,9 +77,9 @@ def random_models():
         m_lv, k_st, n = combos[i % len(combos)]
         params = _random_params(rng).evolve(N=n)
         model = build_mdp_model(params, build_grid(params, M=m_lv, K=k_st))
-        table, values, counts = monotone_backward_induction(model, n)
+        table, u_hat, counts = monotone_backward_induction(model, n)
         built.append({"model": model, "N": n, "K": k_st,
-                      "table": table, "values": values, "counts": counts})
+                      "table": table, "u_hat": u_hat, "counts": counts})
     return built
 
 
@@ -89,8 +88,8 @@ def ref_scale_solution():
     """Reference-scale model (M=100, K=25, N=50) solved by the monotone walk."""
     t0 = time.perf_counter()
     model = build_mdp_model(REF, build_grid(REF, M=100, K=25))
-    table, values, counts = monotone_backward_induction(model, REF.N)
-    return {"model": model, "table": table, "values": values,
+    table, u_hat, counts = monotone_backward_induction(model, REF.N)
+    return {"model": model, "table": table, "u_hat": u_hat,
             "counts": counts, "seconds": time.perf_counter() - t0}
 
 
@@ -124,10 +123,11 @@ def test_criterion_01_monotone_walk_matches_dense_induction(random_models):
     worst_u = 0.0
     action_mismatches = 0
     for entry in random_models:
-        values_d = backward_induction(entry["model"], entry["N"])
+        # the dense compare and sum of minima over every state of the
+        # action values the walk's u_hat implies
+        values_d = ActionValues.of(entry["model"], entry["u_hat"])
         worst_u = max(worst_u,
-                      float(np.max(np.abs(values_d.u - entry["values"].u))),
-                      float(np.max(np.abs(values_d.u_hat - entry["values"].u_hat))))
+                      float(np.max(np.abs(values_d.u.sum(axis=(2, 3)) - entry["u_hat"]))))
         action_mismatches += int(np.sum(values_d.actions != staircase_actions(entry["table"].top)))
     elapsed = time.perf_counter() - t0
     ok = worst_u <= 1e-9 and action_mismatches == 0 and elapsed < 60
@@ -179,12 +179,12 @@ def test_criterion_04_threshold_structure_and_value_monotonicity(
     slice_viol = 0
     value_viol = 0
     for entry in random_models + [ref_scale_solution]:
-        act = entry["values"].actions.astype(np.int8)
+        act = ActionValues.of(entry["model"], entry["u_hat"]).actions.astype(np.int8)
         # serving must switch off as the grid channel improves and switch on
         # as the harvesting channel improves
         slice_viol += int(np.sum(np.diff(act, axis=2) > 0))
         slice_viol += int(np.sum(np.diff(act, axis=3) < 0))
-        u_hat = entry["values"].u_hat
+        u_hat = entry["u_hat"]
         scale = max(1.0, float(np.max(np.abs(u_hat))))
         value_viol += int(np.sum(np.diff(u_hat, axis=1) > 1e-9 * scale))
     train_seconds = ref_scale_solution["seconds"]
@@ -207,12 +207,12 @@ def test_criterion_05_evaluation_count_bound_and_staircase(random_models):
     # crosses every harvesting state, forcing the full 2K-1 = 9 walk
     params = REF.evolve(N=7, p_H_max=0.284, w_D=0.00133, d_H=20.8, E_m=1.34e-4)
     model = build_mdp_model(params, build_grid(params, M=9, K=5))
-    table, values, counts = monotone_backward_induction(model, 7)
+    table, u_hat, counts = monotone_backward_induction(model, 7)
     over_bound += int(np.sum(counts > 9))
     staircase = int(counts[0, 0])
 
     # independent recount of the (t=0, level=0) walk from the dense tables
-    ev0, ev1 = _expected_values(model, values.u_hat[1])
+    ev0, ev1 = _expected_values(model, u_hat[1])
     q0 = model.cost_G + ev0[0]
     q1 = ev1[0].copy()
     q1[~model.allowed[0]] = np.inf

@@ -1,4 +1,4 @@
-"""Quantization, transition kernels, and the two induction solvers."""
+"""Quantization, transition kernels, and the monotone induction solver."""
 
 import dataclasses
 import json
@@ -32,7 +32,6 @@ from hesnet.mdp import (
     _staircase_counts,
     PolicyTable,
     QuantizationGrid,
-    backward_induction,
     battery_level_index,
     build_grid,
     build_mdp_model,
@@ -45,7 +44,14 @@ from hesnet.mdp import (
 )
 from hesnet.model import SystemParams, link_terms, make_rng, serve_feasible
 from hesnet.sim import apply_axis
-from oracles import dense_staircase_counts, kernel_expectation, staircase_actions, v1_artifact
+from oracles import (
+    ActionValues,
+    dense_kernels,
+    dense_staircase_counts,
+    kernel_expectation,
+    staircase_actions,
+    v1_artifact,
+)
 
 P = SystemParams()
 # relative agreement of values summed in different orders: the solver sums
@@ -264,15 +270,16 @@ def test_grid_validation():
 def test_transition_rows_are_distributions():
     grid = build_grid(P, M=12, K=4)
     model = build_mdp_model(P, grid)
-    np.testing.assert_allclose(model.kernel0.sum(axis=1), 1.0, rtol=1e-12)
+    kernel0, kernel1 = dense_kernels(model)
+    np.testing.assert_allclose(kernel0.sum(axis=1), 1.0, rtol=1e-12)
     for j in range(grid.K):
         for i in range(grid.M):
-            row = model.kernel1[j, i]
+            row = kernel1[j, i]
             if model.allowed[i, j]:
                 assert np.isclose(row.sum(), 1.0, rtol=1e-12)
             else:
                 assert row.sum() == 0.0
-    assert np.all(model.kernel0 >= 0) and np.all(model.kernel1 >= 0)
+    assert np.all(kernel0 >= 0) and np.all(kernel1 >= 0)
 
 
 def test_transition_probs_against_monte_carlo():
@@ -387,7 +394,7 @@ def test_backward_induction_matches_tree_oracle(d_h, p_h_max):
     params = P.evolve(N=2, d_H=d_h, p_H_max=p_h_max)
     grid = build_grid(params, M=2, K=2)
     model = build_mdp_model(params, grid)
-    values = backward_induction(model, 2)
+    values = ActionValues.of(model, monotone_backward_induction(model, 2)[1])
     u0, a0, u1, a1 = tree_oracle(params, grid)
     for m in range(2):
         for kg in range(2):
@@ -401,7 +408,7 @@ def test_backward_induction_matches_tree_oracle(d_h, p_h_max):
 def test_terminal_block_serves_whenever_feasible():
     grid = build_grid(P, M=6, K=3)
     model = build_mdp_model(P, grid)
-    values = backward_induction(model, 4)
+    values = ActionValues.of(model, monotone_backward_induction(model, 4)[1])
     np.testing.assert_array_equal(
         values.actions[-1], np.broadcast_to(model.allowed[:, None, :], (6, 3, 3)))
     # terminal cost is the stage cost alone
@@ -413,10 +420,11 @@ def test_costs_to_go_are_finite_nonnegative_and_consistent():
     params = P.evolve(d_H=55.0)  # some states disallowed at the peak cap
     grid = build_grid(params, M=10, K=4)
     model = build_mdp_model(params, grid)
-    values = backward_induction(model, 6)
+    _, u_hat, _ = monotone_backward_induction(model, 6)
+    values = ActionValues.of(model, u_hat)
     assert np.all(np.isfinite(values.u)) and np.all(values.u >= 0)
     # u_hat sums the same minima in another order than numpy's dense sum
-    np.testing.assert_allclose(values.u_hat, values.u.sum(axis=(2, 3)), rtol=VALUE_RTOL, atol=0)
+    np.testing.assert_allclose(u_hat, values.u.sum(axis=(2, 3)), rtol=VALUE_RTOL, atol=0)
     # serving never happens in a disallowed state
     assert not np.any(values.actions.astype(bool) & ~model.allowed[None, :, None, :])
 
@@ -424,9 +432,10 @@ def test_costs_to_go_are_finite_nonnegative_and_consistent():
 def test_value_nonincreasing_in_battery_and_horizon_structure():
     grid = build_grid(P, M=16, K=5)
     model = build_mdp_model(P, grid)
-    values = backward_induction(model, 10)
+    _, u_hat, _ = monotone_backward_induction(model, 10)
+    values = ActionValues.of(model, u_hat)
     # more stored energy never hurts
-    assert np.all(np.diff(values.u_hat, axis=1) <= 0)
+    assert np.all(np.diff(u_hat, axis=1) <= 0)
     assert np.all(np.diff(values.u, axis=1) <= 0)
     # decisions are thresholds in the channel axes: worse G-state or better
     # H-state favors serving (no such structure along the battery axis)
@@ -447,12 +456,13 @@ def test_monotone_solver_bitwise_identical_small_sweep():
         k = int(rng.choice([2, 3, 5]))
         grid = build_grid(params, M=m, K=k)
         model = build_mdp_model(params, grid)
-        val_a = backward_induction(model, params.N)
-        pol_b, val_b, counts = monotone_backward_induction(model, params.N)
-        np.testing.assert_array_equal(val_a.actions, val_b.actions)
-        np.testing.assert_array_equal(staircase_actions(pol_b.top), val_a.actions)
-        assert np.array_equal(val_a.u, val_b.u)
-        assert np.array_equal(val_a.u_hat, val_b.u_hat)
+        table, u_hat, counts = monotone_backward_induction(model, params.N)
+        # the table is bitwise the dense compare of the action values the
+        # solve compared, and u_hat sums their minima
+        values = ActionValues.of(model, u_hat)
+        np.testing.assert_array_equal(staircase_actions(table.top), values.actions)
+        np.testing.assert_allclose(u_hat, values.u.sum(axis=(2, 3)), rtol=VALUE_RTOL, atol=0)
+        assert u_hat.shape == (params.N, m) and u_hat.dtype == np.float64
         assert counts.shape == (params.N, m)
         assert np.all(counts >= k) and np.all(counts <= 2 * k - 1)
 
@@ -465,23 +475,22 @@ def test_monotone_solver_single_state_channel():
 
 
 def test_monotone_solve_holds_no_value_table():
-    # the (N, M, K, K) float64 table would be 25 MB here and the uint8 serve
-    # mask 3.1 MB; the solve holds q0/q1 (1 MB each), the int16 thresholds
-    # (0.25 MB) and per-block (M, K) rows (2.53 MB peak measured); one
-    # block's (M, K, K) float64 slice, 0.5 MB, took it to 2.71 MB
+    # the (N, M, K, K) float64 table would be 25 MB here, the uint8 serve
+    # mask 3.1 MB and every block's q0/q1 1 MB each; the solve holds one
+    # block's q0/q1 and per-block (M, K) rows, u_hat (40 KB) and the int16
+    # thresholds (0.25 MB): 0.61 MB peak measured
     model = build_mdp_model(P, build_grid(P, M=100, K=25))
     tracemalloc.start()
     try:
-        table, values, _ = monotone_backward_induction(model, 50)
+        table, u_hat, _ = monotone_backward_induction(model, 50)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.7e6
+    assert peak < 0.8e6
     assert table.top.shape == (50, 100, 25) and table.top.dtype == np.int16
+    values = ActionValues.of(model, u_hat)
     assert np.array_equal(staircase_actions(table.top), values.actions)
-    dense_values = backward_induction(model, 50)
-    assert np.array_equal(values.u, dense_values.u)
-    np.testing.assert_allclose(values.u_hat, values.u.sum(axis=(2, 3)), rtol=VALUE_RTOL, atol=0)
+    np.testing.assert_allclose(u_hat, values.u.sum(axis=(2, 3)), rtol=VALUE_RTOL, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +520,9 @@ def kernel_oracle(params, grid, allowed, p_inv_h):
 def assert_kernels_match_rows(params, grid):
     model = build_mdp_model(params, grid)
     kernel0, kernel1 = kernel_oracle(params, grid, model.allowed, model.p_inv_H)
-    assert np.array_equal(model.kernel0, kernel0)
-    assert np.array_equal(model.kernel1, kernel1)
+    dense0, dense1 = dense_kernels(model)
+    assert np.array_equal(dense0, kernel0)
+    assert np.array_equal(dense1, kernel1)
     return model
 
 
@@ -562,20 +572,20 @@ def per_level_monotone(model, n):
 
 
 def assert_walk_matches_oracles(model, n):
-    table, values, counts = monotone_backward_induction(model, n)
-    actions, u, u_hat, want_counts = per_level_monotone(model, n)
+    table, u_hat, counts = monotone_backward_induction(model, n)
+    actions, want_u, want_u_hat, want_counts = per_level_monotone(model, n)
+    values = ActionValues.of(model, u_hat)
     # the oracle sums each level's K^2 values densely, so values agree to
     # rounding and tables and counts bit for bit
     for got, want in ((staircase_actions(table.top), actions), (counts, want_counts)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    for got, want in ((values.u, u), (values.u_hat, u_hat)):
+    for got, want in ((values.u, want_u), (u_hat, want_u_hat)):
         assert got.dtype == want.dtype
         np.testing.assert_allclose(got, want, rtol=VALUE_RTOL, atol=0)
-    dense_values = backward_induction(model, n)
-    assert np.array_equal(dense_values.actions, staircase_actions(table.top))
-    assert np.array_equal(dense_values.actions, values.actions)
-    assert np.array_equal(dense_values.u, values.u)
-    assert np.array_equal(dense_values.u_hat, values.u_hat)
+    # the table is the dense compare of the solve's own action values, bit
+    # for bit, and u_hat sums their minima
+    assert np.array_equal(values.actions, staircase_actions(table.top))
+    np.testing.assert_allclose(u_hat, values.u.sum(axis=(2, 3)), rtol=VALUE_RTOL, atol=0)
     k = model.grid.K
     assert np.all(counts >= k) and np.all(counts <= 2 * k - 1)
 
@@ -586,16 +596,17 @@ def test_closed_form_kernels_match_per_row_loop(preset):
     for m in (1, 10, 25, 100):
         for k in (1, 5, 25):
             model = assert_kernels_match_rows(params, build_grid(params, M=m, K=k))
+            kernel0, kernel1 = dense_kernels(model)
             # the banded expectation sums each row's nonzero products in
             # column order, bit for bit, and agrees with the dense
             # matrix-vector products to rounding
             u_hat = np.linspace(3.0, 1.0, m) * k
             ev0, ev1 = _expected_values(model, u_hat)
-            assert np.array_equal(ev0, kernel_expectation(model.kernel0, u_hat, k))
-            assert np.array_equal(ev1, kernel_expectation(model.kernel1, u_hat, k).T)
-            stack = np.stack([model.kernel1[j] @ u_hat for j in range(k)], axis=1)
+            assert np.array_equal(ev0, kernel_expectation(kernel0, u_hat, k))
+            assert np.array_equal(ev1, kernel_expectation(kernel1, u_hat, k).T)
+            stack = np.stack([kernel1[j] @ u_hat for j in range(k)], axis=1)
             np.testing.assert_allclose(ev1, stack * (1.0 / (k * k)), rtol=1e-13, atol=0)
-            np.testing.assert_allclose(ev0, (model.kernel0 @ u_hat) * (1.0 / (k * k)),
+            np.testing.assert_allclose(ev0, (kernel0 @ u_hat) * (1.0 / (k * k)),
                                        rtol=1e-13, atol=0)
 
 
@@ -625,12 +636,13 @@ def test_level_sums_lie_within_ulps_of_the_exact_sum_at_presets(params):
     # within 16 ulps of the correctly rounded sum of each level's K^2 minima,
     # not equal to one particular rounding of it (4 ulps measured at most)
     for m in (10, 25, 100):
-        values = backward_induction(build_mdp_model(params, build_grid(params, M=m, K=25)),
-                                    params.N)
+        model = build_mdp_model(params, build_grid(params, M=m, K=25))
+        _, u_hat, _ = monotone_backward_induction(model, params.N)
+        values = ActionValues.of(model, u_hat)
         for t in range(params.N):
             u = np.minimum(values.q1[t, :, None, :], values.q0[t, :, :, None])
             exact = np.array([math.fsum(level.ravel()) for level in u])
-            ulps = np.abs(values.u_hat[t] - exact) / np.spacing(exact)
+            ulps = np.abs(u_hat[t] - exact) / np.spacing(exact)
             assert ulps.max() <= 16, (m, t, ulps.max())
 
 
@@ -643,7 +655,7 @@ def test_level_sums_lie_within_ulps_of_the_exact_sum_at_presets(params):
 ])
 def test_kernels_and_walk_at_edge_cases(params, m, k):
     model = assert_kernels_match_rows(params, build_grid(params, M=m, K=k))
-    assert np.allclose(model.kernel0.sum(axis=1), 1.0, rtol=1e-12)
+    assert np.allclose(dense_kernels(model)[0].sum(axis=1), 1.0, rtol=1e-12)
     assert_walk_matches_oracles(model, params.N)
 
 
@@ -651,8 +663,9 @@ def test_peak_cap_below_every_inversion_power_serves_nothing():
     params = P.evolve(N=4, p_H_max=1e-9)
     grid = build_grid(params, M=6, K=3)
     model = assert_kernels_match_rows(params, grid)
-    assert not model.allowed.any() and not model.band[:, 1:].any() and not model.kernel1.any()
-    table, values, counts = monotone_backward_induction(model, params.N)
+    assert not model.allowed.any() and not model.band[:, 1:].any()
+    assert not dense_kernels(model)[1].any()
+    table, _, counts = monotone_backward_induction(model, params.N)
     assert np.all(table.top == -1)
     np.testing.assert_array_equal(counts, np.full((4, 6), 3))  # the G cursor alone walks
     assert_walk_matches_oracles(model, params.N)
@@ -698,10 +711,11 @@ def test_values_do_not_depend_on_the_blas_kernel():
     # Prescott and Haswell kernels rounded it apart
     script = ("import hashlib\n"
               "from hesnet.cli import resolve_config\n"
-              "from hesnet.mdp import backward_induction, build_grid, build_mdp_model\n"
+              "from hesnet.mdp import build_grid, build_mdp_model, monotone_backward_induction\n"
               "p = resolve_config(preset='fig3').params\n"
-              "values = backward_induction(build_mdp_model(p, build_grid(p, M=25, K=25)), p.N)\n"
-              "print(hashlib.sha256(values.u_hat.tobytes()).hexdigest())\n")
+              "model = build_mdp_model(p, build_grid(p, M=25, K=25))\n"
+              "_, u_hat, _ = monotone_backward_induction(model, p.N)\n"
+              "print(hashlib.sha256(u_hat.tobytes()).hexdigest())\n")
     src = str(Path(hesnet.__file__).parents[1])
     digests = []
     for coretype in ("Prescott", None):
@@ -716,9 +730,10 @@ def test_values_do_not_depend_on_the_blas_kernel():
 
 
 def test_model_and_solve_at_m800_hold_no_dense_kernel():
-    # the (K+1, M, M) float64 kernels alone would be 133 MB here; the solve
-    # holds q0/q1 (8 MB each), the int16 thresholds (2 MB) and the band
-    # with its gather index (3 MB each), 28.7 MB peak measured
+    # the (K+1, M, M) float64 kernels alone would be 133 MB here and every
+    # block's q0/q1 8 MB each; the solve holds one block's, the int16
+    # thresholds (2 MB) and the band with its gather index (3 MB each):
+    # 13.3 MB peak measured
     tracemalloc.start()
     try:
         model = build_mdp_model(P, build_grid(P, M=800, K=25))
@@ -727,7 +742,7 @@ def test_model_and_solve_at_m800_hold_no_dense_kernel():
     finally:
         tracemalloc.stop()
     assert model.band.shape == (18, 26, 800) and table.top.shape == (50, 800, 25)
-    assert peak < 32e6
+    assert peak < 16e6
 
 
 def test_kernel_rejects_levels_off_the_bin_mid_values():
@@ -756,7 +771,7 @@ def test_walk_rejects_a_real_precondition_violation():
     band[0, -1] = 1.0
     start[-1] = 0
     drained = dataclasses.replace(model, band=band, band_start=start)
-    assert np.array_equal(drained.kernel1[-1], np.eye(6)[[0] * 6])
+    assert np.array_equal(dense_kernels(drained)[1][-1], np.eye(6)[[0] * 6])
     with pytest.raises(StructureViolationError, match="block t=3: q1"):
         monotone_backward_induction(drained, 5)
 
@@ -771,10 +786,20 @@ def test_walk_tolerates_rises_of_rounding_size():
         monotone_backward_induction(real, 3)
 
 
+def checked_staircase(t, q0, q1):
+    """Block t's thresholds, each H-column's count of served G-states less
+    one counted by `_cuts` on the sorted rows of q0, and the walk's
+    evaluation counts, checked by `_staircase_counts` against them."""
+    rows = np.pad(np.sort(q0, axis=1), ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
+    cut = _cuts(rows, rows[0, 1:-1], np.zeros(len(q0)), q1)[0]
+    top = (q0.shape[1] - 1 - cut).astype(np.int16)
+    return top, _staircase_counts(t, q0, q1, top)
+
+
 def staircase(q0, q1):
     """Block 0's dense mask, its thresholds and the walk's evaluation
     counts, checked."""
-    return (q1[:, None, :] <= q0[:, :, None], *_staircase_counts(0, q0, q1))
+    return (q1[:, None, :] <= q0[:, :, None], *checked_staircase(0, q0, q1))
 
 
 def test_staircase_mask_refuses_a_serve_inside_a_tolerated_rise():
@@ -878,7 +903,7 @@ def test_property_staircase_check_equals_dense_oracle(data, m, k):
         except StructureViolationError as exc:
             return str(exc)
 
-    got, want = outcome(_staircase_counts), outcome(dense_staircase_counts)
+    got, want = outcome(checked_staircase), outcome(dense_staircase_counts)
     if isinstance(want, str):
         assert got == want
     else:

@@ -41,7 +41,7 @@ from hesnet.policies import (
     threshold_lambdas,
 )
 from hesnet.sim import _battery_slack, apply_axis
-from oracles import DenseTablePolicy, block_totals, walk
+from oracles import ActionValues, DenseTablePolicy, block_totals, walk
 
 P = SystemParams()
 
@@ -470,10 +470,11 @@ def test_threshold_lookup_decides_as_the_dense_table(preset):
     # gains of exactly 0 and exactly on every interior bound of either
     # channel, where side="right" and the strict "<" must agree
     params = resolve_config(preset=preset).params
-    table, values, _ = monotone_backward_induction(
-        build_mdp_model(params, build_grid(params, M=25, K=25)), params.N)
+    model = build_mdp_model(params, build_grid(params, M=25, K=25))
+    table, u_hat, _ = monotone_backward_induction(model, params.N)
     grid = table.grid
-    lookup, dense = MdpTablePolicy(table), DenseTablePolicy(values.actions, grid)
+    lookup = MdpTablePolicy(table)
+    dense = DenseTablePolicy(ActionValues.of(model, u_hat).actions, grid)
     rng = make_rng(48)
     edges_g = np.concatenate([[0.0], grid.bounds_G[1:-1], rng.exponential(params.mu_G, 40)])
     edges_h = np.concatenate([[0.0], grid.bounds_H[1:-1], rng.exponential(params.mu_H, 40)])

@@ -19,7 +19,7 @@ from hesnet.errors import (
     ResourceLimitError,
     StalePolicyError,
 )
-from hesnet.mdp import backward_induction, build_grid, build_mdp_model
+from hesnet.mdp import build_grid, build_mdp_model, monotone_backward_induction
 from hesnet.model import (
     FrameBatch,
     SystemParams,
@@ -51,6 +51,7 @@ from hesnet.sim import (
     write_rows_csv,
 )
 from oracles import (
+    ActionValues,
     DenseTablePolicy,
     Frame,
     block_totals,
@@ -1049,6 +1050,13 @@ short_frame_params = st.builds(
     st.floats(0.0, 1.0))
 
 
+def dense_table(params, grid):
+    """The MDP solve at `params` played as its dense serve mask."""
+    model = build_mdp_model(params, grid)
+    _, u_hat, _ = monotone_backward_induction(model, params.N)
+    return DenseTablePolicy(ActionValues.of(model, u_hat).actions, grid)
+
+
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(params=short_frame_params, zeta=st.floats(0.0, 50.0), seed=st.integers(0, 2**16))
 def test_property_online_frame_cost_at_least_exhaustive_optimum(params, zeta, seed):
@@ -1056,8 +1064,7 @@ def test_property_online_frame_cost_at_least_exhaustive_optimum(params, zeta, se
     # causal policy beats it on any frame; both sides are exact fsums
     l1, l2 = threshold_lambdas(params)
     grid = build_grid(params, M=6, K=3)
-    dense = DenseTablePolicy(backward_induction(build_mdp_model(params, grid), params.N).actions,
-                             grid)
+    dense = dense_table(params, grid)
     policies = (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(zeta, l1, l2)),
                 dense)
     batch = sample_trajectories(params, seed, 3)
@@ -1080,8 +1087,7 @@ def test_property_cost_identity(params, zeta, seed):
     # the offline evaluation
     l1, l2 = threshold_lambdas(params)
     grid = build_grid(params, M=6, K=3)
-    dense = DenseTablePolicy(backward_induction(build_mdp_model(params, grid), params.N).actions,
-                             grid)
+    dense = dense_table(params, grid)
     batch = sample_trajectories(params, seed, 8)
     runs = [block_totals(policy, batch)
             for policy in (GreedyTransmit(), ThresholdHeuristic(ThresholdParams(zeta, l1, l2)),
