@@ -222,9 +222,13 @@ def _arrival_band(grid: QuantizationGrid, E_m: float, base: np.ndarray):
     # every bin left of the band has hi <= lo exactly
     start = np.minimum(np.searchsorted(grid.bin_edges[1:-1], base, side="right"), m - width)
     index = start + np.arange(width).reshape((-1,) + (1,) * np.ndim(base))
-    probs = grid.bin_edges[index] - base
+    # each gather is a fresh array, so base is subtracted in place: no
+    # second (B, *base.shape) temporary beside it
+    probs = grid.bin_edges[index]
+    probs -= base
     np.maximum(probs, 0.0, out=probs)
-    hi = np.append(grid.bin_edges[1:-1], np.inf)[index] - base
+    hi = np.append(grid.bin_edges[1:-1], np.inf)[index]
+    hi -= base
     np.minimum(hi, E_m, out=hi)
     np.subtract(hi, probs, out=probs)
     np.maximum(probs, 0.0, out=probs)

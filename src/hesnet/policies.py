@@ -316,39 +316,37 @@ def _threshold_cut(block, battery, p_h, score, levels, lo, hi, params: SystemPar
     """`_threshold_serve` over segments of candidates.
 
     Segment j holds the candidates [lo[j], hi[j]) of the nondecreasing
-    `levels` at one battery state, p_h and score.  The rule serves where
-    battery * score >= level, so the candidates that serve are a prefix of
-    the segment: [lo[j], cut[j]).  Returns cut; a NaN product serves none,
-    and the last block serves the whole segment whenever feasible.
+    `levels` at one battery state, p_h and score, so the candidates that
+    serve are a prefix of the segment: [lo[j], cut[j]).  Returns cut.
 
-    Whole segments are decided first: one whose top level levels[hi - 1]
-    is cleared serves whole, one whose bottom level levels[lo] is not
-    serves none (a NaN product clears neither).  Only the segments that
-    straddle a level are searched.
+    `_threshold_serve` itself decides whole segments: one that serves at
+    its top level levels[hi - 1] serves whole, one that does not serve at
+    its bottom level levels[lo] serves none.  Only the segments that
+    straddle a level are searched, for the first level above
+    battery * score.
     """
-    feas = serve_feasible(p_h, battery, params)
-    if block >= params.N - 1:
-        return np.where(feas, hi, lo)
-    with np.errstate(invalid="ignore"):
-        x = battery * score
-    cut = np.where(feas & (x >= levels[hi - 1]), hi, lo)
-    straddle = np.flatnonzero(feas & (x >= levels[lo]) & (x < levels[hi - 1]))
-    cut[straddle] = np.searchsorted(levels, x[straddle], side="right")
+    limit = power_limit(battery, params)
+    cut = np.where(_threshold_serve(block, battery, limit, p_h, score, levels[hi - 1], params),
+                   hi, lo)
+    straddle = np.flatnonzero(
+        _threshold_serve(block, battery, limit, p_h, score, levels[lo], params) & (cut == lo))
+    cut[straddle] = np.searchsorted(levels, battery[straddle] * score[straddle], side="right")
     return cut
 
 
 def _split_block(block, segments, e, p_h, skip, score, slack, levels, params: SystemParams):
     """One block of the calibration walk.
 
-    `segments` is a tuple of arrays (frame, lo, hi, battery, cost) in
-    (frame, lo) order: the candidates [lo, hi) of `levels` that share a
-    battery and a skip-cost sum in `frame`.  e, p_h, skip, score and the
-    battery slack are the block's (frames,) columns.  Each segment is
-    credited the arrival (clamped at B_m), cut by `_threshold_cut`, and
-    split into its served part, which pays p_h * tau through the walk's own
-    check (`sim._pay`), and its skipped part, which adds the skip cost;
-    empty parts are dropped.  Returns the children, still in (frame, lo)
-    order.
+    `segments` is a tuple of arrays (frame, lo, hi, battery, cost), in any
+    order: the candidates [lo, hi) of `levels` that share a battery and a
+    skip-cost sum in `frame`.  e, p_h, skip, score and the battery slack
+    are the block's (frames,) columns.  Each segment is credited the
+    arrival (clamped at B_m), cut by `_threshold_cut`, and split into its
+    served part, which pays p_h * tau through the walk's own check
+    (`sim._pay`), and its skipped part, which adds the skip cost; empty
+    parts are dropped.  Returns the children: each segment's served part,
+    or its skipped part when none serves, then the skipped part of every
+    segment that split.
     """
     frame, lo, hi, battery, cost = segments
     battery = np.minimum(battery + e[frame], params.B_m)
@@ -358,28 +356,16 @@ def _split_block(block, segments, e, p_h, skip, score, slack, levels, params: Sy
     paid = _pay(block, frame, battery, np.where(served, p, 0.0)[:, None], slack[frame], params)
     charged = cost + skip[frame]
     split = served & skipped
-    # each segment's served part, or its skipped part when none serves,
-    # then the skipped part of a split segment right after it
-    first = (frame, lo, np.where(served, cut, hi), paid, np.where(served, cost, charged))
-    if not split.any():
-        return first
-    extra = np.cumsum(split)
-    dest = np.arange(split.size) + extra - split   # each parent's first child
-    second = dest[split] + 1
-    out = []
-    for a, b in zip(first, (frame, cut, hi, battery, charged)):
-        child = np.empty(split.size + int(extra[-1]), dtype=a.dtype)
-        child[dest] = a
-        child[second] = b[split]
-        out.append(child)
-    return tuple(out)
+    kept = (frame, lo, np.where(served, cut, hi), paid, np.where(served, cost, charged))
+    rest = (frame, cut, hi, battery, charged)
+    return tuple(np.concatenate((a, b[split])) for a, b in zip(kept, rest))
 
 
 def _calibration_costs(batch: FrameBatch, score, levels):
     """(candidates, frames) skip-cost sums of the threshold rule at the
     nondecreasing `levels` over a one-user `batch`, walked as segments of
-    candidates with one battery history (`_split_block`) and expanded at
-    the end."""
+    candidates with one battery history (`_split_block`), sorted once by
+    (frame, lo) and expanded at the end."""
     frames, n = batch.frames, levels.size
     segments = (np.arange(frames), np.zeros(frames, dtype=np.intp),
                 np.full(frames, n, dtype=np.intp), np.zeros(frames), np.zeros(frames))
@@ -389,8 +375,9 @@ def _calibration_costs(batch: FrameBatch, score, levels):
         segments = _split_block(i, segments, batch.e_h[:, i], batch.p_h[:, 0, i],
                                 batch.skip[:, 0, i], score[:, i], _battery_slack(arrived),
                                 levels, batch.params)
-    _, lo, hi, _, cost = segments
-    return np.repeat(cost, hi - lo).reshape(frames, n).T.copy()
+    frame, lo, hi, _, cost = segments
+    order = np.lexsort((lo, frame))
+    return np.repeat(cost[order], (hi - lo)[order]).reshape(frames, n).T.copy()
 
 
 def calibrate_zeta(candidates, params: SystemParams, budget: int, seed: int):

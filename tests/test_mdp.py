@@ -745,6 +745,21 @@ def test_model_and_solve_at_m800_hold_no_dense_kernel():
     assert peak < 16e6
 
 
+def test_model_build_at_m1600_holds_no_second_band_temporary():
+    # the model keeps the (34, 26, 1600) float64 band and its int64 gather
+    # index, 11.3 MB each; the build subtracts the residuals in place from
+    # its two gathers: 34.7 MB peak measured, 46.0 MB with a fresh
+    # difference array beside each
+    tracemalloc.start()
+    try:
+        model = build_mdp_model(P, build_grid(P, M=1600, K=25))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.band.shape == (34, 26, 1600)
+    assert peak < 40e6
+
+
 def test_kernel_rejects_levels_off_the_bin_mid_values():
     lv, bd = equiprobable_channel_states(2, 1.0)
     grid = QuantizationGrid(np.array([0.1, 0.2]) * P.B_m, np.linspace(0.0, P.B_m, 3), lv, bd, lv, bd)

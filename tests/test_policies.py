@@ -636,6 +636,23 @@ def test_calibrate_zeta_costs_are_per_row_means(budget):
     assert_matches_oracle(cand[::8], P, budget, 58)
 
 
+def test_calibrate_zeta_costs_do_not_depend_on_segment_order(monkeypatch):
+    # the walk keeps its segments in no order: children shuffled every
+    # block give the same cost vector, bit for bit
+    cand = np.arange(0.0, 40.1, 0.5)
+    _, want = calibrate_zeta(cand, P, 60, 59)
+    split_block, rng = policies._split_block, np.random.default_rng(59)
+
+    def shuffled(*args):
+        out = split_block(*args)
+        order = rng.permutation(out[0].size)
+        return tuple(a[order] for a in out)
+
+    monkeypatch.setattr(policies, "_split_block", shuffled)
+    _, costs = calibrate_zeta(cand, P, 60, 59)
+    assert np.array_equal(costs, want)
+
+
 def test_calibrate_zeta_tie_resolves_to_first_candidate():
     # thresholds this high never serve an interior block: every cost ties
     cand = [3e9, 1e9, 2e9]
@@ -711,9 +728,8 @@ def test_property_split_block_matches_per_candidate_rule(data):
         levels[k] = x
     slack = _battery_slack(e)
     out = policies._split_block(block, segments, e, p_h, skip, score, slack, levels, params)
-    # nonempty children in (frame, lo) order, one battery and cost per cell
-    starts = list(zip(out[0], out[1]))
-    assert starts == sorted(starts) and np.all(out[1] < out[2])
+    # nonempty children, in any order, one battery and cost per cell
+    assert np.all(out[1] < out[2])
     got = {}
     for f, a, b, bat, c in zip(*out):
         for k in range(a, b):
