@@ -17,20 +17,21 @@ One solver, the paper's monotone backward induction (MBIA), solves the
 resulting Bellman recursion exactly, one block at a time from the last.
 The recursion needs only the per-level sums u_hat of the next block, the
 sum of the cheaper action value over both channel states, so a block's
-two action values q0/q1 live in one (M, K) buffer pair and nothing per
-state is kept.  A level's q0 is the skip costs plus one term, so it is
-sorted in the skip costs' order, and each H-column serves the G-states of
-its highest skip values: one search per block counts them, with every
-count checked exactly against q0, and u_hat and the thresholds both follow
-from the counts at O(MK log K) per block, so no (M, K, K) array is built.
-Each block is then checked to be the threshold staircase the paper's
-two-cursor walk relies on, and the staircase is the policy:
-`PolicyTable.top` holds the highest served G-state per (block, battery
-level, H-state), the solve's own counts less one, so a lookup searches one
-channel.  The check tests the prefix and ordering conditions only where q0
-or q1 rise, the only places they can break, and reports the walk's at most
-2K-1 evaluations per (block, level) in closed form.  Policy artifacts hold
-the grid and the thresholds alone.
+serve values q1 live in one (M, K) buffer and nothing per state is kept.
+A level's skip values q0 are the skip costs plus one term, so they are
+sorted in the skip costs' order and kept as one sorted row per level, and
+each H-column serves the G-states of its highest skip values: one search
+per block counts them, with every count checked exactly against the
+sorted row, and u_hat and the thresholds both follow from the counts at
+O(MK log K) per block, so no (M, K, K) array is built.  Each block is then
+checked to be the threshold staircase the paper's two-cursor walk relies
+on, and the staircase is the policy: `PolicyTable.top` holds the highest
+served G-state per (block, battery level, H-state), the solve's own counts
+less one, so a lookup searches one channel.  The check tests the prefix
+and ordering conditions only where q0 or q1 rise, the only places they can
+break (q0 only where the skip costs rise), and the walk's at most 2K-1
+evaluations per (block, level) follow from the thresholds in closed form.
+Policy artifacts hold the grid and the thresholds alone.
 """
 
 from __future__ import annotations
@@ -152,10 +153,11 @@ def build_grid(params: SystemParams, M: int = 100, K: int = 25) -> QuantizationG
 def battery_level_index(epsilon, grid: QuantizationGrid):
     """0-based battery bin of a (possibly array) energy value; top bin clamps."""
     eps = np.asarray(epsilon, dtype=float)
-    if np.any(eps < 0):
+    if (eps < 0).any():
         raise InvalidStateError(f"battery energy must be >= 0, got {epsilon!r}")
     m = grid.M
-    idx = np.minimum(np.floor(m * np.minimum(eps, grid.B_m) / grid.B_m), m - 1).astype(np.int64)
+    # the cast truncates, which is the floor of a nonnegative bin position
+    idx = np.minimum((m * np.minimum(eps, grid.B_m) / grid.B_m).astype(np.int64), m - 1)
     return int(idx) if idx.ndim == 0 else idx
 
 
@@ -204,6 +206,21 @@ def channel_state_index(gamma, bounds: np.ndarray):
 # model assembly
 # ---------------------------------------------------------------------------
 
+def _band_gather(values: np.ndarray, start: np.ndarray, width: int, out=None) -> np.ndarray:
+    """values[start + b] for every b below `width`, stacked on a new leading
+    axis: a (width, *start.shape) array, written into `out` if given.
+
+    Row b of the (width, n - width + 1) windows of the 1-D `values` is
+    values[b:], so the gather takes `start` from every row at once and
+    builds no (width, *start.shape) index.  Every start must lie in [0, n
+    - width].
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    windows = np.ndarray((width, values.size - width + 1), float, values,
+                         strides=(values.itemsize, values.itemsize))
+    return windows.take(start, axis=1, out=out, mode="clip")
+
+
 def _arrival_band(grid: QuantizationGrid, E_m: float, base: np.ndarray):
     """Band rows of the next-level distribution from residuals `base`.
 
@@ -212,28 +229,27 @@ def _arrival_band(grid: QuantizationGrid, E_m: float, base: np.ndarray):
     residual itself, so the band is B = min(M, ceil(E_m M / B_m) + 2)
     bins wide and starts at that bin, clipped to M - B.  Each entry takes
     the length of the arrival interval that lands in its bin over E_m, the
-    top bin absorbing overflow past B_m.  Returns (index, probs), both of
-    shape (B, *base.shape): the band's levels, index[0] its start, and
-    their probabilities.
+    top bin absorbing overflow past B_m.  Returns (start, probs): the
+    band's first level, of the shape of `base`, and the (B, *base.shape)
+    probabilities of its levels.
     """
     m = grid.M
     width = min(m, math.ceil(E_m * m / grid.B_m) + 2)
     # edges[start] <= base < edges[start + 1]: a search, not a division, so
     # every bin left of the band has hi <= lo exactly
     start = np.minimum(np.searchsorted(grid.bin_edges[1:-1], base, side="right"), m - width)
-    index = start + np.arange(width).reshape((-1,) + (1,) * np.ndim(base))
     # each gather is a fresh array, so base is subtracted in place: no
     # second (B, *base.shape) temporary beside it
-    probs = grid.bin_edges[index]
+    probs = _band_gather(grid.bin_edges, start, width)
     probs -= base
     np.maximum(probs, 0.0, out=probs)
-    hi = np.append(grid.bin_edges[1:-1], np.inf)[index]
+    hi = _band_gather(np.append(grid.bin_edges[1:-1], np.inf), start, width)
     hi -= base
     np.minimum(hi, E_m, out=hi)
     np.subtract(hi, probs, out=probs)
     np.maximum(probs, 0.0, out=probs)
     probs /= E_m
-    return index, probs
+    return start, probs
 
 
 @dataclass(frozen=True)
@@ -255,11 +271,6 @@ class MdpModel:
     band_start: np.ndarray  # (K+1, M) first next level of each action's band
     band: np.ndarray        # (B, K+1, M) next-level probabilities in the band
 
-    def __post_init__(self):
-        # the gather index of the band, built once for every solve block
-        index = self.band_start + np.arange(self.band.shape[0])[:, None, None]
-        object.__setattr__(self, "_band_index", index)
-
 
 def build_mdp_model(params: SystemParams, grid: QuantizationGrid) -> MdpModel:
     """Precompute per-state powers, skip costs, action masks and kernel bands.
@@ -276,11 +287,10 @@ def build_mdp_model(params: SystemParams, grid: QuantizationGrid) -> MdpModel:
     allowed = serve_feasible(p_inv_h[None, :], levels[:, None], params)
     spend = p_inv_h * params.tau
     base = np.maximum(levels - np.append(0.0, spend)[:, None], 0.0)
-    index, band = _arrival_band(grid, params.E_m, base)
+    start, band = _arrival_band(grid, params.E_m, base)
     band[:, 1:] *= allowed.T
-    # the start is copied so the model holds no second (B, K+1, M) index
     return MdpModel(params=params, grid=grid, p_inv_H=p_inv_h, cost_G=cost_g,
-                    allowed=allowed, band_start=index[0].copy(), band=band)
+                    allowed=allowed, band_start=start, band=band)
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +312,18 @@ class PolicyTable:
         return self.top.shape[0]
 
 
-def _expected_values(model: MdpModel, u_hat_next: np.ndarray):
+def _expected_values(model: MdpModel, u_hat_next: np.ndarray, out=None):
     """Next-block expectation terms of one step of `monotone_backward_induction`.
 
     Channel states regenerate independently with probability 1/K each, so
     the next-state expectation factorizes through u_hat: ev0[m] (no spend)
     and ev1[m, kh] (spend at H-state kh), both already divided by K^2.
     Each is the sum over the kernel's band, taken in band order by one
-    reduction over its leading axis, so no BLAS call enters a value.
+    reduction over its leading axis, so no BLAS call enters a value.  The
+    band's next levels are gathered into `out`, a (B, K+1, M) buffer, if
+    given: a solve reuses one for every block.
     """
-    terms = u_hat_next[model._band_index]
+    terms = _band_gather(u_hat_next, model.band_start, model.band.shape[0], out)
     terms *= model.band
     ev = np.add.reduce(terms, axis=0)
     ev *= 1.0 / (model.grid.K * model.grid.K)
@@ -349,10 +361,13 @@ def _cuts(rows: np.ndarray, base: np.ndarray, shift: np.ndarray, q1: np.ndarray)
     return cut, at
 
 
-def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray, top: np.ndarray):
+def _check_staircase(t: int, q0_at: np.ndarray, q0_next: np.ndarray, q1: np.ndarray,
+                     top: np.ndarray) -> None:
     """Check block t's serve mask, q1[:, None, :] <= q0[:, :, None], is the
-    threshold staircase of the paper's walk with (M, K_H) thresholds `top`;
-    return the (M,) counts of states that walk evaluates.
+    threshold staircase of the paper's walk with (M, K_H) thresholds `top`,
+    given q0 only where it can rise along G: q0_at and q0_next, both (M,
+    C), hold q0 at C of its G-steps, q0[:, kg] and q0[:, kg + 1], and q0
+    falls or holds at every other step.
 
     `top` is each H-column's count of served G-states less one, as the
     solve counts it, so no (M, K, K) mask is built.  The walk starts at the
@@ -364,27 +379,34 @@ def _staircase_counts(t: int, q0: np.ndarray, q1: np.ndarray, top: np.ndarray):
     anything else raises StructureViolationError.  A column can stop being
     a prefix only where q0 rises along G, and `top` can fall only where q1
     rises along H, so the rise tolerance and both conditions are tested at
-    those places alone.  The walk stops after K serves and K-1-top[0] skips
-    or, where column 0 is never served, after K skips and one serve per
-    served column.
+    those places alone.
     """
     rises = []
-    for name, q in (("q0 along the G", q0), ("q1 along the H", q1)):
-        falls = q[:, 1:] <= q[:, :-1]
+    for name, lo, hi in (("q0 along the G", q0_at, q0_next),
+                         ("q1 along the H", q1[:, :-1], q1[:, 1:])):
+        falls = hi <= lo
         lv, j = rise = np.nonzero(~falls) if not falls.all() else (_NONE, _NONE)
-        if lv.size and np.any(q[lv, j + 1] > q[lv, j] + _RISE_RTOL * np.abs(q[lv, j])):
+        if lv.size and np.any(hi[lv, j] > lo[lv, j] + _RISE_RTOL * np.abs(lo[lv, j])):
             raise StructureViolationError(
                 f"block t={t}: {name}-state axis rises; the monotone walk is not exact")
         rises.append(rise)
-    # a column breaks at G-state kg where it serves at kg + 1 but not at kg;
-    # q1[lv] holds every column of a level where q0 rises
-    (lv, kg), (lh, kh) = rises
-    if ((lv.size and np.any((q1[lv] <= q0[lv, kg + 1, None]) & ~(q1[lv] <= q0[lv, kg, None])))
+    # a column breaks at a G-step where it serves one state on but not at
+    # the step; q1[lv] holds every column of a level where q0 rises
+    (lv, j), (lh, kh) = rises
+    if ((lv.size and np.any((q1[lv] <= q0_next[lv, j, None]) & ~(q1[lv] <= q0_at[lv, j, None])))
             or (lh.size and np.any(top[lh, kh + 1] < top[lh, kh]))):
         raise StructureViolationError(
             f"block t={t}: the serve mask is not a threshold staircase")
-    k = q0.shape[1]
-    return np.where(top[:, 0] >= 0, 2 * k - 1 - top[:, 0], k + (top >= 0).sum(axis=1))
+
+
+def _walk_counts(top: np.ndarray) -> np.ndarray:
+    """The (..., M) counts of states the paper's walk evaluates per level of
+    the staircase with (..., M, K) thresholds `top`: it stops after K
+    serves and K-1-top[0] skips or, where column 0 is never served, after K
+    skips and one serve per served column."""
+    k = top.shape[-1]
+    first = top[..., 0]
+    return np.where(first >= 0, 2 * k - 1 - first, k + (top >= 0).sum(axis=-1))
 
 
 def monotone_backward_induction(model: MdpModel, N: int):
@@ -395,31 +417,39 @@ def monotone_backward_induction(model: MdpModel, N: int):
     The terminal block minimizes the stage cost alone.  Ties between the
     two actions resolve to serving (action 1).  Only u_hat feeds the next
     block, and a state's value is the cheaper of its two action values, so
-    no per-state value is formed and a block's q0/q1 are overwritten by the
-    next.  q0[m, kg] is the rounded sum of cost_G[kg] and ev0[m], and
-    rounding is monotone, so every level's q0 is sorted in the order of
-    cost_G (one stable argsort, which holds for a cost_G with rises too), a
-    shift of the sorted costs, and each H-column serves the G-states of its
-    highest skip values.  `_cuts` counts them, giving the thresholds `top`,
+    no per-state value is formed and a block's q1 and sorted q0 rows are
+    overwritten by the next.  q0[m, kg] is the rounded sum of cost_G[kg]
+    and ev0[m], and rounding is monotone, so every level's q0 is sorted in
+    the order of cost_G (one stable argsort, which holds for a cost_G with
+    rises too), a shift of the sorted costs, and each H-column serves the
+    G-states of its highest skip values.  `_cuts` counts them, giving the thresholds `top`,
     and a level's u_hat is the sum over its columns of the count times the
     column's q1 plus the sum of the skip values it leaves unserved, a
     prefix sum of the sorted row: the K^2 minima summed in another order,
-    at O(MK log K) per block instead of O(MK^2).  `_staircase_counts` checks
-    each block's q0/q1 against its thresholds as soon as they are solved,
-    so a violation raises StructureViolationError naming the block before
-    any earlier block is solved, and counts the at most 2K-1 states the walk
-    evaluates per battery level instead of K^2.  Returns (PolicyTable,
-    u_hat of shape (N, M), eval_counts of shape (N, M)).
+    at O(MK log K) per block instead of O(MK^2).  No (M, K) q0 is formed:
+    q0 can rise along G only at the G-steps where cost_G rises, found once
+    per model, and `_check_staircase` checks each block's q1 and those
+    steps of q0 against its thresholds as soon as they are solved, so a
+    violation raises StructureViolationError naming the block before any
+    earlier block is solved.  The at most 2K-1 states the walk evaluates
+    per battery level, instead of K^2, are counted from the thresholds
+    after the loop (`_walk_counts`).  Returns (PolicyTable, u_hat of shape
+    (N, M), eval_counts of shape (N, M)).
     """
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise InvalidParameterError(f"N must be a positive integer, got {N!r}")
     m, k = model.grid.M, model.grid.K
-    q0, q1 = np.empty((m, k)), np.empty((m, k))
+    q1 = np.empty((m, k))
     u_hat = np.zeros((N, m))
     top = np.empty((N, m, k), dtype=np.int16)
-    counts = np.empty((N, m), dtype=np.int64)
+    terms = np.empty(model.band.shape)   # the gather buffer of every block
     mask = np.where(model.allowed, 0.0, np.inf)  # (M, K) additive mask on q1
-    costs = model.cost_G[np.argsort(model.cost_G, kind="stable")]
+    cost_g = model.cost_G
+    costs = cost_g[np.argsort(cost_g, kind="stable")]
+    # rounding is monotone, so q0 = cost_G + ev0 can rise along G only at
+    # the steps where cost_G rises (or is NaN): q0 is checked there alone
+    steps = np.flatnonzero(~(cost_g[1:] <= cost_g[:-1]))
+    cost_at, cost_next = cost_g[steps], cost_g[steps + 1]
     # q0 in the order of costs, padded for _cuts, and its prefix sums:
     # low[m, j] is the sum of level m's j lowest skip values
     rows = np.empty((m, k + 2))
@@ -427,19 +457,19 @@ def monotone_backward_induction(model: MdpModel, N: int):
     low = np.zeros((m, k + 2))
     for t in range(N - 1, -1, -1):
         ev0, ev1 = ((np.zeros(m), np.zeros((m, k))) if t == N - 1
-                    else _expected_values(model, u_hat[t + 1]))
-        np.add(model.cost_G[None, :], ev0[:, None], out=q0)
+                    else _expected_values(model, u_hat[t + 1], terms))
         np.add(ev1, mask, out=q1)
         np.add(costs, ev0[:, None], out=rows[:, 1:-1])
         cut, at = _cuts(rows, costs, ev0, q1)
         np.subtract(k - 1, cut, out=top[t], casting="unsafe")
-        counts[t] = _staircase_counts(t, q0, q1, top[t])
+        _check_staircase(t, cost_at + ev0[:, None], cost_next + ev0[:, None], q1, top[t])
         np.cumsum(rows[:, 1:-1], axis=1, out=low[:, 1:-1])
         # a served column's q1 is its ev1, and a count of 0 times a finite
         # ev1 adds nothing where q1 is inf
         u_hat[t] = ((k - cut) * ev1 + low.ravel()[at]).sum(axis=1)
+    del terms   # the counts' (N, M, K) temporaries need not sit beside it
     table = PolicyTable(top=top, grid=model.grid, params_hash=model.params.content_hash())
-    return table, u_hat, counts
+    return table, u_hat, _walk_counts(top)
 
 
 def predicted_cost(model: MdpModel, u_hat: np.ndarray) -> float:
@@ -451,8 +481,8 @@ def predicted_cost(model: MdpModel, u_hat: np.ndarray) -> float:
     the cost-to-go over that level and both channel states.  Summed in
     band order like `_expected_values`.
     """
-    index, probs = _arrival_band(model.grid, model.params.E_m, np.zeros(1))
-    total = np.add.reduce(u_hat[0][index] * probs, axis=0)
+    start, probs = _arrival_band(model.grid, model.params.E_m, np.zeros(1))
+    total = np.add.reduce(_band_gather(u_hat[0], start, len(probs)) * probs, axis=0)
     return float(total[0] / (model.grid.K * model.grid.K))
 
 

@@ -345,11 +345,11 @@ def _sample(params: SystemParams, users: int, keys: np.ndarray) -> FrameBatch:
     fresh = bitgen.state
     fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
     fresh["buffer"] = fresh["buffer"].tolist()
-    for f, key in enumerate(keys.tolist()):
+    for key, gains, arrivals in zip(keys.tolist(), ex, eh):
         fresh["state"]["key"] = key
         bitgen.state = fresh
-        rng.standard_exponential(out=ex[f])
-        rng.random(out=eh[f])
+        rng.standard_exponential(out=gains)
+        rng.random(out=arrivals)
     eh *= params.E_m
     return FrameBatch(params, ex[:, :, 0] * params.mu_G, ex[:, :, 1] * params.mu_H, eh)
 

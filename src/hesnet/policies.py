@@ -4,21 +4,22 @@ Every policy decides one block of a batch of frames at a time through one
 method, `decide_batch(block, battery, batch)`: the block index, the
 (frames,) shared battery states and the `FrameBatch` whose (frames, U)
 column `block` holds the block's precomputed link terms in, a (frames, U)
-0/1 array out.  The greedy and threshold rules take any U: they rank the
-users and admit them while the summed power stays within the block's
-`power_limit`, set by the shared battery and the summed peak cap of
-`batch.params` once per block, so one user is the single-user rule
+bool serve mask out (the walk also takes a 0/1 array of any other dtype,
+which it checks block by block).  The greedy and threshold rules take any
+U: they rank the users and admit them while the summed power stays within
+the block's `power_limit`, set by the shared battery and the summed peak
+cap of `batch.params` once per block, so one user is the single-user rule
 (`serve_feasible`) exactly.  What does not depend on the battery is
-computed once per batch (`FrameBatch.cached`): the greedy
-rule's cheapest-first running sums, the threshold rule's score (which the
-calibrator reads too), its order and its level.  MBIA
-and Look-Ahead are threshold tables that `MdpTablePolicy` plays for one
-user.  The threshold rule needs two closed-form constants, the mean skip
-cost lambda1 and the mean feasible battery power lambda2; they are exact
-for exponential fading, and a Monte Carlo cross-check of both lives in
-the test suite.  Both rest on the exponential integral E1, computed here
-in plain `math` by routine E1XB of Zhang & Jin, so the package needs
-numpy alone at run time.
+computed once per batch (`FrameBatch.cached`): the greedy rule's
+cheapest-first running sums, the threshold rule's score (which the
+calibrator reads too), its order and its level, and the int16 G- and
+H-states the table lookups read.  MBIA and Look-Ahead are threshold
+tables that `MdpTablePolicy` plays for one user.  The threshold rule
+needs two closed-form constants, the mean skip cost lambda1 and the mean
+feasible battery power lambda2; they are exact for exponential fading,
+and a Monte Carlo cross-check of both lives in the test suite.  Both rest
+on the exponential integral E1, computed here in plain `math` by routine
+E1XB of Zhang & Jin, so the package needs numpy alone at run time.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ class GreedyTransmit:
 
     def decide_batch(self, block, battery, batch: FrameBatch):
         need = _cheapest_first_totals(batch)[:, :, block]
-        return serve_feasible(need, battery[:, None], batch.params).astype(np.int8)
+        return serve_feasible(need, battery[:, None], batch.params)
 
 
 def _cheapest_first_totals(batch: FrameBatch) -> np.ndarray:
@@ -229,7 +230,7 @@ class ThresholdHeuristic:
         limit = power_limit(battery, params)
         eligible = _threshold_serve(block, battery[:, None], limit[:, None], p_h,
                                     score[..., block], level, params)
-        return _admit_in_order(order[..., block], eligible, p_h, limit).astype(np.int8)
+        return _admit_in_order(order[..., block], eligible, p_h, limit)
 
 
 def _threshold_score(batch: FrameBatch):
@@ -246,8 +247,9 @@ class MdpTablePolicy:
     """Plays an N-block threshold table, MBIA's or `look_ahead_table`'s.
 
     A lookup at the quantized state, bridged back to reality: the block
-    serves iff its G-gain lies below the G bound over the threshold of its
-    battery bin and H-state.  That action assumes the bin's mid-value
+    serves iff its G-state is at most the threshold of its battery bin and
+    H-state, both channels' states read once per batch
+    (`_channel_states`).  That action assumes the bin's mid-value
     battery, and when the true battery (or the peak cap) cannot cover this
     block's spend, it demotes to 0, the only divergence from the table.  A
     table trained on different parameters raises a stale-policy error, a
@@ -269,20 +271,23 @@ class MdpTablePolicy:
         if not 0 <= block < self.table.N:
             raise InvalidParameterError(f"block {block} outside the table horizon {self.table.N}")
         grid = self.table.grid
-        top = self.table.top[block, battery_level_index(battery, grid),
-                             _h_states(batch, grid.bounds_H)[block]]
-        # bounds_G[0] = 0 serves no gain at top = -1, bounds_G[K] = inf all at K-1
-        serve = batch.gamma_g[:, 0, block] < grid.bounds_G[top + 1]
+        # the thresholds of the block's (battery level, H-state) cells, read
+        # off the flat (M, K) slice; a G-state at or below its cell's serves
+        cell = battery_level_index(battery, grid) * grid.K
+        cell += _channel_states(batch, "gamma_h", grid.bounds_H)[block]
+        top = self.table.top[block].take(cell)
+        serve = _channel_states(batch, "gamma_g", grid.bounds_G)[block] <= top
         serve &= serve_feasible(batch.p_h[:, 0, block], battery, batch.params)
-        return serve[:, None].astype(np.int8)
+        return serve[:, None]
 
 
-def _h_states(batch: FrameBatch, bounds_H: np.ndarray) -> np.ndarray:
-    """(N, frames) H-state of every block of one-user `batch`: one search
-    per batch and set of bounds, shared by every table policy that plays
+def _channel_states(batch: FrameBatch, gains: str, bounds: np.ndarray) -> np.ndarray:
+    """(N, frames) int16 channel state of every block of one-user `batch`
+    on the link `gains` names ("gamma_g" or "gamma_h"): one search per
+    batch, link and set of bounds, shared by every table policy that plays
     the batch."""
-    return batch.cached(("h_states", bounds_H.tobytes()),
-                        lambda: channel_state_index(batch.gamma_h[:, 0].T, bounds_H))
+    return batch.cached((gains, bounds.tobytes()), lambda: channel_state_index(
+        getattr(batch, gains)[:, 0].T, bounds).astype(np.int16, order="C"))
 
 
 def look_ahead_table(table: PolicyTable, N: int) -> PolicyTable:

@@ -7,14 +7,17 @@ batch and a single user is U = 1.  There is one entry point,
 `outcomes(batch, policies, plans)`: one battery walk, `_walk`, plays every
 policy (any object with `decide_batch`) and then every (frames, U, N) 0/1
 plan, one battery each; per block the arrival is credited once and all
-the rows' serves are paid in one check.  Only the battery is causal, so
-the walk loops over blocks for the battery alone and fills a serve mask
-per row; one settlement of a row's whole batch (`_settle`), made when the
-row is read, then sends the users the harvesting BS skips to the grid BS
-cheapest first while its summed peak power holds out, drops the rest, and
-prices every block.  `frame_totals` sums a row's terms per frame with
-math.fsum, so an offline plan's cost is its exact skip-cost sum.
-The walk and the zeta calibrator pay every block through one check,
+the rows' serves are paid in one check.  A policy's action is a (frames,
+U) bool serve mask, stored as it is; an action of any other dtype is
+checked for 0/1 in its block, and a plan that is all 0/1 is made a bool
+mask once.  Only the battery is causal, so the walk loops over blocks for
+the battery alone and fills a serve mask per row; one settlement of a
+row's whole batch (`_settle`), made when the row is read, then sends the
+users the harvesting BS skips to the grid BS cheapest first while its
+summed peak power holds out (one user: wherever it transmits), drops the
+rest, and prices every block.  `frame_totals` sums a row's terms per
+frame with math.fsum, so an offline plan's cost is its exact skip-cost
+sum.  The walk and the zeta calibrator pay every block through one check,
 `_pay`; the grid BS and the threshold policy admit users through one
 rule, `_admit_in_order`, under a power limit per row.
 
@@ -64,7 +67,7 @@ class GridOnlyPolicy:
     """Never touches the battery; the grid BS serves whatever it can."""
 
     def decide_batch(self, block, battery, batch):
-        return np.zeros(batch.p_h.shape[:2], dtype=np.int8)
+        return np.zeros(batch.p_h.shape[:2], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +97,15 @@ def _pay(block: int, frame, battery, served, slack, params: SystemParams):
     first such row (in C order) by its entry of `frame`, an array of the
     battery's shape.  Returns the battery after the spend, clamped at 0."""
     p_max = params.p_H_max
+    users = served.shape[-1]
     power = served[..., 0]
-    for u in range(1, served.shape[-1]):
+    for u in range(1, users):
         power = power + served[..., u]
     spend = power * params.tau
     over = spend > battery + slack
     # one user's power is its sum: the exact check covers the slack one
-    if (served.max(initial=0.0) > p_max or power.max(initial=0.0) > p_max * (1.0 + 1e-12)
-            or over.any()):
+    if (served.max(initial=0.0) > p_max
+            or (users > 1 and power.max(initial=0.0) > p_max * (1.0 + 1e-12)) or over.any()):
         at = int(np.argmax((served > p_max).any(axis=-1)
                            | (power > p_max * (1.0 + 1e-12)) | over))
         raise _overdraw_error(block, int(frame.flat[at]), battery.flat[at], spend.flat[at],
@@ -136,19 +140,21 @@ def _walk(decides, batch: FrameBatch):
     frame's users, starting empty.  Per block the arrival is credited once
     to all P batteries (clamped at B_m); each `decide(block, battery,
     batch)` (called as `decide_batch` is, on its own (frames,) battery) is
-    asked in order for a (frames, U) 0/1 array, and any other is rejected
-    at once; then the served users' powers of all P * frames rows are paid
-    in one `_pay` (under `_battery_slack`), which names the first
-    overdrawing row, decider-major.  So the first failing block raises, a
-    bad action in it before any overdraw in it, each with the text the
-    decider's lone walk would raise.  Only the battery is causal, so the
-    walk only fills the (P, frames, U, N) serve mask it returns; `_settle`
+    asked in order for a (frames, U) serve mask: a bool array is the mask
+    itself, an array of any other dtype must be 0 or 1 per user and any
+    other is rejected at once; then the served users' powers of all P *
+    frames rows are paid in one `_pay` (under `_battery_slack`), which
+    names the first overdrawing row, decider-major.  So the first failing
+    block raises, a bad action in it before any overdraw in it, each with
+    the text the decider's lone walk would raise.  Only the battery is
+    causal, so the walk only fills the serve mask it returns, block-major:
+    (P, N, frames, U), so each block's store is contiguous; `_settle`
     prices one decider's slice at a time.
     """
     params, p_h, e_h = batch.params, batch.p_h, batch.e_h
     frames, users, count = batch.frames, batch.users, len(decides)
     rows = np.broadcast_to(np.arange(frames), (count, frames))
-    serve = np.empty((count, frames, users, params.N), dtype=bool)
+    serve = np.empty((count, params.N, frames, users), dtype=bool)
     battery = np.zeros((count, frames))
     arrived = np.zeros(frames)
     for i in range(params.N):
@@ -159,14 +165,16 @@ def _walk(decides, batch: FrameBatch):
             if act.shape != (frames, users):
                 raise InvalidActionError(f"policy returned shape {act.shape} at block {i + 1}, "
                                          f"expected {(frames, users)}")
-            served = act == 1
-            bad = act != served   # neither 0 nor 1: -1, 2, 0.5, nan
-            if bad.any():
-                at = int(np.argmax(bad.any(axis=-1)))
-                raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block "
-                                         f"{i + 1} of frame {at}, expected 0 or 1 per user")
-            serve[j, :, :, i] = served
-        battery = _pay(i, rows, battery, np.where(serve[:, :, :, i], p_h[:, :, i], 0.0),
+            if act.dtype != bool:
+                served = act == 1
+                bad = act != served   # neither 0 nor 1: -1, 2, 0.5, nan
+                if bad.any():
+                    at = int(np.argmax(bad.any(axis=-1)))
+                    raise InvalidActionError(f"policy returned {act[at].tolist()!r} at block "
+                                             f"{i + 1} of frame {at}, expected 0 or 1 per user")
+                act = served
+            serve[j, i] = act
+        battery = _pay(i, rows, battery, np.where(serve[:, i], p_h[:, :, i], 0.0),
                        _battery_slack(arrived), params)
     return serve
 
@@ -178,24 +186,32 @@ def _settle(serve, batch: FrameBatch):
     the grid BS can reach are admitted cheapest first (ties: lower user)
     while their summed power stays within params.p_G_max, and pay their
     skip cost; the rest drop at w_D.  One user is admitted exactly when it
-    transmits, since then p_G_inv <= kappa <= p_G_max.  Returns (frames, U,
-    N) arrays (serve, admitted, cost, grid energy in J).
+    transmits, since then p_G_inv <= kappa <= p_G_max, so at U = 1 no power
+    is compared.  Returns (frames, U, N) arrays (serve, admitted, cost,
+    grid energy in J).
     """
-    params, p_g = batch.params, batch.p_g
+    params = batch.params
     frames, users, n = serve.shape
-    cap = params.p_G_max * (1.0 + 1e-12)
+    skipped = ~serve
+    if users == 1:
+        admitted = skipped & batch.transmits
+    else:
+        def per_block(a):   # (frames * N, U): one row per (frame, block)
+            return a.transpose(0, 2, 1).reshape(frames * n, users)
 
-    def per_block(a):   # (frames * N, U): one row per (frame, block)
-        return a.transpose(0, 2, 1).reshape(frames * n, users)
-
-    power = per_block(p_g)
-    order = None if users == 1 else np.argsort(power, axis=1, kind="stable")
-    admitted = _admit_in_order(order, per_block(~serve & batch.transmits), power, cap)
-    admitted = np.ascontiguousarray(admitted.reshape(frames, n, users).transpose(0, 2, 1))
-    # exact: of each pair of terms one is +0.0, and skip is finite and >= 0;
-    # the transmits mask goes first because p_g is inf on a dead grid link
-    return (serve, admitted, batch.skip * admitted + params.w_D * (~serve & ~admitted),
-            np.where(batch.transmits, p_g * params.tau, 0.0) * admitted)
+        power = per_block(batch.p_g)
+        admitted = _admit_in_order(np.argsort(power, axis=1, kind="stable"),
+                                   per_block(skipped & batch.transmits), power,
+                                   params.p_G_max * (1.0 + 1e-12))
+        admitted = np.ascontiguousarray(admitted.reshape(frames, n, users).transpose(0, 2, 1))
+    # the grid energy of every block the grid BS would carry, once per
+    # batch; the transmits mask goes first because p_g is inf on a dead
+    # grid link
+    energy = batch.cached("grid_energy", lambda: np.where(
+        batch.transmits, batch.p_g * params.tau, 0.0))
+    # exact: of each pair of terms one is +0.0, and skip is finite and >= 0
+    return (serve, admitted, batch.skip * admitted + params.w_D * (skipped & ~admitted),
+            energy * admitted)
 
 
 def outcomes(batch: FrameBatch, policies=(), plans=()):
@@ -205,15 +221,28 @@ def outcomes(batch: FrameBatch, policies=(), plans=()):
     (frames, U, N) outcome arrays (serve, admitted, cost, grid energy in
     J), in that order.
 
+    A plan that is all 0/1 walks as a bool mask, converted once; any other
+    is checked block by block as a policy's action is, so its error names
+    the block and frame where its first bad entry falls, in walk order.
     The walk runs when `outcomes` is called, so the first block where any
     row fails raises then, with the error that row's lone walk raises.
     Each row is settled (`_settle`) only when it is read, so a caller that
     totals a row before reading the next holds one settlement at a time.
     """
-    plans = [np.asarray(plan) for plan in plans]
+    plans = [_plan_mask(plan) for plan in plans]
     serve = _walk([policy.decide_batch for policy in policies]
                   + [lambda i, battery, batch, plan=plan: plan[:, :, i] for plan in plans], batch)
-    return (_settle(mask, batch) for mask in serve)
+    return (_settle(np.ascontiguousarray(mask.transpose(1, 2, 0)), batch) for mask in serve)
+
+
+def _plan_mask(plan):
+    """A plan as a bool mask when it is all 0/1, else as given."""
+    plan = np.asarray(plan)
+    if plan.dtype != bool:
+        served = plan == 1
+        if not (plan != served).any():
+            return served
+    return plan
 
 
 def frame_totals(serve, admitted, cost, grid):

@@ -14,7 +14,8 @@ entries, in column order, are the references for that.  Its solve keeps
 one block's action values at a time and returns the per-level sums u_hat
 and per-column thresholds.  Every block's action values, rebuilt from
 u_hat, with the dense (N, M, K, K) serve mask and cost-to-go they imply,
-the staircase check that reads every entry of that mask, the player that
+the per-block staircase check and walk count on a block's whole q0, the
+staircase check that reads every entry of that mask, the player that
 looks it up with one search per channel, and the version-1 artifact layout
 that held it live here as their references.
 
@@ -241,8 +242,32 @@ def staircase_actions(top) -> np.ndarray:
     return (np.arange(k)[:, None] <= top[..., None, :]).astype(np.uint8)
 
 
+def staircase_counts(t: int, q0, q1, top):
+    """Block t's staircase check on its whole (M, K) q0 and (M, K) q1, with
+    (M, K_H) thresholds `top`, and the (M,) counts of states the walk
+    evaluates: the per-block check and count the solve made before it
+    checked q0 only where the skip costs rise and counted after its loop.
+    It tests the rise tolerance, the prefix condition and the ordering
+    condition where q0 or q1 rise; the same errors, or the counts."""
+    rises = []
+    for name, q in (("q0 along the G", q0), ("q1 along the H", q1)):
+        falls = q[:, 1:] <= q[:, :-1]
+        lv, j = rise = np.nonzero(~falls)
+        if lv.size and np.any(q[lv, j + 1] > q[lv, j] + _RISE_RTOL * np.abs(q[lv, j])):
+            raise StructureViolationError(
+                f"block t={t}: {name}-state axis rises; the monotone walk is not exact")
+        rises.append(rise)
+    (lv, kg), (lh, kh) = rises
+    if ((lv.size and np.any((q1[lv] <= q0[lv, kg + 1, None]) & ~(q1[lv] <= q0[lv, kg, None])))
+            or (lh.size and np.any(top[lh, kh + 1] < top[lh, kh]))):
+        raise StructureViolationError(
+            f"block t={t}: the serve mask is not a threshold staircase")
+    k = q0.shape[1]
+    return np.where(top[:, 0] >= 0, 2 * k - 1 - top[:, 0], k + (top >= 0).sum(axis=1))
+
+
 def dense_staircase_counts(t: int, q0, q1):
-    """`mdp._staircase_counts` on block t's whole (M, K_G, K_H) serve mask:
+    """`staircase_counts` on block t's whole (M, K_G, K_H) serve mask:
     the same rise checks, then the thresholds as the mask's column sums,
     not counted by search, every column tested for a prefix and every
     H-step for a falling threshold; the same errors, or (top, counts)."""

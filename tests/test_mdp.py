@@ -27,9 +27,10 @@ from hesnet.errors import (
 )
 from hesnet.mdp import (
     _RISE_RTOL,
+    _check_staircase,
     _cuts,
     _expected_values,
-    _staircase_counts,
+    _walk_counts,
     PolicyTable,
     QuantizationGrid,
     battery_level_index,
@@ -50,6 +51,7 @@ from oracles import (
     dense_staircase_counts,
     kernel_expectation,
     staircase_actions,
+    staircase_counts,
     v1_artifact,
 )
 
@@ -477,8 +479,9 @@ def test_monotone_solver_single_state_channel():
 def test_monotone_solve_holds_no_value_table():
     # the (N, M, K, K) float64 table would be 25 MB here, the uint8 serve
     # mask 3.1 MB and every block's q0/q1 1 MB each; the solve holds one
-    # block's q0/q1 and per-block (M, K) rows, u_hat (40 KB) and the int16
-    # thresholds (0.25 MB): 0.61 MB peak measured
+    # block's q1 and per-block (M, K) rows, u_hat (40 KB), the int16
+    # thresholds (0.25 MB) and, after its loop, their walk counts' (N, M,
+    # K) bool temporary (0.13 MB): 0.69 MB peak measured
     model = build_mdp_model(P, build_grid(P, M=100, K=25))
     tracemalloc.start()
     try:
@@ -646,6 +649,20 @@ def test_level_sums_lie_within_ulps_of_the_exact_sum_at_presets(params):
             assert ulps.max() <= 16, (m, t, ulps.max())
 
 
+@pytest.mark.parametrize("params", [p for _, p in preset_points()],
+                         ids=[name for name, _ in preset_points()])
+def test_walk_counts_equal_the_per_block_oracle_at_presets(params):
+    # the solve counts the walk's evaluations from its thresholds after its
+    # loop; the oracle counts them block by block on the whole q0 and q1
+    for m in (10, 25, 100):
+        model = build_mdp_model(params, build_grid(params, M=m, K=25))
+        table, u_hat, counts = monotone_backward_induction(model, params.N)
+        values = ActionValues.of(model, u_hat)
+        want = np.stack([staircase_counts(t, values.q0[t], values.q1[t], table.top[t])
+                         for t in range(params.N)])
+        assert counts.dtype == want.dtype and np.array_equal(counts, want)
+
+
 @pytest.mark.parametrize("params,m,k", [
     (P.evolve(N=6, B_m=P.E_m), 8, 4),   # battery holds one block of arrivals
     (P.evolve(N=5), 1, 4),              # a single battery level
@@ -731,9 +748,9 @@ def test_values_do_not_depend_on_the_blas_kernel():
 
 def test_model_and_solve_at_m800_hold_no_dense_kernel():
     # the (K+1, M, M) float64 kernels alone would be 133 MB here and every
-    # block's q0/q1 8 MB each; the solve holds one block's, the int16
-    # thresholds (2 MB) and the band with its gather index (3 MB each):
-    # 13.3 MB peak measured
+    # block's q0/q1 8 MB each; the solve holds one block's q1, the int16
+    # thresholds (2 MB), the band and one gather buffer (3 MB each):
+    # 10.3 MB peak measured
     tracemalloc.start()
     try:
         model = build_mdp_model(P, build_grid(P, M=800, K=25))
@@ -742,14 +759,15 @@ def test_model_and_solve_at_m800_hold_no_dense_kernel():
     finally:
         tracemalloc.stop()
     assert model.band.shape == (18, 26, 800) and table.top.shape == (50, 800, 25)
-    assert peak < 16e6
+    assert peak < 12e6
 
 
 def test_model_build_at_m1600_holds_no_second_band_temporary():
-    # the model keeps the (34, 26, 1600) float64 band and its int64 gather
-    # index, 11.3 MB each; the build subtracts the residuals in place from
-    # its two gathers: 34.7 MB peak measured, 46.0 MB with a fresh
-    # difference array beside each
+    # the model keeps the (34, 26, 1600) float64 band, 11.3 MB, and no
+    # gather index; the build gathers the bin edges through windows, with
+    # no (34, 26, 1600) int64 index, and subtracts the residuals in place
+    # from its two gathers: 23.8 MB peak measured, 34.7 MB with an index,
+    # 46.0 MB with a fresh difference array beside each gather as well
     tracemalloc.start()
     try:
         model = build_mdp_model(P, build_grid(P, M=1600, K=25))
@@ -757,7 +775,23 @@ def test_model_build_at_m1600_holds_no_second_band_temporary():
     finally:
         tracemalloc.stop()
     assert model.band.shape == (34, 26, 1600)
-    assert peak < 40e6
+    assert peak < 26e6
+
+
+def test_model_and_solve_at_m1600_gather_into_one_buffer():
+    # the solve gathers every block's next levels into one (34, 26, 1600)
+    # float64 buffer (11.3 MB) beside the band and the int16 thresholds
+    # (4 MB): 31.3 MB peak for build and solve measured, 42.6 MB with an
+    # int64 gather index on the model and a fresh gather per block
+    tracemalloc.start()
+    try:
+        model = build_mdp_model(P, build_grid(P, M=1600, K=25))
+        table, _, _ = monotone_backward_induction(model, P.N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.top.shape == (50, 1600, 25)
+    assert peak < 34e6
 
 
 def test_kernel_rejects_levels_off_the_bin_mid_values():
@@ -801,14 +835,34 @@ def test_walk_tolerates_rises_of_rounding_size():
         monotone_backward_induction(real, 3)
 
 
-def checked_staircase(t, q0, q1):
+def test_walk_rejects_a_rise_of_the_skip_costs_at_one_interior_g_state():
+    # q0 is checked only at the G-steps where cost_G rises; a real rise at
+    # one interior step, every other step falling or holding, raises at the
+    # terminal block as the check on the whole of q0 raises
+    model = build_mdp_model(P, build_grid(P, M=6, K=5))
+    cost = model.cost_G.copy()
+    assert np.all(np.diff(cost) <= 0)
+    cost[3] = cost[2] * (1 + 100 * _RISE_RTOL)
+    risen = dataclasses.replace(model, cost_G=cost)
+    q0 = ActionValues.of(risen, np.zeros((1, 6))).q0[0]
+    with pytest.raises(StructureViolationError) as want:
+        staircase_counts(4, q0, np.full((6, 5), np.inf), np.full((6, 5), -1, dtype=np.int16))
+    with pytest.raises(StructureViolationError, match="block t=4: q0") as got:
+        monotone_backward_induction(risen, 5)
+    assert str(got.value) == str(want.value)
+
+
+def checked_staircase(t, q0, q1, steps=None):
     """Block t's thresholds, each H-column's count of served G-states less
-    one counted by `_cuts` on the sorted rows of q0, and the walk's
-    evaluation counts, checked by `_staircase_counts` against them."""
+    one counted by `_cuts` on the sorted rows of q0, checked by
+    `_check_staircase` against q0 at its G-steps `steps` (all of them by
+    default), and the walk's evaluation counts (`_walk_counts`)."""
     rows = np.pad(np.sort(q0, axis=1), ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
     cut = _cuts(rows, rows[0, 1:-1], np.zeros(len(q0)), q1)[0]
     top = (q0.shape[1] - 1 - cut).astype(np.int16)
-    return top, _staircase_counts(t, q0, q1, top)
+    steps = np.arange(q0.shape[1] - 1) if steps is None else steps
+    _check_staircase(t, q0[:, steps], q0[:, steps + 1], q1, top)
+    return top, _walk_counts(top)
 
 
 def staircase(q0, q1):
@@ -918,13 +972,17 @@ def test_property_staircase_check_equals_dense_oracle(data, m, k):
         except StructureViolationError as exc:
             return str(exc)
 
-    got, want = outcome(checked_staircase), outcome(dense_staircase_counts)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert not isinstance(got, str), got
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the solve gives the check q0 only at the G-steps where it may rise
+    rising = np.flatnonzero(~(q0[:, 1:] <= q0[:, :-1]).all(axis=0))
+    want = outcome(dense_staircase_counts)
+    for got in (outcome(checked_staircase),
+                outcome(lambda *args: checked_staircase(*args, steps=rising))):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def assert_cuts_equal_dense_counts(q0, q1, costs, ev0):

@@ -40,7 +40,7 @@ from hesnet.policies import (
     look_ahead_table,
     threshold_lambdas,
 )
-from hesnet.sim import _battery_slack, apply_axis
+from hesnet.sim import GridOnlyPolicy, _battery_slack, apply_axis
 from oracles import ActionValues, DenseTablePolicy, block_totals, walk
 
 P = SystemParams()
@@ -320,7 +320,7 @@ def assert_one_user_rules_are_single_user_rules(params, gamma_g, gamma_h, batter
         score = ratio_metric(batch.skip[:, :, block], p_h)
         gt = GreedyTransmit().decide_batch(block, battery, batch)
         th = ThresholdHeuristic(tp).decide_batch(block, battery, batch)
-        assert gt.dtype == th.dtype == np.int8
+        assert gt.dtype == th.dtype == bool
         np.testing.assert_array_equal(gt, serve_feasible(p_h, battery[:, None], params))
         np.testing.assert_array_equal(
             th, _threshold_serve(block, battery[:, None], power_limit(battery[:, None], params),
@@ -487,14 +487,15 @@ def test_threshold_lookup_decides_as_the_dense_table(preset):
     served = 0
     for block in range(params.N):
         got = lookup.decide_batch(block, battery, batch)
-        assert got.dtype == np.int8
+        assert got.dtype == bool
         np.testing.assert_array_equal(got, dense.decide_batch(block, battery, batch))
         served += int(got.sum())
     assert 0 < served < params.N * battery.size   # both actions are exercised
 
 
 def test_table_policies_search_the_h_states_once_per_batch(monkeypatch):
-    # Look-Ahead and MBIA at two M share K, so one search serves all three
+    # Look-Ahead and MBIA at two M share K, so one search of each link's
+    # states (H, then G) serves all three
     calls = []
     search = policies.channel_state_index
     monkeypatch.setattr(policies, "channel_state_index",
@@ -506,7 +507,23 @@ def test_table_policies_search_the_h_states_once_per_batch(monkeypatch):
         batch = sample_trajectories(P, seed, 40)
         for policy in players:
             walk(policy, batch)
-    assert calls == [(P.N, 40)] * 2
+    assert calls == [(P.N, 40)] * 4
+
+
+@pytest.mark.parametrize("users", [1, 2])
+def test_every_shipped_policy_returns_a_bool_mask(users):
+    # the walk stores a bool action as it is and checks any other for 0/1
+    batch = sample_trajectories(P, 61, 30, users)
+    players = [GreedyTransmit(), ThresholdHeuristic(ThresholdParams(2.0, *threshold_lambdas(P))),
+               GridOnlyPolicy()]
+    if users == 1:
+        players += [MdpTablePolicy(look_ahead_build(P, M=10, K=4)), MdpTablePolicy(
+            monotone_backward_induction(build_mdp_model(P, build_grid(P, M=10, K=4)), P.N)[0])]
+    battery = np.linspace(0.0, P.B_m, batch.frames)
+    for policy in players:
+        for block in (0, P.N // 2, P.N - 1):
+            act = policy.decide_batch(block, battery, batch)
+            assert act.dtype == bool and act.shape == (batch.frames, users), type(policy)
 
 
 def test_look_ahead_structure():

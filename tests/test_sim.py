@@ -25,6 +25,7 @@ from hesnet.model import (
     SystemParams,
     kappa,
     link_terms,
+    make_rng,
     sample_trajectories,
     sample_trajectory,
 )
@@ -41,6 +42,7 @@ from hesnet.sim import (
     CSV_HEADER,
     SWEEP_AXES,
     GridOnlyPolicy,
+    _admit_in_order,
     apply_axis,
     frame_totals,
     metrics_row,
@@ -681,6 +683,50 @@ def test_point_walk_raises_what_the_first_failing_lone_walk_raises(users):
     want = lone_error(plan_totals, serve_everything, batch)
     assert want[0] is InvalidActionError
     assert point_error(good, {"Greedy": greedy_plan, "all": serve_everything}) == want
+
+
+@pytest.mark.parametrize("users", [1, 2])
+def test_a_plan_that_is_not_all_0_1_raises_at_its_own_block(users):
+    # a plan with a 2 is checked block by block, as a policy's action is:
+    # a policy that overdraws at block index 3 raises before the plan's 2
+    # at block index 5, and alone the plan raises at that block
+    batch = sample_trajectories(P, 96, 10, users)
+    plan = np.zeros((10, users, P.N), dtype=np.int8)
+    plan[4, -1, 5] = 2
+    bad = MisbehavesAt(3, overdraw)
+    want = lone_error(walk, bad, batch)
+    assert want[0] is InvalidActionError and want[1].startswith("policy served block 4 ")
+    assert lone_error(outcomes, batch, [bad], [plan]) == want
+    assert lone_error(outcomes, batch, [], [plan]) == (
+        InvalidActionError, f"policy returned {plan[4, :, 5].tolist()!r} at block 6 of frame 4, "
+        "expected 0 or 1 per user")
+
+
+def test_one_user_settlement_admits_as_the_in_order_rule():
+    # at U = 1 the settlement admits every skipped block that transmits and
+    # compares no power; the in-order rule compares p_g with the summed cap
+    base = sample_trajectories(P, 88, 40)
+    gamma_g = base.gamma_g.copy()
+    gamma_g[:, :, ::4] = 0.0   # a dead grid link: p_g is inf
+    finite = np.sort(base.p_g[base.p_g <= 1.0])
+    on_cap = P.evolve(p_G_max=float(finite[len(finite) // 2]))   # one sampled p_g is the cap
+    rng = make_rng(89)
+    for params in (P, on_cap, P.evolve(w_D=1e-4)):
+        batch = FrameBatch(params, gamma_g, base.gamma_h, base.e_h)
+        assert (kappa(params) == params.p_G_max) == (params.w_D == P.w_D)
+        serve = rng.random(batch.p_g.shape) < 0.3
+
+        def per_block(a):
+            return a.transpose(0, 2, 1).reshape(-1, 1)
+
+        want = _admit_in_order(None, per_block(~serve & batch.transmits), per_block(batch.p_g),
+                               params.p_G_max * (1.0 + 1e-12))
+        got = sim._settle(serve, batch)[1]
+        assert got.dtype == bool
+        assert np.array_equal(got, want.reshape(40, P.N, 1).transpose(0, 2, 1))
+        assert (~serve & ~batch.transmits & np.isinf(batch.p_g)).any()
+        if params is on_cap:
+            assert (~serve & (batch.p_g == params.p_G_max) & got).any()
 
 
 @pytest.mark.parametrize("users", [1, 2])
