@@ -326,16 +326,18 @@ def _threshold_cut(block, battery, p_h, score, levels, lo, hi, params: SystemPar
 
     `_threshold_serve` itself decides whole segments: one that serves at
     its top level levels[hi - 1] serves whole, one that does not serve at
-    its bottom level levels[lo] serves none.  Only the segments that
-    straddle a level are searched, for the first level above
-    battery * score.
+    its bottom level levels[lo] serves none.  A segment is never empty, so
+    cut = lo + (hi - lo) * top is hi where the top serves and exactly lo
+    elsewhere, with no select.  Only the segments that serve at the bottom
+    and not at the top straddle a level; they are searched, for the first
+    level above battery * score.
     """
     limit = power_limit(battery, params)
-    cut = np.where(_threshold_serve(block, battery, limit, p_h, score, levels[hi - 1], params),
-                   hi, lo)
-    straddle = np.flatnonzero(
-        _threshold_serve(block, battery, limit, p_h, score, levels[lo], params) & (cut == lo))
-    cut[straddle] = np.searchsorted(levels, battery[straddle] * score[straddle], side="right")
+    top = _threshold_serve(block, battery, limit, p_h, score, levels.take(hi - 1), params)
+    bottom = _threshold_serve(block, battery, limit, p_h, score, levels.take(lo), params)
+    straddle = (bottom & ~top).nonzero()[0]
+    cut = lo + (hi - lo) * top
+    cut[straddle] = levels.searchsorted(battery[straddle] * score[straddle], side="right")
     return cut
 
 
@@ -352,25 +354,44 @@ def _split_block(block, segments, e, p_h, skip, score, slack, levels, params: Sy
     parts are dropped.  Returns the children: each segment's served part,
     or its skipped part when none serves, then the skipped part of every
     segment that split.
+
+    The kept child is formed by arithmetic on the served mask, not by
+    selects, and each output is one concatenation of the kept rows and a
+    gather of the split ones.  That is exact under two preconditions: a
+    skip cost is finite and >= 0, so cost + skip * 0.0 is cost (a cost is
+    a sum from +0.0, never -0.0); and p_h is > 0 or +inf, never NaN, so
+    fmax(p_h * served, 0) is p_h where served and 0 where not, the NaN of
+    a dead link's inf * 0 included.
     """
     frame, lo, hi, battery, cost = segments
-    battery = np.minimum(battery + e[frame], params.B_m)
-    p = p_h[frame]
-    cut = _threshold_cut(block, battery, p, score[frame], levels, lo, hi, params)
-    served, skipped = cut > lo, cut < hi
-    paid = _pay(block, frame, battery, np.where(served, p, 0.0)[:, None], slack[frame], params)
-    charged = cost + skip[frame]
-    split = served & skipped
-    kept = (frame, lo, np.where(served, cut, hi), paid, np.where(served, cost, charged))
-    rest = (frame, cut, hi, battery, charged)
-    return tuple(np.concatenate((a, b[split])) for a, b in zip(kept, rest))
+    battery = np.minimum(battery + e.take(frame), params.B_m)
+    p = p_h.take(frame)
+    cut = _threshold_cut(block, battery, p, score.take(frame), levels, lo, hi, params)
+    served = cut > lo
+    with np.errstate(invalid="ignore"):
+        power = np.fmax(p * served, 0.0)
+    paid = _pay(block, frame, battery, power[:, None], slack.take(frame), params)
+    skip = skip.take(frame)
+    split = (served & (cut < hi)).nonzero()[0]
+    children = (np.concatenate((frame, frame.take(split))),
+                np.concatenate((lo, cut.take(split))),
+                np.concatenate((hi, hi.take(split))),
+                np.concatenate((paid, battery.take(split))),
+                np.concatenate((cost + skip * ~served, cost.take(split) + skip.take(split))))
+    children[2][split] = cut.take(split)   # a split segment's served part ends at its cut
+    return children
 
 
 def _calibration_costs(batch: FrameBatch, score, levels):
     """(candidates, frames) skip-cost sums of the threshold rule at the
     nondecreasing `levels` over a one-user `batch`, walked as segments of
-    candidates with one battery history (`_split_block`), sorted once by
-    (frame, lo) and expanded at the end."""
+    candidates with one battery history (`_split_block`), then sorted
+    once and expanded at the end.
+
+    The sort key is frame * n + lo, one integer per segment: a frame's
+    segments partition its n candidates, so no two share a key, and every
+    correct sort, stable or not, gives the one (frame, lo) order.
+    """
     frames, n = batch.frames, levels.size
     segments = (np.arange(frames), np.zeros(frames, dtype=np.intp),
                 np.full(frames, n, dtype=np.intp), np.zeros(frames), np.zeros(frames))
@@ -381,7 +402,7 @@ def _calibration_costs(batch: FrameBatch, score, levels):
                                 batch.skip[:, 0, i], score[:, i], _battery_slack(arrived),
                                 levels, batch.params)
     frame, lo, hi, _, cost = segments
-    order = np.lexsort((lo, frame))
+    order = np.argsort(frame * n + lo)
     return np.repeat(cost[order], (hi - lo)[order]).reshape(frames, n).T.copy()
 
 

@@ -23,7 +23,10 @@ the stream every command calibrates on (`zeta = auto` and
 itself, which pins the library call `calibrate_zeta` and no command.
 The digests were taken with a calibrator that walked every (candidate,
 frame) battery on its own, so they pin the interval walk to the bits of
-a walk per candidate on the full grid.
+a walk per candidate on the full grid.  One more vector is pinned at
+fig4's middle point at budget 1000, the budget of the fig4 reference
+command, where the walk carries its largest segment counts; it was taken
+with the segment walk that sorted its final segments on two keys.
 
 The MBIA tables that `mdp-train` writes at the benchmark's fig3 points
 (K=25, M=25 and 100) are pinned by the `.pol` sha256, and their walk
@@ -178,6 +181,10 @@ MBIA_PRESET_POL = {
     ("fig6", "w_d=1.0", 100): (
         "f1c725b36f875cc0c7944a72fe87fda3df7ad06f061533e5bb9097fb58b22762", 234500),
 }
+# fig4's middle point (P_avg = 20 mW, stream seed + 1) at the preset's own
+# budget of 1000 frames
+CALIBRATION_COSTS_REFERENCE_BUDGET_SHA256 = (
+    "b33eeb27ba6b8268457980d07330d046cd4624815f7e67bae91ab9f05f80f662")
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
@@ -224,10 +231,10 @@ def test_offline_solve_bytes(case, tmp_path):
 _COSTS = {}
 
 
-def calibration_costs_digest(point, grid, seed):
-    key = (point.content_hash(), tuple(grid), seed)
+def calibration_costs_digest(point, grid, seed, budget=400):
+    key = (point.content_hash(), tuple(grid), seed, budget)
     if key not in _COSTS:   # presets share points; score each once
-        _, costs = calibrate_zeta(grid, point, 400, seed)
+        _, costs = calibrate_zeta(grid, point, budget, seed)
         assert costs.shape == (len(grid),)
         _COSTS[key] = hashlib.sha256(np.asarray(costs, dtype="<f8").tobytes()).hexdigest()
     return _COSTS[key]
@@ -243,6 +250,15 @@ def test_calibration_cost_digests(preset):
         point, seed = ((cfg.params, cfg.seed) if value is None
                        else (apply_axis(cfg.params, cfg.axis, value), cfg.seed + 1))
         assert calibration_costs_digest(point, cfg.zeta_grid, seed) == digest, value
+
+
+def test_calibration_cost_digest_at_reference_budget():
+    cfg = resolve_config(preset="fig4")
+    assert cfg.zeta_budget == 1000
+    point = apply_axis(cfg.params, cfg.axis, cfg.axis_values[len(cfg.axis_values) // 2])
+    assert point.P_avg == 0.02
+    assert (calibration_costs_digest(point, cfg.zeta_grid, cfg.seed + 1, cfg.zeta_budget)
+            == CALIBRATION_COSTS_REFERENCE_BUDGET_SHA256)
 
 
 @pytest.mark.parametrize("d_h,m", sorted(MBIA_POL_SHA256))

@@ -743,6 +743,14 @@ def test_property_split_block_matches_per_candidate_rule(data):
         levels[:k] = np.minimum(levels[:k], x)
         levels[k:] = np.maximum(levels[k:], x)
         levels[k] = x
+    assert_split_block_matches_per_candidate_rule(block, segments, e, p_h, skip, score, levels,
+                                                  params)
+
+
+def assert_split_block_matches_per_candidate_rule(block, segments, e, p_h, skip, score, levels,
+                                                  params):
+    """Checks `_split_block`'s children against `_threshold_serve` applied
+    to each candidate of each segment alone; returns the children."""
     slack = _battery_slack(e)
     out = policies._split_block(block, segments, e, p_h, skip, score, slack, levels, params)
     # nonempty children, in any order, one battery and cost per cell
@@ -761,6 +769,31 @@ def test_property_split_block_matches_per_candidate_rule(data):
                     else (b_k, c + skip[f]))
             assert got.pop((f, k)) == want
     assert not got
+    return out
+
+
+def test_split_block_keeps_dead_links_free_zero_costs_and_clamps_exact():
+    # the walk forms a segment's kept battery and cost by arithmetic, not
+    # by selects: a dead harvesting link (p_h = inf) must skip with no NaN
+    # from inf * 0, a segment that serves whole must keep a cost of
+    # exactly +0.0, and an arrival onto a full battery must clamp at B_m
+    levels = np.array([0.0, 1e-6, 1e-3, 1.0])
+    segments = (np.arange(3), np.zeros(3, dtype=np.intp), np.full(3, 4, dtype=np.intp),
+                np.array([1e-3, 1e-3, P.B_m]), np.array([0.5, 0.0, 0.5]))
+    e = np.array([P.E_m, 0.0, P.E_m])
+    p_h = np.array([math.inf, 1e-3, 0.01])
+    skip = np.array([0.25, 0.5, 1.0])
+    score = np.array([0.0, 1e3, 1.0])   # battery * score: 0, 1 (the top level), B_m
+    out = assert_split_block_matches_per_candidate_rule(0, segments, e, p_h, skip, score,
+                                                        levels, P)
+    frame, lo, hi, battery, cost = out
+    assert not np.isnan(battery).any() and not np.isnan(cost).any()
+    children = sorted(zip(frame.tolist(), lo.tolist(), hi.tolist(), battery, cost))
+    dead, whole, served, clamped = children
+    assert dead == (0, 0, 4, 1e-3 + P.E_m, 0.75)            # skipped whole, no serve paid
+    assert whole[:3] == (1, 0, 4) and whole[4] == 0.0 and not np.signbit(whole[4])
+    assert served[:3] == (2, 0, 3) and clamped[:3] == (2, 3, 4)
+    assert clamped[3] == P.B_m and clamped[4] == 1.5
 
 
 def test_threshold_cut_decides_segment_edges():
