@@ -23,7 +23,6 @@ import argparse
 import hashlib
 import math
 import sys
-import threading
 from dataclasses import dataclass, field
 from functools import cache, partial
 from importlib import resources
@@ -226,10 +225,11 @@ def _merge_source(kv: dict, source: str, field_map: dict, run_map: dict, raw: di
 # Largest seed: make_rng keys on 64 bits and zeta calibration draws at seed + 1.
 SEED_MAX = 2 ** 64 - 2
 
-# integer run key -> (minimum, maximum or None)
+# integer run key -> (minimum, maximum or None); sweeps run on one thread,
+# so threads takes 1 alone
 INT_KEYS = {
     "m_levels": (1, None), "k_states": (1, None), "frames": (1, None), "seed": (0, SEED_MAX),
-    "users": (1, None), "threads": (1, None), "zeta_budget": (1, None),
+    "users": (1, None), "threads": (1, 1), "zeta_budget": (1, None),
 }
 
 # Most zeta candidates a grid may hold; the default 0:0.5:200 has 401.
@@ -349,7 +349,6 @@ class _Run:
     tables: dict = field(default_factory=dict)
     zeta: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 def _calibrate(cfg: RunConfig, point: SystemParams):
@@ -364,9 +363,8 @@ def _threshold(run: _Run, m: int, point: SystemParams):
         tp, _ = _calibrate(cfg, point)
     else:
         tp = ThresholdParams(cfg.zeta, *threshold_lambdas(point))
-    with run.lock:
-        run.zeta[point.content_hash()[:12]] = {
-            "zeta_star": tp.zeta, "lambda1": tp.lambda1, "lambda2": tp.lambda2}
+    run.zeta[point.content_hash()[:12]] = {
+        "zeta_star": tp.zeta, "lambda1": tp.lambda1, "lambda2": tp.lambda2}
     return ThresholdHeuristic(tp)
 
 
@@ -374,9 +372,8 @@ def _mbia_table(run: _Run, m: int, point: SystemParams):
     """The M=m MBIA table at `point`, trained (sweep) or loaded (simulate)
     once per run and shared by every factory that plays it."""
     key = (point.content_hash(), m)
-    with run.lock:
-        if key in run.tables:
-            return run.tables[key]
+    if key in run.tables:
+        return run.tables[key]
     cfg = run.cfg
     if run.train_mbia:
         grid = build_grid(point, M=m, K=cfg.k_states)
@@ -393,11 +390,9 @@ def _mbia_table(run: _Run, m: int, point: SystemParams):
             raise StalePolicyError(
                 f"{path} was trained for parameter hash {table.params_hash[:12]}..., "
                 f"this run hashes to {point.content_hash()[:12]}...; retrain with mdp-train")
-        with run.lock:
-            run.artifacts[f"MBIA-M{m}"] = {
-                "path": str(path), "sha256": file_sha256(path), "params_hash": table.params_hash}
-    with run.lock:
-        run.tables[key] = table
+        run.artifacts[f"MBIA-M{m}"] = {
+            "path": str(path), "sha256": file_sha256(path), "params_hash": table.params_hash}
+    run.tables[key] = table
     return table
 
 
@@ -670,12 +665,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError("sweep needs axis=... and axis_values=... (e.g. axis=p_avg_mw)")
     factories, plans, run = _online_factories(cfg, train_mbia=True)
     rows = sweep(cfg.params, cfg.axis, cfg.axis_values, factories, cfg.frames,
-                 cfg.seed, plans=plans, threads=cfg.threads, users=cfg.users)
+                 cfg.seed, plans=plans, users=cfg.users)
     return _finish_run(cfg, rows, f"sweep_{cfg.axis_key}.csv", "sweep_manifest.json",
                        command="sweep", axis=cfg.axis_key,
                        axis_values=list(cfg.axis_values_raw),
-                       zeta=run.zeta, artifacts=run.artifacts,
-                       threads=cfg.threads, mbia_trained_inline=True)
+                       zeta=run.zeta, artifacts=run.artifacts, mbia_trained_inline=True)
 
 
 def cmd_calibrate_zeta(cfg: RunConfig, args) -> int:
@@ -749,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory (out_dir)")
     common.add_argument("--frames", type=int, help="Monte Carlo frames")
     common.add_argument("--seed", type=int, help="base RNG seed")
-    common.add_argument("--threads", type=int, help="max concurrent sweep points")
+    common.add_argument("--threads", type=int, help="must be 1")
 
     parser = argparse.ArgumentParser(
         prog="hesnet",

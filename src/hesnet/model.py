@@ -311,7 +311,7 @@ class FrameBatch:
         """`compute()` for `key`, run on the first call only and kept with
         the batch, so terms that several policies derive from it (the table
         lookups' channel states) are computed once per batch.  Not locked:
-        a batch is walked by one thread at a time."""
+        a batch is walked on the thread that drew it."""
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
@@ -323,10 +323,10 @@ def _sample(params: SystemParams, users: int, keys: np.ndarray) -> FrameBatch:
     gains, ..., then the shared arrivals, uniform on [0, E_m].
 
     `keys` is a (frames, 2) uint64 array of Philox key words.  One
-    generator serves the call (never the module: concurrent sweeps sample
-    at once); each frame sets its key with a zero counter and an empty
-    buffer, the state of a freshly built generator, because Philox's draws
-    depend on that state alone.  A frame's 2U exponential rows are one
+    generator serves the call (never the module: callers on several
+    threads may sample at once); each frame sets its key with a zero
+    counter and an empty buffer, the state of a freshly built generator,
+    because Philox's draws depend on that state alone.  A frame's 2U exponential rows are one
     draw into its contiguous (U, 2, N) block, which fills them in the same
     order as one draw per row.  The draws are unit-scale and scaled once
     per array: numpy's exponential(mu) is mu * standard_exponential() and

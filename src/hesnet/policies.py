@@ -12,11 +12,11 @@ cap of `batch.params` once per block, so one user is the single-user rule
 (`serve_feasible`) exactly.  What does not depend on the battery is
 computed once per batch (`FrameBatch.cached`): the greedy rule's
 cheapest-first running sums, the threshold rule's score (which the
-calibrator reads too), its order and its level, and the int16 G- and
-H-states the table lookups read.  MBIA and Look-Ahead are threshold
-tables that `MdpTablePolicy` plays for one user.  The threshold rule
-needs two closed-form constants, the mean skip cost lambda1 and the mean
-feasible battery power lambda2; they are exact for exponential fading,
+calibrator reads too) and its order, and the int16 G- and H-states the
+table lookups read.  MBIA and Look-Ahead are threshold tables that
+`MdpTablePolicy` plays for one user.  The threshold rule needs two
+closed-form constants, the mean skip cost lambda1 and the mean feasible
+battery power lambda2; they are exact for exponential fading,
 and a Monte Carlo cross-check of both lives in the test suite.  Both rest
 on the exponential integral E1, computed here in plain `math` by routine
 E1XB of Zhang & Jin, so the package needs numpy alone at run time.
@@ -223,8 +223,7 @@ class ThresholdHeuristic:
     def decide_batch(self, block, battery, batch: FrameBatch):
         params, tp = batch.params, self.tp
         p_h = batch.p_h[:, :, block]
-        level = batch.cached(("threshold_level", tp), lambda: _threshold_level(
-            tp.zeta, tp.lambda1, tp.lambda2, params))
+        level = _threshold_level(tp.zeta, tp.lambda1, tp.lambda2, params)
         score = _threshold_score(batch)
         order = batch.cached("threshold_order", lambda: np.argsort(-score, axis=1, kind="stable"))
         limit = power_limit(battery, params)

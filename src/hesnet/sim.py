@@ -375,12 +375,12 @@ def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
     offline plan function (`greedy_plan`, `optimal_plan`); their rows
     follow the online ones, in order.
     """
-    return _rows([(point, axis, value)], policy_factories, frames, seed, plans, users, 1)
+    return _rows([(point, axis, value)], policy_factories, frames, seed, plans, users)
 
 
 def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
           frames: int, seed: int, *, plans: dict | None = None,
-          threads: int = 1, users: int = 1) -> list[dict]:
+          users: int = 1) -> list[dict]:
     """Evaluate policies across one parameter axis with shared trajectories.
 
     `policy_factories` maps a display name to a callable(params) -> policy,
@@ -388,34 +388,31 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
     where it belongs.  Each point's rows are `point_rows`' rows there, for
     `users` users, with a row per offline plan function in `plans` last;
     `_rows` runs the points in chunks of one (tau, p_H_max) and plans each
-    chunk with one call per plan function.
-
-    Chunks are independent, so with `threads` > 1 they run concurrently;
-    row order stays (value-major, policy-minor) either way.
+    chunk with one call per plan function, one chunk after another; rows
+    are value-major, policy-minor.
     """
-    if not isinstance(threads, int) or threads < 1:
-        raise InvalidParameterError(f"threads must be a positive integer, got {threads!r}")
     points = [(apply_axis(params, axis, v), axis, v) for v in values]
-    return _rows(points, policy_factories, frames, seed, plans, users, threads)
+    return _rows(points, policy_factories, frames, seed, plans, users)
 
 
 def _rows(points, policy_factories: dict, frames: int, seed: int, plans: dict | None,
-          users: int, threads: int) -> list[dict]:
+          users: int) -> list[dict]:
     """The rows of every (params, axis, value) point of `points`,
     value-major, policy-minor.
 
     Given any plan function, every point's battery is refused
     (`require_uncapped_battery`) before anything else runs.  The points
     are then run in chunks: runs of consecutive points that share (tau,
-    p_H_max), at most _JOIN_FRAMES frames or a single point each, on up to
-    `threads` threads.  A chunk draws each point's batch once
+    p_H_max), at most _JOIN_FRAMES frames or a single point each, one after
+    another.  A chunk draws each point's batch once
     (`sample_trajectories`), plans all of them with one call per plan
     function (`_solve_plans`), and then per point builds its policies
     and plays them with its plans in one `outcomes` walk, so the first
     block where any row fails raises that row's error.  Each row is
     settled, totalled and aggregated (`metrics_row`) before the next is
-    read, so a thread holds one chunk's batches and one settlement at a
-    time.
+    read.  A chunk's batches live only in `run`, so they are let go
+    before the next chunk draws: a sweep holds one chunk's batches and one
+    settlement at a time.
     """
     plans = plans or {}
     if plans:
@@ -445,14 +442,7 @@ def _rows(points, policy_factories: dict, frames: int, seed: int, plans: dict | 
                      for name, total in zip(names, totals)]
         return rows
 
-    if threads == 1 or len(chunks) <= 1:
-        done = [run(chunk) for chunk in chunks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run, chunks))
-    return [row for rows in done for row in rows]
+    return [row for chunk in chunks for row in run(chunk)]
 
 
 # ---------------------------------------------------------------------------

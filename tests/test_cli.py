@@ -631,7 +631,7 @@ def test_sweep_axis_required(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
-def test_sweep_rows_and_threads_determinism(tmp_path):
+def test_sweep_rows_manifest_and_rerun_bytes(tmp_path):
     cases = [(1, "GT,MBIA-M4,GA,Exhaustive", ["GT", "MBIA-M4", "Greedy", "Exhaustive"]),
              (2, "GA,GT,Threshold", ["GT", "Threshold", "Greedy"])]   # offline rows last
     for users, policies, rows in cases:
@@ -639,7 +639,7 @@ def test_sweep_rows_and_threads_determinism(tmp_path):
                                     "--axis", "w_d", "--axis-values", "0.01,1.0"]
         out1, out2 = tmp_path / f"a{users}", tmp_path / f"b{users}"
         assert main(base + ["--out", str(out1), "--threads", "1"]) == 0
-        assert main(base + ["--out", str(out2), "--threads", "2"]) == 0
+        assert main(base + ["--out", str(out2)]) == 0
         text1 = (out1 / "sweep_w_d.csv").read_text()
         assert text1 == (out2 / "sweep_w_d.csv").read_text()
         lines = text1.splitlines()
@@ -649,8 +649,23 @@ def test_sweep_rows_and_threads_determinism(tmp_path):
         assert manifest["axis"] == "w_d"
         assert manifest["axis_values"] == [0.01, 1.0]
         assert manifest["mbia_trained_inline"] is True
-        assert (manifest["users"], manifest["threads"]) == (users, 1)
+        assert manifest["users"] == users and "threads" not in manifest
         assert ("per_user_bandwidth_hz" in manifest) == (users > 1)
+
+
+def test_threads_other_than_one_is_refused_before_any_output(tmp_path, capsys):
+    # a sweep runs on one thread: threads = 2 is refused by flag, by --set
+    # and from a config file alike, before the output directory is made
+    config = tmp_path / "two.cfg"
+    config.write_text("threads = 2\n")
+    out = tmp_path / "out"
+    base = ["sweep"] + SMALL + ["--set", "policies=GT", "--axis", "w_d",
+                                "--axis-values", "0.01", "--out", str(out)]
+    capsys.readouterr()
+    for how in (["--threads", "2"], ["--set", "threads=2"], ["--config", str(config)]):
+        assert main(base + how) == 2, how
+        assert "key 'threads' must be <= 1, got 2" in capsys.readouterr().err, how
+        assert not out.exists(), how
 
 
 def test_sweep_preset_smoke(tmp_path):

@@ -267,9 +267,9 @@ def test_sampler_is_bitwise_a_fresh_generator_per_frame(params, users, seed):
 
 
 def test_concurrent_samplers_match_serial_calls():
-    # two threads each sampling their own seed at once, as the zeta
-    # calibrations of two sweep points do under sweep(threads=2); the sweep
-    # itself draws its frames once, in its calling thread
+    # two threads each sampling their own seed at once, as a library caller
+    # running two sweeps or calibrations side by side does; a sweep itself
+    # runs on its calling thread
     seeds = (5, 6)
     serial = [sample_trajectories(P, seed, 40, 2) for seed in seeds]
     barrier = threading.Barrier(2, timeout=30)

@@ -423,10 +423,9 @@ def test_p_avg_axis_refuses_a_pinned_battery():
         built.append(point)
         return GreedyTransmit()
 
-    for threads in (1, 2):
-        with pytest.raises(InvalidParameterError, match="P_avg axis"):
-            sweep(pinned.evolve(N=8, B_m=1e-4), "P_avg", [0.01, 0.02], {"GT": factory},
-                  frames=5, seed=71, threads=threads)
+    with pytest.raises(InvalidParameterError, match="P_avg axis"):
+        sweep(pinned.evolve(N=8, B_m=1e-4), "P_avg", [0.01, 0.02], {"GT": factory},
+              frames=5, seed=71)
     assert built == []
     # the other axes keep the pinned cap, and a B_m equal to N * E_m scales
     assert apply_axis(pinned, "w_D", 0.5).B_m == 1e-3
@@ -472,8 +471,7 @@ SWEEP_VALUES = {"d_H": (20.0, 30.0, 45.0), "P_avg": (0.01, 0.02, 0.04),
 @pytest.mark.parametrize("axis", SWEEP_AXES)
 def test_sweep_rows_equal_the_point_by_point_sweep(axis, users, monkeypatch):
     # one plan call per chunk of consecutive points of one (tau, p_H_max), up
-    # to _JOIN_FRAMES frames a call, moves no bit of any row, on either
-    # thread count
+    # to _JOIN_FRAMES frames a call, moves no bit of any row
     assert set(SWEEP_VALUES) == set(SWEEP_AXES)
     params = P.evolve(N=12)
     plans = {"Greedy": greedy_plan}
@@ -489,13 +487,10 @@ def test_sweep_rows_equal_the_point_by_point_sweep(axis, users, monkeypatch):
              {3: [27], 2: [18, 9], 1: [9, 9, 9]})
     for join, per_call in ((sim._JOIN_FRAMES, 3), (18, 2), (17, 1)):
         monkeypatch.setattr(sim, "_JOIN_FRAMES", join)
-        for threads in (1, 2):
-            calls.clear()
-            got = sweep(*args, plans=counted, threads=threads, users=users)
-            assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
-            # chunks run concurrently on two threads, so their calls interleave
-            order = list if threads == 1 else sorted
-            assert order(calls) == order(n for n in sizes[per_call] for _ in plans)
+        calls.clear()
+        got = sweep(*args, plans=counted, users=users)
+        assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+        assert calls == [n for n in sizes[per_call] for _ in plans]
 
 
 def test_capped_battery_sweep_refuses_before_any_factory_runs():
@@ -511,9 +506,8 @@ def test_capped_battery_sweep_refuses_before_any_factory_runs():
     want = lone_error(sim.solve_plan, greedy_plan, sample_trajectories(capped, 73, 4))
     assert want[0] is ModelMismatchError
     plans = {"Greedy": greedy_plan}
-    for threads in (1, 2):
-        assert lone_error(lambda: sweep(capped, "w_D", [0.01, 0.02], {"GT": factory}, frames=4,
-                                        seed=73, plans=plans, threads=threads)) == want
+    assert lone_error(lambda: sweep(capped, "w_D", [0.01, 0.02], {"GT": factory}, frames=4,
+                                    seed=73, plans=plans)) == want
     assert lone_error(point_rows, capped, "none", 0.0, {"GT": factory}, 4, 73, plans) == want
     assert built == []
     # with no plan the capped battery is walked
@@ -527,10 +521,8 @@ def test_a_run_of_no_frames_is_refused(frames):
     factories = {"GT": lambda p: GreedyTransmit()}
     for plans in (None, {"Greedy": greedy_plan}):
         for axis in ("P_avg", "p_H_max"):
-            for threads in (1, 2):
-                with pytest.raises(InvalidParameterError, match=r"^frames must be >= 1$"):
-                    sweep(P, axis, SWEEP_VALUES[axis], factories, frames=frames, seed=4,
-                          plans=plans, threads=threads)
+            with pytest.raises(InvalidParameterError, match=r"^frames must be >= 1$"):
+                sweep(P, axis, SWEEP_VALUES[axis], factories, frames=frames, seed=4, plans=plans)
         with pytest.raises(InvalidParameterError, match=r"^frames must be >= 1$"):
             point_rows(P, "none", 0.0, factories, frames, 4, plans)
 
@@ -552,10 +544,9 @@ def test_exhaustive_refusal_in_a_sweep_reads_as_its_lone_point(monkeypatch):
     want = lone(0.02)
     assert want[0] is ResourceLimitError and want[1].startswith("frame 3: ")
     for values in ((0.005, 0.02, 0.05), (0.05, 0.02)):
-        for threads in (1, 2):
-            got = lone_error(lambda: sweep(params, "P_avg", values, factories, frames=6, seed=5,
-                                           plans=plans, threads=threads))
-            assert got == (want if values[0] == 0.005 else lone(0.05))
+        got = lone_error(lambda: sweep(params, "P_avg", values, factories, frames=6, seed=5,
+                                       plans=plans))
+        assert got == (want if values[0] == 0.005 else lone(0.05))
     # each cap of the p_H_max axis is planned on its own, a repeated cap with
     # its twin; here cap 0.05 plans, 0.1 fails at its frame 1 and 0.5 at its
     # frame 0, and the first failing value is the one named
@@ -564,10 +555,9 @@ def test_exhaustive_refusal_in_a_sweep_reads_as_its_lone_point(monkeypatch):
                            factories, 6, 5, plans) for v in (0.1, 0.5)}
     assert fails[0.1][1].startswith("frame 1: ") and fails[0.5][1].startswith("frame 0: ")
     for values in ((0.05, 0.1, 0.05, 0.5), (0.05, 0.5, 0.05, 0.1), (0.5, 0.1, 0.5)):
-        for threads in (1, 2):
-            got = lone_error(lambda: sweep(params, "p_H_max", values, factories, frames=6,
-                                           seed=5, plans=plans, threads=threads))
-            assert got == fails[next(v for v in values if v in fails)]
+        got = lone_error(lambda: sweep(params, "p_H_max", values, factories, frames=6,
+                                       seed=5, plans=plans))
+        assert got == fails[next(v for v in values if v in fails)]
     # two batches of one cap planned in one call, the second failing, raise
     # the second's error at its own frame, not at its frame in the call
     batches = [sample_trajectories(params.evolve(P_avg=0.005, p_H_max=0.5), 5, 6),
