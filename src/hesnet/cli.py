@@ -44,8 +44,8 @@ from .mdp import (
     build_mdp_model,
     load_policy_artifact,
     monotone_backward_induction,
-    predicted_cost,
     save_policy_artifact,
+    table_report,
 )
 from .model import FrameBatch, SystemParams, sample_trajectory
 from .offline import greedy_plan, optimal_plan
@@ -136,7 +136,6 @@ class RunConfig:
     axis: str | None            # internal axis name, None for point runs
     axis_key: str | None        # the config token, kept for file naming
     axis_values: tuple          # SI units
-    axis_values_raw: tuple      # as written in the config
     frames: int
     seed: int
     out_dir: str
@@ -293,7 +292,7 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
     axis_token = run_value("axis", "none").lower()
     if axis_token in ("none", ""):
         axis = axis_key = None
-        axis_values = axis_values_raw = ()
+        axis_values = ()
     else:
         if axis_token not in AXES:
             raise ConfigError(
@@ -302,11 +301,11 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
         values_text = run_value("axis_values", "")
         if not values_text:
             raise ConfigError("axis is set but axis_values is empty")
-        axis_values_raw = tuple(_num(v.strip(), "axis_values", run_source("axis_values"))
-                                for v in values_text.split(",") if v.strip())
-        if not axis_values_raw:
+        to_si = PARAM_KEYS[axis_key][1]
+        axis_values = tuple(to_si(_num(v.strip(), "axis_values", run_source("axis_values")))
+                            for v in values_text.split(",") if v.strip())
+        if not axis_values:
             raise ConfigError("axis_values is empty")
-        axis_values = tuple(PARAM_KEYS[axis_key][1](v) for v in axis_values_raw)
 
     zeta_text = run_value("zeta").lower()
     if zeta_text == "auto":
@@ -321,7 +320,7 @@ def resolve_config(preset: str | None = None, config_path: str | None = None,
     out_dir = run_value("out_dir")
     return RunConfig(
         params=params, policies=policies, axis=axis, axis_key=axis_key,
-        axis_values=axis_values, axis_values_raw=axis_values_raw, out_dir=out_dir,
+        axis_values=axis_values, out_dir=out_dir,
         artifact_dir=run_value("artifact_dir") or out_dir, zeta=zeta, zeta_grid=zeta_grid,
         raw=raw, **ints,
     )
@@ -340,15 +339,14 @@ def _artifact_path(cfg: RunConfig, m: int) -> Path:
 class _Run:
     """What one run's policy factories share: the config, whether MBIA
     trains at each point (sweep) or loads its artifact (simulate), the M of
-    every MBIA row, the MBIA tables built so far (one per point and M), and
-    the zeta and artifact logs they fill in for the manifest."""
+    every MBIA row, and the MBIA tables of the current point by M, with
+    that point's report, so the tables of past points are let go."""
 
     cfg: RunConfig
     train_mbia: bool
     mbia_levels: frozenset = frozenset()
+    report: dict | None = None
     tables: dict = field(default_factory=dict)
-    zeta: dict = field(default_factory=dict)
-    artifacts: dict = field(default_factory=dict)
 
 
 def _calibrate(cfg: RunConfig, point: SystemParams):
@@ -357,27 +355,29 @@ def _calibrate(cfg: RunConfig, point: SystemParams):
     return calibrate_zeta(cfg.zeta_grid, point, cfg.zeta_budget, cfg.seed + 1)
 
 
-def _threshold(run: _Run, m: int, point: SystemParams):
+def _threshold(run: _Run, m: int, point: SystemParams, report: dict):
     cfg = run.cfg
     if cfg.zeta == "auto":
         tp, _ = _calibrate(cfg, point)
     else:
         tp = ThresholdParams(cfg.zeta, *threshold_lambdas(point))
-    run.zeta[point.content_hash()[:12]] = {
-        "zeta_star": tp.zeta, "lambda1": tp.lambda1, "lambda2": tp.lambda2}
+    report["Threshold"] = {"zeta_star": tp.zeta, "lambda1": tp.lambda1, "lambda2": tp.lambda2}
     return ThresholdHeuristic(tp)
 
 
-def _mbia_table(run: _Run, m: int, point: SystemParams):
+def _mbia_table(run: _Run, m: int, point: SystemParams, report: dict):
     """The M=m MBIA table at `point`, trained (sweep) or loaded (simulate)
-    once per run and shared by every factory that plays it."""
-    key = (point.content_hash(), m)
-    if key in run.tables:
-        return run.tables[key]
+    once per point and shared by every factory that plays it there; the
+    point's report gets its `table_report` or its artifact's hashes."""
+    if run.report is not report:   # a new point: let the last one's tables go
+        run.report, run.tables = report, {}
+    if m in run.tables:
+        return run.tables[m]
     cfg = run.cfg
     if run.train_mbia:
-        grid = build_grid(point, M=m, K=cfg.k_states)
-        table = monotone_backward_induction(build_mdp_model(point, grid), point.N)[0]
+        model = build_mdp_model(point, build_grid(point, M=m, K=cfg.k_states))
+        table, u_hat, counts = monotone_backward_induction(model, point.N)
+        report[f"MBIA-M{m}"] = table_report(model, u_hat, counts)
     else:
         path = _artifact_path(cfg, m)
         if not path.is_file():
@@ -390,33 +390,33 @@ def _mbia_table(run: _Run, m: int, point: SystemParams):
             raise StalePolicyError(
                 f"{path} was trained for parameter hash {table.params_hash[:12]}..., "
                 f"this run hashes to {point.content_hash()[:12]}...; retrain with mdp-train")
-        run.artifacts[f"MBIA-M{m}"] = {
+        report[f"MBIA-M{m}"] = {
             "path": str(path), "sha256": file_sha256(path), "params_hash": table.params_hash}
-    run.tables[key] = table
+    run.tables[m] = table
     return table
 
 
-def _mbia(run: _Run, m: int, point: SystemParams):
-    return MdpTablePolicy(_mbia_table(run, m, point))
+def _mbia(run: _Run, m: int, point: SystemParams, report: dict):
+    return MdpTablePolicy(_mbia_table(run, m, point, report))
 
 
-def _look_ahead(run: _Run, m: int, point: SystemParams):
+def _look_ahead(run: _Run, m: int, point: SystemParams, report: dict):
     if point.N >= 2 and m in run.mbia_levels:
         # the run's MBIA table holds the 2-block thresholds bitwise
         # (look_ahead_table), so Look-Ahead needs no solve of its own
-        return MdpTablePolicy(look_ahead_table(_mbia_table(run, m, point), point.N))
+        return MdpTablePolicy(look_ahead_table(_mbia_table(run, m, point, report), point.N))
     return MdpTablePolicy(look_ahead_build(point, M=m, K=run.cfg.k_states))
 
 
 # Policy tokens, matched case-insensitively: name -> (other spellings,
-# online factory(run, m, point) or offline plan function, decides any
-# user count).  A policy's name is its one CSV row; MBIA-M<levels> is MBIA
-# at m = <levels>, else m is m_levels.
+# online factory(run, m, point, report) or offline plan function, decides
+# any user count).  A policy's name is its one CSV row; MBIA-M<levels> is
+# MBIA at m = <levels>, else m is m_levels.
 POLICIES = {
-    "GT": ((), lambda run, m, point: GreedyTransmit(), True),
+    "GT": ((), lambda run, m, point, report: GreedyTransmit(), True),
     "Look-Ahead": (("LA", "LookAhead"), _look_ahead, False),
     "Threshold": (("TH",), _threshold, True),
-    "GP-only": (("GPonly",), lambda run, m, point: GridOnlyPolicy(), True),
+    "GP-only": (("GPonly",), lambda run, m, point, report: GridOnlyPolicy(), True),
     "Greedy": (("GA",), greedy_plan, True),
     "Exhaustive": ((), optimal_plan, False),
     "MBIA": ((), _mbia, False),
@@ -427,12 +427,11 @@ _SPELLINGS = {s.lower(): name for name, (aliases, _, _) in POLICIES.items()
 
 def _online_factories(cfg: RunConfig, train_mbia: bool):
     """Map config policy tokens to their rows: online row name ->
-    factory(point) callable, and offline row name -> plan function.
+    factory(point, report) callable, and offline row name -> plan function.
 
     Every token is parsed before any is refused for the run: a second
     token for one policy (at one M, for MBIA), and at users > 1 the
-    single-user ones.  Returns (factories, plans, run); run.zeta and
-    run.artifacts fill in as the factories run.
+    single-user ones.  Returns (factories, plans).
     """
     if not cfg.policies:
         raise ConfigError("policy list is empty; set policies=... in the config")
@@ -463,7 +462,7 @@ def _online_factories(cfg: RunConfig, train_mbia: bool):
             plans[row] = build
         else:
             factories[row] = partial(build, run, m)
-    return factories, plans, run
+    return factories, plans
 
 
 # ---------------------------------------------------------------------------
@@ -596,32 +595,13 @@ def cmd_mdp_train(cfg: RunConfig, args) -> int:
             f"mdp-train trains a one-user table, got users={cfg.users}: the table "
             "policies play one user")
     params = cfg.params
-    grid = build_grid(params, M=cfg.m_levels, K=cfg.k_states)
-    model = build_mdp_model(params, grid)
+    model = build_mdp_model(params, build_grid(params, M=cfg.m_levels, K=cfg.k_states))
     table, u_hat, counts = monotone_backward_induction(model, params.N)
     path = _artifact_path(cfg, cfg.m_levels)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_policy_artifact(path, table)
-    per_state_bound = 2 * cfg.k_states - 1
-    stays = model.band_start[0] + np.arange(len(model.band))[:, None] == np.arange(cfg.m_levels)
-    log = {
-        "m_levels": cfg.m_levels, "k_states": cfg.k_states, "n_blocks": params.N,
-        "params_hash": params.content_hash(),
-        "evaluations_total": int(counts.sum()),
-        "bound_total": per_state_bound * cfg.m_levels * params.N,
-        "per_state_max": int(counts.max()),
-        "per_state_bound": per_state_bound,
-        "dense_equivalent_total": cfg.k_states ** 2 * cfg.m_levels * params.N,
-        # the mid-value kernel that never credits a harvest: with no spend,
-        # every battery level stays where it is (fig3 at M <= 25); level m
-        # lies in its own no-spend band, so the band alone holds the difference
-        "kernel0_is_identity": bool(np.abs(model.band[:, 0] - stays).max() <= 1e-12),
-        # the model's own expected frame cost of the table, from an empty battery
-        "predicted_cost": predicted_cost(model, u_hat),
-        "artifact": path.name,
-        "artifact_bytes": path.stat().st_size,
-        "artifact_sha256": file_sha256(path),
-    }
+    log = {**table_report(model, u_hat, counts), "artifact": path.name,
+           "artifact_bytes": path.stat().st_size, "artifact_sha256": file_sha256(path)}
     write_json(path.with_suffix(".train.json"), log)
     print(f"trained M={cfg.m_levels} K={cfg.k_states} N={params.N}: "
           f"{log['evaluations_total']} evaluations "
@@ -638,38 +618,38 @@ def _print_rows(rows) -> None:
               f"{100 * r['drop_ratio']:>7.3f}")
 
 
-def _finish_run(cfg: RunConfig, rows, csv_name: str, manifest_name: str, **extras) -> int:
+def _finish_run(cfg: RunConfig, records, csv_name: str, manifest_name: str, **extras) -> int:
     out = _out_dir(cfg)
     csv_path = out / csv_name
+    rows = [row for record in records for row in record["rows"]]
     write_rows_csv(csv_path, rows)
     manifest_path = out / manifest_name
     if cfg.users > 1:
         extras["per_user_bandwidth_hz"] = cfg.params.W
-    write_manifest(manifest_path, cfg.params,
-                   config=dict(cfg.raw), csv=csv_name, csv_sha256=file_sha256(csv_path),
-                   frames=cfg.frames, seed=cfg.seed, users=cfg.users, **extras)
+    points = [{"axis_value": r["axis_value"], "report": r["report"]} for r in records]
+    write_manifest(manifest_path, cfg.params, config=dict(cfg.raw), csv=csv_name,
+                   csv_sha256=file_sha256(csv_path), frames=cfg.frames, seed=cfg.seed,
+                   users=cfg.users, points=points, **extras)
     _print_rows(rows)
     print(f"wrote {csv_path} and {manifest_path}")
     return 0
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    factories, plans, run = _online_factories(cfg, train_mbia=False)
-    rows = point_rows(cfg.params, "none", 0.0, factories, cfg.frames, cfg.seed, plans, cfg.users)
-    return _finish_run(cfg, rows, "simulate.csv", "simulate_manifest.json",
-                       command="simulate", zeta=run.zeta, artifacts=run.artifacts)
+    factories, plans = _online_factories(cfg, train_mbia=False)
+    records = point_rows(cfg.params, "none", 0.0, factories, cfg.frames, cfg.seed, plans,
+                         cfg.users)
+    return _finish_run(cfg, records, "simulate.csv", "simulate_manifest.json", command="simulate")
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.axis is None:
         raise ConfigError("sweep needs axis=... and axis_values=... (e.g. axis=p_avg_mw)")
-    factories, plans, run = _online_factories(cfg, train_mbia=True)
-    rows = sweep(cfg.params, cfg.axis, cfg.axis_values, factories, cfg.frames,
-                 cfg.seed, plans=plans, users=cfg.users)
-    return _finish_run(cfg, rows, f"sweep_{cfg.axis_key}.csv", "sweep_manifest.json",
-                       command="sweep", axis=cfg.axis_key,
-                       axis_values=list(cfg.axis_values_raw),
-                       zeta=run.zeta, artifacts=run.artifacts, mbia_trained_inline=True)
+    factories, plans = _online_factories(cfg, train_mbia=True)
+    records = sweep(cfg.params, cfg.axis, cfg.axis_values, factories, cfg.frames,
+                    cfg.seed, plans=plans, users=cfg.users)
+    return _finish_run(cfg, records, f"sweep_{cfg.axis_key}.csv", "sweep_manifest.json",
+                       command="sweep", axis=cfg.axis_key)
 
 
 def cmd_calibrate_zeta(cfg: RunConfig, args) -> int:

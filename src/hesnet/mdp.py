@@ -62,6 +62,7 @@ __all__ = [
     "build_mdp_model",
     "monotone_backward_induction",
     "predicted_cost",
+    "table_report",
     "save_policy_artifact",
     "load_policy_artifact",
 ]
@@ -484,6 +485,30 @@ def predicted_cost(model: MdpModel, u_hat: np.ndarray) -> float:
     start, probs = _arrival_band(model.grid, model.params.E_m, np.zeros(1))
     total = np.add.reduce(_band_gather(u_hat[0], start, len(probs)) * probs, axis=0)
     return float(total[0] / (model.grid.K * model.grid.K))
+
+
+def table_report(model: MdpModel, u_hat: np.ndarray, counts: np.ndarray) -> dict:
+    """What a `monotone_backward_induction` solve of `model` did, from its
+    u_hat and walk counts: the fields of `mdp-train`'s train.json, and of a
+    trained table's entry in a sweep point's report."""
+    (n, m), k = u_hat.shape, model.grid.K
+    per_state_bound = 2 * k - 1
+    stays = model.band_start[0] + np.arange(len(model.band))[:, None] == np.arange(m)
+    return {
+        "m_levels": m, "k_states": k, "n_blocks": n,
+        "params_hash": model.params.content_hash(),
+        "evaluations_total": int(counts.sum()),
+        "bound_total": per_state_bound * m * n,
+        "per_state_max": int(counts.max()),
+        "per_state_bound": per_state_bound,
+        "dense_equivalent_total": k ** 2 * m * n,
+        # the mid-value kernel that never credits a harvest: with no spend,
+        # every battery level stays where it is (fig3 at M <= 25); level m
+        # lies in its own no-spend band, so the band alone holds the difference
+        "kernel0_is_identity": bool(np.abs(model.band[:, 0] - stays).max() <= 1e-12),
+        # the model's own expected frame cost of the table, from an empty battery
+        "predicted_cost": predicted_cost(model, u_hat),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -21,18 +21,11 @@ sum.  The walk and the zeta calibrator pay every block through one check,
 `_pay`; the grid BS and the threshold policy admit users through one
 rule, `_admit_in_order`, under a power limit per row.
 
-`sweep` and `point_rows` (its one-point case) write CSV rows through one
-path, `_rows`.  Given any offline plan function, every point's battery
-passes `require_uncapped_battery` before any other work.  The points then
-run in chunks of consecutive points that share (tau, p_H_max), at most
-_JOIN_FRAMES frames or one point each.  A chunk draws each point's batch
-once (`sample_trajectories`); a plan function decides each frame alone,
-so it plans the whole chunk in one call on the batches' plan inputs
-joined (`_solve_plans`).  Then each point builds its policies and walks
-them with its plans in one `outcomes` call, totals each row (one user's
-online rows in block order, `_block_order_totals`, every other row with
-`frame_totals`) and aggregates it with `metrics_row`: one row per online
-policy factory, then one per offline plan function.
+`sweep` and `point_rows` (its one-point case) run points through one
+path, `_rows`, which returns one record per point: its axis value, its
+CSV rows, and the report its policy factories, each called as
+factory(point, report), fill in.  Points of one (tau, p_H_max) are
+planned in chunks, and each point's rows come out of one `outcomes` walk.
 """
 
 from __future__ import annotations
@@ -364,8 +357,8 @@ def metrics_row(name, axis: str, value, packets: int, seed, costs, grid, drops) 
 
 def point_rows(point: SystemParams, axis: str, value, policy_factories: dict,
                frames: int, seed: int, plans: dict | None = None, users: int = 1) -> list[dict]:
-    """Rows of every policy at one parameter point, on shared trajectories:
-    the one-point case of `sweep` (`_rows`).
+    """The record of every policy at one parameter point, on shared
+    trajectories: the one-point case of `sweep` (`_rows`), a list of one.
 
     `axis` and `value` only label the rows; a point run passes "none", 0.0.
     The `users` users share the EH battery and both stations' per-block
@@ -383,13 +376,12 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
           users: int = 1) -> list[dict]:
     """Evaluate policies across one parameter axis with shared trajectories.
 
-    `policy_factories` maps a display name to a callable(params) -> policy,
-    so per-point state (retrained tables, recalibrated thresholds) is built
-    where it belongs.  Each point's rows are `point_rows`' rows there, for
+    `policy_factories` maps a display name to a callable(point, report) ->
+    policy, so per-point state (retrained tables, recalibrated thresholds)
+    is built where it belongs and reported in the point's `report` dict.
+    Each point's record is `point_rows`' record there (`_rows`), for
     `users` users, with a row per offline plan function in `plans` last;
-    `_rows` runs the points in chunks of one (tau, p_H_max) and plans each
-    chunk with one call per plan function, one chunk after another; rows
-    are value-major, policy-minor.
+    the records are in value order.
     """
     points = [(apply_axis(params, axis, v), axis, v) for v in values]
     return _rows(points, policy_factories, frames, seed, plans, users)
@@ -397,8 +389,9 @@ def sweep(params: SystemParams, axis: str, values, policy_factories: dict,
 
 def _rows(points, policy_factories: dict, frames: int, seed: int, plans: dict | None,
           users: int) -> list[dict]:
-    """The rows of every (params, axis, value) point of `points`,
-    value-major, policy-minor.
+    """One record per (params, axis, value) point of `points`, in order:
+    {"axis_value": value, "rows": its CSV rows, policy order, "report": the
+    dict its factories filled in}.
 
     Given any plan function, every point's battery is refused
     (`require_uncapped_battery`) before anything else runs.  The points
@@ -406,13 +399,13 @@ def _rows(points, policy_factories: dict, frames: int, seed: int, plans: dict | 
     p_H_max), at most _JOIN_FRAMES frames or a single point each, one after
     another.  A chunk draws each point's batch once
     (`sample_trajectories`), plans all of them with one call per plan
-    function (`_solve_plans`), and then per point builds its policies
-    and plays them with its plans in one `outcomes` walk, so the first
-    block where any row fails raises that row's error.  Each row is
-    settled, totalled and aggregated (`metrics_row`) before the next is
-    read.  A chunk's batches live only in `run`, so they are let go
-    before the next chunk draws: a sweep holds one chunk's batches and one
-    settlement at a time.
+    function (`_solve_plans`), and then per point builds its policies,
+    each by factory(point, report) on a fresh report, and plays them with
+    its plans in one `outcomes` walk, so the first block where any row
+    fails raises that row's error.  Each row is settled, totalled and
+    aggregated (`metrics_row`) before the next is read.  A chunk's batches
+    live only in `run`, so they are let go before the next chunk draws: a
+    sweep holds one chunk's batches and one settlement at a time.
     """
     plans = plans or {}
     if plans:
@@ -434,15 +427,15 @@ def _rows(points, policy_factories: dict, frames: int, seed: int, plans: dict | 
     def run(chunk):
         batches = [sample_trajectories(point, seed, frames, users) for point, _, _ in chunk]
         solved = _solve_plans(list(plans.values()), batches)
-        rows = []
         for (point, axis, value), batch, point_plans in zip(chunk, batches, solved):
-            policies = [factory(point) for factory in policy_factories.values()]
+            report: dict = {}
+            policies = [factory(point, report) for factory in policy_factories.values()]
             settled = outcomes(batch, policies, point_plans)
-            rows += [metrics_row(name, axis, value, users * point.N, seed, *total(*next(settled)))
-                     for name, total in zip(names, totals)]
-        return rows
+            yield {"axis_value": value, "report": report, "rows": [
+                metrics_row(name, axis, value, users * point.N, seed, *total(*next(settled)))
+                for name, total in zip(names, totals)]}
 
-    return [row for chunk in chunks for row in run(chunk)]
+    return [record for chunk in chunks for record in run(chunk)]
 
 
 # ---------------------------------------------------------------------------
@@ -477,5 +470,5 @@ def write_json(path, doc: dict) -> None:
 
 def write_manifest(path, params: SystemParams, **extras) -> None:
     """JSON run manifest: full parameter snapshot plus run-specific extras
-    (artifact hashes, calibrated thresholds, output digests)."""
+    (the points' reports, output digests)."""
     write_json(path, {"params": params.as_dict(), "params_hash": params.content_hash(), **extras})

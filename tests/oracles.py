@@ -390,12 +390,14 @@ def plan_totals(solve, batch: FrameBatch):
 
 def per_policy_point_rows(point, axis, value, policy_factories, frames, seed, plans=None,
                           users=1):
-    """`sim.point_rows` as one walk per policy (`block_totals` for one
-    user, `exact_totals` for more) and one `plan_totals` per plan, on the
-    batch `sim.sample_trajectories` draws for the point."""
+    """The rows of `sim.point_rows`' record, as one walk per policy
+    (`block_totals` for one user, `exact_totals` for more) and one
+    `plan_totals` per plan, on the batch `sim.sample_trajectories` draws for
+    the point; each factory gets a report of its own."""
     batch = sim.sample_trajectories(point, seed, frames, users)
     online = block_totals if users == 1 else exact_totals
-    runs = [(name, online(factory(point), batch)) for name, factory in policy_factories.items()]
+    runs = [(name, online(factory(point, {}), batch))
+            for name, factory in policy_factories.items()]
     runs += [(name, plan_totals(solve, batch)) for name, solve in (plans or {}).items()]
     return [metrics_row(name, axis, value, users * point.N, seed, *arrays)
             for name, arrays in runs]
@@ -403,15 +405,16 @@ def per_policy_point_rows(point, axis, value, policy_factories, frames, seed, pl
 
 def point_by_point_sweep(params, axis, values, policy_factories, frames, seed, plans=None,
                          users=1):
-    """`sim.sweep`'s rows with every point run alone, in value order: the
-    point's own `sample_trajectories` batch, its factories, `solve_plan` per
-    plan function and one `outcomes` walk of all its rows, each totalled
-    as `sim.point_rows` totals it."""
+    """The rows of `sim.sweep`'s records with every point run alone, in
+    value order: the point's own `sample_trajectories` batch, its factories
+    (each given a report of its own), `solve_plan` per plan function and
+    one `outcomes` walk of all its rows, each totalled as `sim.point_rows`
+    totals it."""
     rows = []
     for value in values:
         point = apply_axis(params, axis, value)
         batch = sample_trajectories(point, seed, frames, users)
-        policies = [factory(point) for factory in policy_factories.values()]
+        policies = [factory(point, {}) for factory in policy_factories.values()]
         solved = [solve_plan(solve, batch) for solve in (plans or {}).values()]
         online = _block_order_totals if users == 1 else frame_totals
         totals = [online] * len(policies) + [frame_totals] * len(solved)

@@ -6,6 +6,7 @@ import json
 import math
 import time
 import tracemalloc
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hesnet import cli
 from hesnet.cli import (
     DISPATCH,
     RUN_KEYS,
@@ -110,8 +112,7 @@ def test_invalid_physical_config_is_config_error():
 def test_axis_values_converted_to_si():
     cfg = resolve_config(overrides={"axis": "p_avg_mw", "axis_values": "10,20"})
     assert cfg.axis == "P_avg"
-    assert cfg.axis_values == (pytest.approx(0.01), pytest.approx(0.02))
-    assert cfg.axis_values_raw == (10.0, 20.0)
+    assert cfg.axis_values == (0.01, 0.02)
     with pytest.raises(ConfigError, match="unknown axis"):
         resolve_config(overrides={"axis": "voltage", "axis_values": "1"})
     with pytest.raises(ConfigError, match="axis_values"):
@@ -175,7 +176,7 @@ def test_all_presets_resolve():
 
 def test_flag_style_overrides_win():
     assert resolve_config(overrides={"frames": "7"}).frames == 7
-    assert resolve_config(preset="fig4", overrides={"axis_values": "20"}).axis_values_raw == (20.0,)
+    assert resolve_config(preset="fig4", overrides={"axis_values": "20"}).axis_values == (0.02,)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +412,11 @@ def test_simulate_loads_artifact_and_pins_csv_header(tmp_path):
     manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
     assert manifest["params_hash"] == resolve_config(
         overrides={"n_blocks": "8", "m_levels": "4", "k_states": "2"}).params.content_hash()
-    art = manifest["artifacts"]["MBIA-M4"]
+    (point,) = manifest["points"]
+    assert point["axis_value"] == 0.0 and sorted(point["report"]) == ["MBIA-M4", "Threshold"]
+    art = point["report"]["MBIA-M4"]
     assert art["path"].endswith("mbia_M4_K2.pol") and len(art["sha256"]) == 64
+    assert art["params_hash"] == manifest["params_hash"]
     assert manifest["csv_sha256"]
 
 
@@ -443,15 +447,21 @@ def test_simulate_stale_artifact_is_exit_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("preset,changes", [
     ("fig3", {}), ("fig4", {}), ("default", {}), ("fig6", {}), ("default", {"n_blocks": "2"})])
-def test_look_ahead_plays_the_last_two_blocks_of_the_mbia_table(preset, changes):
+def test_look_ahead_plays_the_last_two_blocks_of_the_mbia_table(preset, changes, monkeypatch):
     # a run holding MBIA at Look-Ahead's M solves once; the 2-block
     # recursion is the last two blocks of the N-block one, bit for bit
     cfg = resolve_config(preset=preset, overrides={"policies": "LA,MBIA", **changes})
-    factories, _, run = _online_factories(cfg, train_mbia=True)
-    played = factories["Look-Ahead"](cfg.params).table
-    assert len(run.tables) == 1
-    mbia = factories[f"MBIA-M{cfg.m_levels}"](cfg.params).table
-    assert len(run.tables) == 1 and (played.top[:-1] == mbia.top[-2]).all()
+    factories, _ = _online_factories(cfg, train_mbia=True)
+    solves = []
+    solve = cli.monotone_backward_induction
+    monkeypatch.setattr(cli, "monotone_backward_induction",
+                        lambda *args: solves.append(args) or solve(*args))
+    report: dict = {}
+    played = factories["Look-Ahead"](cfg.params, report).table
+    assert len(solves) == 1
+    mbia = factories[f"MBIA-M{cfg.m_levels}"](cfg.params, report).table
+    assert len(solves) == 1 and (played.top[:-1] == mbia.top[-2]).all()
+    assert list(report) == [f"MBIA-M{cfg.m_levels}"]
     built = look_ahead_build(cfg.params, M=cfg.m_levels, K=cfg.k_states)
     assert played.top.dtype == built.top.dtype and np.array_equal(played.top, built.top)
     assert played.params_hash == built.params_hash
@@ -647,8 +657,11 @@ def test_sweep_rows_manifest_and_rerun_bytes(tmp_path):
         assert [l.split(",", 1)[0] for l in lines[1:]] == rows * 2   # two points
         manifest = json.loads((out1 / "sweep_manifest.json").read_text())
         assert manifest["axis"] == "w_d"
-        assert manifest["axis_values"] == [0.01, 1.0]
-        assert manifest["mbia_trained_inline"] is True
+        points = manifest["points"]
+        assert [p["axis_value"] for p in points] == [0.01, 1.0]
+        entries = ["MBIA-M4"] if users == 1 else ["Threshold"]
+        assert [sorted(p["report"]) for p in points] == [entries] * 2
+        assert not {"axis_values", "zeta", "artifacts", "mbia_trained_inline"} & set(manifest)
         assert manifest["users"] == users and "threads" not in manifest
         assert ("per_user_bandwidth_hz" in manifest) == (users > 1)
 
@@ -666,6 +679,56 @@ def test_threads_other_than_one_is_refused_before_any_output(tmp_path, capsys):
         assert main(base + how) == 2, how
         assert "key 'threads' must be <= 1, got 2" in capsys.readouterr().err, how
         assert not out.exists(), how
+
+
+def test_sweep_records_every_point_of_a_repeated_axis_value(tmp_path):
+    # each axis value is a point of its own, so a repeated value is trained
+    # and reported again rather than served from another point's tables
+    assert main(["sweep", "--preset", "fig4"] + SMALL + [
+        "--set", "policies=Threshold,MBIA,LA", "--axis-values", "20,20,25",
+        "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "sweep_manifest.json").read_text())
+    points = manifest["points"]
+    assert [p["axis_value"] for p in points] == [0.02, 0.02, 0.025]
+    assert [sorted(p["report"]) for p in points] == [["MBIA-M4", "Threshold"]] * 3
+    assert points[0] == points[1] != points[2]
+    assert points[2]["report"]["MBIA-M4"]["params_hash"] != points[0]["report"]["MBIA-M4"][
+        "params_hash"]
+
+
+def test_sweep_holds_the_mbia_tables_of_one_point_at_a_time(tmp_path, monkeypatch):
+    # when a point solves its table, only the last point's table (held by
+    # its policies until they are replaced) is still alive
+    tables, live = [], []
+    solve = cli.monotone_backward_induction
+
+    def tracked(*args):
+        live.append(sum(ref() is not None for ref in tables))
+        table, u_hat, counts = solve(*args)
+        tables.append(weakref.ref(table))
+        return table, u_hat, counts
+
+    monkeypatch.setattr(cli, "monotone_backward_induction", tracked)
+    assert main(["sweep", "--preset", "fig4"] + SMALL + [
+        "--set", "policies=MBIA,LA", "--axis-values", "10,20,25,30",
+        "--out", str(tmp_path)]) == 0
+    assert live == [0, 1, 1, 1]
+
+
+def test_sweep_reports_the_table_mdp_train_writes_at_its_point(tmp_path):
+    # the fig3 point d_H = 40 m is d_G = 40 m on the 80 m line; the sweep's
+    # MBIA entry there holds the solve fields of mdp-train's train.json
+    art = tmp_path / "art"
+    assert main(["mdp-train", "--preset", "fig3", "--m-levels", "25", "--set", "d_h_m=40",
+                 "--set", "d_g_m=40", "--out", str(art)]) == 0
+    log = json.loads((art / "mbia_M25_K25.train.json").read_text())
+    assert main(["sweep", "--preset", "fig3", "--set", "policies=MBIA-M25", "--axis-values", "40",
+                 "--frames", "4", "--out", str(tmp_path / "sweep")]) == 0
+    manifest = json.loads((tmp_path / "sweep" / "sweep_manifest.json").read_text())
+    (point,) = manifest["points"]
+    solve = {key: value for key, value in log.items() if not key.startswith("artifact")}
+    assert point["report"] == {"MBIA-M25": solve}
+    assert len(solve) == 11 and solve["kernel0_is_identity"] is True
 
 
 def test_sweep_preset_smoke(tmp_path):
@@ -701,8 +764,10 @@ def test_calibrate_zeta_reports_the_zeta_auto_plays(tmp_path):
                  "--set", "policies=Threshold", "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
     assert manifest["config"]["zeta"] == "auto"
-    assert manifest["zeta"] == {doc["params_hash"][:12]: {
+    (point,) = manifest["points"]
+    assert point["report"] == {"Threshold": {
         key: doc[key] for key in ("zeta_star", "lambda1", "lambda2")}}
+    assert doc["params_hash"] == manifest["params_hash"]
 
 
 def test_quantize_info_prints_reference_levels(capsys):

@@ -518,7 +518,7 @@ def test_greedy_plan_sums_block_spend_in_user_order():
 
 def test_greedy_plan_matches_oracle_on_two_user_preset_frames():
     cfg = resolve_config(preset="fig5-two-user")
-    assert cfg.users == 2 and list(cfg.axis_values_raw) == [10, 20, 30]   # mW
+    assert cfg.users == 2 and cfg.axis_values == (0.01, 0.02, 0.03)   # 10, 20, 30 mW
     for value in cfg.axis_values:
         point = apply_axis(cfg.params, cfg.axis, value)
         assert point.N == 50

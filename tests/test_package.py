@@ -162,6 +162,33 @@ def test_offline_plans_are_solved_in_sim_alone(tmp_path):
     assert rule_copies(tmp_path) == ["cli.py:5:require_uncapped_battery", "cli.py:6:greedy_plan"]
 
 
+def table_report_reads(folder):
+    """Reads, as a bare name or an attribute, of an MDP model's kernel band
+    (`band`, `band_start`) or of `predicted_cost` in the modules of
+    `folder` other than mdp.py: a table's report is `mdp.table_report`'s
+    alone."""
+    found = []
+    for path in sorted(folder.glob("*.py")):
+        if path.name == "mdp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in ("band", "band_start", "predicted_cost"):
+                found.append(f"{path.name}:{node.lineno}:{name}")
+    return sorted(found)
+
+
+def test_table_reports_are_computed_in_mdp_alone(tmp_path):
+    assert table_report_reads(ROOT / "src" / "hesnet") == []
+    (tmp_path / "mdp.py").write_text("def table_report(model):\n"
+                                     "    return model.band, predicted_cost(model)\n")
+    (tmp_path / "cli.py").write_text(
+        "from .mdp import predicted_cost\n\n\ndef cmd(model):\n"
+        "    return model.band_start[0], predicted_cost(model), {'band': 1}\n")
+    assert table_report_reads(tmp_path) == ["cli.py:5:band_start", "cli.py:5:predicted_cost"]
+
+
 def unread_definitions(path):
     """Module-level functions and classes of `path` that no other module in
     its folder reads, as a bare name or an attribute."""

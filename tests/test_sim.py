@@ -419,7 +419,7 @@ def test_p_avg_axis_refuses_a_pinned_battery():
         apply_axis(pinned, "P_avg", 0.03)
     built = []
 
-    def factory(point):
+    def factory(point, report):
         built.append(point)
         return GreedyTransmit()
 
@@ -435,12 +435,14 @@ def test_p_avg_axis_refuses_a_pinned_battery():
 
 def test_sweep_rows_and_offline_inclusion():
     params = P.evolve(N=8)
-    rows = sweep(params, "P_avg", [0.01, 0.02], {"GT": lambda p: GreedyTransmit()},
-                 frames=20, seed=71, plans={"Greedy": greedy_plan, "Exhaustive": optimal_plan})
+    records = sweep(params, "P_avg", [0.01, 0.02], {"GT": lambda p, report: GreedyTransmit()},
+                    frames=20, seed=71, plans={"Greedy": greedy_plan, "Exhaustive": optimal_plan})
+    assert [(r["axis_value"], r["report"]) for r in records] == [(0.01, {}), (0.02, {})]
+    rows = rows_of(records)
     assert [r["policy"] for r in rows] == ["GT", "Greedy", "Exhaustive"] * 2
     # no plans, no offline rows
-    assert [r["policy"] for r in sweep(params, "P_avg", [0.01], {"GT": lambda p: GreedyTransmit()},
-                                       frames=20, seed=71)] == ["GT"]
+    assert [r["policy"] for r in rows_of(sweep(params, "P_avg", [0.01], {
+        "GT": lambda p, report: GreedyTransmit()}, frames=20, seed=71))] == ["GT"]
     for row in rows:
         assert list(row.keys()) == CSV_HEADER
         assert row["grid_energy_mj"] == pytest.approx(row["grid_energy_j"] * 1e3, rel=1e-12)
@@ -454,8 +456,9 @@ def test_sweep_rows_and_offline_inclusion():
 def test_sweep_runs_the_exhaustive_row_at_the_papers_n():
     # the optimum's walk is bounded by its front, not by N: at N = 50 the
     # Exhaustive row is written and never costs more than the Greedy one
-    rows = sweep(P, "w_D", [0.01, 0.1], {"GT": lambda p: GreedyTransmit()}, frames=5, seed=72,
-                 plans={"Greedy": greedy_plan, "Exhaustive": optimal_plan})
+    plans = {"Greedy": greedy_plan, "Exhaustive": optimal_plan}
+    rows = rows_of(sweep(P, "w_D", [0.01, 0.1], {"GT": lambda p, report: GreedyTransmit()},
+                         frames=5, seed=72, plans=plans))
     assert [r["policy"] for r in rows] == ["GT", "Greedy", "Exhaustive"] * 2
     for greedy, optimum in zip(rows[1::3], rows[2::3]):
         assert optimum["mean_total_cost"] <= greedy["mean_total_cost"]
@@ -488,7 +491,7 @@ def test_sweep_rows_equal_the_point_by_point_sweep(axis, users, monkeypatch):
     for join, per_call in ((sim._JOIN_FRAMES, 3), (18, 2), (17, 1)):
         monkeypatch.setattr(sim, "_JOIN_FRAMES", join)
         calls.clear()
-        got = sweep(*args, plans=counted, users=users)
+        got = rows_of(sweep(*args, plans=counted, users=users))
         assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
         assert calls == [n for n in sizes[per_call] for _ in plans]
 
@@ -499,7 +502,7 @@ def test_capped_battery_sweep_refuses_before_any_factory_runs():
     capped = P.evolve(N=8, B_m=4 * P.E_m)
     built = []
 
-    def factory(point):
+    def factory(point, report):
         built.append(point)
         return GreedyTransmit()
 
@@ -511,14 +514,14 @@ def test_capped_battery_sweep_refuses_before_any_factory_runs():
     assert lone_error(point_rows, capped, "none", 0.0, {"GT": factory}, 4, 73, plans) == want
     assert built == []
     # with no plan the capped battery is walked
-    assert len(sweep(capped, "w_D", [0.01], {"GT": factory}, frames=4, seed=73)) == 1
+    assert len(rows_of(sweep(capped, "w_D", [0.01], {"GT": factory}, frames=4, seed=73))) == 1
     assert len(built) == 1
 
 
 @pytest.mark.parametrize("frames", [0, -1])
 def test_a_run_of_no_frames_is_refused(frames):
     # on one chunk (P_avg) or three (p_H_max), with or without plans
-    factories = {"GT": lambda p: GreedyTransmit()}
+    factories = {"GT": lambda p, report: GreedyTransmit()}
     for plans in (None, {"Greedy": greedy_plan}):
         for axis in ("P_avg", "p_H_max"):
             with pytest.raises(InvalidParameterError, match=r"^frames must be >= 1$"):
@@ -533,7 +536,7 @@ def test_exhaustive_refusal_in_a_sweep_reads_as_its_lone_point(monkeypatch):
     monkeypatch.setattr(offline, "FRONT_MAX", 12)
     params = P.evolve(N=12)
     plans = {"Greedy": greedy_plan, "Exhaustive": optimal_plan}
-    factories = {"GT": lambda p: GreedyTransmit()}
+    factories = {"GT": lambda p, report: GreedyTransmit()}
 
     def lone(v):
         return lone_error(point_rows, apply_axis(params, "P_avg", v), "P_avg", v, factories, 6, 5,
@@ -570,12 +573,14 @@ def point_factories(users):
     """Row name -> policy factory: GT, Threshold and GP-only, and at one
     user a Look-Ahead table."""
     factories = {
-        "GT": lambda p: GreedyTransmit(),
-        "Threshold": lambda p: ThresholdHeuristic(ThresholdParams(8.0, *threshold_lambdas(p))),
-        "GP-only": lambda p: GridOnlyPolicy(),
+        "GT": lambda p, report: GreedyTransmit(),
+        "Threshold": lambda p, report: ThresholdHeuristic(
+            ThresholdParams(8.0, *threshold_lambdas(p))),
+        "GP-only": lambda p, report: GridOnlyPolicy(),
     }
     if users == 1:
-        factories["Look-Ahead"] = lambda p: MdpTablePolicy(look_ahead_build(p, M=10, K=5))
+        factories["Look-Ahead"] = lambda p, report: MdpTablePolicy(
+            look_ahead_build(p, M=10, K=5))
     return factories
 
 
@@ -601,7 +606,7 @@ def test_point_rows_equal_one_walk_per_policy(users, monkeypatch):
         args = (point, "P_avg", 0.02, point_factories(users), 12, 95, plans, users)
         want = per_policy_point_rows(*args)
         walks.clear()
-        got = point_rows(*args)
+        got = rows_of(point_rows(*args))
         assert walks == [len(want)]
         assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
     if users > 1:   # the summed cap turns users away somewhere
@@ -641,6 +646,11 @@ def serve_everything(c, p_h, e_h, tau, p_max):
     return np.ones(c.shape, dtype=np.int8)
 
 
+def rows_of(records):
+    """The CSV rows of `sweep` or `point_rows` records, in order."""
+    return [row for record in records for row in record["rows"]]
+
+
 def lone_error(evaluate, *args):
     with pytest.raises(Exception) as exc:
         evaluate(*args)
@@ -661,14 +671,16 @@ def test_point_walk_raises_what_the_first_failing_lone_walk_raises(users):
             bad = MisbehavesAt(at, act)
             want = lone_error(online, bad, batch)
             assert want[0] is InvalidActionError
-            assert point_error({**good, "bad": lambda p: bad}, {"Greedy": greedy_plan}) == want
+            assert point_error({**good, "bad": lambda p, report: bad},
+                               {"Greedy": greedy_plan}) == want
             # the earliest failing block raises, whatever the row order
             late = MisbehavesAt(at + 2, overdraw)
-            assert point_error({"late": lambda p: late, "bad": lambda p: bad}) == want
+            assert point_error({"late": lambda p, report: late,
+                                "bad": lambda p, report: bad}) == want
     # in one block, the first row that fails raises
     first, second = MisbehavesAt(3, a_two), MisbehavesAt(3, bad_shape)
-    assert point_error({"first": lambda p: first, "second": lambda p: second}) == lone_error(
-        online, first, batch)
+    assert point_error({"first": lambda p, report: first,
+                        "second": lambda p, report: second}) == lone_error(online, first, batch)
     # a plan that cannot be paid raises as its own replay does
     want = lone_error(plan_totals, serve_everything, batch)
     assert want[0] is InvalidActionError
@@ -744,8 +756,8 @@ def test_rows_are_settled_one_at_a_time_when_read(users, monkeypatch):
         assert len(settled) == k
     assert next(rows, None) is None
     settled.clear()
-    point_rows(P, "none", 0.0, {"GT": lambda p: GreedyTransmit(),
-                                "GP-only": lambda p: GridOnlyPolicy()},
+    point_rows(P, "none", 0.0, {"GT": lambda p, report: GreedyTransmit(),
+                                "GP-only": lambda p, report: GridOnlyPolicy()},
                6, 98, {"Greedy": greedy_plan}, users)
     assert len(settled) == 3
 
@@ -770,7 +782,7 @@ def test_a_sweep_builds_each_points_batch_once_and_lets_a_chunk_go(monkeypatch):
 
     monkeypatch.setattr(sim, "sample_trajectories", tracked)
 
-    def factory(point):   # runs after its chunk's batches are drawn
+    def factory(point, report):   # runs after its chunk's batches are drawn
         first = values.index(point.P_avg) // 2 * 2   # its chunk's first point
         assert len(refs) == min(first + 2, len(values))
         assert all(ref() is None for ref in refs[:first]), "an earlier chunk's batch is alive"
@@ -825,7 +837,7 @@ def test_stale_table_in_a_point_raises_as_its_lone_walk_does():
     stale = MdpTablePolicy(look_ahead_build(P.evolve(w_D=0.5), M=10, K=4))
     want = lone_error(block_totals, stale, sample_trajectories(P, 97, 6))
     assert want[0] is StalePolicyError
-    factories = {**point_factories(1), "stale": lambda p: stale}
+    factories = {**point_factories(1), "stale": lambda p, report: stale}
     assert lone_error(point_rows, P, "none", 0.0, factories, 6, 97) == want
 
 
@@ -834,7 +846,8 @@ def test_stale_table_in_a_point_raises_as_its_lone_walk_does():
 # ---------------------------------------------------------------------------
 
 def test_csv_golden_header(tmp_path):
-    rows = sweep(P, "w_D", [0.01], {"GT": lambda p: GreedyTransmit()}, frames=3, seed=74)
+    rows = rows_of(sweep(P, "w_D", [0.01], {"GT": lambda p, report: GreedyTransmit()}, frames=3,
+                         seed=74))
     out = tmp_path / "rows.csv"
     write_rows_csv(out, rows)
     text = out.read_text().splitlines()
