@@ -6,11 +6,11 @@ block i costs c_i (grid bill or drop penalty), serving it spends
 p_H_inv,i * tau joules of battery under prefix energy causality and the peak
 power cap.  Both solvers here map the same batch arrays, (frames, U, N) skip
 costs and harvesting inversion powers over (frames, N) shared arrivals, to a
-(frames, U, N) 0/1 plan: `greedy_plan` (Greedy Assignment, any user count)
-and `optimal_plan` (the exact optimum by a Pareto walk, one user).  Plans
-are checked and scored by replaying them through the battery walk of the
-causal policies (`sim.outcomes`), whose over-draw check is the one
-feasibility check on every plan.
+(frames, U, N) bool serve mask: `greedy_plan` (Greedy Assignment, any user
+count) and `optimal_plan` (the exact optimum by a Pareto walk, one user).
+Plans are checked and scored by replaying them through the battery walk of
+the causal policies (`sim.outcomes`), which plays them as it plays an
+action; its over-draw check is the one feasibility check on every plan.
 
 The greedy scores are fixed per block and feasibility only shrinks as blocks
 are selected, so serving the best feasible block until nothing fits picks
@@ -93,7 +93,7 @@ def greedy_plan(c, p_h, e_h, tau: float, p_H_max_sum: float) -> np.ndarray:
     less the selected spends, both as prefix sums.  Per-block sums over
     users run in user order, not pick order, so the float sums and hence
     the picks match a rescan of the whole selection after every pick.
-    Returns the (frames, U, N) 0/1 selection.
+    Returns the (frames, U, N) bool selection.
 
     Every pick's power and spend are gathered in visiting order up front.
     The walk keeps, per frame, the selected (block, user) powers and
@@ -136,15 +136,15 @@ def greedy_plan(c, p_h, e_h, tau: float, p_H_max_sum: float) -> np.ndarray:
         slack = budget[f] - np.cumsum(used[f], axis=1)
         tail[f] = np.minimum.accumulate(slack[:, ::-1], axis=1)[:, ::-1]
     # every power is > 0 (_plan_inputs), so the selection is where one was chosen
-    return (chosen_p > 0).transpose(0, 2, 1).astype(np.int8)
+    return (chosen_p > 0).transpose(0, 2, 1)
 
 
 def optimal_plan(c, p_h, e_h, tau: float, p_H_max: float) -> np.ndarray:
     """The optimal one-user plan of each frame by a Pareto walk over its blocks.
 
     Takes `greedy_plan`'s (frames, 1, N) and (frames, N) arrays and returns
-    a (frames, 1, N) plan.  Per frame the walk keeps (battery spend, skip
-    cost so far) states of 0/1 prefixes, in prefix order.  Each branches
+    a (frames, 1, N) bool plan.  Per frame the walk keeps (battery spend,
+    skip cost so far) states of 0/1 prefixes, in prefix order.  Each branches
     into skip (cost + c_i) and, within the peak cap and the prefix arrivals
     (ENERGY_RTOL relative slack), serve (spend + p_h,i * tau).  A state is
     dropped when one with no more spend has a lower cost, or an equal cost
@@ -161,7 +161,7 @@ def optimal_plan(c, p_h, e_h, tau: float, p_H_max: float) -> np.ndarray:
     c, p_h = c[:, 0], p_h[:, 0]
     budget = np.cumsum(e_h, axis=1) * (1.0 + ENERGY_RTOL)
     spends = p_h * tau
-    plan = np.zeros((frames, 1, n), dtype=np.int8)
+    plan = np.zeros((frames, 1, n), dtype=bool)
     for f in range(frames):
         spend, cost = np.zeros(1), np.zeros(1)
         kept = []   # per block, each kept state's child index: 2 * parent + served

@@ -5,12 +5,12 @@ N) shared arrivals, under one `SystemParams` whose peak powers cap each
 station's per-block sum over the users.  A single frame is a one-frame
 batch and a single user is U = 1.  There is one entry point,
 `outcomes(batch, policies, plans)`: one battery walk, `_walk`, plays every
-policy (any object with `decide_batch`) and then every (frames, U, N) 0/1
+policy (any object with `decide_batch`) and then every (frames, U, N)
 plan, one battery each; per block the arrival is credited once and all
-the rows' serves are paid in one check.  A policy's action is a (frames,
-U) bool serve mask, stored as it is; an action of any other dtype is
-checked for 0/1 in its block, and a plan that is all 0/1 is made a bool
-mask once.  Only the battery is causal, so the walk loops over blocks for
+the rows' serves are paid in one check.  A policy's action, and a plan's
+block, is a (frames, U) serve mask, stored as it is when bool; one of
+any other dtype is checked for 0/1 in its block, so a plan walks as an
+action does.  Only the battery is causal, so the walk loops over blocks for
 the battery alone and fills a serve mask per row; one settlement of a
 row's whole batch (`_settle`), made when the row is read, then sends the
 users the harvesting BS skips to the grid BS cheapest first while its
@@ -209,33 +209,24 @@ def _settle(serve, batch: FrameBatch):
 
 def outcomes(batch: FrameBatch, policies=(), plans=()):
     """Walk every policy in `policies` (by its `decide_batch`), then every
-    (frames, U, N) 0/1 plan in `plans`, over `batch` in one battery walk
+    (frames, U, N) plan in `plans`, over `batch` in one battery walk
     (`_walk`), one battery each, and return an iterator of each row's
     (frames, U, N) outcome arrays (serve, admitted, cost, grid energy in
     J), in that order.
 
-    A plan that is all 0/1 walks as a bool mask, converted once; any other
-    is checked block by block as a policy's action is, so its error names
-    the block and frame where its first bad entry falls, in walk order.
-    The walk runs when `outcomes` is called, so the first block where any
-    row fails raises then, with the error that row's lone walk raises.
-    Each row is settled (`_settle`) only when it is read, so a caller that
-    totals a row before reading the next holds one settlement at a time.
+    A plan walks as an action does: block i is its (frames, U) slice
+    [:, :, i], stored as it is when bool (the offline solvers' masks) and
+    otherwise checked for 0/1, so its error names the block and frame where
+    its first bad entry falls, in walk order.  The walk runs when
+    `outcomes` is called, so the first block where any row fails raises
+    then, with the error that row's lone walk raises.  Each row is settled
+    (`_settle`) only when it is read, so a caller that totals a row before
+    reading the next holds one settlement at a time.
     """
-    plans = [_plan_mask(plan) for plan in plans]
     serve = _walk([policy.decide_batch for policy in policies]
-                  + [lambda i, battery, batch, plan=plan: plan[:, :, i] for plan in plans], batch)
+                  + [lambda i, battery, batch, plan=np.asarray(plan): plan[:, :, i]
+                     for plan in plans], batch)
     return (_settle(np.ascontiguousarray(mask.transpose(1, 2, 0)), batch) for mask in serve)
-
-
-def _plan_mask(plan):
-    """A plan as a bool mask when it is all 0/1, else as given."""
-    plan = np.asarray(plan)
-    if plan.dtype != bool:
-        served = plan == 1
-        if not (plan != served).any():
-            return served
-    return plan
 
 
 def frame_totals(serve, admitted, cost, grid):

@@ -17,7 +17,10 @@ u_hat, with the dense (N, M, K, K) serve mask and cost-to-go they imply,
 the per-block staircase check and walk count on a block's whole q0, the
 staircase check that reads every entry of that mask, the player that
 looks it up with one search per channel, and the version-1 artifact layout
-that held it live here as their references.
+that held it live here as their references.  Value play, the solve's
+recursion taken at the real battery and gains rather than at a bin
+mid-value and the channel states' representative gains, is the reference
+the table's decisions are measured against.
 
 `hesnet.sim` walks the battery block by block and then settles the whole
 batch at once.  The walk that settled each block inside the loop is the
@@ -42,6 +45,8 @@ import numpy as np
 from hesnet.errors import InvalidActionError, InvalidParameterError, StructureViolationError
 from hesnet.mdp import (
     _RISE_RTOL,
+    _arrival_band,
+    _band_gather,
     _expected_values,
     battery_level_index,
     channel_state_index,
@@ -301,6 +306,52 @@ class DenseTablePolicy:
                            channel_state_index(batch.gamma_h[:, :, block], grid.bounds_H)]
         demote = ~serve_feasible(batch.p_h[:, :, block], battery[:, None], batch.params)
         return np.where(demote, 0, act).astype(np.int8)
+
+
+def value_play(model, u_hat, block: int, battery, skip, p_h):
+    """Value play's two action values at `block`, broadcast over the
+    arrays `battery` (J, already credited with the block's arrival),
+    `skip` and `p_h` (W): (q0, q1), skip + V(battery) and V(battery - p_h
+    * tau), q1 inf where `serve_feasible` fails.  It serves iff q1 <= q0,
+    so ties serve, as the table's do.
+
+    V(b) is the next block's u_hat averaged over the arrival band from the
+    residual b (`mdp._arrival_band`) and divided by K^2, summed in band
+    order and scaled as `mdp._expected_values` does, and 0 after the last
+    block.  So at a bin mid-value battery and the channel states'
+    representative gains, (q0, q1) are the values the solve compared.
+    This is one-step lookahead on the solve's cost-to-go.
+    """
+    params, grid = model.params, model.grid
+    battery = np.asarray(battery, dtype=float)
+
+    def value(base):
+        if block == len(u_hat) - 1:
+            return np.zeros(base.shape)
+        start, probs = _arrival_band(grid, params.E_m, base)
+        ev = np.add.reduce(_band_gather(u_hat[block + 1], start, len(probs)) * probs, axis=0)
+        ev *= 1.0 / (grid.K * grid.K)
+        return ev
+
+    q0 = skip + value(battery)
+    q1 = value(np.maximum(battery - p_h * params.tau, 0.0))
+    q1 += np.where(serve_feasible(p_h, battery, params), 0.0, np.inf)
+    return q0, q1
+
+
+class ValuePlay:
+    """Plays `value_play` on one user's real battery and gains: the
+    policy an MBIA solve implies when its (N, M) u_hat, not its table, is
+    looked up."""
+
+    def __init__(self, model, u_hat):
+        self.model, self.u_hat = model, u_hat
+
+    def decide_batch(self, block, battery, batch):
+        assert batch.users == 1
+        q0, q1 = value_play(self.model, self.u_hat, block, battery,
+                            batch.skip[:, 0, block], batch.p_h[:, 0, block])
+        return (q1 <= q0)[:, None]
 
 
 def v1_artifact(path, top, grid, params_hash) -> bytes:

@@ -391,8 +391,10 @@ def test_optimal_plan_equals_the_enumerator_on_edge_cases():
     for case in cases.values():
         assert_agrees_with_enumerator(case)
     capped = cases["peak cap below every inversion power"]
-    assert not optimal_plan(capped.skip, capped.p_h, capped.e_h, capped.params.tau,
-                            capped.params.p_H_max).any()
+    plan = optimal_plan(capped.skip, capped.p_h, capped.e_h, capped.params.tau,
+                        capped.params.p_H_max)
+    assert not plan.any()
+    assert plan.shape == capped.skip.shape and plan.dtype == bool
 
 
 def test_greedy_optimal_when_one_channel_constant():
@@ -549,7 +551,7 @@ def test_greedy_plan_equals_per_frame_oracle(data, users, n, frames, tau, cap):
                                max_size=frames * users * n))).reshape(frames, users, n)
     e = np.array(draw(st.lists(GRID_E, min_size=frames * n, max_size=frames * n))).reshape(frames, n)
     plan = greedy_plan(c, p, e, tau, cap)
-    assert plan.shape == (frames, users, n) and plan.dtype == np.int8
+    assert plan.shape == (frames, users, n) and plan.dtype == bool
     for f in range(frames):
         instances = [inst_of(c[f, u], p[f, u], e[f], tau=tau, p_h_max=cap) for u in range(users)]
         np.testing.assert_array_equal(plan[f], oracle_multiuser_greedy(instances, cap))

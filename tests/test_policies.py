@@ -41,7 +41,7 @@ from hesnet.policies import (
     threshold_lambdas,
 )
 from hesnet.sim import GridOnlyPolicy, _battery_slack, apply_axis
-from oracles import ActionValues, DenseTablePolicy, block_totals, walk
+from oracles import ActionValues, DenseTablePolicy, ValuePlay, block_totals, value_play, walk
 
 P = SystemParams()
 
@@ -489,6 +489,57 @@ def test_threshold_lookup_decides_as_the_dense_table(preset):
         got = lookup.decide_batch(block, battery, batch)
         assert got.dtype == bool
         np.testing.assert_array_equal(got, dense.decide_batch(block, battery, batch))
+        served += int(got.sum())
+    assert 0 < served < params.N * battery.size   # both actions are exercised
+
+
+def near_tie(q0, q1):
+    """Where value play's two values lie within 4 ulps of each other, so
+    that the order of a sum could decide between them."""
+    return np.abs(q1 - q0) <= 4 * np.spacing(np.abs(q0))
+
+
+@pytest.mark.parametrize("w_D", [0.01, 1.0])
+def test_value_play_decides_as_the_mbia_table_at_grid_states(w_D):
+    # at a bin mid-value battery and the representative gains of both
+    # channel states, value play compares the values the solve compared,
+    # so it serves where the table serves, near-ties aside
+    params = P.evolve(w_D=w_D)
+    model = build_mdp_model(params, build_grid(params, M=100, K=25))
+    table, u_hat, _ = monotone_backward_induction(model, params.N)
+    grid = model.grid
+    kg = np.arange(grid.K)[:, None]
+    compared = 0
+    for block in range(params.N):
+        # (M, K_G, K_H) states: battery by level, skip cost by G-state, power by H-state
+        q0, q1 = np.broadcast_arrays(*value_play(
+            model, u_hat, block, grid.battery_levels[:, None, None],
+            model.cost_G[None, :, None], model.p_inv_H[None, None, :]))
+        clear = ~near_tie(q0, q1)
+        np.testing.assert_array_equal((q1 <= q0)[clear],
+                                      (kg <= table.top[block][:, None, :])[clear])
+        compared += int(clear.sum())
+    assert compared >= 0.99 * params.N * grid.M * grid.K ** 2
+
+
+def test_value_play_walks_as_the_table_plays_at_grid_states():
+    # the same agreement through both players' decide_batch on a batch of
+    # grid states: the real gains' link terms and channel states, the
+    # battery's bin and the peak-cap demotion
+    params = P.evolve(w_D=1.0)
+    model = build_mdp_model(params, build_grid(params, M=12, K=4))
+    table, u_hat, _ = monotone_backward_induction(model, params.N)
+    grid = model.grid
+    m, kg, kh = (a.ravel() for a in np.indices((grid.M, grid.K, grid.K)))
+    batch = column_batch(grid.levels_G[kg], grid.levels_H[kh], params)
+    battery = grid.battery_levels[m]
+    player, lookup = ValuePlay(model, u_hat), MdpTablePolicy(table)
+    served = 0
+    for block in range(params.N):
+        clear = ~near_tie(*value_play(model, u_hat, block, battery, batch.skip[:, 0, block],
+                                      batch.p_h[:, 0, block]))
+        got = player.decide_batch(block, battery, batch)
+        np.testing.assert_array_equal(got[clear], lookup.decide_batch(block, battery, batch)[clear])
         served += int(got.sum())
     assert 0 < served < params.N * battery.size   # both actions are exercised
 
